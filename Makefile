@@ -1,7 +1,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 REPRO  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m repro
 
-.PHONY: test-fast test-slow test-all test-cov bench serve-smoke serve2-smoke chaos-smoke conform-smoke batch-smoke admm-smoke resilience-smoke codegen-smoke lint
+.PHONY: test-fast test-slow test-all test-cov bench bench-harness serve-smoke serve2-smoke chaos-smoke conform-smoke batch-smoke admm-smoke resilience-smoke codegen-smoke lint
 
 # Quick unit/property lane — skips the long closed-loop / experiment suites.
 test-fast:
@@ -18,6 +18,13 @@ test-all:
 # Solver micro-benchmarks and the banded-vs-dense acceptance bench.
 bench:
 	$(PYTEST) -q benchmarks/bench_solver_kernels.py benchmarks/bench_banded_vs_dense.py
+
+# Self-test of the repo benchmark harness (benchmarks/e2e, outside tier-1's
+# testpaths): among other things every span target must still resolve, so a
+# refactor that renames solve_qp_batch, robust_factor_batch or a
+# BatchCholeskyFactor method fails here instead of nulling a per-layer metric.
+bench-harness:
+	$(PYTEST) -q benchmarks/e2e/test_harness.py
 
 # Serving-runtime smoke: a small deadline-budgeted fleet must complete with
 # zero crashed sessions (non-zero exit otherwise).

@@ -10,8 +10,8 @@ dispatches session groups through.
 
 Every batch kernel routes its array ops through the array-backend seam
 (:mod:`~repro.batch.backend`): numpy is the always-available reference,
-cupy / torch register automatically when importable and run the QP loop
-device-resident in masked lockstep mode.  Select with
+cupy / torch register automatically when importable and run the same
+masked lockstep QP loop device-resident.  Select with
 ``REPRO_ARRAY_BACKEND=torch`` (optionally ``:float32``) or explicitly via
 ``BatchSolver(problem, backend="torch")``.
 """

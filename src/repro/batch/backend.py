@@ -12,10 +12,12 @@ implementations exist:
   pre-seam code, so results are bit-identical (the conform ``batch_qp``
   path and its golden ledger pin this).
 * ``cupy`` / ``torch`` — auto-registered when the package imports.  Both
-  report :attr:`ArrayBackend.is_device` ``True``, which switches
-  :func:`repro.batch.qp.solve_qp_batch` into its masked lockstep mode:
-  frozen lanes are excluded by on-device masks instead of host-side
-  gather/scatter, so one interior-point iteration issues **zero** host
+  report :attr:`ArrayBackend.is_device` ``True``.  They run the same
+  masked lockstep loop of :func:`repro.batch.qp.solve_qp_batch` numpy
+  runs — frozen lanes are excluded by masks, never gathered — and the
+  flag only cuts the two things that would read device data mid-loop
+  (the factorization retry ladder and the per-iteration early-exit
+  check), so one interior-point iteration issues **zero** host
   round-trips (the TurboMPC / ReLU-QP structure: batched matmul + clamp,
   all device-resident).
 
@@ -83,8 +85,9 @@ class ArrayBackend:
     """
 
     name = "numpy"
-    #: True when host transfers are costly and counted; switches the QP
-    #: loop into masked lockstep mode (no per-iteration gather/scatter).
+    #: True when host transfers are costly and counted: the QP loop then
+    #: factors once per iteration (no retry ladder) and checks for early
+    #: exit only every ``sync_interval`` iterations.
     is_device = False
 
     def __init__(self, dtype: str = "float64") -> None:

@@ -58,7 +58,7 @@ from repro.mpc.ipm import IPMOptions, IPMResult, InteriorPointSolver
 from repro.mpc.transcription import TranscribedProblem
 
 from .backend import HOST, ArrayBackend, get_backend
-from .qp import solve_qp_batch
+from .qp import _maxabs, solve_qp_batch
 from .transcription import BatchLinearizer
 
 __all__ = ["BatchSolveReport", "BatchSolver"]
@@ -93,12 +93,6 @@ class BatchSolveReport:
         )
 
 
-def _maxabs_rows(xp: ArrayBackend, v):
-    if int(v.shape[1]) == 0:
-        return xp.zeros((int(v.shape[0]),))
-    return xp.max(xp.abs(v), axis=1)
-
-
 def _kkt_batch(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
     """Batched twin of ``repro.mpc.ipm._kkt_residual`` (same scaling)."""
     s_max = 100.0
@@ -122,14 +116,14 @@ def _kkt_batch(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
             if int(h.shape[1])
             else xp.zeros((int(h.shape[0]),))
         )
-        comp = _maxabs_rows(xp, lam * h) / sd
+        comp = _maxabs(xp, lam * h) / sd
         dual_feas = xp.max(xp.maximum(-lam, 0.0), axis=1) / sd
     else:
         primal_ineq = comp = dual_feas = xp.zeros((int(grad.shape[0]),))
     return xp.maximum_reduce(
         [
-            _maxabs_rows(xp, r_dual) / sd,
-            _maxabs_rows(xp, g_eq),
+            _maxabs(xp, r_dual) / sd,
+            _maxabs(xp, g_eq),
             primal_ineq,
             comp,
             dual_feas,
@@ -719,9 +713,9 @@ class BatchSolver:
 
             # -- batched L1 exact-penalty merit line search ----------------
             mult_inf = HOST.maximum(
-                _maxabs_rows(HOST, NU_l),
+                _maxabs(HOST, NU_l),
                 HOST.maximum(
-                    _maxabs_rows(HOST, LAM_l)
+                    _maxabs(HOST, LAM_l)
                     if m
                     else HOST.zeros((int(ls.size),)),
                     opt.penalty_init,
@@ -742,7 +736,7 @@ class BatchSolver:
                     windows[lane].pop(0)
                 merit_ref[k_l] = max(windows[lane])
             descent = HOST.einsum("bi,bi->b", grad_l, Dl) - viol0
-            step_inf = _maxabs_rows(HOST, Dl / scale)
+            step_inf = _maxabs(HOST, Dl / scale)
             with HOST.errstate():
                 alpha = HOST.where(
                     step_inf > 0.0,

@@ -5,38 +5,30 @@ as :func:`repro.mpc.qp.solve_qp`, but over ``B`` stacked instances
 ``(H, g, G, b, J, d)`` that share one sparsity structure (same shapes,
 same stage-ordered band).  Every lane carries its own step lengths,
 barrier parameter, and convergence scale; an *active mask* implements
-continuous-batching semantics:
+continuous-batching semantics: a lane that converges, diverges, fails to
+factor, or exhausts its iteration cap is **frozen** — its iterate is
+never touched again, so it stays bit-identical to its freeze point — while
+the remaining lanes keep iterating.
 
-* a lane that converges, diverges, fails to factor, or exhausts its
-  iteration cap is **frozen** — its iterate is never touched again, so it
-  stays bit-identical to its freeze point;
-* the remaining lanes are gathered into a smaller sub-batch and keep
-  iterating, so late lanes do not pay for early finishers.
+There is one loop, the statically scheduled shape RoboX executes: a
+*masked lockstep* iteration with a fixed trip count and no data-dependent
+control flow.  Every array operation routes through the
+:mod:`repro.batch.backend` seam (``xp``), lane statuses live in an
+integer array, freezes are ``where``-masked updates (frozen lanes ride
+along in the batched matmuls and their results are masked away), and
+every per-lane statistic (iteration counts, residuals, QPStats counters,
+the barrier-gap history) accumulates in backend arrays that are
+downloaded **once**, after the loop.  numpy, cupy and torch run the same
+body; only two *values* are read from ``xp.is_device``:
 
-Every array operation routes through the :mod:`repro.batch.backend` seam
-(``xp``), and the loop itself comes in two strategies keyed on
-``xp.is_device``:
-
-**Host strategy** (numpy and other host backends): the gather loop above,
-unchanged from its original numpy form — per-lane Python bookkeeping is
-free on host arrays, and the numpy backend stays bit-identical to the
-pre-seam implementation.
-
-**Device strategy** (cupy/torch — anything with ``is_device=True``): a
-masked lockstep loop with *no per-iteration host synchronization*.  Lane
-statuses live in a device integer array, freezes are ``where``-masked
-updates instead of gathers, the loop runs to the precomputed global
-iteration cap, and every per-lane statistic (iteration counts, residuals,
-QPStats counters, the barrier-gap history) accumulates in device arrays
-that are downloaded **once**, after the loop.  The optional
-``sync_interval`` trades that purity for early exit: every such interval
-one boolean is read back to stop a fully-frozen batch (set it to 0 for a
-strictly sync-free solve).  Two intentional lockstep deviations from the
-host strategy, both documented in DESIGN.md: frozen lanes still ride
-along in the batched matmuls (their results are masked away), and the
-factorization retry ladder is disabled (``attempts=1`` — a ladder's
-early-exit test is a host round-trip per rung), so a lane the base
-regularization cannot factor freezes as ``"failed"`` instead of retrying.
+* the factorization retry ladder runs in full on host backends and is
+  cut to a single attempt on device backends (a ladder's early-exit test
+  is a host round-trip per rung), so a lane the base regularization
+  cannot factor is retried on numpy and freezes as ``"failed"`` on a
+  device — the sync-free deviation documented in DESIGN.md;
+* the all-frozen early-exit check reads one boolean every iteration on
+  host backends, where it is free, and every ``sync_interval`` iterations
+  on device backends (0 = a strictly sync-free solve).
 
 The per-iteration decision ladder (convergence check, divergence guard,
 wall-clock deadline, cap re-evaluation) copies the scalar solver's order
@@ -58,7 +50,7 @@ from repro.mpc.banded import bandwidth_of
 from repro.mpc.qp import QPOptions, QPStats
 
 from .backend import HOST, ArrayBackend, get_backend
-from .linalg import BatchCholeskyFactor, robust_factor_batch
+from .linalg import robust_factor_batch
 
 __all__ = ["BatchQPStats", "BatchQPResult", "solve_qp_batch"]
 
@@ -68,10 +60,10 @@ _W_CEIL = 1e16
 _INF = float("inf")
 _NAN = float("nan")
 
-#: Device-side lane status codes (masked lockstep strategy).  ``_STALLED``
-#: is produced only by the batched ADMM loop (repro.firstorder.batch):
-#: the lane froze because its residual stopped improving — the batched
-#: SQP driver treats it, like ``_FAILED``, as an IPM-rescue candidate.
+#: Lane status codes of the masked lockstep loops.  ``_STALLED`` is
+#: produced only by the batched ADMM loop (repro.firstorder.batch): the
+#: lane froze because its residual stopped improving — the batched SQP
+#: driver treats it, like ``_FAILED``, as an IPM-rescue candidate.
 _ACTIVE, _CONV, _DIV, _MAXIT, _BUDGET, _FAILED, _STALLED = 0, 1, 2, 3, 4, 5, 6
 _STATUS_NAMES = {
     _ACTIVE: "max_iterations",  # unreachable fallback
@@ -134,7 +126,7 @@ class BatchQPResult:
     freeze: Optional[Dict[int, Dict[str, object]]] = None
     #: solver-internal warm-start state for the next solve of the same
     #: shapes (ADMM batches only — see :mod:`repro.firstorder.batch`);
-    #: ``None`` for the IPM strategies.
+    #: ``None`` for the IPM.
     warm: Optional[dict] = None
 
 
@@ -149,21 +141,16 @@ def _maxabs(xp: ArrayBackend, M):
     return xp.max(xp.abs(xp.reshape(M, (lanes, cols))), axis=1)
 
 
-def _max_step_batch(xp: ArrayBackend, v, dv, safe_div: bool = False):
+def _max_step_batch(xp: ArrayBackend, v, dv):
     """Per-lane fraction-to-the-boundary step (batched ``_max_step``).
 
-    ``safe_div=True`` substitutes a dummy denominator where ``dv >= 0``
-    so no divide-by-zero is ever issued — the masked lockstep strategy
-    runs without the host strategy's errstate suppression.
+    A dummy denominator stands in where ``dv >= 0``, so no divide-by-zero
+    is ever issued whatever the backend's warning policy.
     """
     if int(dv.shape[1]) == 0:
         return xp.ones((int(dv.shape[0]),))
-    if safe_div:
-        neg = dv < 0.0
-        ratio = xp.where(neg, (0.0 - v) / xp.where(neg, dv, -1.0), _INF)
-    else:
-        with xp.errstate():
-            ratio = xp.where(dv < 0.0, -v / dv, _INF)
+    neg = dv < 0.0
+    ratio = xp.where(neg, (0.0 - v) / xp.where(neg, dv, -1.0), _INF)
     a = xp.min(ratio, axis=1)
     return xp.minimum(1.0, xp.where(xp.isfinite(a), a, 1.0))
 
@@ -171,6 +158,37 @@ def _max_step_batch(xp: ArrayBackend, v, dv, safe_div: bool = False):
 def _bmv(xp: ArrayBackend, M, v):
     """Batched matrix @ vector: (k, r, c) x (k, c) -> (k, r)."""
     return xp.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _lane_caps(xp: ArrayBackend, lanes: int, max_it: int, iteration_caps):
+    """Per-lane iteration caps (clipped to ``[1, max_it]``) and the global
+    trip count — a host decision made once, before the loop, from
+    host-side inputs.  Returns ``(caps, global_max)``."""
+    if iteration_caps is None:
+        return xp.full((lanes,), max_it, dtype="int"), max_it
+    caps_h = HOST.minimum(
+        HOST.full((lanes,), max_it, dtype="int"),
+        HOST.maximum(HOST.asarray(iteration_caps, dtype="int"), 1),
+    )
+    return xp.from_host(caps_h, dtype="int"), int(HOST.scalar(HOST.max(caps_h)))
+
+
+def _decode_lanes(status_h, rows_h):
+    """Host epilogue of a lockstep loop: downloaded status codes to names
+    and a converged mask, and the ``(checks, B)`` history rows (NaN where
+    a lane was frozen) to per-lane lists.  Returns ``(codes, names,
+    converged, history)``."""
+    codes = [int(c) for c in status_h]
+    names = [_STATUS_NAMES[c] for c in codes]
+    converged = HOST.asarray([c == _CONV for c in codes], dtype="bool")
+    if rows_h is None:
+        history: List[List[float]] = [[] for _ in codes]
+    else:
+        history = [
+            [float(v) for v in rows_h[:, lane] if v == v]
+            for lane in range(len(codes))
+        ]
+    return codes, names, converged, history
 
 
 def solve_qp_batch(
@@ -196,425 +214,15 @@ def solve_qp_batch(
     ``record_freeze`` snapshots each lane's iterate at its freeze point
     (for the bit-identity guarantees tested in the active-mask suite).
     ``backend`` selects the array namespace (default: process-wide
-    selection); device backends take the masked lockstep strategy, where
-    ``sync_interval`` controls the early-exit cadence (0 = never sync).
+    selection).  On device backends ``sync_interval`` is the early-exit
+    cadence (0 = never sync); host backends check every iteration.
     """
     opt = options or QPOptions()
     xp = get_backend(backend)
-    if xp.is_device:
-        return _solve_masked(
-            xp, H, g, G, b, J, d, opt, bandwidth, deadline,
-            iteration_caps, record_freeze, sync_interval,
-        )
-    return _solve_gather(
-        xp, H, g, G, b, J, d, opt, bandwidth, deadline,
-        iteration_caps, record_freeze,
-    )
+    # The two backend-derived values (see the module docstring).
+    ladder = {"attempts": 1} if xp.is_device else {}
+    exit_check = sync_interval if xp.is_device else 1
 
-
-# ------------------------------------------------------------------------
-# Host strategy: gather loop (bit-identical to the pre-seam numpy code)
-# ------------------------------------------------------------------------
-
-
-def _solve_gather(
-    xp: ArrayBackend,
-    H,
-    g,
-    G,
-    b,
-    J,
-    d,
-    opt: QPOptions,
-    bandwidth: Optional[int],
-    deadline: Optional[float],
-    iteration_caps,
-    record_freeze: bool,
-) -> BatchQPResult:
-    H = xp.asarray(H)
-    g = xp.asarray(g)
-    lanes, n = int(g.shape[0]), int(g.shape[1])
-    if tuple(H.shape) != (lanes, n, n):
-        raise ValueError(f"H shape {tuple(H.shape)} != ({lanes}, {n}, {n})")
-
-    if G is None or b is None:
-        G = xp.zeros((lanes, 0, n))
-        b = xp.zeros((lanes, 0))
-        has_eq = False
-    else:
-        G = xp.asarray(G)
-        b = xp.asarray(b)
-        has_eq = G.shape[1] > 0
-    if J is None or d is None:
-        J = xp.zeros((lanes, 0, n))
-        d = xp.zeros((lanes, 0))
-    else:
-        J = xp.asarray(J)
-        d = xp.asarray(d)
-    p, m = int(G.shape[1]), int(J.shape[1])
-    has_in = m > 0
-
-    x = xp.zeros((lanes, n))
-    nu = xp.zeros((lanes, p))
-    if has_in:
-        s = xp.maximum(1.0, d - _bmv(xp, J, x))
-        lam = xp.ones((lanes, m))
-    else:
-        s = xp.zeros((lanes, 0))
-        lam = xp.zeros((lanes, 0))
-
-    scale = 1.0 + xp.minimum(
-        xp.maximum(
-            _maxabs(xp, g), xp.maximum(_maxabs(xp, b), _maxabs(xp, d))
-        ),
-        100.0,
-    )
-
-    caps = xp.full((lanes,), int(opt.max_iterations), dtype="int")
-    if iteration_caps is not None:
-        ic = xp.asarray(iteration_caps, dtype="int")
-        caps = xp.minimum(caps, xp.maximum(ic, 1))
-    budget_capped = caps < opt.max_iterations
-
-    active = xp.ones((lanes,), dtype="bool")
-    status: List[str] = ["max_iterations"] * lanes
-    converged = xp.zeros((lanes,), dtype="bool")
-    budget_ex = xp.zeros((lanes,), dtype="bool")
-    iterations = xp.zeros((lanes,), dtype="int")
-    residual = xp.full((lanes,), _INF)
-    gap_history: List[List[float]] = [[] for _ in range(lanes)]
-    stats = [QPStats() for _ in range(lanes)]
-    freeze: Dict[int, Dict[str, object]] = {}
-    bstats = BatchQPStats()
-
-    def _freeze(lane: int, st: str, its: int, budget: bool = False) -> None:
-        active[lane] = False
-        status[lane] = st
-        iterations[lane] = its
-        converged[lane] = st == "converged"
-        budget_ex[lane] = budget
-        if record_freeze:
-            freeze[lane] = {
-                "x": xp.copy(x[lane]),
-                "nu": xp.copy(nu[lane]),
-                "lam": xp.copy(lam[lane]),
-                "slacks": xp.copy(s[lane]),
-                "residual": xp.asarray(residual[lane]),
-            }
-
-    # Per-lane non-finite data fails fast (scalar raises SolverError; in a
-    # batch the lane freezes as "failed" so its mates keep solving).
-    lane_finite = (
-        xp.all(xp.isfinite(H), axis=(1, 2))
-        & xp.all(xp.isfinite(g), axis=1)
-        & xp.all(xp.isfinite(xp.reshape(G, (lanes, -1))), axis=1)
-        & xp.all(xp.isfinite(b), axis=1)
-        & xp.all(xp.isfinite(xp.reshape(J, (lanes, -1))), axis=1)
-        & xp.all(xp.isfinite(d), axis=1)
-    )
-    for lane in xp.flatnonzero(~lane_finite):
-        _freeze(int(lane), "failed", 0)
-
-    # Structural Phi band from the max-abs envelope over finite lanes —
-    # a sparsity superset of every lane's H + J^T W J, measured once.
-    phi_band: Optional[int] = None
-    if bandwidth is not None and n and lane_finite.any():
-        env = xp.max(xp.abs(H[lane_finite]), axis=0)
-        if has_in:
-            jmax = xp.max(xp.abs(J[lane_finite]), axis=0)
-            env = env + xp.matmul(xp.transpose_last2(jmax), jmax)
-        struct = bandwidth_of(env)
-        if struct <= bandwidth:
-            phi_band = struct
-            for lane in xp.flatnonzero(lane_finite):
-                stats[int(lane)].phi_bandwidth = struct
-
-    sfloor = _SLACK_FLOOR
-    global_max = int(caps[active].max()) if active.any() else 0
-
-    for it in range(1, global_max + 2):
-        idx = xp.flatnonzero(active)
-        if idx.size == 0:
-            break
-
-        xa, nua, sa, lama = x[idx], nu[idx], s[idx], lam[idx]
-        Ha, ga = H[idx], g[idx]
-        Ga, ba = G[idx], b[idx]
-        Ja, da = J[idx], d[idx]
-
-        # Residual evaluation (mirrors eval_residual in the scalar loop).
-        with xp.errstate():
-            r_dual = _bmv(xp, Ha, xa) + ga
-            if has_eq:
-                r_dual = r_dual + _bmv(xp, xp.transpose_last2(Ga), nua)
-            if has_in:
-                r_dual = r_dual + _bmv(xp, xp.transpose_last2(Ja), lama)
-            r_eq = (
-                _bmv(xp, Ga, xa) - ba if has_eq else xp.zeros((int(idx.size), 0))
-            )
-            r_in = (
-                _bmv(xp, Ja, xa) + sa - da
-                if has_in
-                else xp.zeros((int(idx.size), 0))
-            )
-            mu = (
-                xp.sum(sa * lama, axis=1) / m
-                if has_in
-                else xp.zeros((int(idx.size),))
-            )
-            res = _maxabs(xp, r_dual)
-            if has_eq:
-                res = xp.maximum(res, _maxabs(xp, r_eq))
-            if has_in:
-                res = xp.maximum(res, _maxabs(xp, r_in))
-            res = res + mu
-        residual[idx] = res
-        for k_l, lane in enumerate(idx):
-            gap_history[int(lane)].append(float(mu[k_l]))
-
-        # Classification ladder, scalar order: cap / converged / diverged.
-        over_cap = it > caps[idx]
-        conv = (~over_cap) & (res < opt.tolerance * scale[idx])
-        lam_blow = (
-            xp.max(lama, axis=1) > _LAM_DIVERGENCE * scale[idx]
-            if has_in
-            else xp.zeros((int(idx.size),), dtype="bool")
-        )
-        div = (~over_cap) & ~conv & (~xp.isfinite(res) | lam_blow)
-        for k_l, lane in enumerate(idx):
-            lane = int(lane)
-            if over_cap[k_l]:
-                if budget_capped[lane]:
-                    _freeze(lane, "budget_exhausted", int(caps[lane]))
-                else:
-                    _freeze(lane, "max_iterations", int(caps[lane]))
-            elif conv[k_l]:
-                _freeze(lane, "converged", it)
-            elif div[k_l]:
-                _freeze(lane, "diverged", it)
-
-        # Wall-clock deadline stops every still-active lane at once.
-        if deadline is not None and perf_counter() >= deadline:
-            for lane in xp.flatnonzero(active):
-                _freeze(int(lane), "budget_exhausted", it - 1, budget=True)
-            break
-
-        keep = active[idx]
-        if not keep.any():
-            continue
-        idx = idx[keep]
-        xa, nua, sa, lama = xa[keep], nua[keep], sa[keep], lama[keep]
-        Ha, ga, Ga, ba, Ja, da = (
-            Ha[keep], ga[keep], Ga[keep], ba[keep], Ja[keep], da[keep]
-        )
-        r_dual, r_eq, r_in, mu = r_dual[keep], r_eq[keep], r_in[keep], mu[keep]
-        k = int(idx.size)
-
-        bstats.iterations += 1
-        bstats.lane_iterations += k
-        bstats.lane_slots += lanes
-
-        with xp.errstate():
-            if has_in:
-                w = xp.minimum(lama / xp.maximum(sa, sfloor), _W_CEIL)
-                Phi = Ha + xp.matmul(
-                    xp.transpose_last2(Ja) * w[:, None, :], Ja
-                )
-            else:
-                w = xp.zeros((k, 0))
-                Phi = Ha
-
-        t0 = perf_counter()
-        phi_factor, reg_used, retries = robust_factor_batch(
-            Phi, opt.regularization, phi_band, backend=xp
-        )
-        dt = perf_counter() - t0
-        alive = xp.copy(phi_factor.ok)
-        for k_l, lane in enumerate(idx):
-            lane = int(lane)
-            st = stats[lane]
-            st.retries += int(retries[k_l])
-            st.factorize_time += dt / k
-            if alive[k_l]:
-                st.factorizations += 1
-                if phi_factor.banded:
-                    st.banded_factorizations += 1
-                st.factor_flops += phi_factor.factor_flops()
-                st.regularization_max = max(
-                    st.regularization_max, float(reg_used[k_l])
-                )
-            else:
-                _freeze(lane, "failed", it)
-
-        sub_time = [0.0]
-        sub_flops_lane = [0]
-
-        def _timed_solve(factor: BatchCholeskyFactor, rhs):
-            t = perf_counter()
-            out = factor.solve(rhs)
-            sub_time[0] += perf_counter() - t
-            nrhs = int(rhs.shape[2]) if rhs.ndim == 3 else 1
-            sub_flops_lane[0] += factor.solve_flops(nrhs)
-            return out
-
-        s_factor: Optional[BatchCholeskyFactor] = None
-        PhiInv_Gt = None
-        if has_eq and alive.any():
-            with xp.errstate():
-                PhiInv_Gt = _timed_solve(phi_factor, xp.transpose_last2(Ga))
-                S = xp.matmul(Ga, PhiInv_Gt)
-            s_band: Optional[int] = None
-            if bandwidth is not None:
-                meas = bandwidth_of(xp.max(xp.abs(S[alive]), axis=0))
-                if meas <= bandwidth:
-                    s_band = meas
-                for k_l, lane in enumerate(idx):
-                    if alive[k_l]:
-                        st = stats[int(lane)]
-                        st.schur_bandwidth = max(st.schur_bandwidth or 0, meas)
-            t0 = perf_counter()
-            s_factor, s_reg, s_retries = robust_factor_batch(
-                S, opt.regularization, s_band, backend=xp
-            )
-            dt = perf_counter() - t0
-            still = alive & s_factor.ok
-            for k_l, lane in enumerate(idx):
-                lane = int(lane)
-                if not alive[k_l]:
-                    continue
-                st = stats[lane]
-                st.retries += int(s_retries[k_l])
-                st.factorize_time += dt / max(int(alive.sum()), 1)
-                if still[k_l]:
-                    st.factorizations += 1
-                    if s_factor.banded:
-                        st.banded_factorizations += 1
-                    st.factor_flops += s_factor.factor_flops()
-                    st.regularization_max = max(
-                        st.regularization_max, float(s_reg[k_l])
-                    )
-                else:
-                    _freeze(lane, "failed", it)
-            alive = still
-
-        if not alive.any():
-            continue
-
-        def _newton(rc):
-            with xp.errstate():
-                if has_in:
-                    rhs1 = -(
-                        r_dual
-                        + _bmv(
-                            xp,
-                            xp.transpose_last2(Ja),
-                            w * r_in - rc / xp.maximum(sa, sfloor),
-                        )
-                    )
-                else:
-                    rhs1 = -r_dual
-                t = _timed_solve(phi_factor, rhs1[:, :, None])[:, :, 0]
-                if has_eq:
-                    rhs2 = _bmv(xp, Ga, t) + r_eq
-                    dnu = _timed_solve(s_factor, rhs2[:, :, None])[:, :, 0]
-                    dx = t - _bmv(xp, PhiInv_Gt, dnu)
-                else:
-                    dnu = xp.zeros((k, 0))
-                    dx = t
-                if has_in:
-                    ds = -r_in - _bmv(xp, Ja, dx)
-                    dlam = (-rc - lama * ds) / xp.maximum(sa, sfloor)
-                else:
-                    ds = xp.zeros((k, 0))
-                    dlam = xp.zeros((k, 0))
-            return dx, dnu, ds, dlam
-
-        with xp.errstate():
-            # Predictor (affine scaling) step.
-            rc_aff = sa * lama
-            dx_a, dnu_a, ds_a, dlam_a = _newton(rc_aff)
-            if has_in:
-                ap_aff = _max_step_batch(xp, sa, ds_a)
-                ad_aff = _max_step_batch(xp, lama, dlam_a)
-                mu_aff = (
-                    (sa + ap_aff[:, None] * ds_a)
-                    * (lama + ad_aff[:, None] * dlam_a)
-                ).sum(axis=1) / m
-                safe_mu = xp.where(mu > 0.0, mu, 1.0)
-                sigma = xp.where(mu > 0.0, (mu_aff / safe_mu) ** 3, 0.0)
-                rc = sa * lama + ds_a * dlam_a - (sigma * mu)[:, None]
-                dx, dnu, ds, dlam = _newton(rc)
-                ap = xp.minimum(1.0, opt.tau * _max_step_batch(xp, sa, ds))
-                ad = xp.minimum(1.0, opt.tau * _max_step_batch(xp, lama, dlam))
-            else:
-                dx, dnu, ds, dlam = dx_a, dnu_a, ds_a, dlam_a
-                ap = xp.ones((k,))
-                ad = xp.ones((k,))
-
-        for k_l, lane in enumerate(idx):
-            lane = int(lane)
-            if not alive[k_l]:
-                continue
-            st = stats[lane]
-            st.substitute_time += sub_time[0] / max(int(alive.sum()), 1)
-            st.substitute_flops += sub_flops_lane[0]
-
-        upd = xp.flatnonzero(alive)
-        gidx = idx[upd]
-        x[gidx] = xa[upd] + ap[upd, None] * dx[upd]
-        nu[gidx] = nua[upd] + ad[upd, None] * dnu[upd]
-        if has_in:
-            s[gidx] = sa[upd] + ap[upd, None] * ds[upd]
-            lam[gidx] = lama[upd] + ad[upd, None] * dlam[upd]
-
-    for lane in range(lanes):
-        st = stats[lane]
-        if st.factorizations == 0:
-            st.mode = "dense"
-        elif st.banded_factorizations == st.factorizations:
-            st.mode = "banded"
-        elif st.banded_factorizations:
-            st.mode = "mixed"
-        else:
-            st.mode = "dense"
-
-    return BatchQPResult(
-        x=x,
-        nu=nu,
-        lam=lam,
-        slacks=s,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        status=status,
-        budget_exhausted=budget_ex,
-        gap_history=gap_history,
-        stats=stats,
-        batch=bstats,
-        freeze=freeze if record_freeze else None,
-    )
-
-
-# ------------------------------------------------------------------------
-# Device strategy: masked lockstep loop (no per-iteration host syncs)
-# ------------------------------------------------------------------------
-
-
-def _solve_masked(
-    xp: ArrayBackend,
-    H,
-    g,
-    G,
-    b,
-    J,
-    d,
-    opt: QPOptions,
-    bandwidth: Optional[int],
-    deadline: Optional[float],
-    iteration_caps,
-    record_freeze: bool,
-    sync_interval: int,
-) -> BatchQPResult:
     H = xp.asarray(H)
     g = xp.asarray(g)
     lanes, n = int(g.shape[0]), int(g.shape[1])
@@ -636,6 +244,8 @@ def _solve_masked(
     p, m = int(G.shape[1]), int(J.shape[1])
     has_eq, has_in = p > 0, m > 0
 
+    # Per-lane non-finite data fails fast (scalar raises SolverError; in a
+    # batch the lane freezes as "failed" so its mates keep solving).
     lane_finite = (
         xp.all(xp.isfinite(H), axis=(1, 2))
         & xp.all(xp.isfinite(g), axis=1)
@@ -675,19 +285,8 @@ def _solve_masked(
         100.0,
     )
 
-    # Iteration caps: the global trip count is a host decision made once,
-    # before the loop, from host-side inputs.
     max_it = int(opt.max_iterations)
-    if iteration_caps is not None:
-        caps_h = HOST.minimum(
-            HOST.full((lanes,), max_it, dtype="int"),
-            HOST.maximum(HOST.asarray(iteration_caps, dtype="int"), 1),
-        )
-        global_max = int(HOST.scalar(HOST.max(caps_h)))
-        caps = xp.from_host(caps_h, dtype="int")
-    else:
-        global_max = max_it
-        caps = xp.full((lanes,), max_it, dtype="int")
+    caps, global_max = _lane_caps(xp, lanes, max_it, iteration_caps)
     budget_capped = caps < max_it
 
     status = xp.where(lane_finite, _ACTIVE, _FAILED)
@@ -696,11 +295,12 @@ def _solve_masked(
     deadline_hit = xp.zeros((lanes,), dtype="bool")
     mu_rows: List[object] = []
 
-    # Device-resident per-lane QPStats accumulators.
+    # Backend-resident per-lane QPStats accumulators.
     factz = xp.zeros((lanes,), dtype="int")
     banded_factz = xp.zeros((lanes,), dtype="int")
     flops_acc = xp.zeros((lanes,), dtype="int")
     subflops_acc = xp.zeros((lanes,), dtype="int")
+    retries_acc = xp.zeros((lanes,), dtype="int")
     regmax = xp.zeros((lanes,))
     lane_iter_acc = xp.sum(xp.zeros((1,), dtype="int"))
     factor_time_total = 0.0
@@ -710,7 +310,6 @@ def _solve_masked(
     # Structural Phi band, measured once at setup (one constant download;
     # sanitized failed lanes contribute zeros to the envelope).
     phi_band: Optional[int] = None
-    phi_struct: Optional[int] = None
     if bandwidth is not None and n:
         env = xp.max(xp.abs(H), axis=0)
         if has_in:
@@ -718,7 +317,7 @@ def _solve_masked(
             env = env + xp.matmul(xp.transpose_last2(jmax), jmax)
         struct = bandwidth_of(xp.to_host(env))
         if struct <= bandwidth:
-            phi_band = phi_struct = struct
+            phi_band = struct
     schur_meas: Optional[int] = None
 
     sfloor = _SLACK_FLOOR
@@ -726,6 +325,7 @@ def _solve_masked(
     for it in range(1, global_max + 2):
         eval_active = status == _ACTIVE
 
+        # Residual evaluation (mirrors eval_residual in the scalar loop).
         with xp.errstate():
             r_dual = _bmv(xp, H, x) + g
             if has_eq:
@@ -771,7 +371,7 @@ def _solve_masked(
         iterations = xp.where(conv | div, it, iterations)
 
         # Wall-clock deadline stops every still-active lane at once (a
-        # host-clock decision — no device data is read).
+        # host-clock decision — no backend data is read).
         if deadline is not None and perf_counter() >= deadline:
             still = status == _ACTIVE
             status = xp.where(still, _BUDGET, status)
@@ -780,16 +380,15 @@ def _solve_masked(
             break
 
         active = status == _ACTIVE
-        if sync_interval and it % sync_interval == 0:
-            # The one optional host round-trip: early exit for a batch
-            # that has fully frozen before the global cap.
+        if exit_check and it % exit_check == 0:
+            # The one host round-trip a device pays (optionally): early
+            # exit for a batch that has fully frozen before the global cap.
             if not bool(xp.scalar(xp.any(active))):
                 break
 
-        ai = xp.astype(active, "int")
         bstats.iterations += 1
         bstats.lane_slots += lanes
-        lane_iter_acc = lane_iter_acc + xp.sum(ai)
+        lane_iter_acc = lane_iter_acc + xp.sum(xp.astype(active, "int"))
 
         with xp.errstate():
             if has_in:
@@ -800,9 +399,9 @@ def _solve_masked(
                 Phi = H
 
         t0 = perf_counter()
-        phi_factor, reg_used, _rt = robust_factor_batch(
+        phi_factor, reg_used, retries = robust_factor_batch(
             Phi, opt.regularization, phi_band,
-            attempts=1, backend=xp, active=active,
+            backend=xp, active=active, **ladder,
         )
         factor_time_total += perf_counter() - t0
         alive = active & phi_factor.ok
@@ -814,6 +413,7 @@ def _solve_masked(
         if phi_factor.banded:
             banded_factz = banded_factz + aiv
         flops_acc = flops_acc + aiv * phi_factor.factor_flops()
+        retries_acc = retries_acc + retries
         regmax = xp.maximum(regmax, xp.where(alive, reg_used, 0.0))
 
         def _timed_solve(factor, rhs, aiv_now):
@@ -835,16 +435,18 @@ def _solve_masked(
             if bandwidth is not None:
                 if schur_meas is None:
                     # Measured once, on the first iteration's Schur
-                    # complement (one constant download).
+                    # complement over the lanes that factored (one
+                    # constant download).
+                    s_env = xp.where(alive[:, None, None], xp.abs(S), 0.0)
                     schur_meas = bandwidth_of(
-                        xp.to_host(xp.max(xp.abs(S), axis=0))
+                        xp.to_host(xp.max(s_env, axis=0))
                     )
                 if schur_meas <= bandwidth:
                     s_band = schur_meas
             t0 = perf_counter()
-            s_factor, s_reg, _rt = robust_factor_batch(
+            s_factor, s_reg, s_retries = robust_factor_batch(
                 S, opt.regularization, s_band,
-                attempts=1, backend=xp, active=alive,
+                backend=xp, active=alive, **ladder,
             )
             factor_time_total += perf_counter() - t0
             still = alive & s_factor.ok
@@ -856,6 +458,7 @@ def _solve_masked(
             if s_factor.banded:
                 banded_factz = banded_factz + siv
             flops_acc = flops_acc + siv * s_factor.factor_flops()
+            retries_acc = retries_acc + s_retries
             regmax = xp.maximum(regmax, xp.where(still, s_reg, 0.0))
             alive = still
             aiv = siv
@@ -892,11 +495,12 @@ def _solve_masked(
             return dx, dnu, ds, dlam
 
         with xp.errstate():
+            # Predictor (affine scaling) step, then the centred corrector.
             rc_aff = s * lam
             dx_a, dnu_a, ds_a, dlam_a = _newton(rc_aff)
             if has_in:
-                ap_aff = _max_step_batch(xp, s, ds_a, safe_div=True)
-                ad_aff = _max_step_batch(xp, lam, dlam_a, safe_div=True)
+                ap_aff = _max_step_batch(xp, s, ds_a)
+                ad_aff = _max_step_batch(xp, lam, dlam_a)
                 mu_aff = xp.sum(
                     (s + ap_aff[:, None] * ds_a)
                     * (lam + ad_aff[:, None] * dlam_a),
@@ -906,12 +510,8 @@ def _solve_masked(
                 sigma = xp.where(mu > 0.0, (mu_aff / safe_mu) ** 3, 0.0)
                 rc = s * lam + ds_a * dlam_a - (sigma * mu)[:, None]
                 dx, dnu, ds, dlam = _newton(rc)
-                ap = xp.minimum(
-                    1.0, opt.tau * _max_step_batch(xp, s, ds, safe_div=True)
-                )
-                ad = xp.minimum(
-                    1.0, opt.tau * _max_step_batch(xp, lam, dlam, safe_div=True)
-                )
+                ap = xp.minimum(1.0, opt.tau * _max_step_batch(xp, s, ds))
+                ad = xp.minimum(1.0, opt.tau * _max_step_batch(xp, lam, dlam))
             else:
                 dx, dnu, ds, dlam = dx_a, dnu_a, ds_a, dlam_a
                 ap = xp.ones((lanes,))
@@ -930,7 +530,6 @@ def _solve_masked(
     nu_h = xp.to_host(nu)
     s_h = xp.to_host(s)
     lam_h = xp.to_host(lam)
-    status_h = xp.to_host(status)
     iters_h = xp.to_host(iterations)
     resid_h = xp.to_host(residual)
     deadline_h = xp.to_host(deadline_hit)
@@ -938,22 +537,14 @@ def _solve_masked(
     banded_h = xp.to_host(banded_factz)
     flops_h = xp.to_host(flops_acc)
     subflops_h = xp.to_host(subflops_acc)
+    retries_h = xp.to_host(retries_acc)
     regmax_h = xp.to_host(regmax)
     finite_h = xp.to_host(lane_finite)
-    mu_h = xp.to_host(xp.stack(mu_rows)) if mu_rows else None
     bstats.lane_iterations = int(xp.scalar(lane_iter_acc))
-
-    status_codes = [int(c) for c in status_h]
-    status = [_STATUS_NAMES[c] for c in status_codes]
-    converged_h = HOST.asarray(
-        [c == _CONV for c in status_codes], dtype="bool"
+    status_codes, status, converged_h, gap_history = _decode_lanes(
+        xp.to_host(status),
+        xp.to_host(xp.stack(mu_rows)) if mu_rows else None,
     )
-
-    gap_history: List[List[float]] = [[] for _ in range(lanes)]
-    if mu_h is not None:
-        for lane in range(lanes):
-            col = mu_h[:, lane]
-            gap_history[lane] = [float(v) for v in col if v == v]
 
     total_factz = max(int(factz_h.sum()), 1)
     stats: List[QPStats] = []
@@ -963,12 +554,13 @@ def _solve_masked(
         st.banded_factorizations = int(banded_h[lane])
         st.factor_flops = int(flops_h[lane])
         st.substitute_flops = int(subflops_h[lane])
+        st.retries = int(retries_h[lane])
         st.regularization_max = float(regmax_h[lane])
         share = int(factz_h[lane]) / total_factz
         st.factorize_time = factor_time_total * share
         st.substitute_time = sub_time_total * share
-        if phi_struct is not None and bool(finite_h[lane]):
-            st.phi_bandwidth = phi_struct
+        if phi_band is not None and bool(finite_h[lane]):
+            st.phi_bandwidth = phi_band
         if schur_meas is not None and st.factorizations:
             st.schur_bandwidth = schur_meas
         if st.factorizations == 0:

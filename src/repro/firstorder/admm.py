@@ -43,6 +43,7 @@ from repro.mpc.linalg import (
     cholesky_solve,
     flop_counts_cholesky,
     flop_counts_substitution,
+    max_abs,
 )
 from repro.firstorder.precond import (
     identity_equilibration,
@@ -70,10 +71,6 @@ _RHO_TRIGGER = 5.0
 _STALL_WINDOW = 0.9
 
 
-def _max_abs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
 def _penalty_diag(rho: float, p: int, m: int, eq_scale: float) -> np.ndarray:
     R = np.full(p + m, rho)
     R[:p] *= eq_scale
@@ -85,7 +82,7 @@ def _factor_inverse(
 ):
     """Explicit inverse of ``K = H + sigma I + A^T R A`` via the repo's
     Cholesky kernels (regularization escalates x100 on failure, same
-    schedule as the IPM's ``_robust_cholesky``).
+    schedule as the IPM's ``_robust_factor``).
 
     Returning the inverse — rather than keeping the factor — makes the
     per-iteration solve a single matvec, which is the form the batched
@@ -195,7 +192,7 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
     p = G.shape[0] if G is not None else 0
     m = J.shape[0] if J is not None else 0
     delta = max(float(reg), 1e-9)
-    g_norm = _max_abs(g)
+    g_norm = max_abs(g)
     act = np.zeros(m, dtype=bool)
     if m:
         act = ((d - J @ x) < _POLISH_ACTIVE_TOL * (1.0 + np.abs(d))) | (
@@ -234,12 +231,12 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
             break
         px = sol[:n]
         mult = sol[n:]
-        r_dual = _max_abs(
+        r_dual = max_abs(
             H @ px + g + (A_act.T @ mult if ka else 0.0)
         )
         r_prim = 0.0
         if p:
-            r_prim = max(r_prim, _max_abs(G @ px - b))
+            r_prim = max(r_prim, max_abs(G @ px - b))
         viol = np.zeros(0)
         if m:
             viol = J @ px - d
@@ -287,10 +284,10 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
         rows.append(J)
     A = np.vstack(rows) if rows else np.zeros((0, n))
     Ax = A @ px
-    prim_scale = 1.0 + _max_abs(Ax)
+    prim_scale = 1.0 + max_abs(Ax)
     dual_scale = 1.0 + max(
-        _max_abs(H @ px),
-        _max_abs(A.T @ y_full) if A.shape[0] else 0.0,
+        max_abs(H @ px),
+        max_abs(A.T @ y_full) if A.shape[0] else 0.0,
         g_norm,
     )
     best["slacks"] = (
@@ -424,7 +421,7 @@ def solve_qp_admm(
         z = np.clip(As @ x, l, u)
         y = np.zeros(msz)
 
-    g_norm = _max_abs(g)
+    g_norm = max_abs(g)
     gap_history: List[float] = []
     converged = False
     budget_exhausted = False
@@ -469,8 +466,8 @@ def solve_qp_admm(
         Ax = As @ x
         Hx = Hs @ x
         Aty = As.T @ y if msz else np.zeros(n)
-        r_prim = _max_abs(eq.Einv * (Ax - z))
-        r_dual = _max_abs(eq.cinv * (eq.Dinv * (Hx + gs + Aty)))
+        r_prim = max_abs(eq.Einv * (Ax - z))
+        r_dual = max_abs(eq.cinv * (eq.Dinv * (Hx + gs + Aty)))
         residual = max(r_prim, r_dual)
         gap_history.append(residual)
         if not np.isfinite(residual):
@@ -481,11 +478,11 @@ def solve_qp_admm(
             break
 
         prim_scale = 1.0 + max(
-            _max_abs(eq.Einv * Ax), _max_abs(eq.Einv * z)
+            max_abs(eq.Einv * Ax), max_abs(eq.Einv * z)
         )
         dual_scale = 1.0 + max(
-            _max_abs(eq.cinv * (eq.Dinv * Hx)),
-            _max_abs(eq.cinv * (eq.Dinv * Aty)),
+            max_abs(eq.cinv * (eq.Dinv * Hx)),
+            max_abs(eq.cinv * (eq.Dinv * Aty)),
             g_norm,
         )
         rp_rel = r_prim / prim_scale

@@ -53,10 +53,11 @@ from repro.batch.qp import (
     _FAILED,
     _MAXIT,
     _STALLED,
-    _STATUS_NAMES,
     BatchQPResult,
     BatchQPStats,
     _bmv,
+    _decode_lanes,
+    _lane_caps,
     _maxabs,
 )
 
@@ -156,18 +157,8 @@ def solve_qp_admm_batch(
         z = xp.clip(xp.zeros((lanes, msz)), lo, hi)
         y = xp.zeros((lanes, msz))
 
-    # Iteration caps: the global trip count is a host decision made once.
     max_it = int(opt.admm_max_iterations)
-    if iteration_caps is not None:
-        caps_h = HOST.minimum(
-            HOST.full((lanes,), max_it, dtype="int"),
-            HOST.maximum(HOST.asarray(iteration_caps, dtype="int"), 1),
-        )
-        global_max = int(HOST.scalar(HOST.max(caps_h)))
-        caps = xp.from_host(caps_h, dtype="int")
-    else:
-        global_max = max_it
-        caps = xp.full((lanes,), max_it, dtype="int")
+    caps, global_max = _lane_caps(xp, lanes, max_it, iteration_caps)
     budget_capped = caps < max_it
 
     status = xp.where(lane_finite, _ACTIVE, _FAILED)
@@ -339,18 +330,14 @@ def solve_qp_admm_batch(
     x_h = xp.to_host(x) * sc["D"]
     z_h = xp.to_host(z) * sc["Einv"]
     y_h = xp.to_host(y) * sc["E"] * sc["cinv"][:, None]
-    status_h = xp.to_host(status)
     iters_h = xp.to_host(iterations)
     resid_h = xp.to_host(residual)
     deadline_h = xp.to_host(deadline_hit)
     finite_h = xp.to_host(lane_finite)
-    res_h = xp.to_host(xp.stack(res_rows)) if res_rows else None
     bstats.lane_iterations = int(xp.scalar(lane_iter_acc))
-
-    status_codes = [int(c) for c in status_h]
-    status_names = [_STATUS_NAMES[c] for c in status_codes]
-    converged_h = HOST.asarray(
-        [c == _CONV for c in status_codes], dtype="bool"
+    status_codes, status_names, converged_h, gap_history = _decode_lanes(
+        xp.to_host(status),
+        xp.to_host(xp.stack(res_rows)) if res_rows else None,
     )
 
     nu_h = HOST.copy(y_h[:, :p])
@@ -358,12 +345,6 @@ def solve_qp_admm_batch(
     slacks_h = HOST.maximum(
         setup["d"] - _bmv(HOST, setup["J"], x_h), 0.0
     )
-
-    gap_history: List[List[float]] = [[] for _ in range(lanes)]
-    if res_h is not None:
-        for lane in range(lanes):
-            col = res_h[:, lane]
-            gap_history[lane] = [float(v) for v in col if v == v]
 
     factor_flops = 2 * n * n * n  # batched inverse of K, per lane
     matvec_flops = 2 * n * n + 6 * msz * n

@@ -30,6 +30,7 @@ import numpy as np
 from repro.errors import SolverError, StateValidationError
 from repro.mpc.budget import SolveBudget
 from repro.mpc.health import SolverHealth, nonfinite_indices
+from repro.mpc.linalg import max_abs
 from repro.mpc.qp import QPOptions, QPResult, solve_qp
 from repro.mpc.transcription import TranscribedProblem
 
@@ -677,7 +678,7 @@ class InteriorPointSolver:
 
             # -- L1 exact-penalty merit line search ----------------------------------
             mult_inf = max(
-                _max_abs(nu_qp), _max_abs(lam_qp) if m else 0.0, opt.penalty_init
+                max_abs(nu_qp), max_abs(lam_qp) if m else 0.0, opt.penalty_init
             )
             if rho < 2.0 * mult_inf:
                 rho = max(rho, 2.0 * mult_inf)
@@ -818,14 +819,10 @@ def _kkt_residual(grad, G, g_eq, J, h, nu, lam) -> float:
     if lam.size:
         r_dual = r_dual + J.T @ lam
         primal_ineq = float(np.max(np.maximum(h, 0.0))) if h.size else 0.0
-        comp = _max_abs(lam * h) / sd
+        comp = max_abs(lam * h) / sd
         dual_feas = float(np.max(np.maximum(-lam, 0.0))) / sd
     else:
         primal_ineq = comp = dual_feas = 0.0
     return max(
-        _max_abs(r_dual) / sd, _max_abs(g_eq), primal_ineq, comp, dual_feas
+        max_abs(r_dual) / sd, max_abs(g_eq), primal_ineq, comp, dual_feas
     )
-
-
-def _max_abs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0

@@ -27,6 +27,7 @@ __all__ = [
     "backward_substitution",
     "cholesky_solve",
     "solve_symmetric",
+    "max_abs",
     "flop_counts_cholesky",
     "flop_counts_substitution",
 ]
@@ -110,6 +111,11 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_symmetric(A: np.ndarray, b: np.ndarray, reg: float = 0.0) -> np.ndarray:
     """Solve a symmetric positive-definite system via Cholesky."""
     return cholesky_solve(cholesky(A, reg=reg), b)
+
+
+def max_abs(v: np.ndarray) -> float:
+    """Infinity norm of ``v`` as a float; 0.0 for an empty array."""
+    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 def flop_counts_cholesky(n: int) -> Dict[str, int]:

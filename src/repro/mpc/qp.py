@@ -50,6 +50,7 @@ from repro.mpc.linalg import (
     cholesky_solve,
     flop_counts_cholesky,
     flop_counts_substitution,
+    max_abs,
 )
 
 __all__ = ["ConditioningReport", "QPOptions", "QPResult", "QPStats", "solve_qp"]
@@ -491,7 +492,7 @@ def solve_qp(
         r_eq = (G @ x - b) if has_eq else np.zeros(0)
         r_in = (J @ x + s - d) if has_in else np.zeros(0)
         mu = float(s @ lam) / m if m else 0.0
-        residual = max(_max_abs(r_dual), _max_abs(r_eq), _max_abs(r_in), mu)
+        residual = max(max_abs(r_dual), max_abs(r_eq), max_abs(r_in), mu)
         return r_dual, r_eq, r_in, mu, residual
 
     def timed_solve(factor, rhs):
@@ -743,8 +744,8 @@ def _polish(
     if has_eq:
         r_dual = r_dual + G.T @ nu_p
     res_p = max(
-        _max_abs(r_dual),
-        _max_abs(G @ x_p - b) if has_eq else 0.0,
+        max_abs(r_dual),
+        max_abs(G @ x_p - b) if has_eq else 0.0,
         float(np.max(np.maximum(-s_p, 0.0))),  # primal inequality violation
         float(np.max(np.maximum(-lam_p, 0.0))),  # dual feasibility
         float(abs(s_p @ lam_p)) / m,  # complementarity, as the loop's mu
@@ -752,27 +753,6 @@ def _polish(
     if not np.isfinite(res_p) or res_p > residual:
         return None
     return x_p, nu_p, np.maximum(lam_p, 0.0), np.maximum(s_p, 0.0), res_p
-
-
-def _robust_cholesky(A: np.ndarray, reg: float) -> Tuple[np.ndarray, float]:
-    """Dense Cholesky with geometric regularization escalation on failure.
-
-    Kept as the reference implementation of the escalation schedule used by
-    :func:`_robust_factor` (same initial value, same x100 steps).
-    """
-    current = reg
-    for _ in range(16):
-        try:
-            return cholesky(A, reg=current), current
-        except SolverError:
-            current = max(current * 100.0, 1e-12)
-    raise SolverError(
-        f"matrix could not be factorized even with regularization {current:.1e}"
-    )
-
-
-def _max_abs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray, tau: float) -> float:

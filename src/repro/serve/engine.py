@@ -38,15 +38,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    AdmissionError,
-    ReproError,
-    ServeError,
-    StateValidationError,
-)
+from repro.errors import ReproError, ServeError, StateValidationError
 from repro.mpc.budget import SolveBudget
-from repro.serve.session import CLOSED, ControlSession, SessionConfig, StepOutcome
-from repro.serve.telemetry import FleetMetrics, TraceWriter
+from repro.serve.session import ControlSession, SessionTable, StepOutcome
+from repro.serve.telemetry import TraceWriter
 
 __all__ = [
     "EngineConfig",
@@ -80,7 +75,7 @@ class EngineConfig:
     #: ``SessionConfig.qp_method``)
     qp_method: str = "ipm"
     #: fused-kernel codegen mode for linearization, engine-wide default for
-    #: sessions built through :meth:`ControlEngine.open_session`
+    #: sessions built through :meth:`ServeEngine.create_session`
     codegen: str = "auto"
 
     def __post_init__(self):
@@ -126,7 +121,7 @@ class TickReport:
         return len(self.outcomes)
 
 
-class ServeEngine:
+class ServeEngine(SessionTable):
     """Owns the session table, the worker pool, and the tick loop."""
 
     def __init__(
@@ -134,12 +129,7 @@ class ServeEngine:
         config: Optional[EngineConfig] = None,
         trace: Optional[TraceWriter] = None,
     ):
-        self.config = config or EngineConfig()
-        self.sessions: Dict[str, ControlSession] = {}
-        self.metrics = FleetMetrics()
-        self.trace = trace
-        self._tick_index = 0
-        self._next_id = 0
+        super().__init__(config or EngineConfig(), trace)
         #: round-robin service order (fairness under backpressure)
         self._rr: Deque[str] = deque()
         self._batch_limit: Optional[int] = None  # None = unlimited
@@ -150,119 +140,19 @@ class ServeEngine:
         #: ``on_dispatch(tick, session_id)`` -> None or a directive dict
         #: ({"kind": "worker_crash"} / {"kind": "slow", "delay_s": ...})
         self.fault_hook = None
-        #: shared transcriptions: (robot, horizon) -> (benchmark, problem)
-        self._problem_cache: Dict[Tuple[str, int], Tuple[object, object]] = {}
         #: batched backend: (robot, horizon) -> BatchSolver, or None when
         #: the binding cannot batch (non-Gauss-Newton Hessian model) and
         #: its sessions fall back to scalar inline solves
         self._batch_solvers: Dict[Tuple[str, int], Optional[object]] = {}
 
-    # -- session lifecycle ------------------------------------------------------
-    def create_session(
-        self, config: SessionConfig, session_id: Optional[str] = None
-    ) -> str:
-        """Admit and build a new session; raises :class:`AdmissionError`
-        when the fleet is at ``max_sessions``."""
-        self._admit()
-        if session_id is None:
-            session_id = f"s{self._next_id:04d}"
-            self._next_id += 1
-        if session_id in self.sessions:
-            raise ServeError(f"session id {session_id!r} already exists")
-        key = (config.robot, config.horizon)
-        if key not in self._problem_cache:
-            from repro.robots import build_benchmark
-
-            bench = build_benchmark(config.robot)
-            problem = bench.transcribe(horizon=config.horizon)
-            if self.config.codegen != "auto":
-                # engine-wide default; a session's own SessionConfig.codegen
-                # still wins inside from_benchmark
-                problem.set_codegen(self.config.codegen)
-            self._problem_cache[key] = (bench, problem)
-        bench, problem = self._problem_cache[key]
-        session = ControlSession.from_benchmark(
-            session_id, config, bench=bench, problem=problem
-        )
-        self._register(session)
-        return session_id
-
-    def add_session(self, session: ControlSession) -> str:
-        """Admit a pre-built session (tests inject stub-solver sessions here)."""
-        self._admit()
-        if session.session_id in self.sessions:
-            raise ServeError(f"session id {session.session_id!r} already exists")
-        self._register(session)
-        return session.session_id
-
-    def _admit(self) -> None:
-        # Fast path for large fleets: open sessions can never outnumber
-        # the table, so a table under the cap needs no O(n) scan.
-        if len(self.sessions) < self.config.max_sessions:
-            return
-        # At cap, lazily evict closed sessions (and their round-robin
-        # slots): a churned fleet must not grow the table without bound —
-        # that is a leak at soak scale, not bookkeeping.  Crashed sessions
-        # stay: they are restartable.
-        closed = [s for s, ses in self.sessions.items() if ses.state == CLOSED]
-        for sid in closed:
-            del self.sessions[sid]
-        if closed:
-            gone = set(closed)
-            self._rr = deque(sid for sid in self._rr if sid not in gone)
-        if len(self.sessions) < self.config.max_sessions:
-            return
-        open_count = sum(1 for s in self.sessions.values() if s.serving)
-        if open_count >= self.config.max_sessions:
-            raise AdmissionError(
-                f"engine at capacity ({self.config.max_sessions} sessions)"
-            )
-
-    def _register(self, session: ControlSession) -> None:
-        self.sessions[session.session_id] = session
+    # -- session-table hooks ----------------------------------------------------
+    def _on_register(self, session: ControlSession) -> Dict[str, object]:
         self._rr.append(session.session_id)
-        if self.trace is not None:
-            self.trace.emit(
-                "session",
-                session=session.session_id,
-                robot=session.config.robot,
-                horizon=session.config.horizon,
-                deadline_s=session.config.deadline_s,
-            )
+        return {}
 
-    def binding(self, robot: str, horizon: int) -> Tuple[object, object]:
-        """The shared ``(benchmark, problem)`` pair for a robot/horizon
-        binding (built on first use by :meth:`create_session`)."""
-        try:
-            return self._problem_cache[(robot, horizon)]
-        except KeyError:
-            raise ServeError(
-                f"no sessions bound to ({robot!r}, horizon={horizon})"
-            ) from None
-
-    def get_session(self, session_id: str) -> ControlSession:
-        try:
-            return self.sessions[session_id]
-        except KeyError:
-            raise ServeError(f"unknown session {session_id!r}") from None
-
-    def reset_session(self, session_id: str) -> None:
-        self.get_session(session_id).reset()
-
-    def restart_session(self, session_id: str) -> None:
-        """Recover a crashed session back to ``active`` (see
-        :meth:`ControlSession.restart`); it rejoins the tick loop on the
-        next input."""
-        self.get_session(session_id).restart()
-
-    def close_session(self, session_id: str) -> None:
-        self.get_session(session_id).close()
-
-    def session_states(self) -> Dict[str, str]:
-        return {sid: s.state for sid, s in self.sessions.items()}
-
-    def crashed_sessions(self) -> List[str]:
-        return [sid for sid, s in self.sessions.items() if s.state == "crashed"]
+    def _on_evict(self, session_ids: List[str]) -> None:
+        gone = set(session_ids)
+        self._rr = deque(sid for sid in self._rr if sid not in gone)
 
     # -- tick loop ----------------------------------------------------------------
     def tick(
@@ -601,12 +491,6 @@ class ServeEngine:
                 pass
         if self.trace is not None:
             self.trace.emit("worker_pool", respawns=self.worker_respawns)
-
-    def _record(self, sid: str, outcome: StepOutcome, report: TickReport) -> None:
-        report.outcomes[sid] = outcome
-        self.metrics.observe_step(sid, outcome)
-        if self.trace is not None:
-            self.trace.emit("step", tick=report.index, **outcome.to_record())
 
     def _apply_backpressure(self, report: TickReport) -> None:
         budget = self.config.tick_budget_s

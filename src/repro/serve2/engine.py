@@ -33,11 +33,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import AdmissionError, ReproError, ServeError
+from repro.errors import ReproError, ServeError
 from repro.batch.ipm import BatchSolveReport
 from repro.serve.engine import TickReport
-from repro.serve.session import CLOSED, ControlSession, SessionConfig, StepOutcome
-from repro.serve.telemetry import FleetMetrics, TraceWriter
+from repro.serve.session import ControlSession, SessionTable, StepOutcome
+from repro.serve.telemetry import TraceWriter
 from repro.serve2.bucketing import DEFAULT_RUNGS, HorizonBuckets
 from repro.serve2.scheduler import EDFScheduler, SolveRequest
 from repro.serve2.shard import Shard, result_from_dict, shard_solve_group
@@ -95,7 +95,7 @@ class Serve2Config:
         HorizonBuckets(self.rungs)  # validates the ladder
 
 
-class AsyncServeEngine:
+class AsyncServeEngine(SessionTable):
     """Queue-submit / batch-form / EDF-dispatch engine over sharded arenas."""
 
     def __init__(
@@ -103,16 +103,11 @@ class AsyncServeEngine:
         config: Optional[Serve2Config] = None,
         trace: Optional[TraceWriter] = None,
     ):
-        self.config = config or Serve2Config()
-        self.sessions: Dict[str, ControlSession] = {}
-        self.metrics = FleetMetrics()
-        self.trace = trace
+        super().__init__(config or Serve2Config(), trace)
         self.buckets = HorizonBuckets(self.config.rungs)
         #: optional chaos hook: ``on_dispatch(tick, session_id)`` -> None
         #: or a directive dict (worker_crash / slow / shard_crash)
         self.fault_hook = None
-        self._tick_index = 0
-        self._next_id = 0
         self._seq = 0
         self._assigned = 0
         self._scheduler = EDFScheduler()
@@ -131,8 +126,6 @@ class AsyncServeEngine:
         #: armed chaos faults per shard (process mode: shipped with the
         #: shard's next group so the worker death is real)
         self._shard_faults: Dict[int, Dict[str, object]] = {}
-        #: shared native transcriptions: (robot, horizon) -> (bench, problem)
-        self._problem_cache: Dict[Tuple[str, int], Tuple[object, object]] = {}
         #: robot -> benchmark, or None when the robot has no registry
         #: entry (externally-built stub sessions)
         self._bench_cache: Dict[str, object] = {}
@@ -141,75 +134,19 @@ class AsyncServeEngine:
         #: kept name-compatible with v1 for the chaos campaign report
         self.worker_respawns = 0
 
-    # -- session lifecycle ------------------------------------------------------
-    def create_session(
-        self, config: SessionConfig, session_id: Optional[str] = None
-    ) -> str:
-        """Admit and build a new session (raises :class:`AdmissionError`
-        at ``max_sessions``) and pin it to a shard."""
-        self._admit()
-        if session_id is None:
-            session_id = f"s{self._next_id:04d}"
-            self._next_id += 1
-        if session_id in self.sessions:
-            raise ServeError(f"session id {session_id!r} already exists")
-        key = (config.robot, config.horizon)
-        if key not in self._problem_cache:
-            from repro.robots import build_benchmark
+    # -- session-table hooks ----------------------------------------------------
+    def _on_register(self, session: ControlSession) -> Dict[str, object]:
+        shard = self._affinity[session.session_id] = self._next_shard()
+        cfg = session.config
+        bound = self._problem_cache.get((cfg.robot, cfg.horizon))
+        if bound is not None:
+            # group bindings reuse the benchmark create_session built
+            self._bench_cache.setdefault(cfg.robot, bound[0])
+        return {"shard": shard}
 
-            bench = build_benchmark(config.robot)
-            problem = bench.transcribe(horizon=config.horizon)
-            if self.config.codegen != "auto":
-                problem.set_codegen(self.config.codegen)
-            self._problem_cache[key] = (bench, problem)
-            self._bench_cache[config.robot] = bench
-        bench, problem = self._problem_cache[key]
-        session = ControlSession.from_benchmark(
-            session_id, config, bench=bench, problem=problem
-        )
-        self._register(session)
-        return session_id
-
-    def add_session(self, session: ControlSession) -> str:
-        """Admit a pre-built session (tests inject stub-solver sessions)."""
-        self._admit()
-        if session.session_id in self.sessions:
-            raise ServeError(f"session id {session.session_id!r} already exists")
-        self._register(session)
-        return session.session_id
-
-    def _admit(self) -> None:
-        # Fast path for large fleets: open sessions can never outnumber
-        # the table, so a table under the cap needs no O(n) scan.
-        if len(self.sessions) < self.config.max_sessions:
-            return
-        # At cap, lazily evict closed sessions (and their shard affinity):
-        # a churned fleet must not grow the table without bound — that is a
-        # leak at soak scale, not bookkeeping.  Crashed sessions stay: they
-        # are restartable.
-        for sid in [s for s, ses in self.sessions.items() if ses.state == CLOSED]:
-            del self.sessions[sid]
+    def _on_evict(self, session_ids: List[str]) -> None:
+        for sid in session_ids:
             self._affinity.pop(sid, None)
-        if len(self.sessions) < self.config.max_sessions:
-            return
-        open_count = sum(1 for s in self.sessions.values() if s.serving)
-        if open_count >= self.config.max_sessions:
-            raise AdmissionError(
-                f"engine at capacity ({self.config.max_sessions} sessions)"
-            )
-
-    def _register(self, session: ControlSession) -> None:
-        self.sessions[session.session_id] = session
-        self._affinity[session.session_id] = self._next_shard()
-        if self.trace is not None:
-            self.trace.emit(
-                "session",
-                session=session.session_id,
-                robot=session.config.robot,
-                horizon=session.config.horizon,
-                deadline_s=session.config.deadline_s,
-                shard=self._affinity[session.session_id],
-            )
 
     def _next_shard(self) -> int:
         """Round-robin assignment over live shards."""
@@ -220,36 +157,6 @@ class AsyncServeEngine:
             if not self._shards[idx].dead:
                 return idx
         return self._assigned % n  # all dead: pin anywhere, revive later
-
-    def binding(self, robot: str, horizon: int) -> Tuple[object, object]:
-        """The shared native ``(benchmark, problem)`` pair (v1-compatible)."""
-        try:
-            return self._problem_cache[(robot, horizon)]
-        except KeyError:
-            raise ServeError(
-                f"no sessions bound to ({robot!r}, horizon={horizon})"
-            ) from None
-
-    def get_session(self, session_id: str) -> ControlSession:
-        try:
-            return self.sessions[session_id]
-        except KeyError:
-            raise ServeError(f"unknown session {session_id!r}") from None
-
-    def reset_session(self, session_id: str) -> None:
-        self.get_session(session_id).reset()
-
-    def restart_session(self, session_id: str) -> None:
-        self.get_session(session_id).restart()
-
-    def close_session(self, session_id: str) -> None:
-        self.get_session(session_id).close()
-
-    def session_states(self) -> Dict[str, str]:
-        return {sid: s.state for sid, s in self.sessions.items()}
-
-    def crashed_sessions(self) -> List[str]:
-        return [sid for sid, s in self.sessions.items() if s.state == "crashed"]
 
     def shard_of(self, session_id: str) -> int:
         return self._affinity[session_id]
@@ -607,12 +514,6 @@ class AsyncServeEngine:
                 handoffs=self.metrics.shard_handoffs,
                 respawns=self.metrics.shard_respawns,
             )
-
-    def _record(self, sid: str, outcome: StepOutcome, report: TickReport) -> None:
-        report.outcomes[sid] = outcome
-        self.metrics.observe_step(sid, outcome)
-        if self.trace is not None:
-            self.trace.emit("step", tick=report.index, **outcome.to_record())
 
     # -- teardown ---------------------------------------------------------------
     def collect_solver_stats(self) -> None:

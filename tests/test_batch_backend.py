@@ -1,6 +1,6 @@
 """Array-backend seam: registry/selection semantics, cross-backend parity
-of the batched QP path, masked-lockstep agreement with the host gather
-loop, and the no-per-iteration-host-sync acceptance gate."""
+of the batched QP path, device-mode vs host-mode agreement of the one
+masked-lockstep loop, and the no-per-iteration-host-sync acceptance gate."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,8 @@ from repro.batch.backend import HOST, NumpyBackend
 from repro.errors import SolverError
 from repro.mpc.qp import QPOptions
 from repro.robots import build_benchmark
+from tests.test_batch_qp import rank_deficient_qp
+
 
 def _backend_params(names):
     return [
@@ -157,8 +159,10 @@ class TestCrossBackendParity:
 
 
 class TestMaskedLockstep:
-    """The device strategy (exercised through a CountingBackend, so no
-    GPU is needed) must agree with the host gather loop lane by lane."""
+    """The loop in device mode (exercised through a CountingBackend, so
+    no GPU is needed: single-attempt factorization, early exit only every
+    ``sync_interval``) must agree with host mode (numpy: full retry
+    ladder, early exit every iteration) lane by lane."""
 
     def test_statuses_iterations_and_solutions_agree(self):
         H, g, G, b, J, d = qp_batch(B=6, seed=70)
@@ -193,6 +197,29 @@ class TestMaskedLockstep:
             assert qs.banded_factorizations == rs.banded_factorizations
             assert qs.factor_flops == rs.factor_flops
             assert qs.substitute_flops == rs.substitute_flops
+
+    def test_ladder_lane_fails_on_device_and_is_retried_on_host(self):
+        # The documented deviation: a ladder's early-exit test is a host
+        # round-trip per rung, so device mode factors once and freezes the
+        # lane the base regularization cannot factor; host mode retries it.
+        n, p, m = 8, 2, 4
+        args = stack_qps(
+            [
+                random_qp(n, p, m, 90),
+                rank_deficient_qp(n, p, m, 99),
+                random_qp(n, p, m, 91),
+            ]
+        )
+        opt = QPOptions(regularization=0.0)
+        host = solve_qp_batch(*args, opt)
+        dev = solve_qp_batch(*args, opt, backend=CountingBackend())
+        assert host.status[1] == "converged" and host.stats[1].retries > 0
+        assert dev.status[1] == "failed" and dev.stats[1].retries == 0
+        assert dev.iterations[1] == 1
+        for lane in (0, 2):
+            assert dev.status[lane] == host.status[lane] == "converged"
+            assert dev.iterations[lane] == host.iterations[lane]
+            assert np.allclose(dev.x[lane], host.x[lane], atol=1e-6)
 
     def test_lockstep_freeze_snapshots_are_the_final_state(self):
         # Frozen lanes are where-masked out of every update, so the

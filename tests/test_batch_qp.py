@@ -33,6 +33,18 @@ def stack_qps(qps):
     )
 
 
+def rank_deficient_qp(n, p, m, seed):
+    """A solvable QP whose last variable appears nowhere: ``Phi`` has a
+    zero row/column, so at ``regularization=0.0`` it factors only after
+    the escalation ladder has put something on that diagonal."""
+    H, g, G, b, J, d = random_qp(n, p, m, seed)
+    H[-1, :] = H[:, -1] = 0.0
+    g[-1] = 0.0
+    G[:, -1] = 0.0
+    J[:, -1] = 0.0
+    return H, g, G, b, J, d
+
+
 class TestLaneAgreement:
     @pytest.mark.parametrize("p,m", [(0, 0), (2, 0), (0, 4), (2, 4)])
     def test_matches_scalar_per_lane(self, p, m):
@@ -168,6 +180,25 @@ class TestActiveMask:
             ref = solve_qp(*qps[i])
             assert res.status[i] == "converged"
             assert np.allclose(res.x[i], ref.x, atol=1e-6)
+
+    def test_hard_lane_is_retried_not_frozen(self):
+        # The host retry ladder inside the lockstep loop: the lane the base
+        # regularization cannot factor escalates (and reports it), and the
+        # retries never touch its batch-mates.
+        n, p, m = 8, 2, 4
+        healthy = [random_qp(n, p, m, 90 + i) for i in range(3)]
+        qps = healthy[:1] + [rank_deficient_qp(n, p, m, 99)] + healthy[1:]
+        opt = QPOptions(regularization=0.0)
+        res = solve_qp_batch(*stack_qps(qps), opt)
+        assert res.status[1] == "converged"
+        assert res.stats[1].retries > 0
+        assert res.stats[1].regularization_max > opt.regularization
+        mates = [0, 2, 3]
+        assert all(res.stats[i].retries == 0 for i in mates)
+        clean = solve_qp_batch(*stack_qps(healthy), opt)
+        assert np.array_equal(res.x[mates], clean.x)
+        assert np.array_equal(res.nu[mates], clean.nu)
+        assert np.array_equal(res.lam[mates], clean.lam)
 
     def test_batch_efficiency_telemetry(self):
         H, g, G, b, J, d = self._mixed_batch()

@@ -35,16 +35,14 @@ serve-smoke:
 # (padding equivalence, EDF scheduler, engine, shards), a ragged-horizon
 # sharded fleet that must finish with zero crashed sessions, the padded
 # conform family against the golden ledger, a seeded shard-chaos campaign
-# whose handoff invariant must hold, and the v2-beats-v1 batch-efficiency
-# gate.  Traces and shrunk repro files land in conform/failures/ for the
-# CI artifact upload.
+# whose handoff invariant must hold.  Traces and shrunk repro files land in
+# conform/failures/ for the CI artifact upload.
 serve2-smoke:
 	mkdir -p conform/failures
 	$(PYTEST) -q -m "not slow" tests/test_serve2_padding.py tests/test_serve2_scheduler.py tests/test_serve2_engine.py tests/test_serve2_shard.py
 	$(REPRO) serve-sim --engine v2 --sessions 10 --ticks 10 --robots CartPole,MobileRobot --horizons 5,6,8 --rungs 8 --shards 2 --deadline-ms 250 --seed 0 --trace conform/failures/serve2-trace.jsonl
 	$(REPRO) conform run --cases 8 --seed 0 --paths native_horizon,padded_horizon --out-dir conform/failures
 	$(REPRO) chaos --robot cartpole --schedule shards --engine v2 --shards 2 --sessions 4 --ticks 30 --deadline-ms 1000 --seed 3 --trace conform/failures/serve2-chaos-trace.jsonl
-	$(PYTEST) -q benchmarks/bench_serve2_vs_v1.py
 
 # Chaos smoke: a short cartpole fault campaign (sensor + solver faults)
 # must pass every recovery invariant (non-zero exit otherwise).
@@ -60,10 +58,10 @@ conform-smoke:
 
 # Batched-solving smoke: the B in {1,4,16,64} throughput sweep must clear
 # 2x over the scalar path at B=16 on at least one robot, and a small fleet
-# on the batched serve backend must complete with zero crashed sessions.
+# on the batched (v2) serve engine must complete with zero crashed sessions.
 batch-smoke:
 	$(PYTEST) -q benchmarks/bench_batch_throughput.py
-	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --backend batched --seed 0
+	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --engine v2 --rungs 8 --seed 0
 
 # First-order solver smoke: the scalar and numpy-batched ADMM conform paths
 # must sit within the golden ledger against the dense_kkt oracle, and the

@@ -1,9 +1,8 @@
 """Serving-runtime throughput benchmark.
 
 Measures what the serving layer adds on top of raw solver time: fleet
-steps/second for a deadline-budgeted mixed fleet, the per-step overhead of
-the session/engine machinery versus calling the controller directly, and the
-effect of the thread pool on a multi-session tick.
+steps/second for a deadline-budgeted mixed fleet and the per-step overhead
+of the session/engine machinery versus calling the controller directly.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_serve_throughput.py -q``.
 """
@@ -48,13 +47,6 @@ def test_fleet_tick_inline(benchmark, sessions):
     engine, inputs = make_engine(sessions)
     report = benchmark(engine.tick, inputs)
     assert report.stepped == sessions
-    engine.shutdown()
-
-
-def test_fleet_tick_threaded(benchmark):
-    engine, inputs = make_engine(8, workers=4, backend="thread")
-    report = benchmark(engine.tick, inputs)
-    assert report.stepped == 8
     engine.shutdown()
 
 

@@ -5,8 +5,8 @@ batched banded Cholesky (:mod:`~repro.batch.linalg`), a batched
 interior-point QP loop with continuous-batching lane freezing
 (:mod:`~repro.batch.qp`), vectorized linearization
 (:mod:`~repro.batch.transcription`), and a lockstep SQP driver
-(:mod:`~repro.batch.ipm`) that the serve engine's ``backend="batched"``
-dispatches session groups through.
+(:mod:`~repro.batch.ipm`) that the v2 serve engine
+(:mod:`repro.serve2`) dispatches session groups through.
 
 Every batch kernel routes its array ops through the array-backend seam
 (:mod:`~repro.batch.backend`): numpy is the always-available reference,

@@ -55,6 +55,7 @@ from repro.errors import SolverError, StateValidationError
 from repro.mpc.budget import SolveBudget
 from repro.mpc.health import SolverHealth
 from repro.mpc.ipm import IPMOptions, IPMResult, InteriorPointSolver
+from repro.mpc.qp import QP_METHODS
 from repro.mpc.transcription import TranscribedProblem
 
 from .backend import HOST, ArrayBackend, get_backend
@@ -159,9 +160,9 @@ class BatchSolver:
                 f"got hessian={self.options.hessian!r}"
             )
         self.qp_method = qp_method or self.options.qp.method
-        if self.qp_method not in ("ipm", "admm"):
+        if self.qp_method not in QP_METHODS:
             raise SolverError(
-                f"qp_method must be 'ipm' or 'admm', got {self.qp_method!r}"
+                f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
             )
         self.xp = get_backend(backend)
         # Structure donor: reuses the scalar solver's stage-interleaved

@@ -16,7 +16,8 @@ Commands
     Run the multi-session serving runtime against simulated plants:
     deadline-budgeted solves, graceful degradation, fleet telemetry.
     ``--engine v2`` switches to the async continuous-batching engine
-    (EDF scheduling, horizon bucketing, sharded fleets).  Exits non-zero
+    (batched group solves, EDF scheduling, horizon bucketing, sharded
+    fleets); v1 ``--workers N`` is a scalar process pool.  Exits non-zero
     when any session crashed (the serve-smoke gate).
 ``backends``
     List the registered array backends for the batch kernels (numpy is
@@ -50,6 +51,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.codegen.linearizer import CODEGEN_MODES
+    from repro.mpc.qp import QP_METHODS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RoboX reproduction: DSL-to-accelerator MPC toolchain",
@@ -122,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("v1", "v2"),
         default="v1",
-        help="serving engine: 'v1' (per-tick group solver, default) or "
-        "'v2' (async continuous batching: EDF scheduling, horizon "
-        "bucketing, sharded fleets)",
+        help="serving engine: 'v1' (scalar per-session solves, default) or "
+        "'v2' (async continuous batching: batched group solves, EDF "
+        "scheduling, horizon bucketing, sharded fleets)",
     )
     p_serve.add_argument(
         "--arrival-jitter",
@@ -187,26 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker pool size (0 = inline execution)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("thread", "process", "batched"),
-        default="thread",
-        help="worker pool kind when --workers > 0, or 'batched' for "
-        "in-process vectorized group solves (requires --workers 0)",
+        help="v1 only: process-pool size (0 = inline execution)",
     )
     p_serve.add_argument(
         "--array-backend",
         default=None,
         metavar="NAME[:DTYPE]",
-        help="array backend for --backend batched, e.g. torch, cupy, "
-        "numpy:float32 (default: $REPRO_ARRAY_BACKEND, then numpy; "
+        help="array backend for the batched lanes of --engine v2, e.g. "
+        "torch, cupy, numpy:float32 (default: $REPRO_ARRAY_BACKEND, then numpy; "
         "see `repro backends`)",
     )
     p_serve.add_argument(
         "--qp-method",
-        choices=("ipm", "admm"),
+        choices=QP_METHODS,
         default="ipm",
         help="inner QP solver for every fleet session: 'ipm' "
         "(interior-point, default) or 'admm' (first-order, cached "
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--codegen",
-        choices=("auto", "on", "off", "numpy", "c"),
+        choices=CODEGEN_MODES,
         default="auto",
         help="fused-kernel codegen for linearization: 'auto' (size-gated, "
         "default), 'on' (best available tier), 'off' (interpreted), or pin "
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--qp-method",
-        choices=("ipm", "admm"),
+        choices=QP_METHODS,
         default="ipm",
         help="QP method the fleet starts on; admm arms the rescue ladder "
         "(pair with --schedule resilience)",
@@ -312,14 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker pool size (0 = inline; the serve schedule needs a "
-        "process pool to kill real workers)",
-    )
-    p_chaos.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool kind when --workers > 0",
+        help="v1 only: process-pool size (0 = inline, the only path "
+        "solver-layer faults reach; the serve schedule needs a pool to kill "
+        "real workers)",
     )
     p_chaos.add_argument(
         "--trace", default=None, help="write a JSONL trace to this path"
@@ -614,12 +606,6 @@ def _cmd_serve_sim(args) -> int:
         return 2
 
     if args.array_backend is not None:
-        if args.backend != "batched":
-            print(
-                "--array-backend requires --backend batched",
-                file=sys.stderr,
-            )
-            return 2
         from repro.batch import available_backends
 
         name = args.array_backend.split(":", 1)[0]
@@ -650,34 +636,33 @@ def _cmd_serve_sim(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    config = LoadConfig(
-        sessions=args.sessions,
-        ticks=args.ticks,
-        robots=robots,
-        horizon=args.horizon,
-        horizons=horizons,
-        deadline_s=args.deadline_ms / 1e3 if args.deadline_ms > 0 else None,
-        degrade_after=args.degrade_after,
-        seed=args.seed,
-        arrival_jitter=args.arrival_jitter,
-        robot_mix=args.robot_mix,
-        engine=args.engine,
-        shards=args.shards,
-        shard_backend=args.shard_backend,
-        rungs=rungs,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        workers=args.workers,
-        backend=args.backend,
-        array_backend=args.array_backend,
-        qp_method=args.qp_method,
-        codegen=args.codegen,
-        tick_budget_s=(
-            args.tick_budget_ms / 1e3 if args.tick_budget_ms else None
-        ),
-        trace_path=args.trace,
-    )
     try:
+        config = LoadConfig(
+            sessions=args.sessions,
+            ticks=args.ticks,
+            robots=robots,
+            horizon=args.horizon,
+            horizons=horizons,
+            deadline_s=args.deadline_ms / 1e3 if args.deadline_ms > 0 else None,
+            degrade_after=args.degrade_after,
+            seed=args.seed,
+            arrival_jitter=args.arrival_jitter,
+            robot_mix=args.robot_mix,
+            engine=args.engine,
+            shards=args.shards,
+            shard_backend=args.shard_backend,
+            rungs=rungs,
+            max_batch=args.max_batch,
+            max_queue=args.max_queue,
+            workers=args.workers,
+            array_backend=args.array_backend,
+            qp_method=args.qp_method,
+            codegen=args.codegen,
+            tick_budget_s=(
+                args.tick_budget_ms / 1e3 if args.tick_budget_ms else None
+            ),
+            trace_path=args.trace,
+        )
         report = run_load(config)
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
@@ -739,7 +724,7 @@ def _cmd_backends() -> int:
             print(f"{name:10s} absent (not importable in this environment)")
     print(
         "\nselect with REPRO_ARRAY_BACKEND=NAME[:DTYPE] or "
-        "`repro serve-sim --backend batched --array-backend NAME`"
+        "`repro serve-sim --engine v2 --array-backend NAME`"
     )
     return 0
 
@@ -773,13 +758,16 @@ def _cmd_chaos(args) -> int:
         qp_method=args.qp_method,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         engine=args.engine,
         shards=args.shards,
         shard_backend=args.shard_backend,
         trace_path=args.trace,
     )
-    report = run_campaign(config)
+    try:
+        report = run_campaign(config)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -59,9 +59,10 @@ class CampaignConfig:
     #: ``bounded_state`` allows at most this distance from the start state
     state_bound: float = 1e3
     seed: int = 0
+    #: v1 process-pool size (0 = scalar-inline, the only path solver-layer
+    #: faults reach)
     workers: int = 0
-    backend: str = "thread"
-    #: "v1" drives the tick-batched ServeEngine; "v2" the serve2 async
+    #: "v1" drives the scalar ServeEngine; "v2" the serve2 async
     #: continuous-batching engine (the target of the ``shards`` schedule)
     engine: str = "v1"
     #: serve2 shard count (engine="v2"; >= 2 for the shard_handoff
@@ -124,7 +125,6 @@ class CampaignReport:
             "robot": self.config.robot,
             "engine": self.config.engine,
             "shards": self.config.shards,
-            "backend": self.config.backend,
             "workers": self.config.workers,
             "sessions": self.config.sessions,
             "ticks": self.config.ticks,
@@ -149,7 +149,7 @@ class CampaignReport:
             f"chaos campaign: robot={self.config.robot} "
             f"schedule={self.schedule['name']} "
             f"sessions={self.config.sessions} ticks={self.config.ticks} "
-            f"backend={self.config.backend} workers={self.config.workers}",
+            f"engine={self.config.engine} workers={self.config.workers}",
             "faults fired:   "
             + (
                 "  ".join(f"{k}={n}" for k, n in sorted(self.fired.items()))
@@ -179,6 +179,20 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             f"schedule's clear_tick ({schedule.clear_tick}) so recovery "
             "can be observed"
         )
+    # Solver-layer faults are hooks on the session's own scalar solver, so
+    # they fire only where that solver runs: v1 scalar-inline.  v2's lanes
+    # and v1's pool workers solve elsewhere — refuse rather than report
+    # faults as fired that no solve ever saw.
+    if config.engine == "v2" or config.workers > 0:
+        unreachable = sorted(
+            {s.kind for s in schedule.specs if s.layer == "solver"}
+        )
+        if unreachable:
+            raise ServeError(
+                f"solver-layer faults ({', '.join(unreachable)}) are only "
+                "delivered on engine='v1' with workers=0; "
+                f"got engine={config.engine!r}, workers={config.workers}"
+            )
     trace = (
         TraceWriter(config.trace_path) if config.trace_path is not None else None
     )
@@ -196,11 +210,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         )
     else:
         engine = ServeEngine(
-            EngineConfig(
-                max_sessions=config.sessions,
-                workers=config.workers,
-                backend=config.backend,
-            ),
+            EngineConfig(max_sessions=config.sessions, workers=config.workers),
             trace=trace,
         )
 
@@ -230,10 +240,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         x0_of[sid] = x0
         x[sid] = x0 + config.x0_noise * rng.standard_normal(x0.shape)
         injector = SessionFaultInjector(schedule, session_index=i)
-        # Solver-layer faults run wherever the solve runs; these hooks only
-        # reach inline/thread solves (the process backend's fault surface is
-        # the serve layer).  Sensor faults are applied below, plant-side,
-        # identically on every backend.
+        # Solver-layer hooks ride the session's own solver (scalar-inline
+        # solves; checked above).  Sensor faults are applied below,
+        # plant-side, identically on every engine.
         injector.bind_solver(engine.get_session(sid).controller)
         injectors[sid] = injector
     if any(spec.layer == "serve" for spec in schedule.specs):

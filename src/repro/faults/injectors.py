@@ -15,10 +15,11 @@ Two injector classes, one per side of the serving boundary:
 
 Both are clocked externally: the campaign calls ``advance(tick)`` /
 passes the tick in, so the same schedule replays identically on any
-backend.  Solver-layer hooks act in the process that runs the solve; with
-the ``process`` backend the solve happens in a pool worker, so campaigns
-that want solver faults run ``inline``/``thread`` (the serve layer is the
-process backend's fault surface).
+engine.  Solver-layer hooks ride the session's own scalar solver, so they
+are delivered only where that solver runs — v1 scalar-inline; v2's batched
+lanes and v1's pool workers solve elsewhere, and
+:func:`~repro.faults.campaign.run_campaign` refuses a solver-layer
+schedule there (the serve layer is their fault surface).
 """
 
 from __future__ import annotations

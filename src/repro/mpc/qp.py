@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.codegen.linearizer import CODEGEN_MODES
 from repro.codegen.stats import CodegenStats
 from repro.errors import SolverError
 from repro.mpc.banded import (
@@ -53,7 +54,18 @@ from repro.mpc.linalg import (
     max_abs,
 )
 
-__all__ = ["ConditioningReport", "QPOptions", "QPResult", "QPStats", "solve_qp"]
+__all__ = [
+    "QP_METHODS",
+    "ConditioningReport",
+    "QPOptions",
+    "QPResult",
+    "QPStats",
+    "solve_qp",
+]
+
+#: the QP solver families ``QPOptions.method`` (and every ``qp_method``
+#: knob above it) selects between
+QP_METHODS = ("ipm", "admm")
 
 
 @dataclass
@@ -142,9 +154,9 @@ class QPOptions:
             raise SolverError("max_iterations must be >= 1")
         if not 0 < self.tau < 1:
             raise SolverError("tau must lie in (0, 1)")
-        if self.method not in ("ipm", "admm"):
+        if self.method not in QP_METHODS:
             raise SolverError(
-                f"unknown QP method {self.method!r} (expected 'ipm' or 'admm')"
+                f"unknown QP method {self.method!r} (expected one of {QP_METHODS})"
             )
         if self.admm_max_iterations < 1:
             raise SolverError("admm_max_iterations must be >= 1")
@@ -156,10 +168,10 @@ class QPOptions:
             raise SolverError("admm_equilibrate_spread must be >= 1")
         if self.admm_stall_iterations < 0:
             raise SolverError("admm_stall_iterations must be >= 0")
-        if self.codegen not in ("auto", "on", "off", "numpy", "c"):
+        if self.codegen not in CODEGEN_MODES:
             raise SolverError(
                 f"unknown codegen mode {self.codegen!r} (expected one of "
-                "'auto', 'on', 'off', 'numpy', 'c')"
+                f"{CODEGEN_MODES})"
             )
 
 

@@ -9,9 +9,10 @@ package is the serving substrate around the offline solver stack:
   (deadline miss / solver error / divergence → fallback ladder → degraded).
 * :mod:`repro.serve.policy` — the fallback ladder itself (shifted previous
   plan, then hover/hold).
-* :mod:`repro.serve.engine` — the batch engine: admission control, a
-  round-robin tick loop with backpressure, and inline / thread / process
-  execution backends over picklable solve payloads.
+* :mod:`repro.serve.engine` — the scalar engine: admission control, a
+  round-robin tick loop with backpressure, and inline or process-pool
+  execution over picklable solve payloads (:mod:`repro.serve.wire` is the
+  worker wire format, shared with :mod:`repro.serve2`).
 * :mod:`repro.serve.telemetry` — per-session and fleet counters, log-spaced
   latency histograms, JSONL traces, and the text summary.
 * :mod:`repro.serve.loadgen` — mixed-robot fleet simulation against the

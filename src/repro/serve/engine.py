@@ -7,13 +7,14 @@ solver cost over a fleet:
 * **Admission control** — a hard ``max_sessions`` cap; ``create_session``
   raises :class:`~repro.errors.AdmissionError` once full, so overload is
   rejected at the front door instead of degrading every tenant.
-* **Dispatch** — each tick steps the ready sessions through one of three
-  backends: ``inline`` (serial, deterministic), ``thread``
-  (``concurrent.futures.ThreadPoolExecutor`` — solves overlap wherever
-  numpy drops the GIL), or ``process``
-  (``ProcessPoolExecutor`` over *picklable solve payloads*: the session's
-  warm state travels by value, workers keep a per-process solver cache
-  keyed by (robot, horizon), and only the result arrays come back).
+* **Dispatch** — each tick steps the ready sessions scalar-inline
+  (``workers == 0``: serial, deterministic, on the session's own solver)
+  or over a ``ProcessPoolExecutor`` of ``workers`` processes fed
+  *picklable solve payloads*: the session's warm state travels by value,
+  workers keep a per-process solver cache keyed by (robot, horizon, QP
+  method, codegen mode), and only the result arrays come back
+  (:mod:`repro.serve.wire`).  Batched group solves are the v2 engine
+  (:mod:`repro.serve2`).
 * **Backpressure** — when a tick's wall time overruns ``tick_budget_s``,
   the per-tick batch limit shrinks proportionally (and re-grows on
   headroom); sessions beyond the limit are *deferred*, not dropped, and a
@@ -24,13 +25,12 @@ solver cost over a fleet:
 
 Shared transcriptions: sessions binding the same (robot, horizon) share one
 :class:`TranscribedProblem` — the compiled derivative functions are pure, so
-this is safe across threads and is what makes 100-session fleets cheap to
+this is safe to share and is what makes 100-session fleets cheap to
 build.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
@@ -38,10 +38,12 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError, ServeError, StateValidationError
+from repro.codegen.linearizer import CODEGEN_MODES
+from repro.errors import ReproError, ServeError
 from repro.mpc.budget import SolveBudget
 from repro.serve.session import ControlSession, SessionTable, StepOutcome
 from repro.serve.telemetry import TraceWriter
+from repro.serve.wire import error_reply, result_to_dict, run_fault_directive
 
 __all__ = [
     "EngineConfig",
@@ -58,49 +60,25 @@ class EngineConfig:
 
     #: admission-control cap on concurrently open sessions
     max_sessions: int = 256
-    #: 0 = inline execution; > 0 = pool of this many workers
+    #: 0 = scalar-inline execution; > 0 = process pool of this many workers
     workers: int = 0
-    #: "thread" / "process" (pools, only engaged when ``workers > 0``) or
-    #: "batched" (in-process vectorized group solves, ``workers`` must be 0)
-    backend: str = "thread"
     #: soft per-tick wall budget driving backpressure (None = no limit)
     tick_budget_s: Optional[float] = None
     #: backpressure never shrinks the batch below this many sessions/tick
     min_batch: int = 1
-    #: array backend for the batched dispatch path, e.g. "torch" or
-    #: "numpy:float32" (None = REPRO_ARRAY_BACKEND env, then numpy)
-    array_backend: Optional[str] = None
-    #: inner QP solver for the batched dispatch path: "ipm" or "admm"
-    #: (engine-wide; scalar/worker paths follow each session's own
-    #: ``SessionConfig.qp_method``)
-    qp_method: str = "ipm"
     #: fused-kernel codegen mode for linearization, engine-wide default for
     #: sessions built through :meth:`ServeEngine.create_session`
     codegen: str = "auto"
 
     def __post_init__(self):
-        if self.qp_method not in ("ipm", "admm"):
+        if self.codegen not in CODEGEN_MODES:
             raise ServeError(
-                f"qp_method must be 'ipm' or 'admm', got {self.qp_method!r}"
-            )
-        if self.codegen not in ("auto", "on", "off", "numpy", "c"):
-            raise ServeError(
-                f"codegen must be one of auto/on/off/numpy/c, got {self.codegen!r}"
+                f"codegen must be one of {CODEGEN_MODES}, got {self.codegen!r}"
             )
         if self.max_sessions < 1:
             raise ServeError("max_sessions must be >= 1")
         if self.workers < 0:
             raise ServeError("workers must be >= 0")
-        if self.backend not in ("thread", "process", "batched"):
-            raise ServeError(f"unknown backend {self.backend!r}")
-        if self.backend == "batched" and self.workers:
-            raise ServeError(
-                "backend='batched' solves in-process; workers must be 0"
-            )
-        if self.array_backend is not None and self.backend != "batched":
-            raise ServeError(
-                "array_backend only applies to backend='batched'"
-            )
         if self.min_batch < 1:
             raise ServeError("min_batch must be >= 1")
 
@@ -140,10 +118,6 @@ class ServeEngine(SessionTable):
         #: ``on_dispatch(tick, session_id)`` -> None or a directive dict
         #: ({"kind": "worker_crash"} / {"kind": "slow", "delay_s": ...})
         self.fault_hook = None
-        #: batched backend: (robot, horizon) -> BatchSolver, or None when
-        #: the binding cannot batch (non-Gauss-Newton Hessian model) and
-        #: its sessions fall back to scalar inline solves
-        self._batch_solvers: Dict[Tuple[str, int], Optional[object]] = {}
 
     # -- session-table hooks ----------------------------------------------------
     def _on_register(self, session: ControlSession) -> Dict[str, object]:
@@ -223,32 +197,24 @@ class ServeEngine(SessionTable):
         return ready
 
     def _dispatch(self, ready: List[str], inputs, report: TickReport) -> None:
-        cfg = self.config
-        if cfg.backend == "batched":
-            self._dispatch_batched(ready, inputs, report)
-        elif cfg.workers and cfg.backend == "process":
+        if self.config.workers:
             self._dispatch_process(ready, inputs, report)
-        elif cfg.workers:
-            self._dispatch_threads(ready, inputs, report)
         else:
             for sid in ready:
                 x, ref = inputs[sid]
-                self._record(
-                    sid,
-                    self._step_with_fault(sid, x, ref, self._fault_directive(sid)),
-                    report,
-                )
+                self._record(sid, self._step_inline(sid, x, ref), report)
 
     def _fault_directive(self, sid: str) -> Optional[Dict[str, object]]:
         if self.fault_hook is None:
             return None
         return self.fault_hook.on_dispatch(self._tick_index, sid)
 
-    def _step_with_fault(self, sid: str, x, ref, directive) -> StepOutcome:
-        """Inline/thread step with the serve-layer fault semantics: a
+    def _step_inline(self, sid: str, x, ref) -> StepOutcome:
+        """Inline step with the serve-layer fault semantics: a
         ``worker_crash`` directive is one lost solve (the session pays a
         ladder step, exactly like a dead process worker), ``slow`` delays
         the solve by the injected latency."""
+        directive = self._fault_directive(sid)
         if directive is not None:
             kind = directive.get("kind")
             if kind == "worker_crash":
@@ -256,40 +222,6 @@ class ServeEngine(SessionTable):
             if kind == "slow":
                 sleep(float(directive.get("delay_s", 0.0)))
         return self._step_guarded(sid, x, ref)
-
-    def _step_guarded(self, sid: str, x, ref) -> StepOutcome:
-        """One session step; anything escaping the session's own handling
-        (i.e. a bug, not a solver failure) crashes only that session."""
-        session = self.sessions[sid]
-        try:
-            return session.step(x, ref=ref)
-        except ReproError:
-            raise  # lifecycle misuse is the caller's bug — do not mask it
-        except Exception:
-            return session.mark_crashed()
-
-    def _dispatch_threads(self, ready, inputs, report) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="serve-worker",
-            )
-        # Fault directives are drawn on the dispatcher thread (the hook is
-        # not required to be thread-safe); only the step itself overlaps.
-        futures = {
-            sid: self._pool.submit(
-                self._step_with_fault,
-                sid,
-                inputs[sid][0],
-                inputs[sid][1],
-                self._fault_directive(sid),
-            )
-            for sid in ready
-        }
-        for sid, fut in futures.items():
-            self._record(sid, fut.result(), report)
 
     def _dispatch_process(self, ready, inputs, report) -> None:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -352,131 +284,6 @@ class ServeEngine(SessionTable):
         if broken:
             self._discard_pool()
 
-    # -- batched backend ------------------------------------------------------
-    @staticmethod
-    def _group_key(session: ControlSession) -> Tuple[str, int]:
-        """The co-batching key: sessions are solved together **only** when
-        they share both robot type and horizon.  Anything else would stack
-        structurally different KKT systems into one lane layout and produce
-        silently wrong trajectories, so the key is explicit — never derived
-        from array shapes, which can coincide across different robots."""
-        return (session.config.robot, session.config.horizon)
-
-    def _batch_solver(self, key: Tuple[str, int]):
-        """The shared :class:`~repro.batch.ipm.BatchSolver` for a group key
-        (``None`` = the binding cannot batch; scalar inline fallback)."""
-        if key not in self._batch_solvers:
-            if key not in self._problem_cache:
-                # Externally-built sessions (add_session) carry their own
-                # solver; without a shared binding they step scalar-inline.
-                self._batch_solvers[key] = None
-            else:
-                from repro.batch import BatchSolver
-
-                bench, problem = self._problem_cache[key]
-                scalar = bench.make_solver(problem)
-                try:
-                    self._batch_solvers[key] = BatchSolver(
-                        problem,
-                        scalar.options,
-                        backend=self.config.array_backend,
-                        qp_method=self.config.qp_method,
-                    )
-                except ReproError:
-                    # e.g. a hybrid/exact-Hessian robot (MicroSat): its solve
-                    # is stage-sequential, so its sessions step scalar-inline.
-                    self._batch_solvers[key] = None
-        return self._batch_solvers[key]
-
-    def _dispatch_batched(self, ready, inputs, report) -> None:
-        """Group ready sessions by (robot, horizon), solve each group in
-        one batched call, and scatter lane results back through each
-        session's own classification/degradation ladder."""
-        groups: Dict[Tuple[str, int], List[str]] = {}
-        for sid in ready:
-            directive = self._fault_directive(sid)
-            if directive is not None:
-                kind = directive.get("kind")
-                if kind == "worker_crash":
-                    # One lost solve, same contract as a dead pool worker.
-                    self._record(
-                        sid, self.sessions[sid].fail_step("worker_died"), report
-                    )
-                    continue
-                if kind == "slow":
-                    sleep(float(directive.get("delay_s", 0.0)))
-            groups.setdefault(self._group_key(self.sessions[sid]), []).append(sid)
-        for key, sids in groups.items():
-            self._solve_group(key, sids, inputs, report)
-
-    def _solve_group(self, key, sids, inputs, report) -> None:
-        solver = self._batch_solver(key)
-        if solver is None:
-            # No batched solver for this (robot, horizon) — every lane in
-            # the group steps scalar-inline; record why so operators can
-            # tell an unbatchable fleet from a batching regression.
-            self.metrics.observe_group_fallback("unbatchable_binding", len(sids))
-            for sid in sids:
-                x, ref = inputs[sid]
-                self._record(sid, self._step_guarded(sid, x, ref), report)
-            return
-        lanes: List[str] = []
-        payloads = []
-        for sid in sids:
-            session = self.sessions[sid]
-            x, ref = inputs[sid]
-            if session.qp_method != session.config.qp_method:
-                # The method-health ladder demoted this session: its solves
-                # must not re-enter the shared batch (whose solver still
-                # runs the configured method) — step it scalar-inline with
-                # its own, already-rebound solver instead.
-                self.metrics.observe_group_fallback("method_demoted", 1)
-                self._record(sid, self._step_guarded(sid, x, ref), report)
-                continue
-            payload = session.solve_payload(x, ref=ref)
-            bad = not np.all(np.isfinite(payload["x"])) or (
-                payload["ref"] is not None
-                and not np.all(np.isfinite(payload["ref"]))
-            )
-            if bad:
-                # Poisoned measurement/reference: reject before it enters
-                # the batch (one bad lane must not abort the group solve);
-                # the warm start survives, as on the inline path.
-                self._record(sid, session.fail_step("bad_state"), report)
-                continue
-            lanes.append(sid)
-            payloads.append(payload)
-        if not lanes:
-            return
-        try:
-            results, batch_report = solver.solve_payloads(payloads)
-        except ReproError:
-            # Solver-level rejection of the whole group: each session pays
-            # one ladder step and drops its (implicated) warm start.
-            self.metrics.observe_group_fallback("group_solver_error", len(lanes))
-            for sid in lanes:
-                self._record(
-                    sid,
-                    self.sessions[sid].fail_step("solver_error", reset_warm=True),
-                    report,
-                )
-            return
-        except Exception:
-            self.metrics.observe_group_fallback("group_crashed", len(lanes))
-            for sid in lanes:
-                self._record(sid, self.sessions[sid].mark_crashed(), report)
-            return
-        self.metrics.observe_batch(len(lanes), batch_report)
-        for sid, result in zip(lanes, results):
-            session = self.sessions[sid]
-            try:
-                outcome = session.absorb_result(result)
-            except ReproError:
-                raise
-            except Exception:
-                outcome = session.mark_crashed()
-            self._record(sid, outcome, report)
-
     def _discard_pool(self) -> None:
         """Throw away a broken worker pool; the next process dispatch
         rebuilds (and re-primes) it lazily."""
@@ -514,9 +321,6 @@ class ServeEngine(SessionTable):
         fleet metrics (call once, at end of run)."""
         for session in self.sessions.values():
             self.metrics.absorb_solver_stats(session.solver_stats())
-        for solver in self._batch_solvers.values():
-            if solver is not None:
-                self.metrics.absorb_solver_stats(solver.stats)
 
     def shutdown(self) -> None:
         """Close all serving sessions and stop the worker pool."""
@@ -578,74 +382,29 @@ def remote_solve(payload: Dict[str, object]) -> Dict[str, object]:
     :meth:`ControlSession.absorb` folds back into the session.
 
     An optional ``payload["fault"]`` directive (from the chaos harness)
-    is honored before the solve: ``worker_crash`` hard-kills this worker
-    process — exactly the failure mode the engine must survive — and
-    ``slow`` sleeps for the injected latency.
+    is honored before the solve (:func:`repro.serve.wire.run_fault_directive`).
     """
     try:
-        fault = payload.get("fault")
-        if fault:
-            kind = fault.get("kind")
-            if kind == "worker_crash":
-                os._exit(3)  # no cleanup: simulate an OOM-kill / segfault
-            elif kind == "slow":
-                sleep(float(fault.get("delay_s", 0.0)))
+        run_fault_directive(payload.get("fault"))
         robot = str(payload["robot"])
         horizon = int(payload["horizon"])
         qp_method = str(payload.get("qp_method") or "ipm")
         codegen = str(payload.get("codegen") or "auto")
         prime_worker_cache(robot, horizon, qp_method=qp_method, codegen=codegen)
         _, _, solver = _WORKER_CACHE[(robot, horizon, qp_method, codegen)]
-        budget = None
-        if (
-            payload.get("deadline_s") is not None
-            or payload.get("max_sqp_iterations") is not None
-            or payload.get("max_qp_iterations") is not None
-        ):
-            budget = SolveBudget(
-                wall_clock=payload.get("deadline_s"),
-                sqp_iterations=payload.get("max_sqp_iterations"),
-                qp_iterations=payload.get("max_qp_iterations"),
-            )
+        budget = SolveBudget(
+            wall_clock=payload.get("deadline_s"),
+            sqp_iterations=payload.get("max_sqp_iterations"),
+            qp_iterations=payload.get("max_qp_iterations"),
+        )
         result = solver.solve(
             payload["x"],
             ref=payload.get("ref"),
             z_warm=payload.get("z_warm"),
             nu_warm=payload.get("nu_warm"),
             lam_warm=payload.get("lam_warm"),
-            budget=budget,
+            budget=None if budget.unlimited else budget,
         )
-        return {
-            "ok": True,
-            "error": None,
-            "z": result.z,
-            "nu": result.nu,
-            "lam": result.lam,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "qp_iterations": result.qp_iterations,
-            "objective": result.objective,
-            "kkt_residual": result.kkt_residual,
-            "status": result.status,
-            "solve_time": result.solve_time,
-            "health": (
-                result.health.to_dict() if result.health is not None else None
-            ),
-        }
-    except StateValidationError as exc:
-        # Rejected input, not a solver failure: the session must NOT drop
-        # its warm start over this.
-        return {
-            "ok": False,
-            "kind": "bad_state",
-            "error": str(exc),
-            "solve_time": None,
-            "health": exc.health.to_dict() if exc.health is not None else None,
-        }
+        return {"ok": True, "error": None, **result_to_dict(result)}
     except ReproError as exc:
-        return {
-            "ok": False,
-            "kind": "solver_error",
-            "error": str(exc),
-            "solve_time": None,
-        }
+        return error_reply(exc)

@@ -5,8 +5,7 @@ gets its own ground-truth plant (the RK4 :class:`PlantIntegrator` over the
 continuous dynamics), its initial state perturbed around the benchmark's
 ``x0``, and the engine ticks the whole fleet — deadline-budgeted solves,
 fallbacks, backpressure and all.  ``repro serve-sim`` is a thin CLI wrapper
-around :func:`run_load`; the standalone script ``scripts/serve_loadgen.py``
-drives the same entry point for ad-hoc load experiments.
+around :func:`run_load`.
 
 Plant states that leave the finite range (a fleet member hovering through a
 long degraded stretch can drift arbitrarily) are re-seeded at the
@@ -68,7 +67,8 @@ class LoadConfig:
     #: "cycle" assigns robots round-robin; "sample" draws each session's
     #: robot from ``robots`` with a seeded RNG
     robot_mix: str = "cycle"
-    #: "v1" (tick-batched ServeEngine) or "v2" (async continuous batching)
+    #: "v1" (scalar ServeEngine: inline, or a process pool when
+    #: ``workers > 0``) or "v2" (async continuous batching)
     engine: str = "v1"
     #: serve2 knobs (engine="v2" only)
     shards: int = 1
@@ -76,10 +76,11 @@ class LoadConfig:
     rungs: Optional[Sequence[int]] = None
     max_batch: int = 64
     max_queue: Optional[int] = None
-    workers: int = 0
-    backend: str = "thread"
-    #: array backend for backend="batched" (None = env / numpy default)
+    #: array backend of the batched lanes (engine="v2" only; None = env /
+    #: numpy default)
     array_backend: Optional[str] = None
+    #: v1 process-pool size (0 = scalar-inline)
+    workers: int = 0
     #: inner QP solver for every fleet session: "ipm" or "admm"
     qp_method: str = "ipm"
     #: fused-kernel codegen mode for every fleet session
@@ -104,6 +105,11 @@ class LoadConfig:
             raise ServeError(f"unknown robot_mix {self.robot_mix!r}")
         if self.engine not in ("v1", "v2"):
             raise ServeError(f"unknown engine {self.engine!r}")
+        if self.array_backend is not None and self.engine != "v2":
+            raise ServeError(
+                "array_backend requires engine='v2' (--engine v2): the scalar "
+                "engine has no batched lanes"
+            )
 
 
 @dataclass
@@ -170,9 +176,6 @@ def _build_engine(config: LoadConfig, trace):
         EngineConfig(
             max_sessions=config.sessions,
             workers=config.workers,
-            backend=config.backend,
-            array_backend=config.array_backend,
-            qp_method=config.qp_method,
             codegen=config.codegen,
             tick_budget_s=config.tick_budget_s,
         ),

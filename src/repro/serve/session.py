@@ -14,11 +14,11 @@ solver-side failures — every control period produces a
 
 Two execution paths produce identical outcomes:
 
-* ``step(x, ref)`` — solve inline (the engine's ``inline``/``thread``
-  backends).
+* ``step(x, ref)`` — solve inline on the session's own solver
+  (``workers == 0``).
 * ``solve_payload(x, ref)`` / ``absorb(remote)`` — build a picklable solve
   request, ship it to a worker process, and fold the picklable reply back
-  into the session (the ``process`` backend; see
+  into the session (the process pool; see
   :func:`repro.serve.engine.remote_solve`).
 """
 
@@ -37,12 +37,15 @@ from repro.errors import (
     SessionStateError,
     StateValidationError,
 )
+from repro.codegen.linearizer import CODEGEN_MODES
 from repro.mpc.budget import SolveBudget
 from repro.mpc.controller import MPCController
 from repro.mpc.health import SolverHealth
 from repro.mpc.ipm import IPMResult
+from repro.mpc.qp import QP_METHODS
 from repro.serve.policy import FallbackLadder
 from repro.serve.telemetry import FleetMetrics, TraceWriter
+from repro.serve.wire import result_from_dict
 
 __all__ = [
     "ACTIVE",
@@ -116,14 +119,13 @@ class SessionConfig:
     codegen: str = "auto"
 
     def __post_init__(self):
-        if self.qp_method not in ("ipm", "admm"):
+        if self.qp_method not in QP_METHODS:
             raise ServeError(
-                f"qp_method must be 'ipm' or 'admm', got {self.qp_method!r}"
+                f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
             )
-        if self.codegen not in ("auto", "on", "off", "numpy", "c"):
+        if self.codegen not in CODEGEN_MODES:
             raise ServeError(
-                f"codegen must be one of 'auto', 'on', 'off', 'numpy', 'c'; "
-                f"got {self.codegen!r}"
+                f"codegen must be one of {CODEGEN_MODES}, got {self.codegen!r}"
             )
 
     def budget(self) -> Optional[SolveBudget]:
@@ -419,7 +421,6 @@ class ControlSession:
     def absorb(self, remote: Dict[str, object]) -> StepOutcome:
         """Fold a worker's reply (from :func:`remote_solve`) into the session."""
         self._require_serving("step")
-        solve_time = float(remote.get("solve_time") or 0.0)
         if not remote.get("ok"):
             reason = str(remote.get("kind") or "solver_error")
             if reason != "bad_state":
@@ -427,37 +428,24 @@ class ControlSession:
                 # input does not (the solve never started).
                 self.controller.reset()
             return self._fallback_outcome(
-                reason, solve_time, None, health=remote.get("health")
+                reason,
+                float(remote.get("solve_time") or 0.0),
+                None,
+                health=remote.get("health"),
             )
-        result = IPMResult(
-            z=np.asarray(remote["z"], dtype=float),
-            converged=bool(remote["converged"]),
-            iterations=int(remote["iterations"]),
-            qp_iterations=int(remote["qp_iterations"]),
-            objective=float(remote["objective"]),
-            kkt_residual=float(remote["kkt_residual"]),
-            nu=None if remote["nu"] is None else np.asarray(remote["nu"]),
-            lam=None if remote["lam"] is None else np.asarray(remote["lam"]),
-            status=str(remote["status"]),
-            solve_time=solve_time,
-            health=SolverHealth.from_dict(remote.get("health")),
-        )
-        return self.absorb_result(result, solve_time)
+        return self.absorb_result(result_from_dict(remote))
 
-    def absorb_result(
-        self, result: IPMResult, solve_time: Optional[float] = None
-    ) -> StepOutcome:
-        """Fold an in-process :class:`IPMResult` into the session.
+    def absorb_result(self, result: IPMResult) -> StepOutcome:
+        """Fold an :class:`IPMResult` solved outside the session into it.
 
-        The batched backend solves a whole session group in one call and
+        The v2 engine solves a whole session group in one call and
         scatters each lane's result back here: adopt the iterate as the
         next warm start, then run the same classification ladder as an
         inline or worker solve.
         """
         self._require_serving("step")
-        elapsed = result.solve_time if solve_time is None else solve_time
         u = self.controller.adopt(result)
-        return self._classify(u, result, elapsed)
+        return self._classify(u, result, result.solve_time)
 
     # -- shared outcome logic ---------------------------------------------------
     def _classify(
@@ -717,6 +705,18 @@ class SessionTable:
 
     def crashed_sessions(self) -> List[str]:
         return [sid for sid, s in self.sessions.items() if s.state == CRASHED]
+
+    def _step_guarded(self, sid: str, x, ref) -> StepOutcome:
+        """One scalar step on the session's own solver; anything escaping
+        the session's own handling (i.e. a bug, not a solver failure)
+        crashes only that session."""
+        session = self.sessions[sid]
+        try:
+            return session.step(x, ref=ref)
+        except ReproError:
+            raise  # lifecycle misuse is the caller's bug — do not mask it
+        except Exception:
+            return session.mark_crashed()
 
     def _record(self, sid: str, outcome: StepOutcome, report) -> None:
         """Fold one step outcome into a ``TickReport``, the fleet metrics

@@ -1,9 +1,8 @@
 """repro.serve2: async continuous-batching serve engine.
 
 The v1 engine (:mod:`repro.serve.engine`) polls sessions in round-robin
-tick order and only co-batches sessions whose ``(robot, horizon)`` keys
-match exactly, so a mixed fleet fragments into tiny batches.  ``serve2``
-borrows the structure of modern LLM serving stacks instead:
+tick order and solves each on its own scalar solver.  ``serve2`` is the
+batched engine, and borrows the structure of modern LLM serving stacks:
 
 * sessions submit :class:`~repro.serve2.scheduler.SolveRequest`\\ s to a
   central queue on an asyncio event loop (:mod:`repro.serve2.engine`);

@@ -33,14 +33,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError, ServeError
 from repro.batch.ipm import BatchSolveReport
+from repro.codegen.linearizer import CODEGEN_MODES
+from repro.errors import ReproError, ServeError
+from repro.mpc.qp import QP_METHODS
 from repro.serve.engine import TickReport
 from repro.serve.session import ControlSession, SessionTable, StepOutcome
 from repro.serve.telemetry import TraceWriter
 from repro.serve2.bucketing import DEFAULT_RUNGS, HorizonBuckets
 from repro.serve2.scheduler import EDFScheduler, SolveRequest
-from repro.serve2.shard import Shard, result_from_dict, shard_solve_group
+from repro.serve.wire import result_from_dict
+from repro.serve2.shard import Shard, shard_solve_group
 
 __all__ = ["Serve2Config", "AsyncServeEngine"]
 
@@ -74,13 +77,13 @@ class Serve2Config:
     array_backend: Optional[str] = None
 
     def __post_init__(self):
-        if self.qp_method not in ("ipm", "admm"):
+        if self.qp_method not in QP_METHODS:
             raise ServeError(
-                f"qp_method must be 'ipm' or 'admm', got {self.qp_method!r}"
+                f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
             )
-        if self.codegen not in ("auto", "on", "off", "numpy", "c"):
+        if self.codegen not in CODEGEN_MODES:
             raise ServeError(
-                f"codegen must be one of auto/on/off/numpy/c, got {self.codegen!r}"
+                f"codegen must be one of {CODEGEN_MODES}, got {self.codegen!r}"
             )
         if self.max_sessions < 1:
             raise ServeError("max_sessions must be >= 1")
@@ -438,24 +441,14 @@ class AsyncServeEngine(SessionTable):
                 )
             return None, None
         results = [result_from_dict(lane) for lane in reply["lanes"]]
-        rep = reply.get("report")
-        batch_report = BatchSolveReport(**rep) if rep else BatchSolveReport(
-            lanes=len(results)
-        )
-        return results, batch_report
+        return results, BatchSolveReport(**reply["report"])
 
     def _step_scalar(self, req: SolveRequest) -> StepOutcome:
         """Scalar-inline fallback lane (native problem, session's own
         solver) with v1 fault semantics."""
-        session = self.sessions[req.session_id]
         if req.directive is not None and req.directive.get("kind") == "slow":
             sleep(float(req.directive.get("delay_s", 0.0)))
-        try:
-            return session.step(req.x, ref=req.ref)
-        except ReproError:
-            raise  # lifecycle misuse is the caller's bug — do not mask it
-        except Exception:
-            return session.mark_crashed()
+        return self._step_guarded(req.session_id, req.x, req.ref)
 
     def _group_binding(self, shard: Shard, robot: str, bucket: int):
         if robot not in self._bench_cache:

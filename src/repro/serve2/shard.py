@@ -13,21 +13,17 @@ re-pinned to surviving shards, and the dead shard respawns lazily.
 campaign drives); ``process`` mode overlaps shard solves across real
 worker processes, with the parent's compiled bindings inherited through
 the fork start method via a prime-before-fork cache, exactly like the v1
-engine's worker pool.
+engine's worker pool — and over the same worker wire format
+(:mod:`repro.serve.wire`).
 """
 
 from __future__ import annotations
 
-import os
-from time import sleep
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.errors import ReproError, StateValidationError
-from repro.mpc.budget import SolveBudget
-from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import IPMResult
+from repro.errors import ReproError, SolverError
+from repro.serve.wire import error_reply, result_to_dict, run_fault_directive
 from repro.serve2.padding import PaddedBinding
 
 __all__ = ["Shard", "prime_shard_cache", "shard_solve_group"]
@@ -138,98 +134,34 @@ def prime_shard_cache(
     _SHARD_CACHE[key] = binding
 
 
-def _result_to_dict(result: IPMResult) -> Dict[str, object]:
-    return {
-        "z": result.z,
-        "nu": result.nu,
-        "lam": result.lam,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "qp_iterations": result.qp_iterations,
-        "objective": result.objective,
-        "kkt_residual": result.kkt_residual,
-        "status": result.status,
-        "solve_time": result.solve_time,
-        "health": result.health.to_dict() if result.health is not None else None,
-    }
-
-
-def result_from_dict(data: Dict[str, object]) -> IPMResult:
-    """Rebuild a (padded) :class:`IPMResult` from a worker reply lane."""
-    return IPMResult(
-        z=np.asarray(data["z"], dtype=float),
-        converged=bool(data["converged"]),
-        iterations=int(data["iterations"]),
-        qp_iterations=int(data["qp_iterations"]),
-        objective=float(data["objective"]),
-        kkt_residual=float(data["kkt_residual"]),
-        nu=None if data["nu"] is None else np.asarray(data["nu"]),
-        lam=None if data["lam"] is None else np.asarray(data["lam"]),
-        status=str(data["status"]),
-        solve_time=float(data["solve_time"] or 0.0),
-        health=SolverHealth.from_dict(data.get("health")),
-    )
-
-
 def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
     """Solve one padded group inside a shard worker process.
 
     ``group`` carries the binding identity, the already-padded payloads,
-    and an optional chaos directive: ``shard_crash`` / ``worker_crash``
-    hard-kill this worker (the failure mode handoff must survive),
-    ``slow`` sleeps for the injected latency.  The reply is a plain dict
-    of per-lane result dicts plus the batch-occupancy report.
+    and an optional chaos directive
+    (:func:`repro.serve.wire.run_fault_directive`: ``shard_crash`` /
+    ``worker_crash`` hard-kill this worker — the failure mode handoff must
+    survive).  The reply is a plain dict of per-lane result dicts
+    (:func:`repro.serve.wire.result_to_dict`) plus the batch-occupancy
+    report.
     """
     try:
-        fault = group.get("fault")
-        if fault:
-            kind = fault.get("kind")
-            if kind in ("shard_crash", "worker_crash"):
-                os._exit(3)  # no cleanup: simulate an OOM-kill / segfault
-            elif kind == "slow":
-                sleep(float(fault.get("delay_s", 0.0)))
+        run_fault_directive(group.get("fault"))
         robot = str(group["robot"])
         bucket = int(group["bucket"])
         qp_method = str(group.get("qp_method") or "ipm")
         codegen = str(group.get("codegen") or "auto")
         prime_shard_cache(robot, bucket, qp_method=qp_method, codegen=codegen)
         binding = _SHARD_CACHE[(robot, bucket, qp_method, codegen)]
-        payloads: List[Dict[str, object]] = group["payloads"]
-        if binding.batchable:
-            results, report = binding.batch_solver.solve_payloads(payloads)
-            report_dict = {
-                "lanes": report.lanes,
-                "sqp_lane_iterations": report.sqp_lane_iterations,
-                "sqp_lane_slots": report.sqp_lane_slots,
-                "qp_lane_iterations": report.qp_lane_iterations,
-                "qp_lane_slots": report.qp_lane_slots,
-            }
-        else:
-            results = [
-                binding.scalar_solver.solve(
-                    pl["x"],
-                    ref=pl.get("ref"),
-                    z_warm=pl.get("z_warm"),
-                    budget=SolveBudget(
-                        wall_clock=pl.get("deadline_s"),
-                        sqp_iterations=pl.get("max_sqp_iterations"),
-                        qp_iterations=pl.get("max_qp_iterations"),
-                    ),
-                )
-                for pl in payloads
-            ]
-            report_dict = None
+        if not binding.batchable:
+            # the engine steps unbatchable bindings scalar-inline and never
+            # ships them to a shard worker
+            raise SolverError(f"({robot!r}, bucket {bucket}) cannot batch")
+        results, report = binding.batch_solver.solve_payloads(group["payloads"])
         return {
             "ok": True,
-            "lanes": [_result_to_dict(r) for r in results],
-            "report": report_dict,
-        }
-    except StateValidationError as exc:
-        return {
-            "ok": False,
-            "kind": "bad_state",
-            "error": str(exc),
-            "health": exc.health.to_dict() if exc.health is not None else None,
+            "lanes": [result_to_dict(r) for r in results],
+            "report": asdict(report),
         }
     except ReproError as exc:
-        return {"ok": False, "kind": "solver_error", "error": str(exc)}
+        return error_reply(exc)

@@ -38,13 +38,13 @@ class TestParser:
         assert args.ticks == 20
         assert args.deadline_ms == 50.0
         assert args.workers == 0
-        assert args.backend == "thread"
+        assert args.engine == "v1"
         assert args.robots is None
         assert not args.json
 
     def test_serve_sim_backend_validated(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-sim", "--backend", "mpi"])
+            build_parser().parse_args(["serve-sim", "--shard-backend", "mpi"])
 
     def test_serve_sim_qp_method(self):
         args = build_parser().parse_args(["serve-sim"])
@@ -229,6 +229,13 @@ class TestServeSim:
         assert doc["sessions"] == 1
         assert doc["crashed"] == []
         assert doc["metrics"]["fleet"]["steps"] == 1
+
+
+class TestChaos:
+    def test_unreachable_solver_faults_exit_2(self, capsys):
+        code = main(["chaos", "--schedule", "solver", "--engine", "v2"])
+        assert code == 2
+        assert "solver-layer faults" in capsys.readouterr().err
 
 
 class TestBackends:

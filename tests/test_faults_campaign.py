@@ -75,6 +75,16 @@ class TestCampaignInvariants:
         with pytest.raises(ServeError, match="clear"):
             run_campaign(CampaignConfig(schedule=sched, ticks=10))
 
+    @pytest.mark.parametrize("where", [{"engine": "v2"}, {"workers": 2}])
+    def test_unreachable_solver_faults_are_refused(self, where):
+        """v2's lanes and v1's pool workers never run the session's own
+        solver, so its fault hooks would arm and never fire: refuse the
+        campaign instead of passing it vacuously."""
+        from repro.errors import ServeError
+
+        with pytest.raises(ServeError, match="budget_starve, chol_fail, illcond"):
+            run_campaign(CampaignConfig(schedule="solver", ticks=30, **where))
+
     def test_report_is_json_ready(self):
         rep = run_campaign(
             CampaignConfig(robot="CartPole", schedule="smoke", ticks=20, seed=0)
@@ -96,7 +106,6 @@ class TestProcessBackendCampaign:
                 sessions=2,
                 ticks=40,
                 workers=2,
-                backend="process",
                 seed=0,
             )
         )

@@ -6,13 +6,9 @@ import pytest
 
 from repro.robots import build_benchmark
 from repro.serve import SessionConfig
+from repro.serve.wire import result_from_dict, result_to_dict
 from repro.serve2 import AsyncServeEngine, Serve2Config
-from repro.serve2.shard import (
-    Shard,
-    _result_to_dict,
-    result_from_dict,
-    shard_solve_group,
-)
+from repro.serve2.shard import Shard, shard_solve_group
 
 
 class TestShardState:
@@ -45,7 +41,7 @@ class TestWorkerGroupSolve:
         bench = build_benchmark("CartPole")
         problem = bench.transcribe(horizon=5)
         res = bench.make_solver(problem).solve(bench.x0, ref=bench.ref)
-        back = result_from_dict(_result_to_dict(res))
+        back = result_from_dict(result_to_dict(res))
         np.testing.assert_array_equal(back.z, res.z)
         assert back.converged == res.converged
         assert back.status == res.status
@@ -74,6 +70,15 @@ class TestWorkerGroupSolve:
         assert len(reply["lanes"]) == 1
         assert reply["lanes"][0]["converged"]
         assert reply["report"]["lanes"] == 1
+
+    def test_unbatchable_group_is_a_solver_error_reply(self):
+        """The engine steps unbatchable bindings scalar-inline; a group that
+        reaches a worker anyway is refused, not solved lane by lane."""
+        reply = shard_solve_group(
+            {"robot": "MicroSat", "bucket": 4, "payloads": [{}]}
+        )
+        assert not reply["ok"]
+        assert reply["kind"] == "solver_error"
 
 
 class TestProcessShards:

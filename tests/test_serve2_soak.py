@@ -5,9 +5,9 @@ order, shard handoff) on small fleets; this lane proves they *survive
 scale*: ten thousand sessions churned through one engine in admission
 waves must leave the fleet healthy — the p99 consecutive-deadline-miss
 streak stays below the degrade threshold, no session crashes, and no
-state leaks between waves — and the batch-efficiency edge over v1 must
-hold on a bigger seeded load than the bench uses.  Session count scales
-with ``REPRO_SOAK_SESSIONS`` (default 10000).
+state leaks between waves — and the batch-efficiency edge of bucketing
+over exact-key grouping must hold on a mixed seeded load.  Session count
+scales with ``REPRO_SOAK_SESSIONS`` (default 10000).
 
 Run with ``PYTHONPATH=src python -m pytest tests/test_serve2_soak.py -m slow``.
 """
@@ -117,9 +117,11 @@ def test_soak_churn_p99_miss_streak_below_degrade(cart):
 
 
 def test_soak_batch_efficiency_v2_strictly_above_v1():
-    """Mixed-robot ragged loadgen soak, identical seeded load on both
-    engines: v2 must batch strictly wider, and the fleet must stay
-    un-degraded (every miss streak below the ladder)."""
+    """Mixed-robot ragged loadgen soak, identical seeded load twice
+    through v2: bucketing onto one rung must batch strictly wider than
+    rungs equal to the native horizons (the retired v1 backend's exact-key
+    grouping), and the fleet must stay un-degraded (every miss streak
+    below the ladder)."""
     seed = int(os.environ.get("REPRO_BENCH_SEED", "0"))
     common = dict(
         sessions=16,
@@ -130,13 +132,14 @@ def test_soak_batch_efficiency_v2_strictly_above_v1():
         seed=seed,
         arrival_jitter=0.1,
     )
-    v1 = run_load(LoadConfig(engine="v1", backend="batched", **common))
-    v2 = run_load(LoadConfig(engine="v2", rungs=(8,), max_batch=16, **common))
+    common.update(engine="v2", max_batch=16)
+    v1 = run_load(LoadConfig(rungs=(5, 6, 7, 8), **common))
+    v2 = run_load(LoadConfig(rungs=(8,), **common))
     assert not v1.crashed and not v2.crashed
     # jitter is drawn from the same seeded stream: identical arrivals
     assert v1.metrics.fleet.steps == v2.metrics.fleet.steps
     assert v2.metrics.mean_batch > v1.metrics.mean_batch
-    assert v2.metrics.padded_lanes > 0
+    assert v1.metrics.padded_lanes == 0 < v2.metrics.padded_lanes
     # no session strung degrade_after misses together under the deadline
     assert v2.metrics.fleet.degraded_transitions == 0
 

@@ -1,16 +1,17 @@
 """Per-session QP-method selection threaded end to end through serving:
 config validation, the ``apply_qp_method`` options swap, engine paths
-(inline, batched, worker priming), the loadgen/CLI surface, and the
-degradation ladder running on the ADMM solver."""
+(v1 inline, v2 batched), the loadgen surface, and the degradation ladder
+running on the ADMM solver."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ServeError
 from repro.robots import build_benchmark
-from repro.serve import EngineConfig, ServeEngine, SessionConfig
+from repro.serve import SessionConfig
 from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.session import ControlSession, apply_qp_method
+from repro.serve2 import AsyncServeEngine, Serve2Config
 
 
 class TestConfigValidation:
@@ -20,11 +21,11 @@ class TestConfigValidation:
 
     def test_engine_rejects_unknown_method(self):
         with pytest.raises(ServeError):
-            EngineConfig(qp_method="sgd")
+            Serve2Config(qp_method="sgd")
 
     def test_defaults_are_ipm(self):
         assert SessionConfig(robot="MobileRobot").qp_method == "ipm"
-        assert EngineConfig().qp_method == "ipm"
+        assert Serve2Config().qp_method == "ipm"
         assert LoadConfig().qp_method == "ipm"
 
 
@@ -70,10 +71,11 @@ class TestServeEndToEnd:
 
     def test_batched_fleet_serves_with_admm(self):
         report = self._load(
-            sessions=3, backend="batched", array_backend="numpy"
+            sessions=3, engine="v2", rungs=(5,), array_backend="numpy"
         )
         assert report.ok
         assert report.metrics.fleet.steps == 9
+        assert report.metrics.batch_solves == 3
 
     def test_degradation_ladder_runs_on_admm(self):
         """An impossible deadline must walk ADMM sessions down the same
@@ -96,10 +98,8 @@ class TestServeEndToEnd:
 
 class TestEngineSelection:
     def test_batch_solver_inherits_engine_method(self):
-        engine = ServeEngine(
-            EngineConfig(
-                backend="batched", array_backend="numpy", qp_method="admm"
-            )
+        engine = AsyncServeEngine(
+            Serve2Config(rungs=(5,), array_backend="numpy", qp_method="admm")
         )
         try:
             sid = engine.create_session(
@@ -117,5 +117,7 @@ class TestEngineSelection:
             out = report.outcomes[sid]
             assert out.status == "ok"
             assert np.all(np.isfinite(out.u))
+            binding = engine._shards[0].bindings[("MobileRobot", 5)]
+            assert binding.batch_solver.qp_method == "admm"
         finally:
             engine.shutdown()

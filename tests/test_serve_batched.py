@@ -1,19 +1,30 @@
-"""The batched serve backend: group keys, lane scatter, fallbacks, and
-batch telemetry."""
+"""Batched serving — the v2 engine's group solves: group keys, lane
+scatter, fallbacks, and batch telemetry.  (The v1 ``batched`` backend
+these cases were written against is retired; rungs equal to the native
+horizons make ``AsyncServeEngine`` its exact-key grouping.)"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import EngineConfig, ServeEngine, SessionConfig
+from repro.serve import EngineConfig, LoadConfig, ServeEngine, SessionConfig
 from repro.serve.telemetry import render_summary
-from tests.test_serve_engine import fleet, stub_session
+from repro.serve2 import AsyncServeEngine, Serve2Config
+from tests.test_serve_engine import fleet
 from tests.test_serve_session import cart  # noqa: F401
 
 
-def batched_engine(**cfg):
-    cfg.setdefault("backend", "batched")
-    return ServeEngine(EngineConfig(**cfg))
+@pytest.fixture
+def batched_engine():
+    made = []
+
+    def make(rungs=(6, 8), **cfg):
+        made.append(AsyncServeEngine(Serve2Config(rungs=rungs, **cfg)))
+        return made[-1]
+
+    yield make
+    for engine in made:
+        engine.shutdown()
 
 
 def make_fleet(engine, specs):
@@ -42,41 +53,27 @@ def tick_states(engine, sids):
 
 
 class TestConfig:
-    def test_batched_with_workers_rejected(self):
-        with pytest.raises(ServeError):
-            EngineConfig(backend="batched", workers=2)
-
-    def test_unknown_backend_rejected_even_inline(self):
-        # Regression: bogus backends used to pass validation when
-        # workers == 0 and silently run inline.
-        with pytest.raises(ServeError):
-            EngineConfig(backend="carrier-pigeon", workers=0)
-
-    def test_batched_accepted(self):
-        assert EngineConfig(backend="batched").backend == "batched"
-
     def test_array_backend_requires_batched(self):
-        with pytest.raises(ServeError):
-            EngineConfig(backend="thread", array_backend="numpy")
-        cfg = EngineConfig(backend="batched", array_backend="numpy:float32")
+        # the scalar engine has no array backend to select
+        with pytest.raises(ServeError, match="v2"):
+            LoadConfig(engine="v1", array_backend="numpy")
+        cfg = LoadConfig(engine="v2", array_backend="numpy:float32")
         assert cfg.array_backend == "numpy:float32"
 
-    def test_array_backend_reaches_the_group_solver(self):
+    def test_array_backend_reaches_the_group_solver(self, batched_engine):
         engine = batched_engine(array_backend="numpy:float32")
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
         tick_states(engine, sids)
-        solver = engine._batch_solver(("MobileRobot", 6))
-        assert solver is not None
-        assert solver.xp.dtype_name == "float32"
+        binding = engine._shards[0].bindings[("MobileRobot", 6)]
+        assert binding.batch_solver.xp.dtype_name == "float32"
         assert engine.metrics.batch_solves == 1
 
 
 class TestGroupKey:
-    """Satellite regression: sessions are co-batched **only** on an exact
-    (robot, horizon) match — mismatched horizons or robots never share a
-    batched solve."""
+    """Sessions are co-batched **only** on an exact (shard, robot, bucket)
+    match — different rungs, robots or shards never share a group solve."""
 
-    def test_mixed_horizons_never_co_batched(self):
+    def test_mixed_horizons_never_co_batched(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(
             engine,
@@ -85,12 +82,12 @@ class TestGroupKey:
         report = tick_states(engine, sids)
         assert len(report.outcomes) == 3
         m = engine.metrics
-        # Two group solves (h=6 pair, h=8 singleton) — never one of three.
+        # Two group solves (rung-6 pair, rung-8 singleton) — never one of three.
         assert m.batch_solves == 2
         assert m.max_batch == 2
         assert m.batched_lanes == 3
 
-    def test_mixed_robots_never_co_batched(self):
+    def test_mixed_robots_never_co_batched(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(
             engine, [("MobileRobot", 6), ("CartPole", 6), ("CartPole", 6)]
@@ -100,25 +97,31 @@ class TestGroupKey:
         assert m.batch_solves == 2
         assert m.max_batch == 2
 
-    def test_group_key_is_config_not_shape(self):
-        engine = batched_engine()
-        s1 = engine.sessions
-        sids = make_fleet(engine, [("MobileRobot", 6), ("CartPole", 6)])
-        k1 = engine._group_key(engine.sessions[sids[0]])
-        k2 = engine._group_key(engine.sessions[sids[1]])
-        assert k1 != k2
-        assert k1 == ("MobileRobot", 6)
+    def test_group_key_is_config_not_shape(self, batched_engine):
+        engine = batched_engine(shards=2)
+        sids = make_fleet(
+            engine, [("MobileRobot", 6), ("CartPole", 6), ("MobileRobot", 6)]
+        )
+        for sid in sids:
+            engine._submit_request(sid, np.zeros(4), None)
+        keys = [req.group_key for req in engine._scheduler.drain()]
+        # (shard, robot, bucket): only sessions 0 and 2 may share a solve
+        assert keys == [
+            (0, "MobileRobot", 6),
+            (1, "CartPole", 6),
+            (0, "MobileRobot", 6),
+        ]
 
 
 class TestDispatch:
-    def test_lanes_get_ok_outcomes(self):
+    def test_lanes_get_ok_outcomes(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 3)
         report = tick_states(engine, sids)
         assert all(o.status == "ok" for o in report.outcomes.values())
         assert engine.metrics.fleet.ok == 3
 
-    def test_matches_inline_backend_outcomes(self):
+    def test_matches_inline_backend_outcomes(self, batched_engine):
         specs = [("MobileRobot", 6)] * 3
         batched = batched_engine()
         inline = ServeEngine(EngineConfig())
@@ -131,24 +134,25 @@ class TestDispatch:
             assert bo.status == io.status
             assert np.allclose(bo.u, io.u, atol=1e-6)
 
-    def test_non_gauss_newton_robot_steps_inline(self):
-        engine = batched_engine()
+    def test_non_gauss_newton_robot_steps_inline(self, batched_engine):
+        engine = batched_engine(rungs=(4,))
         sids = make_fleet(engine, [("MicroSat", 4)] * 2)
         report = tick_states(engine, sids)
         assert len(report.outcomes) == 2
         # No batched solve happened (hybrid Hessian -> scalar fallback) ...
         assert engine.metrics.batch_solves == 0
+        assert engine.metrics.group_fallbacks["unbatchable_binding"] == 2
         # ... but the sessions still stepped.
         assert engine.metrics.fleet.steps == 2
 
-    def test_stub_sessions_without_binding_step_inline(self, cart):
+    def test_stub_sessions_without_binding_step_inline(self, cart, batched_engine):
         engine = batched_engine()
         sids = fleet(cart, engine, 2)
         report = engine.tick({sid: (np.zeros(2), None) for sid in sids})
         assert all(o.status == "ok" for o in report.outcomes.values())
         assert engine.metrics.batch_solves == 0
 
-    def test_bad_state_lane_isolated(self):
+    def test_bad_state_lane_isolated(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 3)
         bench, _ = engine.binding("MobileRobot", 6)
@@ -163,7 +167,7 @@ class TestDispatch:
         # The poisoned lane never entered the batch.
         assert engine.metrics.batched_lanes == 2
 
-    def test_worker_crash_fault_directive(self):
+    def test_worker_crash_fault_directive(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
 
@@ -177,7 +181,7 @@ class TestDispatch:
         assert report.outcomes[sids[1]].status == "ok"
         assert engine.metrics.batched_lanes == 1
 
-    def test_warm_start_carries_across_ticks(self):
+    def test_warm_start_carries_across_ticks(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
         r1 = tick_states(engine, sids)
@@ -192,7 +196,7 @@ class TestDispatch:
 
 
 class TestTelemetry:
-    def test_batching_block_in_to_dict(self):
+    def test_batching_block_in_to_dict(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
         tick_states(engine, sids)
@@ -203,7 +207,7 @@ class TestTelemetry:
         assert 0.0 < block["batch_efficiency"] <= 1.0
         assert 0.0 < block["sqp_batch_efficiency"] <= 1.0
 
-    def test_summary_line_gated_on_batched_solves(self):
+    def test_summary_line_gated_on_batched_solves(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
         tick_states(engine, sids)
@@ -216,7 +220,7 @@ class TestTelemetry:
             inline.metrics, inline.session_states()
         )
 
-    def test_collect_solver_stats_includes_batch_solver(self):
+    def test_collect_solver_stats_includes_batch_solver(self, batched_engine):
         engine = batched_engine()
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
         tick_states(engine, sids)

@@ -36,7 +36,7 @@ class TestConfig:
         [
             {"max_sessions": 0},
             {"workers": -1},
-            {"workers": 2, "backend": "carrier-pigeon"},
+            {"codegen": "carrier-pigeon"},
             {"min_batch": 0},
         ],
     )
@@ -118,22 +118,30 @@ class TestTick:
         report = engine.tick({sid: (X, None)})
         assert report.stepped == 0  # non-serving sessions are just skipped
 
-    def test_thread_backend_matches_inline(self, cart):
-        inline = ServeEngine()
-        threaded = ServeEngine(EngineConfig(workers=2, backend="thread"))
-        sids_a = fleet(cart, inline, 3, script=["ok", "deadline"])
-        sids_b = fleet(cart, threaded, 3, script=["ok", "deadline"])
-        for _ in range(2):
-            inline.tick({sid: (X, None) for sid in sids_a})
-            threaded.tick({sid: (X, None) for sid in sids_b})
-        threaded.shutdown()
-        a, b = inline.metrics.fleet, threaded.metrics.fleet
-        assert (a.steps, a.ok, a.fallbacks, a.deadline_misses) == (
-            b.steps,
-            b.ok,
-            b.fallbacks,
-            b.deadline_misses,
+    def test_process_pool_matches_inline(self):
+        """Iteration-budgeted (so deterministic) CartPole sessions: a solve
+        shipped to a pool worker and folded back serves the inline plan."""
+        cfg = SessionConfig(
+            robot="CartPole", horizon=5, deadline_s=None, max_sqp_iterations=3
         )
+        inline = ServeEngine()
+        pooled = ServeEngine(EngineConfig(workers=2))
+        try:
+            sids_a = [inline.create_session(cfg) for _ in range(2)]
+            sids_b = [pooled.create_session(cfg) for _ in range(2)]
+            bench, _ = inline.binding("CartPole", 5)
+            x = np.asarray(bench.x0, dtype=float)
+            for _ in range(2):
+                rep_a = inline.tick({sid: (x, None) for sid in sids_a})
+                rep_b = pooled.tick({sid: (x, None) for sid in sids_b})
+                for sa, sb in zip(sids_a, sids_b):
+                    a, b = rep_a.outcomes[sa], rep_b.outcomes[sb]
+                    assert (a.status, a.sqp_iterations) == (b.status, b.sqp_iterations)
+                    np.testing.assert_allclose(a.u, b.u, atol=1e-9)
+            assert pooled.worker_respawns == 0
+        finally:
+            pooled.shutdown()
+            inline.shutdown()
 
 
 class TestCrashIsolation:

@@ -63,10 +63,10 @@ batch-smoke:
 	$(PYTEST) -q benchmarks/bench_batch_throughput.py
 	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --engine v2 --rungs 8 --seed 0
 
-# First-order solver smoke: the scalar and numpy-batched ADMM conform paths
-# must sit within the golden ledger against the dense_kkt oracle, and the
-# IPM-vs-ADMM crossover bench must clear its throughput gate (ADMM beating
-# IPM qp/s at B=256, tol=1e-3, numpy backend).
+# First-order solver smoke: the single-lane and three-lane ADMM conform paths
+# (one loop, numpy backend) must sit within the golden ledger against the
+# dense_kkt oracle, and the IPM-vs-ADMM crossover bench must clear its
+# throughput gate (ADMM beating IPM qp/s at B=256, tol=1e-3, numpy backend).
 admm-smoke:
 	$(REPRO) conform run --cases 8 --seed 0 --paths dense_kkt,admm_qp,batch_admm --out-dir conform/failures
 	$(PYTEST) -q benchmarks/bench_qp_crossover.py -m "not slow"

@@ -24,9 +24,10 @@ HOT_PATH = [
     REPO / "src" / "repro" / "batch" / name
     for name in ("linalg.py", "qp.py", "ipm.py", "transcription.py")
 ] + [
-    # the batched first-order (ADMM) loop is device-resident by the same
-    # contract; its host-side setup lives in firstorder/admm.py, which —
-    # like backend.py — is allowed bare numpy
+    # the first-order (ADMM) loop is device-resident by the same contract;
+    # its host-side setup (and the single-QP entry point that stacks one
+    # lane for it) lives in firstorder/admm.py, which — like backend.py —
+    # is allowed bare numpy
     REPO / "src" / "repro" / "firstorder" / "batch.py",
     # the fused-codegen batch kernel executes generated modules against
     # whatever backend the caller bound — a bare numpy call here would pin

@@ -165,6 +165,10 @@ class BatchSolver:
                 f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
             )
         self.xp = get_backend(backend)
+        #: optional per-lane :mod:`repro.faults` solver-layer hooks, the
+        #: batched twin of ``InteriorPointSolver.fault_hook``.  Only ADMM
+        #: lanes consult them (the batched IPM has no hook points yet).
+        self.fault_hooks: Optional[Sequence[Optional[object]]] = None
         # Structure donor: reuses the scalar solver's stage-interleaved
         # permutations and band hints so both paths condense identically.
         self._donor = InteriorPointSolver(problem, self.options)
@@ -505,6 +509,9 @@ class BatchSolver:
                     iteration_caps=caps,
                     backend=xp,
                     warm=warm_in,
+                    fault_hooks=None
+                    if self.fault_hooks is None
+                    else [self.fault_hooks[int(lane)] for lane in gl],
                 )
                 if qp.warm is not None:
                     if admm_state is None:

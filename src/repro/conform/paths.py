@@ -349,8 +349,8 @@ def _run_admm_qp(ctx: CaseContext) -> PathOutput:
 #: path.  A first-order method is noise-sensitive near marginal
 #: conditioning, so a decoy can legitimately need far more iterations
 #: than the exact lane; the cap bounds sweep time, and a capped decoy is
-#: still compared against the identically-capped scalar oracle — which
-#: additionally exercises the budget-freeze path under conformance.
+#: still compared against the same lane solved alone under the same cap —
+#: which additionally exercises the budget-freeze path under conformance.
 _ADMM_DECOY_CAP = 5000
 
 
@@ -358,16 +358,19 @@ def _make_batch_admm(backend: str, gate: float):
     """Build the batched-ADMM path runner for one array backend.
 
     Same three-lane template as :func:`_make_batch_qp` (lane 0 exact,
-    lanes 1-2 gradient-perturbed so per-lane convergence masks engage),
-    with each lane re-solved by the *scalar ADMM* oracle under identical
-    options and iteration budget — the gate catches batched-vs-scalar
-    drift of the same first-order iteration, while the ledger row
-    compares lane 0 against the family's ``dense_kkt`` interior-point
-    baseline.  Decoy perturbations are 10x smaller than the batched-IPM
-    template's and their lanes are capped at ``_ADMM_DECOY_CAP``
-    iterations: only lane 0 must converge — the decoys' job is to
-    desynchronize the masks and then match the scalar solver wherever it
-    lands.
+    lanes 1-2 gradient-perturbed so per-lane convergence masks engage).
+    The per-lane oracle is the *lane solved alone* — the same loop at
+    ``B = 1`` (``solve_qp`` with ``method="admm"``) under identical
+    options and iteration budget — so the gate checks lane-independence:
+    a lane in a desynchronised batch, frozen and masked around by its
+    batch-mates, must land where it lands by itself.  It is not an
+    independent implementation; that role belongs to the ledger row,
+    which compares lane 0 against the family's ``dense_kkt``
+    interior-point baseline.  Decoy perturbations are 10x smaller than
+    the batched-IPM template's and their lanes are capped at
+    ``_ADMM_DECOY_CAP`` iterations: only lane 0 must converge — the
+    decoys' job is to desynchronize the masks and then match their own
+    solo solve wherever it lands.
     """
 
     def _run(ctx: CaseContext) -> PathOutput:
@@ -760,8 +763,8 @@ for _accel in ("torch", "cupy"):
     )
 # First-order (ADMM) solver paths: a different *algorithm* from the IPM
 # baseline, so agreement against ``dense_kkt`` is meaningful.  The batched
-# variants additionally cross-check every lane against the scalar ADMM
-# oracle, mirroring the batched-IPM template.
+# variants additionally cross-check every lane against the same lane
+# solved alone (the loop's B=1 lane), mirroring the batched-IPM template.
 _register(
     NumericPath(
         name="admm_qp",
@@ -775,7 +778,7 @@ _register(
     NumericPath(
         name="batch_admm",
         family="qp",
-        description="batched ADMM (repro.firstorder.batch), per-lane scalar cross-check",
+        description="batched ADMM (repro.firstorder.batch), per-lane solo cross-check",
         run=_make_batch_admm("numpy", gate=1e-3),
         supports=lambda case: case.robot in _ADMM_ROBOTS,
     )

@@ -19,7 +19,16 @@ engine.  Solver-layer hooks ride the session's own scalar solver, so they
 are delivered only where that solver runs — v1 scalar-inline; v2's batched
 lanes and v1's pool workers solve elsewhere, and
 :func:`~repro.faults.campaign.run_campaign` refuses a solver-layer
-schedule there (the serve layer is their fault surface).
+schedule there (the serve layer is their fault surface).  The hook points
+themselves are no longer scalar-only: the ADMM loop consults a per-lane
+hook sequence for every ``B``
+(:func:`repro.firstorder.batch.solve_qp_admm_batch`, ``fault_hooks=`` —
+``transform_matrix`` / ``force_failure`` per build of a lane's cached
+factorization, ``force_stall`` once per solve; the session's scalar ADMM
+solve is its one-lane case).  What is missing for batched delivery is the
+other half: the batched IPM (:mod:`repro.batch.qp`) has no hook points,
+and nothing threads a session's injector through
+``BatchSolver.solve_payloads`` — ROADMAP 6(f).
 """
 
 from __future__ import annotations

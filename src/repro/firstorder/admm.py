@@ -1,4 +1,5 @@
-"""OSQP-style ADMM solver for the repo's convex QP form.
+"""OSQP-style ADMM for the repo's convex QP form: host-side set-up, the
+active-set polish, and the single-QP entry point.
 
 The QP
 
@@ -14,46 +15,42 @@ is rewritten in the OSQP box form ``l <= A x <= u`` with ``A = [G; J]``,
     y   <-  y + R (relax(A x~, z) - z)
 
 ``R`` is the diagonal penalty (``rho`` on inequality rows, ``rho_eq_scale
-* rho`` on the stiff equality rows).  ``K`` is factorized **once** per
-solve — the cached factor is reused every iteration and rebuilt only when
+* rho`` on the stiff equality rows).  ``K`` is inverted **once** per
+solve — the cached inverse is reused every iteration and rebuilt only when
 the primal/dual residual ratio triggers a rho rescaling (TinyMPC's cached-
-factorization discipline).  Because the per-iteration work is then pure
-matvec + clamp, the iteration maps directly onto batched device execution
-(:mod:`repro.firstorder.batch`, the ReLU-QP observation).
+factorization discipline), so the per-iteration work is pure matvec +
+clamp (the ReLU-QP observation).
+
+That iteration exists once, in :mod:`repro.firstorder.batch`, over a
+``(B, ...)`` lane stack; :func:`solve_qp_admm` is its ``B = 1`` lane.
+This module holds what runs on the host around the loop — box-form
+assembly, Ruiz scaling, warm-start validation, the positive-definiteness-
+checked build of ``K^-1`` with its regularization ladder and fault hooks,
+the rho checkpoint, and the polish — all of it per lane, for every ``B``.
 
 Warm starting: ``QPResult.warm`` carries ``(x, z, y, rho)`` out of every
 solve; passing it back in (same problem family — shapes must match)
 resumes the operator-splitting iteration instead of restarting it, which
 is what makes ADMM competitive across RTI/MPC ticks.  A solve stopped by
-its ``deadline`` returns the **best iterate seen** (by scaled residual)
-with ``budget_exhausted=True`` and still-valid warm state, mirroring the
-IPM's budget semantics.
+its ``deadline`` or an iteration cap returns the iterate it stopped on
+with still-valid warm state (``budget_exhausted=True`` for the deadline),
+mirroring the IPM's budget semantics.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import SolverError
-from repro.mpc.linalg import (
-    cholesky,
-    cholesky_solve,
-    flop_counts_cholesky,
-    flop_counts_substitution,
-    max_abs,
-)
+from repro.mpc.linalg import max_abs
 from repro.firstorder.precond import (
-    identity_equilibration,
     identity_scale_batch,
-    norm_spread,
     norm_spread_batch,
-    ruiz_equilibrate,
     ruiz_equilibrate_batch,
 )
-from repro.mpc.qp import ConditioningReport, QPOptions, QPResult, QPStats
+from repro.mpc.qp import QPOptions, QPResult
 
 __all__ = ["solve_qp_admm"]
 
@@ -69,95 +66,9 @@ _RHO_TRIGGER = 5.0
 #: tolerances creep sublinearly near the floor) never trips it, tight
 #: enough that a genuinely flat residual plateau does.
 _STALL_WINDOW = 0.9
-
-
-def _penalty_diag(rho: float, p: int, m: int, eq_scale: float) -> np.ndarray:
-    R = np.full(p + m, rho)
-    R[:p] *= eq_scale
-    return R
-
-
-def _factor_inverse(
-    H, A, R, sigma, reg, stats: Optional[QPStats] = None, fault_hook=None
-):
-    """Explicit inverse of ``K = H + sigma I + A^T R A`` via the repo's
-    Cholesky kernels (regularization escalates x100 on failure, same
-    schedule as the IPM's ``_robust_factor``).
-
-    Returning the inverse — rather than keeping the factor — makes the
-    per-iteration solve a single matvec, which is the form the batched
-    device loop needs (matmul + clamp, nothing else).
-
-    ``fault_hook`` follows the ``_robust_factor`` protocol of
-    :mod:`repro.mpc.qp`: ``transform_matrix`` may perturb ``K``
-    (ill-conditioning campaigns), ``force_failure`` exercises the retry
-    ladder on demand.
-    """
-    n = H.shape[0]
-    K = H + sigma * np.eye(n)
-    if A.shape[0]:
-        K = K + (A.T * R) @ A
-    # Duck-typed hook protocol: a campaign hook implements any subset of
-    # transform_matrix / force_failure / force_stall.
-    transform = getattr(fault_hook, "transform_matrix", None)
-    if transform is not None:
-        K = transform(K)
-    force_failure = getattr(fault_hook, "force_failure", None)
-    t0 = perf_counter()
-    current = reg
-    L = None
-    for _ in range(16):
-        try:
-            if force_failure is not None and force_failure():
-                raise SolverError("injected factorization failure")
-            L = cholesky(K, reg=current)
-            break
-        except SolverError:
-            if stats is not None:
-                stats.retries += 1
-            current = max(current * 100.0, 1e-12)
-    if L is None:
-        raise SolverError(
-            f"ADMM KKT matrix could not be factorized (reg {current:.1e})"
-        )
-    Kinv = cholesky_solve(L, np.eye(n))
-    if stats is not None:
-        stats.factorizations += 1
-        stats.factor_flops += sum(flop_counts_cholesky(n).values())
-        stats.factor_flops += 2 * sum(
-            flop_counts_substitution(n, n).values()
-        )
-        stats.factorize_time += perf_counter() - t0
-        stats.regularization_max = max(stats.regularization_max, current)
-    return Kinv
-
-
-def _valid_warm(warm: Optional[dict], n: int, msz: int) -> Optional[dict]:
-    """Warm-start hygiene: accept only a complete, shape-matching, finite
-    iterate triple — anything else falls back to a cold start (the same
-    reject-and-reseed contract the SQP applies to its own warm starts)."""
-    if not isinstance(warm, dict):
-        return None
-    try:
-        x = np.asarray(warm["x"], dtype=float)
-        z = np.asarray(warm["z"], dtype=float)
-        y = np.asarray(warm["y"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if x.shape != (n,) or z.shape != (msz,) or y.shape != (msz,):
-        return None
-    if not (
-        np.all(np.isfinite(x))
-        and np.all(np.isfinite(z))
-        and np.all(np.isfinite(y))
-    ):
-        return None
-    rho = warm.get("rho")
-    if rho is not None:
-        rho = float(rho)
-        if not np.isfinite(rho) or rho <= 0.0:
-            rho = None
-    return {"x": x.copy(), "z": z.copy(), "y": y.copy(), "rho": rho}
+#: attempts of the escalating-regularization ladder per build of ``K^-1``
+#: (the schedule of the IPM's ``_robust_factor``)
+_FACTOR_ATTEMPTS = 16
 
 
 #: slack/dual threshold that puts an inequality row into the polish guess
@@ -313,11 +224,12 @@ def solve_qp_admm(
     warm: Optional[dict] = None,
     fault_hook: Optional[object] = None,
 ) -> QPResult:
-    """Solve one convex QP with over-relaxed ADMM and a cached factorization.
+    """Solve one convex QP with over-relaxed ADMM and a cached factorization:
+    the ``B = 1`` lane of :func:`~repro.firstorder.batch.solve_qp_admm_batch`.
 
     Same data contract as :func:`repro.mpc.qp.solve_qp` (which dispatches
     here for ``options.method == "admm"``).  ``deadline`` is an absolute
-    ``perf_counter`` stamp: past it, the best iterate seen is returned with
+    ``perf_counter`` stamp: past it, the current iterate is returned with
     ``budget_exhausted=True``.  ``warm`` resumes from a previous solve's
     ``QPResult.warm`` — warm dicts always travel in the *unscaled* space,
     so carry-over survives re-equilibration with fresh scalings.
@@ -330,14 +242,20 @@ def solve_qp_admm(
     the norm spread, rho-rescale count and the stall/divergence verdict
     the fallback ladder keys on.
 
-    ``fault_hook`` is the :mod:`repro.faults` solver-layer injector: the
-    cached factorization consults ``transform_matrix``/``force_failure``
-    (same protocol as the IPM's ``_robust_factor``), and the optional
-    ``force_stall`` hook makes this solve report a stall after a few
-    iterations — the deterministic trigger ``admm_stall`` campaigns use to
-    exercise the rescue ladder.
+    ``fault_hook`` is the :mod:`repro.faults` solver-layer injector, handed
+    to the loop as the lane's hook: every build of the cached inverse
+    consults ``transform_matrix``/``force_failure`` (same protocol as the
+    IPM's ``_robust_factor``), and the optional ``force_stall`` hook makes
+    this solve report a stall after a few iterations — the deterministic
+    trigger ``admm_stall`` campaigns use to exercise the rescue ladder.
+
+    Raises :class:`~repro.errors.SolverError` on non-finite or mis-shaped
+    data (before any iteration) and when ``K`` cannot be factorized even
+    at the top of the regularization ladder.
     """
-    opt = options or QPOptions()
+    # Imported lazily: the loop module imports this module's host helpers.
+    from repro.firstorder.batch import solve_qp_admm_batch
+
     n = g.shape[0]
     if H.shape != (n, n):
         raise SolverError(f"H shape {H.shape} does not match g length {n}")
@@ -347,342 +265,181 @@ def solve_qp_admm(
                 f"QP data {name} contains non-finite entries; "
                 "refusing to start the ADMM iteration"
             )
-
     has_eq = G is not None and G.shape[0] > 0
     has_in = J is not None and J.shape[0] > 0
-    p = G.shape[0] if has_eq else 0
-    m = J.shape[0] if has_in else 0
-    if has_eq and (b is None or b.shape != (p,)):
+    if has_eq and (b is None or b.shape != (G.shape[0],)):
         raise SolverError("equality right-hand side b missing or mis-shaped")
-    if has_in and (d is None or d.shape != (m,)):
+    if has_in and (d is None or d.shape != (J.shape[0],)):
         raise SolverError("inequality right-hand side d missing or mis-shaped")
-    msz = p + m
 
-    rows = []
-    if has_eq:
-        rows.append(np.asarray(G, dtype=float))
-    if has_in:
-        rows.append(np.asarray(J, dtype=float))
-    A = np.vstack(rows) if rows else np.zeros((0, n))
-    l = np.concatenate(
-        [b if has_eq else np.zeros(0), np.full(m, -np.inf)]
-    )
-    u = np.concatenate(
-        [b if has_eq else np.zeros(0), d if has_in else np.zeros(0)]
-    )
-
-    stats = QPStats(mode="admm")
-    tol = opt.admm_tolerance
-    sigma = opt.admm_sigma
-    alpha = opt.admm_alpha
-
-    # ---- Ruiz equilibration: the iteration runs on the scaled problem,
-    # termination and every returned quantity stay in the original space.
-    # Gated on the norm spread: already-well-scaled data is left alone
-    # (normalizing it would make the relative stopping test effectively
-    # absolute and can push a tight tolerance below the iteration's
-    # numerical floor).  The skipped path uses unit scalings, whose
-    # multiplies are bit-exact identities, so both paths share one loop
-    # body.
-    spread0 = norm_spread(H, A)
-    eq_on = (
-        bool(opt.admm_equilibrate)
-        and opt.admm_equilibrate_iters > 0
-        and n > 0
-        and spread0 > opt.admm_equilibrate_spread
-    )
-    if eq_on:
-        Hs, gs, As, eq = ruiz_equilibrate(
-            H, g, A, iters=opt.admm_equilibrate_iters
-        )
-        l = eq.E * l
-        u = eq.E * u
-    else:
-        Hs, gs, As = H, g, A
-        eq = identity_equilibration(n, msz)
-        eq.spread_before = spread0
-        eq.spread_after = spread0
-
-    ws = _valid_warm(warm, n, msz)
-    rho = opt.admm_rho
-    if ws is not None and ws["rho"] is not None:
-        rho = min(max(ws["rho"], _RHO_MIN), _RHO_MAX)
-    R = _penalty_diag(rho, p, m, opt.admm_rho_eq_scale)
-    Rinv = 1.0 / R
-    Kinv = _factor_inverse(
-        Hs, As, R, sigma, opt.regularization, stats, fault_hook=fault_hook
-    )
-
-    if ws is not None:
-        x, z, y = eq.scale_warm(ws["x"], ws["z"], ws["y"])
-        z = np.clip(z, l, u)
-    else:
-        x = np.zeros(n)
-        z = np.clip(As @ x, l, u)
-        y = np.zeros(msz)
-
-    g_norm = max_abs(g)
-    gap_history: List[float] = []
-    converged = False
-    budget_exhausted = False
-    stalled = False
-    diverged = False
-    rho_rescales = 0
-    stall_limit = int(opt.admm_stall_iterations)
-    window_ref = float("inf")
-    window_count = 0
-    forced_stall = bool(
-        fault_hook is not None
-        and getattr(fault_hook, "force_stall", None) is not None
-        and fault_hook.force_stall()
-    )
-    residual = float("inf")
-    best_score = float("inf")
-    best = (x.copy(), z.copy(), y.copy(), residual, 0)
-    it = 0
-    matvec_flops = 2 * n * n + 6 * msz * n  # per-iteration matvec budget
-    t_sub = perf_counter()
-    fact_t0 = stats.factorize_time
-
-    for it in range(1, opt.admm_max_iterations + 1):
-        # Deadline guard at the iteration top, scalar-IPM order: the best
-        # iterate seen so far is returned with budget_exhausted=True, so
-        # ``it - 1`` iterations did real work.
-        if deadline is not None and perf_counter() >= deadline:
-            budget_exhausted = True
-            it -= 1
-            break
-
-        xt = Kinv @ (sigma * x - gs + As.T @ (R * z - y))
-        x = alpha * xt + (1.0 - alpha) * x
-        zr = alpha * (As @ xt) + (1.0 - alpha) * z
-        z_new = np.clip(zr + Rinv * y, l, u)
-        y = y + R * (zr - z_new)
-        z = z_new
-
-        # Residuals are evaluated in the ORIGINAL space (elementwise
-        # unscaling of the scaled quantities), so the stopping test means
-        # the same thing with and without equilibration.
-        Ax = As @ x
-        Hx = Hs @ x
-        Aty = As.T @ y if msz else np.zeros(n)
-        r_prim = max_abs(eq.Einv * (Ax - z))
-        r_dual = max_abs(eq.cinv * (eq.Dinv * (Hx + gs + Aty)))
-        residual = max(r_prim, r_dual)
-        gap_history.append(residual)
-        if not np.isfinite(residual):
-            # Poisoned iterate: stop on the best finite iterate seen.  The
-            # caller's non-finite direction guard never fires on the
-            # restored state.
-            diverged = True
-            break
-
-        prim_scale = 1.0 + max(
-            max_abs(eq.Einv * Ax), max_abs(eq.Einv * z)
-        )
-        dual_scale = 1.0 + max(
-            max_abs(eq.cinv * (eq.Dinv * Hx)),
-            max_abs(eq.cinv * (eq.Dinv * Aty)),
-            g_norm,
-        )
-        rp_rel = r_prim / prim_scale
-        rd_rel = r_dual / dual_scale
-        score = max(rp_rel, rd_rel)
-        if score < best_score:
-            best_score = score
-            best = (x.copy(), z.copy(), y.copy(), residual, it)
-        if rp_rel <= tol and rd_rel <= tol:
-            converged = True
-            break
-        if forced_stall and it >= min(10, opt.admm_max_iterations):
-            stalled = True
-            break
-        if stall_limit:
-            window_count += 1
-            if window_count >= stall_limit:
-                if best_score > _STALL_WINDOW * window_ref:
-                    # The whole window moved the best residual by less
-                    # than 10%: stop on the best iterate and let the
-                    # fallback ladder spend the remaining budget on the
-                    # IPM instead of burning it here.
-                    stalled = True
-                    break
-                window_ref = best_score
-                window_count = 0
-
-        if opt.admm_rho_interval and it % opt.admm_rho_interval == 0:
-            # OSQP residual-balancing rho update; a rescale is the ONLY
-            # event that re-factorizes the cached KKT matrix.
-            ratio = np.sqrt(max(rp_rel, 1e-30) / max(rd_rel, 1e-30))
-            if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
-                new_rho = min(max(rho * ratio, _RHO_MIN), _RHO_MAX)
-                if new_rho != rho:
-                    rho = new_rho
-                    R = _penalty_diag(rho, p, m, opt.admm_rho_eq_scale)
-                    Rinv = 1.0 / R
-                    rho_rescales += 1
-                    Kinv = _factor_inverse(
-                        Hs, As, R, sigma, opt.regularization, stats,
-                        fault_hook=fault_hook,
-                    )
-
-    if not converged and best[4] > 0:
-        # Return the best iterate seen (budget stop, cap, or divergence):
-        # the residual was evaluated at exactly this iterate, so the
-        # returned pair is consistent — and the warm state stays reusable.
-        x, z, y, residual, _best_it = best
-
-    stats.substitute_time += (
-        perf_counter() - t_sub - (stats.factorize_time - fact_t0)
-    )
-    stats.substitute_flops += it * matvec_flops
-
-    # Back to the original space: iterates, duals, slacks, residuals and
-    # the warm dict are all unscaled from here on.
-    x, z, y = eq.unscale_solution(x, z, y)
-
-    nu = y[:p].copy()
-    lam = np.maximum(y[p:], 0.0)
-    # The warm dict always carries the operator-splitting iterate — never
-    # the polished point, which is not a fixed point of the iteration.
-    warm_out = None
-    if (
-        np.all(np.isfinite(x))
-        and np.all(np.isfinite(z))
-        and np.all(np.isfinite(y))
-    ):
-        warm_out = {
-            "x": x.copy(),
-            "z": z.copy(),
-            "y": y.copy(),
-            "rho": rho,
+    try:
+        warm_lane = {
+            key: np.asarray(warm[key], dtype=float)[None]
+            for key in ("x", "z", "y")
         }
+        warm_lane["rho"] = warm.get("rho")
+    except (AttributeError, KeyError, TypeError, ValueError):
+        warm_lane = None  # absent or malformed: the lane starts cold
 
-    polished = False
-    if (
-        opt.polish
-        and not converged
-        and not budget_exhausted
-        and n > 0
-        and np.all(np.isfinite(x))
-    ):
-        # Rescue polish: a stalled/capped/diverged-then-restored iterate
-        # usually has the right active set even when its accuracy floor is
-        # set by curvature spread no diagonal scaling fixes; one direct
-        # KKT solve on that set recovers the solution past the floor.
-        t_pol = perf_counter()
-        pol = _polish_qp(
-            H, g,
-            G if has_eq else None, b if has_eq else None,
-            J if has_in else None, d if has_in else None,
-            x, lam, opt.regularization, tol,
+    res = solve_qp_admm_batch(
+        H[None],
+        g[None],
+        G[None] if has_eq else None,
+        b[None] if has_eq else None,
+        J[None] if has_in else None,
+        d[None] if has_in else None,
+        options,
+        deadline=deadline,
+        warm=warm_lane,
+        fault_hooks=None if fault_hook is None else [fault_hook],
+    )
+    stats = res.stats[0]
+    if res.status[0] == "failed" and not stats.conditioning.diverged:
+        raise SolverError(
+            "ADMM KKT matrix could not be factorized "
+            f"(after {stats.retries} regularization retries)"
         )
-        stats.factorize_time += perf_counter() - t_pol
-        if pol is not None and (
-            pol["converged"] or pol["residual"] < residual
-        ):
-            x = pol["x"]
-            nu = pol["nu"]
-            lam = pol["lam"]
-            residual = pol["residual"]
-            gap_history.append(residual)
-            converged = converged or pol["converged"]
-            polished = pol["converged"]
-            stats.factorizations += 1
-
-    slacks = (
-        np.maximum(d - J @ x, 0.0) if has_in else np.zeros(0)
-    )
-    stats.conditioning = ConditioningReport(
-        equilibrated=eq_on,
-        ruiz_iters=eq.iters,
-        norm_spread_before=eq.spread_before,
-        norm_spread_after=eq.spread_after,
-        cost_scale=eq.c,
-        rho_rescales=rho_rescales,
-        stalled=stalled,
-        diverged=diverged,
-        polished=polished,
-    )
-
+    warm_out = None
+    if res.warm is not None:
+        warm_out = {key: res.warm[key][0] for key in ("x", "z", "y")}
+        warm_out["rho"] = float(res.warm["rho"][0])
     return QPResult(
-        x=x,
-        nu=nu,
-        lam=lam,
-        slacks=slacks,
-        converged=converged,
-        iterations=it,
-        residual=residual,
-        gap_history=gap_history,
+        x=res.x[0],
+        nu=res.nu[0],
+        lam=res.lam[0],
+        slacks=res.slacks[0],
+        converged=bool(res.converged[0]),
+        iterations=int(res.iterations[0]),
+        residual=float(res.residual[0]),
+        gap_history=res.gap_history[0],
         stats=stats,
-        budget_exhausted=budget_exhausted,
+        budget_exhausted=bool(res.budget_exhausted[0]),
         warm=warm_out,
     )
 
 
 # ------------------------------------------------------------------------
-# Host-side setup for the batched device loop (repro.firstorder.batch).
+# Host-side set-up and checkpoints of the lockstep loop
+# (repro.firstorder.batch).
 #
-# All bare-numpy work of the batched path lives HERE, not in batch.py:
-# the lint gate (scripts/check_no_bare_numpy.py) keeps the device module
-# free of host-pinned array ops, and setup is by construction a one-time
-# host materialization (build A/l/u, invert K) before the sync-free loop.
+# All bare-numpy work of the solver lives HERE, not in batch.py: the lint
+# gate (scripts/check_no_bare_numpy.py) keeps the loop module free of
+# host-pinned array ops, and set-up is by construction a one-time host
+# materialization (build A/l/u, invert K) before the sync-free loop.
 # ------------------------------------------------------------------------
 
 
-def _admm_refactor_batch(H, A, rho_lane, p, m, eq_scale, sigma, reg):
-    """(Re)build the per-lane penalty diagonal and the batched inverse of
-    ``K = H + sigma I + A^T R A`` on the host.
-
-    Called once at setup and again whenever the residual-balancing rho
-    update fires at a sync checkpoint — the *only* events that touch the
-    cached factorization, mirroring the scalar path's discipline.
-    Returns ``(Kinv, R, Rinv, ok)`` with ``ok`` flagging lanes whose K
-    actually inverted to finite values.
-    """
-    lanes, n = H.shape[0], H.shape[1]
-    msz = p + m
-    R = np.repeat(np.asarray(rho_lane, dtype=float)[:, None], msz, axis=1)
-    R[:, :p] *= eq_scale
-    eye = np.broadcast_to(np.eye(n), (lanes, n, n))
-    K = H + (sigma + reg) * eye
-    if msz:
-        K = K + np.matmul(A.transpose(0, 2, 1), R[:, :, None] * A)
+def _positive_definite(K) -> np.ndarray:
+    """Per-lane verdict of a ``(k, n, n)`` stack: does the Cholesky
+    factorization exist?  One batched attempt answers for the whole stack
+    when every lane is positive definite (the common case); a stack that
+    fails is bisected down to the failing lanes."""
     try:
-        Kinv = np.linalg.inv(K)
+        np.linalg.cholesky(K)
+        return np.ones(len(K), dtype=bool)
     except np.linalg.LinAlgError:
-        # Per-lane fallback: a singular lane freezes as failed, the rest
-        # keep their exact inverse.
-        Kinv = np.empty_like(K)
-        for lane in range(lanes):
-            try:
-                Kinv[lane] = np.linalg.inv(K[lane])
-            except np.linalg.LinAlgError:
-                Kinv[lane] = np.eye(n)
-    ok = np.all(np.isfinite(Kinv), axis=(1, 2))
-    Kinv[~ok] = np.eye(n)
-    with np.errstate(divide="ignore"):
-        Rinv = np.where(R > 0.0, 1.0 / np.where(R > 0.0, R, 1.0), 0.0)
-    return Kinv, R, Rinv, ok
+        if len(K) == 1:
+            return np.zeros(1, dtype=bool)
+        halves = K[: len(K) // 2], K[len(K) // 2 :]
+        return np.concatenate([_positive_definite(h) for h in halves])
+
+
+def _admm_refactor_batch(setup: dict, idx, opt: QPOptions) -> None:
+    """(Re)build, in place, the penalty diagonal and the cached inverse of
+    ``K = H + sigma I + A^T R A`` for the lanes ``idx`` of ``setup``.
+
+    Called for every lane at set-up and again for the lanes whose rho the
+    residual-balancing update moved at a checkpoint — the *only* events
+    that touch the cached factorization.  ``K`` is never inverted blind:
+    each lane must pass a Cholesky positive-definiteness check, and a lane
+    that fails is retried with its regularization escalated x100 (at most
+    ``_FACTOR_ATTEMPTS`` attempts, the IPM's ``_robust_factor`` schedule),
+    counted in ``setup["retries"]`` / ``setup["reg_max"]``.  Healthy lanes
+    are factored once, at the base regularization, whatever their
+    batch-mates need.  A lane the ladder cannot repair (or whose ``K`` is
+    non-finite, which no regularization fixes) drops out of
+    ``setup["lane_ok"]`` and keeps an identity stand-in.
+
+    A lane's fault hook (:mod:`repro.faults` protocol, any subset) is
+    consulted here: ``transform_matrix`` may perturb ``K`` once per build
+    (ill-conditioning campaigns), ``force_failure`` fails one attempt on
+    demand, exercising the ladder.
+    """
+    n = setup["n"]
+    # Every lane (set-up, or a checkpoint that moved them all): views, not
+    # gathered copies — fresh multi-megabyte temporaries cost more than
+    # the factorization at large B.
+    sel = slice(None) if idx.size == setup["H"].shape[0] else idx
+    hooks = [setup["hooks"][lane] for lane in idx]
+
+    # R = rho S with S fixed, so A^T R A = rho (A^T S A): a rescale is a
+    # scalar times the product formed once at set-up, not a new matmul.
+    R = setup["rho"][idx, None] * setup["S"]
+    diag = np.arange(n)
+    K = setup["rho"][idx, None, None] * setup["AtSA"][sel]
+    K += setup["H"][sel]
+    K[:, diag, diag] += opt.admm_sigma
+    for j, hook in enumerate(hooks):
+        transform = getattr(hook, "transform_matrix", None)
+        if transform is not None:
+            K[j] = transform(K[j])
+
+    reg = np.full(idx.size, float(opt.regularization))
+    ok = np.zeros(idx.size, dtype=bool)
+    todo = np.flatnonzero(np.all(np.isfinite(K), axis=(1, 2)))
+    for _ in range(_FACTOR_ATTEMPTS):
+        if not todo.size:
+            break
+        Kr = K[todo]
+        Kr[:, diag, diag] += reg[todo, None]
+        good = _positive_definite(Kr)
+        for j, k in enumerate(todo):
+            force = getattr(hooks[k], "force_failure", None)
+            if force is not None and force():
+                good[j] = False
+        Kinv = np.linalg.inv(Kr if good.all() else Kr[good])
+        won = todo[good]
+        ok[won] = np.all(np.isfinite(Kinv), axis=(1, 2))
+        setup["Kinv"][idx[won]] = Kinv
+        todo = todo[~good]
+        setup["retries"][idx[todo]] += 1
+        reg[todo] = np.maximum(reg[todo] * 100.0, 1e-12)
+    setup["Kinv"][idx[~ok]] = np.eye(n)
+
+    setup["R"][idx] = R
+    live = R > 0.0
+    setup["Rinv"][idx] = np.where(live, 1.0 / np.where(live, R, 1.0), 0.0)
+    setup["lane_ok"][idx] &= ok
+    setup["factorizations"][idx] += ok
+    setup["reg_max"][idx] = np.where(
+        ok, np.maximum(setup["reg_max"][idx], reg), setup["reg_max"][idx]
+    )
 
 
 def _admm_setup_batch(
-    H, g, G, b, J, d, opt: QPOptions, rho0=None
+    H, g, G, b, J, d, opt: QPOptions, warm=None, hooks=None
 ) -> dict:
     """Assemble the batched ADMM problem data on the host.
 
     Returns host numpy arrays only; the caller uploads them once.  Lanes
     with non-finite data are sanitized (identity K, zero constraints) and
-    flagged in ``lane_finite`` so the device loop freezes them as failed
+    dropped from ``lane_ok`` so the device loop freezes them as failed
     without poisoning batch-mates — same contract as the batched IPM.
-    ``rho0`` optionally seeds the per-lane penalty (scalar or ``(B,)``,
-    e.g. a warm start's adapted rho).
+    ``warm`` (a previous result's ``.warm``, validated here) seeds the
+    initial iterate ``x0``/``z0``/``y0`` and the per-lane rho; ``hooks``
+    is the optional per-lane fault-hook sequence
+    :func:`_admm_refactor_batch` consults.  The returned dict is also the
+    loop's host-side state: ``rho``, the cached ``Kinv``/``R``/``Rinv``
+    and the per-lane factorization counters are updated in place at every
+    rho checkpoint.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     lanes, n = g.shape[0], g.shape[1]
     if H.shape != (lanes, n, n):
         raise SolverError(f"H shape {H.shape} != ({lanes}, {n}, {n})")
+    if hooks is not None and len(hooks) != lanes:
+        raise SolverError(f"{len(hooks)} fault hooks for {lanes} lanes")
     if G is None or b is None:
         G = np.zeros((lanes, 0, n))
         b = np.zeros((lanes, 0))
@@ -706,15 +463,15 @@ def _admm_setup_batch(
         & np.all(np.isfinite(J.reshape(lanes, -1)), axis=1)
         & np.all(np.isfinite(d), axis=1)
     )
-    lf3 = lane_finite[:, None, None]
-    lf2 = lane_finite[:, None]
-    eye = np.broadcast_to(np.eye(n), (lanes, n, n))
-    H = np.where(lf3, H, eye)
-    g = np.where(lf2, g, 0.0)
-    G = np.where(lf3, G, 0.0)
-    b = np.where(lf2, b, 0.0)
-    J = np.where(lf3, J, 0.0)
-    d = np.where(lf2, d, 0.0)
+    if not lane_finite.all():
+        lf3 = lane_finite[:, None, None]
+        lf2 = lane_finite[:, None]
+        H = np.where(lf3, H, np.eye(n))
+        g = np.where(lf2, g, 0.0)
+        G = np.where(lf3, G, 0.0)
+        b = np.where(lf2, b, 0.0)
+        J = np.where(lf3, J, 0.0)
+        d = np.where(lf2, d, 0.0)
 
     A = np.concatenate([G, J], axis=1)
     l = np.concatenate(
@@ -742,15 +499,12 @@ def _admm_setup_batch(
             H, g, A, iters=opt.admm_equilibrate_iters
         )
         calm = ~lane_eq
-        if np.any(calm):
-            Hs[calm] = H[calm]
-            gs[calm] = g[calm]
-            As[calm] = A[calm]
-            for key in ("D", "Dinv", "E", "Einv"):
-                scale[key][calm] = 1.0
-            scale["c"][calm] = 1.0
-            scale["cinv"][calm] = 1.0
-            scale["spread_after"][calm] = spread0[calm]
+        Hs[calm] = H[calm]
+        gs[calm] = g[calm]
+        As[calm] = A[calm]
+        for key in ("D", "Dinv", "E", "Einv", "c", "cinv"):
+            scale[key][calm] = 1.0
+        scale["spread_after"][calm] = spread0[calm]
         H, g, A = Hs, gs, As
         l = scale["E"] * l
         u = scale["E"] * u
@@ -760,30 +514,35 @@ def _admm_setup_batch(
     scale["spread_before"] = spread0
     scale["lane_eq"] = lane_eq
 
-    if rho0 is None:
-        rho_lane = np.full(lanes, opt.admm_rho)
-    else:
-        rho_lane = np.broadcast_to(
-            np.asarray(rho0, dtype=float), (lanes,)
-        ).copy()
-        bad_rho = ~np.isfinite(rho_lane) | (rho_lane <= 0.0)
-        rho_lane[bad_rho] = opt.admm_rho
+    x0 = np.zeros((lanes, n))
+    z0 = np.zeros((lanes, msz))
+    y0 = np.zeros((lanes, msz))
+    rho_lane = np.full(lanes, opt.admm_rho)
+    ws = _admm_warm_batch(warm, lanes, n, msz)
+    if ws is not None:
+        # Warm dicts travel unscaled; map them into this solve's scaled
+        # space.  An unusable rho falls back to the configured one.
+        x0 = ws["x"] * scale["Dinv"]
+        z0 = ws["z"] * scale["E"]
+        y0 = ws["y"] * scale["Einv"] * scale["c"][:, None]
+        if ws["rho"] is not None:
+            sane = np.isfinite(ws["rho"]) & (ws["rho"] > 0.0)
+            rho_lane = np.where(sane, ws["rho"], rho_lane)
     rho_lane = np.clip(rho_lane, _RHO_MIN, _RHO_MAX)
 
-    Kinv, R, Rinv, ok = _admm_refactor_batch(
-        H, A, rho_lane, p, m,
-        opt.admm_rho_eq_scale, opt.admm_sigma, opt.regularization,
-    )
-    lane_finite = lane_finite & ok
-
-    return {
-        "Kinv": Kinv,
+    At = A.transpose(0, 2, 1).copy()
+    S = np.ones(msz)
+    S[:p] = opt.admm_rho_eq_scale
+    setup = {
         "A": A,
-        "At": A.transpose(0, 2, 1).copy(),
+        "At": At,
         "H": H,
         "q": g,
         "l": l,
         "u": u,
+        "x0": x0,
+        "z0": np.clip(z0, l, u),
+        "y0": y0,
         # J/d stay UNSCALED: slack recovery at result assembly runs on the
         # unscaled iterate (the scaled rows of A carry E internally).
         "J": J,
@@ -793,22 +552,38 @@ def _admm_setup_batch(
         "q0": q0,
         "G0": G0,
         "b0": b0,
-        "R": R,
-        "Rinv": Rinv,
-        "lane_finite": lane_finite,
         "n": n,
         "p": p,
         "m": m,
-        "rho": rho_lane,
         #: per-lane unscaled ``max|g|`` for the dual convergence scale
         "q_norm": q_norm,
         #: per-lane equilibration tensors (unit scalings when disabled)
         "scale": scale,
+        # ---- state of the cached factorization (_admm_refactor_batch) ----
+        "hooks": [None] * lanes if hooks is None else hooks,
+        "rho": rho_lane,
+        #: per-row penalty weights (R = rho S) and the per-lane A^T S A
+        "S": S,
+        "AtSA": np.matmul(At, S[:, None] * A),
+        "Kinv": np.empty((lanes, n, n)),
+        "R": np.empty((lanes, msz)),
+        "Rinv": np.empty((lanes, msz)),
+        #: finite data and every build of K^-1 so far succeeded
+        "lane_ok": lane_finite,
+        "factorizations": np.zeros(lanes, dtype=int),
+        "retries": np.zeros(lanes, dtype=int),
+        "reg_max": np.zeros(lanes),
     }
+    _admm_refactor_batch(setup, np.arange(lanes), opt)
+    return setup
 
 
 def _admm_warm_batch(warm: Optional[dict], lanes: int, n: int, msz: int):
-    """Validate a batched warm-start dict (host arrays, all-finite)."""
+    """Warm-start hygiene: accept only a complete, shape-matching, finite
+    iterate triple (host arrays) — anything else falls back to a cold
+    start, the same reject-and-reseed contract the SQP applies to its own
+    warm starts.  An unusable ``rho`` alone is dropped (the configured
+    initial rho applies) without rejecting the iterates."""
     if not isinstance(warm, dict):
         return None
     try:
@@ -835,26 +610,35 @@ def _admm_warm_batch(warm: Optional[dict], lanes: int, n: int, msz: int):
             rho = np.broadcast_to(
                 np.asarray(rho, dtype=float), (lanes,)
             ).copy()
-        except ValueError:
+        except (TypeError, ValueError):
             rho = None
     return {"x": x, "z": z, "y": y, "rho": rho}
 
 
-def _admm_rho_update_batch(rho_lane, rp_rel, rd_rel, trigger_mask):
-    """Host-side per-lane residual-balancing rho update (sync checkpoint).
+def _admm_rho_checkpoint(
+    setup: dict, opt: QPOptions, rp_rel, rd_rel, active
+) -> bool:
+    """Host-side per-lane residual-balancing rho update (OSQP) — a rescale
+    is the ONLY event that rebuilds a lane's cached inverse.
 
-    Returns ``(new_rho, changed)`` where ``changed`` marks lanes whose rho
-    actually moved (those are the lanes whose cached factor is rebuilt).
+    ``active`` masks the lanes still iterating.  Lanes whose residual
+    ratio fires the trigger and whose clamped rho actually moves get the
+    new rho and a rebuild of ``setup``'s ``Kinv``/``R``/``Rinv`` rows;
+    returns whether any lane did (the caller then re-uploads them).
     """
+    rho = setup["rho"]
     ratio = np.sqrt(
         np.maximum(rp_rel, 1e-30) / np.maximum(rd_rel, 1e-30)
     )
     fire = (
-        trigger_mask
+        active
         & np.isfinite(ratio)
         & ((ratio > _RHO_TRIGGER) | (ratio < 1.0 / _RHO_TRIGGER))
     )
-    new_rho = np.clip(rho_lane * ratio, _RHO_MIN, _RHO_MAX)
-    new_rho = np.where(fire, new_rho, rho_lane)
-    changed = fire & (new_rho != rho_lane)
-    return new_rho, changed
+    new_rho = np.where(fire, np.clip(rho * ratio, _RHO_MIN, _RHO_MAX), rho)
+    changed = np.flatnonzero(new_rho != rho)
+    if not changed.size:
+        return False
+    setup["rho"] = new_rho
+    _admm_refactor_batch(setup, changed, opt)
+    return True

@@ -1,46 +1,56 @@
-"""Batched device-resident ADMM: the iteration as matmul + clamp.
+"""The ADMM iteration: lockstep over ``B`` lanes, matmul + clamp.
 
-:func:`solve_qp_admm_batch` runs the ADMM splitting of
-:mod:`repro.firstorder.admm` over ``B`` stacked QP instances.  Setup — box
-form assembly and the one-time inverse of ``K = H + sigma I + A^T R A`` —
-happens on the host (``_admm_setup_batch``); everything uploaded once,
-the loop body is then *pure batched matmul, elementwise algebra, and
+:func:`solve_qp_admm_batch` is the repo's one ADMM loop — the splitting
+described in :mod:`repro.firstorder.admm`, run over ``B`` stacked QP
+instances; a single QP (:func:`repro.firstorder.admm.solve_qp_admm`) is
+its ``B = 1`` lane.  Set-up — box form assembly, Ruiz scaling and the
+positive-definiteness-checked inverse of ``K = H + sigma I + A^T R A`` —
+happens on the host (``_admm_setup_batch``); everything is uploaded once,
+and the loop body is then *pure batched matmul, elementwise algebra, and
 clamp* through the :mod:`repro.batch.backend` seam (``xp``), the ReLU-QP
-formulation.  There is **no** per-iteration host synchronization:
+formulation:
 
 * lane statuses live in a device integer array with the same masked
   lockstep freeze semantics (and status codes) as the batched IPM in
-  :mod:`repro.batch.qp` — converged/failed/capped lanes are
-  ``where``-masked out of every update;
+  :mod:`repro.batch.qp` — converged/stalled/failed/capped lanes are
+  ``where``-masked out of every update and keep the iterate they froze
+  on;
 * residual histories accumulate in device rows downloaded once at result
-  assembly;
-* ``sync_interval`` (default 25 — ADMM iterations are matvec-cheap, so
-  the early-exit payoff is larger than the IPM's) optionally reads back
-  one boolean every such interval to stop a fully-frozen batch.  Set it
-  to 0 for a strictly sync-free loop, the property the CountingBackend
-  acceptance test pins.
+  assembly.
 
-Rho adaptation is a *checkpoint* event: at every ``sync_interval``
-boundary (where a host round-trip happens anyway for early exit) the
-per-lane residual ratios come back with it, and lanes whose ratio fires
-the OSQP trigger get a new rho, a host rebuild of their cached inverse,
-and one re-upload — a bounded number of host materializations, between
-which the loop stays strictly sync-free.  With ``sync_interval=0`` there
-are no checkpoints, so the batch runs at the fixed initial rho (warm
-starts carry an adapted rho forward instead).
+Three cadences pace the loop.  The *residual check* (``_CHECK_INTERVAL``
+iterations, plus the final trip) evaluates the residual matvecs and the
+convergence / divergence / stall ladder on the device, without a host
+sync; between checks the body is the bare three-matvec update, so lanes
+converge quantized to the cadence.  The other two are host round-trips,
+and which knob paces them is a *value* read from ``xp.is_device``, not a
+second path:
+
+* the *all-frozen read* (one boolean, to stop a batch that has fully
+  frozen before the global cap) happens at every residual check on host
+  backends, where it is free, and every ``sync_interval`` iterations on
+  device backends;
+* the *rho checkpoint* (per-lane residual ratios come back, lanes whose
+  ratio fires the OSQP trigger get a new rho, a host rebuild of their
+  cached inverse, and one re-upload) happens every
+  ``QPOptions.admm_rho_interval`` iterations on host backends and rides
+  the same ``sync_interval`` round-trip on device backends.
+
+So a device solve crosses to the host a bounded number of times, and
+``sync_interval=0`` makes it strictly sync-free (the property the
+CountingBackend acceptance tests pin) at the fixed initial rho — warm
+starts carry an adapted rho forward instead.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.firstorder.admm import (
     _STALL_WINDOW,
-    _admm_refactor_batch,
-    _admm_rho_update_batch,
+    _admm_rho_checkpoint,
     _admm_setup_batch,
-    _admm_warm_batch,
     _polish_qp,
 )
 from repro.mpc.qp import ConditioningReport, QPOptions, QPStats
@@ -65,6 +75,14 @@ __all__ = ["solve_qp_admm_batch"]
 
 _INF = float("inf")
 _NAN = float("nan")
+#: residual-evaluation cadence (OSQP's ``check_termination``): the three
+#: residual matvecs double the iteration cost, so they run every this many
+#: iterations — per-iteration checking measured up to 2.3x slower on small
+#: QPs — and a lane runs at most ``_CHECK_INTERVAL - 1`` surplus iterations
+_CHECK_INTERVAL = 5
+#: a lane whose hook forces a stall reports it at the first residual check
+#: from this iteration on (or at its cap, if that is sooner)
+_FORCED_STALL_AT = 10
 
 
 def solve_qp_admm_batch(
@@ -79,8 +97,8 @@ def solve_qp_admm_batch(
     iteration_caps=None,
     backend=None,
     sync_interval: int = 25,
-    check_interval: int = 5,
     warm: Optional[dict] = None,
+    fault_hooks: Optional[Sequence[Optional[object]]] = None,
 ) -> BatchQPResult:
     """Solve ``B`` convex QPs with lockstep ADMM and per-lane freezing.
 
@@ -89,42 +107,35 @@ def solve_qp_admm_batch(
     lanes below ``options.admm_max_iterations`` (such lanes report
     ``"budget_exhausted"``), ``deadline`` is the absolute wall-clock stop,
     ``warm`` resumes from a previous result's ``.warm``.  The result's
-    ``warm`` field carries the batch iterate triple for the next solve of
-    the same shapes.
+    ``warm`` field carries the batch iterate triple — always the
+    operator-splitting state each lane stopped on — for the next solve of
+    the same shapes.  ``sync_interval`` paces a device backend's host
+    round-trips (see the module docstring); host backends do not read it.
 
-    ``check_interval`` is the residual-evaluation cadence (OSQP's
-    ``check_termination``, device-side — no host sync): the dual/primal
-    residual matvecs run every such iteration, so between checks the loop
-    body is the bare three-matvec update and lanes converge quantized to
-    the cadence (at most ``check_interval - 1`` surplus iterations).
-    ``1`` restores per-iteration checking.
+    ``fault_hooks`` is an optional length-``B`` sequence of
+    :mod:`repro.faults` solver-layer hooks (``None`` entries for lanes
+    without one).  A lane's hook is consulted exactly where a fault can
+    enter that lane: ``transform_matrix`` / ``force_failure`` at every
+    build of its cached inverse (set-up and each rho-checkpoint rebuild),
+    ``force_stall`` once per solve.
     """
     opt = options or QPOptions()
     xp = get_backend(backend)
+    # The two backend-derived values (see the module docstring).
+    exit_every = sync_interval if xp.is_device else _CHECK_INTERVAL
+    rho_every = sync_interval if xp.is_device else opt.admm_rho_interval
     t_setup = perf_counter()
-    lanes_guess = int(HOST.asarray(g).shape[0])
-    ws = _admm_warm_batch(
-        warm,
-        lanes_guess,
-        int(HOST.asarray(g).shape[1]),
-        (0 if G is None else int(HOST.asarray(G).shape[1]))
-        + (0 if J is None else int(HOST.asarray(J).shape[1])),
-    )
-    setup = _admm_setup_batch(
-        H, g, G, b, J, d, opt,
-        rho0=ws["rho"] if ws is not None else None,
-    )
+    setup = _admm_setup_batch(H, g, G, b, J, d, opt, warm, fault_hooks)
     lanes = int(setup["q"].shape[0])
     n, p, m = setup["n"], setup["p"], setup["m"]
     msz = p + m
     sigma = opt.admm_sigma
     alpha = opt.admm_alpha
     tol = opt.admm_tolerance
-    rho_lane = setup["rho"]  # host (B,), adapted at sync checkpoints
 
     # ---- one-time uploads: after this point the loop touches no host data
-    # until a sync checkpoint (early exit + rho adaptation) or the final
-    # result materialization.
+    # until a host round-trip (all-frozen read, rho checkpoint) or the
+    # final result materialization.
     Kinv = xp.from_host(setup["Kinv"])
     A = xp.from_host(setup["A"])
     At = xp.from_host(setup["At"])
@@ -134,8 +145,6 @@ def solve_qp_admm_batch(
     hi = xp.from_host(setup["u"])
     R = xp.from_host(setup["R"])
     Rinv = xp.from_host(setup["Rinv"])
-    lane_finite = xp.from_host(setup["lane_finite"], dtype="bool")
-    factz_h = HOST.astype(setup["lane_finite"], "int")  # host counters
 
     # Per-lane equilibration scale tensors (exact unit scalings when
     # disabled): part of the same one-time upload, so the in-loop residual
@@ -146,41 +155,46 @@ def solve_qp_admm_batch(
     cinv_col = xp.from_host(sc["cinv"][:, None])
     q_norm = xp.from_host(setup["q_norm"])
 
-    if ws is not None:
-        # Warm dicts travel unscaled; map them into this solve's scaled
-        # space on the host before the upload.
-        x = xp.from_host(ws["x"] * sc["Dinv"])
-        z = xp.clip(xp.from_host(ws["z"] * sc["E"]), lo, hi)
-        y = xp.from_host(ws["y"] * sc["Einv"] * sc["c"][:, None])
-    else:
-        x = xp.zeros((lanes, n))
-        z = xp.clip(xp.zeros((lanes, msz)), lo, hi)
-        y = xp.zeros((lanes, msz))
+    x = xp.from_host(setup["x0"])
+    z = xp.from_host(setup["z0"])
+    y = xp.from_host(setup["y0"])
 
     max_it = int(opt.admm_max_iterations)
     caps, global_max = _lane_caps(xp, lanes, max_it, iteration_caps)
     budget_capped = caps < max_it
 
-    status = xp.where(lane_finite, _ACTIVE, _FAILED)
+    lane_ok = xp.from_host(setup["lane_ok"], dtype="bool")
+    status = xp.where(lane_ok, _ACTIVE, _FAILED)
     iterations = xp.zeros((lanes,), dtype="int")
     residual = xp.full((lanes,), _INF)
     deadline_hit = xp.zeros((lanes,), dtype="bool")
 
-    # Stall detection rides the check_interval cadence: the limit counts
-    # iterations (same knob as the scalar path) rounded up to whole
-    # checks, and a lane stalls when a whole window of checks moves its
-    # best relative residual by less than the _STALL_WINDOW fraction.
+    # Stall detection rides the residual-check cadence: the limit counts
+    # iterations, rounded up to whole checks, and a lane stalls when a
+    # whole window of checks moves its best relative residual by less than
+    # the _STALL_WINDOW fraction.
     stall_limit = int(opt.admm_stall_iterations)
     if stall_limit:
-        cadence = 1 if check_interval <= 1 else int(check_interval)
-        stall_checks = max(1, -(-stall_limit // cadence))
+        stall_checks = max(1, -(-stall_limit // _CHECK_INTERVAL))
         best_score = xp.full((lanes,), _INF)
         window_ref = xp.full((lanes,), _INF)
         checks_done = 0
+    # Lanes whose hook forces this solve to stall (consulted once per
+    # solve, on the host); none in the common hook-free case.
+    forced_stall = None
+    if fault_hooks is not None:
+        forced_h = [
+            bool(getattr(hook, "force_stall", lambda: False)())
+            for hook in fault_hooks
+        ]
+        if any(forced_h):
+            forced_stall = xp.from_host(forced_h, dtype="bool")
+            stall_at = xp.minimum(caps, _FORCED_STALL_AT)
     res_rows: List[object] = []
     lane_iter_acc = xp.sum(xp.zeros((1,), dtype="int"))
     bstats = BatchQPStats()
     setup_time = perf_counter() - t_setup
+    rebuild_time = 0.0
     t_loop = perf_counter()
 
     for it in range(1, global_max + 1):
@@ -212,20 +226,21 @@ def solve_qp_admm_batch(
         y = xp.where(am, y_new, y)
 
         # ---- per-lane residuals and the classification ladder ----------
-        # Evaluated every ``check_interval`` iterations (and on the final
-        # trip): the three residual matvecs double the iteration cost, so
-        # between checks the loop is the bare update above.
+        # Evaluated every ``_CHECK_INTERVAL`` iterations, on the final
+        # trip, and wherever a host round-trip is due (it reads them).
+        exit_due = bool(exit_every) and it % exit_every == 0
+        rho_due = bool(rho_every) and it % rho_every == 0
         is_check = (
-            check_interval <= 1
-            or it % check_interval == 0
+            it % _CHECK_INTERVAL == 0
             or it == global_max
-            or bool(sync_interval) and it % sync_interval == 0
+            or exit_due
+            or rho_due
         )
         if is_check:
             # Residuals are unscaled back to the ORIGINAL space (pure
             # elementwise multiplies by the uploaded scale tensors), so
-            # the stopping test matches the scalar path's meaning with and
-            # without equilibration.
+            # the stopping test means the same thing with and without
+            # equilibration.
             Ax = _bmv(xp, A, x)
             Hx = _bmv(xp, Hd, x)
             Aty = _bmv(xp, At, y)
@@ -264,6 +279,14 @@ def solve_qp_admm_batch(
             z = xp.where(fm, 0.0, z)
             y = xp.where(fm, 0.0, y)
 
+            if forced_stall is not None:
+                status = xp.where(
+                    (status == _ACTIVE)
+                    & forced_stall
+                    & (iterations >= stall_at),
+                    _STALLED,
+                    status,
+                )
             if stall_limit:
                 # Per-lane stall detector (conv beats stall: convergence
                 # was classified above, so only still-active lanes can
@@ -291,35 +314,32 @@ def solve_qp_admm_batch(
             over_cap, xp.where(budget_capped, _BUDGET, _MAXIT), status
         )
 
-        if is_check and sync_interval and it % sync_interval == 0:
-            # The bounded host round-trip: early exit for a batch that has
-            # fully frozen before the global cap, plus the per-lane
-            # residual-balancing rho checkpoint.  Between checkpoints the
-            # loop stays strictly sync-free.
+        if exit_due or rho_due:
+            # The host round-trip: early exit for a batch that has fully
+            # frozen before the global cap, and the per-lane
+            # residual-balancing rho checkpoint.  On a device backend both
+            # ride ``sync_interval`` and the loop stays strictly sync-free
+            # in between.
             active_h = xp.to_host(status) == _ACTIVE
             if not bool(HOST.scalar(HOST.any(active_h))):
                 break
-            new_rho, changed = _admm_rho_update_batch(
-                rho_lane,
-                xp.to_host(rp_rel),
-                xp.to_host(rd_rel),
-                active_h,
-            )
-            if bool(HOST.scalar(HOST.any(changed))):
-                rho_lane = new_rho
-                Kinv_h, R_h, Rinv_h, ok = _admm_refactor_batch(
-                    setup["H"], setup["A"], rho_lane, p, m,
-                    opt.admm_rho_eq_scale, sigma, opt.regularization,
-                )
-                Kinv = xp.from_host(Kinv_h)
-                R = xp.from_host(R_h)
-                Rinv = xp.from_host(Rinv_h)
-                factz_h = factz_h + HOST.astype(changed, "int")
-                bad = changed & HOST.logical_not(ok)
-                if bool(HOST.scalar(HOST.any(bad))):
+            if rho_due:
+                t_rebuild = perf_counter()
+                if _admm_rho_checkpoint(
+                    setup, opt, xp.to_host(rp_rel), xp.to_host(rd_rel),
+                    active_h,
+                ):
+                    Kinv = xp.from_host(setup["Kinv"])
+                    R = xp.from_host(setup["R"])
+                    Rinv = xp.from_host(setup["Rinv"])
+                    # A lane whose rebuild failed up the whole ladder
+                    # freezes; batch-mates keep iterating.
                     status = xp.where(
-                        xp.from_host(bad, dtype="bool"), _FAILED, status
+                        xp.from_host(setup["lane_ok"], dtype="bool"),
+                        status,
+                        _FAILED,
                     )
+                    rebuild_time += perf_counter() - t_rebuild
 
     loop_time = perf_counter() - t_loop
 
@@ -333,7 +353,7 @@ def solve_qp_admm_batch(
     iters_h = xp.to_host(iterations)
     resid_h = xp.to_host(residual)
     deadline_h = xp.to_host(deadline_hit)
-    finite_h = xp.to_host(lane_finite)
+    ok_h = setup["lane_ok"]
     bstats.lane_iterations = int(xp.scalar(lane_iter_acc))
     status_codes, status_names, converged_h, gap_history = _decode_lanes(
         xp.to_host(status),
@@ -351,21 +371,25 @@ def solve_qp_admm_batch(
     stats: List[QPStats] = []
     for lane in range(lanes):
         st = QPStats(mode="admm")
-        if finite_h[lane]:
-            st.factorizations = int(factz_h[lane])
+        st.retries = int(setup["retries"][lane])
+        st.regularization_max = float(setup["reg_max"][lane])
+        if ok_h[lane]:
+            st.factorizations = int(setup["factorizations"][lane])
             st.factor_flops = st.factorizations * factor_flops
-            st.factorize_time = setup_time / lanes
+            st.factorize_time = (setup_time + rebuild_time) / lanes
         st.substitute_flops = int(iters_h[lane]) * matvec_flops
-        st.substitute_time = loop_time / lanes
+        st.substitute_time = (loop_time - rebuild_time) / lanes
         st.conditioning = ConditioningReport(
             equilibrated=bool(sc["lane_eq"][lane]),
             ruiz_iters=int(sc["iters"]),
             norm_spread_before=float(sc["spread_before"][lane]),
             norm_spread_after=float(sc["spread_after"][lane]),
             cost_scale=float(sc["c"][lane]),
-            rho_rescales=max(0, int(factz_h[lane]) - 1),
+            rho_rescales=max(0, int(setup["factorizations"][lane]) - 1),
             stalled=status_codes[lane] == _STALLED,
-            diverged=status_names[lane] == "failed" and bool(finite_h[lane]),
+            # "failed" with sound data and a sound factorization: the
+            # iteration itself went non-finite
+            diverged=status_names[lane] == "failed" and bool(ok_h[lane]),
         )
         stats.append(st)
 
@@ -381,27 +405,30 @@ def solve_qp_admm_batch(
             "x": HOST.copy(x_h),
             "z": HOST.copy(z_h),
             "y": HOST.copy(y_h),
-            "rho": HOST.copy(rho_lane),
+            "rho": HOST.copy(setup["rho"]),
         }
 
     # ---- per-lane rescue polish (host epilogue, opt.polish) ------------
     # Lanes that ended without a usable answer — stalled, capped, or
-    # poisoned — get the same active-set polish as the scalar path, run on
-    # the UNSCALED per-lane data stashed at setup.  The warm dict above
-    # was captured first: it always carries the operator-splitting
-    # iterate, never the polished point.  Lanes stopped by an *iteration*
-    # cap polish like the scalar path at the same cap would; lanes stopped
-    # by the wall-clock deadline are left alone (polish work past a
-    # deadline breaks the budget contract).
+    # poisoned — get the active-set polish from the iterate they stopped
+    # on, run on the UNSCALED per-lane data stashed at setup: it usually
+    # has the right active set even when its accuracy floor is set by
+    # curvature spread no diagonal scaling fixes.  The warm dict above was
+    # captured first: it always carries the operator-splitting iterate,
+    # never the polished point (not a fixed point of the iteration).
+    # Lanes stopped by an *iteration* cap are polished; lanes stopped by
+    # the wall-clock deadline are left alone (polish work past a deadline
+    # breaks the budget contract).
     if opt.polish and n > 0:
         for lane in range(lanes):
-            if not finite_h[lane]:
+            if not ok_h[lane]:
                 continue
             code = status_codes[lane]
             if code not in (_MAXIT, _STALLED, _FAILED, _BUDGET):
                 continue
             if code == _BUDGET and bool(deadline_h[lane]):
                 continue
+            t_polish = perf_counter()
             pol = _polish_qp(
                 setup["H0"][lane],
                 setup["q0"][lane],
@@ -414,6 +441,7 @@ def solve_qp_admm_batch(
                 opt.regularization,
                 tol,
             )
+            stats[lane].factorize_time += perf_counter() - t_polish
             if pol is None:
                 continue
             if not (

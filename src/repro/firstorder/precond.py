@@ -29,23 +29,17 @@ always travels in the *unscaled* space, so RTI carry-over survives
 re-equilibration with fresh ``D/E/c`` on the next tick.
 
 Everything here is host-side numpy (one-time setup work, same contract as
-the ``_admm_setup_batch`` helpers in :mod:`repro.firstorder.admm`): the
-batched variant returns per-lane scaling tensors that the device loop
-uploads once alongside the rest of the problem data.
+the ``_admm_setup_batch`` helpers in :mod:`repro.firstorder.admm`) over a
+``(B, ...)`` lane stack — a single QP is the one-lane stack: the per-lane
+scaling tensors ride the solver loop's one-time upload alongside the rest
+of the problem data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
 import numpy as np
 
 __all__ = [
-    "Equilibration",
-    "norm_spread",
-    "ruiz_equilibrate",
-    "identity_equilibration",
     "norm_spread_batch",
     "ruiz_equilibrate_batch",
     "identity_scale_batch",
@@ -58,152 +52,16 @@ _NORM_FLOOR = 1e-12
 _CONVERGED = 1e-3
 
 
-@dataclass
-class Equilibration:
-    """The diagonal scalings of one equilibrated QP (identity when disabled).
-
-    ``D`` scales variables (columns of ``[H; A]``), ``E`` scales constraint
-    rows, ``c`` scales the cost.  The ``*inv`` fields are precomputed
-    reciprocals so residual unscaling inside the solver loop is a pure
-    elementwise multiply.
-    """
-
-    D: np.ndarray
-    E: np.ndarray
-    c: float
-    Dinv: np.ndarray
-    Einv: np.ndarray
-    cinv: float
-    iters: int = 0
-    spread_before: float = 1.0
-    spread_after: float = 1.0
-
-    def scale_warm(self, x, z, y):
-        """Map an unscaled warm triple into the equilibrated space."""
-        return self.Dinv * x, self.E * z, self.c * self.Einv * y
-
-    def unscale_solution(self, x, z, y):
-        """Map a scaled iterate triple back to the original space."""
-        return self.D * x, self.Einv * z, self.cinv * self.E * y
-
-
-def _stacked_norms(H: np.ndarray, A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Column norms (variable block) and row norms (constraint block) of
-    the symmetrized data matrix ``[[H, A^T], [A, 0]]``, infinity norm."""
-    col = np.max(np.abs(H), axis=0) if H.shape[0] else np.zeros(H.shape[1])
-    if A.shape[0]:
-        col = np.maximum(col, np.max(np.abs(A), axis=0))
-        row = np.max(np.abs(A), axis=1)
-    else:
-        row = np.zeros(0)
-    return col, row
-
-
-def norm_spread(H: np.ndarray, A: np.ndarray) -> float:
-    """max/min ratio of the nonzero row/col infinity norms of the stacked
-    data matrix — the conditioning proxy the ``ConditioningReport`` quotes."""
-    col, row = _stacked_norms(H, A)
-    norms = np.concatenate([col, row])
-    norms = norms[norms > _NORM_FLOOR]
-    if norms.size == 0:
-        return 1.0
-    return float(np.max(norms) / np.min(norms))
-
-
 def _safe_rsqrt(norms: np.ndarray) -> np.ndarray:
     """``1/sqrt(n)`` with zero/tiny norms mapped to a unit scaling."""
     guarded = np.where(norms > _NORM_FLOOR, norms, 1.0)
     return 1.0 / np.sqrt(guarded)
 
 
-def ruiz_equilibrate(
-    H: np.ndarray,
-    g: np.ndarray,
-    A: np.ndarray,
-    iters: int = 10,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Equilibration]:
-    """Equilibrate one QP: returns ``(H_s, g_s, A_s, eq)``.
-
-    ``iters`` caps the Ruiz sweep; the iteration exits early once all
-    scaling updates are within ``0.1%`` of unity (typically 3-6 sweeps).
-    Bounds are *not* scaled here — apply ``eq.E`` to ``l``/``u`` at the
-    call site (infinities stay infinite under a positive row scaling).
-    """
-    n = H.shape[1]
-    msz = A.shape[0]
-    D = np.ones(n)
-    E = np.ones(msz)
-    c = 1.0
-    Hs = np.array(H, dtype=float, copy=True)
-    gs = np.array(g, dtype=float, copy=True)
-    As = np.array(A, dtype=float, copy=True)
-    spread_before = norm_spread(Hs, As)
-
-    done = 0
-    for k in range(max(0, int(iters))):
-        col, row = _stacked_norms(Hs, As)
-        dd = _safe_rsqrt(col)
-        de = _safe_rsqrt(row)
-        Hs *= dd[:, None] * dd[None, :]
-        gs *= dd
-        if msz:
-            As *= de[:, None] * dd[None, :]
-        D *= dd
-        E *= de
-        # Cost normalization (OSQP): pull the objective's curvature toward
-        # unit scale so sigma/rho defaults stay meaningful.
-        h_cols = np.max(np.abs(Hs), axis=0) if n else np.zeros(0)
-        denom = max(
-            float(np.mean(h_cols)) if n else 0.0,
-            float(np.max(np.abs(gs))) if n else 0.0,
-        )
-        gamma = 1.0 / denom if denom > _NORM_FLOOR else 1.0
-        Hs *= gamma
-        gs *= gamma
-        c *= gamma
-        done = k + 1
-        steps = [np.max(np.abs(1.0 - dd)) if n else 0.0]
-        if msz:
-            steps.append(np.max(np.abs(1.0 - de)))
-        steps.append(abs(1.0 - gamma))
-        if max(steps) < _CONVERGED:
-            break
-
-    eq = Equilibration(
-        D=D,
-        E=E,
-        c=c,
-        Dinv=1.0 / D,
-        Einv=np.ones(0) if msz == 0 else 1.0 / E,
-        cinv=1.0 / c,
-        iters=done,
-        spread_before=spread_before,
-        spread_after=norm_spread(Hs, As),
-    )
-    return Hs, gs, As, eq
-
-
-def identity_equilibration(n: int, msz: int) -> Equilibration:
-    """Unit scalings (multiplying by them is bit-exact identity) — lets the
-    solver loops run one unconditional code path."""
-    return Equilibration(
-        D=np.ones(n),
-        E=np.ones(msz),
-        c=1.0,
-        Dinv=np.ones(n),
-        Einv=np.ones(msz),
-        cinv=1.0,
-        iters=0,
-    )
-
-
-# ------------------------------------------------------------------------
-# Batched (per-lane) variant: same iteration vectorized over a (B, ...)
-# stack.  Host numpy only — the caller uploads the scaling tensors once.
-# ------------------------------------------------------------------------
-
-
 def _stacked_norms_batch(H, A):
+    """Per-lane column norms (variable block) and row norms (constraint
+    block) of the symmetrized data matrix ``[[H, A^T], [A, 0]]``, infinity
+    norm."""
     lanes, n = H.shape[0], H.shape[2]
     col = np.max(np.abs(H), axis=1) if n else np.zeros((lanes, 0))
     if A.shape[1]:
@@ -215,7 +73,9 @@ def _stacked_norms_batch(H, A):
 
 
 def norm_spread_batch(H, A) -> np.ndarray:
-    """Per-lane ``norm_spread`` of a ``(B, n, n)`` / ``(B, m, n)`` stack."""
+    """Per-lane max/min ratio of the nonzero row/col infinity norms of the
+    stacked data matrix — the conditioning proxy the ``ConditioningReport``
+    quotes."""
     col, row = _stacked_norms_batch(H, A)
     norms = np.concatenate([col, row], axis=1)
     masked = np.where(norms > _NORM_FLOOR, norms, np.nan)
@@ -234,9 +94,13 @@ def ruiz_equilibrate_batch(H, g, A, iters: int = 10):
     Returns ``(H_s, g_s, A_s, scale)`` where ``scale`` is a dict of host
     tensors: ``D``/``Dinv`` ``(B, n)``, ``E``/``Einv`` ``(B, m)``,
     ``c``/``cinv`` ``(B,)``, plus per-lane ``spread_before`` /
-    ``spread_after``.  Lanes equilibrate independently (each gets its own
-    fixpoint); the early exit fires only when *every* lane has converged,
-    which keeps the sweep lockstep and allocation-free.
+    ``spread_after``.  ``iters`` caps the sweep.  Lanes equilibrate
+    independently (each gets its own fixpoint); the early exit fires only
+    when *every* lane's scaling updates are within 0.1% of unity
+    (typically 3-6 sweeps), which keeps the sweep lockstep and
+    allocation-free.  Bounds are *not* scaled here — apply ``scale["E"]``
+    to ``l``/``u`` at the call site (infinities stay infinite under a
+    positive row scaling).
     """
     Hs = np.array(H, dtype=float, copy=True)
     gs = np.array(g, dtype=float, copy=True)
@@ -259,6 +123,8 @@ def ruiz_equilibrate_batch(H, g, A, iters: int = 10):
             As *= de[:, :, None] * dd[:, None, :]
         D *= dd
         E *= de
+        # Cost normalization (OSQP): pull the objective's curvature toward
+        # unit scale so sigma/rho defaults stay meaningful.
         h_cols = np.max(np.abs(Hs), axis=1) if n else np.zeros((lanes, 0))
         denom = np.maximum(
             np.mean(h_cols, axis=1) if n else np.zeros(lanes),
@@ -291,7 +157,8 @@ def ruiz_equilibrate_batch(H, g, A, iters: int = 10):
 
 
 def identity_scale_batch(lanes: int, n: int, msz: int) -> dict:
-    """Per-lane unit scalings (the disabled-equilibration path)."""
+    """Per-lane unit scalings (multiplying by them is a bit-exact
+    identity) — the disabled-equilibration path runs the same loop body."""
     return {
         "D": np.ones((lanes, n)),
         "Dinv": np.ones((lanes, n)),

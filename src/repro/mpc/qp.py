@@ -114,7 +114,9 @@ class QPOptions:
     #: families live at different practical accuracy tiers
     admm_tolerance: float = 1e-5
     #: iterations between rho-adaptation checks (each adaptation triggers
-    #: the one re-factorization of the cached KKT matrix)
+    #: the one re-factorization of the cached KKT matrix); ``0`` disables
+    #: adaptation.  Device backends ride their ``sync_interval`` host
+    #: round-trip instead (see :mod:`repro.firstorder.batch`).
     admm_rho_interval: int = 25
     #: Ruiz-equilibrate the box-form data before the ADMM iteration (see
     #: :mod:`repro.firstorder.precond`).  Termination still tests the
@@ -137,8 +139,8 @@ class QPOptions:
     #: stall detector: the solve is declared stalled (and becomes a
     #: fallback-ladder candidate) after this window of iterations goes by
     #: without the best relative residual improving by at least 10%.  ``0``
-    #: disables detection.  The batched loop rounds this up to its
-    #: ``check_interval`` residual cadence.
+    #: disables detection.  The loop rounds this up to whole residual
+    #: checks (every 5th iteration).
     admm_stall_iterations: int = 250
     #: let SQP drivers retry a stalled/diverged ADMM subproblem with the
     #: IPM inside the remaining budget (the method-health fallback ladder)
@@ -179,8 +181,10 @@ class QPOptions:
 class ConditioningReport:
     """How one ADMM solve experienced the problem's conditioning.
 
-    Produced by :func:`repro.firstorder.admm.solve_qp_admm` (and per lane
-    by the batched loop) and carried on :attr:`QPStats.conditioning` so
+    Produced per lane by the ADMM loop
+    (:func:`repro.firstorder.batch.solve_qp_admm_batch`, of which
+    ``solve_qp_admm`` is one lane) and carried on
+    :attr:`QPStats.conditioning` so
     the SQP drivers and the serving layer can decide whether the solve is
     a fallback-ladder candidate instead of re-deriving it from residuals.
     """

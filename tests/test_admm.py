@@ -92,6 +92,22 @@ class TestScalarADMM:
         res = solve_qp_admm(*qp, ADMM_OPTS, warm=bad)
         assert res.converged  # fell back to a cold start, didn't crash
 
+    def test_bad_data_rejected_before_iterating(self):
+        """Outside input is validated by the single-QP entry point itself:
+        non-finite or mis-shaped data raises instead of becoming a
+        silently ``failed`` lane."""
+        H, g, G, b, J, d = random_qp(6, 2, 3, 5)
+        bad_g = g.copy()
+        bad_g[2] = np.nan
+        for args in (
+            (H[:5, :5], g, G, b, J, d),
+            (H, bad_g, G, b, J, d),
+            (H, g, G, b[:1], J, d),
+            (H, g, G, b, J, None),
+        ):
+            with pytest.raises(SolverError):
+                solve_qp_admm(*args, ADMM_OPTS)
+
     def test_deadline_returns_best_iterate_and_warm(self):
         qp = random_qp(10, 3, 5, 21)
         res = solve_qp_admm(*qp, ADMM_OPTS, deadline=perf_counter())

@@ -1,6 +1,9 @@
-"""First-order QP subsystem, batched path: lane parity with the scalar
-ADMM, the sync-free device-residency gate (CountingBackend), per-lane
-iteration caps and poisoned-lane freezing, batched warm starts, the
+"""First-order QP subsystem, the lockstep loop: every lane of a batch
+against the same QP solved alone (the ``B = 1`` lane ``solve_qp_admm``),
+the sync-free device-residency gate (CountingBackend) and the host early
+exit, per-lane iteration caps and poisoned-lane freezing, the
+positive-definiteness ladder and per-lane fault hooks of the cached
+factorization, the rho-checkpoint cadence, batched warm starts, the
 ``BatchSolver(qp_method="admm")`` seam, and cross-backend parity."""
 
 from dataclasses import replace
@@ -63,6 +66,8 @@ def qp_batch(B=4, n=8, p=2, m=4, seed=200):
 class TestLaneParity:
     @pytest.mark.parametrize("p,m", [(0, 0), (2, 0), (0, 4), (2, 4)])
     def test_matches_scalar_admm_per_lane(self, p, m):
+        """A lane in a desynchronised batch matches the same QP solved
+        alone (lane-independence under the freeze masks)."""
         qps, stacked = qp_batch(p=p, m=m)
         res = solve_qp_admm_batch(*stacked, ADMM_OPTS)
         for i, qp in enumerate(qps):
@@ -111,6 +116,166 @@ class TestDeviceResidency:
             xp2.sync_count + xp2.upload_count
         )
         assert 0 < extra <= 4 * 12
+
+    def test_host_backend_exits_at_the_converging_check(self):
+        """On a host backend the all-frozen flag is read at every residual
+        check, so a batch that converges at iteration 5 stops there; a
+        device backend reads it only every ``sync_interval`` and rides
+        masked trips until then — to bit-identical lane results."""
+        _qps, stacked = qp_batch()
+        cold = solve_qp_admm_batch(*stacked, ADMM_OPTS)
+        host = solve_qp_admm_batch(*stacked, ADMM_OPTS, warm=cold.warm)
+        device = solve_qp_admm_batch(
+            *stacked, ADMM_OPTS, warm=cold.warm, backend=CountingBackend()
+        )
+        assert all(s == "converged" for s in host.status)
+        assert host.batch.iterations == int(np.max(host.iterations)) < 25
+        assert device.batch.iterations == 25
+        assert np.array_equal(host.iterations, device.iterations)
+        for field in ("x", "nu", "lam", "residual"):
+            assert np.array_equal(getattr(host, field), getattr(device, field))
+
+
+class TestRhoCadence:
+    def _rhos(self, stacked, **opts):
+        """Per-lane rho after 12 uncheckable iterations (tolerance 0)."""
+        opts = replace(
+            ADMM_OPTS, admm_tolerance=0.0, admm_max_iterations=12, **opts
+        )
+        return solve_qp_admm_batch(*stacked, opts).warm["rho"]
+
+    def test_rho_interval_sets_when_lanes_rescale(self):
+        _qps, stacked = qp_batch()
+        # Default interval (25): no checkpoint inside 12 iterations.
+        assert np.all(self._rhos(stacked) == ADMM_OPTS.admm_rho)
+        # A checkpoint at iteration 7 (not a residual-check multiple)
+        # rescales the lanes whose residual ratio fires.
+        assert np.any(
+            self._rhos(stacked, admm_rho_interval=7) != ADMM_OPTS.admm_rho
+        )
+
+    def test_zero_interval_disables_adaptation(self):
+        _qps, stacked = qp_batch()
+        adaptive = solve_qp_admm_batch(*stacked, ADMM_OPTS)
+        fixed = solve_qp_admm_batch(
+            *stacked, replace(ADMM_OPTS, admm_rho_interval=0)
+        )
+        assert any(st.conditioning.rho_rescales for st in adaptive.stats)
+        assert not any(st.conditioning.rho_rescales for st in fixed.stats)
+        assert np.all(fixed.warm["rho"] == ADMM_OPTS.admm_rho)
+        assert all(s == "converged" for s in fixed.status)
+
+
+class FactorHook:
+    """Duck-typed factorization hook: fails the first ``fail`` attempts and
+    counts the builds it was shown (``transform_matrix`` is an identity)."""
+
+    def __init__(self, fail=0):
+        self.fail = fail
+        self.builds = 0
+
+    def transform_matrix(self, K):
+        self.builds += 1
+        return K
+
+    def force_failure(self):
+        if self.fail > 0:
+            self.fail -= 1
+            return True
+        return False
+
+
+def semidefinite_lane(qp, dip):
+    """``qp`` with its Hessian made (numerically) semidefinite the way a
+    Gauss-Newton Hessian is: eigenvalue ``dip < 0`` along a direction the
+    constraints do not see and the gradient does not push."""
+    H, g, G, b, J, d = qp
+    v = np.linalg.svd(np.vstack([G, J]))[2][-1]  # null vector of [G; J]
+    P = np.eye(H.shape[0]) - np.outer(v, v)
+    return P @ H @ P + dip * np.outer(v, v), P @ g, G, b, J, d
+
+
+class TestFactorizationLadder:
+    OPTS = replace(ADMM_OPTS, admm_tolerance=1e-3)
+
+    def test_non_pd_lane_is_retried_not_inverted(self):
+        """``K = H + sigma I + A^T R A`` of lane 1 is indefinite at the
+        base regularization: the ladder must escalate until it factors
+        (counted), the lane still converges, and batch-mates do not
+        notice."""
+        qps, _stacked = qp_batch()
+        healthy = stack_qps(
+            [semidefinite_lane(q, 0.0) if i == 1 else q
+             for i, q in enumerate(qps)]
+        )
+        sick = stack_qps(
+            [semidefinite_lane(q, -5e-6) if i == 1 else q
+             for i, q in enumerate(qps)]
+        )
+        ref = solve_qp_admm_batch(*healthy, self.OPTS)
+        res = solve_qp_admm_batch(*sick, self.OPTS)
+        assert [st.retries for st in ref.stats] == [0, 0, 0, 0]
+        assert res.stats[1].retries == 2
+        assert res.stats[1].regularization_max == pytest.approx(1e-5)
+        assert res.status[1] == "converged"
+        assert np.allclose(res.x[1], ref.x[1], atol=1e-3)
+        for lane in (0, 2, 3):
+            assert res.stats[lane].retries == 0
+            assert res.stats[lane].regularization_max == self.OPTS.regularization
+            assert np.array_equal(res.x[lane], ref.x[lane])
+            assert res.iterations[lane] == ref.iterations[lane]
+        # The same QP alone climbs the same ladder.
+        alone = solve_qp_admm(*[a[1] for a in sick], self.OPTS)
+        assert alone.converged and alone.stats.retries == 2
+
+    def test_unrepairable_lane_fails_alone(self):
+        """A lane no rung of the ladder makes positive definite freezes
+        ``failed`` without touching batch-mates; solved alone it raises."""
+        opts = replace(self.OPTS, admm_equilibrate=False)
+        qps, stacked = qp_batch()
+        H = stacked[0].copy()
+        H[1] = -1e30 * np.eye(H.shape[1])
+        ref = solve_qp_admm_batch(*stacked, opts)
+        res = solve_qp_admm_batch(H, *stacked[1:], opts)
+        assert res.status[1] == "failed"
+        assert res.stats[1].retries == 16
+        assert res.stats[1].factorizations == 0
+        assert not res.stats[1].conditioning.diverged
+        for lane in (0, 2, 3):
+            assert res.status[lane] == "converged"
+            assert np.array_equal(res.x[lane], ref.x[lane])
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve_qp_admm(H[1], *qps[1][1:], opts)
+
+    def test_hooks_are_per_lane_and_per_build(self):
+        """``force_failure`` fails attempts of its own lane only;
+        ``transform_matrix`` is shown every build of that lane's K (set-up
+        plus each rho-checkpoint rebuild) and no other lane's."""
+        _qps, stacked = qp_batch()
+        ref = solve_qp_admm_batch(*stacked, ADMM_OPTS)
+        hook = FactorHook(fail=2)
+        res = solve_qp_admm_batch(
+            *stacked, ADMM_OPTS, fault_hooks=[None, hook, None, None]
+        )
+        assert [st.retries for st in res.stats] == [0, 2, 0, 0]
+        assert res.stats[1].regularization_max == pytest.approx(1e-5)
+        assert hook.builds == res.stats[1].factorizations > 1
+        assert all(s == "converged" for s in res.status)
+        for lane in (0, 2, 3):
+            assert np.array_equal(res.x[lane], ref.x[lane])
+        with pytest.raises(SolverError, match="fault hooks"):
+            solve_qp_admm_batch(*stacked, ADMM_OPTS, fault_hooks=[hook])
+
+    def test_hooks_reach_the_single_lane(self):
+        qps, _stacked = qp_batch()
+        hook = FactorHook(fail=3)
+        res = solve_qp_admm(*qps[0], ADMM_OPTS, fault_hook=hook)
+        assert res.converged
+        assert res.stats.retries == 3
+        assert res.stats.regularization_max == pytest.approx(1e-3)
+        assert hook.builds == res.stats.factorizations
+        with pytest.raises(SolverError, match="could not be factorized"):
+            solve_qp_admm(*qps[0], ADMM_OPTS, fault_hook=FactorHook(fail=99))
 
 
 class TestLaneFates:

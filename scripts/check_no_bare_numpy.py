@@ -2,7 +2,8 @@
 """Lint: the batch hot path must not touch numpy directly.
 
 Every array op in ``src/repro/batch/{linalg,qp,ipm,transcription}.py``
-has to route through the array-backend seam (``repro.batch.backend``) so
+(and the other device-resident modules listed in ``HOT_PATH``) has to route
+through the array-backend seam (``repro.batch.backend``) so
 the same code runs device-resident under cupy/torch.  A bare
 ``import numpy`` or ``np.`` call in those modules silently pins the op to
 the host and reintroduces per-iteration transfers, so it is a lint error,
@@ -33,6 +34,11 @@ HOT_PATH = [
     # whatever backend the caller bound — a bare numpy call here would pin
     # the fused batch linearization to the host
     REPO / "src" / "repro" / "codegen" / "kernel.py",
+    # the shared linearize assembler (index maps, scatters, point cache, the
+    # fused provider) is what a device runs for every tier; the interpreted
+    # and C providers are host-only and live in mpc/transcription.py and
+    # codegen/linearizer.py, where bare numpy is allowed
+    REPO / "src" / "repro" / "linearize.py",
 ]
 
 #: anything that binds or uses numpy directly

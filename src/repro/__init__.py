@@ -11,6 +11,8 @@ Package map:
 * :mod:`repro.symbolic` — expression DAGs, autodiff, numeric compilation.
 * :mod:`repro.mpc` — models, tasks, transcription, the SQP + interior-point
   solver, and the receding-horizon controller.
+* :mod:`repro.linearize` — the one lane-batched linearize assembler the
+  scalar problem and :mod:`repro.batch` both evaluate through.
 * :mod:`repro.robots` — the six Table III benchmark robots.
 * :mod:`repro.dsl` — the RoboX language frontend.
 * :mod:`repro.compiler` — Program Translator (M-DFG), Algorithm-1 mapping,

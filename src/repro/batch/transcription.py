@@ -1,8 +1,9 @@
 """Vectorized linearization: evaluate compiled stage functions batch-wide.
 
-The scalar :class:`~repro.mpc.transcription.TranscribedProblem` evaluates
-its generated stage functions one knot at a time with Python floats.  For
-a batch of ``B`` instances of the *same* problem that is ``B x N`` Python
+The interpreted provider of a
+:class:`~repro.mpc.transcription.TranscribedProblem` evaluates its
+generated stage functions one knot at a time with Python floats.  For a
+batch of ``B`` instances of the *same* problem that is ``B x N`` Python
 calls per linearization — the dominant cost of a batched SQP iteration.
 
 :class:`VectorizedFunction` removes it: every
@@ -12,27 +13,29 @@ of ``math`` calls.  Re-executing that source against an array-backend
 namespace (``sin -> xp.sin``, ``asin -> xp.arcsin``, ... — see
 :meth:`repro.batch.backend.ArrayBackend.ufuncs`) yields a callable that
 accepts ``(B, K)``-shaped columns and evaluates all ``B x K`` stage
-points in one pass — the "vectorized fast path where the
-``CompiledFunction`` supports it" of the batching subsystem, on whichever
-backend the caller selected (numpy, cupy, torch).  Any function whose
-source fails to vectorize (or a future op with no ufunc twin) drops the
-whole linearizer to a per-lane loop fallback over the scalar problem
-methods, which is slower but bit-equal by construction (the fallback
-round-trips through host arrays on device backends).
+points in one pass, on whichever backend the caller selected (numpy, cupy,
+torch).  One such function per group is the *vectorized group provider*
+of the shared assembler (:mod:`repro.linearize`).
 
-:class:`BatchLinearizer` exposes the batched twins of every evaluation
-method the SQP layer needs (`objective`, gradients, Gauss-Newton Hessian,
-constraint stacks and Jacobians, cold-start guesses), with identical
-stacking order to the scalar path so the stage-ordered band structure and
-permutations of PR 1 carry over unchanged.
+:class:`BatchLinearizer` is that assembler's ``B``-lane call: the batched
+twins of the seven evaluation methods the SQP layer needs, with identical
+stacking order to the scalar lane (so the stage-ordered band structure and
+permutations carry over unchanged), plus the batched cold-start guess.
+Which provider it runs on is decided once, at construction
+(:meth:`TranscribedProblem.bind_lanes`): the problem's fused kernel bound
+to this backend when the codegen tier is active, the vectorized provider
+otherwise, and — only when a function has no ufunc twin here — the
+interpreted provider, which round-trips through host arrays and is slower
+but bit-equal to the scalar lane by construction.  No method branches on
+the tier.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import TranscriptionError, VectorizationError
+from repro.linearize import GROUP_INFO, STATE_ROWS, normalize_ref
 from repro.mpc.transcription import TranscribedProblem
 from repro.symbolic.compile import _INFIX, CompiledFunction
 
@@ -41,12 +44,6 @@ from .backend import ArrayBackend, get_backend
 __all__ = ["VectorizedFunction", "vectorize_compiled", "BatchLinearizer"]
 
 RefLike = Optional[object]
-
-# fused function names emitted by repro.codegen for one problem
-_RUN_FULL = "fused_run_full"
-_RUN_VALS = "fused_run_vals"
-_TERM_FULL = "fused_term_full"
-_TERM_VALS = "fused_term_vals"
 
 
 class VectorizedFunction:
@@ -67,8 +64,8 @@ class VectorizedFunction:
         name = fn.source.split("(", 1)[0].split()[-1]
         namespace: Dict[str, object] = dict(self.xp.ufuncs())
         # Surface unsupported primitives here, at bind time, instead of as
-        # a NameError on the first batched call: the linearizer's loop
-        # fallback keys on exactly this error type.
+        # a NameError on the first batched call: the linearizer's drop to
+        # the interpreted provider keys on exactly this error type.
         missing = sorted(
             op
             for op in fn.op_counts
@@ -105,6 +102,23 @@ def vectorize_compiled(fn: CompiledFunction, backend=None) -> VectorizedFunction
     return VectorizedFunction(fn, backend)
 
 
+class _VectorizedGroups:
+    """The vectorized group provider: one ufunc sweep per requested group."""
+
+    def __init__(self, problem: TranscribedProblem, xp: ArrayBackend) -> None:
+        self.fns = {
+            g: vectorize_compiled(getattr(problem, attr), xp)
+            for g, (_, attr, _) in GROUP_INFO.items()
+        }
+
+    def __call__(self, lanes, pt, name) -> Dict[str, object]:
+        fn = self.fns[name]
+        cols = lanes.cols(
+            pt, "state" if name in STATE_ROWS else GROUP_INFO[name][0]
+        )
+        return {name: fn(cols[: fn.scalar.n_inputs])}
+
+
 class BatchLinearizer:
     """Batched evaluation of one :class:`TranscribedProblem` over ``B`` lanes.
 
@@ -112,8 +126,7 @@ class BatchLinearizer:
     (``Z: (B, nz)``, ``x_init: (B, nx)``) and return the batched stack of
     what the scalar method returns per lane, in the same row order, as
     arrays of the selected backend.  Requires ``move_block == 1`` (the
-    serve path always transcribes with per-step inputs; blocked knots
-    would break the contiguous state/input reshape fast paths).
+    serve path always transcribes with per-step inputs).
     """
 
     def __init__(self, problem: TranscribedProblem, backend=None) -> None:
@@ -129,537 +142,58 @@ class BatchLinearizer:
         self.nu = problem.nu
         self.nz = problem.nz
         self.nref = problem.nref
-        self._base = (self.N + 1) * self.nx
-        self.vectorized = True
-        #: why the loop fallback is active ("" while vectorized)
-        self.fallback_reason = ""
         try:
-            names = (
-                "_F", "_A", "_B",
-                "_L", "_L_grad", "_P_run_jac",
-                "_Phi", "_Phi_grad", "_P_term_jac",
-                "_h_state", "_h_state_jac",
-                "_h_input", "_h_input_jac",
-                "_h_term", "_h_term_jac",
-                "_g_state", "_g_state_jac",
-                "_g_input", "_g_input_jac",
-                "_g_term", "_g_term_jac",
-            )
-            self._v = {
-                nm: vectorize_compiled(getattr(problem, nm), self.xp)
-                for nm in names
-            }
+            self._vec, reason = _VectorizedGroups(problem, self.xp), ""
         except VectorizationError as exc:
-            # Only a genuine can't-vectorize condition drops to the loop
-            # fallback; any other exception is a bug and must propagate.
-            self._v = {}
-            self.vectorized = False
-            self.fallback_reason = str(exc)
+            # Only a genuine can't-vectorize condition binds the interpreted
+            # provider; any other exception is a bug and must propagate.
+            self._vec, reason = None, str(exc)
+        self._lanes = problem.bind_lanes(self.xp, self._vec, reason)
 
-        # Fused codegen kernel: when the problem's codegen seam decided a
-        # fused tier, bind its module to this backend and serve whole-
-        # horizon group stacks from one generated call per stage family.
-        self._fused = None
-        self._fused_pts: "OrderedDict[tuple, dict]" = OrderedDict()
-        self.codegen_stats = None
-        if self.vectorized:
-            try:
-                kernels = problem.codegen_kernels()
-                if kernels is not None and kernels.active:
-                    self._fused = kernels.backend_kernel(self.xp)
-                    self.codegen_stats = kernels.stats
-            except Exception:
-                self._fused = None
+    # -- read-only reporting -------------------------------------------------
 
-    # -- shared plumbing ---------------------------------------------------
+    @property
+    def vectorized(self) -> bool:
+        """False when the stage functions run per lane on the host."""
+        return self._vec is not None
 
-    def _split(self, Z):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        xs = xp.reshape(Z[:, : self._base], (lanes, self.N + 1, self.nx))
-        us = xp.reshape(Z[:, self._base :], (lanes, self.N, self.nu))
-        return xs, us
+    @property
+    def fallback_reason(self) -> str:
+        """Why a faster provider is not bound ("" when nothing fell back)."""
+        return self._lanes.fallback_reason
+
+    @property
+    def codegen_stats(self):
+        """The problem's ``CodegenStats`` while a fused kernel is bound."""
+        return self._lanes.stats
 
     def normalize_ref(self, ref: RefLike, lanes: int):
-        """Normalize per-lane references to one ``(B, N+1, nref)`` stack.
+        """Normalize per-lane references to one ``(B, N+1, nref)`` stack
+        (see :func:`repro.linearize.normalize_ref`)."""
+        return normalize_ref(self.problem, ref, lanes, self.xp)
 
-        Accepts ``None`` (only for reference-free tasks), one shared array
-        of shape ``(nref,)`` or ``(N+1, nref)``, or a per-lane sequence of
-        such arrays.
-        """
-        xp = self.xp
-        if self.nref == 0:
-            return None
-        if (
-            hasattr(ref, "ndim")
-            and ref.ndim == 3
-            and tuple(ref.shape) == (lanes, self.N + 1, self.nref)
-        ):
-            return xp.asarray(ref)  # already a normalized stack
-
-        def one(r):
-            if r is None:
-                raise TranscriptionError(
-                    f"task {self.problem.task.name!r} requires reference "
-                    f"values {self.problem.task.references}"
-                )
-            r = xp.asarray(r)
-            if tuple(r.shape) == (self.nref,):
-                return xp.tile(r, (self.N + 1, 1))
-            if tuple(r.shape) == (self.N + 1, self.nref):
-                return r
-            raise TranscriptionError(
-                f"reference values must have shape ({self.nref},) or "
-                f"({self.N + 1}, {self.nref}), got {tuple(r.shape)}"
-            )
-
-        if ref is None or hasattr(ref, "ndim"):
-            return xp.tile(one(ref), (lanes, 1, 1))
-        rows = [one(r) for r in ref]
-        if len(rows) != lanes:
-            raise TranscriptionError(
-                f"got {len(rows)} per-lane references for {lanes} lanes"
-            )
-        return xp.stack(rows)
-
-    def _ref_lane(self, R, lane: int):
-        return None if R is None else self.xp.to_host(R[lane])
-
-    def _loop_stack(self, rows: List):
-        """Stack per-lane host results back onto the backend."""
-        xp = self.xp
-        return xp.stack([xp.asarray(r) for r in rows])
-
-    def _run_cols(self, xs, us, R, ks) -> List:
-        cols = [xs[:, ks, i] for i in range(self.nx)]
-        cols += [us[:, ks, j] for j in range(self.nu)]
-        if self.nref:
-            cols += [R[:, ks, r] for r in range(self.nref)]
-        return cols
-
-    def _dyn_cols(self, xs, us, ks) -> List:
-        cols = [xs[:, ks, i] for i in range(self.nx)]
-        cols += [us[:, ks, j] for j in range(self.nu)]
-        return cols
-
-    def _term_cols(self, xs, R) -> List:
-        cols = [xs[:, self.N, i] for i in range(self.nx)]
-        if self.nref:
-            cols += [R[:, self.N, r] for r in range(self.nref)]
-        return cols
-
-    def _state_sl(self, k: int) -> slice:
-        return slice(k * self.nx, (k + 1) * self.nx)
-
-    def _input_sl(self, k: int) -> slice:
-        return slice(self._base + k * self.nu, self._base + (k + 1) * self.nu)
-
-    def _ks(self, lo: int, hi: int):
-        return self.xp.arange(lo, hi)
-
-    # -- fused-kernel plumbing ---------------------------------------------
-
-    def _fused_point(self, Z, ref):
-        """Per-``(Z, ref)`` identity cache of fused whole-horizon stacks.
-
-        The batch SQP loop passes the *same* array objects to all six
-        linearization methods of one iteration, so object identity is a
-        sound cache key; the anchor tuple holds strong references so ids
-        cannot be recycled while an entry lives.  Callers that mutate ``Z``
-        in place between calls would defeat this — the solver layers never
-        do (every step builds new arrays).
-        """
-        if self._fused is None:
-            return None
-        key = (id(Z), id(ref))
-        ent = self._fused_pts.get(key)
-        if ent is None:
-            ent = {"_anchor": (Z, ref)}
-            self._fused_pts[key] = ent
-            while len(self._fused_pts) > 2:
-                self._fused_pts.popitem(last=False)
-        else:
-            self._fused_pts.move_to_end(key)
-        return ent
-
-    def _fused_groups(self, ent, fn_name, cols_fn):
-        # a *_full evaluation is a superset of the matching *_vals one
-        full_of = {_RUN_VALS: _RUN_FULL, _TERM_VALS: _TERM_FULL}
-        for nm in (full_of.get(fn_name, fn_name), fn_name):
-            got = ent.get(nm)
-            if got is not None:
-                if self.codegen_stats is not None:
-                    self.codegen_stats.cache_hits += 1
-                return got
-        if self.codegen_stats is not None:
-            self.codegen_stats.cache_misses += 1
-        ent[fn_name] = self._fused.call(fn_name, cols_fn())
-        return ent[fn_name]
-
-    def _fused_run(self, ent, xs, us, R, full: bool):
-        ks = self._ks(0, self.N)
-        return self._fused_groups(
-            ent,
-            _RUN_FULL if full else _RUN_VALS,
-            lambda: self._run_cols(xs, us, R, ks),
-        )
-
-    def _fused_term(self, ent, xs, R, full: bool):
-        return self._fused_groups(
-            ent,
-            _TERM_FULL if full else _TERM_VALS,
-            lambda: self._term_cols(xs, R),
-        )
-
-    # -- objective ---------------------------------------------------------
+    # -- the seven evaluators: the B-lane call of the shared assembler ------
 
     def objective(self, Z, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh = xp.to_host(Z)
-            return xp.asarray(
-                [
-                    self.problem.objective(Zh[i], self._ref_lane(R, i))
-                    for i in range(lanes)
-                ]
-            )
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        if ent is not None:
-            run = self._fused_run(ent, xs, us, R, full=False)["cost_run"][..., 0]
-            term = self._fused_term(ent, xs, R, full=False)["cost_term"][..., 0]
-        else:
-            ks = self._ks(0, self.N)
-            run = self._v["_L"](self._run_cols(xs, us, R, ks))[..., 0]
-            term = self._v["_Phi"](self._term_cols(xs, R))[..., 0]
-        return xp.sum(run, axis=1) + term
+        return self._lanes.objective(Z, ref)
 
     def objective_gradient(self, Z, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh = xp.to_host(Z)
-            return self._loop_stack(
-                [
-                    self.problem.objective_gradient(Zh[i], self._ref_lane(R, i))
-                    for i in range(lanes)
-                ]
-            )
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        if ent is not None:
-            gs = self._fused_run(ent, xs, us, R, full=True)["cost_run_grad"]
-            tg = self._fused_term(ent, xs, R, full=True)["cost_term_grad"]
-        else:
-            ks = self._ks(0, self.N)
-            gs = self._v["_L_grad"](self._run_cols(xs, us, R, ks))  # (B, N, nxu)
-            tg = self._v["_Phi_grad"](self._term_cols(xs, R))
-        grad = xp.zeros((lanes, self.nz))
-        grad[:, : self.N * self.nx] += xp.reshape(
-            gs[:, :, : self.nx], (lanes, -1)
-        )
-        grad[:, self._base :] += xp.reshape(gs[:, :, self.nx :], (lanes, -1))
-        grad[:, self.N * self.nx : self._base] += tg
-        return grad
+        return self._lanes.objective_gradient(Z, ref)
 
     def objective_gauss_newton(self, Z, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh = xp.to_host(Z)
-            return self._loop_stack(
-                [
-                    self.problem.objective_gauss_newton(
-                        Zh[i], self._ref_lane(R, i)
-                    )
-                    for i in range(lanes)
-                ]
-            )
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        nxu = self.nx + self.nu
-        H = xp.zeros((lanes, self.nz, self.nz))
-        n_run = len(self.problem.w_run)
-        n_term = len(self.problem.w_term)
-        if n_run:
-            if ent is not None:
-                Jp = self._fused_run(ent, xs, us, R, full=True)["pen_run_jac"]
-            else:
-                ks = self._ks(0, self.N)
-                Jp = self._v["_P_run_jac"](self._run_cols(xs, us, R, ks))
-            Jp = xp.reshape(Jp, (lanes, self.N, n_run, nxu))
-            blk = 2.0 * xp.einsum(
-                "bkrp,r,bkrq->bkpq", Jp, xp.asarray(self.problem.w_run), Jp
-            )
-            for k in range(self.N):
-                sx, su = self._state_sl(k), self._input_sl(k)
-                H[:, sx, sx] += blk[:, k, : self.nx, : self.nx]
-                H[:, sx, su] += blk[:, k, : self.nx, self.nx :]
-                H[:, su, sx] += blk[:, k, self.nx :, : self.nx]
-                H[:, su, su] += blk[:, k, self.nx :, self.nx :]
-        if n_term:
-            if ent is not None:
-                Jp = self._fused_term(ent, xs, R, full=True)["pen_term_jac"]
-            else:
-                Jp = self._v["_P_term_jac"](self._term_cols(xs, R))
-            Jp = xp.reshape(Jp, (lanes, n_term, self.nx))
-            sN = self._state_sl(self.N)
-            H[:, sN, sN] += 2.0 * xp.einsum(
-                "brp,r,brq->bpq", Jp, xp.asarray(self.problem.w_term), Jp
-            )
-        return H
-
-    # -- constraints -------------------------------------------------------
+        return self._lanes.objective_gauss_newton(Z, ref)
 
     def equality_constraints(self, Z, x_init, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        X0 = xp.asarray(x_init)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh, X0h = xp.to_host(Z), xp.to_host(X0)
-            return self._loop_stack(
-                [
-                    self.problem.equality_constraints(
-                        Zh[i], X0h[i], self._ref_lane(R, i)
-                    )
-                    for i in range(lanes)
-                ]
-            )
-        p = self.problem
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        parts = [xs[:, 0] - X0]
-        if ent is not None:
-            g = self._fused_run(ent, xs, us, R, full=False)
-            F = g["dyn_step"]  # (B, N, nx)
-            parts.append(xp.reshape(xs[:, 1:] - F, (lanes, -1)))
-            if p._eq_state_rows and self.N > 1:
-                parts.append(xp.reshape(g["eq_state"][:, 1:], (lanes, -1)))
-            if p._eq_input_rows:
-                parts.append(xp.reshape(g["eq_input"], (lanes, -1)))
-            if p._eq_term_rows:
-                parts.append(
-                    self._fused_term(ent, xs, R, full=False)["eq_term"]
-                )
-            return xp.concatenate(parts, axis=1)
-        ks = self._ks(0, self.N)
-        F = self._v["_F"](self._dyn_cols(xs, us, ks))  # (B, N, nx)
-        parts.append(xp.reshape(xs[:, 1:] - F, (lanes, -1)))
-        if p._eq_state_rows and self.N > 1:
-            ks_in = self._ks(1, self.N)
-            vals = self._v["_g_state"](self._run_cols(xs, us, R, ks_in))
-            parts.append(xp.reshape(vals, (lanes, -1)))
-        if p._eq_input_rows:
-            vals = self._v["_g_input"](self._run_cols(xs, us, R, ks))
-            parts.append(xp.reshape(vals, (lanes, -1)))
-        if p._eq_term_rows:
-            parts.append(self._v["_g_term"](self._term_cols(xs, R)))
-        return xp.concatenate(parts, axis=1)
+        return self._lanes.equality_constraints(Z, x_init, ref)
 
     def equality_jacobian(self, Z, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh = xp.to_host(Z)
-            return self._loop_stack(
-                [
-                    self.problem.equality_jacobian(Zh[i], self._ref_lane(R, i))
-                    for i in range(lanes)
-                ]
-            )
-        p = self.problem
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        fr = (
-            self._fused_run(ent, xs, us, R, full=True)
-            if ent is not None
-            else None
-        )
-        nx, nu, nxu = self.nx, self.nu, self.nx + self.nu
-        ks = self._ks(0, self.N)
-        G = xp.zeros((lanes, p.n_eq, self.nz))
-        G[:, :nx, :nx] = xp.eye(nx)
-        if fr is not None:
-            A = xp.reshape(fr["dyn_jac_x"], (lanes, self.N, nx, nx))
-            Bm = xp.reshape(fr["dyn_jac_u"], (lanes, self.N, nx, nu))
-        else:
-            A = xp.reshape(
-                self._v["_A"](self._dyn_cols(xs, us, ks)),
-                (lanes, self.N, nx, nx),
-            )
-            Bm = xp.reshape(
-                self._v["_B"](self._dyn_cols(xs, us, ks)),
-                (lanes, self.N, nx, nu),
-            )
-        row = nx
-        for k in range(self.N):
-            rows = slice(row, row + nx)
-            G[:, rows, self._state_sl(k + 1)] = xp.eye(nx)
-            G[:, rows, self._state_sl(k)] = -A[:, k]
-            G[:, rows, self._input_sl(k)] = -Bm[:, k]
-            row += nx
-        if p._eq_state_rows and self.N > 1:
-            if fr is not None:
-                J = xp.reshape(
-                    fr["eq_state_jac"], (lanes, self.N, p._eq_state_rows, nxu)
-                )[:, 1:]
-            else:
-                ks_in = self._ks(1, self.N)
-                J = self._v["_g_state_jac"](self._run_cols(xs, us, R, ks_in))
-                J = xp.reshape(J, (lanes, self.N - 1, p._eq_state_rows, nxu))
-            for i, k in enumerate(range(1, self.N)):
-                rows = slice(row, row + p._eq_state_rows)
-                G[:, rows, self._state_sl(k)] = J[:, i, :, :nx]
-                G[:, rows, self._input_sl(k)] = J[:, i, :, nx:]
-                row += p._eq_state_rows
-        if p._eq_input_rows:
-            if fr is not None:
-                J = fr["eq_input_jac"]
-            else:
-                J = self._v["_g_input_jac"](self._run_cols(xs, us, R, ks))
-            J = xp.reshape(J, (lanes, self.N, p._eq_input_rows, nxu))
-            for k in range(self.N):
-                rows = slice(row, row + p._eq_input_rows)
-                G[:, rows, self._state_sl(k)] = J[:, k, :, :nx]
-                G[:, rows, self._input_sl(k)] = J[:, k, :, nx:]
-                row += p._eq_input_rows
-        if p._eq_term_rows:
-            if ent is not None:
-                J = self._fused_term(ent, xs, R, full=True)["eq_term_jac"]
-            else:
-                J = self._v["_g_term_jac"](self._term_cols(xs, R))
-            J = xp.reshape(J, (lanes, p._eq_term_rows, nx))
-            G[:, row : row + p._eq_term_rows, self._state_sl(self.N)] = J
-            row += p._eq_term_rows
-        return G
+        return self._lanes.equality_jacobian(Z, ref)
 
     def inequality_constraints(self, Z, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh = xp.to_host(Z)
-            return self._loop_stack(
-                [
-                    self.problem.inequality_constraints(
-                        Zh[i], self._ref_lane(R, i)
-                    )
-                    for i in range(lanes)
-                ]
-            )
-        p = self.problem
-        if p.n_ineq == 0:
-            return xp.zeros((lanes, 0))
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        parts = []
-        if ent is not None:
-            g = self._fused_run(ent, xs, us, R, full=False)
-            if p._h_state_rows and self.N > 1:
-                parts.append(xp.reshape(g["ineq_state"][:, 1:], (lanes, -1)))
-            if p._h_input_rows:
-                parts.append(xp.reshape(g["ineq_input"], (lanes, -1)))
-            if p._h_term_rows:
-                parts.append(
-                    self._fused_term(ent, xs, R, full=False)["ineq_term"]
-                )
-            return (
-                xp.concatenate(parts, axis=1)
-                if parts
-                else xp.zeros((lanes, 0))
-            )
-        if p._h_state_rows and self.N > 1:
-            ks_in = self._ks(1, self.N)
-            vals = self._v["_h_state"](self._run_cols(xs, us, R, ks_in))
-            parts.append(xp.reshape(vals, (lanes, -1)))
-        if p._h_input_rows:
-            ks = self._ks(0, self.N)
-            vals = self._v["_h_input"](self._run_cols(xs, us, R, ks))
-            parts.append(xp.reshape(vals, (lanes, -1)))
-        if p._h_term_rows:
-            parts.append(self._v["_h_term"](self._term_cols(xs, R)))
-        return (
-            xp.concatenate(parts, axis=1) if parts else xp.zeros((lanes, 0))
-        )
+        return self._lanes.inequality_constraints(Z, ref)
 
     def inequality_jacobian(self, Z, ref: RefLike = None):
-        xp = self.xp
-        Z = xp.asarray(Z)
-        lanes = int(Z.shape[0])
-        R = self.normalize_ref(ref, lanes)
-        if not self.vectorized:
-            Zh = xp.to_host(Z)
-            return self._loop_stack(
-                [
-                    self.problem.inequality_jacobian(
-                        Zh[i], self._ref_lane(R, i)
-                    )
-                    for i in range(lanes)
-                ]
-            )
-        p = self.problem
-        nx, nxu = self.nx, self.nx + self.nu
-        J = xp.zeros((lanes, p.n_ineq, self.nz))
-        if p.n_ineq == 0:
-            return J
-        xs, us = self._split(Z)
-        ent = self._fused_point(Z, ref)
-        fr = (
-            self._fused_run(ent, xs, us, R, full=True)
-            if ent is not None
-            else None
-        )
-        row = 0
-        if p._h_state_rows and self.N > 1:
-            if fr is not None:
-                blk = xp.reshape(
-                    fr["ineq_state_jac"],
-                    (lanes, self.N, p._h_state_rows, nxu),
-                )[:, 1:]
-            else:
-                ks_in = self._ks(1, self.N)
-                blk = self._v["_h_state_jac"](self._run_cols(xs, us, R, ks_in))
-                blk = xp.reshape(
-                    blk, (lanes, self.N - 1, p._h_state_rows, nxu)
-                )
-            for i, k in enumerate(range(1, self.N)):
-                rows = slice(row, row + p._h_state_rows)
-                J[:, rows, self._state_sl(k)] = blk[:, i, :, :nx]
-                J[:, rows, self._input_sl(k)] = blk[:, i, :, nx:]
-                row += p._h_state_rows
-        if p._h_input_rows:
-            if fr is not None:
-                blk = fr["ineq_input_jac"]
-            else:
-                ks = self._ks(0, self.N)
-                blk = self._v["_h_input_jac"](self._run_cols(xs, us, R, ks))
-            blk = xp.reshape(blk, (lanes, self.N, p._h_input_rows, nxu))
-            for k in range(self.N):
-                rows = slice(row, row + p._h_input_rows)
-                J[:, rows, self._state_sl(k)] = blk[:, k, :, :nx]
-                J[:, rows, self._input_sl(k)] = blk[:, k, :, nx:]
-                row += p._h_input_rows
-        if p._h_term_rows:
-            if ent is not None:
-                blk = self._fused_term(ent, xs, R, full=True)["ineq_term_jac"]
-            else:
-                blk = self._v["_h_term_jac"](self._term_cols(xs, R))
-            blk = xp.reshape(blk, (lanes, p._h_term_rows, nx))
-            J[:, row : row + p._h_term_rows, self._state_sl(self.N)] = blk
-        return J
+        return self._lanes.inequality_jacobian(Z, ref)
 
     # -- initialization ----------------------------------------------------
 
@@ -667,10 +201,13 @@ class BatchLinearizer:
         xp = self.xp
         X0 = xp.asarray(x_init)
         lanes = int(X0.shape[0])
-        if not self.vectorized:
+        if self._vec is None:
             X0h = xp.to_host(X0)
-            return self._loop_stack(
-                [self.problem.initial_guess(X0h[i]) for i in range(lanes)]
+            return xp.stack(
+                [
+                    xp.asarray(self.problem.initial_guess(X0h[i]))
+                    for i in range(lanes)
+                ]
             )
         p = self.problem
         u0_h = [float(v) for v in p.model.trim_inputs()]
@@ -685,9 +222,10 @@ class BatchLinearizer:
             xs = xp.empty((lanes, self.N + 1, self.nx))
             xs[:, 0] = X0
             u_cols = [xp.full((lanes,), u0_h[j]) for j in range(self.nu)]
+            step = self._vec.fns["dyn_step"]
             for k in range(self.N):
                 cols = [xs[:, k, i] for i in range(self.nx)] + u_cols
-                xs[:, k + 1] = xp.clip(self._v["_F"](cols), lo, hi)
+                xs[:, k + 1] = xp.clip(step(cols), lo, hi)
         return xp.concatenate(
             [xp.reshape(xs, (lanes, -1)), xp.reshape(us, (lanes, -1))], axis=1
         )

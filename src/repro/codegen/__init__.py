@@ -1,10 +1,12 @@
 """Ahead-of-time fused kernel codegen for the linearization phase.
 
 Walks the retained :class:`~repro.symbolic.compile.CompiledFunction`
-expression DAGs of a transcribed problem and emits one fused,
-horizon-unrolled module per ``(robot, horizon, move_block, dtype)`` key,
-with a content-addressed artifact store, an optional cffi-built C tier,
-and a fallback ladder down to the interpreted per-stage path.  See
+expression DAGs of a transcribed problem and emits one fused module per
+``(robot, horizon, move_block, dtype)`` key whose functions evaluate a
+whole stage family over every stage point in one call, with a
+content-addressed artifact store, an optional cffi-built C tier, and a
+fallback ladder down to the interpreted per-knot provider.  A tier is a
+group provider of the shared assembler (:mod:`repro.linearize`).  See
 DESIGN.md ("Fused kernel codegen") for the architecture.
 """
 
@@ -22,7 +24,6 @@ from .linearizer import (
     CODEGEN_MODES,
     ENV_MODE,
     FusedProblemKernels,
-    ScalarFusedLinearizer,
     resolve_mode,
 )
 from .stats import CodegenStats, FusedFunctionLayout, FusedGroupLayout
@@ -39,7 +40,6 @@ __all__ = [
     "FusedGroupLayout",
     "FusedKernel",
     "FusedProblemKernels",
-    "ScalarFusedLinearizer",
     "StoredModule",
     "build_ir",
     "c_available",

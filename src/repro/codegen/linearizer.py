@@ -1,16 +1,18 @@
-"""Fused-kernel construction and the scalar fused linearizer.
+"""Fused-kernel construction: tier selection, build, and the fused providers.
 
 This is the seam between a :class:`~repro.mpc.transcription.TranscribedProblem`
 and the codegen subsystem.  :class:`FusedProblemKernels` decides the
 evaluation tier (the fallback ladder: C → fused-numpy → interpreted),
-emits/loads the fused module through the content-addressed store, and owns
-the :class:`~repro.codegen.stats.CodegenStats` record.
-:class:`ScalarFusedLinearizer` then mirrors the seven scalar evaluation
-methods of the transcription exactly — same stacking order, same
-sequential objective summation, same per-stage Gauss-Newton contraction,
-same validation errors — so the solver above cannot tell which tier ran.
+emits/loads the fused module through the content-addressed store, owns
+the :class:`~repro.codegen.stats.CodegenStats` record, and hands the tier
+out as a *group provider* (:meth:`FusedProblemKernels.provider`) of the
+shared assembler in :mod:`repro.linearize` — a tier only evaluates; the
+stacking order, objective summation, Gauss-Newton contraction, validation
+errors and point cache live once, in the assembler, so the solver above
+cannot tell which tier ran.
 
-Four fused functions cover the linearization surface:
+Four fused functions cover the linearization surface (their groups are
+:data:`repro.linearize.GROUPS`):
 
 ``fused_run_full``/``fused_term_full``
     everything the SQP linearize block needs (values *and* Jacobian
@@ -19,10 +21,6 @@ Four fused functions cover the linearization surface:
     values only (objective, constraint residuals) — what the merit-function
     line search evaluates at trial points, where computing Jacobians would
     be pure waste.
-
-A small per-point cache keyed by the evaluation point's bytes serves all
-follow-up requests at the same point from one whole-horizon evaluation
-(``cache_hits`` in the stats counts exactly these).
 
 Mode selection (``resolve_mode``): ``auto`` (default) uses fused kernels
 only when the horizon-scaled DAG size clears a cutoff — tiny problems
@@ -37,12 +35,12 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import CodegenError, TranscriptionError
+from repro.errors import CodegenError
+from repro.linearize import GROUPS, fused_function, fused_provider
 
 from .cbackend import CKernel, build_c_kernel, c_available
 from .emit import FunctionGroup, emit_fused_module, module_fingerprint
@@ -55,7 +53,6 @@ __all__ = [
     "ENV_MODE",
     "resolve_mode",
     "FusedProblemKernels",
-    "ScalarFusedLinearizer",
 ]
 
 CODEGEN_MODES = ("auto", "on", "off", "numpy", "c")
@@ -67,51 +64,6 @@ ENV_MODE = "REPRO_CODEGEN"
 #: above ``_AUTO_C_SCORE`` the one-time compiler invocation amortizes.
 _AUTO_NUMPY_SCORE = 4_000
 _AUTO_C_SCORE = 20_000
-
-_RUN_FULL = "fused_run_full"
-_RUN_VALS = "fused_run_vals"
-_TERM_FULL = "fused_term_full"
-_TERM_VALS = "fused_term_vals"
-
-#: (group name, problem attribute) per fused function, in output order.
-_RUN_FULL_GROUPS = (
-    ("dyn_step", "_F"),
-    ("dyn_jac_x", "_A"),
-    ("dyn_jac_u", "_B"),
-    ("cost_run", "_L"),
-    ("cost_run_grad", "_L_grad"),
-    ("pen_run_jac", "_P_run_jac"),
-    ("eq_state", "_g_state"),
-    ("eq_state_jac", "_g_state_jac"),
-    ("eq_input", "_g_input"),
-    ("eq_input_jac", "_g_input_jac"),
-    ("ineq_state", "_h_state"),
-    ("ineq_state_jac", "_h_state_jac"),
-    ("ineq_input", "_h_input"),
-    ("ineq_input_jac", "_h_input_jac"),
-)
-_RUN_VALS_GROUPS = (
-    ("dyn_step", "_F"),
-    ("cost_run", "_L"),
-    ("eq_state", "_g_state"),
-    ("eq_input", "_g_input"),
-    ("ineq_state", "_h_state"),
-    ("ineq_input", "_h_input"),
-)
-_TERM_FULL_GROUPS = (
-    ("cost_term", "_Phi"),
-    ("cost_term_grad", "_Phi_grad"),
-    ("pen_term_jac", "_P_term_jac"),
-    ("eq_term", "_g_term"),
-    ("eq_term_jac", "_g_term_jac"),
-    ("ineq_term", "_h_term"),
-    ("ineq_term_jac", "_h_term_jac"),
-)
-_TERM_VALS_GROUPS = (
-    ("cost_term", "_Phi"),
-    ("eq_term", "_g_term"),
-    ("ineq_term", "_h_term"),
-)
 
 
 def resolve_mode(mode: Optional[str] = None) -> str:
@@ -129,7 +81,7 @@ def resolve_mode(mode: Optional[str] = None) -> str:
 def _problem_score(problem) -> int:
     """Horizon-scaled op-count proxy for the ``auto`` tier decision."""
     total = 0
-    for _, attr in _RUN_FULL_GROUPS:
+    for _, attr, _ in GROUPS["run"]:
         fn = getattr(problem, attr)
         total += sum(fn.op_counts.values())
     return problem.N * total
@@ -199,17 +151,19 @@ class FusedProblemKernels:
         run_vars = [v.name for v in p._stage_vars]
         term_vars = [v.name for v in p._term_vars]
 
-        def groups(spec):
-            return [
+        def spec(family, full, variables):
+            groups = [
                 FunctionGroup(name=g, exprs=tuple(getattr(p, attr).exprs))
-                for g, attr in spec
+                for g, attr, vals in GROUPS[family]
+                if full or vals
             ]
+            return (fused_function(family, full), groups, variables)
 
         return [
-            (_RUN_FULL, groups(_RUN_FULL_GROUPS), run_vars),
-            (_RUN_VALS, groups(_RUN_VALS_GROUPS), run_vars),
-            (_TERM_FULL, groups(_TERM_FULL_GROUPS), term_vars),
-            (_TERM_VALS, groups(_TERM_VALS_GROUPS), term_vars),
+            spec("run", True, run_vars),
+            spec("run", False, run_vars),
+            spec("term", True, term_vars),
+            spec("term", False, term_vars),
         ]
 
     def _build(self, tier: str) -> None:
@@ -263,16 +217,16 @@ class FusedProblemKernels:
     def active(self) -> bool:
         return self._kernel is not None
 
-    def scalar_linearizer(self) -> Optional["ScalarFusedLinearizer"]:
-        if not self.active:
-            return None
-        return ScalarFusedLinearizer(self.problem, self._kernel, self.stats)
-
-    def backend_kernel(self, backend) -> FusedKernel:
-        """Bind the fused module to an array backend (batch path)."""
+    def provider(self, xp=None):
+        """The fused tier as a group provider: the tier's own host kernel
+        (C or numpy) for the scalar lane (``xp=None``), the fused module
+        re-bound to array backend ``xp`` for a batch."""
         if self.module is None:
             raise CodegenError("fused module was not built")
-        return FusedKernel(self.module, backend)
+        kernel = self._kernel if xp is None else FusedKernel(self.module, xp)
+        if isinstance(kernel, CKernel):
+            kernel = _LaneCKernel(kernel)
+        return fused_provider(kernel)
 
     def disable(self, reason: str) -> None:
         self._kernel = None
@@ -280,264 +234,15 @@ class FusedProblemKernels:
         self.stats.fallback_reason = reason
 
 
-class ScalarFusedLinearizer:
-    """Fused twins of the seven scalar evaluation methods.
+class _LaneCKernel:
+    """A :class:`CKernel` fed lane stacks: lanes ravel into its point axis."""
 
-    Calls the fused kernel with whole-horizon ``(N,)`` columns, slices the
-    group stacks back out, and assembles with the exact operations (and
-    operation *order*) of the interpreted methods so results line up
-    bit-for-bit on the C tier and to array-ufunc precision on numpy.
-    """
-
-    _CACHE_CAP = 4  # linearize point + a few merit trial points
-
-    def __init__(self, problem, kernel, stats: CodegenStats) -> None:
-        self.p = problem
+    def __init__(self, kernel: CKernel) -> None:
         self.kernel = kernel
-        self.stats = stats
-        # point cache: (z bytes, ref bytes) -> {fused fn name: group dict}
-        self._cache: "OrderedDict[tuple, dict]" = OrderedDict()
-        # pre-resolved knot slices: the assembly loops below touch these
-        # thousands of times per solve and the bounds checks add up
-        self._sx = [problem.state_slice(k) for k in range(problem.N + 1)]
-        self._su = [problem.input_slice(k) for k in range(problem.N)]
-        # per-stage column index matrices for one-shot fancy scatters: the
-        # stage blocks are disjoint, so a single advanced-index assignment
-        # places the same values the per-stage slice loop would
-        self._xcols = np.stack([np.arange(s.start, s.stop) for s in self._sx])
-        self._ucols = np.stack([np.arange(s.start, s.stop) for s in self._su])
-        self._stage_cols = np.hstack([self._xcols[:-1], self._ucols])
 
-    # -- point plumbing ----------------------------------------------------
-
-    def _ref_matrix(self, ref) -> Optional[np.ndarray]:
-        """Mirror of ``TranscribedProblem._ref_row`` over the whole horizon."""
-        p = self.p
-        if p.nref == 0:
-            return None
-        if ref is None:
-            raise TranscriptionError(
-                f"task {p.task.name!r} requires reference values "
-                f"{p.task.references}"
-            )
-        refm = np.asarray(ref, dtype=float)
-        if refm.shape == (p.nref,):
-            return np.tile(refm, (p.N + 1, 1))
-        if refm.shape == (p.N + 1, p.nref):
-            return refm
-        raise TranscriptionError(
-            f"reference values must have shape ({p.nref},) or "
-            f"({p.N + 1}, {p.nref}), got {refm.shape}"
-        )
-
-    def _point(self, z, ref):
-        p = self.p
-        key = (
-            np.asarray(z, dtype=float).tobytes(),
-            b"" if ref is None else np.asarray(ref, dtype=float).tobytes(),
-        )
-        entry = self._cache.get(key)
-        if entry is None:
-            xs, us = p.split(z)
-            entry = {"xs": xs, "us": us, "R": self._ref_matrix(ref)}
-            self._cache[key] = entry
-            while len(self._cache) > self._CACHE_CAP:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(key)
-        return entry
-
-    def _run_cols(self, entry) -> List[np.ndarray]:
-        p = self.p
-        xs, us, R = entry["xs"], entry["us"], entry["R"]
-        cols = [np.ascontiguousarray(xs[: p.N, i]) for i in range(p.nx)]
-        cols += [np.ascontiguousarray(us[:, j]) for j in range(p.nu)]
-        if p.nref:
-            cols += [np.ascontiguousarray(R[: p.N, r]) for r in range(p.nref)]
-        return cols
-
-    def _term_cols(self, entry) -> List[np.ndarray]:
-        p = self.p
-        xs, R = entry["xs"], entry["R"]
-        cols = [xs[p.N : p.N + 1, i] for i in range(p.nx)]
-        if p.nref:
-            cols += [R[p.N : p.N + 1, r] for r in range(p.nref)]
-        return cols
-
-    def _groups(self, entry, fn_name: str, group: str) -> np.ndarray:
-        """Fetch one group's stack at this point, evaluating fused fns lazily.
-
-        A ``*_full`` evaluation is a superset of the matching ``*_vals``
-        one, so value requests are served from a cached full evaluation
-        when the linearize block already ran at this point.
-        """
-        fulls = {_RUN_VALS: _RUN_FULL, _TERM_VALS: _TERM_FULL}
-        for name in (fulls.get(fn_name, fn_name), fn_name):
-            cached = entry.get(name)
-            if cached is not None and group in cached:
-                self.stats.cache_hits += 1
-                return cached[group]
-        cols = (
-            self._run_cols(entry)
-            if fn_name in (_RUN_FULL, _RUN_VALS)
-            else self._term_cols(entry)
-        )
-        self.stats.cache_misses += 1
-        entry[fn_name] = self.kernel.call(fn_name, cols)
-        return entry[fn_name][group]
-
-    # -- fused method twins ------------------------------------------------
-
-    def objective(self, z, ref=None) -> float:
-        pt = self._point(z, ref)
-        run = self._groups(pt, _RUN_VALS, "cost_run")[:, 0]
-        term = self._groups(pt, _TERM_VALS, "cost_term")[0, 0]
-        # sequential summation, matching the interpreted accumulation order
-        total = 0.0
-        for v in run.tolist():
-            total += v
-        total += float(term)
-        return float(total)
-
-    def objective_gradient(self, z, ref=None) -> np.ndarray:
-        p = self.p
-        pt = self._point(z, ref)
-        gs = self._groups(pt, _RUN_FULL, "cost_run_grad")  # (N, nxu)
-        grad = np.zeros(p.nz)
-        base = (p.N + 1) * p.nx
-        grad[: p.N * p.nx] = gs[:, : p.nx].ravel()
-        grad[base:] = gs[:, p.nx :].ravel()
-        grad[p.N * p.nx : base] += self._groups(pt, _TERM_FULL, "cost_term_grad")[0]
-        return grad
-
-    def objective_gauss_newton(self, z, ref=None) -> np.ndarray:
-        p = self.p
-        pt = self._point(z, ref)
-        H = np.zeros((p.nz, p.nz))
-        nxu = p.nx + p.nu
-        n_run = len(p.w_run)
-        n_term = len(p.w_term)
-        if n_run:
-            Jp_all = self._groups(pt, _RUN_FULL, "pen_run_jac").reshape(
-                p.N, n_run, nxu
-            )
-            # one batched contraction: matmul over a leading stage axis
-            # runs the same per-stage dgemm the scalar loop would, so the
-            # blocks stay bit-identical to the interpreted path
-            blks = 2.0 * (
-                np.ascontiguousarray(Jp_all.transpose(0, 2, 1)) * p.w_run
-            ) @ Jp_all
-            sc = self._stage_cols
-            H[sc[:, :, None], sc[:, None, :]] = blks
-        if n_term:
-            Jp = self._groups(pt, _TERM_FULL, "pen_term_jac").reshape(
-                n_term, p.nx
-            )
-            sN = self._sx[p.N]
-            H[sN, sN] += 2.0 * (Jp.T * p.w_term) @ Jp
-        return H
-
-    def equality_constraints(self, z, x_init, ref=None) -> np.ndarray:
-        p = self.p
-        x_init = np.asarray(x_init, dtype=float)
-        if x_init.shape != (p.nx,):
-            raise TranscriptionError(
-                f"x_init has shape {x_init.shape}, expected ({p.nx},)"
-            )
-        pt = self._point(z, ref)
-        xs = pt["xs"]
-        F = self._groups(pt, _RUN_VALS, "dyn_step")  # (N, nx)
-        parts = [xs[0] - x_init, (xs[1:] - F).ravel()]
-        if p._eq_state_rows and p.N > 1:
-            parts.append(self._groups(pt, _RUN_VALS, "eq_state")[1:].ravel())
-        if p._eq_input_rows:
-            parts.append(self._groups(pt, _RUN_VALS, "eq_input").ravel())
-        if p._eq_term_rows:
-            parts.append(self._groups(pt, _TERM_VALS, "eq_term")[0])
-        return np.concatenate(parts)
-
-    def equality_jacobian(self, z, ref=None) -> np.ndarray:
-        p = self.p
-        pt = self._point(z, ref)
-        nx, nu, nxu = p.nx, p.nu, p.nx + p.nu
-        G = np.zeros((p.n_eq, p.nz))
-        G[:nx, :nx] = np.eye(nx)
-        A = self._groups(pt, _RUN_FULL, "dyn_jac_x").reshape(p.N, nx, nx)
-        B = self._groups(pt, _RUN_FULL, "dyn_jac_u").reshape(p.N, nx, nu)
-        rows = nx + np.arange(p.N * nx).reshape(p.N, nx)[:, :, None]
-        G[rows, self._xcols[1:, None, :]] = np.eye(nx)
-        G[rows, self._xcols[:-1, None, :]] = -A
-        G[rows, self._ucols[:, None, :]] = -B
-        row = nx + p.N * nx
-        if p._eq_state_rows and p.N > 1:
-            J = self._groups(pt, _RUN_FULL, "eq_state_jac").reshape(
-                p.N, p._eq_state_rows, nxu
-            )
-            r = p._eq_state_rows
-            rows = row + np.arange((p.N - 1) * r).reshape(p.N - 1, r)[:, :, None]
-            G[rows, self._xcols[1 : p.N, None, :]] = J[1:, :, :nx]
-            G[rows, self._ucols[1:, None, :]] = J[1:, :, nx:]
-            row += (p.N - 1) * r
-        if p._eq_input_rows:
-            J = self._groups(pt, _RUN_FULL, "eq_input_jac").reshape(
-                p.N, p._eq_input_rows, nxu
-            )
-            r = p._eq_input_rows
-            rows = row + np.arange(p.N * r).reshape(p.N, r)[:, :, None]
-            G[rows, self._xcols[:-1, None, :]] = J[:, :, :nx]
-            G[rows, self._ucols[:, None, :]] = J[:, :, nx:]
-            row += p.N * r
-        if p._eq_term_rows:
-            J = self._groups(pt, _TERM_FULL, "eq_term_jac").reshape(
-                p._eq_term_rows, nx
-            )
-            G[row : row + p._eq_term_rows, self._sx[p.N]] = J
-            row += p._eq_term_rows
-        return G
-
-    def inequality_constraints(self, z, ref=None) -> np.ndarray:
-        p = self.p
-        if p.n_ineq == 0:
-            return np.zeros(0)
-        pt = self._point(z, ref)
-        parts = []
-        if p._h_state_rows and p.N > 1:
-            parts.append(self._groups(pt, _RUN_VALS, "ineq_state")[1:].ravel())
-        if p._h_input_rows:
-            parts.append(self._groups(pt, _RUN_VALS, "ineq_input").ravel())
-        if p._h_term_rows:
-            parts.append(self._groups(pt, _TERM_VALS, "ineq_term")[0])
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def inequality_jacobian(self, z, ref=None) -> np.ndarray:
-        p = self.p
-        J = np.zeros((p.n_ineq, p.nz))
-        if p.n_ineq == 0:
-            return J
-        pt = self._point(z, ref)
-        nx, nxu = p.nx, p.nx + p.nu
-        row = 0
-        if p._h_state_rows and p.N > 1:
-            blk = self._groups(pt, _RUN_FULL, "ineq_state_jac").reshape(
-                p.N, p._h_state_rows, nxu
-            )
-            r = p._h_state_rows
-            rows = row + np.arange((p.N - 1) * r).reshape(p.N - 1, r)[:, :, None]
-            J[rows, self._xcols[1 : p.N, None, :]] = blk[1:, :, :nx]
-            J[rows, self._ucols[1:, None, :]] = blk[1:, :, nx:]
-            row += (p.N - 1) * r
-        if p._h_input_rows:
-            blk = self._groups(pt, _RUN_FULL, "ineq_input_jac").reshape(
-                p.N, p._h_input_rows, nxu
-            )
-            r = p._h_input_rows
-            rows = row + np.arange(p.N * r).reshape(p.N, r)[:, :, None]
-            J[rows, self._xcols[:-1, None, :]] = blk[:, :, :nx]
-            J[rows, self._ucols[:, None, :]] = blk[:, :, nx:]
-            row += p.N * r
-        if p._h_term_rows:
-            blk = self._groups(pt, _TERM_FULL, "ineq_term_jac").reshape(
-                p._h_term_rows, nx
-            )
-            J[row : row + p._h_term_rows, self._sx[p.N]] = blk
-        return J
+    def call(self, fn_name: str, cols) -> Dict[str, np.ndarray]:
+        shape = cols[0].shape
+        if len(shape) == 1:  # already one point axis (the terminal family)
+            return self.kernel.call(fn_name, cols)
+        groups = self.kernel.call(fn_name, [c.reshape(-1) for c in cols])
+        return {g: v.reshape(shape + (-1,)) for g, v in groups.items()}

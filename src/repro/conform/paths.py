@@ -29,11 +29,17 @@ point near the benchmark's operating state:
 gradient, Gauss-Newton blocks, both constraint stacks and Jacobians) at a
 seeded point near the case's initial guess:
 
-* ``interp_linearize`` (baseline): the per-stage interpreted evaluators.
+* ``interp_linearize`` (baseline): interpreted *evaluation* — every stage
+  function called knot by knot on Python floats (codegen ``off``).
 * ``codegen_linearize``: the ahead-of-time fused kernel path
   (:mod:`repro.codegen`, mode ``on`` — best tier available here); the C
   tier is bit-identical to the baseline, the numpy tier agrees to array
   ufunc round-off.
+
+Both paths place what they evaluated through the one shared assembler
+(:mod:`repro.linearize`), so this family is differential in the *kernels*
+(emission, CSE, libm, operation order), not in the scatter; the scatter's
+own oracle is finite differences (``tests/test_linearize_scatter.py``).
 
 ``padded`` family — solve the case's full MPC problem to convergence:
 

@@ -36,9 +36,9 @@ class VectorizationError(TranscriptionError):
     """A compiled stage function could not be re-bound to an array backend
     (missing ufunc twin, malformed generated source, backend rejection).
 
-    The batch linearizer catches exactly this to drop to its per-lane loop
-    fallback; any other exception from vectorization is a genuine bug and
-    propagates."""
+    The batch linearizer catches exactly this to bind the interpreted group
+    provider instead; any other exception from vectorization is a genuine
+    bug and propagates."""
 
 
 class CodegenError(ReproError):

@@ -12,6 +12,14 @@ step, exactly how structure-exploiting MPC solvers (HPMPC, the paper's CPU
 baseline) operate.  All gradients, Jacobians and Hessians are produced by
 symbolic automatic differentiation (§VII), and their exact primitive-op
 counts are exposed for the accelerator compiler and baseline cost models.
+
+Numeric evaluation has two parts.  *Evaluating* the stage functions at a
+point is a group provider's job — this module holds the interpreted one
+(:meth:`TranscribedProblem._interpreted_groups`) and picks between it and
+the fused tiers in :meth:`TranscribedProblem.bind_lanes`.  *Placing* the
+results into the solver's vectors and matrices is the shared assembler
+(:mod:`repro.linearize`); the seven evaluation methods here are its ``B =
+1`` host lane.
 """
 
 from __future__ import annotations
@@ -22,6 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import TranscriptionError
+from repro.linearize import (
+    GROUP_INFO,
+    STATE_ROWS,
+    LaneLinearizer,
+    normalize_ref,
+)
 from repro.mpc.model import RobotModel
 from repro.mpc.task import Task
 from repro.symbolic import (
@@ -113,11 +127,11 @@ class TranscribedProblem:
         self._compute_counts()
 
         #: codegen seam state: mode override (None -> REPRO_CODEGEN / auto),
-        #: lazily-built kernels, and the fused twin of the evaluation methods
+        #: the lazily-built kernels with their stats, and the bound B=1 lane
         self._cg_mode: Optional[str] = None
-        self._cg_built = False
         self._cg_kernels = None
-        self._cg_lin = None
+        self._cg_stats = None
+        self._lanes: Optional[LaneLinearizer] = None
 
     # -- fused-kernel codegen seam ----------------------------------------------
     def set_codegen(self, mode: Optional[str]) -> None:
@@ -127,47 +141,77 @@ class TranscribedProblem:
         the tier under the new mode.
         """
         self._cg_mode = mode
-        self._cg_built = False
-        self._cg_kernels = None
-        self._cg_lin = None
-
-    def _fused_linearizer(self):
-        """The fused evaluation twin, or ``None`` for the interpreted path.
-
-        Built on first use; any failure to build lands on the interpreted
-        path with the reason recorded in :meth:`codegen_stats`.
-        """
-        if not self._cg_built:
-            self._cg_built = True
-            try:
-                from repro.codegen.linearizer import FusedProblemKernels
-
-                self._cg_kernels = FusedProblemKernels(self, self._cg_mode)
-                self._cg_lin = self._cg_kernels.scalar_linearizer()
-            except Exception:
-                self._cg_kernels = None
-                self._cg_lin = None
-        return self._cg_lin
-
-    def _codegen_disable(self, reason: str) -> None:
-        """Drop to the interpreted path permanently for this problem."""
-        self._cg_lin = None
-        if self._cg_kernels is not None:
-            self._cg_kernels.disable(reason)
+        self._cg_kernels = self._cg_stats = self._lanes = None
 
     def codegen_kernels(self):
         """The :class:`~repro.codegen.linearizer.FusedProblemKernels` in use
-        (building them if evaluation has not run yet), or ``None``."""
-        self._fused_linearizer()
+        (building them if evaluation has not run yet), or ``None`` when they
+        could not be built — :meth:`codegen_stats` then says why."""
+        if self._cg_stats is None:
+            from repro.codegen.linearizer import FusedProblemKernels
+            from repro.codegen.stats import CodegenStats
+
+            try:
+                self._cg_kernels = FusedProblemKernels(self, self._cg_mode)
+                self._cg_stats = self._cg_kernels.stats
+            except Exception as exc:
+                self._cg_stats = CodegenStats(
+                    fallback_reason=f"build failed: {exc}"
+                )
         return self._cg_kernels
 
     def codegen_stats(self):
         """Current :class:`~repro.codegen.stats.CodegenStats` snapshot."""
         from repro.codegen.stats import CodegenStats
 
-        if self._cg_kernels is not None:
-            return self._cg_kernels.stats
-        return CodegenStats()
+        return self._cg_stats if self._cg_stats is not None else CodegenStats()
+
+    def bind_lanes(self, xp=None, vectorized=None, reason: str = ""):
+        """Bind the lane-batched linearizer of this problem on ``xp`` — the
+        one place a group provider is chosen.
+
+        ``xp=None`` is the scalar host lane: the codegen tier's own kernel
+        (fused-C or fused-numpy) when one is active, else the interpreted
+        provider.  A batch passes its backend and its vectorized provider
+        and gets the fused module re-bound to that backend when the tier is
+        active; ``vectorized=None`` (with the ``reason`` it could not be
+        built) binds the interpreted provider.  Why a fused tier was not
+        bound is recorded, never dropped: a build failure in
+        :meth:`codegen_stats`, a bind failure in ``fallback_reason``.
+        """
+        from repro.batch.backend import HOST
+
+        scalar, stats = xp is None, None
+        if vectorized is None:
+            provider, tier = self._interpreted_groups, "interpreted"
+        else:
+            provider, tier = vectorized, "vectorized"
+        if scalar or vectorized is not None:
+            kernels = self.codegen_kernels()
+            if scalar:
+                stats = self._cg_stats
+            if kernels is not None and kernels.active:
+                try:
+                    provider = kernels.provider(xp)
+                    tier, stats = "fused", kernels.stats
+                except Exception as exc:
+                    reason = f"bind failed: {exc}"
+        return LaneLinearizer(
+            self, HOST if scalar else xp, provider, tier, stats, reason
+        )
+
+    @property
+    def lanes(self) -> LaneLinearizer:
+        """The B=1 host lane the evaluation methods run on (bound on first
+        use; :meth:`set_codegen` rebinds it)."""
+        if self._lanes is None:
+            self._lanes = self.bind_lanes()
+        return self._lanes
+
+    def _codegen_disable(self, reason: str) -> None:
+        """Drop to the interpreted provider permanently for this problem."""
+        self._cg_kernels.disable(reason)
+        self._lanes = None
 
     # -- decision-vector layout (Eq. 5) -----------------------------------------
     def state_slice(self, k: int) -> slice:
@@ -256,9 +300,7 @@ class TranscribedProblem:
     def split(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Split ``z`` into the state matrix ``(N+1, nx)`` and the *per-step*
         input matrix ``(N, nu)`` (blocked knots are expanded)."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.nz,):
-            raise TranscriptionError(f"z has shape {z.shape}, expected ({self.nz},)")
+        z = self._checked_z(z)
         xs = z[: (self.N + 1) * self.nx].reshape(self.N + 1, self.nx)
         knots = z[(self.N + 1) * self.nx :].reshape(self.n_input_knots, self.nu)
         us = np.repeat(knots, self.move_block, axis=0)[: self.N]
@@ -484,92 +526,95 @@ class TranscribedProblem:
             + self._h_term_rows
         )
 
-    # -- reference handling --------------------------------------------------------
-    def _ref_row(self, ref_values: Optional[np.ndarray], k: int) -> List[float]:
-        if self.nref == 0:
-            return []
-        if ref_values is None:
-            raise TranscriptionError(
-                f"task {self.task.name!r} requires reference values "
-                f"{self.task.references}"
-            )
-        ref = np.asarray(ref_values, dtype=float)
-        if ref.shape == (self.nref,):
-            return ref.tolist()
-        if ref.shape == (self.N + 1, self.nref):
-            return ref[k].tolist()
-        raise TranscriptionError(
-            f"reference values must have shape ({self.nref},) or "
-            f"({self.N + 1}, {self.nref}), got {ref.shape}"
-        )
-
     # -- numeric evaluation over the full z vector ----------------------------------
-    # The inner loops below call the compiled stage functions through the
-    # unchecked ``call_positional`` fast path with plain python floats
-    # (``.tolist()`` rows): per-call input validation on these hot paths
-    # costs more than the generated function bodies themselves.
-    def objective(self, z: np.ndarray, ref: Optional[np.ndarray] = None) -> float:
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.objective(z, ref)
-            except TranscriptionError:
+    # The seven evaluation methods are the B=1 host lane of the shared
+    # assembler (:mod:`repro.linearize`): ``[None]`` in, ``[0]`` out.
+    def _knot_rows(self, xs, us, R) -> List[List[List[float]]]:
+        """Per lane, the positional float arguments of every knot:
+        ``x_k + u_k + ref_k`` for ``k < N`` and ``x_N + ref_N``.  The
+        dynamics functions take the ``x_k + u_k`` prefix."""
+        N = self.N
+        xs, us = xs.tolist(), us.tolist()
+        R = [[[]] * (N + 1)] * len(xs) if R is None else R.tolist()
+        return [
+            [x + u + r for x, u, r in zip(xl, ul, rl)] + [xl[N] + rl[N]]
+            for xl, ul, rl in zip(xs, us, R)
+        ]
+
+    def _interpreted_groups(self, lanes, pt, name) -> Dict[str, object]:
+        """The interpreted group provider: per-knot ``call_positional`` on
+        plain python floats (per-call input validation costs more than the
+        generated bodies).  State rows skip the pinned knot 0."""
+        xp = lanes.xp
+        rows = pt.scratch.get("rows")
+        if rows is None:
+            rows = pt.scratch["rows"] = self._knot_rows(
+                xp.to_host(pt.xs),
+                xp.to_host(pt.us),
+                None if pt.R is None else xp.to_host(pt.R),
+            )
+        family, attr, _ = GROUP_INFO[name]
+        fn = getattr(self, attr)
+        call, n_in = fn.call_positional, fn.n_inputs
+        if family == "term":
+            out = [call(*lane[self.N][:n_in]) for lane in rows]
+        else:
+            ks = range(1 if name in STATE_ROWS else 0, self.N)
+            out = [[call(*lane[k][:n_in]) for k in ks] for lane in rows]
+        return {name: xp.asarray(np.array(out))}
+
+    def _checked_z(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.nz,):
+            raise TranscriptionError(f"z has shape {z.shape}, expected ({self.nz},)")
+        return z
+
+    def _evaluate(self, method: str, z, ref, *x_init):
+        """Run one assembler method on the B=1 lane.  Contract violations
+        raise before any evaluation; a fused kernel that fails at run time
+        drops this problem to the interpreted provider for good."""
+        if ref is not None:
+            ref = np.asarray(ref, dtype=float)
+            if ref.ndim > 2:  # a lane stack is not one lane's reference:
+                ref = [ref]  # rejected per lane, with its own shape
+        args = (self._checked_z(z)[None], *x_init, ref)
+        lanes = self.lanes
+        try:
+            return getattr(lanes, method)(*args)[0]
+        except TranscriptionError:
+            raise
+        except Exception as exc:
+            if lanes.tier == "interpreted":
                 raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
-        total = 0.0
-        for k in range(self.N):
-            total += self._L.call_positional(
-                *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-            )[0]
-        total += self._Phi.call_positional(
-            *xs_l[self.N], *self._ref_row(ref, self.N)
-        )[0]
-        return float(total)
+            self._codegen_disable(f"runtime failure: {exc}")
+            return self._evaluate(method, z, ref, *x_init)
+
+    def objective(self, z: np.ndarray, ref: Optional[np.ndarray] = None) -> float:
+        return float(self._evaluate("objective", z, ref))
 
     def objective_gradient(
         self, z: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.objective_gradient(z, ref)
-            except TranscriptionError:
-                raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
-        grad = np.zeros(self.nz)
-        for k in range(self.N):
-            g = np.array(
-                self._L_grad.call_positional(
-                    *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                )
-            )
-            grad[self.state_slice(k)] += g[: self.nx]
-            grad[self.input_slice(k)] += g[self.nx :]
-        grad[self.state_slice(self.N)] += self._Phi_grad.call_positional(
-            *xs_l[self.N], *self._ref_row(ref, self.N)
-        )
-        return grad
+        return self._evaluate("objective_gradient", z, ref)
 
     def objective_hessian(
         self, z: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Exact block-diagonal objective Hessian (dense assembly)."""
+        from repro.batch.backend import HOST
+
         xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
+        if ref is not None:
+            ref = np.asarray(ref, dtype=float)
+        rows = self._knot_rows(
+            xs[None], us[None], normalize_ref(self, ref, 1, HOST)
+        )[0]
         H = np.zeros((self.nz, self.nz))
         nxu = self.nx + self.nu
         for k in range(self.N):
-            blk = np.array(
-                self._L_hess.call_positional(
-                    *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                )
-            ).reshape(nxu, nxu)
+            blk = np.array(self._L_hess.call_positional(*rows[k])).reshape(
+                nxu, nxu
+            )
             sx, su = self.state_slice(k), self.input_slice(k)
             H[sx, sx.start : sx.stop] += blk[: self.nx, : self.nx]
             H[sx, su.start : su.stop] += blk[: self.nx, self.nx :]
@@ -577,9 +622,7 @@ class TranscribedProblem:
             H[su, su.start : su.stop] += blk[self.nx :, self.nx :]
         sN = self.state_slice(self.N)
         H[sN, sN.start : sN.stop] += np.array(
-            self._Phi_hess.call_positional(
-                *xs_l[self.N], *self._ref_row(ref, self.N)
-            )
+            self._Phi_hess.call_positional(*rows[self.N])
         ).reshape(self.nx, self.nx)
         return H
 
@@ -592,43 +635,7 @@ class TranscribedProblem:
         ``2 w p * grad^2 p`` curvature term; the gradient it implies,
         ``2 Jp^T W p``, is *exact* and equals :meth:`objective_gradient`.
         """
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.objective_gauss_newton(z, ref)
-            except TranscriptionError:
-                raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
-        H = np.zeros((self.nz, self.nz))
-        nxu = self.nx + self.nu
-        n_run = len(self.w_run)
-        n_term = len(self.w_term)
-        for k in range(self.N):
-            if not n_run:
-                break
-            Jp = np.array(
-                self._P_run_jac.call_positional(
-                    *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                )
-            ).reshape(n_run, nxu)
-            blk = 2.0 * (Jp.T * self.w_run) @ Jp
-            sx, su = self.state_slice(k), self.input_slice(k)
-            H[sx, sx] += blk[: self.nx, : self.nx]
-            H[sx, su] += blk[: self.nx, self.nx :]
-            H[su, sx] += blk[self.nx :, : self.nx]
-            H[su, su] += blk[self.nx :, self.nx :]
-        if n_term:
-            Jp = np.array(
-                self._P_term_jac.call_positional(
-                    *xs_l[self.N], *self._ref_row(ref, self.N)
-                )
-            ).reshape(n_term, self.nx)
-            sN = self.state_slice(self.N)
-            H[sN, sN] += 2.0 * (Jp.T * self.w_term) @ Jp
-        return H
+        return self._evaluate("objective_gauss_newton", z, ref)
 
     def equality_constraints(
         self,
@@ -637,205 +644,28 @@ class TranscribedProblem:
         ref: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Stacked ``g(z) = 0``: initial condition, dynamics defects, task eq."""
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.equality_constraints(z, x_init, ref)
-            except TranscriptionError:
-                raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
         x_init = np.asarray(x_init, dtype=float)
         if x_init.shape != (self.nx,):
             raise TranscriptionError(
                 f"x_init has shape {x_init.shape}, expected ({self.nx},)"
             )
-        xs_l, us_l = xs.tolist(), us.tolist()
-        parts = [xs[0] - x_init]
-        for k in range(self.N):
-            nxt = self._F.call_positional(*xs_l[k], *us_l[k])
-            parts.append(xs[k + 1] - nxt)
-        if self._eq_state_rows:
-            for k in range(1, self.N):
-                parts.append(
-                    np.array(
-                        self._g_state.call_positional(
-                            *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                        )
-                    )
-                )
-        if self._eq_input_rows:
-            for k in range(self.N):
-                parts.append(
-                    np.array(
-                        self._g_input.call_positional(
-                            *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                        )
-                    )
-                )
-        if self._eq_term_rows:
-            parts.append(
-                np.array(
-                    self._g_term.call_positional(
-                        *xs_l[self.N], *self._ref_row(ref, self.N)
-                    )
-                )
-            )
-        return np.concatenate(parts)
+        return self._evaluate("equality_constraints", z, ref, x_init[None])
 
     def equality_jacobian(
         self, z: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.equality_jacobian(z, ref)
-            except TranscriptionError:
-                raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
-        G = np.zeros((self.n_eq, self.nz))
-        G[: self.nx, : self.nx] = np.eye(self.nx)
-        row = self.nx
-        for k in range(self.N):
-            A = np.array(self._A.call_positional(*xs_l[k], *us_l[k])).reshape(
-                self.nx, self.nx
-            )
-            B = np.array(self._B.call_positional(*xs_l[k], *us_l[k])).reshape(
-                self.nx, self.nu
-            )
-            rows = slice(row, row + self.nx)
-            G[rows, self.state_slice(k + 1)] = np.eye(self.nx)
-            G[rows, self.state_slice(k)] = -A
-            G[rows, self.input_slice(k)] = -B
-            row += self.nx
-        nxu = self.nx + self.nu
-        if self._eq_state_rows:
-            for k in range(1, self.N):
-                J = np.array(
-                    self._g_state_jac.call_positional(
-                        *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                    )
-                ).reshape(self._eq_state_rows, nxu)
-                rows = slice(row, row + self._eq_state_rows)
-                G[rows, self.state_slice(k)] = J[:, : self.nx]
-                G[rows, self.input_slice(k)] = J[:, self.nx :]
-                row += self._eq_state_rows
-        if self._eq_input_rows:
-            for k in range(self.N):
-                J = np.array(
-                    self._g_input_jac.call_positional(
-                        *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                    )
-                ).reshape(self._eq_input_rows, nxu)
-                rows = slice(row, row + self._eq_input_rows)
-                G[rows, self.state_slice(k)] = J[:, : self.nx]
-                G[rows, self.input_slice(k)] = J[:, self.nx :]
-                row += self._eq_input_rows
-        if self._eq_term_rows:
-            J = np.array(
-                self._g_term_jac.call_positional(
-                    *xs_l[self.N], *self._ref_row(ref, self.N)
-                )
-            ).reshape(self._eq_term_rows, self.nx)
-            G[row : row + self._eq_term_rows, self.state_slice(self.N)] = J
-            row += self._eq_term_rows
-        return G
+        return self._evaluate("equality_jacobian", z, ref)
 
     def inequality_constraints(
         self, z: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Stacked ``h(z) <= 0`` (bounds + task inequality constraints)."""
-        if self.n_ineq == 0:
-            return np.zeros(0)
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.inequality_constraints(z, ref)
-            except TranscriptionError:
-                raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
-        parts = []
-        if self._h_state_rows:
-            for k in range(1, self.N):
-                parts.append(
-                    self._h_state.call_positional(
-                        *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                    )
-                )
-        if self._h_input_rows:
-            for k in range(self.N):
-                parts.append(
-                    self._h_input.call_positional(
-                        *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                    )
-                )
-        if self._h_term_rows:
-            parts.append(
-                self._h_term.call_positional(
-                    *xs_l[self.N], *self._ref_row(ref, self.N)
-                )
-            )
-        return (
-            np.array([v for part in parts for v in part])
-            if parts
-            else np.zeros(0)
-        )
+        return self._evaluate("inequality_constraints", z, ref)
 
     def inequality_jacobian(
         self, z: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        J = np.zeros((self.n_ineq, self.nz))
-        if self.n_ineq == 0:
-            return J
-        fused = self._fused_linearizer()
-        if fused is not None:
-            try:
-                return fused.inequality_jacobian(z, ref)
-            except TranscriptionError:
-                raise
-            except Exception as exc:
-                self._codegen_disable(f"runtime failure: {exc}")
-        xs, us = self.split(z)
-        xs_l, us_l = xs.tolist(), us.tolist()
-        nxu = self.nx + self.nu
-        row = 0
-        if self._h_state_rows:
-            for k in range(1, self.N):
-                blk = np.array(
-                    self._h_state_jac.call_positional(
-                        *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                    )
-                ).reshape(self._h_state_rows, nxu)
-                rows = slice(row, row + self._h_state_rows)
-                J[rows, self.state_slice(k)] = blk[:, : self.nx]
-                J[rows, self.input_slice(k)] = blk[:, self.nx :]
-                row += self._h_state_rows
-        if self._h_input_rows:
-            for k in range(self.N):
-                blk = np.array(
-                    self._h_input_jac.call_positional(
-                        *xs_l[k], *us_l[k], *self._ref_row(ref, k)
-                    )
-                ).reshape(self._h_input_rows, nxu)
-                rows = slice(row, row + self._h_input_rows)
-                J[rows, self.state_slice(k)] = blk[:, : self.nx]
-                J[rows, self.input_slice(k)] = blk[:, self.nx :]
-                row += self._h_input_rows
-        if self._h_term_rows:
-            blk = np.array(
-                self._h_term_jac.call_positional(
-                    *xs_l[self.N], *self._ref_row(ref, self.N)
-                )
-            ).reshape(self._h_term_rows, self.nx)
-            J[row : row + self._h_term_rows, self.state_slice(self.N)] = blk
-        return J
+        return self._evaluate("inequality_jacobian", z, ref)
 
     def _dynamics_contraction_fn(self):
         """Compiled Hessian of ``sigma^T F(x, u)`` over the stage variables.

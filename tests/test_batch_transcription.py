@@ -1,11 +1,12 @@
 """Vectorized linearization: lane-wise agreement with the scalar
 ``TranscribedProblem`` evaluators, compiled-function vectorization, and
-the loop fallback."""
+the interpreted-provider fallback."""
 
 import numpy as np
 import pytest
 
 from repro.batch import BatchLinearizer, vectorize_compiled
+from repro.batch.backend import NumpyBackend
 from repro.batch.transcription import VectorizedFunction
 from repro.robots import build_benchmark
 from repro.symbolic.compile import compile_function
@@ -16,6 +17,14 @@ def mobile():
     bench = build_benchmark("MobileRobot")
     problem = bench.transcribe(horizon=5)
     return bench, problem
+
+
+class NoUfuncBackend(NumpyBackend):
+    """numpy without ufunc twins: no stage function with a ``math`` call
+    can vectorize, so a linearizer binds the interpreted provider."""
+
+    def ufuncs(self):
+        return {}
 
 
 def lanes_for(problem, bench, B, seed=0):
@@ -70,9 +79,12 @@ class TestBatchLinearizer:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_all_evaluators_match_scalar(self, mobile, vectorized):
         bench, problem = mobile
-        lin = BatchLinearizer(problem)
-        if not vectorized:
-            lin.vectorized = False  # exercise the per-lane loop fallback
+        # vectorized=False: bound to the interpreted provider (per-knot
+        # Python floats on the host), as when a function has no ufunc twin
+        lin = BatchLinearizer(
+            problem, backend=None if vectorized else NoUfuncBackend("float64")
+        )
+        assert lin.vectorized is vectorized
         B = 3
         Z, X0 = lanes_for(problem, bench, B)
         R = lin.normalize_ref([bench.ref] * B, B)

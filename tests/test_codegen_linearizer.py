@@ -162,15 +162,15 @@ def test_runtime_failure_falls_back_to_interpreted(mobile):
     problem.set_codegen("off")
     expected = problem.objective(z, bench.ref)
     problem.set_codegen("numpy")
-    lin = problem._fused_linearizer()
-    assert lin is not None
+    assert problem.lanes.tier == "fused"
 
     def boom(*a, **k):
         raise RuntimeError("kernel exploded")
 
-    lin.kernel.call = boom
+    problem.lanes.provider = boom
     assert problem.objective(z, bench.ref) == pytest.approx(expected, abs=1e-12)
-    assert problem._fused_linearizer() is None  # permanently disabled
+    assert problem.lanes.tier == "interpreted"  # permanently disabled
+    assert not problem.codegen_kernels().active
     assert "runtime failure" in problem.codegen_stats().fallback_reason
 
 
@@ -184,8 +184,14 @@ def test_validation_errors_still_raise_through_fused(mobile):
         problem.equality_constraints(z, np.zeros(problem.nx + 1), bench.ref)
     with pytest.raises(TranscriptionError):
         problem.objective(z)  # missing required reference values
+    with pytest.raises(TranscriptionError):
+        problem.objective(z[:-1], bench.ref)  # mis-shaped z
+    stack = np.tile(np.asarray(bench.ref, float), (1, problem.N + 1, 1))
+    with pytest.raises(TranscriptionError, match=r"got \(1, "):
+        problem.objective(z, stack)  # a lane stack is not a scalar reference
     # a contract violation must not tear down the fused path
-    assert problem._fused_linearizer() is not None
+    assert problem.lanes.tier == "fused"
+    assert problem.codegen_kernels().active
 
 
 def test_ipm_solver_surfaces_codegen_stats(mobile):
@@ -221,10 +227,12 @@ class TestBatchFused:
         Z, X0 = self._lanes(bench, problem)
         problem.set_codegen("off")
         plain = BatchLinearizer(problem)
-        assert plain._fused is None
+        assert plain._lanes.tier == "vectorized"
+        assert plain.codegen_stats is None
         problem.set_codegen("numpy")
         fused = BatchLinearizer(problem)
-        assert fused._fused is not None
+        assert fused._lanes.tier == "fused"
+        assert fused.codegen_stats is problem.codegen_stats()
         R = plain.normalize_ref([bench.ref] * Z.shape[0], Z.shape[0])
         pairs = [
             (plain.objective(Z, R), fused.objective(Z, R)),
@@ -306,6 +314,65 @@ class TestBatchFallbackNarrowing:
         from repro.errors import TranscriptionError
 
         assert issubclass(VectorizationError, TranscriptionError)
+
+
+class TestNoSilentTierDrop:
+    """A fused tier that cannot be built or bound lands on the next
+    provider with the reason recorded where the provider is chosen."""
+
+    class _BrokenStore:
+        def __init__(self, *a, **k):
+            raise OSError("cache root is read-only")
+
+    def test_store_that_cannot_open_records_build_failure(
+        self, mobile, monkeypatch
+    ):
+        bench, problem = mobile
+        x0, z = _point(bench, problem)
+        problem.set_codegen("off")
+        expected = problem.objective_gradient(z, bench.ref)
+        monkeypatch.setattr(
+            "repro.codegen.linearizer.ArtifactStore", self._BrokenStore
+        )
+        problem.set_codegen("numpy")
+        assert np.array_equal(problem.objective_gradient(z, bench.ref), expected)
+        assert problem.codegen_kernels() is None
+        assert problem.lanes.tier == "interpreted"
+        stats = problem.codegen_stats()
+        assert stats.kernel == "interpreted"
+        assert stats.fallback_reason.startswith("build failed: ")
+        assert "read-only" in stats.fallback_reason
+
+    def test_store_that_fails_mid_build_records_build_failure(self, mobile):
+        from repro.codegen import ArtifactStore
+
+        class FailingLoad(ArtifactStore):
+            def load(self, key):
+                raise OSError("disk went away")
+
+        _, problem = mobile
+        k = FusedProblemKernels(problem, "numpy", store=FailingLoad())
+        assert not k.active
+        assert k.stats.kernel == "interpreted"
+        assert k.stats.fallback_reason.startswith("build failed: ")
+
+    def test_batch_bind_failure_is_recorded(self, mobile, monkeypatch):
+        bench, problem = mobile
+        problem.set_codegen("numpy")
+        assert problem.codegen_kernels().active
+
+        def cannot_bind(module, backend=None):
+            raise RuntimeError("backend lacks a ufunc")
+
+        monkeypatch.setattr("repro.codegen.linearizer.FusedKernel", cannot_bind)
+        lin = BatchLinearizer(problem)
+        assert lin.vectorized  # still the vectorized provider, not a loop
+        assert lin.fallback_reason.startswith("bind failed: ")
+        assert lin.codegen_stats is None
+        Z = np.stack([_point(bench, problem, seed=s)[1] for s in range(2)])
+        problem.set_codegen("off")
+        want = BatchLinearizer(problem).objective_gradient(Z, bench.ref)
+        assert np.array_equal(lin.objective_gradient(Z, bench.ref), want)
 
 
 def test_codegen_stats_roundtrip():

@@ -15,6 +15,26 @@ it sweeps.  It never materializes a padded ``(B, npad, npad)`` copy of
 ``A`` — in banded mode that copy was the memory wall (at B=4096 on the
 Quadrotor N=30 problem it dwarfed the tiles it was scaffolding for).
 
+``band`` is a promise, and it picks the tiling.  ``band=None`` is one
+dense tile; ``band > 0`` is tiles of ``max(band, MIN_BLOCK)``; ``band=0``
+— a diagonal matrix, which is what ``Φ = H + JᵀWJ`` is for any problem
+with diagonal penalties and box constraints — is the ``nb=1`` tiling: ``n``
+independent 1x1 tiles whose couplings ``C_k`` are identically zero, so
+the tile axis needs no sweep at all.  The factor is then ``sqrt`` of the
+diagonal and every substitution one broadcast multiply by the stored
+reciprocal pivots; entry by entry that is what the tile kernels compute on
+a diagonal tile (their inner products are sums of exact zeros), so the
+lane is bit-identical to the sweep, just without its ``n`` Python column
+steps.  It is stored as tiles all the same (``_D``/``_Dinv`` of shape
+``(B, n, 1, 1)``, ``_C`` empty), so the retry ladder's scatter and the
+flop meters need no second branch.  Like the scalar twin's
+``to_banded(A, band)``, a factor never reads values outside the band it
+was promised: ``band=0`` reads the diagonal only.  (With ``band > 0`` a
+``MIN_BLOCK`` tile happens to cover in-tile entries a too-small hint
+excludes — an accident of the tiling, not part of the contract.  The one
+whole-matrix read is the finiteness guard: a NaN anywhere in a lane's
+input fails that lane, at every band.)
+
 Failure semantics differ from the scalar path by design.  The scalar
 :class:`~repro.mpc.banded.BandedCholeskyFactor` raises
 :class:`~repro.errors.SolverError` on a non-positive pivot; in a batch a
@@ -33,7 +53,8 @@ an already-degraded factor are the one place warnings are muted, and only
 when a flagged lane is actually present.  :func:`robust_factor_batch`
 wraps this with the same escalating-regularization retry ladder as
 ``repro.mpc.qp._robust_factor``, re-factoring only the failed lanes on
-each attempt.
+each attempt; the mute is decided from the ladder's *final* ``ok``, so a
+batch whose bad lanes were all repaired is audible again.
 """
 
 from __future__ import annotations
@@ -112,8 +133,13 @@ class BatchCholeskyFactor:
         Stack of symmetric positive-definite matrices sharing one sparsity
         envelope (same ``band`` for every lane).
     band : int or None
-        Half bandwidth shared by all lanes.  ``None`` selects a single
-        dense block (the batched equivalent of a dense factorization).
+        Half bandwidth shared by all lanes — a promise by the caller:
+        entries beyond it are taken to be zero and are not read (clamped
+        to ``n - 1``).  ``None`` selects a single dense block (the batched
+        equivalent of a dense factorization); ``0`` selects the diagonal
+        lane (``nb=1``: elementwise ``sqrt``, substitutions are one
+        multiply by the stored reciprocals), exactly as the scalar
+        ``BandedCholeskyFactor(to_banded(A, 0))`` reads ``diag(A)`` alone.
     reg : float or (B,) array
         Diagonal regularization, scalar or per-lane.
     backend : str or ArrayBackend, optional
@@ -148,8 +174,43 @@ class BatchCholeskyFactor:
 
         finite = xp.all(xp.isfinite(A), axis=(1, 2))
         self.ok = xp.copy(finite)
+        reg_fill = xp.where(finite, reg_vec, 0.0)[:, None]
+        self._diagonal = self.band == 0 and self.n > 0
+        if self._diagonal:
+            self._factor_diagonal(A, finite, reg_fill)
+        else:
+            self._factor_tiles(A, finite, reg_fill)
+        self._refresh_suppress()
 
-        n = self.n
+    def _factor_diagonal(self, A, finite, reg_fill) -> None:
+        """The ``nb=1`` tiling: ``n`` independent 1x1 tiles whose couplings
+        are identically zero, so the tile axis needs no sweep.  Entry by
+        entry this is the column step of :func:`_cholesky_tiles` and the
+        row step of :func:`_triangular_inverse` with their (all-zero)
+        inner products dropped, hence bit-identical to the tile sweep on
+        a diagonal matrix."""
+        xp, n = self.xp, self.n
+        self.nb, self.K, self.npad = 1, n, n
+        dd = xp.arange(n)
+        # Non-finite lanes factor the identity (bounded placeholders);
+        # their ok flag is already off.
+        d = xp.where(finite[:, None], A[:, dd, dd], 1.0) + reg_fill
+        good = xp.isfinite(d) & (d > 0.0)
+        piv = xp.sqrt(xp.where(good, d, 1.0))
+        inv = 1.0 / piv
+        self._D = piv[:, :, None, None]
+        self._Dinv = inv[:, :, None, None]
+        self._C = xp.empty((self.lanes, 0, 1, 1))
+        self.ok = (
+            self.ok
+            & xp.all(good, axis=1)
+            & xp.all(xp.isfinite(inv), axis=1)
+        )
+
+    def _factor_tiles(self, A, finite, reg_fill) -> None:
+        """The blocked bidiagonal sweep over ``nb x nb`` tiles (dense:
+        one tile; banded: ``nb = max(band, MIN_BLOCK)``)."""
+        xp, n, lanes = self.xp, self.n, self.lanes
         if self.band is None:
             nb = max(n, 1)
         else:
@@ -157,10 +218,7 @@ class BatchCholeskyFactor:
         K = max(1, -(-n // nb))
         npad = K * nb
         self.nb, self.K, self.npad = nb, K, npad
-
-        lanes = self.lanes
         eye_nb = xp.eye(nb)
-        reg_fill = xp.where(finite, reg_vec, 0.0)[:, None]
 
         def diag_tile(k: int):
             """Block ``(k, k)`` of the padded, regularized matrix — built
@@ -220,9 +278,11 @@ class BatchCholeskyFactor:
             tiles_ok = tiles_ok & xp.all(xp.isfinite(C), axis=(1, 2, 3))
         self.ok = self.ok & tiles_ok
 
-        # Solves on a batch with flagged lanes run the flagged lanes'
-        # placeholder tiles too; mute warnings then (and only then) — on
-        # an all-healthy batch, overflow in a solve must stay audible.
+    def _refresh_suppress(self) -> None:
+        """Solves on a batch with flagged lanes run the flagged lanes'
+        placeholder tiles too; mute warnings then (and only then) — on
+        an all-healthy batch, overflow in a solve must stay audible."""
+        xp = self.xp
         self._suppress = (not xp.is_device) and not bool(
             xp.scalar(xp.all(self.ok))
         )
@@ -249,7 +309,18 @@ class BatchCholeskyFactor:
             )
         return b, squeeze
 
+    def _scale(self, b):
+        """``L⁻¹ b`` = ``L⁻ᵀ b`` on the diagonal lane: one broadcast
+        multiply by the stored reciprocal pivots (what the tile matmuls
+        compute there, minus the products with exact zeros)."""
+        b3, squeeze = self._prep_rhs(b)
+        with self._errstate():
+            out = self._Dinv[:, :, 0] * b3
+        return out[:, :, 0] if squeeze else out
+
     def forward(self, b):
+        if self._diagonal:
+            return self._scale(b)
         xp = self.xp
         b3, squeeze = self._prep_rhs(b)
         y = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
@@ -266,6 +337,8 @@ class BatchCholeskyFactor:
         return out[:, :, 0] if squeeze else out
 
     def backward(self, b):
+        if self._diagonal:
+            return self._scale(b)
         xp = self.xp
         b3, squeeze = self._prep_rhs(b)
         x = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
@@ -360,5 +433,7 @@ def robust_factor_batch(
             factor._C[failed] = sub._C
         factor.ok[failed] = sub.ok
         factor.reg[failed] = sub.reg
-        factor._suppress = factor._suppress or sub._suppress
+        # Re-read from the merged ok, not OR-ed over the attempts: a batch
+        # the ladder fully repaired is healthy again and must stay audible.
+        factor._refresh_suppress()
     return factor, current, retries

@@ -6,11 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.batch import BatchCholeskyFactor, robust_factor_batch, solve_qp_batch
+from repro.batch import (
+    BatchCholeskyFactor,
+    CountingBackend,
+    get_backend,
+    robust_factor_batch,
+    solve_qp_batch,
+)
 from repro.batch.backend import HOST
 from repro.batch.linalg import _triangular_inverse
 from repro.errors import SolverError
 from repro.mpc.banded import BandedCholeskyFactor, to_banded
+from tests.test_batch_backend import ALL_BACKENDS
 
 # Both pivots pass the positivity check, yet the forward-substitution
 # sweep of the inverse overflows (1e154 * 1e160 > float max): the sweep
@@ -28,6 +35,14 @@ def spd(n, seed, band=None, scale=1.0):
         L = np.where(mask, L, 0.0)
     L[np.arange(n), np.arange(n)] = 1.0 + np.abs(L[np.arange(n), np.arange(n)])
     return scale * (L @ L.T)
+
+
+def diag_stack(B, n, seed, lo=0.05, hi=5.0):
+    """(B, n, n) stack of exactly diagonal SPD matrices."""
+    d = np.random.default_rng(seed).uniform(lo, hi, size=(B, n))
+    A = np.zeros((B, n, n))
+    A[:, np.arange(n), np.arange(n)] = d
+    return A
 
 
 class TestAgainstScalar:
@@ -219,3 +234,171 @@ class TestOverflowEscape:
             warnings.simplefilter("ignore")
             flagged = BatchCholeskyFactor(np.stack([spd(2, 0), OVERFLOW]))
         assert flagged._suppress is True
+
+
+class TestSuppressFollowsFinalOk:
+    """``_suppress`` is read from the ladder's *final* ``ok``: a batch the
+    ladder fully repaired is healthy again, so overflow in its solves is
+    audible; only a batch still carrying a flagged lane is muted."""
+
+    # diagonal lanes, so both the tile sweep (band=None) and the diagonal
+    # lane (band=0) factor them: healthy / repaired at reg=1e-12 / beyond
+    # the ladder's last rung (1e-12 * 100**14 = 1e16 < 1e30)
+    HEALTHY = np.diag([0.01, 0.02, 0.04])
+    REPAIRABLE = np.diag([0.01, 0.0, 0.04])
+    UNFACTORABLE = -1e30 * np.eye(3)
+
+    @pytest.mark.parametrize("band", [None, 0])
+    def test_repaired_batch_is_audible_again(self, band):
+        A = np.stack([self.HEALTHY, self.REPAIRABLE, self.HEALTHY])
+        fac, _reg, retries = robust_factor_batch(A, 0.0, band=band)
+        assert fac.ok.all() and list(retries) == [0, 1, 0]
+        assert fac._suppress is False
+        with warnings.catch_warnings(record=True) as heard:
+            warnings.simplefilter("always")
+            fac.solve(np.full((3, 3), 1e308))
+        assert any("overflow" in str(w.message) for w in heard)
+
+    @pytest.mark.parametrize("band", [None, 0])
+    def test_still_failed_lane_keeps_solves_muted(self, band):
+        A = np.stack([self.HEALTHY, self.REPAIRABLE, self.UNFACTORABLE])
+        fac, _reg, retries = robust_factor_batch(A, 0.0, band=band)
+        assert list(fac.ok) == [True, True, False]
+        assert retries[1] == 1 and retries[2] == 15
+        assert fac._suppress is True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac.solve(np.full((3, 3), 1e308))
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+class TestDiagonalLane:
+    """``band=0`` is the nb=1 tiling of the same factorization: n 1x1
+    tiles with no couplings, factored and solved without a sweep."""
+
+    def test_bitwise_equal_to_the_tile_sweep(self, name):
+        xp = get_backend(name)
+        B, n = 4, 43  # the fleets' Phi shape: K=3 tiles of 16, 5 padded
+        A = diag_stack(B, n, 11)
+        lane = BatchCholeskyFactor(A, band=0, reg=1e-9, backend=xp)
+        sweep = BatchCholeskyFactor(A, band=1, reg=1e-9, backend=xp)
+        assert (lane.nb, lane.K, lane.npad) == (1, n, n)
+        assert tuple(lane._D.shape) == tuple(lane._Dinv.shape) == (B, n, 1, 1)
+        assert tuple(lane._C.shape) == (B, 0, 1, 1)
+        assert (sweep.nb, sweep.K) == (16, 3)
+        assert lane.banded and lane.factor_flops() == n  # n sqrt, 0 mul
+        assert bool(xp.to_host(lane.ok).all())
+
+        dd = np.arange(sweep.nb)
+        for stack in ("_D", "_Dinv"):
+            tiles = xp.to_host(getattr(sweep, stack))
+            swept = tiles[:, :, dd, dd].reshape(B, -1)[:, :n]
+            assert np.array_equal(
+                xp.to_host(getattr(lane, stack))[:, :, 0, 0], swept
+            )
+        rng = np.random.default_rng(12)
+        for rhs in (rng.normal(size=(B, n)), rng.normal(size=(B, n, 27))):
+            for op in ("forward", "backward", "solve"):
+                got = xp.to_host(getattr(lane, op)(rhs))
+                assert got.shape == rhs.shape
+                assert np.array_equal(
+                    got, xp.to_host(getattr(sweep, op)(rhs))
+                ), op
+
+    def test_failed_lanes_never_touch_their_mates_and_never_warn(self, name):
+        xp = get_backend(name)
+        n = 9
+        mates = diag_stack(2, n, 21)
+        nonpos, nan, inf = (diag_stack(1, n, 22 + i)[0] for i in range(3))
+        nonpos[4, 4] = -2.0
+        nan[2, 2] = np.nan
+        inf[7, 7] = np.inf
+        A = np.stack([mates[0], nonpos, nan, mates[1], inf])
+        b = np.random.default_rng(23).normal(size=(5, n, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac = BatchCholeskyFactor(A, band=0, backend=xp)
+            x = xp.to_host(fac.solve(b))
+            alone = BatchCholeskyFactor(mates, band=0, backend=xp)
+            x_alone = xp.to_host(alone.solve(b[[0, 3]]))
+        assert list(xp.to_host(fac.ok)) == [True, False, False, True, False]
+        for stack in ("_D", "_Dinv"):
+            assert np.array_equal(
+                xp.to_host(getattr(fac, stack))[[0, 3]],
+                xp.to_host(getattr(alone, stack)),
+            )
+        assert np.array_equal(x[[0, 3]], x_alone)
+        # flagged lanes hold bounded placeholders, never inf/nan factors
+        assert np.all(np.isfinite(xp.to_host(fac._Dinv)))
+
+    def test_ladder_repairs_a_zero_pivot_lane_only(self, name):
+        xp = get_backend(name)
+        n = 7
+        A = diag_stack(5, n, 31)
+        A[1, 3, 3] = 0.0  # semidefinite: factors once reg > 0
+        A[2, 3, 3] = 0.0  # the same, but frozen by the caller
+        A[4, 0, 0] = np.inf  # hopeless: fail-fast, like the scalar guard
+        active = xp.asarray([True, True, False, True, True], dtype="bool")
+        fac, reg, retries = robust_factor_batch(
+            A, 0.0, band=0, backend=xp, active=active
+        )
+        assert list(xp.to_host(fac.ok)) == [True, True, False, True, False]
+        assert list(xp.to_host(retries)) == [0, 1, 0, 0, 0]
+        assert list(xp.to_host(reg)[[0, 1, 3]]) == [0.0, 1e-12, 0.0]
+        base = BatchCholeskyFactor(A[[0, 3]], band=0, reg=0.0, backend=xp)
+        for stack in ("_D", "_Dinv"):
+            assert np.array_equal(
+                xp.to_host(getattr(fac, stack))[[0, 3]],
+                xp.to_host(getattr(base, stack)),
+            )
+        x = xp.to_host(fac.solve(np.ones((5, n))))
+        assert np.isclose(x[1, 3], 1e12) and np.all(np.isfinite(x[[0, 1, 3]]))
+
+    def test_band_is_a_promise_band_zero_reads_only_the_diagonal(self, name):
+        # Like the scalar twin's to_banded(A, 0): entries outside the
+        # promised band are not read, whatever they hold.
+        xp = get_backend(name)
+        B, n = 3, 20
+        A = np.stack([spd(n, 50 + i) for i in range(B)])  # dense, not diagonal
+        only_diag = A * np.eye(n)
+        fac = BatchCholeskyFactor(A, band=0, backend=xp)
+        ref = BatchCholeskyFactor(only_diag, band=0, backend=xp)
+        assert np.array_equal(xp.to_host(fac._Dinv), xp.to_host(ref._Dinv))
+        b = np.random.default_rng(51).normal(size=(B, n))
+        x = xp.to_host(fac.solve(b))
+        for i in range(B):
+            scalar = BandedCholeskyFactor(to_banded(A[i], 0))
+            assert np.allclose(x[i], scalar.solve(b[i]), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("band", [0, 1, 99, None])
+    def test_one_by_one_and_empty_systems(self, name, band):
+        xp = get_backend(name)
+        A = np.array([[[4.0]], [[-1.0]], [[0.25]]])
+        fac = BatchCholeskyFactor(A, band=band, backend=xp)
+        assert fac.band == (None if band is None else 0)  # clamped to n-1
+        assert list(xp.to_host(fac.ok)) == [True, False, True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x = xp.to_host(fac.solve(np.ones((3, 1))))
+        assert x.shape == (3, 1) and list(x[[0, 2], 0]) == [0.25, 4.0]
+
+        empty = BatchCholeskyFactor(np.zeros((2, 0, 0)), band=band, backend=xp)
+        assert bool(xp.to_host(empty.ok).all())
+        assert xp.to_host(empty.solve(np.zeros((2, 0)))).shape == (2, 0)
+        assert xp.to_host(empty.solve(np.zeros((2, 0, 4)))).shape == (2, 0, 4)
+
+
+class TestDiagonalLaneStaysOnDevice:
+    def test_single_attempt_factor_and_solves_issue_no_host_sync(self):
+        # Device callers pass attempts=1 (no ladder); the diagonal lane
+        # must then factor and solve without one download or upload.
+        A = diag_stack(4, 12, 41)
+        xp = CountingBackend()
+        A_dev, b_dev = xp.from_host(A), xp.from_host(np.ones((4, 12, 2)))
+        uploads = xp.upload_count
+        fac, _reg, _retries = robust_factor_batch(
+            A_dev, 1e-9, band=0, attempts=1, backend=xp
+        )
+        fac.solve(b_dev)
+        assert fac._diagonal and fac._suppress is False
+        assert xp.sync_count == 0 and xp.upload_count == uploads

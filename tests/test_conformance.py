@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.batch.linalg as batch_linalg
 import repro.mpc.qp as qp_mod
 from repro.conform import (
     CASE_HORIZONS,
@@ -334,6 +335,46 @@ class TestMutationCheck:
         assert replay_file(repro, ledger=LEDGER).status == "fail"
 
         # ...and passes once the mutation is reverted.
+        monkeypatch.undo()
+        assert replay_file(repro, ledger=LEDGER).status == "pass"
+
+    def test_corrupted_batched_factor_is_caught_and_shrunk(
+        self, tmp_path, monkeypatch
+    ):
+        # ROADMAP 6f: the batched factor kernel gets the same check.
+        # MobileRobot's Phi is exactly diagonal, so the corrupted solve runs
+        # on the factor's diagonal lane (and on the Schur tile sweep).
+        healthy_solve = batch_linalg.BatchCholeskyFactor.solve
+
+        def off_by_one_solve(self, b):
+            x = healthy_solve(self, b)
+            x[:, 0] += 1e-4 * (1.0 + abs(x[:, 0]))
+            return x
+
+        monkeypatch.setattr(
+            batch_linalg.BatchCholeskyFactor, "solve", off_by_one_solve
+        )
+        report = run_conformance(
+            n_cases=2,
+            seed=0,
+            robots=["MobileRobot"],
+            paths=["dense_kkt", "batch_qp"],
+            ledger=LEDGER,
+            out_dir=tmp_path,
+        )
+        assert not report.ok and report.n_fail == 2
+
+        repro = report.failure_files[0]
+        doc = json.loads(open(repro).read())
+        assert doc["version"] == FORMAT_VERSION
+        assert [f["path"] for f in doc["failures"]] == ["batch_qp"]
+
+        shrunk = ConformanceCase.from_dict(doc["case"])
+        original = ConformanceCase.from_dict(doc["original_case"])
+        assert shrunk.horizon <= original.horizon
+        assert doc["shrink_checks"] > 0
+
+        assert replay_file(repro, ledger=LEDGER).status == "fail"
         monkeypatch.undo()
         assert replay_file(repro, ledger=LEDGER).status == "pass"
 

@@ -4,7 +4,9 @@
 imports *that checkout's* ``src/`` and ``benchmarks/e2e/workloads.py``, runs
 the workload's set-up and one pass of its ticks, and prints one SHA-256 per
 seed over the raw bytes of every served input of every step (in tick and
-session order) followed by every session's final plan ``z``.  Two checkouts
+session order) followed by every session's final plan ``z`` (on
+``loop-scalar``: every tick's served input, then each robot's final plan).
+Two checkouts
 that print the same digest served bit-identical answers — the check a
 "same arithmetic, fewer operations" solver change is held to (run it once
 with ``--root`` at the parent clone and once at the change).
@@ -49,7 +51,7 @@ def main() -> int:
     parser.add_argument(
         "--workload",
         default="fleet-ragged",
-        choices=("fleet-ragged", "fleet-admm", "fleet-sharded"),
+        choices=("fleet-ragged", "fleet-admm", "fleet-sharded", "loop-scalar"),
     )
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     args = parser.parse_args()
@@ -72,6 +74,8 @@ def main() -> int:
         workload = WORKLOADS[args.workload](seed)
         workload.setup()
         workload.begin_pass()
+        scalar = workload.layout == "scalar"
+        before = workload.counters() if scalar else {}
         digest = hashlib.sha256()
         served = 0
         for index in range(workload.n_ticks):
@@ -81,14 +85,26 @@ def main() -> int:
                     raise SystemExit(f"seed {seed} tick {index}: {step.key} failed")
                 digest.update(np.ascontiguousarray(step.u, dtype=float).tobytes())
                 served += 1
-        sessions = list(workload.lanes)
-        for sid in sessions:
-            plan = workload.engine.get_session(sid).controller.last_result.z
+        if scalar:
+            controllers = [lane["controller"] for lane in workload.lanes]
+        else:
+            controllers = [
+                workload.engine.get_session(sid).controller
+                for sid in workload.lanes
+            ]
+        for controller in controllers:
+            plan = controller.last_result.z
             digest.update(np.ascontiguousarray(plan, dtype=float).tobytes())
+        # the pass's solver counters (scalar only: reading a fleet's adds
+        # to its metrics), so "same digest" and "same work" are one line
+        work = "".join(
+            f" {key}={value - before[key]}"
+            for key, value in (workload.counters() if scalar else {}).items()
+        )
         workload.teardown()
         print(
             f"{args.workload} seed={seed} steps={served} "
-            f"plans={len(sessions)} sha256={digest.hexdigest()}"
+            f"plans={len(controllers)} sha256={digest.hexdigest()}{work}"
         )
     return 0
 

@@ -4,9 +4,11 @@ Solves a batch of same-structure MPC instances as stacked ndarrays:
 batched banded Cholesky (:mod:`~repro.batch.linalg`), a batched
 interior-point QP loop with continuous-batching lane freezing
 (:mod:`~repro.batch.qp`), vectorized linearization
-(:mod:`~repro.batch.transcription`), and a lockstep SQP driver
-(:mod:`~repro.batch.ipm`) that the v2 serve engine
-(:mod:`repro.serve2`) dispatches session groups through.
+(:mod:`~repro.batch.transcription`), and the lane-batched SQP driver
+(:mod:`~repro.batch.ipm`) — the one SQP iteration in the repo: the v2
+serve engine (:mod:`repro.serve2`) dispatches session groups through
+:class:`BatchSolver`, and the scalar
+:class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1`` lane.
 
 Every batch kernel routes its array ops through the array-backend seam
 (:mod:`~repro.batch.backend`): numpy is the always-available reference,

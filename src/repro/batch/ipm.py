@@ -1,60 +1,60 @@
-"""Batched SQP + interior-point solver over stacked MPC instances.
+"""The one SQP driver, over ``B`` lanes, and its batched entry point.
 
-:class:`BatchSolver` runs the same Gauss-Newton SQP iteration as
-:class:`repro.mpc.ipm.InteriorPointSolver` — same linearization, same
-scaled Sl1QP subproblem with the stage-interleaved banded permutation,
-same L1 exact-penalty watchdog line search, same Levenberg adaptation and
-best-iterate restore — but over ``B`` lanes at once:
+:func:`solve_lanes` is the only SQP iteration in the repo — linearize,
+assemble the scaled Sl1QP subproblem in the stage-interleaved banded
+ordering, take the nonlinear KKT measure, adapt the Levenberg damping,
+solve the QP, guard against poisoned steps, globalize with the L1
+exact-penalty watchdog line search, restore a decisively better iterate at
+the cap — with a leading lane axis.  Every lane carries its own penalty
+``rho``, damping ``lm``, merit window, KKT history, Hessian model and
+budget clock; lanes freeze individually on convergence, divergence, or
+budget exhaustion (continuous-batching semantics), and frozen lanes are
+excluded from all later work.
 
-* linearization runs through :class:`~repro.batch.transcription.
-  BatchLinearizer` (one vectorized sweep instead of ``B`` Python loops);
-* the QP subproblems of all active lanes are solved by one
-  :func:`~repro.batch.qp.solve_qp_batch` call sharing a single
-  factorization sweep per interior-point iteration;
-* every lane carries its own penalty ``rho``, damping ``lm``, merit
-  window, KKT history, and budget clock; lanes freeze individually on
-  convergence, divergence, or budget exhaustion (continuous-batching
-  semantics), and frozen lanes are excluded from all later work.
+The two public solvers differ in what they hand the loop, not in the loop:
+:class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1`` host lane (the
+problem's own evaluation methods behind a lane axis, and
+:func:`repro.mpc.qp.solve_qp` lane by lane as the **QP step**);
+:class:`BatchSolver` binds a :class:`~repro.batch.transcription.
+BatchLinearizer` (one vectorized sweep instead of ``B`` Python loops) and
+:func:`~repro.batch.qp.solve_qp_batch` (one factorization sweep per
+interior-point iteration for all active lanes).  Under either,
+``qp_method == "admm"`` runs :func:`repro.firstorder.batch.
+solve_qp_admm_batch`, whose ADMM->IPM rescues go through the QP step.
 
 Array ops route through the :mod:`repro.batch.backend` seam.  The
 host-sync contract on a device backend: the heavy tensors (Hessians,
 Jacobians, constraint stacks, QP iterates) live on the device from
-linearization through the entire QP loop; per SQP iteration the solver
+linearization through the entire QP loop; per SQP iteration the driver
 materializes only the small per-lane reductions the Python bookkeeping
-needs (the KKT residual vector, the scaled gradient for the descent test,
-one merit value per line-search trial).  The inner QP loop itself runs
-with **zero** per-iteration host syncs (see :mod:`repro.batch.qp`).
-Small SQP state (iterates ``Z``, multipliers, penalties, clocks) is
-host-resident — it is touched lane-wise by watchdog windows and budget
-ladders, which are Python decisions.
+needs (the KKT residuals, the gradient rows for the descent test, one
+merit value per line-search trial).  Small SQP state (iterates,
+multipliers, penalties, clocks) is host-resident — watchdog windows and
+budget ladders are Python decisions — and exact/hybrid Hessian lanes are
+evaluated and convexified lane by lane on the host.
 
-Per-lane results come back as ordinary :class:`~repro.mpc.ipm.IPMResult`
-objects, so the serve layer's classification ladder consumes a batched
-lane exactly like a scalar solve.  Intentional deviations from the scalar
-path, each forced by batching:
-
-* only the Gauss-Newton Hessian model is supported (the exact/hybrid
-  contraction is stage-sequential; non-GN robots fall back to scalar
-  solves in the serve integration);
-* a lane whose QP cannot be factorized freezes as ``"diverged"`` instead
-  of raising, because one lane must not abort the batch;
-* ``result.solve_time`` is the *batch* wall clock for every lane — that
-  is the latency each lane actually experienced waiting for the group;
-* state validation is batch-level: any non-finite ``x_init`` or
-  reference raises before the solve starts, as on the scalar path, so
-  callers (the serve engine) pre-filter poisoned lanes.
+Per-lane results are ordinary :class:`~repro.mpc.ipm.IPMResult` objects,
+so the serve layer's classification ladder consumes a batched lane exactly
+like a scalar solve.  What :class:`BatchSolver` does differently from the
+scalar entry point, each forced by batching: only the Gauss-Newton Hessian
+model is accepted (non-GN robots fall back to scalar solves in the serve
+integration); ``result.solve_time`` is the *batch* wall clock for every
+lane — the latency each lane actually experienced waiting for the group;
+and state validation is batch-level — any non-finite ``x_init`` or
+reference raises before the solve starts, so callers (the serve engine)
+pre-filter poisoned lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SolverError, StateValidationError
 from repro.mpc.budget import SolveBudget
 from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import IPMOptions, IPMResult, InteriorPointSolver
+from repro.mpc.ipm import IPMOptions, IPMResult, _convexify
 from repro.mpc.qp import QP_METHODS
 from repro.mpc.transcription import TranscribedProblem
 
@@ -62,7 +62,7 @@ from .backend import HOST, ArrayBackend, get_backend
 from .qp import _maxabs, solve_qp_batch
 from .transcription import BatchLinearizer
 
-__all__ = ["BatchSolveReport", "BatchSolver"]
+__all__ = ["BatchSolveReport", "BatchSolver", "LaneLayout", "solve_lanes"]
 
 
 @dataclass
@@ -94,16 +94,127 @@ class BatchSolveReport:
         )
 
 
-def _kkt_batch(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
-    """Batched twin of ``repro.mpc.ipm._kkt_residual`` (same scaling)."""
+def new_stats() -> Dict[str, object]:
+    """Cumulative per-solver statistics (benchmark harness, fleet
+    telemetry): iteration counts plus per-phase wall time and exact kernel
+    flop totals."""
+    return {
+        "solves": 0,
+        "sqp_iterations": 0,
+        "qp_iterations": 0,
+        "linearize_time": 0.0,
+        "factorize_time": 0.0,
+        "substitute_time": 0.0,
+        "factor_flops": 0,
+        "substitute_flops": 0,
+        "factorizations": 0,
+        "banded_factorizations": 0,
+        #: linearize-phase codegen record (kernel tier, cache counters)
+        "codegen": None,
+    }
+
+
+def absorb_qp_stats(stats, health: SolverHealth, qs) -> None:
+    """Fold one QP attempt's :class:`~repro.mpc.qp.QPStats` into the
+    solver-level counters and the lane's health record — the stalled
+    first-order run of an ADMM->IPM rescue as well as the run that
+    produced the direction, so no attempt's work drops out of telemetry.
+    """
+    stats["factorize_time"] += qs.factorize_time
+    stats["substitute_time"] += qs.substitute_time
+    stats["factor_flops"] += qs.factor_flops
+    stats["substitute_flops"] += qs.substitute_flops
+    stats["factorizations"] += qs.factorizations
+    stats["banded_factorizations"] += qs.banded_factorizations
+    health.factorization_retries += qs.retries
+    health.regularization_max = max(
+        health.regularization_max, qs.regularization_max
+    )
+
+
+class LaneLayout:
+    """What the lane assembly knows about one problem, computed (and
+    uploaded to ``xp``) once per solver: the soft/hard split of the
+    inequality rows (Fletcher Sl1QP: softened rows get L1 slacks in every
+    QP subproblem, so linearized infeasibility at a pinned initial state
+    cannot blow up the duals), the diagonal variable preconditioner
+    ``scale`` (the QP is solved in ``z / scale`` coordinates so damping and
+    regularization act uniformly), and the stage-interleaved permutation
+    ``qperm`` of the QP variables with its band hint — stage order ``[x_0,
+    u_0, x_1, u_1, ..]``, each softened row's slack right after its stage
+    group so the extended condensed matrix stays banded.  ``banded=False``
+    or ``move_block > 1`` (:meth:`TranscribedProblem.stage_permutation`)
+    leaves both ``None``: the dense path.  The ``*_dev`` twins of the host
+    arrays live on ``xp``.
+    """
+
+    def __init__(
+        self,
+        problem: TranscribedProblem,
+        banded: bool,
+        xp: ArrayBackend = HOST,
+    ) -> None:
+        p = problem
+        self.soft = (
+            p.soft_inequality_mask()
+            if p.n_ineq
+            else HOST.zeros((0,), dtype="bool")
+        )
+        self.hard = ~self.soft
+        self.n_soft = int(self.soft.sum())
+        self.scale = p.variable_scales()
+        self.qperm = p.stage_permutation() if banded else None
+        self.bandwidth = None
+        if self.qperm is not None:
+            self.bandwidth = p.kkt_half_bandwidth()
+            if self.n_soft:
+                self._interleave_slacks(p)
+
+        self.soft_dev = xp.asarray(self.soft, dtype="bool")
+        self.hard_dev = xp.asarray(self.hard, dtype="bool")
+        self.scale_dev = xp.asarray(self.scale)
+        self.scale_outer = (
+            self.scale_dev[None, None, :] * self.scale_dev[None, :, None]
+        )
+        self.diag = xp.arange(p.nz)
+        self.qperm_dev = (
+            None if self.qperm is None else xp.asarray(self.qperm, dtype="int")
+        )
+
+    def _interleave_slacks(self, p: TranscribedProblem) -> None:
+        # Stage of each slack, in slack (= soft-row) order.
+        slack_stages = p.inequality_row_stages()[self.soft]
+        nx, nu, N, nz = p.nx, p.nu, p.N, p.nz
+        base = (N + 1) * nx
+        order: List[int] = []
+        max_group = 0
+        for k in range(N + 1):
+            start = len(order)
+            order.extend(range(k * nx, (k + 1) * nx))
+            if k < N:
+                order.extend(range(base + k * nu, base + (k + 1) * nu))
+            order.extend(
+                nz + int(i) for i in HOST.flatnonzero(slack_stages == k)
+            )
+            max_group = max(max_group, len(order) - start)
+        self.qperm = HOST.asarray(order, dtype="int")
+        assert tuple(self.qperm.shape) == (nz + self.n_soft,)
+        self.bandwidth = max(self.bandwidth, max_group - 1)
+
+
+def _kkt_lanes(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
+    """Per-lane scaled max-norm of the nonlinear KKT conditions.
+
+    Dual stationarity and complementarity are divided by the IPOPT-style
+    scaling ``s = max(s_max, mean |multipliers|) / s_max`` so that badly
+    scaled constraint rows (whose multipliers are legitimately huge) do
+    not keep the convergence measure artificially inflated.
+    """
     s_max = 100.0
     n_mult = int(nu.shape[1]) + int(lam.shape[1])
-    if n_mult:
-        mult_mean = (
-            xp.sum(xp.abs(nu), axis=1) + xp.sum(xp.abs(lam), axis=1)
-        ) / n_mult
-    else:
-        mult_mean = xp.zeros((int(nu.shape[0]),))
+    mult_mean = (
+        xp.sum(xp.abs(nu), axis=1) + xp.sum(xp.abs(lam), axis=1)
+    ) / max(n_mult, 1)
     sd = xp.maximum(s_max, mult_mean) / s_max
 
     r_dual = grad + xp.matmul(xp.transpose_last2(G), nu[:, :, None])[:, :, 0]
@@ -112,11 +223,7 @@ def _kkt_batch(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
             r_dual
             + xp.matmul(xp.transpose_last2(J), lam[:, :, None])[:, :, 0]
         )
-        primal_ineq = (
-            xp.max(xp.maximum(h, 0.0), axis=1)
-            if int(h.shape[1])
-            else xp.zeros((int(h.shape[0]),))
-        )
+        primal_ineq = xp.max(xp.maximum(h, 0.0), axis=1)
         comp = _maxabs(xp, lam * h) / sd
         dual_feas = xp.max(xp.maximum(-lam, 0.0), axis=1) / sd
     else:
@@ -130,6 +237,682 @@ def _kkt_batch(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
             dual_feas,
         ]
     )
+
+
+def _merit_lanes(xp, lin, opt, layout, Z, X0, R, rho):
+    """L1 exact-penalty merit function, per lane.
+
+    Equality and hard-inequality violations are weighted by the adaptive
+    ``rho``; softened rows carry the fixed ``soft_penalty`` weight that
+    also prices their slacks inside the QP, so the QP direction is a
+    descent direction for this merit (Fletcher's Sl1QP correspondence).
+    Host iterates in, host ``(merit, weighted_violation)`` rows out (the
+    line search is a host decision ladder).
+    """
+    f = lin.objective(Z, R)
+    g = lin.equality_constraints(Z, X0, R)
+    rho_dev = xp.asarray(rho)
+    viol = rho_dev * xp.sum(xp.abs(g), axis=1)
+    if int(layout.soft.shape[0]):
+        h = lin.inequality_constraints(Z, R)
+        hpos = xp.maximum(h, 0.0)
+        viol = viol + rho_dev * xp.sum(hpos[:, layout.hard_dev], axis=1)
+        viol = viol + opt.soft_penalty * xp.sum(
+            hpos[:, layout.soft_dev], axis=1
+        )
+    return xp.to_host(f + viol), xp.to_host(viol)
+
+
+def linearize_lanes(
+    xp, problem, opt, lin, layout, Z, X0, R, NU, lm, exact, stats=None
+):
+    """Linearize ``k`` lanes at ``Z`` and scale the QP data.
+
+    ``exact`` is the per-lane Hessian-model decision: ``False`` lanes get
+    the linearizer's Gauss-Newton (PSD) Hessian, ``True`` lanes the exact
+    Lagrangian Hessian at their multipliers ``NU`` — convexified on the
+    host ONCE, so the QP receives a fixed PSD Hessian (re-regularizing
+    inside the QP loop would change the subproblem between its own
+    iterations).  ``lm`` is the per-lane Levenberg damping.  Returns the
+    unscaled ``(grad, G, g_eq, J, h)`` for the KKT measure and the scaled
+    ``(Hs, grad_s, Gs, Js)`` (multipliers are scaling-invariant).
+    """
+    t_lin = perf_counter()
+    grad = lin.objective_gradient(Z, R)
+    hess = HOST.flatnonzero(exact)
+    if not hess.size:
+        H = lin.objective_gauss_newton(Z, R)
+    else:
+        H = xp.zeros((int(Z.shape[0]), problem.nz, problem.nz))
+        gn = HOST.flatnonzero(~exact)
+        if gn.size:
+            H[xp.asarray(gn, dtype="int")] = lin.objective_gauss_newton(
+                Z[gn], None if R is None else R[gn]
+            )
+        for j in hess:
+            H[int(j)] = xp.asarray(
+                problem.lagrangian_hessian(
+                    Z[j], NU[j], None if R is None else R[j]
+                )
+            )
+    g_eq = lin.equality_constraints(Z, X0, R)
+    G = lin.equality_jacobian(Z, R)
+    h = lin.inequality_constraints(Z, R)
+    J = lin.inequality_jacobian(Z, R)
+    if stats is not None:
+        stats["linearize_time"] += perf_counter() - t_lin
+
+    scale = layout.scale_dev
+    Hs = H * layout.scale_outer
+    Hs[:, layout.diag, layout.diag] += xp.asarray(lm)[:, None]
+    for j in hess:
+        Hs[int(j)] = xp.asarray(_convexify(xp.to_host(Hs[int(j)])))
+    grad_s = grad * scale
+    Gs = G * scale[None, None, :]
+    Js = J * scale[None, None, :]
+    return (grad, G, g_eq, J, h), (Hs, grad_s, Gs, Js)
+
+
+def subproblem_lanes(xp, opt, layout, Hs, grad_s, Gs, Js, g_eq, h):
+    """Assemble the lanes' SQP subproblems from scaled linearizations.
+
+    Builds the extended (Sl1QP) subproblem when soft rows exist:
+
+        min 1/2 d'Hd + grad'd + rho_s 1't + kappa/2 t't
+        s.t. G d = -g_eq; J_hard d <= -h_hard;
+             J_soft d - t <= -h_soft; t >= 0
+
+    and applies the stage-interleaved variable permutation when the
+    banded path is active.  Backend arrays in and out; returns the ``(H,
+    g, G, b, J, d)`` stacks a QP step takes (``J``/``d`` ``None`` without
+    inequality rows).  Scatter back with ``x[:, layout.qperm] = x_qp``.
+    """
+    k, nz = int(grad_s.shape[0]), int(grad_s.shape[1])
+    m, n_soft = int(h.shape[1]), layout.n_soft
+    if not n_soft:
+        H, g, G = Hs, grad_s, Gs
+        J, d = (Js, -h) if m else (None, None)
+    else:
+        n_hard = m - n_soft
+        rows = slice(n_hard, n_hard + n_soft)
+        hard_dev, soft_dev = layout.hard_dev, layout.soft_dev
+        H = xp.zeros((k, nz + n_soft, nz + n_soft))
+        H[:, :nz, :nz] = Hs
+        se = xp.arange(nz, nz + n_soft)
+        H[:, se, se] = opt.soft_quadratic
+        g = xp.concatenate(
+            [grad_s, xp.full((k, n_soft), opt.soft_penalty)], axis=1
+        )
+        G = xp.concatenate(
+            [Gs, xp.zeros((k, int(Gs.shape[1]), n_soft))], axis=2
+        )
+        J = xp.zeros((k, m + n_soft, nz + n_soft))
+        d = xp.zeros((k, m + n_soft))
+        J[:, :n_hard, :nz] = Js[:, hard_dev]
+        d[:, :n_hard] = -h[:, hard_dev]
+        J[:, rows, :nz] = Js[:, soft_dev]
+        J[:, rows, nz:] = -xp.eye(n_soft)
+        d[:, rows] = -h[:, soft_dev]
+        J[:, n_hard + n_soft :, nz:] = -xp.eye(n_soft)
+    qp_dev = layout.qperm_dev
+    if qp_dev is not None:
+        # Stage-interleave the variables (slacks next to their stage group)
+        # so the condensed system is banded.
+        H, g, G = H[:, qp_dev][:, :, qp_dev], g[:, qp_dev], G[:, :, qp_dev]
+        J = None if J is None else J[:, :, qp_dev]
+    return (H, g, G, -g_eq, J, d)
+
+
+def _warm_rows(values, shape, healths, note, strict=False, floor=None):
+    """Usable rows of one per-lane warm-start sequence, as ``(lane, row)``.
+    A row of the wrong shape is a caller bug for the trajectory
+    (``strict``) and ignored for the multipliers; ``floor`` clamps the
+    inequality multipliers at zero.  A contaminated (non-finite) row is
+    rejected and noted on its lane's health — the lane keeps its fresh
+    seed — never propagated into the linearization."""
+    for lane, value in enumerate(values or ()):
+        if value is None:
+            continue
+        row = HOST.asarray(value)
+        if tuple(row.shape) != shape:
+            if strict:
+                raise SolverError(
+                    f"warm start has shape {tuple(row.shape)}, "
+                    f"expected {shape}"
+                )
+            continue
+        if floor is not None:
+            row = HOST.maximum(row, floor)
+        if bool(HOST.scalar(HOST.all(HOST.isfinite(row)))):
+            yield lane, row
+        else:
+            healths[lane].warm_start_reseeded = True
+            healths[lane].note(note)
+
+
+def solve_lanes(
+    problem: TranscribedProblem,
+    opt: IPMOptions,
+    lin,
+    layout: LaneLayout,
+    qp_step: Callable,
+    stats: Dict[str, object],
+    x_init,
+    R=None,
+    z_warm: Optional[Sequence] = None,
+    nu_warm: Optional[Sequence] = None,
+    lam_warm: Optional[Sequence] = None,
+    budgets: Optional[Sequence[Optional[SolveBudget]]] = None,
+    xp: ArrayBackend = HOST,
+    qp_method: str = "ipm",
+    fault_hooks: Optional[Sequence[Optional[object]]] = None,
+    admm_warm: Optional[List[Optional[dict]]] = None,
+):
+    """Run the SQP iteration over ``B`` lanes; returns ``(results, report)``.
+
+    Args:
+        lin: the linearizer — the seven lane-axis evaluation methods of
+            :class:`repro.linearize.LaneLinearizer` plus ``initial_guess``
+            and ``codegen_stats``.
+        qp_step: the interior-point QP step, ``qp_step(args, bandwidth,
+            deadline, caps, hooks)`` over :func:`subproblem_lanes`' stacks
+            with per-lane iteration ``caps`` and fault ``hooks``, returning
+            a :class:`~repro.batch.qp.BatchQPResult` (an unsolvable lane is
+            status ``"failed"``, never an exception: one lane must not
+            abort the batch).  It solves every ``qp_method == "ipm"``
+            subproblem and every ADMM rescue.
+        stats: the caller's :func:`new_stats` record, accumulated into.
+        x_init / R: measured states ``(B, nx)`` and the normalized
+            reference stack ``(B, N+1, nref)`` (or ``None``), host arrays
+            the caller validated — what a poisoned input turns into
+            differs per entry point.
+        z_warm / nu_warm / lam_warm: optional per-lane warm starts (the
+            shifted previous solution and its multipliers — without them
+            every solve re-learns the dynamics multipliers from zero).
+        budgets: optional per-lane compute allowances.  A budgeted lane
+            stops at the first checkpoint past its limit — overrun bounded
+            by one linearization plus one QP iteration — and reports
+            ``"budget_exhausted"`` with the best partial iterate (usable
+            for real-time-iteration warm starting) instead of raising.
+        fault_hooks: optional per-lane :mod:`repro.faults` solver-layer
+            hooks, threaded into every QP solve of their lane.
+        admm_warm: per-lane ADMM warm state (``{x, z, y, rho}`` rows, or
+            ``None`` for a cold lane), updated in place after every
+            subproblem so a caller can carry it across solves.
+    """
+    t_solve = perf_counter()
+    p, m, nz = problem, problem.n_ineq, problem.nz
+    soft, hard, n_soft = layout.soft, layout.hard, layout.n_soft
+    scale = layout.scale
+    X0 = HOST.asarray(x_init)
+    lanes = int(X0.shape[0])
+    healths = [SolverHealth() for _ in range(lanes)]
+
+    Z = xp.to_host(lin.initial_guess(X0))
+    for lane, row in _warm_rows(
+        z_warm, (nz,), healths, "warm_start_reseeded", strict=True
+    ):
+        Z[lane] = row
+    Z[:, p.state_slice(0)] = X0
+    NU = HOST.zeros((lanes, p.n_eq))
+    for lane, row in _warm_rows(
+        nu_warm, (p.n_eq,), healths, "nu_warm_reseeded"
+    ):
+        NU[lane] = row
+    LAM = HOST.zeros((lanes, m))
+    for lane, row in _warm_rows(
+        lam_warm, (m,), healths, "lam_warm_reseeded", floor=0.0
+    ):
+        LAM[lane] = row
+
+    rho = HOST.full((lanes,), opt.penalty_init)
+    # Levenberg-Marquardt damping adapted on KKT progress: oscillation
+    # (KKT increase) shrinks the step by inflating the Hessian diagonal.
+    lm = HOST.full((lanes,), opt.regularization)
+
+    budgets = [None] * lanes if budgets is None else budgets
+    clocks = [None if bud is None else bud.start() for bud in budgets]
+    deadlines = [None if clock is None else clock.deadline for clock in clocks]
+    qp_caps = [None if bud is None else bud.qp_iterations for bud in budgets]
+    max_outer = HOST.asarray(
+        [
+            opt.max_iterations
+            if bud is None or bud.sqp_iterations is None
+            else min(opt.max_iterations, bud.sqp_iterations)
+            for bud in budgets
+        ],
+        dtype="int",
+    )
+
+    histories: List[List[float]] = [[] for _ in range(lanes)]
+    windows: List[List[float]] = [[] for _ in range(lanes)]
+    status: List[Optional[str]] = [None] * lanes  # None: still iterating
+    active = HOST.ones((lanes,), dtype="bool")
+    iterations = HOST.zeros((lanes,), dtype="int")
+    qp_total = HOST.zeros((lanes,), dtype="int")
+    best_kkt = HOST.full((lanes,), float("inf"))
+    bestZ, bestNU, bestLAM = Z.copy(), NU.copy(), LAM.copy()
+    # The undamped QP multipliers are often the sharper KKT certificate
+    # once the primal step has shrunk.  They are used only for the
+    # convergence measure — adopting them as solver state would
+    # destabilize the damped multiplier iteration.
+    have_cert = HOST.zeros((lanes,), dtype="bool")
+    CERT_NU, CERT_LAM = HOST.zeros_like(NU), HOST.zeros_like(LAM)
+
+    report = BatchSolveReport(lanes=lanes)
+    if admm_warm is None:
+        admm_warm = [None] * lanes
+
+    def freeze(lane: int, verdict: str) -> None:
+        active[lane] = False
+        status[lane] = verdict
+
+    def freeze_cap(lane: int) -> None:
+        # A budget-shortened iteration cap is a budget stop, not the
+        # solver's own ``max_iterations`` verdict.
+        iterations[lane] = int(max_outer[lane])
+        capped = max_outer[lane] < opt.max_iterations
+        freeze(lane, "budget_exhausted" if capped else "max_iterations")
+
+    def qp_left(lane: int, spent=0) -> Optional[int]:
+        """Unspent share of the lane's QP iteration budget (``spent``:
+        iterations not yet booked to ``qp_total``); ``None``: unbudgeted."""
+        if qp_caps[lane] is None:
+            return None
+        return qp_caps[lane] - int(qp_total[lane]) - int(spent)
+
+    def qp_budget(ids, qp_max: int, spent=None):
+        """Per-lane iteration caps of one QP solve."""
+        left = [
+            qp_left(lane, used)
+            for lane, used in zip(ids, spent or [0] * len(ids))
+        ]
+        return HOST.asarray(
+            [qp_max if cap is None else min(qp_max, cap) for cap in left],
+            dtype="int",
+        )
+
+    global_max = int(max_outer.max()) if lanes else 0
+    for it in range(1, global_max + 1):
+        # Loop-top budget ladder (cap bound, then clock).
+        for lane in HOST.flatnonzero(active).tolist():
+            if it > max_outer[lane]:
+                freeze_cap(lane)
+            elif clocks[lane] is not None and (
+                clocks[lane].expired()
+                or clocks[lane].qp_exhausted(int(qp_total[lane]))
+            ):
+                freeze(lane, "budget_exhausted")
+                iterations[lane] = it - 1
+        idx = HOST.flatnonzero(active)
+        if not idx.size:
+            break
+        iterations[idx] = it
+        report.sqp_lane_iterations += int(idx.size)
+        report.sqp_lane_slots += lanes
+
+        # Per-lane Hessian model: "hybrid" is Gauss-Newton (PSD, robust
+        # far from the solution) until the lane's KKT residual falls below
+        # ``hybrid_switch``, then exact.
+        exact = HOST.asarray(
+            [
+                opt.hessian == "exact"
+                or (
+                    opt.hessian == "hybrid"
+                    and bool(histories[lane])
+                    and histories[lane][-1] < opt.hybrid_switch
+                )
+                for lane in idx.tolist()
+            ],
+            dtype="bool",
+        )
+        (grad, G, g_eq, J, h), scaled = linearize_lanes(
+            xp, p, opt, lin, layout,
+            Z[idx], X0[idx], None if R is None else R[idx],
+            NU[idx], lm[idx], exact, stats,
+        )
+
+        # The per-iteration host materialization: the KKT reductions
+        # plus the gradient rows for the descent test.
+        kkt_dev = _kkt_lanes(
+            xp, grad, G, g_eq, J, h,
+            xp.asarray(NU[idx]), xp.asarray(LAM[idx]),
+        )
+        certs = have_cert[idx]
+        if certs.any():
+            kkt_cert = _kkt_lanes(
+                xp, grad, G, g_eq, J, h,
+                xp.asarray(CERT_NU[idx]), xp.asarray(CERT_LAM[idx]),
+            )
+            kkt_dev = xp.where(
+                xp.asarray(certs, dtype="bool"),
+                xp.minimum(kkt_dev, kkt_cert),
+                kkt_dev,
+            )
+        kkt = xp.to_host(kkt_dev)
+        grad_h = xp.to_host(grad)
+        for k_l, lane in enumerate(idx.tolist()):
+            hist = histories[lane]
+            hist.append(float(kkt[k_l]))
+            if kkt[k_l] < best_kkt[lane]:
+                best_kkt[lane] = kkt[k_l]
+                bestZ[lane], bestNU[lane], bestLAM[lane] = (
+                    Z[lane], NU[lane], LAM[lane],
+                )
+            if kkt[k_l] < opt.tolerance:
+                freeze(lane, "converged")
+            elif len(hist) > 1:
+                if hist[-1] > hist[-2]:
+                    lm[lane] = min(lm[lane] * 10.0, 1e2)
+                else:
+                    lm[lane] = max(lm[lane] / 3.0, opt.regularization)
+
+        w = HOST.flatnonzero(active[idx])
+        if not w.size:
+            continue
+        gl = idx[w]  # global lane ids of the working sub-batch
+        ids = gl.tolist()
+        k = len(ids)
+        w_dev = xp.asarray(w, dtype="int")
+        hooks = fault_hooks and [fault_hooks[lane] for lane in ids]
+
+        qp_args = subproblem_lanes(
+            xp, opt, layout,
+            *(a[w_dev] for a in scaled), g_eq[w_dev], h[w_dev],
+        )
+        # The earliest deadline of the sub-batch stops its QP solve, and
+        # each lane gets only the unspent share of its inner-iteration
+        # budget (the loop-top check guarantees it is >= 1 here).
+        deadline = min(
+            (deadlines[lane] for lane in ids if deadlines[lane] is not None),
+            default=None,
+        )
+        starved: List[int] = []  # wanted an ADMM rescue, no budget for it
+        if qp_method == "admm":
+            # Lazy: repro.firstorder.batch reaches back into repro.batch
+            # for the seam, so a module-level import would be a cycle.
+            from repro.firstorder.batch import solve_qp_admm_batch
+
+            # ADMM counts its own (cheaper) iterations against the budget.
+            qp = solve_qp_admm_batch(
+                *(None if a is None else xp.to_host(a) for a in qp_args),
+                opt.qp,
+                deadline=deadline,
+                iteration_caps=qp_budget(ids, opt.qp.admm_max_iterations),
+                backend=xp,
+                warm=_stack_admm_warm(
+                    admm_warm, ids, qp_args, opt.qp.admm_rho
+                ),
+                fault_hooks=hooks,
+            )
+            if qp.warm is not None:
+                # its iterate triple + adapted rho seed the next subproblem
+                for k_l, lane in enumerate(ids):
+                    admm_warm[lane] = {
+                        key: rows[k_l] for key, rows in qp.warm.items()
+                    }
+
+            # ---- method-health fallback ladder (lane-scatter rescue) --
+            # Lanes whose first-order run ended stalled, diverged, or
+            # failed (and that the rescue polish could not repair) are
+            # gathered, re-solved through the caller's interior-point QP
+            # step and scattered back before the post-QP ladder
+            # classifies them.  Deadline-stopped lanes are left alone
+            # (rescue work past a deadline breaks the budget contract); a
+            # lane whose stalled run ate its whole QP iteration budget is
+            # *starved*: no rescue, its stalled direction discarded below.
+            # Warm-start hygiene: the ADMM triple means nothing to the
+            # IPM and a later ADMM solve must never resume from the
+            # stalled iterate, so a rescued lane's ``admm_warm`` is
+            # dropped (its next ADMM solve starts cold).
+            resc: List[int] = []
+            for k_l, lane in enumerate(ids if opt.qp.admm_fallback else ()):
+                cond = qp.stats[k_l].conditioning
+                wants = qp.status[k_l] == "failed" or (
+                    cond is not None and cond.needs_fallback
+                )
+                if not wants or bool(qp.budget_exhausted[k_l]):
+                    continue
+                if clocks[lane] is not None and clocks[lane].expired():
+                    continue
+                left = qp_left(lane, qp.iterations[k_l])
+                if left is not None and left < 1:
+                    starved.append(k_l)
+                else:
+                    resc.append(k_l)
+            if resc:
+                r_dev = xp.asarray(
+                    HOST.asarray(resc, dtype="int"), dtype="int"
+                )
+                rqp = qp_step(
+                    tuple(None if a is None else a[r_dev] for a in qp_args),
+                    layout.bandwidth,
+                    deadline,
+                    qp_budget(
+                        [ids[k_l] for k_l in resc],
+                        opt.qp.max_iterations,
+                        [qp.iterations[k_l] for k_l in resc],
+                    ),
+                    None if hooks is None else [hooks[k_l] for k_l in resc],
+                )
+                report.qp_lane_iterations += rqp.batch.lane_iterations
+                report.qp_lane_slots += rqp.batch.lane_slots
+                for j, k_l in enumerate(resc):
+                    lane = ids[k_l]
+                    healths[lane].method_fallbacks += 1
+                    healths[lane].note(f"admm_fallback_it{it}")
+                    admm_warm[lane] = None
+                    # book the stalled attempt; the rescue stands in for it
+                    absorb_qp_stats(stats, healths[lane], qp.stats[k_l])
+                    qp.stats[k_l] = rqp.stats[j]
+                    qp.x[k_l], qp.nu[k_l], qp.lam[k_l] = (
+                        rqp.x[j], rqp.nu[j], rqp.lam[j],
+                    )
+                    qp.status[k_l] = rqp.status[j]
+                    qp.budget_exhausted[k_l] = rqp.budget_exhausted[j]
+                    qp.iterations[k_l] += int(rqp.iterations[j])
+        else:
+            qp = qp_step(
+                qp_args,
+                layout.bandwidth,
+                deadline,
+                qp_budget(ids, opt.qp.max_iterations),
+                hooks,
+            )
+
+        # Scatter the stage-interleaved solution back to the original
+        # variable order (multipliers are unaffected by it) and the
+        # extended rows back to the problem's.
+        X_qp = qp_x = HOST.asarray(qp.x)
+        NU_QP = HOST.asarray(qp.nu)
+        LAM_QP = qp_lam = HOST.asarray(qp.lam)
+        if layout.qperm is not None:
+            X_qp = HOST.empty(tuple(qp_x.shape))
+            X_qp[:, layout.qperm] = qp_x
+        D = X_qp[:, :nz] * scale
+        if n_soft:
+            n_hard = m - n_soft
+            LAM_QP = HOST.zeros((k, m))
+            LAM_QP[:, hard] = qp_lam[:, :n_hard]
+            LAM_QP[:, soft] = qp_lam[:, n_hard : n_hard + n_soft]
+
+        report.qp_lane_iterations += qp.batch.lane_iterations
+        report.qp_lane_slots += qp.batch.lane_slots
+        finite = (
+            HOST.all(HOST.isfinite(D), axis=1)
+            & HOST.all(HOST.isfinite(NU_QP), axis=1)
+            & HOST.all(HOST.isfinite(LAM_QP), axis=1)
+        )
+        # Per-lane post-QP ladder: starved rescue -> budget stop; a QP
+        # that cannot even be factorized -> a structured "diverged" on the
+        # last globalized iterate; deadline passed mid-QP -> budget stop
+        # (the direction is a partial, possibly zero, interior-point
+        # iterate: not worth line-searching past the deadline);
+        # non-finite direction or multipliers -> rejected (NaN merit
+        # values would silently accept the step), damping escalated and
+        # the lane re-linearized, diverged at maximum damping.
+        proceed = HOST.ones((k,), dtype="bool")
+        for k_l, lane in enumerate(ids):
+            qp_total[lane] += int(qp.iterations[k_l])
+            absorb_qp_stats(stats, healths[lane], qp.stats[k_l])
+            proceed[k_l] = False
+            if k_l in starved:
+                freeze(lane, "budget_exhausted")
+            elif qp.status[k_l] == "failed":
+                healths[lane].note(f"qp_failed_it{it}")
+                freeze(lane, "diverged")
+            elif clocks[lane] is not None and (
+                bool(qp.budget_exhausted[k_l]) or clocks[lane].expired()
+            ):
+                freeze(lane, "budget_exhausted")
+            elif not finite[k_l]:
+                healths[lane].steps_rejected += 1
+                healths[lane].note(f"nonfinite_step_it{it}")
+                if lm[lane] >= 1e2:
+                    freeze(lane, "diverged")
+                else:
+                    lm[lane] = min(lm[lane] * 100.0, 1e2)
+            else:
+                proceed[k_l] = True
+
+        ls = HOST.flatnonzero(proceed)
+        if not ls.size:
+            continue
+        ll = gl[ls]  # lanes entering the line search
+        Dl, NU_l, LAM_l = D[ls], NU_QP[ls], LAM_QP[ls]
+        Rl = R[ll] if R is not None else None
+
+        # -- L1 exact-penalty merit line search ------------------------
+        mult_inf = HOST.maximum(
+            HOST.maximum(_maxabs(HOST, NU_l), _maxabs(HOST, LAM_l)),
+            opt.penalty_init,
+        )
+        for k_l, lane in enumerate(ll.tolist()):
+            if rho[lane] < 2.0 * mult_inf[k_l]:
+                rho[lane] = max(rho[lane], 2.0 * mult_inf[k_l])
+                windows[lane].clear()  # the merit scale changed
+        merit0, viol0 = _merit_lanes(
+            xp, lin, opt, layout, Z[ll], X0[ll], Rl, rho[ll]
+        )
+        # Non-monotone acceptance: against the maximum merit of the last
+        # ``watchdog`` iterations (breaks Maratos-effect cycling).
+        merit_ref = HOST.empty((int(ls.size),))
+        for k_l, lane in enumerate(ll.tolist()):
+            windows[lane].append(float(merit0[k_l]))
+            if len(windows[lane]) > opt.watchdog:
+                windows[lane].pop(0)
+            merit_ref[k_l] = max(windows[lane])
+        # Directional derivative estimate of the merit: the QP direction
+        # removes the linearized violation entirely.
+        descent = HOST.einsum("bi,bi->b", grad_h[w][ls], Dl) - viol0
+        # Trust-region-style cap on the scaled step (``step_clip``).
+        step_inf = _maxabs(HOST, Dl / scale)
+        moving = step_inf > 0.0
+        with HOST.errstate():
+            alpha = HOST.where(
+                moving,
+                HOST.minimum(
+                    1.0, opt.step_clip / HOST.where(moving, step_inf, 1.0)
+                ),
+                1.0,
+            )
+        accepted = HOST.zeros((int(ls.size),), dtype="bool")
+        floor = opt.armijo * HOST.minimum(descent, 0.0)
+        for _ in range(opt.max_backtracks):
+            un = HOST.flatnonzero(~accepted)
+            if not un.size:
+                break
+            merit_t, _ = _merit_lanes(
+                xp, lin, opt, layout,
+                Z[ll[un]] + alpha[un, None] * Dl[un],
+                X0[ll[un]],
+                Rl[un] if Rl is not None else None,
+                rho[ll[un]],
+            )
+            passed = merit_t <= merit_ref[un] + alpha[un] * floor[un]
+            accepted[un[passed]] = True
+            alpha[un[~passed]] *= 0.5
+
+        # Damped multiplier update (tracks the primal step length); the
+        # raw QP estimates are also kept as the sharper KKT certificate.
+        Z[ll] = Z[ll] + alpha[:, None] * Dl
+        NU[ll] = NU[ll] + alpha[:, None] * (NU_l - NU[ll])
+        LAM[ll] = LAM[ll] + alpha[:, None] * (LAM_l - LAM[ll])
+        CERT_NU[ll], CERT_LAM[ll], have_cert[ll] = NU_l, LAM_l, True
+
+    # Lanes still iterating after their last permitted iteration.
+    for lane in HOST.flatnonzero(active).tolist():
+        freeze_cap(lane)
+
+    stats["solves"] += lanes
+    stats["sqp_iterations"] += int(iterations.sum())
+    stats["qp_iterations"] += int(qp_total.sum())
+    if lin.codegen_stats is not None:
+        stats["codegen"] = lin.codegen_stats.as_dict()
+
+    wall = perf_counter() - t_solve
+    objectives = xp.to_host(lin.objective(Z, R))
+    results: List[IPMResult] = []
+    for lane in range(lanes):
+        hist = histories[lane]
+        # On an unconverged exit, restore an earlier iterate only when it
+        # was *decisively* better — otherwise keep the last one so
+        # warm-started receding-horizon use accumulates progress across
+        # control steps (real-time-iteration behavior) instead of
+        # freezing on a noisy KKT monitor.
+        if (
+            status[lane] != "converged"
+            and hist
+            and best_kkt[lane] < 0.1 * hist[-1]
+        ):
+            Z[lane], NU[lane], LAM[lane] = (
+                bestZ[lane], bestNU[lane], bestLAM[lane],
+            )
+            hist[-1] = float(best_kkt[lane])
+            objectives[lane] = p.objective(
+                Z[lane], R[lane] if R is not None else None
+            )
+        results.append(
+            IPMResult(
+                z=Z[lane].copy(),
+                converged=status[lane] == "converged",
+                iterations=int(iterations[lane]),
+                qp_iterations=int(qp_total[lane]),
+                objective=float(objectives[lane]),
+                kkt_residual=hist[-1] if hist else float("inf"),
+                residual_history=hist,
+                nu=NU[lane].copy(),
+                lam=LAM[lane].copy() if m else None,
+                status=status[lane],
+                solve_time=wall,
+                health=healths[lane],
+            )
+        )
+    return results, report
+
+
+def _stack_admm_warm(admm_warm, ids, qp_args, rho0: float) -> Optional[dict]:
+    """The sub-batch ``ids``' rows of the per-lane ADMM warm state as the
+    ``{x, z, y, rho}`` stacks ``solve_qp_admm_batch`` takes; ``None`` when
+    every lane is cold.  A cold lane among warm ones rides along on the
+    cold-start pattern (zero iterates, the configured rho)."""
+    rows = [admm_warm[lane] for lane in ids]
+    if all(row is None for row in rows):
+        return None
+    _, g, _, b, _, d = qp_args
+    k, n = int(g.shape[0]), int(g.shape[1])
+    msz = int(b.shape[1]) + (0 if d is None else int(d.shape[1]))
+    warm = {
+        "x": HOST.zeros((k, n)),
+        "z": HOST.zeros((k, msz)),
+        "y": HOST.zeros((k, msz)),
+        "rho": HOST.full((k,), rho0),
+    }
+    for k_l, row in enumerate(rows):
+        if row is not None:
+            for key, stack in warm.items():
+                stack[k_l] = row[key]
+    return warm
 
 
 class BatchSolver:
@@ -169,27 +952,11 @@ class BatchSolver:
         #: batched twin of ``InteriorPointSolver.fault_hook``.  Only ADMM
         #: lanes consult them (the batched IPM has no hook points yet).
         self.fault_hooks: Optional[Sequence[Optional[object]]] = None
-        # Structure donor: reuses the scalar solver's stage-interleaved
-        # permutations and band hints so both paths condense identically.
-        self._donor = InteriorPointSolver(problem, self.options)
+        self.layout = LaneLayout(problem, self.options.banded, self.xp)
         self.lin = BatchLinearizer(problem, backend=self.xp)
         #: cumulative statistics with the scalar solver's keys, so fleet
         #: telemetry absorbs a batch solver like any other
-        self.stats: Dict[str, float] = {
-            "solves": 0,
-            "sqp_iterations": 0,
-            "qp_iterations": 0,
-            "linearize_time": 0.0,
-            "factorize_time": 0.0,
-            "substitute_time": 0.0,
-            "factor_flops": 0,
-            "substitute_flops": 0,
-            "factorizations": 0,
-            "banded_factorizations": 0,
-            # linearize-phase codegen record (kernel tier, cache counters);
-            # None while the batch linearizer runs without fused kernels
-            "codegen": None,
-        }
+        self.stats = new_stats()
         self.last_report: Optional[BatchSolveReport] = None
 
     # -- serve adapter -----------------------------------------------------
@@ -222,6 +989,17 @@ class BatchSolver:
 
     # -- the batched solve -------------------------------------------------
 
+    def _qp_step(self, args, bandwidth, deadline, caps, hooks):
+        """The batched QP step: one lockstep Mehrotra loop for the lanes."""
+        return solve_qp_batch(
+            *args,
+            self.options.qp,
+            bandwidth=bandwidth,
+            deadline=deadline,
+            iteration_caps=caps,
+            backend=self.xp,
+        )
+
     def solve(
         self,
         x_init,
@@ -236,706 +1014,30 @@ class BatchSolver:
         ``results`` is a list of per-lane :class:`IPMResult`; ``report`` a
         :class:`BatchSolveReport` with lane-occupancy telemetry.
         """
-        t_solve = perf_counter()
-        p = self.problem
-        opt = self.options
-        xp = self.xp
         X0 = HOST.asarray(x_init)
-        if X0.ndim != 2 or X0.shape[1] != p.nx:
+        if X0.ndim != 2 or X0.shape[1] != self.problem.nx:
             raise SolverError(
-                f"x_init must be (B, {p.nx}), got shape {tuple(X0.shape)}"
+                f"x_init must be (B, {self.problem.nx}), "
+                f"got shape {tuple(X0.shape)}"
             )
-        lanes = int(X0.shape[0])
         if not bool(HOST.scalar(HOST.all(HOST.isfinite(X0)))):
             raise StateValidationError(
                 "batched x_init contains non-finite entries; "
                 "pre-filter poisoned lanes before batching"
             )
-        R_dev = self.lin.normalize_ref(refs, lanes)
-        R = None if R_dev is None else xp.to_host(R_dev)
+        R_dev = self.lin.normalize_ref(refs, int(X0.shape[0]))
+        R = None if R_dev is None else self.xp.to_host(R_dev)
         if R is not None and not bool(HOST.scalar(HOST.all(HOST.isfinite(R)))):
             raise StateValidationError(
                 "batched reference contains non-finite entries"
             )
-
-        healths = [SolverHealth() for _ in range(lanes)]
-
-        # Per-lane warm starts (scalar validation rules, applied lane-wise).
-        Z = xp.to_host(self.lin.initial_guess(X0))
-        if z_warm is not None:
-            for lane, zw in enumerate(z_warm):
-                if zw is None:
-                    continue
-                zw = HOST.asarray(zw)
-                if tuple(zw.shape) != (p.nz,):
-                    raise SolverError(
-                        f"warm start has shape {tuple(zw.shape)}, "
-                        f"expected ({p.nz},)"
-                    )
-                if bool(HOST.scalar(HOST.all(HOST.isfinite(zw)))):
-                    Z[lane] = zw
-                else:
-                    healths[lane].warm_start_reseeded = True
-                    healths[lane].note("warm_start_reseeded")
-        Z[:, p.state_slice(0)] = X0
-
-        m = p.n_ineq
-        NU = HOST.zeros((lanes, p.n_eq))
-        if nu_warm is not None:
-            for lane, nw in enumerate(nu_warm):
-                if nw is None:
-                    continue
-                arr = HOST.asarray(nw)
-                if tuple(arr.shape) == (p.n_eq,):
-                    if bool(HOST.scalar(HOST.all(HOST.isfinite(arr)))):
-                        NU[lane] = arr
-                    else:
-                        healths[lane].warm_start_reseeded = True
-                        healths[lane].note("nu_warm_reseeded")
-        LAM = HOST.zeros((lanes, m))
-        if lam_warm is not None:
-            for lane, lw in enumerate(lam_warm):
-                if lw is None:
-                    continue
-                arr = HOST.asarray(lw)
-                if tuple(arr.shape) == (m,):
-                    arr = HOST.maximum(arr, 0.0)
-                    if bool(HOST.scalar(HOST.all(HOST.isfinite(arr)))):
-                        LAM[lane] = arr
-                    else:
-                        healths[lane].warm_start_reseeded = True
-                        healths[lane].note("lam_warm_reseeded")
-
-        rho = HOST.full((lanes,), opt.penalty_init)
-        lm = HOST.full((lanes,), opt.regularization)
-        soft = (
-            p.soft_inequality_mask() if m else HOST.zeros((0,), dtype="bool")
+        results, report = solve_lanes(
+            self.problem, self.options, self.lin, self.layout,
+            self._qp_step, self.stats,
+            X0, R, z_warm, nu_warm, lam_warm, budgets,
+            xp=self.xp,
+            qp_method=self.qp_method,
+            fault_hooks=self.fault_hooks,
         )
-        hard = ~soft
-        n_soft = int(soft.sum())
-        nz = p.nz
-        scale = p.variable_scales()
-        # Device-resident scaling constants, uploaded once per solve.
-        scale_dev = xp.asarray(scale)
-        scale_outer = scale_dev[None, None, :] * scale_dev[None, :, None]
-        dg = xp.arange(nz)
-
-        clocks = [
-            (
-                budgets[lane].start()
-                if budgets is not None and budgets[lane] is not None
-                else None
-            )
-            for lane in range(lanes)
-        ]
-        max_outer = HOST.full((lanes,), opt.max_iterations, dtype="int")
-        qp_caps: List[Optional[int]] = [None] * lanes
-        if budgets is not None:
-            for lane, bud in enumerate(budgets):
-                if bud is None:
-                    continue
-                if bud.sqp_iterations is not None:
-                    max_outer[lane] = min(
-                        int(max_outer[lane]), bud.sqp_iterations
-                    )
-                qp_caps[lane] = bud.qp_iterations
-
-        histories: List[List[float]] = [[] for _ in range(lanes)]
-        windows: List[List[float]] = [[] for _ in range(lanes)]
-        converged = HOST.zeros((lanes,), dtype="bool")
-        diverged = HOST.zeros((lanes,), dtype="bool")
-        budget_hit = HOST.zeros((lanes,), dtype="bool")
-        cap_frozen = HOST.zeros((lanes,), dtype="bool")
-        active = HOST.ones((lanes,), dtype="bool")
-        iterations = HOST.zeros((lanes,), dtype="int")
-        qp_total = HOST.zeros((lanes,), dtype="int")
-        best_kkt = HOST.full((lanes,), float("inf"))
-        bestZ, bestNU, bestLAM = Z.copy(), NU.copy(), LAM.copy()
-        have_cert = HOST.zeros((lanes,), dtype="bool")
-        CERT_NU = HOST.zeros_like(NU)
-        CERT_LAM = HOST.zeros_like(LAM)
-
-        report = BatchSolveReport(lanes=lanes)
-        # ADMM warm state, full-lane host buffers (x/z/y iterates + adapted
-        # rho), sliced per sub-batch; lazily sized from the first QP result.
-        admm_state: Optional[dict] = None
-
-        def _freeze_cap(lane: int) -> None:
-            active[lane] = False
-            cap_frozen[lane] = True
-            iterations[lane] = int(max_outer[lane])
-
-        global_max = int(max_outer.max()) if lanes else 0
-        for it in range(1, global_max + 1):
-            idx = HOST.flatnonzero(active)
-            if not idx.size:
-                break
-            # Loop-top budget ladder (scalar order: cap bound, then clock).
-            for lane in idx:
-                lane = int(lane)
-                if it > max_outer[lane]:
-                    _freeze_cap(lane)
-                elif clocks[lane] is not None and (
-                    clocks[lane].expired()
-                    or clocks[lane].qp_exhausted(int(qp_total[lane]))
-                ):
-                    active[lane] = False
-                    budget_hit[lane] = True
-                    iterations[lane] = it - 1
-            idx = HOST.flatnonzero(active)
-            if not idx.size:
-                break
-            iterations[idx] = it
-            report.sqp_lane_iterations += int(idx.size)
-            report.sqp_lane_slots += lanes
-
-            Za = Z[idx]
-            X0a = X0[idx]
-            Ra = R[idx] if R is not None else None
-
-            t_lin = perf_counter()
-            grad = self.lin.objective_gradient(Za, Ra)
-            H = self.lin.objective_gauss_newton(Za, Ra)
-            g_eq = self.lin.equality_constraints(Za, X0a, Ra)
-            G = self.lin.equality_jacobian(Za, Ra)
-            h = self.lin.inequality_constraints(Za, Ra)
-            J = self.lin.inequality_jacobian(Za, Ra)
-            self.stats["linearize_time"] += perf_counter() - t_lin
-
-            Hs = H * scale_outer
-            Hs[:, dg, dg] += xp.asarray(lm[idx])[:, None]
-            grad_s = grad * scale_dev
-            Gs = G * scale_dev[None, None, :]
-            Js = J * scale_dev[None, None, :] if m else J
-
-            # The per-iteration host materialization: one small reduction
-            # vector (KKT) plus the gradient rows for the descent test.
-            kkt_dev = _kkt_batch(
-                xp, grad, G, g_eq, J, h,
-                xp.asarray(NU[idx]), xp.asarray(LAM[idx]),
-            )
-            certs = have_cert[idx]
-            if certs.any():
-                kkt_cert = _kkt_batch(
-                    xp, grad, G, g_eq, J, h,
-                    xp.asarray(CERT_NU[idx]), xp.asarray(CERT_LAM[idx]),
-                )
-                kkt_dev = xp.where(
-                    xp.asarray(certs, dtype="bool"),
-                    xp.minimum(kkt_dev, kkt_cert),
-                    kkt_dev,
-                )
-            kkt = xp.to_host(kkt_dev)
-            grad_h = xp.to_host(grad)
-            for k_l, lane in enumerate(idx):
-                lane = int(lane)
-                histories[lane].append(float(kkt[k_l]))
-                if kkt[k_l] < best_kkt[lane]:
-                    best_kkt[lane] = kkt[k_l]
-                    bestZ[lane] = Z[lane]
-                    bestNU[lane] = NU[lane]
-                    bestLAM[lane] = LAM[lane]
-                if kkt[k_l] < opt.tolerance:
-                    converged[lane] = True
-                    active[lane] = False
-                elif len(histories[lane]) > 1:
-                    if histories[lane][-1] > histories[lane][-2]:
-                        lm[lane] = min(lm[lane] * 10.0, 1e2)
-                    else:
-                        lm[lane] = max(lm[lane] / 3.0, opt.regularization)
-
-            work = active[idx]
-            if not work.any():
-                continue
-            w = HOST.flatnonzero(work)
-            gl = idx[w]  # global lane ids of the working sub-batch
-            k = int(gl.size)
-            w_dev = xp.asarray(w, dtype="int")
-
-            qp_args, qperm = self._subproblem_batch(
-                Hs[w_dev],
-                grad_s[w_dev],
-                Gs[w_dev],
-                Js[w_dev] if m else J[w_dev],
-                g_eq[w_dev],
-                h[w_dev],
-            )
-            qp_max = (
-                opt.qp.admm_max_iterations
-                if self.qp_method == "admm"
-                else opt.qp.max_iterations
-            )
-            caps = HOST.asarray(
-                [
-                    min(
-                        qp_max,
-                        qp_caps[int(lane)] - int(qp_total[int(lane)]),
-                    )
-                    if qp_caps[int(lane)] is not None
-                    else qp_max
-                    for lane in gl
-                ],
-                dtype="int",
-            )
-            lane_deadlines = [
-                clocks[int(lane)].deadline
-                for lane in gl
-                if clocks[int(lane)] is not None
-                and clocks[int(lane)].deadline is not None
-            ]
-            deadline = min(lane_deadlines) if lane_deadlines else None
-
-            if self.qp_method == "admm":
-                # Lazy import: repro.firstorder.batch reaches back into
-                # repro.batch for the seam, so a module-level import here
-                # would close an import cycle.
-                from repro.firstorder.batch import solve_qp_admm_batch
-
-                warm_in = None
-                if admm_state is not None:
-                    warm_in = {
-                        "x": admm_state["x"][gl],
-                        "z": admm_state["z"][gl],
-                        "y": admm_state["y"][gl],
-                        "rho": admm_state["rho"][gl],
-                    }
-                qp = solve_qp_admm_batch(
-                    *[
-                        xp.to_host(a) if a is not None else None
-                        for a in qp_args[:6]
-                    ],
-                    opt.qp,
-                    deadline=deadline,
-                    iteration_caps=caps,
-                    backend=xp,
-                    warm=warm_in,
-                    fault_hooks=None
-                    if self.fault_hooks is None
-                    else [self.fault_hooks[int(lane)] for lane in gl],
-                )
-                if qp.warm is not None:
-                    if admm_state is None:
-                        admm_state = {
-                            "x": HOST.zeros(
-                                (lanes, int(qp.warm["x"].shape[1]))
-                            ),
-                            "z": HOST.zeros(
-                                (lanes, int(qp.warm["z"].shape[1]))
-                            ),
-                            "y": HOST.zeros(
-                                (lanes, int(qp.warm["y"].shape[1]))
-                            ),
-                            "rho": HOST.full((lanes,), opt.qp.admm_rho),
-                        }
-                    admm_state["x"][gl] = qp.warm["x"]
-                    admm_state["z"][gl] = qp.warm["z"]
-                    admm_state["y"][gl] = qp.warm["y"]
-                    admm_state["rho"][gl] = qp.warm["rho"]
-
-                # ---- method-health fallback ladder (lane-scatter rescue) --
-                # Lanes whose first-order run ended stalled, diverged, or
-                # failed (and that the rescue polish could not repair) are
-                # gathered and re-solved through the batched interior-point
-                # path, then scattered back before the post-QP ladder
-                # classifies them.  Deadline-stopped lanes are left alone —
-                # rescue work past a deadline breaks the budget contract.
-                # Warm-start hygiene: the stalled ADMM iterate must never
-                # seed a later solve, so rescued rows of ``admm_state`` are
-                # reset to the cold-start pattern (zeros + configured rho).
-                if opt.qp.admm_fallback:
-                    resc = []
-                    for k_l in range(k):
-                        lane = int(gl[k_l])
-                        cond = qp.stats[k_l].conditioning
-                        wants = qp.status[k_l] == "failed" or (
-                            cond is not None and cond.needs_fallback
-                        )
-                        if not wants or bool(qp.budget_exhausted[k_l]):
-                            continue
-                        if clocks[lane] is not None and clocks[lane].expired():
-                            continue
-                        if qp_caps[lane] is not None:
-                            left = (
-                                qp_caps[lane]
-                                - int(qp_total[lane])
-                                - int(qp.iterations[k_l])
-                            )
-                            if left < 1:
-                                continue
-                        resc.append(k_l)
-                    if resc:
-                        r_dev = xp.asarray(
-                            HOST.asarray(resc, dtype="int"), dtype="int"
-                        )
-                        r_caps = HOST.asarray(
-                            [
-                                min(
-                                    opt.qp.max_iterations,
-                                    qp_caps[int(gl[k_l])]
-                                    - int(qp_total[int(gl[k_l])])
-                                    - int(qp.iterations[k_l]),
-                                )
-                                if qp_caps[int(gl[k_l])] is not None
-                                else opt.qp.max_iterations
-                                for k_l in resc
-                            ],
-                            dtype="int",
-                        )
-                        rqp = solve_qp_batch(
-                            *[
-                                a[r_dev] if a is not None else None
-                                for a in qp_args[:6]
-                            ],
-                            opt.qp,
-                            bandwidth=qp_args[6],
-                            deadline=deadline,
-                            iteration_caps=r_caps,
-                            backend=xp,
-                        )
-                        report.qp_lane_iterations += rqp.batch.lane_iterations
-                        report.qp_lane_slots += rqp.batch.lane_slots
-                        for j, k_l in enumerate(resc):
-                            lane = int(gl[k_l])
-                            healths[lane].method_fallbacks += 1
-                            healths[lane].note(f"admm_fallback_it{it}")
-                            if admm_state is not None:
-                                admm_state["x"][lane] = 0.0
-                                admm_state["z"][lane] = 0.0
-                                admm_state["y"][lane] = 0.0
-                                admm_state["rho"][lane] = opt.qp.admm_rho
-                            qp.x[k_l] = rqp.x[j]
-                            qp.nu[k_l] = rqp.nu[j]
-                            qp.lam[k_l] = rqp.lam[j]
-                            qp.slacks[k_l] = rqp.slacks[j]
-                            qp.converged[k_l] = rqp.converged[j]
-                            qp.residual[k_l] = rqp.residual[j]
-                            qp.status[k_l] = rqp.status[j]
-                            qp.budget_exhausted[k_l] = rqp.budget_exhausted[j]
-                            qp.iterations[k_l] = int(qp.iterations[k_l]) + int(
-                                rqp.iterations[j]
-                            )
-                            qs, rs = qp.stats[k_l], rqp.stats[j]
-                            qs.factorize_time += rs.factorize_time
-                            qs.substitute_time += rs.substitute_time
-                            qs.factor_flops += rs.factor_flops
-                            qs.substitute_flops += rs.substitute_flops
-                            qs.factorizations += rs.factorizations
-                            qs.banded_factorizations += rs.banded_factorizations
-                            qs.retries += rs.retries
-                            qs.regularization_max = max(
-                                qs.regularization_max, rs.regularization_max
-                            )
-            else:
-                qp = solve_qp_batch(
-                    *qp_args[:6],
-                    opt.qp,
-                    bandwidth=qp_args[6],
-                    deadline=deadline,
-                    iteration_caps=caps,
-                    backend=xp,
-                )
-
-            qp_x = HOST.asarray(qp.x)
-            qp_nu = HOST.asarray(qp.nu)
-            qp_lam = HOST.asarray(qp.lam)
-            nq = int(qp_x.shape[1])
-            if qperm is not None:
-                X_qp = HOST.empty((k, nq))
-                X_qp[:, qperm] = qp_x
-            else:
-                X_qp = qp_x
-            if n_soft:
-                D = X_qp[:, :nz] * scale
-                n_hard = m - n_soft
-                NU_QP = qp_nu
-                LAM_QP = HOST.zeros((k, m))
-                LAM_QP[:, hard] = qp_lam[:, :n_hard]
-                LAM_QP[:, soft] = qp_lam[:, n_hard : n_hard + n_soft]
-            else:
-                D = X_qp * scale
-                NU_QP, LAM_QP = qp_nu, qp_lam
-
-            report.qp_lane_iterations += qp.batch.lane_iterations
-            report.qp_lane_slots += qp.batch.lane_slots
-            for k_l, lane in enumerate(gl):
-                lane = int(lane)
-                qp_total[lane] += int(qp.iterations[k_l])
-                qs = qp.stats[k_l]
-                self.stats["factorize_time"] += qs.factorize_time
-                self.stats["substitute_time"] += qs.substitute_time
-                self.stats["factor_flops"] += qs.factor_flops
-                self.stats["substitute_flops"] += qs.substitute_flops
-                self.stats["factorizations"] += qs.factorizations
-                self.stats["banded_factorizations"] += qs.banded_factorizations
-                healths[lane].factorization_retries += qs.retries
-                healths[lane].regularization_max = max(
-                    healths[lane].regularization_max, qs.regularization_max
-                )
-
-            # Per-lane post-QP ladder: factorization failure -> diverged;
-            # deadline exhaustion -> budget stop (direction discarded);
-            # non-finite direction -> reject + escalate damping.
-            proceed = HOST.ones((k,), dtype="bool")
-            for k_l, lane in enumerate(gl):
-                lane = int(lane)
-                if qp.status[k_l] == "failed":
-                    healths[lane].note(f"qp_failed_it{it}")
-                    diverged[lane] = True
-                    active[lane] = False
-                    proceed[k_l] = False
-                    continue
-                if clocks[lane] is not None and (
-                    bool(qp.budget_exhausted[k_l]) or clocks[lane].expired()
-                ):
-                    budget_hit[lane] = True
-                    active[lane] = False
-                    proceed[k_l] = False
-                    continue
-                finite = (
-                    bool(HOST.scalar(HOST.all(HOST.isfinite(D[k_l]))))
-                    and bool(HOST.scalar(HOST.all(HOST.isfinite(NU_QP[k_l]))))
-                    and (
-                        not m
-                        or bool(
-                            HOST.scalar(HOST.all(HOST.isfinite(LAM_QP[k_l])))
-                        )
-                    )
-                )
-                if not finite:
-                    healths[lane].steps_rejected += 1
-                    healths[lane].note(f"nonfinite_step_it{it}")
-                    if lm[lane] >= 1e2:
-                        diverged[lane] = True
-                        active[lane] = False
-                    else:
-                        lm[lane] = min(lm[lane] * 100.0, 1e2)
-                    proceed[k_l] = False
-
-            if not proceed.any():
-                continue
-            ls = HOST.flatnonzero(proceed)
-            ll = gl[ls]  # lanes entering the line search
-            Dl = D[ls]
-            NU_l, LAM_l = NU_QP[ls], LAM_QP[ls]
-            grad_l = grad_h[w][ls]
-
-            # -- batched L1 exact-penalty merit line search ----------------
-            mult_inf = HOST.maximum(
-                _maxabs(HOST, NU_l),
-                HOST.maximum(
-                    _maxabs(HOST, LAM_l)
-                    if m
-                    else HOST.zeros((int(ls.size),)),
-                    opt.penalty_init,
-                ),
-            )
-            for k_l, lane in enumerate(ll):
-                lane = int(lane)
-                if rho[lane] < 2.0 * mult_inf[k_l]:
-                    rho[lane] = max(rho[lane], 2.0 * mult_inf[k_l])
-                    windows[lane].clear()  # the merit scale changed
-            Rl = R[ll] if R is not None else None
-            merit0, viol0 = self._merit_batch(Z[ll], X0[ll], Rl, rho[ll], soft)
-            merit_ref = HOST.empty((int(ls.size),))
-            for k_l, lane in enumerate(ll):
-                lane = int(lane)
-                windows[lane].append(float(merit0[k_l]))
-                if len(windows[lane]) > opt.watchdog:
-                    windows[lane].pop(0)
-                merit_ref[k_l] = max(windows[lane])
-            descent = HOST.einsum("bi,bi->b", grad_l, Dl) - viol0
-            step_inf = _maxabs(HOST, Dl / scale)
-            with HOST.errstate():
-                alpha = HOST.where(
-                    step_inf > 0.0,
-                    HOST.minimum(
-                        1.0,
-                        opt.step_clip
-                        / HOST.where(step_inf > 0, step_inf, 1.0),
-                    ),
-                    1.0,
-                )
-            accepted = HOST.zeros((int(ls.size),), dtype="bool")
-            floor = opt.armijo * HOST.minimum(descent, 0.0)
-            for _ in range(opt.max_backtracks):
-                un = HOST.flatnonzero(~accepted)
-                if not un.size:
-                    break
-                trial = Z[ll[un]] + alpha[un, None] * Dl[un]
-                Ru = Rl[un] if Rl is not None else None
-                merit_t, _ = self._merit_batch(
-                    trial, X0[ll[un]], Ru, rho[ll[un]], soft
-                )
-                passed = merit_t <= merit_ref[un] + alpha[un] * floor[un]
-                accepted[un[passed]] = True
-                alpha[un[~passed]] *= 0.5
-
-            Z[ll] = Z[ll] + alpha[:, None] * Dl
-            NU[ll] = NU[ll] + alpha[:, None] * (NU_l - NU[ll])
-            if m:
-                LAM[ll] = LAM[ll] + alpha[:, None] * (LAM_l - LAM[ll])
-            CERT_NU[ll] = NU_l
-            CERT_LAM[ll] = LAM_l
-            have_cert[ll] = True
-
-        # Lanes that completed their final permitted iteration without
-        # freezing exhausted their cap (scalar loop-exit path).
-        for lane in HOST.flatnonzero(active):
-            _freeze_cap(int(lane))
-
-        self.stats["solves"] += lanes
-        self.stats["sqp_iterations"] += int(iterations.sum())
-        self.stats["qp_iterations"] += int(qp_total.sum())
-        if self.lin.codegen_stats is not None:
-            self.stats["codegen"] = self.lin.codegen_stats.as_dict()
-
-        wall = perf_counter() - t_solve
-        objectives = xp.to_host(self.lin.objective(Z, R))
-        results: List[IPMResult] = []
-        for lane in range(lanes):
-            hist = histories[lane]
-            if (
-                cap_frozen[lane]
-                and not converged[lane]
-                and not budget_hit[lane]
-            ):
-                budget_hit[lane] = max_outer[lane] < opt.max_iterations
-            if (
-                not converged[lane]
-                and hist
-                and best_kkt[lane] < 0.1 * hist[-1]
-            ):
-                Z[lane] = bestZ[lane]
-                NU[lane] = bestNU[lane]
-                LAM[lane] = bestLAM[lane]
-                hist[-1] = float(best_kkt[lane])
-                objectives[lane] = p.objective(
-                    Z[lane], R[lane] if R is not None else None
-                )
-            if converged[lane]:
-                status = "converged"
-            elif diverged[lane]:
-                status = "diverged"
-            elif budget_hit[lane]:
-                status = "budget_exhausted"
-            else:
-                status = "max_iterations"
-            results.append(
-                IPMResult(
-                    z=Z[lane].copy(),
-                    converged=bool(converged[lane]),
-                    iterations=int(iterations[lane]),
-                    qp_iterations=int(qp_total[lane]),
-                    objective=float(objectives[lane]),
-                    kkt_residual=hist[-1] if hist else float("inf"),
-                    residual_history=hist,
-                    nu=NU[lane].copy(),
-                    lam=LAM[lane].copy() if m else None,
-                    status=status,
-                    solve_time=wall,
-                    health=healths[lane],
-                )
-            )
         self.last_report = report
         return results, report
-
-    # -- shared internals --------------------------------------------------
-
-    def _subproblem_batch(self, Hs, grad_s, Gs, Js, g_eq, h):
-        """Batched twin of ``InteriorPointSolver._subproblem_data``.
-
-        Inputs and outputs are backend arrays; the returned permutation is
-        a host index array (it is applied to host QP results too).
-        """
-        p = self.problem
-        opt = self.options
-        xp = self.xp
-        donor = self._donor
-        nz = p.nz
-        m = p.n_ineq
-        soft = (
-            p.soft_inequality_mask() if m else HOST.zeros((0,), dtype="bool")
-        )
-        hard = ~soft
-        n_soft = int(soft.sum())
-        k = int(Hs.shape[0])
-        if not n_soft:
-            qperm = donor._qp_perm
-            if qperm is None:
-                return (
-                    Hs,
-                    grad_s,
-                    Gs,
-                    -g_eq,
-                    Js if m else None,
-                    -h if m else None,
-                    None,
-                ), None
-            qp_dev = xp.asarray(qperm, dtype="int")
-            return (
-                Hs[:, qp_dev][:, :, qp_dev],
-                grad_s[:, qp_dev],
-                Gs[:, :, qp_dev],
-                -g_eq,
-                Js[:, :, qp_dev] if m else None,
-                -h if m else None,
-                donor._qp_bandwidth,
-            ), qperm
-
-        n_ext = nz + n_soft
-        n_hard = m - n_soft
-        hard_dev = xp.asarray(hard, dtype="bool")
-        soft_dev = xp.asarray(soft, dtype="bool")
-        H_ext = xp.zeros((k, n_ext, n_ext))
-        H_ext[:, :nz, :nz] = Hs
-        se = xp.arange(nz, n_ext)
-        H_ext[:, se, se] = opt.soft_quadratic
-        g_ext = xp.concatenate(
-            [grad_s, xp.full((k, n_soft), opt.soft_penalty)], axis=1
-        )
-        G_ext = xp.concatenate(
-            [Gs, xp.zeros((k, int(Gs.shape[1]), n_soft))], axis=2
-        )
-        J_ext = xp.zeros((k, m + n_soft, n_ext))
-        d_ext = xp.zeros((k, m + n_soft))
-        J_ext[:, :n_hard, :nz] = Js[:, hard_dev]
-        d_ext[:, :n_hard] = -h[:, hard_dev]
-        J_ext[:, n_hard : n_hard + n_soft, :nz] = Js[:, soft_dev]
-        J_ext[:, n_hard : n_hard + n_soft, nz:] = -xp.eye(n_soft)
-        d_ext[:, n_hard : n_hard + n_soft] = -h[:, soft_dev]
-        J_ext[:, n_hard + n_soft :, nz:] = -xp.eye(n_soft)
-        qperm = donor._qp_perm_ext
-        if qperm is None:
-            return (H_ext, g_ext, G_ext, -g_eq, J_ext, d_ext, None), None
-        qp_dev = xp.asarray(qperm, dtype="int")
-        return (
-            H_ext[:, qp_dev][:, :, qp_dev],
-            g_ext[:, qp_dev],
-            G_ext[:, :, qp_dev],
-            -g_eq,
-            J_ext[:, :, qp_dev],
-            d_ext,
-            donor._qp_bandwidth_ext,
-        ), qperm
-
-    def _merit_batch(self, Z, X0, R, rho, soft):
-        """Batched twin of ``InteriorPointSolver._merit``.
-
-        Accepts host iterates, computes on the backend, and returns host
-        merit/violation rows (the line search is a host decision ladder).
-        """
-        p = self.problem
-        opt = self.options
-        xp = self.xp
-        f = self.lin.objective(Z, R)
-        g = self.lin.equality_constraints(Z, X0, R)
-        rho_dev = xp.asarray(rho)
-        viol = rho_dev * xp.sum(xp.abs(g), axis=1)
-        if p.n_ineq:
-            h = self.lin.inequality_constraints(Z, R)
-            hpos = xp.maximum(h, 0.0)
-            hard_dev = xp.asarray(~soft, dtype="bool")
-            soft_dev = xp.asarray(soft, dtype="bool")
-            viol = viol + rho_dev * xp.sum(hpos[:, hard_dev], axis=1)
-            viol = viol + opt.soft_penalty * xp.sum(hpos[:, soft_dev], axis=1)
-        return xp.to_host(f + viol), xp.to_host(viol)

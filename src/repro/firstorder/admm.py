@@ -427,8 +427,9 @@ def _admm_setup_batch(
     without poisoning batch-mates — same contract as the batched IPM.
     ``warm`` (a previous result's ``.warm``, validated here) seeds the
     initial iterate ``x0``/``z0``/``y0`` and the per-lane rho; ``hooks``
-    is the optional per-lane fault-hook sequence
-    :func:`_admm_refactor_batch` consults.  The returned dict is also the
+    is the optional per-lane fault-hook sequence: ``transform_qp`` is
+    consulted here, on the lane's Hessian, the rest by
+    :func:`_admm_refactor_batch`.  The returned dict is also the
     loop's host-side state: ``rho``, the cached ``Kinv``/``R``/``Rinv``
     and the per-lane factorization counters are updated in place at every
     rho checkpoint.
@@ -440,6 +441,15 @@ def _admm_setup_batch(
         raise SolverError(f"H shape {H.shape} != ({lanes}, {n}, {n})")
     if hooks is not None and len(hooks) != lanes:
         raise SolverError(f"{len(hooks)} fault hooks for {lanes} lanes")
+    # illcond_qp campaigns perturb a lane's problem *data* (not just the
+    # factorization input), so equilibration and the fallback ladder see a
+    # genuinely ill-conditioned QP.  Optional on the hook.
+    transforms = [getattr(hook, "transform_qp", None) for hook in hooks or ()]
+    if any(transforms):
+        H = H.copy()
+        for lane, transform_qp in enumerate(transforms):
+            if transform_qp is not None:
+                H[lane] = transform_qp(H[lane])
     if G is None or b is None:
         G = np.zeros((lanes, 0, n))
         b = np.zeros((lanes, 0))

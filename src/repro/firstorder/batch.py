@@ -115,9 +115,10 @@ def solve_qp_admm_batch(
     ``fault_hooks`` is an optional length-``B`` sequence of
     :mod:`repro.faults` solver-layer hooks (``None`` entries for lanes
     without one).  A lane's hook is consulted exactly where a fault can
-    enter that lane: ``transform_matrix`` / ``force_failure`` at every
-    build of its cached inverse (set-up and each rho-checkpoint rebuild),
-    ``force_stall`` once per solve.
+    enter that lane: ``transform_qp`` on its Hessian at set-up,
+    ``transform_matrix`` / ``force_failure`` at every build of its cached
+    inverse (set-up and each rho-checkpoint rebuild), ``force_stall`` once
+    per solve.
     """
     opt = options or QPOptions()
     xp = get_backend(backend)

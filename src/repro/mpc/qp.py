@@ -447,14 +447,6 @@ def solve_qp(
                 "refusing to start the interior-point iteration"
             )
 
-    if fault_hook is not None:
-        # illcond_qp campaigns perturb the problem *data* (not just the
-        # factorization input), so equilibration and the fallback ladder
-        # see a genuinely ill-conditioned QP.  Optional on the hook.
-        transform_qp = getattr(fault_hook, "transform_qp", None)
-        if transform_qp is not None:
-            H = transform_qp(H)
-
     if opt.method == "admm":
         # Imported lazily: repro.firstorder imports this module's dataclasses,
         # so the dependency edge must not exist at import time.
@@ -464,6 +456,13 @@ def solve_qp(
             H, g, G, b, J, d, options=opt, deadline=deadline, warm=warm,
             fault_hook=fault_hook,
         )
+
+    # illcond_qp campaigns perturb the problem *data* (not just the
+    # factorization input), so the solver sees a genuinely ill-conditioned
+    # QP.  Optional on the hook; the ADMM lane consults it in its set-up.
+    transform_qp = getattr(fault_hook, "transform_qp", None)
+    if transform_qp is not None:
+        H = transform_qp(H)
 
     has_eq = G is not None and G.shape[0] > 0
     has_in = J is not None and J.shape[0] > 0

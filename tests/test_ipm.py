@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.batch.backend import HOST
 from repro.errors import SolverError
+from repro.linearize import normalize_ref
 from repro.mpc import (
     Constraint,
     IPMOptions,
     InteriorPointSolver,
     Penalty,
     RobotModel,
+    SolveBudget,
     Task,
     TranscribedProblem,
     VarSpec,
 )
+from repro.robots import build_benchmark
 from repro.symbolic import Var, cos, sin
 
 
@@ -185,3 +189,57 @@ class TestConstraintActivity:
         assert np.all(xs[1:, 0] <= 0.5 + 1e-3)
         # And the wall is actually reached (constraint active).
         assert xs[:, 0].max() > 0.4
+
+
+class TestLaneCountInvariance:
+    """``B = 1`` is not a special case of the SQP driver: a state solved
+    alone by :meth:`InteriorPointSolver.solve` and as one of three lanes of
+    a single driver call (same linearizer, same scalar QP step) takes the
+    same path to the last bit."""
+
+    @pytest.mark.parametrize(
+        "robot, horizon", [("CartPole", 8), ("AutoVehicle", 4)]
+    )
+    def test_alone_equals_one_of_three_lanes(self, robot, horizon):
+        bench = build_benchmark(robot)
+        problem = bench.transcribe(horizon=horizon)
+        solver = bench.make_solver(problem)
+        rng = np.random.default_rng(0)
+        X0 = np.stack(
+            [
+                bench.x0 + spread * rng.standard_normal(problem.nx)
+                for spread in (0.02, 0.1, 0.3)
+            ]
+        )
+        budget = SolveBudget(sqp_iterations=8)
+        alone = [solver.solve(x0, ref=bench.ref, budget=budget) for x0 in X0]
+        stacked, _report = solver._solve_lanes(
+            X0,
+            normalize_ref(problem, [bench.ref] * 3, 3, HOST),
+            None,
+            None,
+            None,
+            [budget] * 3,
+        )
+        if robot == "AutoVehicle":
+            # the lanes leave the Gauss-Newton model at different iterations,
+            # so the driver linearizes mixed-model batches on the way
+            assert solver.options.hessian == "hybrid"
+            switch = [
+                next(
+                    it
+                    for it, kkt in enumerate(res.residual_history)
+                    if kkt < solver.options.hybrid_switch
+                )
+                for res in alone
+            ]
+            assert len(set(switch)) == 3
+        else:
+            assert solver.options.hessian == "gauss_newton"
+        for one, lane in zip(alone, stacked):
+            assert np.array_equal(one.z, lane.z)
+            assert np.array_equal(one.nu, lane.nu)
+            assert np.array_equal(one.lam, lane.lam)
+            assert one.residual_history == lane.residual_history
+            assert one.status == lane.status
+            assert one.iterations == lane.iterations

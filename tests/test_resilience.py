@@ -92,6 +92,20 @@ class StallHook:
         return False
 
 
+class FactorFailHook:
+    """Duck-typed fault hook failing the next ``n`` factorization attempts
+    (16 = one whole regularization ladder of the ADMM ``K`` build)."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def force_failure(self):
+        if self.left > 0:
+            self.left -= 1
+            return True
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Ruiz equilibration (repro.firstorder.precond)
 # ---------------------------------------------------------------------------
@@ -361,6 +375,19 @@ class TestScalarRescue:
         assert res.status == "budget_exhausted"
         assert res.health.method_fallbacks == 0
 
+    def test_failed_admm_lane_is_rescued(self):
+        """An ADMM subproblem whose ``K`` cannot be factorized up the whole
+        ladder is a rescue candidate like a stalled one (one rule for every
+        lane count) — not a ``diverged`` solve."""
+        bench, solver = self._admm_solver()
+        solver.fault_hook = FactorFailHook(16)
+        res = solver.solve(bench.x0, ref=bench.ref)
+        assert solver.fault_hook.left == 0
+        assert res.status == "converged"
+        assert res.health.method_fallbacks == 1
+        assert "admm_fallback_it1" in res.health.notes
+        assert res.health.factorization_retries >= 16
+
 
 # ---------------------------------------------------------------------------
 # Batched lane-scatter rescue (batch.ipm fallback ladder)
@@ -409,6 +436,34 @@ class TestBatchRescue:
             assert rescued[lane].health.method_fallbacks == 0
             assert np.array_equal(rescued[lane].z, plain[lane].z)
             assert rescued[lane].iterations == plain[lane].iterations
+
+    def test_rescue_respects_exhausted_qp_budget(self, mobile):
+        """Lane twin of the scalar rule: a stalled run that ate the lane's
+        whole QP iteration budget is not rescued — the lane freezes
+        ``budget_exhausted`` with the stalled direction discarded — and
+        its batch-mates do not notice."""
+        bench, problem, X0 = mobile
+        solver = BatchSolver(problem, qp_method="admm")
+        solver.fault_hooks = [None, StallHook(n=1000), None]
+        budgets = [None, SolveBudget(qp_iterations=5), None]
+        res, _ = solver.solve(X0, refs=[bench.ref] * 3, budgets=budgets)
+        assert res[1].status == "budget_exhausted"
+        assert res[1].health.method_fallbacks == 0
+        assert (res[1].iterations, res[1].qp_iterations) == (1, 5)
+        untouched, _ = BatchSolver(problem, qp_method="admm").solve(
+            X0[1:2],
+            refs=[bench.ref],
+            budgets=[SolveBudget(qp_iterations=0)],
+        )
+        assert np.array_equal(res[1].z, untouched[0].z)
+        mates, _ = BatchSolver(problem, qp_method="admm").solve(
+            X0[[0, 2]], refs=[bench.ref] * 2
+        )
+        for lane, mate in zip((0, 2), mates):
+            assert res[lane].status == mate.status == "converged"
+            assert np.array_equal(res[lane].z, mate.z)
+            assert np.array_equal(res[lane].nu, mate.nu)
+            assert res[lane].residual_history == mate.residual_history
 
     def test_rescued_lane_matches_scalar_reference(self, mobile):
         bench, problem, X0 = mobile

@@ -84,9 +84,9 @@ resilience-smoke:
 
 # Fused-codegen smoke: the differential equivalence property suite, the
 # artifact-store/linearizer suites, the conform linearize family against the
-# interpreted oracle, and the fast-lane speedup gate (fused >= 2x interpreted
-# on the Quadrotor N=30 linearize block; the >= 5x C-tier gate runs under
-# `-m slow` where a compiler is guaranteed).
+# interpreted oracle, and the fast-lane speedup gate (C kernel >= 2x
+# interpreted on the Quadrotor N=30 linearize block, >= 5x under `-m slow`;
+# both skip with a reason on a compiler-less host).
 codegen-smoke:
 	$(PYTEST) -q tests/test_codegen_equivalence.py tests/test_codegen_store.py tests/test_codegen_linearizer.py
 	$(REPRO) conform run --cases 8 --seed 0 --paths interp_linearize,codegen_linearize --out-dir conform/failures

@@ -4,20 +4,21 @@ The SQP linearize block issues six evaluation calls per iteration
 (gradient, Gauss-Newton blocks, both constraint stacks and both
 Jacobians).  Interpreted, each call walks per-stage compiled functions in
 a Python loop — ``6 x N`` dispatches per iteration.  The fused path
-evaluates one horizon-unrolled generated kernel per request family and
+evaluates one compiled C kernel per request family over every knot and
 serves the follow-up calls at the same point from the point cache, so the
 whole block costs roughly one fused evaluation.
 
 This bench times the full six-call block on the Quadrotor at N=30 (the
 paper's long-horizon operating point) at a set of distinct seeded
 linearization points — mirroring how the SQP loop revisits each iterate —
-and reports interpreted vs fused wall time.
+and reports interpreted vs C-kernel wall time.
 
-Acceptance gates:
+Acceptance gates, both on the C kernel and both skipped with a reason on a
+compiler-less host (``on`` stays interpreted there, so the comparison
+would be trivial):
 
-* fast lane (CI, bare numpy install): fused ``on`` — whichever tier that
-  resolves to — must be >= 2x the interpreted path;
-* slow lane (``-m slow``, needs a C compiler): the C tier must be >= 5x.
+* fast lane (CI): the C kernel must be >= 2x the interpreted path;
+* slow lane (``-m slow``): >= 5x.
 
 Free of pytest-benchmark; plain ``perf_counter`` over seeded points (see
 conftest's randomness policy).
@@ -82,7 +83,9 @@ def _report(rows):
         print(f"{mode:>8} {kernel:>12} {t * 1e3:>7.1f}ms {base / t:>7.2f}x")
 
 
-def test_linearize_codegen_speedup():
+def _gate(threshold):
+    if not c_available():
+        pytest.skip("no C compiler / cffi here: codegen stays interpreted")
     bench, problem, x0, pts = _setup()
     rows = {
         "off": _time_mode(problem, "off", pts, x0, bench.ref),
@@ -90,34 +93,23 @@ def test_linearize_codegen_speedup():
     }
     _report(rows)
     assert rows["off"][1] == "interpreted"
-    assert rows["on"][1] in ("fused-numpy", "fused-c")
+    assert rows["on"][1] == "fused-c"
 
     ratio = rows["off"][0] / rows["on"][0]
-    if ratio < 2.0:
+    if ratio < threshold:
         # one fresh re-measure before failing: a transient co-tenant can
         # depress a single timing window
         rows["on"] = _time_mode(problem, "on", pts, x0, bench.ref)
         rows["off"] = _time_mode(problem, "off", pts, x0, bench.ref)
         ratio = rows["off"][0] / rows["on"][0]
         _report(rows)
-    assert ratio >= 2.0, f"fused linearize only {ratio:.2f}x over interpreted"
+    assert ratio >= threshold, f"C kernel only {ratio:.2f}x over interpreted"
+
+
+def test_linearize_codegen_speedup():
+    _gate(2.0)
 
 
 @pytest.mark.slow
 def test_linearize_codegen_c_tier_speedup():
-    if not c_available():
-        pytest.skip("no C compiler / cffi here")
-    bench, problem, x0, pts = _setup()
-    rows = {
-        "off": _time_mode(problem, "off", pts, x0, bench.ref),
-        "c": _time_mode(problem, "c", pts, x0, bench.ref),
-    }
-    _report(rows)
-    assert rows["c"][1] == "fused-c"
-    ratio = rows["off"][0] / rows["c"][0]
-    if ratio < 5.0:
-        rows["c"] = _time_mode(problem, "c", pts, x0, bench.ref)
-        rows["off"] = _time_mode(problem, "off", pts, x0, bench.ref)
-        ratio = rows["off"][0] / rows["c"][0]
-        _report(rows)
-    assert ratio >= 5.0, f"C tier only {ratio:.2f}x over interpreted"
+    _gate(5.0)

@@ -30,10 +30,6 @@ HOT_PATH = [
     # lane for it) lives in firstorder/admm.py, which — like backend.py —
     # is allowed bare numpy
     REPO / "src" / "repro" / "firstorder" / "batch.py",
-    # the fused-codegen batch kernel executes generated modules against
-    # whatever backend the caller bound — a bare numpy call here would pin
-    # the fused batch linearization to the host
-    REPO / "src" / "repro" / "codegen" / "kernel.py",
     # the shared linearize assembler (index maps, scatters, point cache, the
     # fused provider) is what a device runs for every tier; the interpreted
     # and C providers are host-only and live in mpc/transcription.py and

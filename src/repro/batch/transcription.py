@@ -22,12 +22,12 @@ twins of the seven evaluation methods the SQP layer needs, with identical
 stacking order to the scalar lane (so the stage-ordered band structure and
 permutations carry over unchanged), plus the batched cold-start guess.
 Which provider it runs on is decided once, at construction
-(:meth:`TranscribedProblem.bind_lanes`): the problem's fused kernel bound
-to this backend when the codegen tier is active, the vectorized provider
-otherwise, and — only when a function has no ufunc twin here — the
-interpreted provider, which round-trips through host arrays and is slower
-but bit-equal to the scalar lane by construction.  No method branches on
-the tier.
+(:meth:`TranscribedProblem.bind_lanes`): the vectorized provider, and —
+only when a function has no ufunc twin here — the interpreted provider,
+which round-trips through host arrays and is slower but bit-equal to the
+scalar lane by construction.  The codegen tier (the C kernel) belongs to
+the scalar host lane; a batch never builds or consults it.  No method
+branches on the tier.
 """
 
 from __future__ import annotations
@@ -162,10 +162,8 @@ class BatchLinearizer:
         """Why a faster provider is not bound ("" when nothing fell back)."""
         return self._lanes.fallback_reason
 
-    @property
-    def codegen_stats(self):
-        """The problem's ``CodegenStats`` while a fused kernel is bound."""
-        return self._lanes.stats
+    #: the lane driver's linearizer interface: a batch binds no codegen tier
+    codegen_stats = None
 
     def normalize_ref(self, ref: RefLike, lanes: int):
         """Normalize per-lane references to one ``(B, N+1, nref)`` stack

@@ -51,7 +51,6 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.codegen.linearizer import CODEGEN_MODES
     from repro.mpc.qp import QP_METHODS
 
     parser = argparse.ArgumentParser(
@@ -208,14 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inner QP solver for every fleet session: 'ipm' "
         "(interior-point, default) or 'admm' (first-order, cached "
         "factorization + warm-started iterations)",
-    )
-    p_serve.add_argument(
-        "--codegen",
-        choices=CODEGEN_MODES,
-        default="auto",
-        help="fused-kernel codegen for linearization: 'auto' (size-gated, "
-        "default), 'on' (best available tier), 'off' (interpreted), or pin "
-        "a tier with 'numpy'/'c'",
     )
     p_serve.add_argument(
         "--tick-budget-ms",
@@ -657,7 +648,6 @@ def _cmd_serve_sim(args) -> int:
             workers=args.workers,
             array_backend=args.array_backend,
             qp_method=args.qp_method,
-            codegen=args.codegen,
             tick_budget_s=(
                 args.tick_budget_ms / 1e3 if args.tick_budget_ms else None
             ),

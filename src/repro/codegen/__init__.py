@@ -1,13 +1,15 @@
 """Ahead-of-time fused kernel codegen for the linearization phase.
 
 Walks the retained :class:`~repro.symbolic.compile.CompiledFunction`
-expression DAGs of a transcribed problem and emits one fused module per
-``(robot, horizon, move_block, dtype)`` key whose functions evaluate a
-whole stage family over every stage point in one call, with a
-content-addressed artifact store, an optional cffi-built C tier, and a
-fallback ladder down to the interpreted per-knot provider.  A tier is a
-group provider of the shared assembler (:mod:`repro.linearize`).  See
-DESIGN.md ("Fused kernel codegen") for the architecture.
+expression DAGs of a transcribed problem into one fused IR per robot,
+whose functions evaluate a whole stage family over every stage point in
+one call, and compiles it with cffi into a C kernel cached in a
+content-addressed shared-object store.  Codegen means that one tier: the
+scalar host lane of a problem runs on the C kernel or on the interpreted
+per-knot provider, decided once at the problem (compiler present,
+``move_block``, size).  A tier is a group provider of the shared
+assembler (:mod:`repro.linearize`).  See DESIGN.md ("Fused kernel
+codegen") for the architecture.
 """
 
 from .cbackend import c_available
@@ -19,7 +21,6 @@ from .emit import (
     emit_python_function,
     module_fingerprint,
 )
-from .kernel import FusedKernel
 from .linearizer import (
     CODEGEN_MODES,
     ENV_MODE,
@@ -27,7 +28,7 @@ from .linearizer import (
     resolve_mode,
 )
 from .stats import CodegenStats, FusedFunctionLayout, FusedGroupLayout
-from .store import ArtifactStore, StoredModule, default_cache_root
+from .store import ArtifactStore, default_cache_root
 
 __all__ = [
     "CODEGEN_MODES",
@@ -38,9 +39,7 @@ __all__ = [
     "FunctionGroup",
     "FusedFunctionLayout",
     "FusedGroupLayout",
-    "FusedKernel",
     "FusedProblemKernels",
-    "StoredModule",
     "build_ir",
     "c_available",
     "default_cache_root",

@@ -1,17 +1,16 @@
 """C emission and cffi build for fused linearization kernels.
 
-The numpy-fused tier still walks the merged DAG once per primitive as a
-whole-horizon ufunc call; for big DAGs the remaining cost is memory
-traffic over the ``(N,)`` temporaries.  This tier emits the same IR as a
-single C loop nest — one pass over the knots, all temporaries in
-registers — and builds it with cffi when a C compiler is present.
+The one fused tier: the merged IR of a stage family emitted as a single C
+loop nest — one pass over the stage points, all temporaries in registers —
+and built with cffi when a C compiler is present.
 
 Bit-safety: CPython's ``math`` module calls the platform libm, and the
 generated C calls the *same* libm symbols (``sin``/``asin``/``pow``/...),
 so with contraction disabled (``-ffp-contract=off``, no fast-math) the C
 kernel is bit-identical to the interpreted scalar path — a stronger
-guarantee than the numpy tier, whose SIMD transcendentals may differ from
-libm in the last ulp.  The equivalence suite pins this on seeded DAGs.
+guarantee than the vectorized batch provider's, whose SIMD transcendentals
+may differ from libm in the last ulp.  The equivalence suite pins this on
+seeded DAGs.
 
 Binary interface (kept trivially flat for cffi):
 
@@ -135,12 +134,19 @@ def _import_so(modname: str, so_path: str):
 
 
 class CKernel:
-    """A built C module, called with stacked float64 columns."""
+    """A built C module, called with stacked float64 columns.
 
-    def __init__(self, module, irs: Dict[str, FusedIR]) -> None:
+    ``store_hit`` is true when :func:`build_c_kernel` reloaded an existing
+    shared object and ran no compiler.
+    """
+
+    def __init__(
+        self, module, irs: Dict[str, FusedIR], store_hit: bool = False
+    ) -> None:
         self._ffi = module.ffi
         self._lib = module.lib
         self._irs = irs
+        self.store_hit = store_hit
 
     def call(self, fn_name: str, cols: Sequence[np.ndarray]) -> Dict[str, np.ndarray]:
         """Evaluate one fused function; return ``{group: (n, m)}`` arrays."""
@@ -166,10 +172,11 @@ def build_c_kernel(
 ) -> CKernel:
     """Compile (or reload) the C tier for a fused module.
 
-    The shared object is cached in the store under ``so/<key>/``; a second
-    process importing the same key skips the compiler entirely.  Any build
-    failure raises :class:`CodegenError` so the caller can drop one tier
-    down the fallback ladder.
+    The shared object is cached in the store under ``so/<key>/``; a later
+    build of the same key skips the compiler entirely and says so
+    (``kernel.store_hit``).  Any build failure raises
+    :class:`CodegenError` so the caller can drop to the interpreted
+    provider.
     """
     if store is None:
         store = ArtifactStore()
@@ -178,7 +185,7 @@ def build_c_kernel(
     existing = sorted(glob.glob(str(so_dir / f"{modname}*.so")))
     if existing:
         try:
-            return CKernel(_import_so(modname, existing[0]), irs)
+            return CKernel(_import_so(modname, existing[0]), irs, store_hit=True)
         except (OSError, ImportError, CodegenError):
             # stale/foreign-ABI artifact: rebuild below
             pass

@@ -13,15 +13,14 @@ Emission mirrors :func:`repro.symbolic.compile.compile_function` exactly —
 same constant ``repr`` inlining, same infix/neg/call spellings, children
 computed before parents in the same topological order — so a fused function
 executed under the *same* namespace as a ``CompiledFunction`` produces
-bit-identical outputs (the equivalence property suite pins this).  The
-namespace is late-bound: the same source runs under ``math`` on Python
-floats, or under any array backend's ufunc map on ``(N,)`` / ``(B, N)``
-columns (see :mod:`repro.codegen.kernel`).
+bit-identical outputs.  :func:`emit_python_function` is that executor: the
+IR's reference semantics for the equivalence property suite, which cannot
+compile C per generated example.  It is not a runtime tier — the runtime
+consumer of the neutral :class:`FusedIR` form is the C emitter
+(:mod:`repro.codegen.cbackend`), and its canonical text is the key of the
+shared-object cache (:mod:`repro.codegen.store`).
 
-Nothing here touches numpy: this module is pure string/DAG work, and its
-neutral :class:`FusedIR` form is what the C emitter
-(:mod:`repro.codegen.cbackend`) and the content-addressed artifact store
-(:mod:`repro.codegen.store`) both consume.
+Nothing here touches numpy: this module is pure string/DAG work.
 """
 
 from __future__ import annotations
@@ -100,10 +99,8 @@ class FusedIR:
 
 @dataclass
 class FusedModule:
-    """A generated module: several fused functions sharing one source."""
+    """A generated module: the fused functions one shared object holds."""
 
-    source: str
-    layouts: Dict[str, FusedFunctionLayout]
     irs: Dict[str, FusedIR]
 
 
@@ -215,26 +212,22 @@ def emit_fused_module(
     variables, terminal ones the terminal variables).
     """
     irs: Dict[str, FusedIR] = {}
-    layouts: Dict[str, FusedFunctionLayout] = {}
-    chunks: List[str] = []
     for fn_name, groups, var_names in functions:
         if fn_name in irs:
             raise SymbolicError(f"duplicate fused function name {fn_name!r}")
-        ir = build_ir(fn_name, groups, var_names)
-        irs[fn_name] = ir
-        layouts[fn_name] = ir.layout
-        chunks.append(emit_python_function(ir))
-    return FusedModule(source="\n".join(chunks), layouts=layouts, irs=irs)
+        irs[fn_name] = build_ir(fn_name, groups, var_names)
+    return FusedModule(irs=irs)
 
 
 def module_fingerprint(module: FusedModule, extra: Sequence[str] = ()) -> str:
     """Content hash of a fused module plus caller context tokens.
 
     Covers every IR node, output order, group layout, signature and the
-    emission version — any change to an expression DAG, a shape, or the
-    generator itself moves the key, which is what makes the artifact store
-    safely content-addressed.  ``extra`` carries the problem context
-    (robot/horizon/move_block/dtype tokens).
+    emission version — any change to an expression DAG or the generator
+    itself moves the key, which is what makes the artifact store safely
+    content-addressed.  ``extra`` carries context the DAGs do not (the
+    dtype token); the horizon is not context — the generated stage body
+    loops over the points it is handed.
     """
     h = hashlib.sha256()
     h.update(f"codegen-v{CODEGEN_VERSION}\n".encode())

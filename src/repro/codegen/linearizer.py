@@ -1,10 +1,11 @@
-"""Fused-kernel construction: tier selection, build, and the fused providers.
+"""Fused-kernel construction: the tier rule, the build, and the provider.
 
 This is the seam between a :class:`~repro.mpc.transcription.TranscribedProblem`
-and the codegen subsystem.  :class:`FusedProblemKernels` decides the
-evaluation tier (the fallback ladder: C → fused-numpy → interpreted),
-emits/loads the fused module through the content-addressed store, owns
-the :class:`~repro.codegen.stats.CodegenStats` record, and hands the tier
+and the codegen subsystem.  :class:`FusedProblemKernels` decides whether
+the problem's scalar host lane runs on the compiled C kernel or on the
+interpreted provider, emits the fused IR and compiles (or reloads) it
+through the shared-object cache, owns the
+:class:`~repro.codegen.stats.CodegenStats` record, and hands the kernel
 out as a *group provider* (:meth:`FusedProblemKernels.provider`) of the
 shared assembler in :mod:`repro.linearize` — a tier only evaluates; the
 stacking order, objective summation, Gauss-Newton contraction, validation
@@ -22,13 +23,18 @@ Four fused functions cover the linearization surface (their groups are
     line search evaluates at trial points, where computing Jacobians would
     be pure waste.
 
-Mode selection (``resolve_mode``): ``auto`` (default) uses fused kernels
-only when the horizon-scaled DAG size clears a cutoff — tiny problems
-evaluate faster through the interpreted per-stage path than through array
-dispatch; ``on`` forces the best available tier; ``numpy``/``c`` pin a
-tier; ``off`` disables codegen.  The ``REPRO_CODEGEN`` environment
-variable supplies the default, ``QPOptions(codegen=...)`` and
-``serve-sim --codegen`` override it per solver/session.
+The tier rule (:meth:`FusedProblemKernels._declined`) reads what the
+problem can observe: a C compiler with cffi, ``move_block == 1``, and —
+under ``auto`` (the default) — the horizon-scaled DAG size against the
+single cutoff ``_AUTO_C_SCORE``, below which the interpreted per-stage
+loop beats a kernel call plus its one-time compile.  ``on`` skips the size
+test, ``off`` disables codegen.  The mode has three sources and no others:
+the ``REPRO_CODEGEN`` environment variable (the process-wide operator
+switch; pool workers and process shards inherit it),
+``problem.set_codegen(mode)``, and ``FusedProblemKernels(problem, mode)``.
+Who binds is the rule's other input and is decided in
+:meth:`TranscribedProblem.bind_lanes`: only the scalar host lane consults
+this class; a batch binds the vectorized provider.
 """
 
 from __future__ import annotations
@@ -44,9 +50,8 @@ from repro.linearize import GROUPS, fused_function, fused_provider
 
 from .cbackend import CKernel, build_c_kernel, c_available
 from .emit import FunctionGroup, emit_fused_module, module_fingerprint
-from .kernel import FusedKernel
 from .stats import CodegenStats
-from .store import ArtifactStore, StoredModule
+from .store import ArtifactStore
 
 __all__ = [
     "CODEGEN_MODES",
@@ -55,14 +60,13 @@ __all__ = [
     "FusedProblemKernels",
 ]
 
-CODEGEN_MODES = ("auto", "on", "off", "numpy", "c")
+CODEGEN_MODES = ("auto", "on", "off")
 ENV_MODE = "REPRO_CODEGEN"
 
-#: ``auto`` cutoffs on ``horizon x merged-DAG op count`` (calibrated on the
-#: Quadrotor N=30 bench vs the MobileRobot unit-test problems): below
-#: ``_AUTO_NUMPY_SCORE`` the per-stage interpreted loop wins outright;
-#: above ``_AUTO_C_SCORE`` the one-time compiler invocation amortizes.
-_AUTO_NUMPY_SCORE = 4_000
+#: the ``auto`` cutoff on ``horizon x merged-DAG op count`` (calibrated on
+#: the Quadrotor N=30 bench vs the MobileRobot unit-test problems): above
+#: it the one-time compiler invocation amortizes, below it the per-stage
+#: interpreted loop is as fast as a kernel call.
 _AUTO_C_SCORE = 20_000
 
 
@@ -88,7 +92,7 @@ def _problem_score(problem) -> int:
 
 
 class FusedProblemKernels:
-    """Tier selection + fused module build for one transcribed problem."""
+    """The tier rule + C kernel build for one transcribed problem."""
 
     def __init__(
         self,
@@ -100,49 +104,34 @@ class FusedProblemKernels:
         self.mode = resolve_mode(mode)
         self.stats = CodegenStats()
         self.store = store if store is not None else ArtifactStore()
-        self.module: Optional[StoredModule] = None
         self.key: Optional[str] = None
-        self._kernel = None  # CKernel or FusedKernel(HOST)
+        self._kernel: Optional[CKernel] = None
 
-        tier = self._select_tier()
-        if tier == "interpreted":
+        self.stats.fallback_reason = self._declined()
+        if self.stats.fallback_reason:
             return
         try:
-            self._build(tier)
+            self._build()
         except Exception as exc:  # any build failure -> interpreted
-            self.stats.kernel = "interpreted"
             self.stats.fallback_reason = f"build failed: {exc}"
-            self._kernel = None
-            self.module = None
 
     # -- tier decision -----------------------------------------------------
 
-    def _select_tier(self) -> str:
+    def _declined(self) -> str:
+        """Why this problem stays interpreted ("" = build the C kernel)."""
         p = self.problem
         if self.mode == "off":
-            self.stats.fallback_reason = "codegen off"
-            return "interpreted"
+            return "codegen off"
         if p.move_block != 1:
-            self.stats.fallback_reason = "move_block > 1"
-            return "interpreted"
-        have_c = c_available()
-        if self.mode == "numpy":
-            return "fused-numpy"
-        if self.mode == "c":
-            if have_c:
-                return "fused-c"
-            self.stats.fallback_reason = "no C compiler/cffi; using numpy tier"
-            return "fused-numpy"
-        if self.mode == "on":
-            return "fused-c" if have_c else "fused-numpy"
-        # auto: size cutoff keeps tiny problems on the per-stage loop
-        score = _problem_score(p)
-        if have_c and score >= _AUTO_C_SCORE:
-            return "fused-c"
-        if score >= _AUTO_NUMPY_SCORE:
-            return "fused-numpy"
-        self.stats.fallback_reason = f"auto: below size cutoff (score={score})"
-        return "interpreted"
+            return "move_block > 1"
+        if self.mode == "auto":
+            # size cutoff keeps tiny problems on the per-stage loop
+            score = _problem_score(p)
+            if score < _AUTO_C_SCORE:
+                return f"auto: below size cutoff (score={score})"
+        if not c_available():
+            return "no C compiler/cffi"
+        return ""
 
     # -- build -------------------------------------------------------------
 
@@ -166,50 +155,17 @@ class FusedProblemKernels:
             spec("term", False, term_vars),
         ]
 
-    def _build(self, tier: str) -> None:
-        p = self.problem
+    def _build(self) -> None:
         t0 = time.perf_counter()
         fused = emit_fused_module(self._function_specs())
-        key = module_fingerprint(
-            fused,
-            extra=(
-                f"N={p.N}",
-                f"move_block={p.move_block}",
-                "dtype=float64",
-            ),
-        )
+        self.key = module_fingerprint(fused, extra=("dtype=float64",))
         self.stats.emit_time = time.perf_counter() - t0
-        self.key = key
-
-        stored = self.store.load(key)
-        if stored is not None:
-            self.stats.store_hit = True
-            self.module = stored
-        else:
-            self.module = self.store.save(
-                key,
-                fused.source,
-                fused.layouts,
-                meta={
-                    "model": p.model.name,
-                    "task": p.task.name,
-                    "horizon": p.N,
-                    "move_block": p.move_block,
-                },
-            )
 
         t1 = time.perf_counter()
-        if tier == "fused-c":
-            try:
-                self._kernel = build_c_kernel(fused.irs, key, self.store)
-                self.stats.kernel = "fused-c"
-            except CodegenError as exc:
-                self.stats.fallback_reason = f"c tier unavailable: {exc}"
-                tier = "fused-numpy"
-        if tier == "fused-numpy":
-            self._kernel = FusedKernel(self.module)  # HOST numpy binding
-            self.stats.kernel = "fused-numpy"
+        self._kernel = build_c_kernel(fused.irs, self.key, self.store)
         self.stats.compile_time = time.perf_counter() - t1
+        self.stats.store_hit = self._kernel.store_hit
+        self.stats.kernel = "fused-c"
 
     # -- access ------------------------------------------------------------
 
@@ -217,16 +173,11 @@ class FusedProblemKernels:
     def active(self) -> bool:
         return self._kernel is not None
 
-    def provider(self, xp=None):
-        """The fused tier as a group provider: the tier's own host kernel
-        (C or numpy) for the scalar lane (``xp=None``), the fused module
-        re-bound to array backend ``xp`` for a batch."""
-        if self.module is None:
-            raise CodegenError("fused module was not built")
-        kernel = self._kernel if xp is None else FusedKernel(self.module, xp)
-        if isinstance(kernel, CKernel):
-            kernel = _LaneCKernel(kernel)
-        return fused_provider(kernel)
+    def provider(self):
+        """The C kernel as a group provider of the scalar host lane."""
+        if self._kernel is None:
+            raise CodegenError("fused kernel was not built")
+        return fused_provider(_LaneCKernel(self._kernel))
 
     def disable(self, reason: str) -> None:
         self._kernel = None

@@ -14,25 +14,24 @@ from dataclasses import dataclass, field
 class CodegenStats:
     """What the codegen seam decided and what it cost.
 
-    ``kernel`` names the evaluation tier actually in use:
+    ``kernel`` names the evaluation tier of the problem's scalar host lane:
 
-    * ``"fused-c"`` — cffi-compiled C module (fastest, bit-identical to the
+    * ``"fused-c"`` — cffi-compiled C module (bit-identical to the
       interpreted scalar path: both call the same libm);
-    * ``"fused-numpy"`` — the generated module re-executed under an array
-      backend's ufunc namespace, one horizon-wide call per stage family;
     * ``"interpreted"`` — the original per-stage ``call_positional`` loop
-      (codegen off, below the auto size cutoff, or a fallback fired).
+      (codegen off, below the auto size cutoff, no compiler, or a fallback
+      fired).
     """
 
     kernel: str = "interpreted"
     #: why the fused path is not in use ("" when it is); e.g.
     #: "auto: below size cutoff", "move_block > 1", or a build error
     fallback_reason: str = ""
-    #: wall seconds spent walking the DAGs and emitting fused source
-    #: (zero on an artifact-store hit)
+    #: wall seconds spent walking the DAGs into the fused IR and hashing
+    #: it (paid on every build: the artifact key is computed from the IR)
     emit_time: float = 0.0
-    #: wall seconds spent compiling the emitted module (python ``compile`` +
-    #: ``exec``; includes the C compiler when ``kernel == "fused-c"``)
+    #: wall seconds spent in ``build_c_kernel``: the C compiler on a cold
+    #: key, a ``dlopen`` on a store hit
     compile_time: float = 0.0
     #: fused-evaluation reuse: a hit means a second stage-family request
     #: (gradient after objective, Jacobian after constraints, ...) was
@@ -40,9 +39,8 @@ class CodegenStats:
     #: the same point
     cache_hits: int = 0
     cache_misses: int = 0
-    #: the content-addressed artifact store already had this problem's
-    #: emitted module (True saves the emit walk; the compile still runs
-    #: once per process)
+    #: the artifact store already held this key's shared object: it was
+    #: reloaded and no compiler ran (the emit walk is still paid)
     store_hit: bool = False
 
     def as_dict(self) -> dict:
@@ -73,6 +71,3 @@ class FusedFunctionLayout:
     name: str
     n_outputs: int
     groups: list = field(default_factory=list)
-
-    def slices(self) -> dict:
-        return {g.name: (g.start, g.start + g.count) for g in self.groups}

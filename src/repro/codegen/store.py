@@ -1,41 +1,33 @@
-"""Content-addressed store for emitted fused-kernel artifacts.
+"""Content-addressed cache of compiled fused-kernel shared objects.
 
-Serve runs a fleet of worker processes that would each pay the same DAG
-walk + emission (and, on the C tier, the same compiler invocation) for the
-same ``(robot, horizon, move_block, dtype)`` problem.  The store keys every
-artifact by :func:`repro.codegen.emit.module_fingerprint` — a hash over the
-expression DAGs themselves plus the shape/context tokens — so the key *is*
-the content: a changed dynamics model, weight constant, horizon, or emitter
-version lands on a different key, and stale entries can never be replayed.
+Serve runs a fleet of worker processes that would each pay the same
+compiler invocation (0.4-2.4 s) for the same robot.  The store keys every
+shared object by :func:`repro.codegen.emit.module_fingerprint` — a hash
+over the expression DAGs themselves, the dtype token and the emitter
+version — so the key *is* the content: a changed dynamics model, weight
+constant or emitter version lands on a different key and a stale entry is
+never consulted, while every horizon of one robot (the stage body has no
+``N`` in it) shares one artifact.
 
 Layout under the cache root (``REPRO_CODEGEN_CACHE`` or
 ``~/.cache/repro/codegen``)::
 
-    <key>.json          emitted python module source + layouts + checksum
     so/<key>/<mod>.so   compiled C extension (written by cbackend)
 
-Writes are atomic (temp file in the same directory, then ``os.replace``) so
-concurrent first-compiles from two processes race benignly: both compute
-identical bytes for the same key and the second replace is a no-op
-overwrite.  Reads validate a checksum and the emitter version; anything
-malformed is deleted and reported as a miss, which triggers a clean
-re-emit.
+:func:`repro.codegen.cbackend.build_c_kernel` writes it by building in a
+temp directory beside the target and ``os.replace``-ing the result, so
+concurrent first-compiles from two processes race benignly, and reloads
+it on every later build of the same key; a shared object that does not
+load (truncated, foreign ABI) is rebuilt over.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
-from .emit import CODEGEN_VERSION
-from .stats import FusedFunctionLayout, FusedGroupLayout
-
-__all__ = ["ArtifactStore", "StoredModule", "default_cache_root"]
+__all__ = ["ArtifactStore", "default_cache_root"]
 
 ENV_CACHE = "REPRO_CODEGEN_CACHE"
 
@@ -47,118 +39,11 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro" / "codegen"
 
 
-@dataclass
-class StoredModule:
-    """A fused module as persisted: source text plus its output layouts."""
-
-    key: str
-    source: str
-    layouts: Dict[str, FusedFunctionLayout]
-    meta: Dict[str, object]
-
-
-def _layouts_to_json(layouts: Dict[str, FusedFunctionLayout]) -> dict:
-    return {
-        name: {
-            "n_outputs": lay.n_outputs,
-            "groups": [[g.name, g.start, g.count] for g in lay.groups],
-        }
-        for name, lay in layouts.items()
-    }
-
-
-def _layouts_from_json(data: dict) -> Dict[str, FusedFunctionLayout]:
-    out: Dict[str, FusedFunctionLayout] = {}
-    for name, lay in data.items():
-        layout = FusedFunctionLayout(name=name, n_outputs=int(lay["n_outputs"]))
-        for gname, start, count in lay["groups"]:
-            layout.groups.append(
-                FusedGroupLayout(name=str(gname), start=int(start), count=int(count))
-            )
-        out[name] = layout
-    return out
-
-
-def _source_sha(source: str) -> str:
-    return hashlib.sha256(source.encode()).hexdigest()
-
-
 class ArtifactStore:
-    """Filesystem-backed, content-addressed cache of emitted modules."""
+    """Filesystem root of the content-addressed shared-object cache."""
 
     def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
 
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def so_dir_for(self, key: str) -> Path:
         return self.root / "so" / key
-
-    def load(self, key: str) -> Optional[StoredModule]:
-        """Fetch a validated artifact, or ``None`` (missing or corrupt)."""
-        path = self.path_for(key)
-        try:
-            raw = path.read_text()
-        except OSError:
-            return None
-        try:
-            data = json.loads(raw)
-            if data["codegen_version"] != CODEGEN_VERSION:
-                raise ValueError("emitter version mismatch")
-            if data["key"] != key:
-                raise ValueError("key mismatch")
-            source = data["source"]
-            if not isinstance(source, str) or data["sha"] != _source_sha(source):
-                raise ValueError("checksum mismatch")
-            layouts = _layouts_from_json(data["layouts"])
-            meta = dict(data.get("meta", {}))
-        except (KeyError, TypeError, ValueError):
-            # Corrupt or stale entry: evict so the caller re-emits cleanly.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return StoredModule(key=key, source=source, layouts=layouts, meta=meta)
-
-    def save(
-        self,
-        key: str,
-        source: str,
-        layouts: Dict[str, FusedFunctionLayout],
-        meta: Optional[Dict[str, object]] = None,
-    ) -> StoredModule:
-        """Persist atomically; concurrent writers of the same key converge."""
-        payload = {
-            "codegen_version": CODEGEN_VERSION,
-            "key": key,
-            "sha": _source_sha(source),
-            "meta": dict(meta or {}),
-            "source": source,
-            "layouts": _layouts_to_json(layouts),
-        }
-        path = self.path_for(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:12]}.", suffix=".tmp", dir=str(path.parent)
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(payload))
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # Read-only or full cache dir: the store is an accelerator, not
-            # a correctness dependency — fall through with the in-memory
-            # artifact and let the next process re-emit.
-            pass
-        return StoredModule(
-            key=key, source=source, layouts=dict(layouts), meta=dict(meta or {})
-        )

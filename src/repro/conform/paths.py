@@ -32,9 +32,9 @@ seeded point near the case's initial guess:
 * ``interp_linearize`` (baseline): interpreted *evaluation* — every stage
   function called knot by knot on Python floats (codegen ``off``).
 * ``codegen_linearize``: the ahead-of-time fused kernel path
-  (:mod:`repro.codegen`, mode ``on`` — best tier available here); the C
-  tier is bit-identical to the baseline, the numpy tier agrees to array
-  ufunc round-off.
+  (:mod:`repro.codegen`, mode ``on``); the C kernel is bit-identical to
+  the baseline, and on a compiler-less host the path notes that the
+  comparison is trivial.
 
 Both paths place what they evaluated through the one shared assembler
 (:mod:`repro.linearize`), so this family is differential in the *kernels*
@@ -849,7 +849,7 @@ _register(
     NumericPath(
         name="codegen_linearize",
         family="linearize",
-        description="fused-kernel codegen linearize block (best tier here)",
+        description="fused-kernel codegen linearize block (C kernel)",
         run=_run_codegen_linearize,
     )
 )

@@ -6,15 +6,15 @@ A linearization has two parts, and the repo keeps one of each.
 returns ``{group: stack}`` — ``(B, K, width)`` for the running family
 (``K = N`` knots, ``N - 1`` for the state rows, which skip the pinned knot
 0) and ``(B, width)`` for the terminal one.  A provider is a callable
-``provider(lanes, pt, name)`` that returns at least group ``name``; four
+``provider(lanes, pt, name)`` that returns at least group ``name``; three
 tiers sit behind that call: *interpreted*
 (:meth:`TranscribedProblem._interpreted_groups`, per-knot Python floats —
 the conform oracle, the ``move_block > 1`` path and the batch's
 cannot-vectorize fallback), *vectorized*
-(:mod:`repro.batch.transcription`, one ufunc sweep per group) and the two
-fused tiers (:func:`fused_provider` over a numpy-bound
-:class:`~repro.codegen.kernel.FusedKernel` or the C kernel), which
-evaluate a whole stage family per call.
+(:mod:`repro.batch.transcription`, one ufunc sweep per group — what a
+batch binds) and *fused* (:func:`fused_provider` over the compiled C
+kernel of :mod:`repro.codegen`, which evaluates a whole stage family per
+call — what the scalar host lane binds when the kernel was built).
 
 **The assembler** — :class:`LaneLinearizer`'s seven methods — places those
 stacks into the solver's vectors and matrices by index maps built once from

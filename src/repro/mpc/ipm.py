@@ -189,11 +189,6 @@ class InteriorPointSolver:
     ):
         self.problem = problem
         self.options = options or IPMOptions()
-        # linearize-phase codegen selection flows through the problem: the
-        # default "auto" leaves the problem's own mode (REPRO_CODEGEN or
-        # auto) untouched, an explicit mode overrides it
-        if self.options.qp.codegen != "auto":
-            self.problem.set_codegen(self.options.qp.codegen)
         #: cumulative statistics across solves (see
         #: :func:`repro.batch.ipm.new_stats`)
         self.stats = _lanes().new_stats()

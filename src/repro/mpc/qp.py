@@ -36,7 +36,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.linearizer import CODEGEN_MODES
 from repro.codegen.stats import CodegenStats
 from repro.errors import SolverError
 from repro.mpc.banded import (
@@ -145,11 +144,6 @@ class QPOptions:
     #: let SQP drivers retry a stalled/diverged ADMM subproblem with the
     #: IPM inside the remaining budget (the method-health fallback ladder)
     admm_fallback: bool = True
-    #: linearize-phase codegen mode: "auto" (size-gated on-with-fallback,
-    #: the default), "on" (best available fused tier), "off" (interpreted),
-    #: or a pinned tier "numpy" / "c".  Applied to the transcribed problem
-    #: by the SQP drivers; see :mod:`repro.codegen`.
-    codegen: str = "auto"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -170,11 +164,6 @@ class QPOptions:
             raise SolverError("admm_equilibrate_spread must be >= 1")
         if self.admm_stall_iterations < 0:
             raise SolverError("admm_stall_iterations must be >= 0")
-        if self.codegen not in CODEGEN_MODES:
-            raise SolverError(
-                f"unknown codegen mode {self.codegen!r} (expected one of "
-                f"{CODEGEN_MODES})"
-            )
 
 
 @dataclass

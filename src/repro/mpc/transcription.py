@@ -135,7 +135,8 @@ class TranscribedProblem:
 
     # -- fused-kernel codegen seam ----------------------------------------------
     def set_codegen(self, mode: Optional[str]) -> None:
-        """Select the codegen mode (``auto``/``on``/``off``/``numpy``/``c``).
+        """Select the codegen mode (``auto``/``on``/``off``; ``None`` defers
+        to ``REPRO_CODEGEN``).
 
         Resets any kernels already built so the next evaluation re-decides
         the tier under the new mode.
@@ -168,37 +169,29 @@ class TranscribedProblem:
 
     def bind_lanes(self, xp=None, vectorized=None, reason: str = ""):
         """Bind the lane-batched linearizer of this problem on ``xp`` — the
-        one place a group provider is chosen.
+        one place a group provider is chosen, by who binds.
 
-        ``xp=None`` is the scalar host lane: the codegen tier's own kernel
-        (fused-C or fused-numpy) when one is active, else the interpreted
-        provider.  A batch passes its backend and its vectorized provider
-        and gets the fused module re-bound to that backend when the tier is
-        active; ``vectorized=None`` (with the ``reason`` it could not be
-        built) binds the interpreted provider.  Why a fused tier was not
-        bound is recorded, never dropped: a build failure in
-        :meth:`codegen_stats`, a bind failure in ``fallback_reason``.
+        ``xp=None`` is the scalar host lane: the codegen tier's C kernel
+        when one was built, else the interpreted provider (why not is in
+        :meth:`codegen_stats`).  A batch passes its backend and its
+        vectorized provider, or ``vectorized=None`` with the ``reason`` it
+        could not be built to bind the interpreted provider; a batch never
+        consults the codegen tier.
         """
         from repro.batch.backend import HOST
 
-        scalar, stats = xp is None, None
-        if vectorized is None:
-            provider, tier = self._interpreted_groups, "interpreted"
+        if xp is not None:
+            if vectorized is not None:
+                return LaneLinearizer(self, xp, vectorized, "vectorized")
+            return LaneLinearizer(
+                self, xp, self._interpreted_groups, "interpreted", None, reason
+            )
+        kernels = self.codegen_kernels()
+        if kernels is not None and kernels.active:
+            provider, tier = kernels.provider(), "fused"
         else:
-            provider, tier = vectorized, "vectorized"
-        if scalar or vectorized is not None:
-            kernels = self.codegen_kernels()
-            if scalar:
-                stats = self._cg_stats
-            if kernels is not None and kernels.active:
-                try:
-                    provider = kernels.provider(xp)
-                    tier, stats = "fused", kernels.stats
-                except Exception as exc:
-                    reason = f"bind failed: {exc}"
-        return LaneLinearizer(
-            self, HOST if scalar else xp, provider, tier, stats, reason
-        )
+            provider, tier = self._interpreted_groups, "interpreted"
+        return LaneLinearizer(self, HOST, provider, tier, self._cg_stats)
 
     @property
     def lanes(self) -> LaneLinearizer:

@@ -12,7 +12,7 @@ solver cost over a fleet:
   or over a ``ProcessPoolExecutor`` of ``workers`` processes fed
   *picklable solve payloads*: the session's warm state travels by value,
   workers keep a per-process solver cache keyed by (robot, horizon, QP
-  method, codegen mode), and only the result arrays come back
+  method), and only the result arrays come back
   (:mod:`repro.serve.wire`).  Batched group solves are the v2 engine
   (:mod:`repro.serve2`).
 * **Backpressure** — when a tick's wall time overruns ``tick_budget_s``,
@@ -38,7 +38,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.linearizer import CODEGEN_MODES
 from repro.errors import ReproError, ServeError
 from repro.mpc.budget import SolveBudget
 from repro.serve.session import ControlSession, SessionTable, StepOutcome
@@ -66,15 +65,8 @@ class EngineConfig:
     tick_budget_s: Optional[float] = None
     #: backpressure never shrinks the batch below this many sessions/tick
     min_batch: int = 1
-    #: fused-kernel codegen mode for linearization, engine-wide default for
-    #: sessions built through :meth:`ServeEngine.create_session`
-    codegen: str = "auto"
 
     def __post_init__(self):
-        if self.codegen not in CODEGEN_MODES:
-            raise ServeError(
-                f"codegen must be one of {CODEGEN_MODES}, got {self.codegen!r}"
-            )
         if self.max_sessions < 1:
             raise ServeError("max_sessions must be >= 1")
         if self.workers < 0:
@@ -231,19 +223,14 @@ class ServeEngine(SessionTable):
             # fork start method the children inherit the compiled problems
             # for free instead of re-transcribing per worker.
             for (robot, horizon), (bench, problem) in self._problem_cache.items():
-                variants = {
-                    (s.config.qp_method, s.config.codegen)
+                methods = {
+                    s.config.qp_method
                     for s in self.sessions.values()
                     if (s.config.robot, s.config.horizon) == (robot, horizon)
-                } or {("ipm", "auto")}
-                for method, codegen in variants:
+                } or {"ipm"}
+                for method in methods:
                     prime_worker_cache(
-                        robot,
-                        horizon,
-                        bench,
-                        problem,
-                        qp_method=method,
-                        codegen=codegen,
+                        robot, horizon, bench, problem, qp_method=method
                     )
             self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
         futures = {}
@@ -334,11 +321,11 @@ class ServeEngine(SessionTable):
 
 # -- worker-side solve (process backend) ----------------------------------------
 
-#: per-process cache: (robot, horizon, qp_method, codegen) -> (benchmark,
-#: problem, solver) — the QP method and codegen mode are part of the
-#: solver's identity, so sessions with different methods never share a
-#: worker-side solver (or its ADMM-internal warm state / fused kernels)
-_WORKER_CACHE: Dict[Tuple[str, int, str, str], Tuple[object, object, object]] = {}
+#: per-process cache: (robot, horizon, qp_method) -> (benchmark, problem,
+#: solver) — the QP method is part of the solver's identity, so sessions
+#: with different methods never share a worker-side solver (or its
+#: ADMM-internal warm state)
+_WORKER_CACHE: Dict[Tuple[str, int, str], Tuple[object, object, object]] = {}
 
 
 def prime_worker_cache(
@@ -347,10 +334,9 @@ def prime_worker_cache(
     bench=None,
     problem=None,
     qp_method: str = "ipm",
-    codegen: str = "auto",
 ) -> None:
     """Populate this process's solver cache (parent-side, pre-fork)."""
-    key = (robot, horizon, qp_method, codegen)
+    key = (robot, horizon, qp_method)
     if key in _WORKER_CACHE:
         return
     if bench is None:
@@ -359,8 +345,6 @@ def prime_worker_cache(
         bench = build_benchmark(robot)
     if problem is None:
         problem = bench.transcribe(horizon=horizon)
-    if codegen != "auto":
-        problem.set_codegen(codegen)
     # warm the fused kernels pre-fork: a cold C compile belongs in the
     # prime, not inside a worker's first deadline-budgeted solve
     problem.codegen_kernels()
@@ -389,9 +373,8 @@ def remote_solve(payload: Dict[str, object]) -> Dict[str, object]:
         robot = str(payload["robot"])
         horizon = int(payload["horizon"])
         qp_method = str(payload.get("qp_method") or "ipm")
-        codegen = str(payload.get("codegen") or "auto")
-        prime_worker_cache(robot, horizon, qp_method=qp_method, codegen=codegen)
-        _, _, solver = _WORKER_CACHE[(robot, horizon, qp_method, codegen)]
+        prime_worker_cache(robot, horizon, qp_method=qp_method)
+        _, _, solver = _WORKER_CACHE[(robot, horizon, qp_method)]
         budget = SolveBudget(
             wall_clock=payload.get("deadline_s"),
             sqp_iterations=payload.get("max_sqp_iterations"),

@@ -83,8 +83,6 @@ class LoadConfig:
     workers: int = 0
     #: inner QP solver for every fleet session: "ipm" or "admm"
     qp_method: str = "ipm"
-    #: fused-kernel codegen mode for every fleet session
-    codegen: str = "auto"
     tick_budget_s: Optional[float] = None
     #: plant RK4 sub-steps per control interval
     substeps: int = 2
@@ -167,7 +165,6 @@ def _build_engine(config: LoadConfig, trace):
                 shards=config.shards,
                 shard_backend=config.shard_backend,
                 qp_method=config.qp_method,
-                codegen=config.codegen,
                 array_backend=config.array_backend,
             ),
             trace=trace,
@@ -176,7 +173,6 @@ def _build_engine(config: LoadConfig, trace):
         EngineConfig(
             max_sessions=config.sessions,
             workers=config.workers,
-            codegen=config.codegen,
             tick_budget_s=config.tick_budget_s,
         ),
         trace=trace,
@@ -221,7 +217,6 @@ def run_load(config: LoadConfig) -> LoadReport:
                 deadline_s=config.deadline_s,
                 degrade_after=config.degrade_after,
                 qp_method=config.qp_method,
-                codegen=config.codegen,
             )
         )
         bench, problem = engine.binding(robot, horizon)

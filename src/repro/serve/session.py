@@ -37,7 +37,6 @@ from repro.errors import (
     SessionStateError,
     StateValidationError,
 )
-from repro.codegen.linearizer import CODEGEN_MODES
 from repro.mpc.budget import SolveBudget
 from repro.mpc.controller import MPCController
 from repro.mpc.health import SolverHealth
@@ -113,19 +112,11 @@ class SessionConfig:
     #: :mod:`repro.firstorder` — cached factorization, RTI-friendly
     #: warm-started iterations)
     qp_method: str = "ipm"
-    #: linearize-phase codegen mode for this session's problem: "auto"
-    #: (size-gated on-with-fallback, the default), "on", "off", or a pinned
-    #: tier "numpy" / "c" — see :mod:`repro.codegen`
-    codegen: str = "auto"
 
     def __post_init__(self):
         if self.qp_method not in QP_METHODS:
             raise ServeError(
                 f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
-            )
-        if self.codegen not in CODEGEN_MODES:
-            raise ServeError(
-                f"codegen must be one of {CODEGEN_MODES}, got {self.codegen!r}"
             )
 
     def budget(self) -> Optional[SolveBudget]:
@@ -254,8 +245,6 @@ class ControlSession:
             bench = build_benchmark(config.robot)
         if problem is None:
             problem = bench.transcribe(horizon=config.horizon)
-        if config.codegen != "auto":
-            problem.set_codegen(config.codegen)
         # Build the fused kernels now (this may invoke the C compiler on a
         # cold artifact store): session construction is off the deadline
         # clock, the first tick is not.
@@ -415,7 +404,6 @@ class ControlSession:
             # the *effective* method: a demoted session ships "ipm" to the
             # worker pool even though its config still says "admm"
             "qp_method": self.qp_method,
-            "codegen": self.config.codegen,
         }
 
     def absorb(self, remote: Dict[str, object]) -> StepOutcome:
@@ -574,7 +562,7 @@ class SessionTable:
     Admission against ``config.max_sessions`` (with lazy eviction of
     closed sessions at the cap), the shared ``(robot, horizon)``
     transcriptions, the per-session lifecycle passthroughs, and per-step
-    recording.  ``config`` needs ``max_sessions`` and ``codegen``.  An
+    recording.  ``config`` needs ``max_sessions``.  An
     engine keeps its per-session routing state (v1's round-robin deque,
     v2's shard affinity) in step with the table through
     :meth:`_on_register` / :meth:`_on_evict`.
@@ -617,10 +605,6 @@ class SessionTable:
 
             bench = build_benchmark(config.robot)
             problem = bench.transcribe(horizon=config.horizon)
-            if self.config.codegen != "auto":
-                # engine-wide default; a session's own SessionConfig.codegen
-                # still wins inside from_benchmark
-                problem.set_codegen(self.config.codegen)
             self._problem_cache[key] = (bench, problem)
         bench, problem = self._problem_cache[key]
         session = ControlSession.from_benchmark(

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.batch.ipm import BatchSolveReport
-from repro.codegen.linearizer import CODEGEN_MODES
 from repro.errors import ReproError, ServeError
 from repro.mpc.qp import QP_METHODS
 from repro.serve.engine import TickReport
@@ -71,8 +70,6 @@ class Serve2Config:
     shed_late: bool = True
     #: inner QP solver for the batched lanes: "ipm" or "admm"
     qp_method: str = "ipm"
-    #: fused-kernel codegen mode, engine-wide default
-    codegen: str = "auto"
     #: array backend for the batched lanes, e.g. "torch" (None = numpy)
     array_backend: Optional[str] = None
 
@@ -80,10 +77,6 @@ class Serve2Config:
         if self.qp_method not in QP_METHODS:
             raise ServeError(
                 f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
-            )
-        if self.codegen not in CODEGEN_MODES:
-            raise ServeError(
-                f"codegen must be one of {CODEGEN_MODES}, got {self.codegen!r}"
             )
         if self.max_sessions < 1:
             raise ServeError("max_sessions must be >= 1")
@@ -119,7 +112,6 @@ class AsyncServeEngine(SessionTable):
                 i,
                 backend=self.config.shard_backend,
                 qp_method=self.config.qp_method,
-                codegen=self.config.codegen,
                 array_backend=self.config.array_backend,
             )
             for i in range(self.config.shards)
@@ -410,7 +402,6 @@ class AsyncServeEngine(SessionTable):
             "robot": robot,
             "bucket": bucket,
             "qp_method": self.config.qp_method,
-            "codegen": self.config.codegen,
             "payloads": payloads,
             "fault": self._shard_faults.pop(shard.index, None),
         }

@@ -324,7 +324,6 @@ class PaddedBinding:
         bench,
         bucket: int,
         qp_method: str = "ipm",
-        codegen: str = "auto",
         array_backend: Optional[str] = None,
     ):
         self.bench = bench
@@ -335,8 +334,6 @@ class PaddedBinding:
         self.problem = TranscribedProblem(
             self.task.model, self.task, horizon=self.bucket, dt=bench.dt
         )
-        if codegen != "auto":
-            self.problem.set_codegen(codegen)
         self.scalar_solver = bench.make_solver(self.problem)
         try:
             from repro.batch import BatchSolver

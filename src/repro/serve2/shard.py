@@ -37,13 +37,11 @@ class Shard:
         index: int,
         backend: str = "inline",
         qp_method: str = "ipm",
-        codegen: str = "auto",
         array_backend: Optional[str] = None,
     ):
         self.index = index
         self.backend = backend
         self.qp_method = qp_method
-        self.codegen = codegen
         self.array_backend = array_backend
         #: (robot, bucket) -> PaddedBinding (built on first use)
         self.bindings: Dict[Tuple[str, int], PaddedBinding] = {}
@@ -58,7 +56,6 @@ class Shard:
                 bench,
                 bucket,
                 qp_method=self.qp_method,
-                codegen=self.codegen,
                 array_backend=self.array_backend,
             )
         return self.bindings[key]
@@ -72,11 +69,7 @@ class Shard:
             # the worker inherits the compiled padded problems for free.
             for (robot, bucket), binding in self.bindings.items():
                 prime_shard_cache(
-                    robot,
-                    bucket,
-                    qp_method=self.qp_method,
-                    codegen=self.codegen,
-                    binding=binding,
+                    robot, bucket, qp_method=self.qp_method, binding=binding
                 )
             self._pool = ProcessPoolExecutor(max_workers=1)
         return self._pool
@@ -108,26 +101,25 @@ class Shard:
 
 # -- worker-side group solve (process shards) -----------------------------------
 
-#: per-process cache: (robot, bucket, qp_method, codegen) -> PaddedBinding
-_SHARD_CACHE: Dict[Tuple[str, int, str, str], PaddedBinding] = {}
+#: per-process cache: (robot, bucket, qp_method) -> PaddedBinding
+_SHARD_CACHE: Dict[Tuple[str, int, str], PaddedBinding] = {}
 
 
 def prime_shard_cache(
     robot: str,
     bucket: int,
     qp_method: str = "ipm",
-    codegen: str = "auto",
     binding: Optional[PaddedBinding] = None,
 ) -> None:
     """Populate this process's padded-binding cache (parent-side, pre-fork)."""
-    key = (robot, bucket, qp_method, codegen)
+    key = (robot, bucket, qp_method)
     if key in _SHARD_CACHE:
         return
     if binding is None:
         from repro.robots import build_benchmark
 
         binding = PaddedBinding(
-            build_benchmark(robot), bucket, qp_method=qp_method, codegen=codegen
+            build_benchmark(robot), bucket, qp_method=qp_method
         )
     # a cold kernel compile belongs in the prime, not a budgeted solve
     binding.problem.codegen_kernels()
@@ -150,9 +142,8 @@ def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
         robot = str(group["robot"])
         bucket = int(group["bucket"])
         qp_method = str(group.get("qp_method") or "ipm")
-        codegen = str(group.get("codegen") or "auto")
-        prime_shard_cache(robot, bucket, qp_method=qp_method, codegen=codegen)
-        binding = _SHARD_CACHE[(robot, bucket, qp_method, codegen)]
+        prime_shard_cache(robot, bucket, qp_method=qp_method)
+        binding = _SHARD_CACHE[(robot, bucket, qp_method)]
         if not binding.batchable:
             # the engine steps unbatchable bindings scalar-inline and never
             # ships them to a shard worker

@@ -8,10 +8,9 @@ covering the full op surface (every ``_MATH_FUNCS`` transcendental, every
 infix elementary, unary neg), with shared subexpressions across output
 groups plus pass-through-variable and bare-constant outputs:
 
-* fused Python source under ``math`` vs :class:`CompiledFunction`, scalar;
-* :class:`FusedKernel` under each registered array backend vs the
-  per-function :class:`VectorizedFunction`, on ``(N,)`` and ``(B, N)``
-  columns (torch/cupy/jax skip with a reason when not importable);
+* fused Python source under ``math`` vs :class:`CompiledFunction`, scalar
+  (``emit_python_function`` is the IR's reference executor: hypothesis
+  cannot compile C per example);
 * the C tier vs the interpreted scalar on seeded DAGs (one compiler
   invocation for the whole module; skipped when no compiler is present).
 """
@@ -22,17 +21,13 @@ import struct
 import numpy as np
 import pytest
 
-from repro.batch.backend import available_backends
-from repro.batch.transcription import VectorizedFunction
 from repro.codegen import (
     FunctionGroup,
-    FusedKernel,
     build_ir,
     c_available,
     emit_fused_module,
     emit_python_function,
 )
-from repro.codegen.store import StoredModule
 from repro.symbolic.compile import _INFIX, _MATH_FUNCS, compile_function
 from repro.symbolic.expr import OPS, Call, Const, Var
 
@@ -125,56 +120,6 @@ def test_fused_python_bit_identical_to_interpreted_scalar(dag, data):
             assert _bits(a) == _bits(b), f"group {g.name}: {a!r} != {b!r}"
 
 
-@pytest.mark.parametrize("backend", ["numpy", "torch", "cupy", "jax"])
-@given(dag=dags(), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_fused_kernel_bit_identical_to_vectorized(backend, dag, data):
-    if backend not in available_backends():
-        pytest.skip(f"array backend {backend!r} is not importable here")
-    variables, groups = dag
-    var_names = [v.name for v in variables]
-    compiled = _interpreted(variables, groups)
-
-    module = emit_fused_module([("fused", groups, var_names)])
-    stored = StoredModule(
-        key="0" * 64, source=module.source, layouts=module.layouts, meta={}
-    )
-    kern = FusedKernel(stored, backend)
-    try:
-        oracles = [VectorizedFunction(fn, backend) for fn in compiled]
-    except Exception:
-        # a backend missing a ufunc twin must refuse fused binding the
-        # same way; nothing further to compare
-        assume(False)
-
-    n = data.draw(st.integers(min_value=1, max_value=5), label="N")
-    lanes = data.draw(st.integers(min_value=0, max_value=2), label="extra-dims")
-    shape = (2,) * lanes + (n,)
-    cols = [
-        np.array(
-            data.draw(
-                st.lists(
-                    _finite,
-                    min_size=int(np.prod(shape)),
-                    max_size=int(np.prod(shape)),
-                ),
-                label=v,
-            ),
-            dtype=float,
-        ).reshape(shape)
-        for v in var_names
-    ]
-
-    fused_groups = kern.call("fused", [kern.xp.asarray(c) for c in cols])
-    for g, oracle in zip(module.layouts["fused"].groups, oracles):
-        want = oracle([kern.xp.asarray(c) for c in cols])
-        got = fused_groups[g.name]
-        a = np.ascontiguousarray(kern.xp.to_host(got))
-        b = np.ascontiguousarray(kern.xp.to_host(want))
-        assert a.shape == b.shape == shape + (g.count,)
-        assert a.tobytes() == b.tobytes(), f"group {g.name} diverged"
-
-
 def _seeded_dag(seed: int):
     """Deterministic DAG exercising the full op surface (for the C tier)."""
     rng = np.random.default_rng(seed)
@@ -228,16 +173,21 @@ def test_c_kernel_bit_identical_to_interpreted(tmp_path):
     assert checked > 100  # the domain filter must not eat the sample
 
 
-def test_constant_and_passthrough_outputs_broadcast():
-    """Bare-constant / pass-through outputs follow VectorizedFunction shape
-    semantics: broadcast to the column shape, stacked on a trailing axis."""
+@pytest.mark.skipif(not c_available(), reason="no C compiler / cffi here")
+def test_constant_and_passthrough_outputs_broadcast(tmp_path):
+    """Bare-constant / pass-through outputs fill the point axis like any
+    computed output: a group of ``m`` outputs over ``n`` points is
+    ``(n, m)``."""
+    from repro.codegen import ArtifactStore
+    from repro.codegen.cbackend import build_c_kernel
+    from repro.codegen.emit import module_fingerprint
+
     x = Var("x")
     groups = [FunctionGroup(name="g0", exprs=(Const(3.5), x, x + Const(0.0)))]
     module = emit_fused_module([("fused", groups, ["x"])])
-    stored = StoredModule(
-        key="1" * 64, source=module.source, layouts=module.layouts, meta={}
+    kern = build_c_kernel(
+        module.irs, module_fingerprint(module), ArtifactStore(tmp_path)
     )
-    kern = FusedKernel(stored)
     cols = [np.array([1.0, 2.0, 4.0])]
     out = kern.call("fused", cols)["g0"]
     assert out.shape == (3, 3)

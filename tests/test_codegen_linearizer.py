@@ -1,22 +1,41 @@
-"""Fused-linearizer integration: tier selection, scalar/batch agreement
-with the interpreted evaluators, solver stats surfacing, and the fallback
-ladder (build failures, runtime failures, narrow batch-vectorization
-catches)."""
+"""Fused-linearizer integration: the tier rule, the C kernel's agreement
+with the interpreted evaluators, solver stats surfacing, the shared-object
+cache (hit / cold / horizon-free key), and the drops to the interpreted
+provider (build failures, runtime failures, narrow batch-vectorization
+catches).  Tests that bind the C tier share one module-scoped store root,
+so each robot compiles once; a per-test root appears only where cold/hit
+behaviour is the assertion."""
 
 import numpy as np
 import pytest
 
 from repro.batch import BatchLinearizer
 from repro.batch.backend import NumpyBackend
-from repro.codegen import CodegenStats, FusedProblemKernels, c_available, resolve_mode
-from repro.errors import CodegenError, SolverError, VectorizationError
+from repro.codegen import (
+    ArtifactStore,
+    CodegenStats,
+    FusedProblemKernels,
+    c_available,
+    resolve_mode,
+)
+from repro.errors import CodegenError, VectorizationError
 from repro.robots import build_benchmark
 
 
+needs_c = pytest.mark.skipif(
+    not c_available(), reason="no C compiler / cffi here"
+)
+
+
+@pytest.fixture(scope="module")
+def shared_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("cgcache")
+
+
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Every test gets its own artifact-store root."""
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgcache"))
+def _module_cache(shared_root, monkeypatch):
+    """One artifact-store root for the module: each robot compiles once."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(shared_root))
     monkeypatch.delenv("REPRO_CODEGEN", raising=False)
 
 
@@ -36,20 +55,14 @@ def _point(bench, problem, seed=0):
 class TestModeResolution:
     def test_env_default(self, monkeypatch):
         assert resolve_mode(None) == "auto"
-        monkeypatch.setenv("REPRO_CODEGEN", "numpy")
-        assert resolve_mode(None) == "numpy"
+        monkeypatch.setenv("REPRO_CODEGEN", "on")
+        assert resolve_mode(None) == "on"
         assert resolve_mode("off") == "off"  # explicit beats env
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(CodegenError):
-            resolve_mode("fast")
-
-    def test_qpoptions_validates_codegen(self):
-        from repro.mpc.qp import QPOptions
-
-        assert QPOptions(codegen="numpy").codegen == "numpy"
-        with pytest.raises(SolverError):
-            QPOptions(codegen="fast")
+        for mode in ("fast", "numpy", "c"):  # the retired tier pins too
+            with pytest.raises(CodegenError):
+                resolve_mode(mode)
 
 
 class TestTierSelection:
@@ -66,11 +79,12 @@ class TestTierSelection:
         assert not k.active
         assert "below size cutoff" in k.stats.fallback_reason
 
-    def test_numpy_pin(self, mobile):
+    @needs_c
+    def test_on_pin(self, mobile):
         _, problem = mobile
-        k = FusedProblemKernels(problem, "numpy")
+        k = FusedProblemKernels(problem, "on")
         assert k.active
-        assert k.stats.kernel == "fused-numpy"
+        assert k.stats.kernel == "fused-c"
         assert k.stats.emit_time > 0.0
 
     def test_move_block_falls_back(self):
@@ -89,18 +103,56 @@ class TestTierSelection:
         monkeypatch.setattr(
             "repro.codegen.linearizer.c_available", lambda: False
         )
-        k = FusedProblemKernels(problem, "c")
-        assert k.active
-        assert k.stats.kernel == "fused-numpy"
+        k = FusedProblemKernels(problem, "on")
+        assert not k.active
+        assert k.stats.kernel == "interpreted"
         assert "no C compiler" in k.stats.fallback_reason
 
-    def test_store_hit_on_second_build(self, mobile):
+    @needs_c
+    def test_store_hit_on_second_build(self, mobile, tmp_path, monkeypatch):
+        """``store_hit`` means the shared object was reloaded and no
+        compiler ran — not that an emit walk was saved."""
+        import cffi
+
         _, problem = mobile
-        first = FusedProblemKernels(problem, "numpy")
-        second = FusedProblemKernels(problem, "numpy")
-        assert first.key == second.key
+        store = ArtifactStore(tmp_path)  # cold root: hit/miss is the subject
+        first = FusedProblemKernels(problem, "on", store=store)
+        assert first.stats.kernel == "fused-c"
         assert not first.stats.store_hit
+
+        def no_compiler(self, *a, **k):
+            raise AssertionError("the compiler ran on a store hit")
+
+        monkeypatch.setattr(cffi.FFI, "compile", no_compiler)
+        second = FusedProblemKernels(problem, "on", store=store)
+        assert first.key == second.key
+        assert second.stats.kernel == "fused-c"
         assert second.stats.store_hit
+        assert second.stats.emit_time > 0.0  # the walk is still paid
+
+    @needs_c
+    def test_horizons_of_one_robot_share_one_artifact(
+        self, tmp_path, monkeypatch
+    ):
+        """The key is the content: the stage body has no ``N`` in it."""
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))  # cold root
+        bench = build_benchmark("MobileRobot")
+        keys = []
+        for horizon, hit in ((5, False), (7, True)):
+            problem = bench.transcribe(horizon=horizon)
+            x0, z = _point(bench, problem)
+            problem.set_codegen("off")
+            expected = _all_scalar_outputs(problem, z, x0, bench.ref)
+            problem.set_codegen("on")
+            assert problem.lanes.tier == "fused"
+            assert problem.codegen_stats().store_hit is hit
+            keys.append(problem.codegen_kernels().key)
+            got = _all_scalar_outputs(problem, z, x0, bench.ref)
+            for e, g in zip(expected, got):
+                assert np.array_equal(np.asarray(e), np.asarray(g))
+        assert keys[0] == keys[1]
+        so_dir = ArtifactStore(tmp_path).so_dir_for(keys[0])
+        assert len(list(so_dir.glob("*.so"))) == 1
 
 
 def _all_scalar_outputs(problem, z, x0, ref):
@@ -115,18 +167,7 @@ def _all_scalar_outputs(problem, z, x0, ref):
     )
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [
-        "numpy",
-        pytest.param(
-            "c",
-            marks=pytest.mark.skipif(
-                not c_available(), reason="no C compiler / cffi here"
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("mode", [pytest.param("on", id="c", marks=needs_c)])
 def test_scalar_fused_matches_interpreted(mobile, mode):
     bench, problem = mobile
     x0, z = _point(bench, problem)
@@ -136,17 +177,15 @@ def test_scalar_fused_matches_interpreted(mobile, mode):
     assert problem.codegen_kernels().active
     got = _all_scalar_outputs(problem, z, x0, bench.ref)
     for e, g in zip(expected, got):
-        if mode == "c":
-            # same libm, contraction off: bit-identical to interpreted
-            assert np.array_equal(np.asarray(e), np.asarray(g))
-        else:
-            np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+        # same libm, contraction off: bit-identical to interpreted
+        assert np.array_equal(np.asarray(e), np.asarray(g))
 
 
+@needs_c
 def test_scalar_point_cache_serves_follow_ups(mobile):
     bench, problem = mobile
     x0, z = _point(bench, problem)
-    problem.set_codegen("numpy")
+    problem.set_codegen("on")
     problem.objective_gradient(z, bench.ref)  # fused_run_full + term_full
     stats = problem.codegen_stats()
     misses = stats.cache_misses
@@ -156,12 +195,13 @@ def test_scalar_point_cache_serves_follow_ups(mobile):
     assert stats.cache_hits > 0
 
 
+@needs_c
 def test_runtime_failure_falls_back_to_interpreted(mobile):
     bench, problem = mobile
     x0, z = _point(bench, problem)
     problem.set_codegen("off")
     expected = problem.objective(z, bench.ref)
-    problem.set_codegen("numpy")
+    problem.set_codegen("on")
     assert problem.lanes.tier == "fused"
 
     def boom(*a, **k):
@@ -174,12 +214,13 @@ def test_runtime_failure_falls_back_to_interpreted(mobile):
     assert "runtime failure" in problem.codegen_stats().fallback_reason
 
 
+@needs_c
 def test_validation_errors_still_raise_through_fused(mobile):
     from repro.errors import TranscriptionError
 
     bench, problem = mobile
     x0, z = _point(bench, problem)
-    problem.set_codegen("numpy")
+    problem.set_codegen("on")
     with pytest.raises(TranscriptionError):
         problem.equality_constraints(z, np.zeros(problem.nx + 1), bench.ref)
     with pytest.raises(TranscriptionError):
@@ -194,16 +235,16 @@ def test_validation_errors_still_raise_through_fused(mobile):
     assert problem.codegen_kernels().active
 
 
+@needs_c
 def test_ipm_solver_surfaces_codegen_stats(mobile):
     bench, problem = mobile
     solver = bench.make_solver(problem)
-    solver.options.qp.codegen = "numpy"
-    problem.set_codegen("numpy")
+    problem.set_codegen("on")
     result = solver.solve(np.asarray(bench.x0, float), ref=bench.ref)
     assert result.converged
     record = solver.stats["codegen"]
     assert record is not None
-    assert record["kernel"] == "fused-numpy"
+    assert record["kernel"] == "fused-c"
     assert record["cache_hits"] > 0
 
 
@@ -222,58 +263,50 @@ class TestBatchFused:
         )
         return Z, Z[:, : problem.nx].copy()
 
-    def test_batch_fused_matches_batch_vectorized(self, mobile):
+    def test_batch_never_consults_the_fused_tier(self, mobile, monkeypatch):
+        """Who binds decides: under ``on`` a batch is still the vectorized
+        provider, and building it neither builds nor reads the kernels."""
         bench, problem = mobile
         Z, X0 = self._lanes(bench, problem)
         problem.set_codegen("off")
         plain = BatchLinearizer(problem)
-        assert plain._lanes.tier == "vectorized"
-        assert plain.codegen_stats is None
-        problem.set_codegen("numpy")
-        fused = BatchLinearizer(problem)
-        assert fused._lanes.tier == "fused"
-        assert fused.codegen_stats is problem.codegen_stats()
-        R = plain.normalize_ref([bench.ref] * Z.shape[0], Z.shape[0])
-        pairs = [
-            (plain.objective(Z, R), fused.objective(Z, R)),
-            (
-                plain.objective_gradient(Z, R),
-                fused.objective_gradient(Z, R),
-            ),
-            (
-                plain.objective_gauss_newton(Z, R),
-                fused.objective_gauss_newton(Z, R),
-            ),
-            (
-                plain.equality_constraints(Z, X0, R),
-                fused.equality_constraints(Z, X0, R),
-            ),
-            (plain.equality_jacobian(Z, R), fused.equality_jacobian(Z, R)),
-            (
-                plain.inequality_constraints(Z, R),
-                fused.inequality_constraints(Z, R),
-            ),
-            (
-                plain.inequality_jacobian(Z, R),
-                fused.inequality_jacobian(Z, R),
-            ),
-        ]
-        for want, got in pairs:
-            # same ufuncs in the same order: bit-identical stacks
-            assert np.array_equal(np.asarray(want), np.asarray(got))
+
+        def no_build(*a, **k):
+            raise AssertionError("a batch built FusedProblemKernels")
+
+        monkeypatch.setattr(
+            "repro.codegen.linearizer.FusedProblemKernels.__init__", no_build
+        )
+        problem.set_codegen("on")
+        lin = BatchLinearizer(problem)
+        assert lin._lanes.tier == plain._lanes.tier == "vectorized"
+        assert lin.codegen_stats is None and lin.fallback_reason == ""
+        assert problem._cg_stats is None  # nothing was decided, nothing built
+        want = plain.objective_gradient(Z, bench.ref)
+        assert np.array_equal(lin.objective_gradient(Z, bench.ref), want)
 
     def test_batch_point_cache_counts(self, mobile):
+        """The batch keeps the assembler's point cache (it carries no
+        codegen stats, so provider calls are counted directly)."""
         bench, problem = mobile
         Z, X0 = self._lanes(bench, problem)
-        problem.set_codegen("numpy")
         lin = BatchLinearizer(problem)
         R = lin.normalize_ref([bench.ref] * Z.shape[0], Z.shape[0])
+        provider, calls = lin._lanes.provider, []
+
+        def counting(lanes, pt, name):
+            calls.append(name)
+            return provider(lanes, pt, name)
+
+        lin._lanes.provider = counting
         lin.equality_jacobian(Z, R)
-        stats = lin.codegen_stats
-        misses = stats.cache_misses
-        lin.equality_constraints(Z, X0, R)  # same objects: cached full pass
-        assert stats.cache_misses == misses
-        assert stats.cache_hits > 0
+        evaluated = len(calls)
+        assert evaluated > 0
+        lin.equality_jacobian(Z, R)  # same point: every group is cached
+        assert len(calls) == evaluated
+        lin.equality_constraints(Z, X0, R)  # value groups: one sweep each
+        assert len(calls) > evaluated
+        assert len(set(calls)) == len(calls)
 
 
 class TestBatchFallbackNarrowing:
@@ -317,8 +350,8 @@ class TestBatchFallbackNarrowing:
 
 
 class TestNoSilentTierDrop:
-    """A fused tier that cannot be built or bound lands on the next
-    provider with the reason recorded where the provider is chosen."""
+    """A fused tier that cannot be built lands on the interpreted provider
+    with the reason recorded where the provider is chosen."""
 
     class _BrokenStore:
         def __init__(self, *a, **k):
@@ -334,7 +367,7 @@ class TestNoSilentTierDrop:
         monkeypatch.setattr(
             "repro.codegen.linearizer.ArtifactStore", self._BrokenStore
         )
-        problem.set_codegen("numpy")
+        problem.set_codegen("on")
         assert np.array_equal(problem.objective_gradient(z, bench.ref), expected)
         assert problem.codegen_kernels() is None
         assert problem.lanes.tier == "interpreted"
@@ -343,36 +376,18 @@ class TestNoSilentTierDrop:
         assert stats.fallback_reason.startswith("build failed: ")
         assert "read-only" in stats.fallback_reason
 
+    @needs_c
     def test_store_that_fails_mid_build_records_build_failure(self, mobile):
-        from repro.codegen import ArtifactStore
-
-        class FailingLoad(ArtifactStore):
-            def load(self, key):
+        class FailingStore(ArtifactStore):
+            def so_dir_for(self, key):
                 raise OSError("disk went away")
 
         _, problem = mobile
-        k = FusedProblemKernels(problem, "numpy", store=FailingLoad())
+        k = FusedProblemKernels(problem, "on", store=FailingStore())
         assert not k.active
         assert k.stats.kernel == "interpreted"
         assert k.stats.fallback_reason.startswith("build failed: ")
-
-    def test_batch_bind_failure_is_recorded(self, mobile, monkeypatch):
-        bench, problem = mobile
-        problem.set_codegen("numpy")
-        assert problem.codegen_kernels().active
-
-        def cannot_bind(module, backend=None):
-            raise RuntimeError("backend lacks a ufunc")
-
-        monkeypatch.setattr("repro.codegen.linearizer.FusedKernel", cannot_bind)
-        lin = BatchLinearizer(problem)
-        assert lin.vectorized  # still the vectorized provider, not a loop
-        assert lin.fallback_reason.startswith("bind failed: ")
-        assert lin.codegen_stats is None
-        Z = np.stack([_point(bench, problem, seed=s)[1] for s in range(2)])
-        problem.set_codegen("off")
-        want = BatchLinearizer(problem).objective_gradient(Z, bench.ref)
-        assert np.array_equal(lin.objective_gradient(Z, bench.ref), want)
+        assert "disk went away" in k.stats.fallback_reason
 
 
 def test_codegen_stats_roundtrip():

@@ -1,12 +1,12 @@
 """Artifact-store behavior: content addressing, corruption, concurrency.
 
-The store is an accelerator, never a correctness dependency: every test
-here checks that a bad state (corrupt entry, stale version, unwritable
-root, two racing first-compiles) degrades to a clean re-emit rather than
-a wrong kernel.
+The store is the ``so/<key>/`` cache of compiled kernels — an accelerator,
+never a correctness dependency: every test here checks that a bad state
+(a shared object that does not load, an unwritable root, two racing
+first-compiles) degrades to a clean rebuild or to the interpreted provider
+rather than a wrong kernel.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -18,12 +18,18 @@ import pytest
 from repro.codegen import (
     ArtifactStore,
     FunctionGroup,
+    FusedProblemKernels,
     c_available,
     emit_fused_module,
     module_fingerprint,
 )
-from repro.codegen.emit import CODEGEN_VERSION
+from repro.codegen.cbackend import build_c_kernel
+from repro.robots import build_benchmark
 from repro.symbolic.expr import Const, Var
+
+needs_c = pytest.mark.skipif(
+    not c_available(), reason="no C compiler / cffi here"
+)
 
 
 def _module(weight: float = 2.0):
@@ -35,85 +41,87 @@ def _module(weight: float = 2.0):
     return emit_fused_module([("fused_run_full", groups, ["x", "u"])])
 
 
+def _check(kern):
+    out = kern.call("fused_run_full", [np.array([1.5]), np.array([-0.5])])
+    assert abs(out["dyn"][0, 0] - 1.45) < 1e-12
+    assert abs(out["cost"][0, 0] - 4.75) < 1e-12
+
+
+@needs_c
 def test_cache_hit_on_identical_key(tmp_path):
     store = ArtifactStore(tmp_path)
     module = _module()
-    key = module_fingerprint(module, extra=("N=8",))
-    assert store.load(key) is None  # cold
-    saved = store.save(key, module.source, module.layouts, meta={"robot": "T"})
-    hit = store.load(key)
-    assert hit is not None
-    assert hit.source == saved.source == module.source
-    assert hit.meta == {"robot": "T"}
-    assert [g.name for g in hit.layouts["fused_run_full"].groups] == [
-        "dyn",
-        "cost",
-    ]
+    key = module_fingerprint(module)
+    cold = build_c_kernel(module.irs, key, store)
+    assert not cold.store_hit
+    hit = build_c_kernel(_module().irs, key, store)  # reloaded, not rebuilt
+    assert hit.store_hit
+    _check(cold)
+    _check(hit)
+    assert len(list(store.so_dir_for(key).glob("*.so"))) == 1
 
 
 def test_key_moves_on_dag_change_and_on_shape_change(tmp_path):
-    base = module_fingerprint(_module(2.0), extra=("N=8",))
+    base = module_fingerprint(_module(2.0), extra=("dtype=float64",))
     # a changed weight constant is a different expression DAG
-    assert module_fingerprint(_module(3.0), extra=("N=8",)) != base
-    # same DAG, different horizon/shape context token
-    assert module_fingerprint(_module(2.0), extra=("N=16",)) != base
+    assert module_fingerprint(_module(3.0), extra=("dtype=float64",)) != base
+    # same DAG, different context token
+    assert module_fingerprint(_module(2.0), extra=("dtype=float32",)) != base
     # the old entry is simply never consulted for the new key
     store = ArtifactStore(tmp_path)
-    module = _module(2.0)
-    store.save(base, module.source, module.layouts)
-    assert store.load(module_fingerprint(_module(3.0), extra=("N=8",))) is None
+    assert store.so_dir_for(base) != store.so_dir_for(
+        module_fingerprint(_module(3.0), extra=("dtype=float64",))
+    )
 
 
+@needs_c
 @pytest.mark.parametrize(
     "corruption",
-    ["not json at all", json.dumps({"codegen_version": CODEGEN_VERSION})],
-    ids=["garbage", "missing-fields"],
+    [lambda so: b"not a shared object at all", lambda so: so[:100]],
+    ids=["garbage", "truncated"],
 )
 def test_corrupt_artifact_rejected_and_evicted(tmp_path, corruption):
-    store = ArtifactStore(tmp_path)
     module = _module()
-    key = module_fingerprint(module, extra=())
-    store.save(key, module.source, module.layouts)
-    store.path_for(key).write_text(corruption)
-    assert store.load(key) is None
-    assert not store.path_for(key).exists()  # evicted, not left to re-fail
-    # a clean re-save recovers
-    store.save(key, module.source, module.layouts)
-    assert store.load(key) is not None
+    key = module_fingerprint(module)
+    good = ArtifactStore(tmp_path / "good")
+    build_c_kernel(module.irs, key, good)
+    (so,) = good.so_dir_for(key).glob("*.so")
+    # plant the bad bytes in a second root (never over a loaded object)
+    store = ArtifactStore(tmp_path / "bad")
+    store.so_dir_for(key).mkdir(parents=True)
+    (store.so_dir_for(key) / so.name).write_bytes(corruption(so.read_bytes()))
+    rebuilt = build_c_kernel(module.irs, key, store)
+    assert not rebuilt.store_hit  # rejected: the compiler ran again
+    _check(rebuilt)
+    # evicted: the rebuild replaced the bad file, so the next build hits
+    assert build_c_kernel(module.irs, key, store).store_hit
+    assert len(list(store.so_dir_for(key).glob("*.so"))) == 1
 
 
-def test_checksum_mismatch_rejected(tmp_path):
-    store = ArtifactStore(tmp_path)
-    module = _module()
-    key = module_fingerprint(module, extra=())
-    store.save(key, module.source, module.layouts)
-    data = json.loads(store.path_for(key).read_text())
-    data["source"] = data["source"] + "\n# tampered\n"
-    store.path_for(key).write_text(json.dumps(data))
-    assert store.load(key) is None
+def test_stale_emitter_version_rejected(monkeypatch):
+    """The emitter version is part of the key, so an artifact written by
+    another version is never consulted."""
+    from repro.codegen import emit
+
+    base = module_fingerprint(_module())
+    monkeypatch.setattr(emit, "CODEGEN_VERSION", emit.CODEGEN_VERSION + 1)
+    assert module_fingerprint(_module()) != base
 
 
-def test_stale_emitter_version_rejected(tmp_path):
-    store = ArtifactStore(tmp_path)
-    module = _module()
-    key = module_fingerprint(module, extra=())
-    store.save(key, module.source, module.layouts)
-    data = json.loads(store.path_for(key).read_text())
-    data["codegen_version"] = CODEGEN_VERSION + 1
-    store.path_for(key).write_text(json.dumps(data))
-    assert store.load(key) is None
-
-
+@needs_c
 def test_unwritable_root_tolerated(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")  # a *file* where the store wants a directory
-    store = ArtifactStore(blocker / "cache")
-    module = _module()
-    key = module_fingerprint(module, extra=())
-    stored = store.save(key, module.source, module.layouts)
-    # nothing persisted, but the in-memory artifact is fully usable
-    assert stored.source == module.source
-    assert store.load(key) is None
+    bench = build_benchmark("MobileRobot")
+    problem = bench.transcribe(horizon=5)
+    kernels = FusedProblemKernels(
+        problem, "on", store=ArtifactStore(blocker / "cache")
+    )
+    # nothing compiled, nothing raised: the problem stays interpreted and
+    # says why
+    assert not kernels.active
+    assert kernels.stats.kernel == "interpreted"
+    assert kernels.stats.fallback_reason.startswith("build failed: ")
 
 
 _CHILD = """
@@ -129,10 +137,8 @@ groups = [
     FunctionGroup(name="cost", exprs=(Const(2.0) * x * x + u * u,)),
 ]
 module = emit_fused_module([("fused_run_full", groups, ["x", "u"])])
-key = module_fingerprint(module, extra=("N=8",))
-store = ArtifactStore(sys.argv[1])
-store.save(key, module.source, module.layouts)
-kern = build_c_kernel(module.irs, key, store)
+key = module_fingerprint(module)
+kern = build_c_kernel(module.irs, key, ArtifactStore(sys.argv[1]))
 out = kern.call("fused_run_full", [np.array([1.5]), np.array([-0.5])])
 assert abs(out["dyn"][0, 0] - 1.45) < 1e-12, out
 assert abs(out["cost"][0, 0] - 4.75) < 1e-12, out
@@ -140,7 +146,7 @@ print("OK", key)
 """
 
 
-@pytest.mark.skipif(not c_available(), reason="no C compiler / cffi here")
+@needs_c
 def test_concurrent_first_compile_converges(tmp_path):
     """Two processes racing the same cold key must both succeed and leave
     exactly one valid artifact behind (atomic-replace convergence)."""
@@ -167,8 +173,6 @@ def test_concurrent_first_compile_converges(tmp_path):
     assert outs[1][0].split()[1] == key
 
     store = ArtifactStore(root)
-    loaded = store.load(key)
-    assert loaded is not None
     sos = list(store.so_dir_for(key).glob("*.so"))
     assert len(sos) == 1  # racing builders converged on one shared object
     assert not list(store.so_dir_for(key).glob(".build.*"))  # tmpdirs cleaned

@@ -1,5 +1,7 @@
 """Tests for the batch serving engine: admission, ticking, backpressure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,6 @@ class TestConfig:
         [
             {"max_sessions": 0},
             {"workers": -1},
-            {"codegen": "carrier-pigeon"},
             {"min_batch": 0},
         ],
     )
@@ -244,3 +245,71 @@ class TestTeardown:
         engine.tick({sid: (X, None) for sid in sids})
         engine.collect_solver_stats()  # stubs expose no phase keys: no-op
         assert engine.metrics.phase_totals["factorize_time"] == 0
+
+
+class TestOneTierPerProblem:
+    """The codegen tier is the shared ``TranscribedProblem``'s: sessions of
+    one ``(robot, horizon)`` share it, and nothing a config or a wire
+    payload carries can re-tier it for the others."""
+
+    CONFIG = dict(robot="MobileRobot", horizon=5, deadline_s=None)
+
+    def test_sessions_share_one_problem_and_one_tier(self):
+        from repro.serve.loadgen import LoadConfig
+        from repro.serve2 import Serve2Config
+
+        for cls in (SessionConfig, EngineConfig, Serve2Config, LoadConfig):
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert "codegen" not in names, cls.__name__
+        engine = ServeEngine(EngineConfig())
+        try:
+            a, b = (
+                engine.sessions[
+                    engine.create_session(
+                        SessionConfig(qp_method=method, **self.CONFIG)
+                    )
+                ]
+                for method in ("ipm", "admm")
+            )
+            problem = a.controller.solver.problem
+            assert b.controller.solver.problem is problem
+            assert a.controller.solver is not b.controller.solver
+            # decided once, at create_session's warm-up, for both
+            assert problem._cg_stats is not None
+            lanes = a.controller.solver.problem.lanes
+            assert b.controller.solver.problem.lanes is lanes
+            assert "codegen" not in a.solve_payload(np.zeros(3))
+        finally:
+            engine.shutdown()
+
+    def test_worker_caches_key_on_robot_shape_and_method(self):
+        from repro.serve.engine import _WORKER_CACHE, remote_solve
+        from repro.serve2.padding import pad_reference
+        from repro.serve2.shard import _SHARD_CACHE, shard_solve_group
+
+        bench_x0 = np.array([0.5, -0.3, 0.1])
+        session = ControlSession.from_benchmark(
+            "s0", SessionConfig(qp_method="admm", **self.CONFIG)
+        )
+        assert remote_solve(session.solve_payload(bench_x0))["ok"]
+        session.qp_method = "ipm"  # what a method-health demotion does
+        assert remote_solve(session.solve_payload(bench_x0))["ok"]
+        admm = _WORKER_CACHE[("MobileRobot", 5, "admm")]
+        ipm = _WORKER_CACHE[("MobileRobot", 5, "ipm")]
+        assert admm[2] is not ipm[2]  # the demoted session's own solver
+        assert admm[2].options.qp.method == "admm"
+        assert ipm[2].options.qp.method == "ipm"
+
+        reply = shard_solve_group(
+            {
+                "robot": "MobileRobot",
+                "bucket": 5,
+                "qp_method": "admm",
+                "payloads": [
+                    {"x": bench_x0, "ref": pad_reference(session.ref, len(session.ref), 5, 5)}
+                ],
+            }
+        )
+        assert reply["ok"]
+        assert ("MobileRobot", 5, "admm") in _SHARD_CACHE
+        assert all(len(key) == 3 for key in (*_WORKER_CACHE, *_SHARD_CACHE))

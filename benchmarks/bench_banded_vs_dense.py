@@ -6,6 +6,14 @@ kernels and once through the dense ones, on byte-identical QP data, and
 report per-phase wall time plus measured-vs-cost-model flops from
 :class:`repro.mpc.qp.QPStats`.  The banded path must be at least 3x faster
 and — with the active-set polish — land on the same solution to 1e-8.
+
+The two sides are not the same kernel any more: the banded factor's tiles
+are LAPACK ``potrf`` + an LU inverse (:func:`repro.mpc.banded.cholesky_tiles`
+/ :func:`~repro.mpc.banded.tril_inverse`), while the dense path is the
+from-scratch column Cholesky of :mod:`repro.mpc.linalg`.  So the >= 3x gate
+measures LAPACK tiles against the from-scratch dense kernel, not the band
+structure alone; the flop rows below still compare the two algorithms on
+the cost model's terms.
 """
 
 from dataclasses import replace
@@ -40,7 +48,15 @@ def test_banded_vs_dense_quadrotor():
     solver = bench.make_solver(problem)
     qp_args, qperm = solver.first_qp_subproblem(bench.x0, bench.ref)
     H, g, G, b, J, d, bw = qp_args
-    opt = replace(solver.options.qp, polish=True)
+    # The conformance harness's options for a cold-start subproblem
+    # (repro.conform.paths.CaseContext): at the solver's default 1e-8 / 50
+    # iterations this QP stalls on both paths — each needs the
+    # regularization ladder mid-solve — so neither converges and there is
+    # no solution to compare.  The 1e-8 agreement below is on the polished
+    # active-set solution, not on the stopping tolerance.
+    opt = replace(
+        solver.options.qp, polish=True, tolerance=1e-6, max_iterations=400
+    )
 
     t_banded, res_b = _best_time(
         lambda: solve_qp(H, g, G, b, J, d, opt, bandwidth=bw)

@@ -3,11 +3,21 @@
 This is the lane-parallel twin of :mod:`repro.mpc.banded`: the same
 blocked bidiagonal factorization (diagonal tiles ``D_k`` and sub-diagonal
 couplings ``C_k``), but with a leading batch axis so one sweep factors
-``B`` independent KKT systems at once.  All inner products run as batched
-``matmul``/``einsum`` contractions, which is where the throughput of the
-``repro.batch`` subsystem comes from — and every contraction routes
-through the :mod:`~repro.batch.backend` seam (``xp``), so the same sweep
-runs on numpy, cupy, or torch arrays without touching this file.
+``B`` independent KKT systems at once.  The couplings and substitutions
+run as batched ``matmul`` contractions through the
+:mod:`~repro.batch.backend` seam (``xp``), so the same sweep runs on
+numpy, cupy, or torch arrays without touching this file.
+
+The diagonal tiles are where the backend decides.  On host backends each
+``(B, nb, nb)`` tile stack is factored and inverted by the scalar twin's
+tile kernels, :func:`repro.mpc.banded.cholesky_tiles` and
+:func:`~repro.mpc.banded.tril_inverse`: one stacked LAPACK call each
+(``potrf``, then an LU inverse, per matrix), so a host lane holds the very
+tiles the scalar factor computes for its matrix.  LAPACK gufuncs cannot
+take device arrays, so backends that report ``is_device`` run the
+seam-pure column sweep (:func:`_cholesky_tiles`,
+:func:`_triangular_inverse`) instead — no host round-trip, one ``einsum``
+per column.  No option selects between them.
 
 Storage is tile-only: the factorization keeps the ``(B, K, nb, nb)``
 ``D``/``D⁻¹``/``C`` tile stacks and indexes the input ``A`` block-wise as
@@ -22,10 +32,11 @@ with diagonal penalties and box constraints — is the ``nb=1`` tiling: ``n``
 independent 1x1 tiles whose couplings ``C_k`` are identically zero, so
 the tile axis needs no sweep at all.  The factor is then ``sqrt`` of the
 diagonal and every substitution one broadcast multiply by the stored
-reciprocal pivots; entry by entry that is what the tile kernels compute on
-a diagonal tile (their inner products are sums of exact zeros), so the
-lane is bit-identical to the sweep, just without its ``n`` Python column
-steps.  It is stored as tiles all the same (``_D``/``_Dinv`` of shape
+reciprocal pivots; entry by entry that is what either tile kernel computes
+on a diagonal tile — the column sweep's inner products are sums of exact
+zeros, ``potrf`` takes ``sqrt(a - 0)`` and the LU inverse ``1 / piv`` — so
+the lane is bit-identical to the tile factor on every backend, just
+without its ``K`` tile steps.  It is stored as tiles all the same (``_D``/``_Dinv`` of shape
 ``(B, n, 1, 1)``, ``_C`` empty), so the retry ladder's scatter and the
 flop meters need no second branch.  Like the scalar twin's
 ``to_banded(A, band)``, a factor never reads values outside the band it
@@ -37,17 +48,19 @@ input fails that lane, at every band.)
 
 Failure semantics differ from the scalar path by design.  The scalar
 :class:`~repro.mpc.banded.BandedCholeskyFactor` raises
-:class:`~repro.errors.SolverError` on a non-positive pivot; in a batch a
+:class:`~repro.errors.SolverError` where a tile fails; in a batch a
 single bad lane must not poison its neighbours, so the batched factor
 never raises on pivot failure.  Instead each lane carries an ``ok`` flag:
-a failed lane gets a safe placeholder pivot (its factors are garbage and
-must be discarded by the caller), while every other lane's arithmetic is
-untouched — all operations are lane-diagonal, so no information crosses
-the batch axis.  A lane whose factor tiles come out non-finite (overflow
-during the sweep slipping past the pivot checks) is flagged the same way:
+a failed lane gets a safe placeholder (the identity tile on host, a unit
+pivot in the sweep; its factors are garbage and must be discarded by the
+caller), while every other lane's arithmetic is untouched — all
+operations are lane-diagonal, and a stack LAPACK rejects is re-run tile
+by tile, so no information crosses the batch axis.  A lane whose factor
+tiles come out non-finite (overflow slipping past the pivot checks) is
+flagged the same way — the scalar factor raises on the same certificate:
 ``ok`` certifies finite, positive-definite factors, never silent garbage.
 Floating-point warnings are **not** blanket-suppressed: failed lanes'
-garbage operands are zeroed as the sweep goes (so they cannot warn), and
+operands are bounded placeholders (so they cannot warn), and
 a genuine overflow in a *healthy* lane is allowed to surface — solves on
 an already-degraded factor are the one place warnings are muted, and only
 when a flagged lane is actually present.  :func:`robust_factor_batch`
@@ -60,9 +73,11 @@ batch whose bad lanes were all repaired is audible again.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.errors import SolverError
+from repro.mpc import banded
 from repro.mpc.banded import (
     flop_counts_banded_cholesky,
     flop_counts_banded_substitution,
@@ -75,7 +90,9 @@ __all__ = ["BatchCholeskyFactor", "robust_factor_batch"]
 
 
 def _cholesky_tiles(xp: ArrayBackend, M):
-    """Batched dense Cholesky of a ``(B, m, m)`` tile stack.
+    """Batched dense Cholesky of a ``(B, m, m)`` tile stack — the device
+    backends' column sweep (host backends call
+    :func:`repro.mpc.banded.cholesky_tiles`).
 
     Returns ``(L, ok)`` where lanes with a non-positive or non-finite
     pivot are flagged ``ok=False`` and continue with a placeholder pivot
@@ -106,7 +123,8 @@ def _cholesky_tiles(xp: ArrayBackend, M):
 
 def _triangular_inverse(xp: ArrayBackend, L):
     """Batched inverse of lower-triangular ``(B, m, m)`` tiles via forward
-    substitution (mirrors the scalar path's ``Dinv``).
+    substitution — the device backends' sweep (host backends call
+    :func:`repro.mpc.banded.tril_inverse`).
 
     Row ``i`` of the inverse is nonzero only on columns ``0..i``, so the
     substitution contracts over the filled ``(:i, :i)`` prefix alone —
@@ -185,10 +203,10 @@ class BatchCholeskyFactor:
     def _factor_diagonal(self, A, finite, reg_fill) -> None:
         """The ``nb=1`` tiling: ``n`` independent 1x1 tiles whose couplings
         are identically zero, so the tile axis needs no sweep.  Entry by
-        entry this is the column step of :func:`_cholesky_tiles` and the
-        row step of :func:`_triangular_inverse` with their (all-zero)
-        inner products dropped, hence bit-identical to the tile sweep on
-        a diagonal matrix."""
+        entry this is what either tile kernel computes on a diagonal
+        tile (``sqrt(a)`` and ``1 / piv``, every inner product an exact
+        zero), hence bit-identical to the tile factor of a diagonal
+        matrix."""
         xp, n = self.xp, self.n
         self.nb, self.K, self.npad = 1, n, n
         dd = xp.arange(n)
@@ -209,7 +227,8 @@ class BatchCholeskyFactor:
 
     def _factor_tiles(self, A, finite, reg_fill) -> None:
         """The blocked bidiagonal sweep over ``nb x nb`` tiles (dense:
-        one tile; banded: ``nb = max(band, MIN_BLOCK)``)."""
+        one tile; banded: ``nb = max(band, MIN_BLOCK)``); the tile kernels
+        are LAPACK on host backends and the column sweep on devices."""
         xp, n, lanes = self.xp, self.n, self.lanes
         if self.band is None:
             nb = max(n, 1)
@@ -252,15 +271,23 @@ class BatchCholeskyFactor:
                 E[:, :w, :] = A[:, s:e, s - nb : s]
             return xp.where(finite[:, None, None], E, 0.0)
 
+        if xp.is_device:
+            factor = partial(_cholesky_tiles, xp)
+            invert = partial(_triangular_inverse, xp)
+        else:
+            # read through the module: the scalar factor's kernels, at
+            # their one definition
+            factor, invert = banded.cholesky_tiles, banded.tril_inverse
+
         D = xp.empty((lanes, K, nb, nb))
         Dinv = xp.empty((lanes, K, nb, nb))
         C = xp.empty((lanes, max(K - 1, 0), nb, nb))
         M = diag_tile(0)
         for k in range(K):
-            Lkk, okk = _cholesky_tiles(xp, M)
+            Lkk, okk = factor(M)
             self.ok = self.ok & okk
             D[:, k] = Lkk
-            Dinv[:, k] = _triangular_inverse(xp, Lkk)
+            Dinv[:, k] = invert(Lkk)
             if k + 1 < K:
                 Ck = xp.matmul(sub_tile(k), xp.transpose_last2(Dinv[:, k]))
                 C[:, k] = Ck

@@ -6,7 +6,8 @@ Public surface:
 * :class:`Task` / :class:`Penalty` / :class:`Constraint` — the ``Task`` IR.
 * :class:`TranscribedProblem` — horizon discretization (Eq. 5).
 * :class:`InteriorPointSolver` / :class:`IPMOptions` / :class:`IPMResult` —
-  the Eq. 6 solver built on from-scratch Cholesky + substitution kernels.
+  the Eq. 6 solver built on Cholesky + substitution kernels (from scratch
+  on the dense path, LAPACK tiles on the banded one).
 * :func:`solve_qp` / :class:`QPOptions` / :class:`QPResult` /
   :class:`QPStats` — the inner Mehrotra IPM with per-phase observability.
 * :class:`BandedCholeskyFactor` and the banded kernels — the stage-ordered

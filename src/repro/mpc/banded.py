@@ -13,16 +13,25 @@ matrix of a horizon-``N`` MPC problem is banded with half-bandwidth
 * exact primitive-op counts of the banded kernels, so benchmarks can
   compare measured flops against the accelerator cost model.
 
-These kernels are what :func:`repro.mpc.qp.solve_qp` runs when it is handed
-a bandwidth hint (the stage-interleaved ordering produced by
-:meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation`).  The
-inner loops are window-vectorized: each column/row touches only its
-``band``-wide window, expressed as one NumPy gather + matvec, which is what
-turns the asymptotic ``O(n band^2)`` win into a wall-clock win.
+The column kernels (:func:`banded_cholesky` and the banded substitutions)
+are the from-scratch reference, window-vectorized: each column/row touches
+only its ``band``-wide window, one NumPy gather + matvec.  What
+:func:`repro.mpc.qp.solve_qp` runs when it is handed a bandwidth hint (the
+stage-interleaved ordering produced by
+:meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation`) is
+:class:`BandedCholeskyFactor`: the same factorization over dense
+``nb x nb`` tiles, each tile factored by LAPACK ``potrf`` and inverted by
+LU through the host tile kernels :func:`cholesky_tiles` /
+:func:`tril_inverse`.  Those two kernels are written once, over
+``(..., m, m)`` stacks, and the batched twin
+(:class:`repro.batch.linalg.BatchCholeskyFactor`) calls them too on host
+backends, so a lane of a batch and a scalar factor of the same matrix hold
+bit-identical tiles.  The flop meters count the column algorithm — the
+accelerator's operation mix — not what LAPACK executes.
 
 The tests verify the banded results match the dense from-scratch kernels of
-:mod:`repro.mpc.linalg` exactly, and the kernel microbenchmarks demonstrate
-the asymptotic win the cost model is built on.
+:mod:`repro.mpc.linalg` to roundoff, and the kernel microbenchmarks
+demonstrate the asymptotic win the cost model is built on.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import SolverError
-from repro.mpc.linalg import cholesky, forward_substitution
 
 __all__ = [
     "to_banded",
@@ -44,6 +52,8 @@ __all__ = [
     "banded_cholesky_solve",
     "banded_solve",
     "bandwidth_of",
+    "cholesky_tiles",
+    "tril_inverse",
     "BandedCholeskyFactor",
     "flop_counts_banded_cholesky",
     "flop_counts_banded_substitution",
@@ -195,6 +205,65 @@ def banded_solve(
     return banded_cholesky_solve(L, b)
 
 
+def _stacked(kernel, M: np.ndarray) -> np.ndarray:
+    """Apply a LAPACK gufunc to an ``(..., m, m)`` stack in one call.
+
+    numpy raises for the whole stack when one matrix fails; the stack is
+    then re-run matrix by matrix, and only the matrices that raise are
+    NaN-filled.  The gufunc runs LAPACK once per matrix either way, so a
+    matrix's result does not depend on its stack-mates.
+    """
+    try:
+        return kernel(M)
+    except np.linalg.LinAlgError:
+        out = np.empty(M.shape, dtype=M.dtype)
+        flat = out.reshape((-1,) + M.shape[-2:])
+        for i, tile in enumerate(M.reshape(flat.shape)):
+            try:
+                flat[i] = kernel(tile)
+            except np.linalg.LinAlgError:
+                flat[i] = np.nan
+        return out
+
+
+@lru_cache(maxsize=64)
+def _lower_mask(m: int) -> np.ndarray:
+    """The ``m x m`` lower-triangle mask, built once per tile size and
+    shared read-only by every factor."""
+    mask = np.tri(m, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def cholesky_tiles(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LAPACK Cholesky of an ``(..., m, m)`` stack of SPD tiles.
+
+    Returns ``(L, ok)``: one ``potrf`` per tile (lower triangle read,
+    upper triangle of ``L`` zero), with ``ok`` false for a tile that is not
+    positive definite or whose factor is non-finite (``potrf`` lets a NaN
+    through).  Flagged tiles hold the identity — a bounded placeholder, so
+    a batch carries its failed lanes without overflow — and the caller
+    decides whether that raises (the scalar factor) or freezes a lane (the
+    batched one).
+    """
+    L = _stacked(np.linalg.cholesky, M)
+    ok = np.all(np.isfinite(L), axis=(-2, -1))
+    if not ok.all():
+        L = np.where(ok[..., None, None], L, np.eye(L.shape[-1], dtype=L.dtype))
+    return L, ok
+
+
+def tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of an ``(..., m, m)`` stack of lower-triangular tiles.
+
+    One stacked LU inverse, masked to the lower triangle: pivoting leaves
+    roundoff above the diagonal where the exact inverse is zero.  A tile LU
+    finds singular (an underflowed pivot) comes back NaN, and an overflow
+    comes back inf — both left for the caller's finiteness check.
+    """
+    return np.where(_lower_mask(L.shape[-1]), _stacked(np.linalg.inv, L), 0.0)
+
+
 class BandedCholeskyFactor:
     """Banded Cholesky factorization preprocessed for fast repeated solves.
 
@@ -212,14 +281,21 @@ class BandedCholeskyFactor:
 
     The computed factor is the banded Cholesky factor (unique for SPD
     input); entries beyond the bandwidth are exact zeros up to roundoff.
+    Each tile is factored by :func:`cholesky_tiles` and inverted by
+    :func:`tril_inverse` — the kernels a host
+    :class:`~repro.batch.linalg.BatchCholeskyFactor` lane runs, so the
+    tiles are bit-identical to that lane's at the same ``nb``.
 
     Args:
         B: symmetric positive-definite matrix in :func:`to_banded` storage.
         reg: diagonal regularization added before factorization.
 
     Raises:
-        SolverError: if a non-positive pivot is encountered (the matrix,
-            after regularization, is not positive definite).
+        SolverError: if a tile is not positive definite (the matrix, after
+            regularization, is not), or if any ``D`` / ``D⁻¹`` / ``C`` tile
+            comes out non-finite — overflow past the pivot checks, the
+            batched factor's ``tiles_ok`` certificate — so the retry ladder
+            escalates instead of solving on garbage.
     """
 
     #: minimum tile size — tiny bandwidths still get BLAS-sized tiles
@@ -265,22 +341,25 @@ class BandedCholeskyFactor:
         D = np.empty((K, nb, nb))  # diagonal tiles of L
         Dinv = np.empty((K, nb, nb))  # their inverses
         C = np.empty((max(K - 1, 0), nb, nb))  # subdiagonal tiles of L
-        eye = np.eye(nb)
         M = A[:nb, :nb]
         for k in range(K):
-            try:
-                Lkk = cholesky(M)
-            except SolverError as exc:
-                raise SolverError(f"banded cholesky (block {k}): {exc}") from None
+            Lkk, ok = cholesky_tiles(M)
+            if not ok:
+                raise SolverError(
+                    f"banded cholesky (block {k}): tile is not positive definite"
+                )
             D[k] = Lkk
-            # inv(L[k,k]) via forward substitution on the identity.
-            Dinv[k] = forward_substitution(Lkk, eye)
+            Dinv[k] = tril_inverse(Lkk)
             if k + 1 < K:
                 s = (k + 1) * nb
                 E = A[s : s + nb, s - nb : s]
                 Ck = E @ Dinv[k].T
                 C[k] = Ck
                 M = A[s : s + nb, s : s + nb] - Ck @ Ck.T
+        # ok certified D; overflow can still slip into D⁻¹ (a tiny pivot)
+        # and from there into C.
+        if not (np.all(np.isfinite(Dinv)) and np.all(np.isfinite(C))):
+            raise SolverError("banded cholesky: factor tiles overflowed")
         self.K = K
         self.npad = npad
         self._D = D

@@ -11,6 +11,14 @@ implements those kernels directly (no ``np.linalg`` solvers) so that
 
 The inner loops are expressed column-wise over NumPy vectors: the algorithm
 is hand-written, NumPy only supplies elementwise arithmetic.
+
+These are the reference kernels and the op-count source.  They serve the
+dense QP path, the SQP driver's convexification check and the conform
+oracles, and ``flop_counts_*`` here and in :mod:`repro.mpc.banded` are the
+accelerator's cost model.  The banded factor that the solver runs on every
+iteration factors its tiles with LAPACK ``potrf`` instead (see
+:func:`repro.mpc.banded.cholesky_tiles`); the counts still describe the
+column algorithm written out here.
 """
 
 from __future__ import annotations

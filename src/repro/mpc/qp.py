@@ -10,9 +10,10 @@ problem yields the convex QP
 
 solved here with a Mehrotra predictor-corrector interior-point method.  The
 Newton system of the paper's Eq. 6 is condensed by eliminating slacks and
-inequality multipliers, then solved with the from-scratch kernels of
-:mod:`repro.mpc.linalg` / :mod:`repro.mpc.banded` — the factorization is
-computed once per iteration and reused for the corrector.
+inequality multipliers, then solved with the from-scratch dense kernels of
+:mod:`repro.mpc.linalg` or the LAPACK-tiled banded factor of
+:mod:`repro.mpc.banded` — the factorization is computed once per iteration
+and reused for the corrector.
 
 Structure exploitation (the paper's central premise): when the caller hands
 ``solve_qp`` a ``bandwidth`` hint — the stage-interleaved ordering of
@@ -23,7 +24,7 @@ equality rows) and factorizes in symmetric banded storage with
 :class:`repro.mpc.banded.BandedCholeskyFactor`, turning the dense
 ``O(n^3)`` factorization into ``O(n b^2)``.  Regularization escalation and
 the Schur-complement elimination are identical in both paths, so banded and
-dense solves agree to machine precision; per-phase wall time and flop
+dense solves agree to roundoff; per-phase wall time and flop
 counters are reported in :class:`QPStats` so benchmarks can compare measured
 flops against the accelerator cost model.
 """

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.batch.linalg as batch_linalg
 from repro.batch import (
     BatchCholeskyFactor,
     CountingBackend,
@@ -16,7 +17,14 @@ from repro.batch import (
 from repro.batch.backend import HOST
 from repro.batch.linalg import _triangular_inverse
 from repro.errors import SolverError
-from repro.mpc.banded import BandedCholeskyFactor, to_banded
+from repro.mpc.banded import (
+    BandedCholeskyFactor,
+    cholesky_tiles,
+    to_banded,
+    tril_inverse,
+)
+from repro.mpc.linalg import cholesky
+from repro.mpc.qp import QPStats, _robust_factor
 from tests.test_batch_backend import ALL_BACKENDS
 
 # Both pivots pass the positivity check, yet the forward-substitution
@@ -59,15 +67,23 @@ class TestAgainstScalar:
             assert np.allclose(A[i] @ x[i], b[i], atol=1e-8)
 
     def test_matches_scalar_banded_kernel(self):
-        n, band, B = 30, 3, 4
-        A = np.stack([spd(n, 7 + i, band=band) for i in range(B)])
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(B, n))
-        batch = BatchCholeskyFactor(A, band=band)
-        x = batch.solve(b)
-        for i in range(B):
-            scalar = BandedCholeskyFactor(to_banded(A[i], band))
-            assert np.allclose(x[i], scalar.solve(b[i]), atol=1e-9)
+        # One tile kernel under both factors: at the same nb a host lane's
+        # tiles are the scalar factor's, bit for bit.  (27, 3) and (36, 6)
+        # are the fleets' Schur complements.
+        B = 4
+        for n, band in ((30, 3), (27, 3), (36, 6), (50, 20)):
+            A = np.stack([spd(n, 7 + i, band=band) for i in range(B)])
+            b = np.random.default_rng(1).normal(size=(B, n))
+            batch = BatchCholeskyFactor(A, band=band, reg=1e-9)
+            x = batch.solve(b)
+            for i in range(B):
+                scalar = BandedCholeskyFactor(to_banded(A[i], band), reg=1e-9)
+                assert scalar.nb == batch.nb
+                for stack in ("_D", "_Dinv", "_C"):
+                    assert np.array_equal(
+                        getattr(scalar, stack), getattr(batch, stack)[i]
+                    ), (n, band, stack)
+                assert np.allclose(x[i], scalar.solve(b[i]), atol=1e-9)
 
     def test_multi_rhs(self):
         n, B, k = 12, 3, 4
@@ -169,16 +185,89 @@ class TestTileOnlyStorage:
             assert np.allclose(A[i] @ x[i], b[i], atol=1e-8)
 
 
+def lower_stack(B, m, seed):
+    L = np.tril(np.random.default_rng(seed).normal(size=(B, m, m)))
+    dg = np.arange(m)
+    L[:, dg, dg] = 1.0 + np.abs(L[:, dg, dg])
+    return L
+
+
 class TestTriangularInverse:
     def test_matches_dense_inverse_and_stays_triangular(self):
-        rng = np.random.default_rng(3)
-        L = np.tril(rng.normal(size=(4, 8, 8)))
-        dg = np.arange(8)
-        L[:, dg, dg] = 1.0 + np.abs(L[:, dg, dg])
-        X = _triangular_inverse(HOST, L)
+        L = lower_stack(4, 8, 3)
+        X = tril_inverse(L)
         assert np.array_equal(np.tril(X), X)
         for i in range(4):
             assert np.allclose(X[i] @ L[i], np.eye(8), atol=1e-9)
+
+    def test_device_sweep_stays_triangular(self):
+        L = lower_stack(4, 8, 3)
+        X = _triangular_inverse(HOST, L)
+        assert np.array_equal(np.tril(X), X)
+        assert np.allclose(X, tril_inverse(L), atol=1e-12)
+
+
+class TestOneTileKernel:
+    """``cholesky_tiles`` / ``tril_inverse`` are the host tile kernels of
+    both factors: one stacked LAPACK call, re-run tile by tile only when
+    the stack raises."""
+
+    def test_lane_tiles_do_not_depend_on_their_mates(self):
+        n, band = 40, 5
+        A = np.stack([spd(n, 3 + i, band=band) for i in range(3)])
+        alone = BatchCholeskyFactor(A[1:2], band=band, reg=1e-9)
+        healthy = BatchCholeskyFactor(A, band=band, reg=1e-9)
+        mixed = BatchCholeskyFactor(
+            np.stack([A[0], -np.eye(n), A[1], np.full((n, n), np.nan)]),
+            band=band,
+            reg=1e-9,
+        )
+        assert list(healthy.ok) == [True] * 3
+        assert list(mixed.ok) == [True, False, True, False]
+        for stack in ("_D", "_Dinv", "_C"):
+            lane = getattr(alone, stack)[0]
+            assert np.array_equal(getattr(healthy, stack)[1], lane), stack
+            assert np.array_equal(getattr(mixed, stack)[2], lane), stack
+            assert np.array_equal(
+                getattr(mixed, stack)[0], getattr(healthy, stack)[0]
+            ), stack
+
+    @pytest.mark.parametrize("B", [1, 3, 4, 5, 64])
+    def test_stacked_call_equals_per_tile(self, B):
+        rng = np.random.default_rng(B)
+        M = np.stack([spd(16, int(s)) for s in rng.integers(0, 1000, size=B)])
+        L, ok = cholesky_tiles(M)
+        X = tril_inverse(L)
+        assert ok.all() and np.array_equal(np.tril(L), L)
+        for i in range(B):
+            Li, oki = cholesky_tiles(M[i])
+            assert bool(oki) and np.array_equal(L[i], Li)
+            assert np.array_equal(X[i], tril_inverse(Li))
+            # the from-scratch column kernel stays the reference
+            assert np.allclose(Li, cholesky(M[i]), rtol=0.0, atol=1e-12)
+
+    def test_failing_tiles_flagged_with_bounded_placeholders(self):
+        good = spd(6, 0)
+        M = np.stack([good, -np.eye(6), np.full((6, 6), np.nan), good])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L, ok = cholesky_tiles(M)
+        assert list(ok) == [True, False, False, True]
+        assert np.array_equal(L[1], np.eye(6)) and np.array_equal(L[2], np.eye(6))
+        assert np.array_equal(L[0], cholesky_tiles(good)[0])
+        assert not cholesky_tiles(-np.eye(3))[1]
+
+    def test_host_factors_never_run_the_column_sweep(self, monkeypatch):
+        def sweep(*_args):
+            raise AssertionError("host factor ran the column sweep")
+
+        monkeypatch.setattr(batch_linalg, "_cholesky_tiles", sweep)
+        monkeypatch.setattr(batch_linalg, "_triangular_inverse", sweep)
+        A = np.stack([spd(30, i, band=3) for i in range(2)])
+        assert BatchCholeskyFactor(A, band=3).ok.all()
+        BandedCholeskyFactor(to_banded(A[0], 3))
+        with pytest.raises(AssertionError, match="column sweep"):
+            BatchCholeskyFactor(A, band=3, backend=CountingBackend())
 
 
 class TestOverflowEscape:
@@ -205,6 +294,16 @@ class TestOverflowEscape:
         assert reg[1] > 0.0 and reg[0] == 0.0
         x = fac.solve(np.ones((2, 2)))
         assert np.all(np.isfinite(x))
+
+    def test_scalar_ladder_repairs_overflow(self):
+        # The scalar factor carries the batched factor's certificate:
+        # non-finite tiles raise, so the ladder escalates.
+        with pytest.raises(SolverError, match="overflowed"):
+            BandedCholeskyFactor(to_banded(OVERFLOW, 1))
+        stats = QPStats()
+        factor, reg = _robust_factor(OVERFLOW, 0.0, 1, stats)
+        assert stats.retries > 0 and reg > 0.0
+        assert np.all(np.isfinite(factor.solve(np.ones(2))))
 
     def test_unfactorable_lane_surfaces_failed_in_qp_not_garbage(self):
         # A lane the whole regularization ladder cannot repair must come

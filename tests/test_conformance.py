@@ -4,9 +4,9 @@ Fast lane: case/ledger/shrink unit tests plus a small conformance budget on
 the two cheapest robots.  The full 25-case sweep over every Table III robot
 (the acceptance criterion for the harness) is marked ``slow``.
 
-The mutation test is the harness's own conformance check: a deliberately
-corrupted banded solve must be caught against the ledger, shrunk, and
-serialized to a repro file that replays.
+The mutation tests are the harness's own conformance check: a deliberately
+corrupted banded solve, batched solve or shared tile kernel must be caught
+against the ledger, shrunk, and serialized to a repro file that replays.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.batch.linalg as batch_linalg
+import repro.mpc.banded as banded_mod
 import repro.mpc.qp as qp_mod
 from repro.conform import (
     CASE_HORIZONS,
@@ -368,6 +369,42 @@ class TestMutationCheck:
         doc = json.loads(open(repro).read())
         assert doc["version"] == FORMAT_VERSION
         assert [f["path"] for f in doc["failures"]] == ["batch_qp"]
+
+        shrunk = ConformanceCase.from_dict(doc["case"])
+        original = ConformanceCase.from_dict(doc["original_case"])
+        assert shrunk.horizon <= original.horizon
+        assert doc["shrink_checks"] > 0
+
+        assert replay_file(repro, ledger=LEDGER).status == "fail"
+        monkeypatch.undo()
+        assert replay_file(repro, ledger=LEDGER).status == "pass"
+
+    def test_corrupted_tile_kernel_fails_both_factor_paths(
+        self, tmp_path, monkeypatch
+    ):
+        # ROADMAP 6f: the host tile kernel is defined once and both factors
+        # call it, so one patch at that definition must fail the scalar
+        # banded path and the batched one.  MobileRobot's Schur complement
+        # is where the tiles run (its Phi takes the diagonal lanes).
+        healthy_inverse = banded_mod.tril_inverse
+
+        def transposed_inverse(L):
+            return np.swapaxes(healthy_inverse(L), -1, -2)
+
+        monkeypatch.setattr(banded_mod, "tril_inverse", transposed_inverse)
+        report = run_conformance(
+            n_cases=2,
+            seed=0,
+            robots=["MobileRobot"],
+            paths=["dense_kkt", "banded_kkt", "batch_qp"],
+            ledger=LEDGER,
+            out_dir=tmp_path,
+        )
+        assert not report.ok and report.n_fail == 2
+
+        repro = report.failure_files[0]
+        doc = json.loads(open(repro).read())
+        assert [f["path"] for f in doc["failures"]] == ["banded_kkt", "batch_qp"]
 
         shrunk = ConformanceCase.from_dict(doc["case"])
         original = ConformanceCase.from_dict(doc["original_case"])

@@ -1,19 +1,21 @@
-"""Banded vs. dense KKT factorization on the QP hot loop.
+"""Stage-blocked vs. dense KKT factorization on the QP hot loop.
 
-The acceptance benchmark of the stage-ordered banded solve path: solve the
-quadrotor's first SQP subproblem (horizon N >= 30) once through the banded
-kernels and once through the dense ones, on byte-identical QP data, and
-report per-phase wall time plus measured-vs-cost-model flops from
-:class:`repro.mpc.qp.QPStats`.  The banded path must be at least 3x faster
-and — with the active-set polish — land on the same solution to 1e-8.
+The acceptance benchmark of the stage-ordered solve path: solve the
+quadrotor's first SQP subproblem (horizon N >= 30) once with the bandwidth
+hint — the stage-blocked step, ``Phi``'s stage blocks factored as one
+stack and the Schur complement banded — and once through the dense
+kernels, on byte-identical QP data, and report per-phase wall time plus
+measured-vs-cost-model flops from :class:`repro.mpc.qp.QPStats`.  The
+hinted path must be at least 3x faster and — with the active-set polish —
+land on the same solution to 1e-8.
 
-The two sides are not the same kernel any more: the banded factor's tiles
+The two sides are not the same kernel: the hinted path's blocks and tiles
 are LAPACK ``potrf`` + an LU inverse (:func:`repro.mpc.banded.cholesky_tiles`
 / :func:`~repro.mpc.banded.tril_inverse`), while the dense path is the
 from-scratch column Cholesky of :mod:`repro.mpc.linalg`.  So the >= 3x gate
-measures LAPACK tiles against the from-scratch dense kernel, not the band
-structure alone; the flop rows below still compare the two algorithms on
-the cost model's terms.
+measures the stage step on LAPACK against the from-scratch dense kernel,
+not the structure alone; the flop rows below still compare the two
+algorithms on the cost model's terms.
 """
 
 from dataclasses import replace
@@ -22,10 +24,8 @@ from time import perf_counter
 import numpy as np
 
 from conftest import banner
-from repro.mpc.banded import (
-    flop_counts_banded_cholesky,
-    flop_counts_banded_substitution,
-)
+from repro.mpc.banded import block_partition, flop_counts_banded_cholesky
+from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 
@@ -64,7 +64,7 @@ def test_banded_vs_dense_quadrotor():
     t_dense, res_d = _best_time(lambda: solve_qp(H, g, G, b, J, d, opt))
 
     banner(f"Quadrotor first SQP subproblem, N={HORIZON} (n={H.shape[0]})")
-    for label, t, r in (("banded", t_banded, res_b), ("dense", t_dense, res_d)):
+    for label, t, r in (("stage", t_banded, res_b), ("dense", t_dense, res_d)):
         s = r.stats
         print(
             f"{label:>7s}: {t * 1e3:8.1f} ms  it={r.iterations:3d}  "
@@ -85,7 +85,7 @@ def test_banded_vs_dense_quadrotor():
     scale = 1.0 + float(np.max(np.abs(res_d.x)))
     assert float(np.max(np.abs(res_b.x - res_d.x))) <= 1e-8 * scale
 
-    # The banded path actually ran banded and is >= 3x faster.
+    # The hinted path actually ran the stage step and is >= 3x faster.
     assert res_b.stats.mode in ("banded", "mixed")
     assert res_b.stats.banded_factorizations > 0
     assert res_d.stats.mode == "dense"
@@ -93,7 +93,7 @@ def test_banded_vs_dense_quadrotor():
 
 def test_flop_meter_matches_cost_model():
     """The metered flop totals equal the closed-form kernel cost model and
-    show the O(n^3) -> O(n b^2) drop against the dense path."""
+    show the O(n^3) -> O(N s^3) drop against the dense path."""
     bench = build_benchmark("Quadrotor")
     problem = bench.transcribe(horizon=HORIZON)
     solver = bench.make_solver(problem)
@@ -105,13 +105,14 @@ def test_flop_meter_matches_cost_model():
     res_d = solve_qp(H, g, G, b, J, d, opt)
     assert res_b.stats.factorizations == res_d.stats.factorizations
 
-    # Without polish or retries the loop factorizes Phi (n x n, at the
-    # measured Phi bandwidth) and the Schur complement (p x p, at its
-    # measured bandwidth) exactly once per iteration.
-    n, p = H.shape[0], G.shape[0]
+    # Without polish or retries the loop factorizes Phi (one dense
+    # Cholesky per stage block) and the Schur complement (p x p, at its
+    # structural bandwidth) exactly once per iteration.
+    p = G.shape[0]
+    sizes = np.diff(block_partition(H, J)[0])
     its = res_b.stats.factorizations // 2
     expected = its * (
-        sum(flop_counts_banded_cholesky(n, res_b.stats.phi_bandwidth).values())
+        sum(sum(flop_counts_cholesky(k).values()) for k in sizes)
         + sum(
             flop_counts_banded_cholesky(
                 p, res_b.stats.schur_bandwidth
@@ -121,7 +122,7 @@ def test_flop_meter_matches_cost_model():
     assert res_b.stats.retries == 0
     assert res_b.stats.factor_flops == expected
     assert res_b.stats.substitute_flops > sum(
-        flop_counts_banded_substitution(n, res_b.stats.phi_bandwidth).values()
+        sum(flop_counts_substitution(k).values()) for k in sizes
     )
 
     # Dense factorization flops dominate the banded ones by an order of

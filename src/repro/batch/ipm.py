@@ -142,7 +142,10 @@ class LaneLayout:
     regularization act uniformly), and the stage-interleaved permutation
     ``qperm`` of the QP variables with its band hint — stage order ``[x_0,
     u_0, x_1, u_1, ..]``, each softened row's slack right after its stage
-    group so the extended condensed matrix stays banded.  ``banded=False``
+    group.  The extended condensed ``Phi`` then stays block-diagonal per
+    stage, but each block is the group ``[x_k, u_k, slacks_k]``, so its band
+    is the widest group's, not ``nx + nu - 1`` (MicroSat: 20 against 11),
+    and the hint is widened to it.  ``banded=False``
     or ``move_block > 1`` (:meth:`TranscribedProblem.stage_permutation`)
     leaves both ``None``: the dense path.  The ``*_dev`` twins of the host
     arrays live on ``xp``.

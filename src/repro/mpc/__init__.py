@@ -11,7 +11,8 @@ Public surface:
 * :func:`solve_qp` / :class:`QPOptions` / :class:`QPResult` /
   :class:`QPStats` — the inner Mehrotra IPM with per-phase observability.
 * :class:`BandedCholeskyFactor` and the banded kernels — the stage-ordered
-  ``O(n b^2)`` factorization path of the QP hot loop.
+  factorization path of the QP hot loop (``Phi``'s stage blocks as one
+  stack, the Schur complement banded, ``O(n b^2)``).
 * :class:`MPCController` — the receding-horizon loop.
 * :class:`SolveBudget` — per-solve deadline / iteration allowances for the
   online serving path (:mod:`repro.serve`).

@@ -9,6 +9,8 @@ matrix of a horizon-``N`` MPC problem is banded with half-bandwidth
 
 * symmetric banded storage (diagonal-major, LAPACK ``SB`` style),
 * banded Cholesky factorization and banded triangular solves,
+* the block-diagonal factor of a ``(K, s, s)`` stack (:func:`block_cholesky`)
+  and the structural block partition it runs over (:func:`block_partition`),
 * helpers to convert between dense and banded storage,
 * exact primitive-op counts of the banded kernels, so benchmarks can
   compare measured flops against the accelerator cost model.
@@ -19,11 +21,13 @@ only its ``band``-wide window, one NumPy gather + matvec.  What
 :func:`repro.mpc.qp.solve_qp` runs when it is handed a bandwidth hint (the
 stage-interleaved ordering produced by
 :meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation`) is
-:class:`BandedCholeskyFactor`: the same factorization over dense
-``nb x nb`` tiles, each tile factored by LAPACK ``potrf`` and inverted by
-LU through the host tile kernels :func:`cholesky_tiles` /
-:func:`tril_inverse`.  Those two kernels are written once, over
-``(..., m, m)`` stacks, and the batched twin
+:class:`BandedCholeskyFactor` twice per iteration: once in block mode over
+the stage blocks of the block-diagonal ``Phi`` (one stacked ``potrf`` and
+one stacked inverse, no sweep), once banded over the Schur complement —
+the same factorization over dense ``nb x nb`` tiles, each tile factored by
+LAPACK ``potrf`` and inverted by LU through the host tile kernels
+:func:`cholesky_tiles` / :func:`tril_inverse`.  Those two kernels are
+written once, over ``(..., m, m)`` stacks, and the batched twin
 (:class:`repro.batch.linalg.BatchCholeskyFactor`) calls them too on host
 backends, so a lane of a batch and a scalar factor of the same matrix hold
 bit-identical tiles.  The flop meters count the column algorithm — the
@@ -37,7 +41,7 @@ demonstrate the asymptotic win the cost model is built on.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +56,10 @@ __all__ = [
     "banded_cholesky_solve",
     "banded_solve",
     "bandwidth_of",
+    "block_partition",
     "cholesky_tiles",
     "tril_inverse",
+    "block_cholesky",
     "BandedCholeskyFactor",
     "flop_counts_banded_cholesky",
     "flop_counts_banded_substitution",
@@ -67,6 +73,44 @@ def bandwidth_of(A: np.ndarray, tol: float = 0.0) -> int:
     if i.size == 0:
         return 0
     return int(np.max(np.abs(i - j)))
+
+
+def block_partition(
+    A: np.ndarray, R: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, int]:
+    """Finest block-diagonal partition of the pattern ``|A| + |R|^T |R|``.
+
+    Returns ``(bounds, band)``: block ``k`` is ``[bounds[k], bounds[k+1])``,
+    with a split wherever no entry of the pattern crosses it, and ``band``
+    is the pattern's :func:`bandwidth_of`.  Both are read from nonzero
+    spans (each entry of ``A``, each row of ``R`` from its first to its last
+    nonzero column), so ``R^T R`` is never formed.  For the condensed
+    ``Phi = H + J^T W J`` of :func:`repro.mpc.qp.solve_qp` the pattern holds
+    for every positive diagonal ``W``, so one read serves a whole solve.
+    """
+    n = A.shape[0]
+    idx = np.arange(n)
+    nz = A != 0
+    # farthest index each row / column reaches: its last nonzero
+    reach = np.maximum(_last_nonzero(nz, idx), _last_nonzero(nz.T, idx))
+    band = int(np.max(reach - idx, initial=0))
+    if R is not None and R.size:
+        nz = R != 0
+        rows = nz.any(axis=1)
+        first = np.argmax(nz[rows], axis=1)
+        last = _last_nonzero(nz[rows], first)
+        np.maximum.at(reach, first, last)
+        band = max(band, int(np.max(last - first, initial=0)))
+    reach = np.maximum.accumulate(reach)
+    splits = np.flatnonzero(reach[:-1] < idx[1:]) + 1
+    return np.concatenate(([0], splits, [n])), band
+
+
+def _last_nonzero(nz: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """Column of each row's last ``True`` in ``nz`` (``empty`` where none)."""
+    width = nz.shape[1]
+    last = width - 1 - np.argmax(nz[:, ::-1], axis=1)
+    return np.where(nz[np.arange(nz.shape[0]), last], last, empty)
 
 
 def to_banded(A: np.ndarray, band: int) -> np.ndarray:
@@ -264,6 +308,38 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
     return np.where(_lower_mask(L.shape[-1]), _stacked(np.linalg.inv, L), 0.0)
 
 
+def block_cholesky(M: np.ndarray, reg: float = 0.0) -> np.ndarray:
+    """Inverse Cholesky factors ``L_k^-1`` of a ``(K, s, s)`` SPD stack.
+
+    The block-diagonal factor, defined once: one :func:`cholesky_tiles` and
+    one :func:`tril_inverse` call over the whole stack (``reg`` added to
+    every diagonal), no sweep.  ``1 x 1`` blocks — a diagonal matrix — take
+    ``1 / sqrt`` elementwise, the values ``potrf`` and the LU inverse would
+    return.  Raises :class:`SolverError` naming the first block that is not
+    positive definite or whose inverse overflowed, so a retry ladder
+    escalates instead of solving on garbage.
+    """
+    if M.shape[-1] == 1:
+        d = M[:, 0, 0] + reg
+        bad = ~(d > 0.0) | ~np.isfinite(d)
+        if bad.any():
+            raise SolverError(
+                f"block cholesky (block {int(np.argmax(bad))}): "
+                "block is not positive definite"
+            )
+        return (1.0 / np.sqrt(d))[:, None, None]
+    L, ok = cholesky_tiles(M + reg * np.eye(M.shape[-1]))
+    if not ok.all():
+        raise SolverError(
+            f"block cholesky (block {int(np.argmin(ok))}): "
+            "block is not positive definite"
+        )
+    Linv = tril_inverse(L)
+    if not np.all(np.isfinite(Linv)):
+        raise SolverError("block cholesky: factor blocks overflowed")
+    return Linv
+
+
 class BandedCholeskyFactor:
     """Banded Cholesky factorization preprocessed for fast repeated solves.
 
@@ -286,8 +362,16 @@ class BandedCholeskyFactor:
     :class:`~repro.batch.linalg.BatchCholeskyFactor` lane runs, so the
     tiles are bit-identical to that lane's at the same ``nb``.
 
+    A block-diagonal matrix is given instead as the ``(K, s, s)`` stack of
+    its diagonal blocks (how :func:`repro.mpc.qp.solve_qp` hands over the
+    stage blocks of ``Phi``).  Its factor is :func:`block_cholesky`'s
+    inverse stack — no sweep, no ``C`` tiles — and :meth:`forward` /
+    :meth:`backward` / :meth:`solve` take right-hand sides in the same
+    block layout, ``(K, s)`` or ``(K, s, q)``.
+
     Args:
-        B: symmetric positive-definite matrix in :func:`to_banded` storage.
+        B: symmetric positive-definite matrix in :func:`to_banded` storage,
+            or the ``(K, s, s)`` diagonal blocks of a block-diagonal one.
         reg: diagonal regularization added before factorization.
 
     Raises:
@@ -303,6 +387,11 @@ class BandedCholeskyFactor:
 
     def __init__(self, B: np.ndarray, reg: float = 0.0):
         B = np.asarray(B, dtype=float)
+        self._diag = self._C = None
+        if B.ndim == 3:
+            self.K, self.nb = B.shape[0], B.shape[-1]
+            self._Dinv = block_cholesky(B, reg)
+            return
         self.band = B.shape[0] - 1
         self.n = int(B.shape[1])
         n, band = self.n, self.band
@@ -318,7 +407,6 @@ class BandedCholeskyFactor:
             self._diag = np.sqrt(d)
             self.nb = 1
             return
-        self._diag = None
 
         nb = self.nb = max(band, self.MIN_BLOCK)
         K = max(1, -(-n // nb))
@@ -366,24 +454,6 @@ class BandedCholeskyFactor:
         self._Dinv = Dinv
         self._C = C
 
-    # -- storage views -----------------------------------------------------------
-    @property
-    def banded(self) -> np.ndarray:
-        """The factor in :func:`to_banded` storage (reference layout)."""
-        if self._diag is not None:
-            return self._diag[None, :].copy()
-        n, nb, band = self.n, self.nb, self.band
-        full = np.zeros((self.npad, self.npad))
-        for k in range(self.K):
-            s = k * nb
-            full[s : s + nb, s : s + nb] = np.tril(self._D[k])
-            if k + 1 < self.K:
-                full[s + nb : s + 2 * nb, s : s + nb] = self._C[k]
-        out = np.zeros((band + 1, n))
-        for d in range(band + 1):
-            out[d, : n - d] = np.diagonal(full, offset=-d)[: n - d]
-        return out
-
     # -- triangular applications --------------------------------------------------
     def _blocks(self, b: np.ndarray) -> Tuple[np.ndarray, bool]:
         b = np.asarray(b, dtype=float)
@@ -401,6 +471,8 @@ class BandedCholeskyFactor:
         if self._diag is not None:
             b = np.asarray(b, dtype=float)
             return (b.T / self._diag).T
+        if self._C is None:
+            return _block_apply(self._Dinv, b)
         b, squeeze = self._blocks(b)
         y = np.zeros((self.npad, b.shape[1]))
         y[: self.n] = b
@@ -419,6 +491,8 @@ class BandedCholeskyFactor:
         if self._diag is not None:
             b = np.asarray(b, dtype=float)
             return (b.T / self._diag).T
+        if self._C is None:
+            return _block_apply(np.swapaxes(self._Dinv, 1, 2), b)
         b, squeeze = self._blocks(b)
         x = np.zeros((self.npad, b.shape[1]))
         x[: self.n] = b
@@ -435,6 +509,13 @@ class BandedCholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``(L L^T) x = b``."""
         return self.backward(self.forward(b))
+
+
+def _block_apply(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``M_k @ b_k`` for every block of a ``(K, s)`` or ``(K, s, q)`` stack."""
+    if b.ndim == 3:
+        return np.matmul(M, b)
+    return np.matmul(M, b[:, :, None])[:, :, 0]
 
 
 @lru_cache(maxsize=256)

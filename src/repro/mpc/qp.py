@@ -10,23 +10,27 @@ problem yields the convex QP
 
 solved here with a Mehrotra predictor-corrector interior-point method.  The
 Newton system of the paper's Eq. 6 is condensed by eliminating slacks and
-inequality multipliers, then solved with the from-scratch dense kernels of
-:mod:`repro.mpc.linalg` or the LAPACK-tiled banded factor of
-:mod:`repro.mpc.banded` — the factorization is computed once per iteration
-and reused for the corrector.
+inequality multipliers to ``Phi = H + J^T W J`` and the Schur complement
+``S = G Phi^-1 G^T`` of the equality rows, factored once per iteration and
+reused for the corrector.
 
 Structure exploitation (the paper's central premise): when the caller hands
 ``solve_qp`` a ``bandwidth`` hint — the stage-interleaved ordering of
-:meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation` makes
-the condensed matrix ``Phi = H + J^T W J`` banded — each iteration measures
-the actual half-bandwidth of ``Phi`` (and of the Schur complement of the
-equality rows) and factorizes in symmetric banded storage with
-:class:`repro.mpc.banded.BandedCholeskyFactor`, turning the dense
-``O(n^3)`` factorization into ``O(n b^2)``.  Regularization escalation and
-the Schur-complement elimination are identical in both paths, so banded and
-dense solves agree to roundoff; per-phase wall time and flop
-counters are reported in :class:`QPStats` so benchmarks can compare measured
-flops against the accelerator cost model.
+:meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation` — the
+step runs stage by stage, as HPMPC does (:class:`_StageKKT`).  ``Phi`` is
+block-diagonal over the stages (the block partition of its structural
+envelope, read once per solve): its blocks are formed by one stacked
+product and factored together by one block-mode
+:class:`repro.mpc.banded.BandedCholeskyFactor` (``K`` small ``potrf``), and
+``S`` is assembled from per-stage products in square-root form and
+factored banded.  A diagonal ``Phi`` (band 0) keeps the diagonal factor
+(:class:`_DiagKKT`).  Without the hint (:class:`_DenseKKT`) ``Phi`` is formed
+whole and both factors are the from-scratch dense kernels of
+:mod:`repro.mpc.linalg` — the oracle the stage step is checked against.
+The regularization ladder is identical in both paths, so they agree to
+roundoff; per-phase wall time and flop counters are reported in
+:class:`QPStats` so benchmarks can compare measured flops against the
+accelerator cost model.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from repro.errors import SolverError
 from repro.mpc.banded import (
     BandedCholeskyFactor,
     bandwidth_of,
+    block_partition,
     flop_counts_banded_cholesky,
     flop_counts_banded_substitution,
     to_banded,
@@ -295,6 +300,13 @@ class _DenseFactor:
     def __init__(self, A: np.ndarray, reg: float):
         self.n = A.shape[0]
         self.L = cholesky(A, reg=reg)
+        # A finite L can still overflow inside the substitutions (a tiny
+        # pivot under a huge one): one probe solve certifies the factor, so
+        # the retry ladder escalates instead of solving to inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            probe = cholesky_solve(self.L, np.ones(self.n))
+        if not np.all(np.isfinite(probe)):
+            raise SolverError("dense cholesky: probe solve overflowed")
         self.factor_flops = sum(flop_counts_cholesky(self.n).values())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -326,28 +338,44 @@ class _BandedFactor:
         )
 
 
+class _StageFactor:
+    """``Phi``'s stage blocks factored as one stack (a block-mode
+    :class:`BandedCholeskyFactor`), metered as one dense Cholesky and one
+    triangular solve per block."""
+
+    banded = True
+
+    def __init__(self, blocks: np.ndarray, reg: float, factor_flops: int):
+        self.F = BandedCholeskyFactor(blocks, reg=reg)
+        self.factor_flops = factor_flops
+
+
 def _robust_factor(
     A: np.ndarray,
     reg: float,
     band: Optional[int],
     stats: QPStats,
     fault_hook: Optional[object] = None,
+    stage: Optional["_StageKKT"] = None,
 ) -> Tuple[object, float]:
     """Factorize ``A`` with geometric regularization escalation on failure.
 
     ``band`` selects the path: a half-bandwidth routes the factorization
     through the banded kernels (in :func:`to_banded` storage), ``None``
-    uses the dense ones.  The escalation schedule is identical in both
-    paths, so they produce the same factor up to roundoff for the same
-    input.
+    uses the dense ones.  ``stage`` marks ``A`` as the ``(K, s, s)`` stack
+    of ``Phi``'s stage blocks, factored as one stack.  The escalation
+    schedule is identical in every path: one regularization for the whole
+    matrix, raised x100 after each failed attempt.
 
     ``fault_hook`` is the solver-layer injection point of
     :mod:`repro.faults`: ``transform_matrix(A)`` may perturb the input
-    (ill-conditioning campaigns) and ``force_failure()`` makes the next
-    attempt fail as if the pivot had gone non-positive, exercising the
-    retry ladder on demand.  Both are no-ops when the hook is ``None``.
+    (ill-conditioning campaigns; a stage stack is shown to it as the
+    ``n x n`` block-diagonal matrix it stands for, so a congruence scaling
+    of one index lands in that index's block) and ``force_failure()`` makes
+    the next attempt fail as if the pivot had gone non-positive, exercising
+    the retry ladder on demand.  Both are no-ops when the hook is ``None``.
     """
-    if A.shape[0] and not np.all(np.isfinite(A)):
+    if A.size and not np.all(np.isfinite(A)):
         # Regularization cannot fix NaN/Inf — fail fast with a clear cause
         # instead of burning all 16 retries on a poisoned matrix.
         raise SolverError(
@@ -358,10 +386,12 @@ def _robust_factor(
     # transform_matrix / force_failure (/ transform_qp, force_stall).
     transform = getattr(fault_hook, "transform_matrix", None)
     if transform is not None:
-        A = transform(A)
+        A = transform(A) if stage is None else stage.transform(transform, A)
     force_failure = getattr(fault_hook, "force_failure", None)
     t0 = perf_counter()
-    if band is not None and A.shape[0]:
+    if stage is not None:
+        make = lambda r: _StageFactor(A, r, stage.factor_flops)  # noqa: E731
+    elif band is not None and A.shape[0]:
         B = to_banded(A, band)
         make = lambda r: _BandedFactor(B, r)  # noqa: E731
     else:
@@ -388,6 +418,255 @@ def _robust_factor(
     )
 
 
+def _timed_solve(stats: QPStats, factor, rhs: np.ndarray) -> np.ndarray:
+    """``factor.solve(rhs)``, metered into ``stats``."""
+    nrhs = 1 if rhs.ndim == 1 else rhs.shape[1]
+    t0 = perf_counter()
+    out = factor.solve(rhs)
+    stats.substitute_time += perf_counter() - t0
+    stats.substitute_flops += factor.solve_flops(nrhs)
+    return out
+
+
+class _DenseKKT:
+    """The condensed Newton step with ``Phi = H + J^T W J`` formed whole and
+    factored by the from-scratch dense kernels — the oracle path
+    (``bandwidth=None``).
+
+    :meth:`factor` takes the iteration's scaling ``w`` (``None`` without
+    inequalities) and factors ``Phi`` and the Schur complement
+    ``S = G Phi^-1 G^T``; :meth:`solve` then answers the saddle system
+
+        [Phi  G^T] [dx ]   [rhs1]
+        [G    0  ] [dnu] = [-re ]
+
+    as often as the predictor and corrector ask.
+    """
+
+    def __init__(self, H, G, J, reg, stats, fault_hook):
+        self.H, self.G, self.J = H, G, J
+        self.reg, self.stats, self.hook = reg, stats, fault_hook
+
+    def factor(self, w: Optional[np.ndarray]) -> None:
+        Phi = self.H if w is None else self.H + (self.J.T * w) @ self.J
+        self.phi, _ = _robust_factor(Phi, self.reg, None, self.stats, self.hook)
+        if self.G is not None:
+            self.PhiInv_Gt = _timed_solve(self.stats, self.phi, self.G.T)
+            self.schur, _ = _robust_factor(
+                self.G @ self.PhiInv_Gt, self.reg, None, self.stats, self.hook
+            )
+
+    def solve(self, rhs1: np.ndarray, re: np.ndarray):
+        t = _timed_solve(self.stats, self.phi, rhs1)
+        if self.G is None:
+            return t, np.zeros(0)
+        dnu = _timed_solve(self.stats, self.schur, self.G @ t + re)
+        return t - self.PhiInv_Gt @ dnu, dnu
+
+
+def _rows_by_block(A: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``(K, q)`` ascending indices of the rows of ``A`` with a nonzero in
+    each column block ``[bounds[k], bounds[k+1])``, padded with the
+    sentinel ``A.shape[0]``."""
+    touches = np.logical_or.reduceat(A != 0, bounds[:-1], axis=1).T
+    counts = touches.sum(axis=1)
+    blk, row = np.nonzero(touches)
+    out = np.full((len(counts), int(counts.max(initial=0))), A.shape[0])
+    out[blk, np.arange(blk.size) - (np.cumsum(counts) - counts)[blk]] = row
+    return out
+
+
+def _padded(A: np.ndarray) -> np.ndarray:
+    """``A`` with one zero row and column appended (the sentinel slot)."""
+    out = np.zeros((A.shape[0] + 1, A.shape[1] + 1))
+    out[:-1, :-1] = A
+    return out
+
+
+class _StageKKT:
+    """The condensed Newton step over ``Phi``'s stage blocks (the hinted
+    path); the same :meth:`factor` / :meth:`solve` contract as
+    :class:`_DenseKKT`.
+
+    ``bounds`` is the block partition of the structural envelope
+    ``|H| + |J|^T |J|`` (:func:`repro.mpc.banded.block_partition`), read
+    once per solve: ``W`` is a positive diagonal, so ``Phi`` is
+    block-diagonal over it at every iteration, each row of ``J`` lies in one
+    block and each row of ``G`` touches a few.  Neighbouring blocks are
+    packed into ``K`` runs no wider than the widest block, ``s``, each
+    padded to ``s`` (identity on the pad), and everything the iteration
+    needs is gathered once per solve: ``H``'s blocks, each block's ``J``
+    rows ``(K, r, s)`` and the transposed ``G`` rows touching it
+    ``(K, s, q)``.  Per iteration ``Phi``'s blocks are one stacked ``J_k^T W_k J_k``
+    product, factored by one block-mode :class:`BandedCholeskyFactor`.
+    ``S = sum_k V_k^T V_k`` with ``V_k = L_k^-1 G_k^T`` is the square-root
+    form — exactly symmetric and PSD — scatter-added over each block's
+    ``G`` rows and factored banded at its structural band (read once, from
+    which rows share a block) when that is within the hint.  The step is
+    ``dnu = S^-1 (V^T L^-1 rhs1 + re)``, ``dx = Phi^-1 (rhs1 - G^T dnu)``:
+    no ``n x n`` product, no ``Phi^-1 G^T``.
+    """
+
+    def __init__(self, H, G, J, bounds, bandwidth, reg, stats, fault_hook):
+        self.reg, self.stats, self.hook = reg, stats, fault_hook
+        n = self.n = H.shape[0]
+        # Metered as one dense Cholesky / triangular solve per block of the
+        # partition — the algorithm's work, whatever the stacking below.
+        widths, counts = np.unique(np.diff(bounds), return_counts=True)
+        self.factor_flops = self.tri_flops = 0
+        for k, count in zip(widths.tolist(), counts.tolist()):
+            self.factor_flops += count * sum(flop_counts_cholesky(k).values())
+            self.tri_flops += count * sum(
+                flop_counts_substitution(k).values()
+            )
+        # Pack runs of neighbouring blocks up to the widest one: the stack
+        # is padded to that width anyway, and a stage's lone pinned states
+        # would otherwise each cost a full-width potrf and inverse.
+        widest = int(widths[-1])
+        packed = [0]
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi - packed[-1] > widest:
+                packed.append(lo)
+        bounds = np.array(packed + [n])
+        sizes = np.diff(bounds)
+        offs = np.arange(widest)
+        self.real = offs < sizes[:, None]
+        self.cols = np.where(self.real, bounds[:-1, None] + offs, n)
+        self.block_H = self.blocks_of(H)
+        self.J = None
+        if J is not None:
+            self.jrows = _rows_by_block(J, bounds)
+            self.J = _padded(J)[self.jrows[:, :, None], self.cols[:, None, :]]
+            self.Jt = np.swapaxes(self.J, 1, 2)
+        self.G = None
+        if G is not None:
+            p = self.p = G.shape[0]
+            self.grows = _rows_by_block(G, bounds)
+            self.G = _padded(G)[self.grows[:, None, :], self.cols[:, :, None]]
+            self.pairs = (
+                self.grows[:, :, None] * (p + 1) + self.grows[:, None, :]
+            ).ravel()
+            # S[i, j] is structurally nonzero iff rows i and j share a block.
+            used = self.grows < p
+            span = np.where(used, self.grows, -1).max(axis=1) - np.where(
+                used, self.grows, p
+            ).min(axis=1)
+            self._schur_band(int(np.max(span, initial=0)), bandwidth)
+
+    def _schur_band(self, band: int, bandwidth: int) -> None:
+        """S is factored banded at its structural ``band`` when that is
+        within the hint, densely otherwise."""
+        self.s_band = band if band <= bandwidth else None
+        if self.s_band is not None:
+            self.stats.schur_bandwidth = max(
+                self.stats.schur_bandwidth or 0, band
+            )
+
+    # -- block layout ----------------------------------------------------------
+    def blocks_of(self, A: np.ndarray) -> np.ndarray:
+        """The ``(K, s, s)`` diagonal blocks of an ``n x n`` matrix."""
+        out = _padded(A)[self.cols[:, :, None], self.cols[:, None, :]]
+        d = np.arange(self.cols.shape[1])
+        out[:, d, d] += ~self.real
+        return out
+
+    def transform(self, fn, blocks: np.ndarray) -> np.ndarray:
+        """Apply a fault hook's ``transform_matrix`` to a stage stack: it
+        sees the ``n x n`` block-diagonal matrix, and its result's diagonal
+        blocks come back."""
+        n = self.n
+        dense = np.zeros((n + 1, n + 1))
+        dense[self.cols[:, :, None], self.cols[:, None, :]] = blocks
+        return self.blocks_of(fn(dense[:n, :n]))
+
+    def _gather(self, v: np.ndarray) -> np.ndarray:
+        return np.append(v, 0.0)[self.cols]
+
+    def _apply(self, op, b: np.ndarray, nrhs: int) -> np.ndarray:
+        t0 = perf_counter()
+        out = op(b)
+        self.stats.substitute_time += perf_counter() - t0
+        self.stats.substitute_flops += nrhs * self.tri_flops
+        return out
+
+    # -- the step --------------------------------------------------------------
+    def factor(self, w: Optional[np.ndarray]) -> None:
+        Phi = self.block_H
+        if w is not None:
+            wk = np.append(w, 0.0)[self.jrows]
+            Phi = Phi + np.matmul(self.Jt * wk[:, None, :], self.J)
+        self.phi, _ = _robust_factor(
+            Phi, self.reg, None, self.stats, self.hook, stage=self
+        )
+        if self.G is not None:
+            self.V = self._apply(self.phi.F.forward, self.G, self.G.shape[2])
+            W = np.matmul(np.swapaxes(self.V, 1, 2), self.V)
+            p = self.p
+            S = np.bincount(self.pairs, W.ravel(), (p + 1) ** 2)
+            S = S.reshape(p + 1, p + 1)[:p, :p]
+            self.schur, _ = _robust_factor(
+                0.5 * (S + S.T), self.reg, self.s_band, self.stats, self.hook
+            )
+
+    def solve(self, rhs1: np.ndarray, re: np.ndarray):
+        F, r1 = self.phi.F, self._gather(rhs1)
+        if self.G is None:
+            return self._apply(F.solve, r1, 2)[self.real], np.zeros(0)
+        y = self._apply(F.forward, r1, 1)
+        Vty = np.matmul(y[:, None, :], self.V)[:, 0, :]
+        GPhiInv_r1 = np.bincount(self.grows.ravel(), Vty.ravel(), self.p + 1)
+        dnu = _timed_solve(self.stats, self.schur, GPhiInv_r1[: self.p] + re)
+        Gt_dnu = np.matmul(self.G, np.append(dnu, 0.0)[self.grows][:, :, None])
+        dx = self._apply(F.solve, r1 - Gt_dnu[:, :, 0], 2)
+        return dx[self.real], dnu
+
+
+class _DiagKKT(_StageKKT):
+    """The hinted step when ``Phi`` is diagonal (an envelope of band 0):
+    every stage block is one entry, so the per-block gathers would cost
+    more than they save.  ``diag(Phi) = diag(H) + (J * J)^T w`` — no
+    ``n x n`` product — is factored by :func:`block_cholesky`'s ``1 x 1``
+    blocks, the diagonal factor, and ``S = V^T V`` with
+    ``V = diag(Phi)^-1/2 G^T`` is factored banded at the structural band
+    of ``|G| |G|^T``."""
+
+    def __init__(self, H, G, J, bandwidth, reg, stats, fault_hook):
+        self.reg, self.stats, self.hook = reg, stats, fault_hook
+        n = self.n = H.shape[0]
+        self.diag_H = np.diagonal(H)
+        self.J2t = None if J is None else (J * J).T
+        self.factor_flops = n * sum(flop_counts_cholesky(1).values())
+        self.tri_flops = n * sum(flop_counts_substitution(1).values())
+        self.G = G
+        if G is not None:
+            self._schur_band(bandwidth_of(np.abs(G) @ np.abs(G).T), bandwidth)
+
+    def transform(self, fn, blocks: np.ndarray) -> np.ndarray:
+        return np.diagonal(fn(np.diag(blocks[:, 0, 0])))[:, None, None]
+
+    def factor(self, w: Optional[np.ndarray]) -> None:
+        d = self.diag_H if w is None else self.diag_H + self.J2t @ w
+        self.phi, _ = _robust_factor(
+            d[:, None, None], self.reg, None, self.stats, self.hook, stage=self
+        )
+        if self.G is not None:
+            Gt = self.G.T[:, None, :]
+            V = self.V = self._apply(self.phi.F.forward, Gt, Gt.shape[2])[:, 0]
+            S = V.T @ V
+            self.schur, _ = _robust_factor(
+                0.5 * (S + S.T), self.reg, self.s_band, self.stats, self.hook
+            )
+
+    def solve(self, rhs1: np.ndarray, re: np.ndarray):
+        F = self.phi.F
+        if self.G is None:
+            return self._apply(F.solve, rhs1[:, None], 2)[:, 0], np.zeros(0)
+        y = self._apply(F.forward, rhs1[:, None], 1)[:, 0]
+        dnu = _timed_solve(self.stats, self.schur, self.V.T @ y + re)
+        dx = self._apply(F.solve, (rhs1 - self.G.T @ dnu)[:, None], 2)
+        return dx[:, 0], dnu
+
+
 def solve_qp(
     H: np.ndarray,
     g: np.ndarray,
@@ -409,11 +688,14 @@ def solve_qp(
         G, b: equality constraints ``G x = b`` (pass ``None`` for none).
         J, d: inequality constraints ``J x <= d`` (pass ``None`` for none).
         bandwidth: half-bandwidth ceiling of the condensed system in the
-            caller's variable ordering.  When given, every iteration
-            measures the actual bandwidth of ``Phi = H + J^T W J`` (and of
-            the equality Schur complement) and routes each factorization
-            through the banded kernels whenever the measurement is within
-            the ceiling — ``None`` (the default) keeps the dense path.
+            caller's stage-interleaved variable ordering.  When given, the
+            Newton step runs over the stage blocks of ``Phi = H + J^T W J``
+            read from its structural envelope once per solve
+            (:class:`_StageKKT`), and the equality Schur complement is
+            factored banded when its structural band is within the ceiling
+            — ``None`` (the default) keeps the dense path.  The returned
+            iterate of a solve that runs out of iterations is the best one
+            it evaluated.
         deadline: absolute ``time.perf_counter`` wall-clock deadline.  The
             iteration loop stops at the first iteration top past the
             deadline (``budget_exhausted=True`` on the result), so the
@@ -500,34 +782,28 @@ def solve_qp(
         residual = max(max_abs(r_dual), max_abs(r_eq), max_abs(r_in), mu)
         return r_dual, r_eq, r_in, mu, residual
 
-    def timed_solve(factor, rhs):
-        nrhs = 1 if rhs.ndim == 1 else rhs.shape[1]
-        t0 = perf_counter()
-        out = factor.solve(rhs)
-        stats.substitute_time += perf_counter() - t0
-        stats.substitute_flops += factor.solve_flops(nrhs)
-        return out
+    def make_kkt(eq_rows, in_rows, hook):
+        reg = opt.regularization
+        if bandwidth is None:
+            return _DenseKKT(H, eq_rows, in_rows, reg, stats, hook)
+        bounds, band = block_partition(H, in_rows)
+        stats.phi_bandwidth = max(stats.phi_bandwidth or 0, band)
+        if band == 0:
+            return _DiagKKT(H, eq_rows, in_rows, bandwidth, reg, stats, hook)
+        return _StageKKT(
+            H, eq_rows, in_rows, bounds, bandwidth, reg, stats, hook
+        )
 
-    # Structural half-bandwidth of Phi = H + J^T W J, computed once: W is a
-    # positive diagonal, so the nonzero pattern of J^T W J is contained in
-    # that of |J|^T |J| for every iteration — entries can cancel to zero but
-    # never appear outside this pattern.  Measuring the envelope up front
-    # saves a full-matrix bandwidth scan per iteration and is lossless.
-    phi_band: Optional[int] = None
-    if bandwidth is not None:
-        envelope = np.abs(H)
-        if has_in:
-            envelope = envelope + np.abs(J).T @ np.abs(J)
-        struct_band = bandwidth_of(envelope)
-        if struct_band <= bandwidth:
-            phi_band = struct_band
-            stats.phi_bandwidth = struct_band
+    kkt = make_kkt(G if has_eq else None, J if has_in else None, fault_hook)
 
     residual = float("inf")
     budget_exhausted = False
+    best = (residual, x, nu, lam, s)
     for it in range(1, opt.max_iterations + 1):
         r_dual, r_eq, r_in, mu, residual = eval_residual(x, nu, lam, s)
         gap_history.append(mu)
+        if residual < best[0]:
+            best = (residual, x, nu, lam, s)
 
         if residual < opt.tolerance * scale:
             converged = True
@@ -551,50 +827,10 @@ def solve_qp(
             break
 
         # -- factorize the condensed system once per iteration -------------------
-        if has_in:
-            # Clip the scaling so slack underflow cannot inject inf/NaN into
-            # the factorization; beyond 1e16 the row is numerically "active".
-            w = np.minimum(lam / np.maximum(s, 1e-300), 1e16)
-            Phi = H + (J.T * w) @ J
-        else:
-            Phi = H
-        phi_factor, _ = _robust_factor(
-            Phi, opt.regularization, phi_band, stats, fault_hook
-        )
-        if has_eq:
-            PhiInv_Gt = timed_solve(phi_factor, G.T)
-            S = G @ PhiInv_Gt
-            # The Schur complement of the stage-ordered dynamics rows is
-            # block-tridiagonal; its bandwidth is measured per iteration
-            # (cheap at p x p) because Phi^-1's block pattern can change
-            # with the active set, and the measurement is always lossless.
-            s_band: Optional[int] = None
-            if bandwidth is not None:
-                measured = bandwidth_of(S)
-                if measured <= bandwidth:
-                    s_band = measured
-                    stats.schur_bandwidth = max(
-                        stats.schur_bandwidth or 0, measured
-                    )
-            s_factor, _ = _robust_factor(
-                S, opt.regularization, s_band, stats, fault_hook
-            )
-        else:
-            PhiInv_Gt = None
-            s_factor = None
-
-        def saddle_solve(rhs1, re):
-            """Solve the condensed saddle system via the Schur complement:
-
-                [Phi  G^T] [dx ]   [rhs1]
-                [G    0  ] [dnu] = [-re ]
-            """
-            PhiInv_r1 = timed_solve(phi_factor, rhs1)
-            if not has_eq:
-                return PhiInv_r1, np.zeros(0)
-            dnu = timed_solve(s_factor, G @ PhiInv_r1 + re)
-            dx = PhiInv_r1 - PhiInv_Gt @ dnu
-            return dx, dnu
+        # Clip the scaling so slack underflow cannot inject inf/NaN into the
+        # factorization; beyond 1e16 the row is numerically "active".
+        w = np.minimum(lam / np.maximum(s, 1e-300), 1e16) if has_in else None
+        kkt.factor(w)
 
         def newton_step(rd, re, ri, rc):
             """Solve Eq. 6 for (dx, dnu, dlam, ds) given the residual stack."""
@@ -602,7 +838,7 @@ def solve_qp(
                 rhs1 = -(rd + J.T @ (w * ri - rc / np.maximum(s, 1e-300)))
             else:
                 rhs1 = -rd
-            dx, dnu = saddle_solve(rhs1, re)
+            dx, dnu = kkt.solve(rhs1, re)
             if has_in:
                 ds = -ri - J @ dx
                 dlam = (-rc - lam * ds) / np.maximum(s, 1e-300)
@@ -641,14 +877,16 @@ def solve_qp(
     else:
         # Iteration budget exhausted: the loop body updated the iterate one
         # last time after the final residual evaluation, so re-evaluate to
-        # keep the returned residual/iterate pair consistent.
+        # keep the returned residual/iterate pair consistent.  Near a
+        # degenerate optimum the end-game oscillates (W's 1e16 range leaves
+        # the condensed dual step accurate to ~|dx| only), so hand back the
+        # best iterate evaluated, with its own residual, if the last is not.
         residual = eval_residual(x, nu, lam, s)[-1]
+        if best[0] < residual:
+            residual, x, nu, lam, s = best
 
     if converged and opt.polish:
-        polished = _polish(
-            H, g, G, b, J, d, lam, s, residual,
-            opt, bandwidth, stats, timed_solve,
-        )
+        polished = _polish(H, g, G, b, J, d, lam, s, residual, make_kkt)
         if polished is not None:
             x, nu, lam, s, residual = polished
 
@@ -672,9 +910,7 @@ def solve_qp(
     )
 
 
-def _polish(
-    H, g, G, b, J, d, lam, s, residual, opt, bandwidth, stats, timed_solve
-):
+def _polish(H, g, G, b, J, d, lam, s, residual, make_kkt):
     """Active-set polish of a converged barrier solution.
 
     Treats the inequality rows the barrier iteration ended on
@@ -684,10 +920,12 @@ def _polish(
         [H   E^T] [x]   [-g   ]
         [E   0  ] [y] = [rhs_e]     with  E = [G; J_active]
 
-    via the same Schur-complement elimination as the main loop, plus one
-    step of iterative refinement — the active-set system carries no barrier
-    scaling ``W``, so ``eps * cond`` is small and refinement converges,
-    recovering the solution well past the accuracy the barrier stalls at.
+    through the main loop's kind of KKT step (``make_kkt(E, None, None)``:
+    ``Phi = H`` over its own block partition, ``E`` as the equality rows),
+    plus one step of iterative refinement — the active-set system carries
+    no barrier scaling ``W``, so ``eps * cond`` is small and refinement
+    converges, recovering the solution well past the accuracy the barrier
+    stalls at.
     Returns the polished ``(x, nu, lam, s, residual)``, or ``None`` when the
     polish did not improve the KKT residual (e.g. a degenerate active set
     forced heavy regularization of the Schur complement).
@@ -709,33 +947,12 @@ def _polish(
     rhs_e = np.concatenate(rhs_rows) if q else np.zeros(0)
 
     try:
-        h_band: Optional[int] = None
-        if bandwidth is not None:
-            measured = bandwidth_of(H)
-            if measured <= bandwidth:
-                h_band = measured
-        h_factor, _ = _robust_factor(H, opt.regularization, h_band, stats)
-        if q:
-            HInv_Et = timed_solve(h_factor, E.T)
-            S = E @ HInv_Et
-            s_band: Optional[int] = None
-            if bandwidth is not None:
-                measured = bandwidth_of(S)
-                if measured <= bandwidth:
-                    s_band = measured
-            s_factor, _ = _robust_factor(S, opt.regularization, s_band, stats)
-
-        def saddle(r1, r2):
-            t = timed_solve(h_factor, r1)
-            if not q:
-                return t, np.zeros(0)
-            y = timed_solve(s_factor, E @ t - r2)
-            return t - HInv_Et @ y, y
-
-        x_p, y = saddle(-g, rhs_e)
+        kkt = make_kkt(E, None, None)
+        kkt.factor(None)
+        x_p, y = kkt.solve(-g, -rhs_e)
         e1 = -g - H @ x_p - (E.T @ y if q else 0.0)
         e2 = rhs_e - E @ x_p if q else np.zeros(0)
-        cx, cy = saddle(e1, e2)
+        cx, cy = kkt.solve(e1, -e2)
         x_p = x_p + cx
         y = y + cy
     except SolverError:

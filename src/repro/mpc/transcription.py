@@ -262,8 +262,12 @@ class TranscribedProblem:
         coupling spans at most one stage group ``[x_k, u_k]`` plus the next
         state, so the half-bandwidth is bounded by ``2 nx + nu - 1`` — the
         paper's ``b ≈ 2 nx + nu`` (§VIII-A) that the accelerator cost model
-        assumes.  The condensed ``Phi = H + J^T W J`` is narrower still
-        (block-diagonal per stage, band ``nx + nu - 1``); the ceiling also
+        assumes.  The condensed ``Phi = H + J^T W J`` is block-diagonal per
+        stage, but its blocks are the stage groups the SQP layer builds,
+        ``[x_k, u_k]`` *plus that stage's L1 slacks*
+        (:class:`repro.batch.ipm.LaneLayout`), so its band is
+        ``nx + nu - 1`` only without soft rows: MicroSat's reads 20 against
+        11, and the layout widens the ceiling to cover it.  The ceiling also
         covers the block-tridiagonal Schur complement of the dynamics rows
         (band ``2 nx - 1``).  Returns ``None`` when ``move_block > 1``
         (no banded structure — see :meth:`stage_permutation`).

@@ -305,6 +305,15 @@ class TestOverflowEscape:
         assert stats.retries > 0 and reg > 0.0
         assert np.all(np.isfinite(factor.solve(np.ones(2))))
 
+    def test_dense_ladder_repairs_overflow(self):
+        # The dense factor's L is finite here — the overflow happens in
+        # the substitutions — so its probe solve is the certificate.
+        stats = QPStats()
+        factor, reg = _robust_factor(OVERFLOW, 0.0, None, stats)
+        assert not factor.banded
+        assert stats.retries > 0 and reg > 0.0
+        assert np.all(np.isfinite(factor.solve(np.ones(2))))
+
     def test_unfactorable_lane_surfaces_failed_in_qp_not_garbage(self):
         # A lane the whole regularization ladder cannot repair must come
         # out of the batched QP as a frozen failure (the SQP driver then

@@ -415,6 +415,43 @@ class TestMutationCheck:
         monkeypatch.undo()
         assert replay_file(repro, ledger=LEDGER).status == "pass"
 
+    def test_corrupted_block_factor_fails_the_stage_step(
+        self, tmp_path, monkeypatch
+    ):
+        # ROADMAP 7f: the stage step's block-diagonal factor is defined
+        # once.  The mutation is an off-by-one in the block index (block k
+        # is applied block k-1's inverse factor); MobileRobot's Phi is
+        # diagonal, so it runs on the 1 x 1 blocks, where a transposed
+        # inverse would change nothing.
+        healthy = banded_mod.block_cholesky
+
+        def shifted_blocks(M, reg=0.0):
+            return np.roll(healthy(M, reg), 1, axis=0)
+
+        monkeypatch.setattr(banded_mod, "block_cholesky", shifted_blocks)
+        report = run_conformance(
+            n_cases=2,
+            seed=0,
+            robots=["MobileRobot"],
+            paths=["dense_kkt", "banded_kkt"],
+            ledger=LEDGER,
+            out_dir=tmp_path,
+        )
+        assert not report.ok and report.n_fail == 2
+
+        repro = report.failure_files[0]
+        doc = json.loads(open(repro).read())
+        assert [f["path"] for f in doc["failures"]] == ["banded_kkt"]
+
+        shrunk = ConformanceCase.from_dict(doc["case"])
+        original = ConformanceCase.from_dict(doc["original_case"])
+        assert shrunk.horizon <= original.horizon
+        assert doc["shrink_checks"] > 0
+
+        assert replay_file(repro, ledger=LEDGER).status == "fail"
+        monkeypatch.undo()
+        assert replay_file(repro, ledger=LEDGER).status == "pass"
+
 
 # ------------------------------------------------------------ full sweep ---
 

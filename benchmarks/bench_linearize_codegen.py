@@ -85,7 +85,7 @@ def _report(rows):
 
 def _gate(threshold):
     if not c_available():
-        pytest.skip("no C compiler / cffi here: codegen stays interpreted")
+        pytest.skip("no C compiler here: codegen stays interpreted")
     bench, problem, x0, pts = _setup()
     rows = {
         "off": _time_mode(problem, "off", pts, x0, bench.ref),

@@ -3,13 +3,13 @@
 Walks the retained :class:`~repro.symbolic.compile.CompiledFunction`
 expression DAGs of a transcribed problem into one fused IR per robot,
 whose functions evaluate a whole stage family over every stage point in
-one call, and compiles it with cffi into a C kernel cached in a
-content-addressed shared-object store.  Codegen means that one tier: the
-scalar host lane of a problem runs on the C kernel or on the interpreted
-per-knot provider, decided once at the problem (compiler present,
-``move_block``, size).  A tier is a group provider of the shared
-assembler (:mod:`repro.linearize`).  See DESIGN.md ("Fused kernel
-codegen") for the architecture.
+one call, and compiles it with one direct C compiler call into a plain
+shared object (loaded through ctypes) cached in a content-addressed
+store.  Codegen means that one tier: the scalar host lane of a problem
+runs on the C kernel or on the interpreted per-knot provider, decided
+once at the problem (compiler present, ``move_block``, size).  A tier is
+a group provider of the shared assembler (:mod:`repro.linearize`).  See
+DESIGN.md ("Fused kernel codegen") for the architecture.
 """
 
 from .cbackend import c_available

@@ -46,10 +46,11 @@ __all__ = [
     "module_fingerprint",
 ]
 
-#: Bumped whenever emission or layout semantics change: part of every
-#: artifact key, so stale store entries can never be replayed into a
-#: runtime that expects different generated code.
-CODEGEN_VERSION = 1
+#: Bumped whenever emission, layout or artifact format changes: part of
+#: every artifact key, so stale store entries can never be replayed into a
+#: runtime that expects different generated code.  (2: the artifact is a
+#: plain shared object loaded through ctypes.)
+CODEGEN_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ Four fused functions cover the linearization surface (their groups are
     be pure waste.
 
 The tier rule (:meth:`FusedProblemKernels._declined`) reads what the
-problem can observe: a C compiler with cffi, ``move_block == 1``, and —
+problem can observe: a C compiler on ``PATH``, ``move_block == 1``, and —
 under ``auto`` (the default) — the horizon-scaled DAG size against the
 single cutoff ``_AUTO_C_SCORE``, below which the interpreted per-stage
 loop beats a kernel call plus its one-time compile.  ``on`` skips the size
@@ -130,7 +130,7 @@ class FusedProblemKernels:
             if score < _AUTO_C_SCORE:
                 return f"auto: below size cutoff (score={score})"
         if not c_available():
-            return "no C compiler/cffi"
+            return "no C compiler"
         return ""
 
     # -- build -------------------------------------------------------------

@@ -16,8 +16,9 @@ class CodegenStats:
 
     ``kernel`` names the evaluation tier of the problem's scalar host lane:
 
-    * ``"fused-c"`` — cffi-compiled C module (bit-identical to the
-      interpreted scalar path: both call the same libm);
+    * ``"fused-c"`` — the C kernel, a plain shared object built by one
+      ``cc -O1 -shared`` call and loaded through ctypes (bit-identical to
+      the interpreted scalar path: both call the same libm);
     * ``"interpreted"`` — the original per-stage ``call_positional`` loop
       (codegen off, below the auto size cutoff, no compiler, or a fallback
       fired).

@@ -1,7 +1,7 @@
 """Content-addressed cache of compiled fused-kernel shared objects.
 
 Serve runs a fleet of worker processes that would each pay the same
-compiler invocation (0.4-2.4 s) for the same robot.  The store keys every
+compiler invocation (0.3-0.6 s) for the same robot.  The store keys every
 shared object by :func:`repro.codegen.emit.module_fingerprint` — a hash
 over the expression DAGs themselves, the dtype token and the emitter
 version — so the key *is* the content: a changed dynamics model, weight
@@ -12,7 +12,8 @@ never consulted, while every horizon of one robot (the stage body has no
 Layout under the cache root (``REPRO_CODEGEN_CACHE`` or
 ``~/.cache/repro/codegen``)::
 
-    so/<key>/<mod>.so   compiled C extension (written by cbackend)
+    so/<key>/kernel.so   the compiled C kernel: a plain shared object
+                         (no Python wrapper), loaded through ctypes
 
 :func:`repro.codegen.cbackend.build_c_kernel` writes it by building in a
 temp directory beside the target and ``os.replace``-ing the result, so

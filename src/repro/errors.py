@@ -45,8 +45,9 @@ class CodegenError(ReproError):
     """Fused-kernel emission or build failure (codegen subsystem).
 
     Raised when a DAG contains an op with no emitted spelling, a constant
-    that cannot cross into C, or the cffi build fails — callers drop to
-    the interpreted provider instead of crashing."""
+    that cannot cross into C, or the C compiler exits non-zero (the message
+    carries its stderr tail) — callers drop to the interpreted provider
+    instead of crashing."""
 
 
 class SolverError(ReproError):

@@ -978,8 +978,14 @@ def _polish(H, g, G, b, J, d, lam, s, residual, make_kkt):
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray, tau: float) -> float:
-    """Largest ``alpha <= 1`` keeping ``x + alpha dx >= (1 - tau) x``."""
-    negative = dx < 0
-    if not np.any(negative):
+    """Largest ``alpha <= 1`` keeping ``x + alpha dx >= (1 - tau) x``.
+
+    Only components whose full step crosses the boundary (``dx < -tau x``)
+    are divided: every other ratio is ``>= 1`` and cannot bind, and a tiny
+    ``dx`` there (a subnormal) would overflow the division.
+    """
+    t = -tau * x
+    cross = (dx < t) & (dx < 0)
+    if not np.any(cross):
         return 1.0
-    return float(min(1.0, np.min(-tau * x[negative] / dx[negative])))
+    return float(min(1.0, np.min(t[cross] / dx[cross])))

@@ -138,7 +138,7 @@ def _seeded_dag(seed: int):
     return variables, groups
 
 
-@pytest.mark.skipif(not c_available(), reason="no C compiler / cffi here")
+@pytest.mark.skipif(not c_available(), reason="no C compiler here")
 def test_c_kernel_bit_identical_to_interpreted(tmp_path):
     from repro.codegen import ArtifactStore
     from repro.codegen.cbackend import build_c_kernel
@@ -173,7 +173,7 @@ def test_c_kernel_bit_identical_to_interpreted(tmp_path):
     assert checked > 100  # the domain filter must not eat the sample
 
 
-@pytest.mark.skipif(not c_available(), reason="no C compiler / cffi here")
+@pytest.mark.skipif(not c_available(), reason="no C compiler here")
 def test_constant_and_passthrough_outputs_broadcast(tmp_path):
     """Bare-constant / pass-through outputs fill the point axis like any
     computed output: a group of ``m`` outputs over ``n`` points is

@@ -23,7 +23,7 @@ from repro.robots import build_benchmark
 
 
 needs_c = pytest.mark.skipif(
-    not c_available(), reason="no C compiler / cffi here"
+    not c_available(), reason="no C compiler here"
 )
 
 
@@ -112,23 +112,44 @@ class TestTierSelection:
     def test_store_hit_on_second_build(self, mobile, tmp_path, monkeypatch):
         """``store_hit`` means the shared object was reloaded and no
         compiler ran — not that an emit walk was saved."""
-        import cffi
-
         _, problem = mobile
         store = ArtifactStore(tmp_path)  # cold root: hit/miss is the subject
         first = FusedProblemKernels(problem, "on", store=store)
         assert first.stats.kernel == "fused-c"
         assert not first.stats.store_hit
 
-        def no_compiler(self, *a, **k):
+        def no_compiler(*a, **k):
             raise AssertionError("the compiler ran on a store hit")
 
-        monkeypatch.setattr(cffi.FFI, "compile", no_compiler)
+        monkeypatch.setattr("repro.codegen.cbackend._compile", no_compiler)
         second = FusedProblemKernels(problem, "on", store=store)
         assert first.key == second.key
         assert second.stats.kernel == "fused-c"
         assert second.stats.store_hit
         assert second.stats.emit_time > 0.0  # the walk is still paid
+
+    @needs_c
+    def test_compiler_error_degrades_with_its_stderr(
+        self, mobile, tmp_path, monkeypatch
+    ):
+        """A compiler that exits non-zero leaves the problem interpreted,
+        and the reason carries what the compiler said."""
+        from repro.codegen import cbackend
+
+        _, problem = mobile
+        emit = cbackend.emit_c_module
+        monkeypatch.setattr(
+            cbackend,
+            "emit_c_module",
+            lambda irs: emit(irs) + "\nthis is not C;\n",
+        )
+        k = FusedProblemKernels(problem, "on", store=ArtifactStore(tmp_path))
+        assert not k.active
+        assert k.stats.kernel == "interpreted"
+        reason = k.stats.fallback_reason
+        assert reason.startswith("build failed: C compiler exited ")
+        assert "error" in reason and "this" in reason  # the stderr tail
+        assert not list(tmp_path.rglob("*.so"))  # nothing half-built left
 
     @needs_c
     def test_horizons_of_one_robot_share_one_artifact(

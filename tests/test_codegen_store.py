@@ -24,11 +24,12 @@ from repro.codegen import (
     module_fingerprint,
 )
 from repro.codegen.cbackend import build_c_kernel
+from repro.errors import CodegenError
 from repro.robots import build_benchmark
 from repro.symbolic.expr import Const, Var
 
 needs_c = pytest.mark.skipif(
-    not c_available(), reason="no C compiler / cffi here"
+    not c_available(), reason="no C compiler here"
 )
 
 
@@ -124,6 +125,30 @@ def test_unwritable_root_tolerated(tmp_path):
     assert kernels.stats.fallback_reason.startswith("build failed: ")
 
 
+@needs_c
+def test_same_symbol_names_resolve_per_handle(tmp_path):
+    """Every robot's object exports ``fused_run_full`` & co.; two loaded in
+    one process must each run their own body."""
+    store = ArtifactStore(tmp_path)
+    kernels = []
+    for weight in (2.0, 3.0):
+        module = _module(weight)
+        kernels.append(build_c_kernel(module.irs, module_fingerprint(module), store))
+    cols = [np.array([1.5]), np.array([-0.5])]
+    costs = [k.call("fused_run_full", cols)["cost"][0, 0] for k in kernels]
+    assert costs == [2.0 * 1.5 * 1.5 + 0.25, 3.0 * 1.5 * 1.5 + 0.25]
+
+
+@needs_c
+def test_short_input_stack_rejected_before_the_call(tmp_path):
+    """The kernel indexes its input rows by variable slot, so a stack with
+    fewer rows than the signature is refused instead of read past."""
+    module = _module()
+    kern = build_c_kernel(module.irs, module_fingerprint(module), ArtifactStore(tmp_path))
+    with pytest.raises(CodegenError, match="takes 2 columns"):
+        kern.call("fused_run_full", [np.array([1.5])])
+
+
 _CHILD = """
 import sys
 import numpy as np
@@ -176,3 +201,36 @@ def test_concurrent_first_compile_converges(tmp_path):
     sos = list(store.so_dir_for(key).glob("*.so"))
     assert len(sos) == 1  # racing builders converged on one shared object
     assert not list(store.so_dir_for(key).glob(".build.*"))  # tmpdirs cleaned
+
+
+_COLD_BUILD_IMPORTS = """
+import sys
+from repro.codegen import ArtifactStore, FunctionGroup, emit_fused_module, module_fingerprint
+from repro.codegen.cbackend import build_c_kernel
+from repro.symbolic.expr import Var
+
+x = Var("x")
+module = emit_fused_module([("fused_run_full", [FunctionGroup("dyn", (x * x,))], ["x"])])
+kern = build_c_kernel(module.irs, module_fingerprint(module), ArtifactStore(sys.argv[1]))
+assert not kern.store_hit
+print(sorted(m for m in ("setuptools", "distutils", "cffi") if m in sys.modules))
+"""
+
+
+@needs_c
+def test_cold_build_imports_no_extension_toolchain(tmp_path):
+    """A cold build is one compiler process: no setuptools, distutils or
+    cffi is imported into the building process."""
+    script = tmp_path / "child.py"
+    script.write_text(_COLD_BUILD_IMPORTS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "cache")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=180,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -103,7 +103,7 @@ BATCH = {
     "batch-vectorized": None,
     "batch-interpreted": NoUfuncBackend,
 }
-needs_c = pytest.mark.skipif(not c_available(), reason="no C compiler / cffi")
+needs_c = pytest.mark.skipif(not c_available(), reason="no C compiler here")
 PROVIDERS = [
     pytest.param(p, marks=needs_c) if p == "fused-c" else p
     for p in (*SCALAR, *BATCH)

@@ -1,6 +1,8 @@
 """Tests for the convex-QP interior-point solver, cross-checked against the
 independent dense reference implementation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.baselines import reference_qp_objective, reference_solve_qp
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.mpc.qp import QPOptions, _max_step, solve_qp
 
 
 def spd(n, seed, scale=1.0):
@@ -169,3 +171,47 @@ def test_property_box_qp_agrees_with_reference(n, seed, box):
     assert np.allclose(res.x, x_ref, atol=1e-4)
     # The solution respects the box.
     assert np.all(np.abs(res.x) <= box + 1e-6)
+
+
+class TestMaxStep:
+    """The fraction-to-the-boundary step divides only where a full step
+    crosses the boundary, so a subnormal ``dx`` cannot overflow."""
+
+    @staticmethod
+    def _unguarded(x, dx, tau):
+        # the formula that divided by every negative component
+        negative = dx < 0
+        if not np.any(negative):
+            return 1.0
+        with np.errstate(over="ignore"):
+            return float(min(1.0, np.min(-tau * x[negative] / dx[negative])))
+
+    def test_subnormal_dx_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _max_step(np.array([1.0]), np.array([-5e-324]), 1.0) == 1.0
+
+    def test_bit_identical_to_unguarded_formula(self):
+        rng = np.random.default_rng(0)
+        scales = np.array([0.0, 5e-324, 1e-310, 1e-12, 1.0, 1e6, 1e300])
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            x = np.abs(rng.standard_normal(n)) * rng.choice(scales, n)
+            dx = rng.standard_normal(n) * rng.choice(scales, n)
+            tau = float(rng.choice([1.0, 0.995, 0.5, rng.uniform(0.01, 1.0)]))
+            want = self._unguarded(x, dx, tau)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow for x >= 0
+                got = _max_step(x, dx, tau)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                x, dx, tau
+            )
+
+    def test_negative_entries_keep_the_old_semantics(self):
+        # x dips below zero only by rounding at tau = 1; a zero or positive
+        # dx there is still never divided
+        for x, dx in (([-1e-17], [0.0]), ([-1e-17], [1e-20]), ([-1.0], [-2.0])):
+            x, dx = np.array(x), np.array(dx)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _max_step(x, dx, 1.0) == self._unguarded(x, dx, 1.0)

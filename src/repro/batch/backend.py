@@ -159,6 +159,14 @@ class ArrayBackend:
     def repeat(self, a, n: int, axis: int):
         return _np.repeat(a, n, axis=axis)
 
+    def take(self, a, indices, axis: int):
+        """Gather ``a`` at integer ``indices`` along ``axis`` (the index
+        array's shape replaces that axis).  The result is laid out in its
+        own axis order — a sliced fancy index (``a[:, idx]``) leaves the
+        sliced lane axis innermost, and a batched matmul over such an
+        operand drops off BLAS and sums in a lane-count-dependent order."""
+        return _np.take(a, indices, axis=axis)
+
     def copy(self, a):
         return a.copy()
 
@@ -338,6 +346,9 @@ class CupyBackend(ArrayBackend):
     def repeat(self, a, n: int, axis: int):
         return self._cp.repeat(a, n, axis=axis)
 
+    def take(self, a, indices, axis: int):
+        return self._cp.take(a, indices, axis=axis)
+
     def sqrt(self, a):
         return self._cp.sqrt(a)
 
@@ -515,6 +526,13 @@ class TorchBackend(ArrayBackend):
 
     def repeat(self, a, n: int, axis: int):
         return self._torch.repeat_interleave(a, n, dim=axis)
+
+    def take(self, a, indices, axis: int):
+        axis = axis % a.ndim
+        out = self._torch.index_select(a, axis, indices.reshape(-1))
+        return out.reshape(
+            tuple(a.shape[:axis]) + tuple(indices.shape) + tuple(a.shape[axis + 1 :])
+        )
 
     def copy(self, a):
         return a.clone()
@@ -701,6 +719,9 @@ class JaxBackend(ArrayBackend):
 
     def repeat(self, a, n: int, axis: int):
         return self._jnp.repeat(a, n, axis=axis)
+
+    def take(self, a, indices, axis: int):
+        return self._jnp.take(a, indices, axis=axis)
 
     def copy(self, a):
         return self._jnp.array(a, copy=True)

@@ -26,22 +26,32 @@ it sweeps.  It never materializes a padded ``(B, npad, npad)`` copy of
 Quadrotor N=30 problem it dwarfed the tiles it was scaffolding for).
 
 ``band`` is a promise, and it picks the tiling.  ``band=None`` is one
-dense tile; ``band > 0`` is tiles of ``max(band, MIN_BLOCK)``; ``band=0``
-— a diagonal matrix, which is what ``Φ = H + JᵀWJ`` is for any problem
-with diagonal penalties and box constraints — is the ``nb=1`` tiling: ``n``
-independent 1x1 tiles whose couplings ``C_k`` are identically zero, so
-the tile axis needs no sweep at all.  The factor is then ``sqrt`` of the
-diagonal and every substitution one broadcast multiply by the stored
-reciprocal pivots; entry by entry that is what either tile kernel computes
-on a diagonal tile — the column sweep's inner products are sums of exact
-zeros, ``potrf`` takes ``sqrt(a - 0)`` and the LU inverse ``1 / piv`` — so
-the lane is bit-identical to the tile factor on every backend, just
-without its ``K`` tile steps.  It is stored as tiles all the same (``_D``/``_Dinv`` of shape
-``(B, n, 1, 1)``, ``_C`` empty), so the retry ladder's scatter and the
-flop meters need no second branch.  Like the scalar twin's
-``to_banded(A, band)``, a factor never reads values outside the band it
-was promised: ``band=0`` reads the diagonal only.  (With ``band > 0`` a
-``MIN_BLOCK`` tile happens to cover in-tile entries a too-small hint
+dense tile; ``band > 0`` is the tiling of
+:func:`repro.mpc.banded.tile_size`, the one tile rule of both factors:
+tiles of ``max(band, MIN_BLOCK)``, or one tile of ``n`` when ``n`` fits in
+two (two tiles already hold the whole lower triangle, so banding would
+skip nothing and only pad).  *Block mode* is a block-diagonal matrix
+handed over as the ``(B, K, s, s)`` stack of its diagonal blocks — how
+:func:`repro.batch.qp.solve_qp_batch` hands over ``Φ``'s stage blocks —
+and factors all ``B·K`` blocks with one tile-kernel call and inverts them
+with one more, no sweep and no ``C`` tiles (the scalar
+:func:`~repro.mpc.banded.block_cholesky`, lane-parallel); its solves take
+right-hand sides in the same block layout.  ``band=0`` — a diagonal
+matrix, which is what ``Φ = H + JᵀWJ`` is for any problem with diagonal
+penalties and box constraints — is block mode with ``s = 1``: ``n``
+blocks of ``1 x 1``, the factor ``sqrt`` of the diagonal and every
+substitution one broadcast multiply by the stored reciprocal pivots.
+Entry by entry that is what either tile kernel computes on a diagonal
+tile — the column sweep's inner products are sums of exact zeros,
+``potrf`` takes ``sqrt(a - 0)`` and the LU inverse ``1 / piv`` — so it is
+bit-identical to the tile factor of a diagonal matrix on every backend,
+and it keeps the row layout ``(B, n[, q])`` of a ``(B, n, n)`` input.
+Block mode is stored as tiles all the same (``_D``/``_Dinv`` of shape
+``(B, K, s, s)``, ``_C`` empty), so the retry ladder's scatter needs no
+second branch; ``ok`` is per lane, over all of a lane's blocks.  Like the
+scalar twin's ``to_banded(A, band)``, a factor never reads values outside
+the band it was promised: ``band=0`` reads the diagonal only.  (With
+``band > 0`` a tile happens to cover in-tile entries a too-small hint
 excludes — an accident of the tiling, not part of the contract.  The one
 whole-matrix read is the finiteness guard: a NaN anywhere in a lane's
 input fails that lane, at every band.)
@@ -81,6 +91,7 @@ from repro.mpc import banded
 from repro.mpc.banded import (
     flop_counts_banded_cholesky,
     flop_counts_banded_substitution,
+    tile_size,
 )
 from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 
@@ -147,30 +158,35 @@ class BatchCholeskyFactor:
 
     Parameters
     ----------
-    A : (B, n, n) array
+    A : (B, n, n) or (B, K, s, s) array
         Stack of symmetric positive-definite matrices sharing one sparsity
-        envelope (same ``band`` for every lane).
+        envelope (same ``band`` for every lane) — or, *block mode*, the
+        ``K`` diagonal blocks of ``B`` block-diagonal ones (how
+        :func:`repro.batch.qp.solve_qp_batch` hands over ``Phi``'s stage
+        blocks), factored as one stack with no sweep.
     band : int or None
         Half bandwidth shared by all lanes — a promise by the caller:
         entries beyond it are taken to be zero and are not read (clamped
         to ``n - 1``).  ``None`` selects a single dense block (the batched
         equivalent of a dense factorization); ``0`` selects the diagonal
-        lane (``nb=1``: elementwise ``sqrt``, substitutions are one
-        multiply by the stored reciprocals), exactly as the scalar
-        ``BandedCholeskyFactor(to_banded(A, 0))`` reads ``diag(A)`` alone.
+        (block mode over ``n`` blocks of ``1 x 1``: elementwise ``sqrt``,
+        substitutions are one multiply by the stored reciprocals), exactly
+        as the scalar ``BandedCholeskyFactor(to_banded(A, 0))`` reads
+        ``diag(A)`` alone.  Ignored in block mode.
     reg : float or (B,) array
         Diagonal regularization, scalar or per-lane.
     backend : str or ArrayBackend, optional
         The array namespace to factor under (default: the process-wide
         selection, see :func:`repro.batch.backend.get_backend`).
 
-    Lanes whose matrix is non-finite, loses positive definiteness, or
-    overflows into non-finite factor tiles are flagged in :attr:`ok`;
-    their factor tiles are placeholders and any ``solve`` output for
-    those lanes is meaningless.
+    Lanes whose matrix is non-finite, loses positive definiteness (in any
+    of its blocks), or overflows into non-finite factor tiles are flagged
+    in :attr:`ok`; their factor tiles are placeholders and any ``solve``
+    output for those lanes is meaningless.  A block-mode factor takes
+    right-hand sides in its block layout, ``(B, K, s)`` or ``(B, K, s, q)``;
+    the ``band=0`` factor of a ``(B, n, n)`` stack keeps the row layout
+    ``(B, n)`` / ``(B, n, q)``.
     """
-
-    MIN_BLOCK = 16
 
     def __init__(
         self,
@@ -181,59 +197,92 @@ class BatchCholeskyFactor:
     ) -> None:
         xp = self.xp = get_backend(backend)
         A = xp.asarray(A)
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        if A.ndim not in (3, 4) or A.shape[-1] != A.shape[-2]:
             raise SolverError(
-                f"expected a (B, n, n) stack, got shape {tuple(A.shape)}"
+                "expected a (B, n, n) or (B, K, s, s) stack, got shape "
+                f"{tuple(A.shape)}"
             )
-        self.lanes, self.n = int(A.shape[0]), int(A.shape[1])
-        self.band = None if band is None else int(min(int(band), max(self.n - 1, 0)))
-        reg_vec = xp.copy(xp.broadcast_to(xp.asarray(reg), (self.lanes,)))
-        self.reg = reg_vec
+        self.lanes = int(A.shape[0])
+        reg_vec = self.reg = xp.zeros((self.lanes,)) + reg  # a fresh (B,) copy
 
-        finite = xp.all(xp.isfinite(A), axis=(1, 2))
+        finite = self.finite = xp.all(
+            xp.isfinite(A), axis=tuple(range(1, A.ndim))
+        )
         self.ok = xp.copy(finite)
-        reg_fill = xp.where(finite, reg_vec, 0.0)[:, None]
-        self._diagonal = self.band == 0 and self.n > 0
-        if self._diagonal:
-            self._factor_diagonal(A, finite, reg_fill)
+        reg_fill = xp.where(finite, reg_vec, 0.0)
+        #: block mode (no sweep, no C tiles), and within it the row layout
+        #: of a (B, n, n) stack factored over 1x1 blocks (band=0)
+        self._block = self._rows = False
+        if A.ndim == 4:
+            self._factor_blocks(A, finite, reg_fill)
+            self.band = max(self.nb - 1, 0)
         else:
-            self._factor_tiles(A, finite, reg_fill)
+            self.n = int(A.shape[1])
+            self.band = (
+                None if band is None else int(min(int(band), max(self.n - 1, 0)))
+            )
+            if self.band == 0 and self.n > 0:
+                dd = xp.arange(self.n)
+                self._rows = True
+                self._factor_blocks(
+                    A[:, dd, dd][:, :, None, None], finite, reg_fill
+                )
+            else:
+                self._factor_tiles(A, finite, reg_fill[:, None])
         self._refresh_suppress()
 
-    def _factor_diagonal(self, A, finite, reg_fill) -> None:
-        """The ``nb=1`` tiling: ``n`` independent 1x1 tiles whose couplings
-        are identically zero, so the tile axis needs no sweep.  Entry by
-        entry this is what either tile kernel computes on a diagonal
-        tile (``sqrt(a)`` and ``1 / piv``, every inner product an exact
-        zero), hence bit-identical to the tile factor of a diagonal
-        matrix."""
-        xp, n = self.xp, self.n
-        self.nb, self.K, self.npad = 1, n, n
-        dd = xp.arange(n)
-        # Non-finite lanes factor the identity (bounded placeholders);
-        # their ok flag is already off.
-        d = xp.where(finite[:, None], A[:, dd, dd], 1.0) + reg_fill
-        good = xp.isfinite(d) & (d > 0.0)
-        piv = xp.sqrt(xp.where(good, d, 1.0))
-        inv = 1.0 / piv
-        self._D = piv[:, :, None, None]
-        self._Dinv = inv[:, :, None, None]
-        self._C = xp.empty((self.lanes, 0, 1, 1))
-        self.ok = (
-            self.ok
-            & xp.all(good, axis=1)
-            & xp.all(xp.isfinite(inv), axis=1)
-        )
+    def _factor_blocks(self, M, finite, reg_fill) -> None:
+        """Block mode: the ``(B, K, s, s)`` stack's ``B K`` tiles factored
+        by one tile-kernel call and inverted by one more — the scalar
+        :func:`repro.mpc.banded.block_cholesky`, lane-parallel.  ``s = 1``
+        (the diagonal) takes ``sqrt`` and ``1 / piv`` elementwise, the
+        values either tile kernel computes on a ``1 x 1`` tile."""
+        xp, lanes = self.xp, self.lanes
+        K, s = int(M.shape[1]), int(M.shape[3])
+        self.nb, self.K = s, K
+        self.n = self.npad = K * s
+        self._block = True
+        if s == 1:
+            # Non-finite lanes factor the identity (bounded placeholders);
+            # their ok flag is already off.
+            d = xp.where(finite[:, None], M[:, :, 0, 0], 1.0) + reg_fill[:, None]
+            good = xp.isfinite(d) & (d > 0.0)
+            piv = xp.sqrt(xp.where(good, d, 1.0))
+            inv = 1.0 / piv
+            D, Dinv = piv[:, :, None, None], inv[:, :, None, None]
+            ok = xp.all(good, axis=1) & xp.all(xp.isfinite(inv), axis=1)
+        else:
+            T = xp.where(finite[:, None, None, None], M, xp.eye(s))
+            dd = xp.arange(s)
+            T[:, :, dd, dd] = T[:, :, dd, dd] + reg_fill[:, None, None]
+            flat = xp.reshape(T, (lanes * K, s, s))
+            if xp.is_device:
+                L, ok_t = _cholesky_tiles(xp, flat)
+                Linv = _triangular_inverse(xp, L)
+            else:
+                L, ok_t = banded.cholesky_tiles(flat)
+                Linv = banded.tril_inverse(L)
+            D = xp.reshape(L, (lanes, K, s, s))
+            Dinv = xp.reshape(Linv, (lanes, K, s, s))
+            ok = (
+                xp.all(xp.reshape(ok_t, (lanes, K)), axis=1)
+                & xp.all(xp.isfinite(D), axis=(1, 2, 3))
+                & xp.all(xp.isfinite(Dinv), axis=(1, 2, 3))
+            )
+        self._D, self._Dinv = D, Dinv
+        self._C = xp.empty((lanes, 0, s, s))
+        self.ok = self.ok & ok
 
     def _factor_tiles(self, A, finite, reg_fill) -> None:
         """The blocked bidiagonal sweep over ``nb x nb`` tiles (dense:
-        one tile; banded: ``nb = max(band, MIN_BLOCK)``); the tile kernels
-        are LAPACK on host backends and the column sweep on devices."""
+        one tile; banded: :func:`repro.mpc.banded.tile_size`); the tile
+        kernels are LAPACK on host backends and the column sweep on
+        devices."""
         xp, n, lanes = self.xp, self.n, self.lanes
         if self.band is None:
             nb = max(n, 1)
         else:
-            nb = min(max(self.band, self.MIN_BLOCK), max(n, 1))
+            nb = tile_size(n, self.band)
         K = max(1, -(-n // nb))
         npad = K * nb
         self.nb, self.K, self.npad = nb, K, npad
@@ -246,7 +295,7 @@ class BatchCholeskyFactor:
             e = min(s + nb, n)
             w = e - s
             if w == nb:
-                T = xp.copy(A[:, s:e, s:e])
+                T = A[:, s:e, s:e]  # the where below copies
             else:
                 T = xp.zeros((lanes, nb, nb))
                 T[:, :w, :w] = A[:, s:e, s:e]
@@ -336,18 +385,35 @@ class BatchCholeskyFactor:
             )
         return b, squeeze
 
-    def _scale(self, b):
-        """``L⁻¹ b`` = ``L⁻ᵀ b`` on the diagonal lane: one broadcast
-        multiply by the stored reciprocal pivots (what the tile matmuls
-        compute there, minus the products with exact zeros)."""
-        b3, squeeze = self._prep_rhs(b)
+    def _apply_blocks(self, M, b):
+        """``M_k b_k`` for every block of the block layout (or, in the row
+        layout, every row); ``s = 1`` is one broadcast multiply — what the
+        block matmul computes there, minus the products with exact
+        zeros."""
+        xp = self.xp
+        b = xp.asarray(b)
+        if self._rows:
+            b3, squeeze = self._prep_rhs(b)
+            b4 = b3[:, :, None, :]
+        else:
+            squeeze = b.ndim == 3
+            b4 = b[..., None] if squeeze else b
+            if b4.ndim != 4 or tuple(b4.shape[:3]) != (self.lanes, self.K, self.nb):
+                raise SolverError(
+                    f"rhs shape {tuple(b.shape)} incompatible with "
+                    f"({self.lanes}, {self.K}, {self.nb})"
+                )
         with self._errstate():
-            out = self._Dinv[:, :, 0] * b3
-        return out[:, :, 0] if squeeze else out
+            out = M * b4 if self.nb == 1 else xp.matmul(M, b4)
+        if self._rows:
+            out = out[:, :, 0, :]
+            return out[:, :, 0] if squeeze else out
+        return out[..., 0] if squeeze else out
 
     def forward(self, b):
-        if self._diagonal:
-            return self._scale(b)
+        """Solve ``L y = b``."""
+        if self._block:
+            return self._apply_blocks(self._Dinv, b)
         xp = self.xp
         b3, squeeze = self._prep_rhs(b)
         y = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
@@ -364,9 +430,10 @@ class BatchCholeskyFactor:
         return out[:, :, 0] if squeeze else out
 
     def backward(self, b):
-        if self._diagonal:
-            return self._scale(b)
+        """Solve ``L^T x = b``."""
         xp = self.xp
+        if self._block:
+            return self._apply_blocks(xp.transpose_last2(self._Dinv), b)
         b3, squeeze = self._prep_rhs(b)
         x = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         x[:, : self.n] = b3
@@ -393,7 +460,10 @@ class BatchCholeskyFactor:
     # -- flop meters (per lane; every lane shares one structure) ----------
 
     def factor_flops(self) -> int:
-        """Flops one lane's factorization would cost on the scalar path."""
+        """Flops one lane's factorization would cost on the scalar path
+        (block mode: one dense Cholesky per block)."""
+        if self._block:
+            return self.K * int(sum(flop_counts_cholesky(self.nb).values()))
         if self.band is not None:
             counts = flop_counts_banded_cholesky(self.n, self.band)
         else:
@@ -402,6 +472,9 @@ class BatchCholeskyFactor:
 
     def solve_flops(self, nrhs: int = 1) -> int:
         """Flops one lane's forward+backward substitution costs."""
+        if self._block:
+            counts = flop_counts_substitution(self.nb, nrhs)
+            return 2 * self.K * int(sum(counts.values()))
         if self.band is not None:
             counts = flop_counts_banded_substitution(self.n, self.band, nrhs)
         else:
@@ -442,7 +515,7 @@ def robust_factor_batch(
     current = xp.full((lanes,), float(reg))
     retries = xp.zeros((lanes,), dtype="int")
     factor = BatchCholeskyFactor(A, band=band, reg=current, backend=xp)
-    hopeless = ~xp.all(xp.isfinite(A), axis=(1, 2))
+    hopeless = ~factor.finite
     if active is not None:
         hopeless = hopeless | ~active
     for _ in range(attempts - 1):

@@ -30,14 +30,34 @@ body; only two *values* are read from ``xp.is_device``:
   host backends, where it is free, and every ``sync_interval`` iterations
   on device backends (0 = a strictly sync-free solve).
 
+The Newton step is the scalar solver's, lane-parallel, and is chosen the
+same way (``_lane_kkt``).  Without a band hint ``Φ = H + JᵀWJ`` is formed
+whole and ``S = G (Φ⁻¹Gᵀ)`` — the dense oracle.  With one, the structure
+is read once per solve from the lane envelope (one download): a diagonal
+``Φ`` (band 0) takes ``diag(Φ) = diag(H) + (J∘J)ᵀw`` factored as ``1 x 1``
+blocks and ``S = VᵀV`` with ``V = diag(Φ)^-½ Gᵀ``; otherwise ``Φ``'s stage
+blocks (:func:`repro.mpc.qp._stage_layout`) are formed by one stacked
+``J_kᵀW_kJ_k``, factored as one ``(B, K, s, s)`` stack (block-mode
+:class:`~repro.batch.linalg.BatchCholeskyFactor`) and ``S = Σ V_kᵀV_k``
+is summed through precomputed gathers.  Either way ``dx = Φ⁻¹(r₁ − Gᵀdν)``:
+no ``(B, n, n)`` product and no ``Φ⁻¹Gᵀ`` solve, and ``S`` is factored
+banded at its structural band when that is within the hint.  Every
+gather is an ``xp.take`` in lane-major layout, so a lane's arithmetic —
+and its iterate — does not depend on how many lanes ride with it.  Per
+lane the :class:`QPStats` meters (factorizations, flops, bandwidths, mode)
+count each iteration exactly as ``solve_qp(..., bandwidth=)`` does.
+
 The per-iteration decision ladder (convergence check, divergence guard,
-wall-clock deadline, cap re-evaluation) copies the scalar solver's order
-exactly, so a single-lane batch follows the same iteration path as
-``solve_qp`` on the same data.  The one intentional divergence: a lane
-whose KKT factorization fails after the retry ladder is frozen with
-status ``"failed"`` instead of raising ``SolverError``, because one bad
-lane must not abort its batch-mates.  ``polish`` is ignored (the active
-mask has no meaningful polish point for frozen lanes).
+wall-clock deadline, cap re-evaluation) runs in the scalar solver's order.
+Two differences remain between the loops: the stopping test here is
+``max residual + mu`` where the scalar one takes ``max(residual, mu)`` (a
+lane can need one iteration more), and a lane that runs out of
+iterations keeps its last iterate where the scalar solver returns the
+best one it evaluated.  The intentional divergence: a lane whose KKT
+factorization fails after the retry ladder is frozen with status
+``"failed"`` instead of raising ``SolverError``, because one bad lane must
+not abort its batch-mates.  ``polish`` is ignored (the active mask has no
+meaningful polish point for frozen lanes).
 """
 
 from __future__ import annotations
@@ -46,8 +66,15 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional
 
-from repro.mpc.banded import bandwidth_of
-from repro.mpc.qp import QPOptions, QPStats
+from repro.mpc.banded import block_partition
+from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
+from repro.mpc.qp import (
+    QPOptions,
+    QPStats,
+    _diag_schur_band,
+    _stage_gathers,
+    _stage_layout,
+)
 
 from .backend import HOST, ArrayBackend, get_backend
 from .linalg import robust_factor_batch
@@ -191,6 +218,323 @@ def _decode_lanes(status_h, rows_h):
     return codes, names, converged, history
 
 
+class _LaneMeters:
+    """Backend-resident per-lane :class:`QPStats` accumulators, downloaded
+    once after the loop; wall times are batch totals, shared out by each
+    lane's factorization count."""
+
+    def __init__(self, xp: ArrayBackend, lanes: int) -> None:
+        self.factz = xp.zeros((lanes,), dtype="int")
+        self.banded = xp.zeros((lanes,), dtype="int")
+        self.flops = xp.zeros((lanes,), dtype="int")
+        self.subflops = xp.zeros((lanes,), dtype="int")
+        self.retries = xp.zeros((lanes,), dtype="int")
+        self.regmax = xp.zeros((lanes,))
+        self.factor_time = 0.0
+        self.sub_time = 0.0
+        #: substitution flops a factored lane has run since its factor was
+        #: metered: a host int, settled into ``subflops`` (one array op)
+        #: before the next factorization changes which lanes count
+        self.aiv = None
+        self.pending = 0
+
+    def settle(self) -> None:
+        if self.pending:
+            self.subflops = self.subflops + self.aiv * self.pending
+            self.pending = 0
+
+
+class _LaneKKT:
+    """The condensed Newton step of the lockstep loop, over ``B`` lanes.
+
+    :meth:`factor` takes the iteration's scaling ``w`` (``None`` without
+    inequalities) and the active mask, factors ``Phi`` and the Schur
+    complement ``S = G Phi^-1 G^T`` through :func:`robust_factor_batch`
+    (the per-lane retry ladder) and returns the lanes still alive;
+    :meth:`solve` then answers the saddle system
+
+        [Phi  G^T] [dx ]   [rhs1]
+        [G    0  ] [dnu] = [-re ]
+
+    for the predictor and the corrector.  The three subclasses are the
+    scalar solver's three steps (:mod:`repro.mpc.qp`), lane-parallel, and
+    meter the same :class:`QPStats` counters per lane.
+    """
+
+    def __init__(self, xp, reg, ladder, meters: _LaneMeters) -> None:
+        self.xp, self.reg, self.ladder, self.meters = xp, reg, ladder, meters
+
+    def _factor(self, A, band, active, flops=None):
+        """One metered :func:`robust_factor_batch` call; returns the factor
+        and the lanes that are active and factored."""
+        xp, mt = self.xp, self.meters
+        t0 = perf_counter()
+        factor, reg_used, retries = robust_factor_batch(
+            A, self.reg, band, backend=xp, active=active, **self.ladder
+        )
+        mt.factor_time += perf_counter() - t0
+        mt.settle()
+        alive = active & factor.ok
+        aiv = mt.aiv = xp.astype(alive, "int")
+        mt.factz = mt.factz + aiv
+        if factor.banded:
+            mt.banded = mt.banded + aiv
+        flops = factor.factor_flops() if flops is None else flops
+        mt.flops = mt.flops + aiv * flops
+        mt.retries = mt.retries + retries
+        mt.regmax = xp.maximum(mt.regmax, xp.where(alive, reg_used, 0.0))
+        return factor, alive
+
+    def _apply(self, op, rhs, flops):
+        """``op(rhs)``, metered as ``flops`` per factored lane."""
+        mt = self.meters
+        t = perf_counter()
+        out = op(rhs)
+        mt.sub_time += perf_counter() - t
+        mt.pending += flops
+        return out
+
+    def _schur_solve(self, rhs):
+        return self._apply(
+            self.schur.solve, rhs[:, :, None], self.schur.solve_flops(1)
+        )[:, :, 0]
+
+
+class _DenseLaneKKT(_LaneKKT):
+    """``Phi = H + J^T W J`` formed whole and ``S = G (Phi^-1 G^T)``: the
+    step without a band hint, and the oracle of the other two."""
+
+    def __init__(self, xp, reg, ladder, meters, H, G, Gt, J, Jt) -> None:
+        super().__init__(xp, reg, ladder, meters)
+        self.H, self.G, self.Gt, self.J, self.Jt = H, G, Gt, J, Jt
+
+    def factor(self, w, active):
+        xp = self.xp
+        with xp.errstate():
+            Phi = self.H
+            if w is not None:
+                Phi = Phi + xp.matmul(self.Jt * w[:, None, :], self.J)
+        self.phi, alive = self._factor(Phi, None, active)
+        if self.G is not None:
+            with xp.errstate():
+                self.PhiInv_Gt = self._apply(
+                    self.phi.solve, self.Gt,
+                    self.phi.solve_flops(int(self.Gt.shape[2])),
+                )
+                S = xp.matmul(self.G, self.PhiInv_Gt)
+            self.schur, alive = self._factor(S, None, alive)
+        return alive
+
+    def solve(self, rhs1, re):
+        xp = self.xp
+        t = self._apply(
+            self.phi.solve, rhs1[:, :, None], self.phi.solve_flops(1)
+        )[:, :, 0]
+        if self.G is None:
+            return t, None
+        dnu = self._schur_solve(_bmv(xp, self.G, t) + re)
+        return t - _bmv(xp, self.PhiInv_Gt, dnu), dnu
+
+
+class _DiagLaneKKT(_LaneKKT):
+    """The hinted step when ``Phi`` is diagonal (an envelope of band 0):
+    ``diag(Phi) = diag(H) + (J o J)^T w`` — no ``n x n`` product — is
+    factored as ``n`` blocks of ``1 x 1``, ``V = diag(Phi)^-1/2 G^T`` and
+    ``S = V^T V`` is factored banded at the structural band of ``|G| |G|^T``
+    (when within the hint).  The step is ``dnu = S^-1 (V^T L^-1 rhs1 + re)``,
+    ``dx = Phi^-1 (rhs1 - G^T dnu)``."""
+
+    def __init__(self, xp, reg, ladder, meters, H, G, Gt, J, s_band) -> None:
+        super().__init__(xp, reg, ladder, meters)
+        lanes, n = int(H.shape[0]), int(H.shape[1])
+        diag = xp.arange(n) * (n + 1)
+        self.diag_H = xp.take(xp.reshape(H, (lanes, n * n)), diag, axis=1)
+        self.J2t = None if J is None else xp.transpose_last2(J * J)
+        self.G, self.Gt, self.s_band = G, Gt, s_band
+        self.factor_flops = n * sum(flop_counts_cholesky(1).values())
+        self.tri_flops = n * sum(flop_counts_substitution(1).values())
+
+    def factor(self, w, active):
+        xp = self.xp
+        with xp.errstate():
+            d = self.diag_H
+            if w is not None:
+                d = d + _bmv(xp, self.J2t, w)
+        self.phi, alive = self._factor(
+            d[:, :, None, None], None, active, self.factor_flops
+        )
+        if self.G is not None:
+            p = int(self.Gt.shape[2])
+            with xp.errstate():
+                self.V = self._apply(
+                    self.phi.forward, self.Gt[:, :, None, :],
+                    p * self.tri_flops,
+                )[:, :, 0, :]
+                S = xp.matmul(xp.transpose_last2(self.V), self.V)
+                S = 0.5 * (S + xp.transpose_last2(S))
+            self.schur, alive = self._factor(S, self.s_band, alive)
+        return alive
+
+    def solve(self, rhs1, re):
+        xp, F, tri = self.xp, self.phi, self.tri_flops
+        r1 = rhs1[:, :, None]
+        if self.G is None:
+            return self._apply(F.solve, r1, 2 * tri)[:, :, 0], None
+        y = self._apply(F.forward, r1, tri)[:, :, 0]
+        dnu = self._schur_solve(
+            _bmv(xp, xp.transpose_last2(self.V), y) + re
+        )
+        r2 = (rhs1 - _bmv(xp, self.Gt, dnu))[:, :, None]
+        return self._apply(F.solve, r2, 2 * tri)[:, :, 0], dnu
+
+
+class _StageLaneKKT(_LaneKKT):
+    """The hinted step over ``Phi``'s stage blocks: the scalar
+    :class:`repro.mpc.qp._StageKKT`, lane-parallel, over the same
+    :func:`repro.mpc.qp._stage_layout` (read once per solve, from the lane
+    envelope).  ``H``'s blocks, each block's ``J`` rows ``(B, K, r, s)`` and
+    its transposed ``G`` rows ``(B, K, s, q)`` are gathered once; per
+    iteration ``Phi``'s blocks are one stacked ``J_k^T W_k J_k`` product,
+    factored as one ``(B, K, s, s)`` stack (block-mode
+    :class:`BatchCholeskyFactor`), and ``S = sum_k V_k^T V_k`` with
+    ``V_k = L_k^-1 G_k^T`` is summed through precomputed gathers (the
+    scalar step's scatter-add, with a lane axis).  Every gather is an
+    ``xp.take`` on the lane-major layout, so a lane's arithmetic does not
+    depend on how many lanes ride with it."""
+
+    def __init__(self, xp, reg, ladder, meters, H, G, J, layout, s_band):
+        super().__init__(xp, reg, ladder, meters)
+        self.lanes = int(H.shape[0])
+        self.factor_flops = layout.factor_flops
+        self.tri_flops = layout.tri_flops
+        self.s_band = s_band
+        cols = layout.cols
+        self.cols = xp.from_host(cols, dtype="int")
+        self.real = xp.from_host(HOST.flatnonzero(layout.real), dtype="int")
+        # identity on the pad, exact zeros elsewhere
+        pad = HOST.zeros(cols.shape + cols.shape[1:])
+        dd = HOST.arange(cols.shape[1])
+        pad[:, dd, dd] = ~layout.real
+        self.block_H = self._blocks(
+            H, cols[:, :, None], cols[:, None, :]
+        ) + xp.from_host(pad)
+        self.J = None
+        if J is not None:
+            jrows = layout.jrows
+            self.jrows = xp.from_host(jrows, dtype="int")
+            self.J = self._blocks(J, jrows[:, :, None], cols[:, None, :])
+            self.Jt = xp.transpose_last2(self.J)
+        self.G = None
+        if G is not None:
+            grows = layout.grows
+            self.p, self.q = int(G.shape[1]), int(grows.shape[1])
+            self.grows = xp.from_host(grows, dtype="int")
+            self.G = self._blocks(G, grows[:, None, :], cols[:, :, None])
+            s_gather, r_gather = _stage_gathers(grows, self.p)
+            self.s_gather = xp.from_host(s_gather, dtype="int")
+            self.r_gather = xp.from_host(r_gather, dtype="int")
+
+    def _blocks(self, A, rows, cols):
+        """``A[:, rows, cols]`` of the zero-bordered ``(B, r, c)`` stack
+        (sentinel ``r`` / ``c`` reads zero), gathered lane-major."""
+        xp = self.xp
+        lanes, r, c = (int(v) for v in A.shape)
+        bordered = xp.concatenate(
+            [
+                xp.concatenate([A, xp.zeros((lanes, r, 1))], axis=2),
+                xp.zeros((lanes, 1, c + 1)),
+            ],
+            axis=1,
+        )
+        flat = xp.reshape(bordered, (lanes, (r + 1) * (c + 1)))
+        index = xp.from_host(rows * (c + 1) + cols, dtype="int")
+        return xp.take(flat, index, axis=1)
+
+    def _gather(self, v, index):
+        """``(B, k)`` gathered at ``index`` (sentinel ``k`` reads zero)."""
+        return self.xp.take(_append_zero(self.xp, v), index, axis=1)
+
+    def _sum(self, W, gather):
+        """``sum_c W_flat[:, gather[c]]`` over a zero-extended flat ``W``."""
+        xp = self.xp
+        flat = _append_zero(xp, xp.reshape(W, (self.lanes, -1)))
+        out = xp.take(flat, gather[0], axis=1)
+        for c in range(1, int(gather.shape[0])):
+            out = out + xp.take(flat, gather[c], axis=1)
+        return out
+
+    def factor(self, w, active):
+        xp = self.xp
+        with xp.errstate():
+            Phi = self.block_H
+            if w is not None:
+                wk = self._gather(w, self.jrows)
+                Phi = Phi + xp.matmul(self.Jt * wk[:, :, None, :], self.J)
+        self.phi, alive = self._factor(Phi, None, active, self.factor_flops)
+        if self.G is not None:
+            p = self.p
+            with xp.errstate():
+                self.V = self._apply(
+                    self.phi.forward, self.G, self.q * self.tri_flops
+                )
+                W = xp.matmul(xp.transpose_last2(self.V), self.V)
+                S = xp.reshape(self._sum(W, self.s_gather), (self.lanes, p, p))
+                S = 0.5 * (S + xp.transpose_last2(S))
+            self.schur, alive = self._factor(S, self.s_band, alive)
+        return alive
+
+    def solve(self, rhs1, re):
+        xp, F, tri = self.xp, self.phi, self.tri_flops
+        r1 = self._gather(rhs1, self.cols)
+        if self.G is None:
+            dx = self._apply(F.solve, r1, 2 * tri)
+        else:
+            y = self._apply(F.forward, r1, tri)
+            Vty = xp.matmul(y[:, :, None, :], self.V)[:, :, 0, :]
+            dnu = self._schur_solve(self._sum(Vty, self.r_gather) + re)
+            Gt_dnu = xp.matmul(
+                self.G, self._gather(dnu, self.grows)[:, :, :, None]
+            )[:, :, :, 0]
+            dx = self._apply(F.solve, r1 - Gt_dnu, 2 * tri)
+        dx = xp.take(xp.reshape(dx, (self.lanes, -1)), self.real, axis=1)
+        return dx, (None if self.G is None else dnu)
+
+
+def _lane_kkt(kkt_args, H, G, Gt, J, Jt, bandwidth):
+    """The lockstep loop's KKT step — the scalar ``make_kkt``, lane-wide.
+
+    ``kkt_args`` is ``(xp, reg, ladder, meters)``; ``G`` / ``J`` are
+    ``None`` without rows of that kind.  Without a band hint the step is
+    dense.  With one, the structure is read once, from the lane envelope
+    (one constant download; sanitized failed lanes contribute zeros):
+    ``Phi``'s block partition and band, and ``S``'s structural band, which
+    is factored banded when within the hint.  Returns ``(kkt, phi_band,
+    s_band)``, the bands ``None`` where not measured or not used.
+    """
+    xp = kkt_args[0]
+    n = int(H.shape[1])
+    if bandwidth is None or not n:
+        return _DenseLaneKKT(*kkt_args, H, G, Gt, J, Jt), None, None
+    parts = [xp.max(xp.abs(M), axis=0) for M in (H, J, G) if M is not None]
+    env = xp.to_host(xp.concatenate(parts, axis=0))
+    m = 0 if J is None else int(J.shape[1])
+    env_J = None if J is None else env[n : n + m]
+    env_G = None if G is None else env[n + m :]
+    bounds, phi_band = block_partition(env[:n], env_J)
+    if phi_band == 0:
+        band = 0 if G is None else _diag_schur_band(env_G)
+        s_band = band if band <= bandwidth else None
+        return _DiagLaneKKT(*kkt_args, H, G, Gt, J, s_band), phi_band, s_band
+    layout = _stage_layout(n, env_G, env_J, bounds)
+    s_band = layout.schur_band if layout.schur_band <= bandwidth else None
+    return _StageLaneKKT(*kkt_args, H, G, J, layout, s_band), phi_band, s_band
+
+
+def _append_zero(xp: ArrayBackend, v):
+    """``(B, k)`` → ``(B, k + 1)`` with a zero sentinel column."""
+    return xp.concatenate([v, xp.zeros((int(v.shape[0]), 1))], axis=1)
+
+
 def solve_qp_batch(
     H,
     g,
@@ -295,30 +639,14 @@ def solve_qp_batch(
     deadline_hit = xp.zeros((lanes,), dtype="bool")
     mu_rows: List[object] = []
 
-    # Backend-resident per-lane QPStats accumulators.
-    factz = xp.zeros((lanes,), dtype="int")
-    banded_factz = xp.zeros((lanes,), dtype="int")
-    flops_acc = xp.zeros((lanes,), dtype="int")
-    subflops_acc = xp.zeros((lanes,), dtype="int")
-    retries_acc = xp.zeros((lanes,), dtype="int")
-    regmax = xp.zeros((lanes,))
+    meters = _LaneMeters(xp, lanes)
     lane_iter_acc = xp.sum(xp.zeros((1,), dtype="int"))
-    factor_time_total = 0.0
-    sub_time_total = 0.0
     bstats = BatchQPStats()
 
-    # Structural Phi band, measured once at setup (one constant download;
-    # sanitized failed lanes contribute zeros to the envelope).
-    phi_band: Optional[int] = None
-    if bandwidth is not None and n:
-        env = xp.max(xp.abs(H), axis=0)
-        if has_in:
-            jmax = xp.max(xp.abs(J), axis=0)
-            env = env + xp.matmul(xp.transpose_last2(jmax), jmax)
-        struct = bandwidth_of(xp.to_host(env))
-        if struct <= bandwidth:
-            phi_band = struct
-    schur_meas: Optional[int] = None
+    kkt, phi_band, s_band = _lane_kkt(
+        (xp, opt.regularization, ladder, meters),
+        H, G if has_eq else None, Gt, J if has_in else None, Jt, bandwidth,
+    )
 
     sfloor = _SLACK_FLOOR
 
@@ -391,77 +719,15 @@ def solve_qp_batch(
         lane_iter_acc = lane_iter_acc + xp.sum(xp.astype(active, "int"))
 
         with xp.errstate():
-            if has_in:
-                w = xp.minimum(lam / xp.maximum(s, sfloor), _W_CEIL)
-                Phi = H + xp.matmul(Jt * w[:, None, :], J)
-            else:
-                w = None
-                Phi = H
-
-        t0 = perf_counter()
-        phi_factor, reg_used, retries = robust_factor_batch(
-            Phi, opt.regularization, phi_band,
-            backend=xp, active=active, **ladder,
-        )
-        factor_time_total += perf_counter() - t0
-        alive = active & phi_factor.ok
-        newly_failed = active & ~phi_factor.ok
+            w = (
+                xp.minimum(lam / xp.maximum(s, sfloor), _W_CEIL)
+                if has_in
+                else None
+            )
+        alive = kkt.factor(w, active)
+        newly_failed = active & ~alive
         status = xp.where(newly_failed, _FAILED, status)
         iterations = xp.where(newly_failed, it, iterations)
-        aiv = xp.astype(alive, "int")
-        factz = factz + aiv
-        if phi_factor.banded:
-            banded_factz = banded_factz + aiv
-        flops_acc = flops_acc + aiv * phi_factor.factor_flops()
-        retries_acc = retries_acc + retries
-        regmax = xp.maximum(regmax, xp.where(alive, reg_used, 0.0))
-
-        def _timed_solve(factor, rhs, aiv_now):
-            nonlocal sub_time_total, subflops_acc
-            t = perf_counter()
-            out = factor.solve(rhs)
-            sub_time_total += perf_counter() - t
-            nrhs = int(rhs.shape[2]) if rhs.ndim == 3 else 1
-            subflops_acc = subflops_acc + aiv_now * factor.solve_flops(nrhs)
-            return out
-
-        s_factor = None
-        PhiInv_Gt = None
-        if has_eq:
-            with xp.errstate():
-                PhiInv_Gt = _timed_solve(phi_factor, Gt, aiv)
-                S = xp.matmul(G, PhiInv_Gt)
-            s_band: Optional[int] = None
-            if bandwidth is not None:
-                if schur_meas is None:
-                    # Measured once, on the first iteration's Schur
-                    # complement over the lanes that factored (one
-                    # constant download).
-                    s_env = xp.where(alive[:, None, None], xp.abs(S), 0.0)
-                    schur_meas = bandwidth_of(
-                        xp.to_host(xp.max(s_env, axis=0))
-                    )
-                if schur_meas <= bandwidth:
-                    s_band = schur_meas
-            t0 = perf_counter()
-            s_factor, s_reg, s_retries = robust_factor_batch(
-                S, opt.regularization, s_band,
-                backend=xp, active=alive, **ladder,
-            )
-            factor_time_total += perf_counter() - t0
-            still = alive & s_factor.ok
-            newly_failed = alive & ~s_factor.ok
-            status = xp.where(newly_failed, _FAILED, status)
-            iterations = xp.where(newly_failed, it, iterations)
-            siv = xp.astype(still, "int")
-            factz = factz + siv
-            if s_factor.banded:
-                banded_factz = banded_factz + siv
-            flops_acc = flops_acc + siv * s_factor.factor_flops()
-            retries_acc = retries_acc + s_retries
-            regmax = xp.maximum(regmax, xp.where(still, s_reg, 0.0))
-            alive = still
-            aiv = siv
 
         def _newton(rc):
             with xp.errstate():
@@ -476,16 +742,9 @@ def solve_qp_batch(
                     )
                 else:
                     rhs1 = 0.0 - r_dual
-                t = _timed_solve(phi_factor, rhs1[:, :, None], aiv)[:, :, 0]
-                if has_eq:
-                    rhs2 = _bmv(xp, G, t) + r_eq
-                    dnu = _timed_solve(s_factor, rhs2[:, :, None], aiv)[
-                        :, :, 0
-                    ]
-                    dx = t - _bmv(xp, PhiInv_Gt, dnu)
-                else:
+                dx, dnu = kkt.solve(rhs1, r_eq)
+                if not has_eq:
                     dnu = nu
-                    dx = t
                 if has_in:
                     ds = (0.0 - r_in) - _bmv(xp, J, dx)
                     dlam = ((0.0 - rc) - lam * ds) / xp.maximum(s, sfloor)
@@ -533,12 +792,13 @@ def solve_qp_batch(
     iters_h = xp.to_host(iterations)
     resid_h = xp.to_host(residual)
     deadline_h = xp.to_host(deadline_hit)
-    factz_h = xp.to_host(factz)
-    banded_h = xp.to_host(banded_factz)
-    flops_h = xp.to_host(flops_acc)
-    subflops_h = xp.to_host(subflops_acc)
-    retries_h = xp.to_host(retries_acc)
-    regmax_h = xp.to_host(regmax)
+    factz_h = xp.to_host(meters.factz)
+    banded_h = xp.to_host(meters.banded)
+    flops_h = xp.to_host(meters.flops)
+    meters.settle()
+    subflops_h = xp.to_host(meters.subflops)
+    retries_h = xp.to_host(meters.retries)
+    regmax_h = xp.to_host(meters.regmax)
     finite_h = xp.to_host(lane_finite)
     bstats.lane_iterations = int(xp.scalar(lane_iter_acc))
     status_codes, status, converged_h, gap_history = _decode_lanes(
@@ -557,12 +817,12 @@ def solve_qp_batch(
         st.retries = int(retries_h[lane])
         st.regularization_max = float(regmax_h[lane])
         share = int(factz_h[lane]) / total_factz
-        st.factorize_time = factor_time_total * share
-        st.substitute_time = sub_time_total * share
+        st.factorize_time = meters.factor_time * share
+        st.substitute_time = meters.sub_time * share
         if phi_band is not None and bool(finite_h[lane]):
             st.phi_bandwidth = phi_band
-        if schur_meas is not None and st.factorizations:
-            st.schur_bandwidth = schur_meas
+            if has_eq and s_band is not None:
+                st.schur_bandwidth = s_band
         if st.factorizations == 0:
             st.mode = "dense"
         elif st.banded_factorizations == st.factorizations:

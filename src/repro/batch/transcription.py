@@ -50,9 +50,10 @@ class VectorizedFunction:
     """A compiled stage function re-bound to a backend's ufunc namespace.
 
     Calling with columns of shape ``S`` (one array per input variable)
-    returns an ``S + (n_outputs,)`` array.  Outputs that the generated
-    source returns as bare constants or pass-through inputs are broadcast
-    to the batch shape.  Floating-point warnings are suppressed — NaN/inf
+    returns an ``S + (n_outputs,)`` array, written output by output into
+    one buffer.  Outputs that the generated source returns as bare
+    constants or pass-through inputs are broadcast to the batch shape by
+    that write.  Floating-point warnings are suppressed — NaN/inf
     propagate to the solver's divergence guards exactly as on the scalar
     path.
     """
@@ -89,12 +90,12 @@ class VectorizedFunction:
         shape = tuple(cols[0].shape) if cols else ()
         with xp.errstate():
             outs = self._func(*cols)
-        stacked = [xp.broadcast_to(xp.asarray(o), shape) for o in outs]
-        return (
-            xp.stack(stacked, axis=-1)
-            if stacked
-            else xp.zeros(shape + (0,))
-        )
+        # One buffer, filled by slice assignment: a constant or a
+        # pass-through output broadcasts on the write.
+        out = xp.empty(shape + (len(outs),))
+        for k, o in enumerate(outs):
+            out[..., k] = o
+        return out
 
 
 def vectorize_compiled(fn: CompiledFunction, backend=None) -> VectorizedFunction:

@@ -514,6 +514,7 @@ def _admm_setup_batch(
         As[calm] = A[calm]
         for key in ("D", "Dinv", "E", "Einv", "c", "cinv"):
             scale[key][calm] = 1.0
+        scale["iters"][calm] = 0
         scale["spread_after"][calm] = spread0[calm]
         H, g, A = Hs, gs, As
         l = scale["E"] * l

@@ -382,7 +382,7 @@ def solve_qp_admm_batch(
         st.substitute_time = (loop_time - rebuild_time) / lanes
         st.conditioning = ConditioningReport(
             equilibrated=bool(sc["lane_eq"][lane]),
-            ruiz_iters=int(sc["iters"]),
+            ruiz_iters=int(sc["iters"][lane]),
             norm_spread_before=float(sc["spread_before"][lane]),
             norm_spread_after=float(sc["spread_after"][lane]),
             cost_scale=float(sc["c"][lane]),

@@ -93,14 +93,15 @@ def ruiz_equilibrate_batch(H, g, A, iters: int = 10):
 
     Returns ``(H_s, g_s, A_s, scale)`` where ``scale`` is a dict of host
     tensors: ``D``/``Dinv`` ``(B, n)``, ``E``/``Einv`` ``(B, m)``,
-    ``c``/``cinv`` ``(B,)``, plus per-lane ``spread_before`` /
-    ``spread_after``.  ``iters`` caps the sweep.  Lanes equilibrate
-    independently (each gets its own fixpoint); the early exit fires only
-    when *every* lane's scaling updates are within 0.1% of unity
-    (typically 3-6 sweeps), which keeps the sweep lockstep and
-    allocation-free.  Bounds are *not* scaled here — apply ``scale["E"]``
-    to ``l``/``u`` at the call site (infinities stay infinite under a
-    positive row scaling).
+    ``c``/``cinv`` ``(B,)``, per-lane ``spread_before`` /
+    ``spread_after``, and each lane's sweep count ``iters`` ``(B,)``.
+    ``iters`` caps the sweep.  Lanes equilibrate independently: a lane
+    whose scaling updates are all within 0.1% of unity (typically after
+    3-6 sweeps) is frozen — its later sweeps multiply by exactly 1.0 — so
+    it ends bit-identical to the same lane equilibrated alone; the sweep
+    exits once every lane is frozen.  Bounds are *not* scaled here —
+    apply ``scale["E"]`` to ``l``/``u`` at the call site (infinities stay
+    infinite under a positive row scaling).
     """
     Hs = np.array(H, dtype=float, copy=True)
     gs = np.array(g, dtype=float, copy=True)
@@ -112,11 +113,15 @@ def ruiz_equilibrate_batch(H, g, A, iters: int = 10):
     c = np.ones(lanes)
     spread_before = norm_spread_batch(Hs, As)
 
-    done = 0
-    for k in range(max(0, int(iters))):
+    # Each lane stops at its own fixpoint: a frozen lane's sweep is the
+    # exact identity (dd = de = gamma = 1.0), so its scalings are the ones
+    # it would reach equilibrated alone, whatever its batch-mates need.
+    live = np.ones(lanes, dtype=bool)
+    done = np.zeros(lanes, dtype=int)
+    for _ in range(max(0, int(iters))):
         col, row = _stacked_norms_batch(Hs, As)
-        dd = _safe_rsqrt(col)
-        de = _safe_rsqrt(row)
+        dd = np.where(live[:, None], _safe_rsqrt(col), 1.0)
+        de = np.where(live[:, None], _safe_rsqrt(row), 1.0)
         Hs *= dd[:, :, None] * dd[:, None, :]
         gs *= dd
         if msz:
@@ -131,15 +136,18 @@ def ruiz_equilibrate_batch(H, g, A, iters: int = 10):
             np.max(np.abs(gs), axis=1) if n else np.zeros(lanes),
         )
         gamma = np.where(denom > _NORM_FLOOR, 1.0 / np.where(denom > 0, denom, 1.0), 1.0)
+        gamma = np.where(live, gamma, 1.0)
         Hs *= gamma[:, None, None]
         gs *= gamma[:, None]
         c *= gamma
-        done = k + 1
-        step = np.max(np.abs(1.0 - dd)) if n else 0.0
+        done += live
+        step = np.abs(1.0 - gamma)
+        if n:
+            step = np.maximum(step, np.max(np.abs(1.0 - dd), axis=1))
         if msz:
-            step = max(step, float(np.max(np.abs(1.0 - de))))
-        step = max(step, float(np.max(np.abs(1.0 - gamma))))
-        if step < _CONVERGED:
+            step = np.maximum(step, np.max(np.abs(1.0 - de), axis=1))
+        live &= step >= _CONVERGED
+        if not live.any():
             break
 
     scale = {
@@ -166,7 +174,7 @@ def identity_scale_batch(lanes: int, n: int, msz: int) -> dict:
         "Einv": np.ones((lanes, msz)),
         "c": np.ones(lanes),
         "cinv": np.ones(lanes),
-        "iters": 0,
+        "iters": np.zeros(lanes, dtype=int),
         "spread_before": np.ones(lanes),
         "spread_after": np.ones(lanes),
     }

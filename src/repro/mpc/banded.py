@@ -60,6 +60,8 @@ __all__ = [
     "cholesky_tiles",
     "tril_inverse",
     "block_cholesky",
+    "tile_size",
+    "MIN_BLOCK",
     "BandedCholeskyFactor",
     "flop_counts_banded_cholesky",
     "flop_counts_banded_substitution",
@@ -308,6 +310,27 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
     return np.where(_lower_mask(L.shape[-1]), _stacked(np.linalg.inv, L), 0.0)
 
 
+#: minimum tile size of the blocked factors — tiny bandwidths still get
+#: BLAS-sized tiles
+MIN_BLOCK = 16
+
+
+def tile_size(n: int, band: int) -> int:
+    """Tile size ``nb`` of the blocked banded factor of an ``n x n`` matrix
+    with half-bandwidth ``band >= 1`` — the one tile rule of both factors
+    (:class:`BandedCholeskyFactor` and a banded
+    :class:`~repro.batch.linalg.BatchCholeskyFactor`).
+
+    Tiles are ``max(band, MIN_BLOCK)`` wide, except when ``n`` fits in two of
+    them: two tiles already hold the whole lower triangle (``D_0``, ``C_0``,
+    ``D_1``), so banding skips nothing there and would only pad to ``2 nb``
+    and double the LAPACK calls — the matrix is then one tile of ``n``.
+    The flop meters count the banded algorithm either way.
+    """
+    nb = max(band, MIN_BLOCK)
+    return max(n, 1) if n <= 2 * nb else nb
+
+
 def block_cholesky(M: np.ndarray, reg: float = 0.0) -> np.ndarray:
     """Inverse Cholesky factors ``L_k^-1`` of a ``(K, s, s)`` SPD stack.
 
@@ -344,7 +367,9 @@ class BandedCholeskyFactor:
     """Banded Cholesky factorization preprocessed for fast repeated solves.
 
     The triangular factor of a matrix with half-bandwidth ``band`` is block
-    lower-*bidiagonal* for any block size ``nb >= band``, so the
+    lower-*bidiagonal* for any block size ``nb >= band`` (:func:`tile_size`
+    picks it: ``max(band, MIN_BLOCK)``, or one tile of ``n`` when ``n`` fits
+    in two), so the
     factorization and the triangular solves can be expressed over dense
     ``nb x nb`` tiles: one small Cholesky + one tile solve per block column
     to factorize, and two mat-muls per block row to apply ``L^{-1}`` /
@@ -382,9 +407,6 @@ class BandedCholeskyFactor:
             escalates instead of solving on garbage.
     """
 
-    #: minimum tile size — tiny bandwidths still get BLAS-sized tiles
-    MIN_BLOCK = 16
-
     def __init__(self, B: np.ndarray, reg: float = 0.0):
         B = np.asarray(B, dtype=float)
         self._diag = self._C = None
@@ -408,7 +430,7 @@ class BandedCholeskyFactor:
             self.nb = 1
             return
 
-        nb = self.nb = max(band, self.MIN_BLOCK)
+        nb = self.nb = tile_size(n, band)
         K = max(1, -(-n // nb))
         npad = K * nb
         # Dense padded copy of the symmetric matrix; the pad is an identity

@@ -483,6 +483,100 @@ def _padded(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_gathers(index: np.ndarray, size: int) -> np.ndarray:
+    """``(c, size)`` gather positions that replay ``np.bincount(index, w,
+    size)`` as ``sum_c w_ext[..., out[c]]`` with ``w_ext = append(w, 0)``.
+
+    Row ``c`` holds, for every target ``j < size``, the ``c``-th position of
+    ``index`` equal to ``j`` (ascending, the order bincount adds them in),
+    or the zero slot ``len(index)``; entries ``>= size`` are dropped.  A
+    gather has a leading lane axis where a bincount has none, so this is how
+    a batch of lanes runs one structural scatter-add.
+    """
+    index = np.asarray(index).ravel()
+    pos = np.flatnonzero(index < size)
+    order = np.argsort(index[pos], kind="stable")
+    pos = pos[order]
+    tgt = index[pos]
+    counts = np.bincount(tgt, minlength=size)
+    rank = np.arange(tgt.size) - (np.cumsum(counts) - counts)[tgt]
+    out = np.full((max(int(counts.max(initial=0)), 1), size), index.size)
+    out[rank, tgt] = pos
+    return out
+
+
+def _stage_gathers(grows: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The :func:`_sum_gathers` of a stage step's two scatter-adds over the
+    ``G`` rows of each block (``grows``, sentinel ``p``): ``(K, q, q)``
+    block products into the flat ``p x p`` Schur complement, and ``(K, q)``
+    block vectors into a ``p`` vector."""
+    gi, gj = grows[:, :, None], grows[:, None, :]
+    pairs = np.where((gi < p) & (gj < p), gi * p + gj, p * p)
+    return _sum_gathers(pairs, p * p), _sum_gathers(grows, p)
+
+
+@dataclass
+class _StageLayout:
+    """What a stage step reads from the structure, once per solve: ``Phi``'s
+    block partition packed into ``K`` runs of width ``s`` (``cols`` with the
+    sentinel ``n`` on the pad, ``real`` marking the rest), each run's
+    ``J`` rows ``jrows`` and ``G`` rows ``grows`` (:func:`_rows_by_block`),
+    the structural band of ``S`` and the per-block flop meters."""
+
+    real: np.ndarray
+    cols: np.ndarray
+    jrows: Optional[np.ndarray]
+    grows: Optional[np.ndarray]
+    schur_band: int
+    factor_flops: int
+    tri_flops: int
+
+
+def _stage_layout(n: int, G, J, bounds: np.ndarray) -> _StageLayout:
+    """The :class:`_StageLayout` of the partition ``bounds`` of an ``n``
+    variable problem with equality rows ``G`` and inequality rows ``J``
+    (their nonzero patterns are what is read; ``None`` for none)."""
+    # Metered as one dense Cholesky / triangular solve per block of the
+    # partition — the algorithm's work, whatever the stacking below.
+    widths, counts = np.unique(np.diff(bounds), return_counts=True)
+    factor_flops = tri_flops = 0
+    for k, count in zip(widths.tolist(), counts.tolist()):
+        factor_flops += count * sum(flop_counts_cholesky(k).values())
+        tri_flops += count * sum(flop_counts_substitution(k).values())
+    # Pack runs of neighbouring blocks up to the widest one: the stack
+    # is padded to that width anyway, and a stage's lone pinned states
+    # would otherwise each cost a full-width potrf and inverse.
+    widest = int(widths[-1])
+    packed = [0]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if hi - packed[-1] > widest:
+            packed.append(lo)
+    bounds = np.array(packed + [n])
+    sizes = np.diff(bounds)
+    offs = np.arange(widest)
+    real = offs < sizes[:, None]
+    cols = np.where(real, bounds[:-1, None] + offs, n)
+    jrows = None if J is None else _rows_by_block(J, bounds)
+    grows, schur_band = None, 0
+    if G is not None:
+        p = G.shape[0]
+        grows = _rows_by_block(G, bounds)
+        # S[i, j] is structurally nonzero iff rows i and j share a block.
+        used = grows < p
+        span = np.where(used, grows, -1).max(axis=1) - np.where(
+            used, grows, p
+        ).min(axis=1)
+        schur_band = int(np.max(span, initial=0))
+    return _StageLayout(
+        real, cols, jrows, grows, schur_band, factor_flops, tri_flops
+    )
+
+
+def _diag_schur_band(G: np.ndarray) -> int:
+    """Structural band of ``S = G D G^T`` for a diagonal ``D``."""
+    return bandwidth_of(np.abs(G) @ np.abs(G).T)
+
+
 class _StageKKT:
     """The condensed Newton step over ``Phi``'s stage blocks (the hinted
     path); the same :meth:`factor` / :meth:`solve` contract as
@@ -495,10 +589,11 @@ class _StageKKT:
     block and each row of ``G`` touches a few.  Neighbouring blocks are
     packed into ``K`` runs no wider than the widest block, ``s``, each
     padded to ``s`` (identity on the pad), and everything the iteration
-    needs is gathered once per solve: ``H``'s blocks, each block's ``J``
-    rows ``(K, r, s)`` and the transposed ``G`` rows touching it
-    ``(K, s, q)``.  Per iteration ``Phi``'s blocks are one stacked ``J_k^T W_k J_k``
-    product, factored by one block-mode :class:`BandedCholeskyFactor`.
+    needs is gathered once per solve (:func:`_stage_layout`): ``H``'s
+    blocks, each block's ``J`` rows ``(K, r, s)`` and the transposed ``G``
+    rows touching it ``(K, s, q)``.  Per iteration ``Phi``'s blocks are one
+    stacked ``J_k^T W_k J_k`` product, factored by one block-mode
+    :class:`BandedCholeskyFactor`.
     ``S = sum_k V_k^T V_k`` with ``V_k = L_k^-1 G_k^T`` is the square-root
     form — exactly symmetric and PSD — scatter-added over each block's
     ``G`` rows and factored banded at its structural band (read once, from
@@ -510,48 +605,25 @@ class _StageKKT:
     def __init__(self, H, G, J, bounds, bandwidth, reg, stats, fault_hook):
         self.reg, self.stats, self.hook = reg, stats, fault_hook
         n = self.n = H.shape[0]
-        # Metered as one dense Cholesky / triangular solve per block of the
-        # partition — the algorithm's work, whatever the stacking below.
-        widths, counts = np.unique(np.diff(bounds), return_counts=True)
-        self.factor_flops = self.tri_flops = 0
-        for k, count in zip(widths.tolist(), counts.tolist()):
-            self.factor_flops += count * sum(flop_counts_cholesky(k).values())
-            self.tri_flops += count * sum(
-                flop_counts_substitution(k).values()
-            )
-        # Pack runs of neighbouring blocks up to the widest one: the stack
-        # is padded to that width anyway, and a stage's lone pinned states
-        # would otherwise each cost a full-width potrf and inverse.
-        widest = int(widths[-1])
-        packed = [0]
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if hi - packed[-1] > widest:
-                packed.append(lo)
-        bounds = np.array(packed + [n])
-        sizes = np.diff(bounds)
-        offs = np.arange(widest)
-        self.real = offs < sizes[:, None]
-        self.cols = np.where(self.real, bounds[:-1, None] + offs, n)
+        layout = _stage_layout(n, G, J, bounds)
+        self.factor_flops = layout.factor_flops
+        self.tri_flops = layout.tri_flops
+        self.real, self.cols = layout.real, layout.cols
         self.block_H = self.blocks_of(H)
         self.J = None
         if J is not None:
-            self.jrows = _rows_by_block(J, bounds)
+            self.jrows = layout.jrows
             self.J = _padded(J)[self.jrows[:, :, None], self.cols[:, None, :]]
             self.Jt = np.swapaxes(self.J, 1, 2)
         self.G = None
         if G is not None:
             p = self.p = G.shape[0]
-            self.grows = _rows_by_block(G, bounds)
+            self.grows = layout.grows
             self.G = _padded(G)[self.grows[:, None, :], self.cols[:, :, None]]
             self.pairs = (
                 self.grows[:, :, None] * (p + 1) + self.grows[:, None, :]
             ).ravel()
-            # S[i, j] is structurally nonzero iff rows i and j share a block.
-            used = self.grows < p
-            span = np.where(used, self.grows, -1).max(axis=1) - np.where(
-                used, self.grows, p
-            ).min(axis=1)
-            self._schur_band(int(np.max(span, initial=0)), bandwidth)
+            self._schur_band(layout.schur_band, bandwidth)
 
     def _schur_band(self, band: int, bandwidth: int) -> None:
         """S is factored banded at its structural ``band`` when that is
@@ -639,7 +711,7 @@ class _DiagKKT(_StageKKT):
         self.tri_flops = n * sum(flop_counts_substitution(1).values())
         self.G = G
         if G is not None:
-            self._schur_band(bandwidth_of(np.abs(G) @ np.abs(G).T), bandwidth)
+            self._schur_band(_diag_schur_band(G), bandwidth)
 
     def transform(self, fn, blocks: np.ndarray) -> np.ndarray:
         return np.diagonal(fn(np.diag(blocks[:, 0, 0])))[:, None, None]

@@ -18,13 +18,15 @@ from repro.batch.backend import HOST
 from repro.batch.linalg import _triangular_inverse
 from repro.errors import SolverError
 from repro.mpc.banded import (
+    MIN_BLOCK,
     BandedCholeskyFactor,
+    block_cholesky,
     cholesky_tiles,
     to_banded,
     tril_inverse,
 )
 from repro.mpc.linalg import cholesky
-from repro.mpc.qp import QPStats, _robust_factor
+from repro.mpc.qp import QPOptions, QPStats, _robust_factor
 from tests.test_batch_backend import ALL_BACKENDS
 
 # Both pivots pass the positivity check, yet the forward-substitution
@@ -71,7 +73,7 @@ class TestAgainstScalar:
         # tiles are the scalar factor's, bit for bit.  (27, 3) and (36, 6)
         # are the fleets' Schur complements.
         B = 4
-        for n, band in ((30, 3), (27, 3), (36, 6), (50, 20)):
+        for n, band in ((30, 3), (27, 3), (36, 6), (50, 20), (80, 3)):
             A = np.stack([spd(n, 7 + i, band=band) for i in range(B)])
             b = np.random.default_rng(1).normal(size=(B, n))
             batch = BatchCholeskyFactor(A, band=band, reg=1e-9)
@@ -508,5 +510,127 @@ class TestDiagonalLaneStaysOnDevice:
             A_dev, 1e-9, band=0, attempts=1, backend=xp
         )
         fac.solve(b_dev)
-        assert fac._diagonal and fac._suppress is False
+        assert fac._block and fac.nb == 1 and fac._suppress is False
         assert xp.sync_count == 0 and xp.upload_count == uploads
+
+
+class TestTileRule:
+    """One tile rule for both factors: a matrix that fits in two tiles is
+    factored as one tile of ``n`` (two tiles already hold its whole lower
+    triangle); the flop meters still count the banded algorithm."""
+
+    @pytest.mark.parametrize("band", [1, 3, 16, 20, 31])
+    def test_one_tile_exactly_when_n_fits_in_two(self, band):
+        for n in range(band + 1, 2 * max(band, MIN_BLOCK) + 12, 5):
+            A = np.stack([spd(n, n, band=band)])
+            batch = BatchCholeskyFactor(A, band=band)
+            scalar = BandedCholeskyFactor(to_banded(A[0], band))
+            one_tile = n <= 2 * max(band, MIN_BLOCK)
+            assert (batch.K == 1) == one_tile == (scalar.K == 1), (n, band)
+            assert batch.nb == scalar.nb == (n if one_tile else max(band, MIN_BLOCK))
+            assert batch.factor_flops() == sum(
+                banded_flops(n, min(band, n - 1)).values()
+            )
+
+
+def banded_flops(n, band):
+    from repro.mpc.banded import flop_counts_banded_cholesky
+
+    return flop_counts_banded_cholesky(n, band)
+
+
+def block_stack(B, K, s, seed):
+    """(B, K, s, s) stack of SPD blocks."""
+    return np.stack(
+        [np.stack([spd(s, seed + 97 * i + k) for k in range(K)]) for i in range(B)]
+    )
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+class TestBlockMode:
+    """A (B, K, s, s) stack is Phi's stage blocks: one tile-kernel call over
+    its B*K tiles, ``ok`` per lane over all of a lane's blocks."""
+
+    def test_blocks_match_the_scalar_block_factor(self, name):
+        xp = get_backend(name)
+        B, K, s = 3, 5, 7
+        M = block_stack(B, K, s, 1)
+        fac = BatchCholeskyFactor(M, reg=1e-9, backend=xp)
+        assert (fac.K, fac.nb, fac.band) == (K, s, s - 1)
+        assert fac.banded and bool(xp.to_host(fac.ok).all())
+        assert tuple(fac._C.shape) == (B, 0, s, s)
+        rhs = np.random.default_rng(2).normal(size=(B, K, s))
+        x = xp.to_host(fac.solve(rhs))
+        for i in range(B):
+            ref = block_cholesky(M[i], 1e-9)
+            Dinv = xp.to_host(fac._Dinv)[i]
+            if xp.is_device:
+                assert np.allclose(Dinv, ref, rtol=1e-12, atol=1e-14)
+            else:
+                assert np.array_equal(Dinv, ref)
+            for k in range(K):
+                assert np.allclose(M[i, k] @ x[i, k], rhs[i, k], atol=1e-9)
+        multi = xp.to_host(fac.forward(np.stack([rhs] * 2, axis=-1)))
+        assert multi.shape == (B, K, s, 2)
+        assert fac.factor_flops() == K * (s * (s * s - 1) // 3 + s * (s - 1) // 2 + s)
+
+    def test_non_spd_block_fails_only_its_lane(self, name):
+        xp = get_backend(name)
+        M = block_stack(3, 4, 5, 7)
+        M[1, 2] = -np.eye(5)  # one block of lane 1 is not SPD
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac = BatchCholeskyFactor(M, backend=xp)
+            alone = BatchCholeskyFactor(M[[0, 2]], backend=xp)
+        assert list(xp.to_host(fac.ok)) == [True, False, True]
+        for stack in ("_D", "_Dinv"):
+            assert np.array_equal(
+                xp.to_host(getattr(fac, stack))[[0, 2]],
+                xp.to_host(getattr(alone, stack)),
+            )
+        assert np.all(np.isfinite(xp.to_host(fac._Dinv)))
+
+    def test_ladder_repairs_on_host_and_freezes_on_device(self, name):
+        xp = get_backend(name)
+        M = block_stack(3, 4, 5, 11)
+        v = np.ones((5, 1))
+        M[1, 3] = v @ v.T  # semidefinite: factors once reg > 0
+        fac, reg, retries = robust_factor_batch(M, 0.0, backend=xp)
+        assert bool(xp.to_host(fac.ok).all())
+        assert list(xp.to_host(retries)) == [0, 1, 0]
+        assert xp.to_host(reg)[1] > 0.0
+        base = BatchCholeskyFactor(M[[0, 2]], reg=0.0, backend=xp)
+        assert np.array_equal(
+            xp.to_host(fac._Dinv)[[0, 2]], xp.to_host(base._Dinv)
+        )
+        # device mode: one attempt, the lane freezes, no host sync
+        dev = CountingBackend()
+        M_dev = dev.from_host(M)
+        fac, _reg, retries = robust_factor_batch(M_dev, 0.0, attempts=1, backend=dev)
+        assert dev.sync_count == 0
+        assert list(dev.to_host(fac.ok)) == [True, False, True]
+
+
+class TestStageStepSyncs:
+    """The hinted solve reads its structure with one download (the lane
+    envelope) and adds no per-iteration host sync on a device."""
+
+    def _syncs(self, robot, bandwidth_hint, max_iterations):
+        from tests.test_batch_qp import first_subproblem, perturbed_lanes
+
+        qp = first_subproblem(robot, 5)
+        xp = CountingBackend()
+        solve_qp_batch(
+            *perturbed_lanes(qp, 3),
+            QPOptions(max_iterations=max_iterations),
+            bandwidth=qp[-1] if bandwidth_hint else None,
+            backend=xp,
+            sync_interval=0,
+        )
+        return xp.sync_count
+
+    @pytest.mark.parametrize("robot", ["MobileRobot", "Quadrotor"])
+    def test_one_structure_download_and_none_per_iteration(self, robot):
+        hinted = self._syncs(robot, True, 3)
+        assert hinted == self._syncs(robot, True, 30)
+        assert hinted == self._syncs(robot, False, 3) + 1

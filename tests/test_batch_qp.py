@@ -208,3 +208,160 @@ class TestActiveMask:
         assert 0.0 < bs.efficiency <= 1.0
         # Mixed completion times => some slots must have idled.
         assert bs.efficiency < 1.0
+
+
+#: every Table III robot, plus the CartPole of the serving fleets
+ROBOTS = (
+    "MobileRobot", "Manipulator", "AutoVehicle", "MicroSat", "Quadrotor",
+    "Hexacopter", "CartPole",
+)  # fmt: skip
+
+_SUBPROBLEMS = {}
+
+
+def first_subproblem(robot, horizon):
+    """The cold first SQP subproblem ``(H, g, G, b, J, d, bw)`` (cached)."""
+    key = (robot, horizon)
+    if key not in _SUBPROBLEMS:
+        bench = build_benchmark(robot)
+        solver = bench.make_solver(bench.transcribe(horizon=horizon))
+        _SUBPROBLEMS[key] = solver.first_qp_subproblem(bench.x0, bench.ref)[0]
+    return _SUBPROBLEMS[key]
+
+
+def perturbed_lanes(qp, lanes, seed=1):
+    """``lanes`` copies of ``qp`` stacked, ``g`` perturbed on lanes >= 1
+    the way the conform ``batch_qp`` path does."""
+    H, g, G, b, J, d, _bw = qp
+    rng = np.random.default_rng(seed)
+    g_lanes = np.stack([g] * lanes)
+    for lane in range(1, lanes):
+        g_lanes[lane] += 1e-3 * (1.0 + np.max(np.abs(g))) * rng.standard_normal(
+            g.shape
+        )
+    stack = lambda M: np.stack([M] * lanes)  # noqa: E731
+    return stack(H), g_lanes, stack(G), stack(b), stack(J), stack(d)
+
+
+def disagreement(qp, x, x_ref):
+    """Relative primal gap, or — near a flat optimum, where two correct
+    solvers stop on different near-optimal points — the relative objective
+    gap plus constraint defect, whichever is smaller (the conform
+    ``batch_qp`` metric)."""
+    H, g, G, b, J, d = qp
+    scale = 1.0 + np.max(np.abs(x_ref))
+    f = 0.5 * x @ H @ x + g @ x
+    f_ref = 0.5 * x_ref @ H @ x_ref + g @ x_ref
+    defect = max(
+        np.max(np.abs(G @ x - b)), np.max(np.maximum(J @ x - d, 0.0))
+    )
+    return min(
+        np.max(np.abs(x - x_ref)) / scale,
+        (abs(f - f_ref) + defect) / (1.0 + abs(f_ref)),
+    )
+
+
+METERS = ("factorizations", "banded_factorizations", "factor_flops",
+          "substitute_flops")  # fmt: skip
+
+
+class TestStageStep:
+    """The hinted lockstep loop takes the scalar stage step lane by lane:
+    the diagonal step (MobileRobot, CartPole) or the stage-block step (the
+    other robots), with the scalar solver's QPStats meters."""
+
+    @pytest.mark.parametrize("horizon", [5, 8])
+    @pytest.mark.parametrize("robot", ROBOTS)
+    def test_lanes_match_the_scalar_stage_step(self, robot, horizon):
+        qp = first_subproblem(robot, horizon)
+        bw = qp[-1]
+        H, g, G, b, J, d = perturbed_lanes(qp, 4)
+        one = solve_qp_batch(H[:1], g[:1], G[:1], b[:1], J[:1], d[:1], bandwidth=bw)
+        res = solve_qp_batch(H, g, G, b, J, d, bandwidth=bw)
+        for lane in range(4):
+            ref = solve_qp(H[0], g[lane], G[0], b[0], J[0], d[0], bandwidth=bw)
+            st, rs = res.stats[lane], ref.stats
+            assert st.mode == rs.mode == "banded"
+            assert st.phi_bandwidth == rs.phi_bandwidth
+            assert st.schur_bandwidth == rs.schur_bandwidth
+            assert bool(res.converged[lane]) == ref.converged
+            extra = int(res.iterations[lane]) - ref.iterations
+            # The batched stopping test (max residual + mu) is stricter
+            # than the scalar one (max of both): a lane may run one more
+            # iteration, never fewer — and every iteration is metered
+            # exactly as the scalar step meters its own.
+            assert extra in ((0, 1) if ref.converged else (0,))
+            rounds = ref.iterations - (1 if ref.converged else 0)
+            for meter in METERS:
+                per_round = getattr(rs, meter) / rounds
+                assert getattr(st, meter) == per_round * (rounds + extra), meter
+            if ref.converged:
+                qp_lane = (H[0], g[lane], G[0], b[0], J[0], d[0])
+                assert disagreement(qp_lane, res.x[lane], ref.x) <= 1e-6
+        # a lane does not depend on how many lanes ride with it
+        assert res.iterations[0] == one.iterations[0]
+        assert np.array_equal(res.x[0], one.x[0])
+        for meter in METERS:
+            assert getattr(res.stats[0], meter) == getattr(one.stats[0], meter)
+
+    @pytest.mark.parametrize("robot", ["MobileRobot", "CartPole", "Quadrotor",
+                                       "Manipulator", "Hexacopter"])
+    def test_one_newton_step_matches_the_scalar_step(self, robot):
+        # One factor + solve at a positive scaling w: the batched step and
+        # the scalar one answer the same saddle system to roundoff.
+        from repro.batch.backend import HOST
+        from repro.batch.qp import _lane_kkt, _LaneMeters
+        from repro.mpc.banded import block_partition
+        from repro.mpc.qp import QPStats, _DiagKKT, _StageKKT
+
+        H, g, G, b, J, d, bw = first_subproblem(robot, 5)
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.1, 10.0, size=J.shape[0])
+        rhs1, re = rng.standard_normal(g.shape), rng.standard_normal(b.shape)
+        bounds, band = block_partition(H, J)
+        if band == 0:
+            scalar = _DiagKKT(H, G, J, bw, 1e-9, QPStats(), None)
+        else:
+            scalar = _StageKKT(H, G, J, bounds, bw, 1e-9, QPStats(), None)
+        scalar.factor(w)
+        dx_ref, dnu_ref = scalar.solve(rhs1, re)
+
+        lift = lambda M: np.stack([M] * 3)  # noqa: E731
+        kkt, phi_band, _s_band = _lane_kkt(
+            (HOST, 1e-9, {}, _LaneMeters(HOST, 3)),
+            lift(H), lift(G), lift(G.T), lift(J), lift(J.T), bw,
+        )
+        assert phi_band == band
+        assert type(kkt).__name__ == (
+            "_DiagLaneKKT" if band == 0 else "_StageLaneKKT"
+        )
+        alive = kkt.factor(lift(w), np.ones(3, dtype=bool))
+        assert alive.all()
+        dx, dnu = kkt.solve(lift(rhs1), lift(re))
+        for lane in range(3):
+            for got, ref in ((dx[lane], dx_ref), (dnu[lane], dnu_ref)):
+                scale = 1.0 + np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= 1e-9 * scale
+
+    def test_hinted_path_forms_no_whole_phi(self):
+        # The hinted loop never builds a (B, n, n) product (Phi whole) nor
+        # solves against the p columns of G^T (Phi^-1 G^T).
+        from repro.batch import CountingBackend
+
+        shapes = []
+
+        class Recording(CountingBackend):
+            def matmul(self, a, b):
+                out = super().matmul(a, b)
+                shapes.append((tuple(a.shape), tuple(out.shape)))
+                return out
+
+        for robot in ("MobileRobot", "Quadrotor"):
+            H, g, G, b, J, d, bw = first_subproblem(robot, 5)
+            lanes, n, p = 2, H.shape[0], G.shape[0]
+            shapes.clear()
+            solve_qp_batch(*perturbed_lanes((H, g, G, b, J, d, bw), lanes),
+                           bandwidth=bw, backend=Recording())
+            assert shapes
+            assert all(out[-2:] != (n, n) for _a, out in shapes)
+            assert all(out[-2:] != (n, p) for _a, out in shapes)

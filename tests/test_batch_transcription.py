@@ -70,6 +70,33 @@ class TestVectorizedFunction:
         assert np.allclose(out[:, 1], 1.0)
 
 
+    @pytest.mark.parametrize("backend", ["numpy", "counting"])
+    def test_one_buffer_equals_stacking_bit_for_bit(self, mobile, backend):
+        # Each output is written into one (..., k) buffer by slice
+        # assignment; that is the broadcast-and-stack it replaces, bit for
+        # bit — for computed, pass-through and bare-constant outputs.
+        from repro.batch import CountingBackend
+        from repro.symbolic.expr import Const, Var
+
+        xp = CountingBackend() if backend == "counting" else NumpyBackend()
+        _bench, problem = mobile
+        x, y = Var("x"), Var("y")
+        konst = compile_function([Const(2.5), x, x * y + 1.0], [x, y], name="mix")
+        rng = np.random.default_rng(5)
+        for fn in (problem._F, konst):
+            vf = VectorizedFunction(fn, backend=xp)
+            cols = [xp.asarray(rng.normal(size=(3, 4))) for _ in range(fn.n_inputs)]
+            with np.errstate(all="ignore"):
+                outs = vf._func(*cols)
+            stacked = np.stack(
+                [np.broadcast_to(np.asarray(o, dtype=float), (3, 4)) for o in outs],
+                axis=-1,
+            )
+            got = vf(cols)
+            assert got.shape == (3, 4, fn.n_outputs)
+            assert np.array_equal(np.asarray(got), stacked)
+
+
 class TestBatchLinearizer:
     def test_vectorized_fast_path_active(self, mobile):
         _bench, problem = mobile

@@ -118,9 +118,7 @@ def ruiz_one_lane(qp):
     Hs, gs, As, scale = ruiz_equilibrate_batch(
         qp[0][None], qp[1][None], A[None]
     )
-    lane = {
-        k: (v if k == "iters" else v[0]) for k, v in scale.items()
-    }
+    lane = {k: v[0] for k, v in scale.items()}
     return (Hs[0], gs[0], As[0]), lane, A
 
 
@@ -191,9 +189,8 @@ class TestRuizEquilibration:
             [norm_spread_batch(q[0][None], q[4][None])[0] for q in qps],
         )
         for i, q in enumerate(qps):
-            # Each lane equilibrates to its own fixpoint; the sweep runs
-            # lockstep (it stops when every lane has converged), so a lane
-            # lands near (not bit-equal to) its fixpoint reached alone.
+            # Each lane equilibrates to its own fixpoint (see the bit-for-bit
+            # test below).
             _scaled, alone, _A = ruiz_one_lane(q)
             assert norm_spread_batch(Hb, Ab)[i] < 10.0
             assert alone["spread_after"] < 10.0
@@ -205,6 +202,28 @@ class TestRuizEquilibration:
                 * scale["D"][i][None, :],
                 rtol=1e-12,
             )
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lane_in_a_mixed_batch_equals_the_lane_alone(self, seed):
+        """A lane stops at its own fixpoint: batched with a 1e5-skewed mate
+        that needs more sweeps, a calm lane's scaled data, scalings and
+        sweep count are bit-identical to the same lane equilibrated alone
+        (frozen sweeps multiply by exactly 1.0)."""
+        calm = random_qp(6, 0, 4, 300 + seed, skew=10.0)
+        stiff = random_qp(6, 0, 4, 500 + seed, skew=1e5)
+        H = np.stack([calm[0], stiff[0]])
+        g = np.stack([calm[1], stiff[1]])
+        A = np.stack([calm[4], stiff[4]])
+        Hb, gb, Ab, scale = ruiz_equilibrate_batch(H, g, A)
+        for lane, q in enumerate((calm, stiff)):
+            (Hs, gs, As), alone, _A = ruiz_one_lane(q)
+            assert np.array_equal(Hb[lane], Hs)
+            assert np.array_equal(gb[lane], gs)
+            assert np.array_equal(Ab[lane], As)
+            for key in ("D", "E", "c", "iters"):
+                assert np.array_equal(scale[key][lane], alone[key]), key
+        assert scale["iters"].shape == (2,)
 
 
 class TestEquilibrationGate:

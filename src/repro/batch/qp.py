@@ -72,8 +72,8 @@ from repro.mpc.qp import (
     QPOptions,
     QPStats,
     _diag_schur_band,
-    _stage_gathers,
     _stage_layout,
+    _sum_gathers,
 )
 
 from .backend import HOST, ArrayBackend, get_backend
@@ -232,16 +232,9 @@ class _LaneMeters:
         self.regmax = xp.zeros((lanes,))
         self.factor_time = 0.0
         self.sub_time = 0.0
-        #: substitution flops a factored lane has run since its factor was
-        #: metered: a host int, settled into ``subflops`` (one array op)
-        #: before the next factorization changes which lanes count
+        #: the lanes the last factorization left alive, as ints — the
+        #: lanes a substitution is metered on
         self.aiv = None
-        self.pending = 0
-
-    def settle(self) -> None:
-        if self.pending:
-            self.subflops = self.subflops + self.aiv * self.pending
-            self.pending = 0
 
 
 class _LaneKKT:
@@ -273,7 +266,6 @@ class _LaneKKT:
             A, self.reg, band, backend=xp, active=active, **self.ladder
         )
         mt.factor_time += perf_counter() - t0
-        mt.settle()
         alive = active & factor.ok
         aiv = mt.aiv = xp.astype(alive, "int")
         mt.factz = mt.factz + aiv
@@ -291,7 +283,7 @@ class _LaneKKT:
         t = perf_counter()
         out = op(rhs)
         mt.sub_time += perf_counter() - t
-        mt.pending += flops
+        mt.subflops = mt.subflops + mt.aiv * flops
         return out
 
     def _schur_solve(self, rhs):
@@ -430,9 +422,12 @@ class _StageLaneKKT(_LaneKKT):
             self.p, self.q = int(G.shape[1]), int(grows.shape[1])
             self.grows = xp.from_host(grows, dtype="int")
             self.G = self._blocks(G, grows[:, None, :], cols[:, :, None])
-            s_gather, r_gather = _stage_gathers(grows, self.p)
-            self.s_gather = xp.from_host(s_gather, dtype="int")
-            self.r_gather = xp.from_host(r_gather, dtype="int")
+            self.s_gather = xp.from_host(
+                _sum_gathers(layout.pairs, self.p * self.p), dtype="int"
+            )
+            self.r_gather = xp.from_host(
+                _sum_gathers(grows, self.p), dtype="int"
+            )
 
     def _blocks(self, A, rows, cols):
         """``A[:, rows, cols]`` of the zero-bordered ``(B, r, c)`` stack
@@ -795,7 +790,6 @@ def solve_qp_batch(
     factz_h = xp.to_host(meters.factz)
     banded_h = xp.to_host(meters.banded)
     flops_h = xp.to_host(meters.flops)
-    meters.settle()
     subflops_h = xp.to_host(meters.subflops)
     retries_h = xp.to_host(meters.retries)
     regmax_h = xp.to_host(meters.regmax)

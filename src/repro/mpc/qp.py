@@ -491,7 +491,9 @@ def _sum_gathers(index: np.ndarray, size: int) -> np.ndarray:
     ``index`` equal to ``j`` (ascending, the order bincount adds them in),
     or the zero slot ``len(index)``; entries ``>= size`` are dropped.  A
     gather has a leading lane axis where a bincount has none, so this is how
-    a batch of lanes runs one structural scatter-add.
+    the batched stage step (:mod:`repro.batch.qp`, whose array code takes no
+    bare numpy) runs this step's scatter-adds over
+    :attr:`_StageLayout.pairs` / ``.grows`` in the same term order.
     """
     index = np.asarray(index).ravel()
     pos = np.flatnonzero(index < size)
@@ -505,28 +507,22 @@ def _sum_gathers(index: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _stage_gathers(grows: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The :func:`_sum_gathers` of a stage step's two scatter-adds over the
-    ``G`` rows of each block (``grows``, sentinel ``p``): ``(K, q, q)``
-    block products into the flat ``p x p`` Schur complement, and ``(K, q)``
-    block vectors into a ``p`` vector."""
-    gi, gj = grows[:, :, None], grows[:, None, :]
-    pairs = np.where((gi < p) & (gj < p), gi * p + gj, p * p)
-    return _sum_gathers(pairs, p * p), _sum_gathers(grows, p)
-
-
 @dataclass
 class _StageLayout:
     """What a stage step reads from the structure, once per solve: ``Phi``'s
     block partition packed into ``K`` runs of width ``s`` (``cols`` with the
     sentinel ``n`` on the pad, ``real`` marking the rest), each run's
     ``J`` rows ``jrows`` and ``G`` rows ``grows`` (:func:`_rows_by_block`),
-    the structural band of ``S`` and the per-block flop meters."""
+    the flat ``p x p`` position of each block's ``(q, q)`` product entries
+    in ``S`` (``pairs``, sentinel ``p * p`` where a row is the pad — the one
+    definition of how ``S`` is summed, in ascending block order), the
+    structural band of ``S`` and the per-block flop meters."""
 
     real: np.ndarray
     cols: np.ndarray
     jrows: Optional[np.ndarray]
     grows: Optional[np.ndarray]
+    pairs: Optional[np.ndarray]
     schur_band: int
     factor_flops: int
     tri_flops: int
@@ -557,10 +553,13 @@ def _stage_layout(n: int, G, J, bounds: np.ndarray) -> _StageLayout:
     real = offs < sizes[:, None]
     cols = np.where(real, bounds[:-1, None] + offs, n)
     jrows = None if J is None else _rows_by_block(J, bounds)
-    grows, schur_band = None, 0
+    grows = pairs = None
+    schur_band = 0
     if G is not None:
         p = G.shape[0]
         grows = _rows_by_block(G, bounds)
+        gi, gj = grows[:, :, None], grows[:, None, :]
+        pairs = np.where((gi < p) & (gj < p), gi * p + gj, p * p).ravel()
         # S[i, j] is structurally nonzero iff rows i and j share a block.
         used = grows < p
         span = np.where(used, grows, -1).max(axis=1) - np.where(
@@ -568,7 +567,7 @@ def _stage_layout(n: int, G, J, bounds: np.ndarray) -> _StageLayout:
         ).min(axis=1)
         schur_band = int(np.max(span, initial=0))
     return _StageLayout(
-        real, cols, jrows, grows, schur_band, factor_flops, tri_flops
+        real, cols, jrows, grows, pairs, schur_band, factor_flops, tri_flops
     )
 
 
@@ -617,12 +616,10 @@ class _StageKKT:
             self.Jt = np.swapaxes(self.J, 1, 2)
         self.G = None
         if G is not None:
-            p = self.p = G.shape[0]
+            self.p = G.shape[0]
             self.grows = layout.grows
             self.G = _padded(G)[self.grows[:, None, :], self.cols[:, :, None]]
-            self.pairs = (
-                self.grows[:, :, None] * (p + 1) + self.grows[:, None, :]
-            ).ravel()
+            self.pairs = layout.pairs
             self._schur_band(layout.schur_band, bandwidth)
 
     def _schur_band(self, band: int, bandwidth: int) -> None:
@@ -674,8 +671,8 @@ class _StageKKT:
             self.V = self._apply(self.phi.F.forward, self.G, self.G.shape[2])
             W = np.matmul(np.swapaxes(self.V, 1, 2), self.V)
             p = self.p
-            S = np.bincount(self.pairs, W.ravel(), (p + 1) ** 2)
-            S = S.reshape(p + 1, p + 1)[:p, :p]
+            S = np.bincount(self.pairs, W.ravel(), p * p + 1)
+            S = S[: p * p].reshape(p, p)
             self.schur, _ = _robust_factor(
                 0.5 * (S + S.T), self.reg, self.s_band, self.stats, self.hook
             )

@@ -82,13 +82,15 @@ resilience-smoke:
 	$(REPRO) chaos --robot manipulator --schedule resilience --qp-method admm --sessions 1 --ticks 10 --horizon 6 --deadline-ms 0 --seed 3 --trace conform/failures/resilience-trace.jsonl
 	$(REPRO) conform run --cases 8 --seed 0 --robots Manipulator,Humanoid --paths dense_kkt,admm_qp,batch_admm --out-dir conform/failures
 
-# Fused-codegen smoke: the differential equivalence property suite, the
-# artifact-store/linearizer suites, the conform linearize family against the
-# interpreted oracle, and the fast-lane speedup gate (C kernel >= 2x
-# interpreted on the Quadrotor N=30 linearize block, >= 5x under `-m slow`;
-# both skip with a reason on a compiler-less host).
+# Fused-codegen smoke: the symbolic suites (the kernels' content-addressed
+# artifact keys hash the DAGs that interning and the build memo produce), the
+# differential equivalence property suite, the artifact-store/linearizer
+# suites, the conform linearize family against the interpreted oracle, and
+# the fast-lane speedup gate (C kernel >= 2x interpreted on the Quadrotor
+# N=30 linearize block, >= 5x under `-m slow`; both skip with a reason on a
+# compiler-less host).
 codegen-smoke:
-	$(PYTEST) -q tests/test_codegen_equivalence.py tests/test_codegen_store.py tests/test_codegen_linearizer.py
+	$(PYTEST) -q tests/test_symbolic_*.py tests/test_codegen_equivalence.py tests/test_codegen_store.py tests/test_codegen_linearizer.py
 	$(REPRO) conform run --cases 8 --seed 0 --paths interp_linearize,codegen_linearize --out-dir conform/failures
 	$(PYTEST) -q benchmarks/bench_linearize_codegen.py -m "not slow"
 

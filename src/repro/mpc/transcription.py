@@ -41,6 +41,7 @@ from repro.mpc.task import Task
 from repro.symbolic import (
     Const,
     Expr,
+    Memo,
     Var,
     as_expr,
     compile_function,
@@ -121,9 +122,12 @@ class TranscribedProblem:
         self._stage_vars = self._state_vars + self._input_vars + self._ref_vars
         self._term_vars = self._state_vars + self._ref_vars
 
-        self._build_dynamics()
-        self._build_costs()
-        self._build_constraints()
+        # one memo for every derivative sweep of this build, dropped when
+        # the build returns (before any codegen compiles a kernel)
+        with Memo() as memo:
+            self._build_dynamics(memo)
+            self._build_costs(memo)
+            self._build_constraints(memo)
         self._compute_counts()
 
         #: codegen seam state: mode override (None -> REPRO_CODEGEN / auto),
@@ -312,20 +316,21 @@ class TranscribedProblem:
         return np.concatenate([xs.ravel(), knots.ravel()])
 
     # -- symbolic construction ---------------------------------------------------
-    def _discrete_step_exprs(self) -> List[Expr]:
+    def _discrete_step_exprs(self, memo: Memo) -> List[Expr]:
         """Symbolic ``x_{k+1} = F(x_k, u_k)`` via the chosen integrator."""
         f = list(self.model.dynamics_exprs)
         h = Const(self.dt)
         xs = self._state_vars
+        done = memo.simplified
 
         if self.integrator == "euler":
-            return [simplify(x + h * fx) for x, fx in zip(xs, f)]
+            return [simplify(x + h * fx, done) for x, fx in zip(xs, f)]
 
         # Classic RK4 expanded symbolically; shared subexpressions keep the
         # DAG compact even for the 12-state UAV models.
         def shifted(stage_exprs: List[Expr], scale: float) -> List[Expr]:
             mapping = {
-                x: simplify(x + Const(scale * self.dt) * k)
+                x: simplify(x + Const(scale * self.dt) * k, done)
                 for x, k in zip(xs, stage_exprs)
             }
             return [substitute(fx, mapping) for fx in f]
@@ -336,26 +341,26 @@ class TranscribedProblem:
         k4 = shifted(k3, 1.0)
         sixth = Const(self.dt / 6.0)
         return [
-            simplify(x + sixth * (a + Const(2.0) * b + Const(2.0) * c + d))
+            simplify(x + sixth * (a + Const(2.0) * b + Const(2.0) * c + d), done)
             for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
         ]
 
-    def _build_dynamics(self) -> None:
-        step = self._discrete_step_exprs()
+    def _build_dynamics(self, memo: Memo) -> None:
+        step = self._discrete_step_exprs(memo)
         sv = self._state_vars
         iv = self._input_vars
         self._F = compile_function(step, sv + iv, "dyn_step")
-        jac_x = [diff(e, v) for e in step for v in sv]
-        jac_u = [diff(e, v) for e in step for v in iv]
+        jac_x = [diff(e, v, memo) for e in step for v in sv]
+        jac_u = [diff(e, v, memo) for e in step for v in iv]
         self._A = compile_function(jac_x, sv + iv, "dyn_jac_x")
         self._B = compile_function(jac_u, sv + iv, "dyn_jac_u")
 
-    def _build_costs(self) -> None:
+    def _build_costs(self, memo: Memo) -> None:
         def quad_sum(penalties) -> Expr:
             total: Expr = Const(0.0)
             for p in penalties:
                 total = total + Const(p.weight) * p.expr * p.expr
-            return simplify(total)
+            return simplify(total, memo.simplified)
 
         run = quad_sum(self.task.running_penalties)
         term = quad_sum(self.task.terminal_penalties)
@@ -371,7 +376,8 @@ class TranscribedProblem:
             [p.expr for p in run_pens] or [Const(0.0)], self._stage_vars, "pen_run"
         )
         self._P_run_jac = compile_function(
-            [diff(p.expr, v) for p in run_pens for v in run_vars_gn] or [Const(0.0)],
+            [diff(p.expr, v, memo) for p in run_pens for v in run_vars_gn]
+            or [Const(0.0)],
             self._stage_vars,
             "pen_run_jac",
         )
@@ -379,7 +385,7 @@ class TranscribedProblem:
             [p.expr for p in term_pens] or [Const(0.0)], self._term_vars, "pen_term"
         )
         self._P_term_jac = compile_function(
-            [diff(p.expr, v) for p in term_pens for v in self._state_vars]
+            [diff(p.expr, v, memo) for p in term_pens for v in self._state_vars]
             or [Const(0.0)],
             self._term_vars,
             "pen_term_jac",
@@ -387,17 +393,17 @@ class TranscribedProblem:
 
         run_vars = self._state_vars + self._input_vars
         self._L = compile_function([run], self._stage_vars, "cost_run")
-        grad_run = [diff(run, v) for v in run_vars]
+        grad_run = [diff(run, v, memo) for v in run_vars]
         self._L_grad = compile_function(grad_run, self._stage_vars, "cost_run_grad")
-        hess_run = [diff(g, v) for g in grad_run for v in run_vars]
+        hess_run = [diff(g, v, memo) for g in grad_run for v in run_vars]
         self._L_hess = compile_function(hess_run, self._stage_vars, "cost_run_hess")
 
         self._Phi = compile_function([term], self._term_vars, "cost_term")
-        grad_term = [diff(term, v) for v in self._state_vars]
+        grad_term = [diff(term, v, memo) for v in self._state_vars]
         self._Phi_grad = compile_function(
             grad_term, self._term_vars, "cost_term_grad"
         )
-        hess_term = [diff(g, v) for g in grad_term for v in self._state_vars]
+        hess_term = [diff(g, v, memo) for g in grad_term for v in self._state_vars]
         self._Phi_hess = compile_function(
             hess_term, self._term_vars, "cost_term_hess"
         )
@@ -431,7 +437,7 @@ class TranscribedProblem:
                 rows.append(Const(spec.lower) - v)
         return rows
 
-    def _build_constraints(self) -> None:
+    def _build_constraints(self, memo: Memo) -> None:
         """Classify and compile the stage inequality / equality rows.
 
         Rows that involve any *state* variable are enforced at knots
@@ -480,7 +486,7 @@ class TranscribedProblem:
 
         def compiled_jac(rows, wrt, variables, name):
             return compile_function(
-                [diff(r, v) for r in rows for v in wrt] or [Const(0.0)],
+                [diff(r, v, memo) for r in rows for v in wrt] or [Const(0.0)],
                 variables,
                 name,
             )
@@ -670,18 +676,26 @@ class TranscribedProblem:
         Built lazily (symbolic second derivatives of the integrator are
         expensive) and cached.  Used by the exact-Hessian SQP mode: the
         dynamics equality rows ``x_{k+1} - F(x_k, u_k)`` contribute
-        ``-sum_i nu_i grad^2 F_i`` to the Lagrangian Hessian.
+        ``-sum_i nu_i grad^2 F_i`` to the Lagrangian Hessian.  The build
+        has its own memo: the ``nxu`` gradients and ``nxu**2`` second
+        derivatives share one walk of the step's DAG per variable.
         """
         if getattr(self, "_contraction", None) is not None:
             return self._contraction
         sigma = [Var(f"_sigma[{i}]") for i in range(self.nx)]
         stage = self._state_vars + self._input_vars
-        weighted: Expr = Const(0.0)
-        for s_var, f_expr in zip(sigma, self._discrete_step_exprs()):
-            weighted = weighted + s_var * f_expr
-        weighted = simplify(weighted)
-        grads = [diff(weighted, v) for v in stage]
-        hess = [diff(g, v) for g in grads for v in stage]
+        with Memo() as memo:
+            weighted: Expr = Const(0.0)
+            for s_var, f_expr in zip(sigma, self._discrete_step_exprs(memo)):
+                weighted = weighted + s_var * f_expr
+            weighted = simplify(weighted, memo.simplified)
+            grads = [diff(weighted, v, memo) for v in stage]
+            # column by column, so each variable's partials die with it
+            cols = []
+            for v in stage:
+                cols.append([diff(g, v, memo) for g in grads])
+                memo.release(v)
+        hess = [col[i] for i in range(len(grads)) for col in cols]
         self._contraction = compile_function(
             hess, stage + sigma, "dyn_contraction"
         )

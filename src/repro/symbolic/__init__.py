@@ -7,7 +7,7 @@ the interior-point solver and the accelerator compiler consume the resulting
 DAGs.
 """
 
-from repro.symbolic.autodiff import diff, gradient, hessian, jacobian
+from repro.symbolic.autodiff import Memo, diff, gradient, hessian, jacobian
 from repro.symbolic.compile import CompiledFunction, compile_function
 from repro.symbolic.expr import (
     ELEMENTARY_OPS,
@@ -63,6 +63,7 @@ __all__ = [
     "count_ops",
     "substitute",
     "topological_order",
+    "Memo",
     "diff",
     "gradient",
     "jacobian",

@@ -4,13 +4,22 @@ The RoboX Program Translator "uses automatic differentiation to compute all
 necessary gradients" (paper §VII): the objective gradient and Hessian, and
 the Jacobians of the dynamics (equality) and inequality constraints that
 populate the KKT system of Eq. 6.  This module implements exact symbolic
-differentiation over the expression DAG with memoization, plus the vector
-conveniences (gradient / jacobian / hessian) used by the transcription layer.
+differentiation over the expression DAG, plus the vector conveniences
+(gradient / jacobian / hessian).
+
+Memoization is per build.  A :class:`Memo` keyed by ``(node, var)`` (raw
+partials) and by node (simplified forms) is shared by every ``diff`` call of
+one build — all the Jacobians of a ``TranscribedProblem``, or the gradients
+and second derivatives of its exact-Hessian contraction — so each distinct
+subexpression is differentiated and simplified once per variable.  Because
+nodes are interned, a memo hit is the object a fresh derivation would
+build.  The build drops the memo when it ends; a call without one gets a
+memo of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DifferentiationError
 from repro.symbolic.expr import (
@@ -22,6 +31,7 @@ from repro.symbolic.expr import (
     cos,
     exp,
     log,
+    repack_tables,
     sin,
     sqrt,
     tan,
@@ -29,23 +39,77 @@ from repro.symbolic.expr import (
 )
 from repro.symbolic.simplify import simplify
 
-__all__ = ["diff", "gradient", "jacobian", "hessian"]
+__all__ = ["Memo", "diff", "gradient", "jacobian", "hessian"]
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
 
-def diff(expr: Expr, var: Var, _cache: Dict[Tuple[Expr, str], Expr] = None) -> Expr:
+class Memo:
+    """Derivatives and simplified forms shared by the sweeps of one build.
+
+    ``derivatives[var][node]`` is the raw (unsimplified) partial of ``node``
+    by ``var`` and ``simplified`` is :func:`~repro.symbolic.simplify.simplify`'s
+    node -> result memo.  Every entry is a pure function of its interned key,
+    so a memoized result is the very object a fresh derivation builds; the
+    memo only saves re-walking and re-deriving shared subexpressions, and
+    dropping an entry early costs time, never a different result.
+
+    A memo lives for one build: use it as a context manager, which empties
+    it on exit (it holds every intermediate derivative alive) and shrinks
+    the intern tables those intermediates had grown.
+    """
+
+    __slots__ = ("derivatives", "simplified")
+
+    def __init__(self) -> None:
+        self.derivatives: Dict[Var, Dict[Expr, Expr]] = {}
+        self.simplified: Dict[Expr, Expr] = {}
+
+    def __len__(self) -> int:
+        return len(self.simplified) + sum(map(len, self.derivatives.values()))
+
+    def __enter__(self) -> "Memo":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.derivatives.clear()
+        self.simplified.clear()
+        repack_tables()
+
+    def release(self, var: Var) -> None:
+        """Forget ``var``'s partials once no later sweep differentiates by it.
+
+        Their simplifications go too, down to the first node that is its
+        own simplification (the simplified DAG, alive anyway) or folds to a
+        constant (a subtree constant in ``var`` derives to the same raw node
+        for every variable it does not depend on).  The rest are ``var``'s
+        raw derivatives, which nothing else reaches.
+        """
+        simplified = self.simplified
+        stack = list(self.derivatives.pop(var, {}).values())
+        while stack:
+            node = stack.pop()
+            done = simplified.get(node)
+            if done is None or done is node or isinstance(done, Const):
+                continue
+            del simplified[node]
+            stack.extend(node.children())
+
+
+def diff(expr: Expr, var: Var, memo: Optional[Memo] = None) -> Expr:
     """Exact partial derivative of ``expr`` with respect to ``var``.
 
     The result is simplified so that trivially-zero partials collapse to the
     constant 0, which the transcription layer relies on to build sparse
-    Jacobians.
+    Jacobians.  With a ``memo`` the walk stops at nodes whose partial by
+    ``var`` an earlier call of the same build already derived.
     """
-    cache: Dict[Expr, Expr] = {}
-    for node in topological_order([expr]):
+    memo = Memo() if memo is None else memo
+    cache = memo.derivatives.setdefault(var, {})
+    for node in topological_order([expr], cache):
         cache[node] = _diff_node(node, var, cache)
-    return simplify(cache[expr])
+    return simplify(cache[expr], memo.simplified)
 
 
 def _diff_node(node: Expr, var: Var, cache: Dict[Expr, Expr]) -> Expr:

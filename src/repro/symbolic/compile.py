@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SymbolicError
-from repro.symbolic.expr import Call, Const, Expr, Var, count_ops, topological_order
+from repro.symbolic.expr import Call, Const, Expr, Var, topological_order
 
 __all__ = ["CompiledFunction", "compile_function"]
 
@@ -112,6 +112,7 @@ def compile_function(
     order = topological_order(list(exprs))
     names: Dict[Expr, str] = {}
     lines: List[str] = []
+    op_counts: Dict[str, int] = {}
     counter = 0
 
     for node in order:
@@ -127,6 +128,7 @@ def compile_function(
         elif isinstance(node, Call):
             args = [names[a] for a in node.args]
             opn = node.op.name
+            op_counts[opn] = op_counts.get(opn, 0) + 1
             if opn in _INFIX:
                 rhs = f"({args[0]} {_INFIX[opn]} {args[1]})"
             elif opn == "neg":
@@ -157,7 +159,7 @@ def compile_function(
         func=func,
         variables=var_names,
         n_outputs=len(exprs),
-        op_counts=count_ops(list(exprs)),
+        op_counts=op_counts,
         source=source,
         exprs=tuple(exprs),
     )

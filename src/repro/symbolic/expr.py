@@ -1,12 +1,24 @@
 """Core symbolic expression DAG.
 
-Expressions are immutable, hash-consed trees.  The node kinds mirror what the
+Expressions are immutable, hash-consed DAGs.  The node kinds mirror what the
 RoboX DSL can express (Table I of the paper): constants, named variables,
 elementary arithmetic, a fixed set of nonlinear functions, and power.  Group
 operations (``sum``, ``norm``, ``min``, ``max``) are *range reductions* and
 are represented after range expansion as trees of binary ops; the DSL layer
 records the group structure separately for the compiler (see
 ``repro.compiler.mdfg``).
+
+Every node is interned: ``Const`` on the bit pattern of its value, ``Var``
+on its name, ``Call`` on ``(op, args)``.  Constructing a node whose key is
+live returns the live node, so structurally equal expressions built anywhere
+are one object, and ``copy``, ``deepcopy`` and ``pickle`` hand back that
+object too.  ``==`` and ``hash`` are structural, which interning makes an
+identity check in practice.  The tables hold their nodes weakly: a node
+lives exactly as long as something else refers to it.
+
+Derivative and simplification memos (:class:`repro.symbolic.autodiff.Memo`)
+live for one build, e.g. one ``TranscribedProblem``: they key on interned
+nodes, and a build drops its memo when it ends.
 
 The module deliberately avoids any dependency on SymPy: RoboX's translator
 needs only differentiation, simplification, numeric compilation and op
@@ -16,7 +28,9 @@ counting, all of which are implemented from scratch in this package.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+import struct
+import weakref
+from typing import Callable, Container, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import SymbolicError
 
@@ -65,8 +79,15 @@ class Op:
         self.symbol = symbol
         self.kind = kind
 
+    def __reduce__(self):
+        return (_op_named, (self.name,))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Op({self.name})"
+
+
+def _op_named(name: str) -> Op:
+    return OPS[name]
 
 
 def _safe_div(a: float, b: float) -> float:
@@ -114,12 +135,14 @@ NONLINEAR_OPS = frozenset(n for n, op in OPS.items() if op.kind == "nonlinear")
 class Expr:
     """Base class for all symbolic expressions.
 
-    Subclasses are immutable; ``==`` is structural equality and instances are
-    hashable so expressions can key dictionaries (used heavily by autodiff
-    memoization and common-subexpression elimination).
+    Subclasses are immutable and interned: constructing a node whose key is
+    already live returns that node (see the module docstring), so ``==`` —
+    structural equality — is identity for every node in practice.
+    Instances are hashable so expressions can key dictionaries (autodiff and
+    simplification memos, common-subexpression elimination).
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "__weakref__")
 
     # -- operator overloading -------------------------------------------------
     def __add__(self, other) -> "Expr":
@@ -158,6 +181,13 @@ class Expr:
     def __pos__(self) -> "Expr":
         return self
 
+    # -- interning -------------------------------------------------------------
+    def __copy__(self) -> "Expr":
+        return self
+
+    def __deepcopy__(self, memo) -> "Expr":
+        return self
+
     # -- interface -------------------------------------------------------------
     def children(self) -> Tuple["Expr", ...]:
         return ()
@@ -172,22 +202,76 @@ class Expr:
         )
 
 
+def _intern_table():
+    """A key -> weak reference table whose entries leave with their node."""
+    table: Dict[object, weakref.KeyedRef] = {}
+
+    def drop(ref: weakref.KeyedRef) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    def lookup(key) -> Optional[Expr]:
+        ref = table.get(key)
+        return None if ref is None else ref()
+
+    def insert(key, node: Expr) -> Expr:
+        table[key] = weakref.KeyedRef(node, drop, key)
+        return node
+
+    return table, lookup, insert
+
+
+_CONSTS, _const_lookup, _const_insert = _intern_table()
+_VARS, _var_lookup, _var_insert = _intern_table()
+#: calls are keyed by their structural hash (the node's own ``_hash``, so a
+#: key costs nothing); a call whose hash a live node of other structure
+#: already holds goes to the clash table, keyed by ``(op, args)``
+_CALLS, _call_lookup, _call_insert = _intern_table()
+_CLASHES, _clash_lookup, _clash_insert = _intern_table()
+_BITS = struct.Struct("<d").pack
+
+
+def repack_tables() -> None:
+    """Shrink the intern tables to their live size.
+
+    A dict never shrinks on deletion, so after a build's memo dies and takes
+    most of the table with it, the table would keep the build's high-water
+    capacity; copying the survivors gives them a table of their own size.
+    """
+    for table in (_CONSTS, _VARS, _CALLS, _CLASHES):
+        live = dict(table)
+        table.clear()
+        table.update(live)
+
+
 class Const(Expr):
-    """A floating-point constant leaf."""
+    """A floating-point constant leaf, interned on its bit pattern."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
+    def __new__(cls, value: float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SymbolicError(f"Const requires a real number, got {value!r}")
-        self.value = float(value)
-        self._hash = hash(("Const", self.value))
+        value = float(value)
+        key = _BITS(value)
+        node = _const_lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.value = value
+            node._hash = hash(("Const", value))
+            _const_insert(key, node)
+        return node
+
+    def __reduce__(self):
+        return (Const, (self.value,))
 
     def evaluate(self, env: Dict[str, float]) -> float:
         return self.value
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Const) and self.value == other.value
+        return self is other or (
+            isinstance(other, Const) and self.value == other.value
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -197,7 +281,7 @@ class Const(Expr):
 
 
 class Var(Expr):
-    """A named scalar variable leaf.
+    """A named scalar variable leaf, interned on its name.
 
     Vector quantities (e.g. ``pos[2]`` in the DSL) are represented as one
     ``Var`` per element with a canonical ``name[i]`` spelling produced by the
@@ -206,11 +290,19 @@ class Var(Expr):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name or not isinstance(name, str):
             raise SymbolicError(f"Var requires a non-empty name, got {name!r}")
-        self.name = name
-        self._hash = hash(("Var", name))
+        node = _var_lookup(name)
+        if node is None:
+            node = object.__new__(cls)
+            node.name = name
+            node._hash = hash(("Var", name))
+            _var_insert(name, node)
+        return node
+
+    def __reduce__(self):
+        return (Var, (self.name,))
 
     def evaluate(self, env: Dict[str, float]) -> float:
         try:
@@ -219,7 +311,7 @@ class Var(Expr):
             raise SymbolicError(f"unbound variable {self.name!r}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Var) and self.name == other.name
+        return self is other or (isinstance(other, Var) and self.name == other.name)
 
     def __hash__(self) -> int:
         return self._hash
@@ -229,14 +321,27 @@ class Var(Expr):
 
 
 class Call(Expr):
-    """An operation applied to operand expressions."""
+    """An operation applied to operand expressions, interned on
+    ``(op, args)``."""
 
     __slots__ = ("op", "args")
 
-    def __init__(self, op: Op, args: Sequence[Expr]):
+    def __new__(cls, op: Op, args: Sequence[Expr]):
+        args = tuple(args)
+        try:
+            h = hash(("Call", op.name, args))
+        except (AttributeError, TypeError):  # not an Op / an unhashable operand
+            h = None
+        node = None if h is None else _call_lookup(h)
+        if node is not None and node.op is op and node.args == args:
+            return node
+        clash = node is not None
+        if h is not None and (clash or _CLASHES):
+            found = _clash_lookup((op, args))
+            if found is not None:
+                return found
         if not isinstance(op, Op):
             raise SymbolicError(f"Call requires an Op, got {op!r}")
-        args = tuple(args)
         if len(args) != op.arity:
             raise SymbolicError(
                 f"{op.name} expects {op.arity} operand(s), got {len(args)}"
@@ -244,9 +349,16 @@ class Call(Expr):
         for a in args:
             if not isinstance(a, Expr):
                 raise SymbolicError(f"operand {a!r} is not an Expr")
-        self.op = op
-        self.args = args
-        self._hash = hash(("Call", op.name, args))
+        node = object.__new__(cls)
+        node.op = op
+        node.args = args
+        node._hash = h
+        if clash:
+            return _clash_insert((op, args), node)
+        return _call_insert(h, node)
+
+    def __reduce__(self):
+        return (Call, (self.op, self.args))
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args
@@ -255,8 +367,9 @@ class Call(Expr):
         return self.op.func(*(a.evaluate(env) for a in self.args))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Call)
+            and self._hash == other._hash
             and self.op is other.op
             and self.args == other.args
         )
@@ -308,9 +421,13 @@ def as_expr(value) -> Expr:
 # -- traversal helpers ----------------------------------------------------------
 
 
-def topological_order(roots: Iterable[Expr]) -> Tuple[Expr, ...]:
+def topological_order(
+    roots: Iterable[Expr], known: Container[Expr] = ()
+) -> Tuple[Expr, ...]:
     """Return every distinct node reachable from ``roots``, children first.
 
+    The walk stops at nodes in ``known`` (a memo's keys): they and everything
+    below them are left out, so a memoized sweep visits only new nodes.
     Uses an explicit stack so very deep expression chains (long horizons)
     do not hit Python's recursion limit.
     """
@@ -325,11 +442,11 @@ def topological_order(roots: Iterable[Expr]) -> Tuple[Expr, ...]:
                     visited.add(node)
                     order.append(node)
                 continue
-            if node in visited:
+            if node in visited or node in known:
                 continue
             stack.append((node, True))
             for child in node.children():
-                if child not in visited:
+                if child not in visited and child not in known:
                     stack.append((child, False))
     return tuple(order)
 

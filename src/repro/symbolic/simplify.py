@@ -15,11 +15,15 @@ The rewriter is a single bottom-up pass applying local rules:
 
 Rules are safe for real arithmetic as used by the robot models (the solver
 never feeds NaN/inf through symbolic evaluation).
+
+A node's simplification depends only on the node, so a build passes one
+node -> result memo (:attr:`repro.symbolic.autodiff.Memo.simplified`) to all
+its calls and each shared subtree is rewritten once.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import SymbolicError
 from repro.symbolic.expr import OPS, Call, Const, Expr, Var, topological_order
@@ -35,10 +39,15 @@ def is_one(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 1.0
 
 
-def simplify(root: Expr) -> Expr:
-    """Return a simplified structurally-equivalent expression."""
-    cache: Dict[Expr, Expr] = {}
-    for node in topological_order([root]):
+def simplify(root: Expr, memo: Optional[Dict[Expr, Expr]] = None) -> Expr:
+    """Return a simplified structurally-equivalent expression.
+
+    ``memo`` maps already-simplified nodes to their result (a build's
+    :attr:`repro.symbolic.autodiff.Memo.simplified`); the walk stops at its
+    keys and records every node it rewrites.
+    """
+    cache: Dict[Expr, Expr] = {} if memo is None else memo
+    for node in topological_order([root], cache):
         if isinstance(node, (Const, Var)):
             cache[node] = node
         else:

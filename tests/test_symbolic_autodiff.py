@@ -2,13 +2,19 @@
 against central finite differences (the property the KKT system depends on).
 """
 
+import gc
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import DifferentiationError
+from repro.mpc import transcription
+from repro.robots import BENCHMARK_NAMES, build_benchmark
 from repro.symbolic import (
+    CompiledFunction,
     Const,
+    Memo,
     Var,
     acos,
     asin,
@@ -21,6 +27,7 @@ from repro.symbolic import (
     jacobian,
     log,
     sin,
+    simplify,
     sqrt,
     tan,
     tanh,
@@ -160,3 +167,88 @@ class TestErrors:
     def test_nonpositive_base_power(self):
         with pytest.raises(DifferentiationError):
             diff(Const(-2.0) ** X, X)
+
+
+class TestMemo:
+    def test_memoized_partials_are_the_fresh_objects(self):
+        e = sin(X * Y) * exp(X) + (X - Y) ** 3
+        memo = Memo()
+        grad = [diff(e, v, memo) for v in (X, Y)]
+        hess = [diff(g, v, memo) for g in grad for v in (X, Y)]
+        assert all(a is diff(e, v) for a, v in zip(grad, (X, Y)))
+        assert all(
+            h is diff(g, v) for h, (g, v) in zip(hess, [(g, v) for g in grad for v in (X, Y)])
+        )
+
+    def test_release_keeps_results_and_drops_the_variable(self):
+        e = tanh(X * Y + Y)
+        with Memo() as memo:
+            dx = diff(e, X, memo)
+            memo.release(X)
+            assert X not in memo.derivatives
+            assert diff(e, X, memo) is dx
+        assert len(memo) == 0
+
+
+def _functions(problem):
+    fns = {k: v for k, v in vars(problem).items() if isinstance(v, CompiledFunction)}
+    assert "_contraction" in fns and "_A" in fns and "_B" in fns
+    return fns
+
+
+@pytest.fixture(scope="module")
+def shared_and_fresh():
+    """Per robot: the problem as built (one memo per build) and a rebuild
+    in which every ``diff`` / ``simplify`` call gets a memo of its own."""
+    built = {}
+
+    def get(robot):
+        if robot not in built:
+            bench = build_benchmark(robot)
+            shared = bench.transcribe(horizon=2)
+            xs = np.tile(bench.x0, (shared.N + 1, 1))
+            z = shared.join(xs, np.zeros((shared.N, shared.nu)))
+            shared.lagrangian_hessian(z, np.zeros(shared.n_eq), bench.ref)
+            gc.collect()
+            survivors = [
+                len(m) for m in gc.get_objects() if isinstance(m, Memo) and len(m)
+            ]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transcription, "diff", lambda e, v, memo: diff(e, v))
+                mp.setattr(
+                    transcription, "simplify", lambda e, memo=None: simplify(e)
+                )
+                fresh = build_benchmark(robot).transcribe(horizon=2)
+                fresh._dynamics_contraction_fn()
+            built[robot] = (shared, fresh, survivors)
+        return built[robot]
+
+    return get
+
+
+ROBOTS = [
+    pytest.param(name, marks=pytest.mark.slow) if name == "Hexacopter" else name
+    for name in BENCHMARK_NAMES + ("CartPole",)
+]
+
+
+@pytest.mark.parametrize("robot", ROBOTS)
+class TestBuildMemo:
+    def test_shared_memo_builds_the_fresh_objects(self, shared_and_fresh, robot):
+        shared, fresh, _ = shared_and_fresh(robot)
+        a, b = _functions(shared), _functions(fresh)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert len(a[name].exprs) == len(b[name].exprs), name
+            assert all(x is y for x, y in zip(a[name].exprs, b[name].exprs)), name
+
+    def test_compiled_sources_match(self, shared_and_fresh, robot):
+        shared, fresh, _ = shared_and_fresh(robot)
+        a, b = _functions(shared), _functions(fresh)
+        assert {k: f.source for k, f in a.items()} == {
+            k: f.source for k, f in b.items()
+        }
+
+    def test_no_memo_entry_survives_the_build(self, shared_and_fresh, robot):
+        _, _, survivors = shared_and_fresh(robot)
+        assert survivors == []

@@ -1,6 +1,10 @@
 """Unit tests for the symbolic expression core (repro.symbolic.expr)."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.errors import SymbolicError
 from repro.symbolic import (
     Call,
     Const,
+    Op,
     OPS,
     Var,
     as_expr,
@@ -207,3 +212,68 @@ class TestSubstitute:
     def test_identity_when_no_match(self):
         e = Var("x") + 1
         assert substitute(e, {Var("zzz"): Const(0.0)}) == e
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_object(self):
+        assert Var("x") is Var("x")
+        assert Const(2) is Const(2.0)
+        assert (Var("x") + 1) * sin(Var("y")) is (Var("x") + 1) * sin(Var("y"))
+        assert Call(OPS["add"], [Var("x"), Var("y")]) is Var("x") + Var("y")
+
+    def test_distinct_structures_stay_distinct(self):
+        x, y = Var("x"), Var("y")
+        assert x + y is not y + x
+        assert x - y is not x + y
+
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("add", (Var("x"), Var("y"))),  # an op name, not an Op
+            (OPS["add"], (Var("x"),)),
+            (OPS["sin"], (Var("x"), Var("y"))),
+            (OPS["mul"], (Var("x"), 2.0)),
+            (OPS["mul"], (Var("x"), [2.0])),  # unhashable operand
+        ],
+    )
+    def test_invalid_calls_still_raise(self, op, args):
+        Var("x") + Var("y")  # a live node under the same key must not mask it
+        with pytest.raises(SymbolicError):
+            Call(op, args)
+
+    def test_hash_clash_keeps_both_nodes_canonical(self):
+        # a second op spelled "add" gives the same structural hash as add
+        twin = Op("add", 2, lambda a, b: a + b, "+")
+        x, y = Var("x"), Var("y")
+        real = x + y
+        other = Call(twin, (x, y))
+        assert hash(other) == hash(real) and other is not real
+        assert Call(twin, (x, y)) is other
+        assert x + y is real
+        del real
+        gc.collect()
+        assert Call(twin, (x, y)) is other
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_return_the_canonical_node(self, roundtrip):
+        e = sqrt(Var("x") * Const(2.5) + exp(-Var("y")))
+        for node in (e, Var("x"), Const(2.5), e.args[0]):
+            assert roundtrip(node) is node
+
+    def test_table_keeps_no_dead_node_alive(self):
+        e = sin(Var("only_here") * Const(7.25)) + Var("also_only_here")
+        inner = e.args[0]
+        refs = [weakref.ref(n) for n in (e, inner, inner.args[0])]
+        del e, inner
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_known_nodes_stop_the_walk(self):
+        x = Var("x")
+        shared = sin(x) * cos(x)
+        e = shared + x
+        assert topological_order([e], {shared: None}) == (x, e)

@@ -8,8 +8,9 @@ are represented after range expansion as trees of binary ops; the DSL layer
 records the group structure separately for the compiler (see
 ``repro.compiler.mdfg``).
 
-Every node is interned: ``Const`` on the bit pattern of its value, ``Var``
-on its name, ``Call`` on ``(op, args)``.  Constructing a node whose key is
+Every node is interned: ``Const`` on the bit pattern of its value (so
+``0.0`` and ``-0.0`` are two constants), ``Var`` on its name, ``Call`` on
+``(op, args)``.  Constructing a node whose key is
 live returns the live node, so structurally equal expressions built anywhere
 are one object, and ``copy``, ``deepcopy`` and ``pickle`` hand back that
 object too.  ``==`` and ``hash`` are structural, which interning makes an
@@ -245,7 +246,12 @@ def repack_tables() -> None:
 
 
 class Const(Expr):
-    """A floating-point constant leaf, interned on its bit pattern."""
+    """A floating-point constant leaf.
+
+    Equality, hash and interning go by the bit pattern of the value, so
+    ``0.0`` and ``-0.0`` are distinct constants (``x / 0.0`` and ``x / -0.0``
+    differ) and a NaN constant equals itself.
+    """
 
     __slots__ = ("value",)
 
@@ -258,7 +264,7 @@ class Const(Expr):
         if node is None:
             node = object.__new__(cls)
             node.value = value
-            node._hash = hash(("Const", value))
+            node._hash = hash(("Const", key))
             _const_insert(key, node)
         return node
 
@@ -270,7 +276,7 @@ class Const(Expr):
 
     def __eq__(self, other) -> bool:
         return self is other or (
-            isinstance(other, Const) and self.value == other.value
+            isinstance(other, Const) and _BITS(self.value) == _BITS(other.value)
         )
 
     def __hash__(self) -> int:

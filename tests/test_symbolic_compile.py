@@ -13,6 +13,7 @@ from repro.symbolic import (
     cos,
     diff,
     exp,
+    simplify,
     sin,
     sqrt,
 )
@@ -67,6 +68,25 @@ class TestCompileBasics:
         assert out == pytest.approx(
             [math.sin(0.25), math.cos(0.25), math.exp(0.25), math.sqrt(0.25)]
         )
+
+
+class TestSignedZero:
+    def test_signed_zeros_are_separate_constants(self):
+        f = compile_function([X / Const(-0.0), X / Const(0.0)], [X])
+        assert "(v0 / -0.0)" in f.source and "(v0 / 0.0)" in f.source
+        assert f.source.rstrip().endswith("return (t0, t1)")
+
+    def test_signed_zero_survives_evaluation(self):
+        f = compile_function([X * Const(-0.0), X * Const(0.0)], [X])
+        neg, pos = f.call_positional(1.0)
+        assert math.copysign(1.0, neg) == -1.0
+        assert math.copysign(1.0, pos) == 1.0
+
+    def test_simplified_negative_zero_stays_negative(self):
+        f = compile_function([simplify(-Const(0.0)), Const(0.0)], [X])
+        neg, pos = f.call_positional(0.0)
+        assert math.copysign(1.0, neg) == -1.0
+        assert math.copysign(1.0, pos) == 1.0
 
 
 class TestSharedSubexpressions:

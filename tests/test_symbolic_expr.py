@@ -125,6 +125,16 @@ class TestEquality:
         assert Const(1.0) == Const(1)
         assert Const(1.0) != Const(2.0)
 
+    def test_signed_zeros_differ(self):
+        assert Const(0.0) != Const(-0.0)
+        assert Const(0.0) is not Const(-0.0)
+        assert Var("x") + Const(0.0) != Var("x") + Const(-0.0)
+        assert Const(-0.0) is Const(-0.0)
+
+    def test_nan_constant_equals_itself(self):
+        assert Const(math.nan) is Const(float("nan"))
+        assert Const(math.nan) == Const(math.nan)
+
     def test_usable_as_dict_key(self):
         d = {Var("x") + 1: "a"}
         assert d[Var("x") + 1] == "a"

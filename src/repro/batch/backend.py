@@ -206,21 +206,24 @@ class ArrayBackend:
         return _np.logical_not(a)
 
     # -- reductions --------------------------------------------------------
+    # The ufunc reductions np.sum / np.max / np.all / ... dispatch to, called
+    # directly: the same reduction, without the wrapper's per-call Python
+    # (the lockstep loop issues a few dozen of these per iteration).
 
     def sum(self, a, axis: Optional[int] = None):
-        return _np.sum(a, axis=axis)
+        return _np.add.reduce(a, axis=axis)
 
     def max(self, a, axis: Optional[int] = None):
-        return _np.max(a, axis=axis)
+        return _np.maximum.reduce(a, axis=axis)
 
     def min(self, a, axis: Optional[int] = None):
-        return _np.min(a, axis=axis)
+        return _np.minimum.reduce(a, axis=axis)
 
     def all(self, a, axis: Optional[Union[int, tuple]] = None):
-        return _np.all(a, axis=axis)
+        return _np.logical_and.reduce(a, axis=axis)
 
     def any(self, a, axis: Optional[int] = None):
-        return _np.any(a, axis=axis)
+        return _np.logical_or.reduce(a, axis=axis)
 
     def maximum_reduce(self, seq: Sequence):
         out = seq[0]

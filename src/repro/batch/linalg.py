@@ -97,7 +97,28 @@ from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 
 from .backend import ArrayBackend, get_backend
 
-__all__ = ["BatchCholeskyFactor", "robust_factor_batch"]
+__all__ = ["BatchCholeskyFactor", "robust_factor_batch", "robust_diag_factor_batch"]
+
+#: factorization attempts of the host retry ladder (device callers pass 1)
+LADDER_ATTEMPTS = 16
+
+
+def _escalate(xp: ArrayBackend, reg):
+    """The ladder's next regularization: ``max(reg * 100, 1e-12)``, the
+    scalar ``repro.mpc.qp._robust_factor``'s escalation."""
+    return xp.maximum(reg * 100.0, 1e-12)
+
+
+def _diag_pivots(xp: ArrayBackend, d, finite, reg_fill):
+    """Pivots ``sqrt(d + reg)`` of ``(B, n)`` diagonals, their reciprocals
+    and a per-lane ``ok`` — the values either tile kernel computes on a
+    ``1 x 1`` tile.  Lanes with ``finite`` off factor the identity and
+    entries that are not positive a unit pivot (bounded placeholders)."""
+    d = xp.where(finite[:, None], d, 1.0) + reg_fill[:, None]
+    good = xp.isfinite(d) & (d > 0.0)
+    piv = xp.sqrt(xp.where(good, d, 1.0))
+    inv = 1.0 / piv
+    return piv, inv, xp.all(good, axis=1) & xp.all(xp.isfinite(inv), axis=1)
 
 
 def _cholesky_tiles(xp: ArrayBackend, M):
@@ -243,14 +264,8 @@ class BatchCholeskyFactor:
         self.n = self.npad = K * s
         self._block = True
         if s == 1:
-            # Non-finite lanes factor the identity (bounded placeholders);
-            # their ok flag is already off.
-            d = xp.where(finite[:, None], M[:, :, 0, 0], 1.0) + reg_fill[:, None]
-            good = xp.isfinite(d) & (d > 0.0)
-            piv = xp.sqrt(xp.where(good, d, 1.0))
-            inv = 1.0 / piv
+            piv, inv, ok = _diag_pivots(xp, M[:, :, 0, 0], finite, reg_fill)
             D, Dinv = piv[:, :, None, None], inv[:, :, None, None]
-            ok = xp.all(good, axis=1) & xp.all(xp.isfinite(inv), axis=1)
         else:
             T = xp.where(finite[:, None, None, None], M, xp.eye(s))
             dd = xp.arange(s)
@@ -347,21 +362,32 @@ class BatchCholeskyFactor:
         # tiny pivot inflating D⁻¹ past the float ceiling in the final
         # block, where no later pivot re-checks it).  ok certifies finite
         # factors — garbage must freeze the lane, never solve silently.
-        tiles_ok = xp.all(xp.isfinite(D), axis=(1, 2, 3)) & xp.all(
-            xp.isfinite(Dinv), axis=(1, 2, 3)
-        )
+        # (A host tile's own ok already certifies its D: cholesky_tiles
+        # flags any non-finite L and hands back the identity.)
+        tiles_ok = xp.all(xp.isfinite(Dinv), axis=(1, 2, 3))
+        if xp.is_device:
+            tiles_ok = tiles_ok & xp.all(xp.isfinite(D), axis=(1, 2, 3))
         if K > 1:
             tiles_ok = tiles_ok & xp.all(xp.isfinite(C), axis=(1, 2, 3))
         self.ok = self.ok & tiles_ok
 
     def _refresh_suppress(self) -> None:
+        """Forget the mute decision; :attr:`_suppress` re-reads ``ok``."""
+        self._muted = None
+
+    @property
+    def _suppress(self) -> bool:
         """Solves on a batch with flagged lanes run the flagged lanes'
         placeholder tiles too; mute warnings then (and only then) — on
-        an all-healthy batch, overflow in a solve must stay audible."""
-        xp = self.xp
-        self._suppress = (not xp.is_device) and not bool(
-            xp.scalar(xp.all(self.ok))
-        )
+        an all-healthy batch, overflow in a solve must stay audible.  Read
+        from ``ok`` once (a host scalar, never on a device) when first
+        asked — the retry ladder's first question too."""
+        if self._muted is None:
+            xp = self.xp
+            self._muted = (not xp.is_device) and not bool(
+                xp.scalar(xp.all(self.ok))
+            )
+        return self._muted
 
     # -- solves -----------------------------------------------------------
 
@@ -416,6 +442,11 @@ class BatchCholeskyFactor:
             return self._apply_blocks(self._Dinv, b)
         xp = self.xp
         b3, squeeze = self._prep_rhs(b)
+        if self.K == 1 and self.npad == self.n and int(b3.shape[2]) == 1:
+            # one unpadded tile, one right-hand side: one matmul, no staging
+            with self._errstate():
+                y = xp.matmul(self._Dinv[:, 0], b3)
+            return y[:, :, 0] if squeeze else y
         y = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         y[:, : self.n] = b3
         nb = self.nb
@@ -435,6 +466,10 @@ class BatchCholeskyFactor:
         if self._block:
             return self._apply_blocks(xp.transpose_last2(self._Dinv), b)
         b3, squeeze = self._prep_rhs(b)
+        if self.K == 1 and self.npad == self.n and int(b3.shape[2]) == 1:
+            with self._errstate():
+                x = xp.matmul(xp.transpose_last2(self._Dinv[:, 0]), b3)
+            return x[:, :, 0] if squeeze else x
         x = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         x[:, : self.n] = b3
         nb = self.nb
@@ -455,6 +490,20 @@ class BatchCholeskyFactor:
 
     def solve(self, b):
         """Solve ``A_i x_i = b_i`` for every lane ``i`` in one sweep."""
+        if self.K == 1 and self.npad == self.n and not self._block:
+            xp = self.xp
+            b3, squeeze = self._prep_rhs(b)
+            if int(b3.shape[2]) != 1:
+                return self.backward(self.forward(b))
+            # one unpadded tile, one right-hand side: two matrix-vector
+            # products, no staging copies (a product with one column reads
+            # its rows the same way from any layout)
+            Dinv = self._Dinv[:, 0]
+            with self._errstate():
+                x = xp.matmul(
+                    xp.transpose_last2(Dinv), xp.matmul(Dinv, b3)
+                )
+            return x[:, :, 0] if squeeze else x
         return self.backward(self.forward(b))
 
     # -- flop meters (per lane; every lane shares one structure) ----------
@@ -486,7 +535,7 @@ def robust_factor_batch(
     A,
     reg: float,
     band: Optional[int] = None,
-    attempts: int = 16,
+    attempts: int = LADDER_ATTEMPTS,
     backend=None,
     active=None,
 ):
@@ -519,11 +568,13 @@ def robust_factor_batch(
     if active is not None:
         hopeless = hopeless | ~active
     for _ in range(attempts - 1):
+        if not (xp.is_device or factor._suppress):
+            break  # every lane factored (host): nothing to retry
         failed = ~factor.ok & ~hopeless
         if not bool(xp.scalar(xp.any(failed))):
             break
         retries[failed] = retries[failed] + 1
-        current[failed] = xp.maximum(current[failed] * 100.0, 1e-12)
+        current[failed] = _escalate(xp, current[failed])
         sub = BatchCholeskyFactor(
             A[failed], band=band, reg=current[failed], backend=xp
         )
@@ -537,3 +588,41 @@ def robust_factor_batch(
         # the ladder fully repaired is healthy again and must stay audible.
         factor._refresh_suppress()
     return factor, current, retries
+
+
+def robust_diag_factor_batch(
+    d,
+    reg: float,
+    attempts: int = LADDER_ATTEMPTS,
+    backend=None,
+    active=None,
+):
+    """:func:`robust_factor_batch` of a diagonal matrix, given as its
+    ``(B, n)`` diagonal: the pivots of ``n`` blocks of ``1 x 1`` and the same
+    per-lane ladder (escalation, fail-fast on non-finite lanes, no retry
+    for ``active=False`` lanes, one host scalar per attempt), with no
+    factor object around them.  Lane for lane, ``inv``, ``ok``, ``reg_used``
+    and ``retries`` equal ``robust_factor_batch(A, reg, band=0)``'s on
+    ``A = diag(d)``.
+
+    Returns ``(inv, ok, reg_used, retries)``; ``inv`` holds the reciprocal
+    pivots ``1 / sqrt(d + reg_used)``, so ``L^-1 b = inv * b``.
+    """
+    xp = get_backend(backend)
+    lanes = int(d.shape[0])
+    current = xp.full((lanes,), float(reg))
+    retries = xp.zeros((lanes,), dtype="int")
+    finite = xp.all(xp.isfinite(d), axis=1)
+    _piv, inv, ok = _diag_pivots(xp, d, finite, xp.where(finite, current, 0.0))
+    ok = ok & finite
+    hopeless = ~finite if active is None else ~finite | ~active
+    for _ in range(attempts - 1):
+        failed = ~ok & ~hopeless
+        if not bool(xp.scalar(xp.any(failed))):
+            break
+        retries = retries + xp.astype(failed, "int")
+        current = xp.where(failed, _escalate(xp, current), current)
+        _piv, retry_inv, retry_ok = _diag_pivots(xp, d, finite, current)
+        inv = xp.where(failed[:, None], retry_inv, inv)
+        ok = xp.where(failed, retry_ok, ok)
+    return inv, ok, current, retries

@@ -77,7 +77,7 @@ from repro.mpc.qp import (
 )
 
 from .backend import HOST, ArrayBackend, get_backend
-from .linalg import robust_factor_batch
+from .linalg import LADDER_ATTEMPTS, robust_diag_factor_batch, robust_factor_batch
 
 __all__ = ["BatchQPStats", "BatchQPResult", "solve_qp_batch"]
 
@@ -168,17 +168,25 @@ def _maxabs(xp: ArrayBackend, M):
     return xp.max(xp.abs(xp.reshape(M, (lanes, cols))), axis=1)
 
 
+def _pair(xp: ArrayBackend, a, b):
+    """Two ``(B, k)`` stacks side by side, ``(B, 2, k)``."""
+    lanes, k = int(a.shape[0]), int(a.shape[1])
+    return xp.reshape(xp.concatenate([a, b], axis=1), (lanes, 2, k))
+
+
 def _max_step_batch(xp: ArrayBackend, v, dv):
-    """Per-lane fraction-to-the-boundary step (batched ``_max_step``).
+    """Per-lane fraction-to-the-boundary step (batched ``_max_step``) of
+    ``(B, ..., k)`` stacks, over the last axis — ``s`` and ``lam`` take
+    theirs as one :func:`_pair`.
 
     A dummy denominator stands in where ``dv >= 0``, so no divide-by-zero
     is ever issued whatever the backend's warning policy.
     """
-    if int(dv.shape[1]) == 0:
-        return xp.ones((int(dv.shape[0]),))
+    if int(dv.shape[-1]) == 0:
+        return xp.ones(tuple(dv.shape)[:-1])
     neg = dv < 0.0
     ratio = xp.where(neg, (0.0 - v) / xp.where(neg, dv, -1.0), _INF)
-    a = xp.min(ratio, axis=1)
+    a = xp.min(ratio, axis=-1)
     return xp.minimum(1.0, xp.where(xp.isfinite(a), a, 1.0))
 
 
@@ -220,21 +228,30 @@ def _decode_lanes(status_h, rows_h):
 
 class _LaneMeters:
     """Backend-resident per-lane :class:`QPStats` accumulators, downloaded
-    once after the loop; wall times are batch totals, shared out by each
-    lane's factorization count."""
+    once after the loop.  Every iteration factors ``Phi`` and (with
+    equality rows) ``S`` with per-solve constant costs, so the loop counts
+    each lane's factorizations of either kind and the epilogue multiplies
+    them by the step's meter constants (:class:`_LaneKKT`); wall times are
+    batch totals, shared out by each lane's factorization count."""
 
     def __init__(self, xp: ArrayBackend, lanes: int) -> None:
-        self.factz = xp.zeros((lanes,), dtype="int")
-        self.banded = xp.zeros((lanes,), dtype="int")
-        self.flops = xp.zeros((lanes,), dtype="int")
-        self.subflops = xp.zeros((lanes,), dtype="int")
+        self.xp = xp
+        #: factorizations of Phi / of S on each lane (the lanes each left
+        #: alive)
+        self.n_phi = xp.zeros((lanes,), dtype="int")
+        self.n_schur = xp.zeros((lanes,), dtype="int")
         self.retries = xp.zeros((lanes,), dtype="int")
         self.regmax = xp.zeros((lanes,))
         self.factor_time = 0.0
         self.sub_time = 0.0
-        #: the lanes the last factorization left alive, as ints — the
-        #: lanes a substitution is metered on
-        self.aiv = None
+
+    def factored(self, alive, retries, reg_used):
+        """Meter one factorization's ladder on the lanes it left
+        ``alive``; returns them as ints, for the caller's count."""
+        xp = self.xp
+        self.retries = self.retries + retries
+        self.regmax = xp.maximum(self.regmax, xp.where(alive, reg_used, 0.0))
+        return xp.astype(alive, "int")
 
 
 class _LaneKKT:
@@ -242,86 +259,105 @@ class _LaneKKT:
 
     :meth:`factor` takes the iteration's scaling ``w`` (``None`` without
     inequalities) and the active mask, factors ``Phi`` and the Schur
-    complement ``S = G Phi^-1 G^T`` through :func:`robust_factor_batch`
-    (the per-lane retry ladder) and returns the lanes still alive;
+    complement ``S = G Phi^-1 G^T`` (the per-lane retry ladder of
+    :func:`robust_factor_batch`) and returns the lanes still alive;
     :meth:`solve` then answers the saddle system
 
         [Phi  G^T] [dx ]   [rhs1]
         [G    0  ] [dnu] = [-re ]
 
-    for the predictor and the corrector.  The three subclasses are the
-    scalar solver's three steps (:mod:`repro.mpc.qp`), lane-parallel, and
-    meter the same :class:`QPStats` counters per lane.
+    for the predictor and the corrector (``newtons`` solves an iteration).
+    The three subclasses are the scalar solver's three steps
+    (:mod:`repro.mpc.qp`), lane-parallel, and meter the same
+    :class:`QPStats` counters per lane through per-solve constants: the
+    flops of one ``Phi`` / ``S`` factorization and whether it is banded,
+    and the substitution flops of one iteration on the lanes ``Phi`` left
+    alive (``phi_sub``) and on those the last factorization left alive
+    (``final_sub``).
     """
 
-    def __init__(self, xp, reg, ladder, meters: _LaneMeters) -> None:
-        self.xp, self.reg, self.ladder, self.meters = xp, reg, ladder, meters
+    phi_flops = schur_flops = phi_sub = final_sub = 0
+    phi_banded = schur_banded = False
 
-    def _factor(self, A, band, active, flops=None):
-        """One metered :func:`robust_factor_batch` call; returns the factor
-        and the lanes that are active and factored."""
-        xp, mt = self.xp, self.meters
+    def __init__(self, xp, reg, attempts, meters, G, newtons) -> None:
+        self.xp, self.reg, self.attempts, self.meters = xp, reg, attempts, meters
+        self.G, self.newtons = G, newtons
+
+    def _factor(self, A, band, active):
+        """One :func:`robust_factor_batch` call; returns the factor, the
+        lanes that are active and factored, and those as ints."""
+        mt = self.meters
         t0 = perf_counter()
         factor, reg_used, retries = robust_factor_batch(
-            A, self.reg, band, backend=xp, active=active, **self.ladder
+            A, self.reg, band, self.attempts, backend=self.xp, active=active
         )
         mt.factor_time += perf_counter() - t0
         alive = active & factor.ok
-        aiv = mt.aiv = xp.astype(alive, "int")
-        mt.factz = mt.factz + aiv
-        if factor.banded:
-            mt.banded = mt.banded + aiv
-        flops = factor.factor_flops() if flops is None else flops
-        mt.flops = mt.flops + aiv * flops
-        mt.retries = mt.retries + retries
-        mt.regmax = xp.maximum(mt.regmax, xp.where(alive, reg_used, 0.0))
-        return factor, alive
+        return factor, alive, mt.factored(alive, retries, reg_used)
 
-    def _apply(self, op, rhs, flops):
-        """``op(rhs)``, metered as ``flops`` per factored lane."""
+    def _factor_schur(self, S, band, active):
+        """Factor ``S`` on the lanes ``Phi`` left ``active``, counted."""
         mt = self.meters
+        self.schur, alive, aiv = self._factor(S, band, active)
+        mt.n_schur = mt.n_schur + aiv
+        self.schur_flops = self.schur.factor_flops()
+        self.schur_banded = self.schur.banded
+        return alive
+
+    def _apply(self, op, rhs):
+        """``op(rhs)``, timed as a substitution."""
         t = perf_counter()
         out = op(rhs)
-        mt.sub_time += perf_counter() - t
-        mt.subflops = mt.subflops + mt.aiv * flops
+        self.meters.sub_time += perf_counter() - t
         return out
 
     def _schur_solve(self, rhs):
-        return self._apply(
-            self.schur.solve, rhs[:, :, None], self.schur.solve_flops(1)
-        )[:, :, 0]
+        return self._apply(self.schur.solve, rhs[:, :, None])[:, :, 0]
+
+    def meter_totals(self, n_phi, n_schur):
+        """Per-lane ``(factorizations, banded, factor flops, substitute
+        flops)`` of ``n_phi`` / ``n_schur`` factorizations (host ints)."""
+        final = n_phi if self.G is None else n_schur
+        return (
+            n_phi + n_schur,
+            n_phi * int(self.phi_banded) + n_schur * int(self.schur_banded),
+            n_phi * self.phi_flops + n_schur * self.schur_flops,
+            n_phi * self.phi_sub + final * self.final_sub,
+        )
 
 
 class _DenseLaneKKT(_LaneKKT):
     """``Phi = H + J^T W J`` formed whole and ``S = G (Phi^-1 G^T)``: the
     step without a band hint, and the oracle of the other two."""
 
-    def __init__(self, xp, reg, ladder, meters, H, G, Gt, J, Jt) -> None:
-        super().__init__(xp, reg, ladder, meters)
-        self.H, self.G, self.Gt, self.J, self.Jt = H, G, Gt, J, Jt
+    def __init__(self, xp, reg, attempts, meters, H, G, Gt, J, Jt, newtons):
+        super().__init__(xp, reg, attempts, meters, G, newtons)
+        self.H, self.Gt, self.J, self.Jt = H, Gt, J, Jt
 
     def factor(self, w, active):
-        xp = self.xp
+        xp, mt = self.xp, self.meters
         with xp.errstate():
             Phi = self.H
             if w is not None:
                 Phi = Phi + xp.matmul(self.Jt * w[:, None, :], self.J)
-        self.phi, alive = self._factor(Phi, None, active)
+        phi, alive, aiv = self._factor(Phi, None, active)
+        mt.n_phi = mt.n_phi + aiv
+        self.phi = phi
+        self.phi_flops = phi.factor_flops()
+        per_solve = phi.solve_flops(1)
         if self.G is not None:
             with xp.errstate():
-                self.PhiInv_Gt = self._apply(
-                    self.phi.solve, self.Gt,
-                    self.phi.solve_flops(int(self.Gt.shape[2])),
-                )
+                self.PhiInv_Gt = self._apply(phi.solve, self.Gt)
                 S = xp.matmul(self.G, self.PhiInv_Gt)
-            self.schur, alive = self._factor(S, None, alive)
+            alive = self._factor_schur(S, None, alive)
+            self.phi_sub = phi.solve_flops(int(self.Gt.shape[2]))
+            per_solve += self.schur.solve_flops(1)
+        self.final_sub = self.newtons * per_solve
         return alive
 
     def solve(self, rhs1, re):
         xp = self.xp
-        t = self._apply(
-            self.phi.solve, rhs1[:, :, None], self.phi.solve_flops(1)
-        )[:, :, 0]
+        t = self._apply(self.phi.solve, rhs1[:, :, None])[:, :, 0]
         if self.G is None:
             return t, None
         dnu = self._schur_solve(_bmv(xp, self.G, t) + re)
@@ -331,53 +367,67 @@ class _DenseLaneKKT(_LaneKKT):
 class _DiagLaneKKT(_LaneKKT):
     """The hinted step when ``Phi`` is diagonal (an envelope of band 0):
     ``diag(Phi) = diag(H) + (J o J)^T w`` — no ``n x n`` product — is
-    factored as ``n`` blocks of ``1 x 1``, ``V = diag(Phi)^-1/2 G^T`` and
-    ``S = V^T V`` is factored banded at the structural band of ``|G| |G|^T``
-    (when within the hint).  The step is ``dnu = S^-1 (V^T L^-1 rhs1 + re)``,
-    ``dx = Phi^-1 (rhs1 - G^T dnu)``."""
+    factored in place as ``n`` blocks of ``1 x 1``
+    (:func:`robust_diag_factor_batch`: the reciprocal pivots ``r``, no
+    factor object), ``V = r o G^T`` and ``S = V^T V`` is factored banded at
+    the structural band of ``|G| |G|^T`` (when within the hint).  The step
+    is ``dnu = S^-1 (V^T (r o rhs1) + re)``, ``dx = r o (r o (rhs1 -
+    G^T dnu))``."""
 
-    def __init__(self, xp, reg, ladder, meters, H, G, Gt, J, s_band) -> None:
-        super().__init__(xp, reg, ladder, meters)
+    phi_banded = True  # n blocks of 1 x 1, as the block-mode factor counts
+
+    def __init__(self, xp, reg, attempts, meters, H, G, Gt, J, s_band, newtons):
+        super().__init__(xp, reg, attempts, meters, G, newtons)
         lanes, n = int(H.shape[0]), int(H.shape[1])
         diag = xp.arange(n) * (n + 1)
         self.diag_H = xp.take(xp.reshape(H, (lanes, n * n)), diag, axis=1)
         self.J2t = None if J is None else xp.transpose_last2(J * J)
-        self.G, self.Gt, self.s_band = G, Gt, s_band
-        self.factor_flops = n * sum(flop_counts_cholesky(1).values())
-        self.tri_flops = n * sum(flop_counts_substitution(1).values())
+        self.Gt, self.s_band = Gt, s_band
+        self.phi_flops = n * sum(flop_counts_cholesky(1).values())
+        self.tri = n * sum(flop_counts_substitution(1).values())
+        if G is None:
+            self.final_sub = newtons * 2 * self.tri
+        else:
+            self.phi_sub = int(Gt.shape[2]) * self.tri
 
     def factor(self, w, active):
-        xp = self.xp
+        xp, mt = self.xp, self.meters
+        t0 = perf_counter()
         with xp.errstate():
             d = self.diag_H
             if w is not None:
                 d = d + _bmv(xp, self.J2t, w)
-        self.phi, alive = self._factor(
-            d[:, :, None, None], None, active, self.factor_flops
+        r, ok, reg_used, retries = robust_diag_factor_batch(
+            d, self.reg, self.attempts, backend=xp, active=active
         )
-        if self.G is not None:
-            p = int(self.Gt.shape[2])
-            with xp.errstate():
-                self.V = self._apply(
-                    self.phi.forward, self.Gt[:, :, None, :],
-                    p * self.tri_flops,
-                )[:, :, 0, :]
-                S = xp.matmul(xp.transpose_last2(self.V), self.V)
-                S = 0.5 * (S + xp.transpose_last2(S))
-            self.schur, alive = self._factor(S, self.s_band, alive)
+        mt.factor_time += perf_counter() - t0
+        alive = active & ok
+        mt.n_phi = mt.n_phi + mt.factored(alive, retries, reg_used)
+        self.r = r
+        if self.G is None:
+            return alive
+        with xp.errstate():
+            V = (r[:, :, None, None] * self.Gt[:, :, None, :])[:, :, 0, :]
+            self.Vt = xp.transpose_last2(V)
+            S = xp.matmul(self.Vt, V)
+            S = 0.5 * (S + xp.transpose_last2(S))
+        alive = self._factor_schur(S, self.s_band, alive)
+        self.final_sub = self.newtons * (
+            3 * self.tri + self.schur.solve_flops(1)
+        )
         return alive
 
     def solve(self, rhs1, re):
-        xp, F, tri = self.xp, self.phi, self.tri_flops
-        r1 = rhs1[:, :, None]
+        xp, r = self.xp, self.r
+        t = perf_counter()
         if self.G is None:
-            return self._apply(F.solve, r1, 2 * tri)[:, :, 0], None
-        y = self._apply(F.forward, r1, tri)[:, :, 0]
-        dnu = self._schur_solve(
-            _bmv(xp, xp.transpose_last2(self.V), y) + re
-        )
-        r2 = (rhs1 - _bmv(xp, self.Gt, dnu))[:, :, None]
-        return self._apply(F.solve, r2, 2 * tri)[:, :, 0], dnu
+            dx, dnu = r * (r * rhs1), None
+        else:
+            rhs2 = _bmv(xp, self.Vt, r * rhs1) + re
+            dnu = self.schur.solve(rhs2[:, :, None])[:, :, 0]
+            dx = r * (r * (rhs1 - _bmv(xp, self.Gt, dnu)))
+        self.meters.sub_time += perf_counter() - t
+        return dx, dnu
 
 
 class _StageLaneKKT(_LaneKKT):
@@ -394,10 +444,13 @@ class _StageLaneKKT(_LaneKKT):
     ``xp.take`` on the lane-major layout, so a lane's arithmetic does not
     depend on how many lanes ride with it."""
 
-    def __init__(self, xp, reg, ladder, meters, H, G, J, layout, s_band):
-        super().__init__(xp, reg, ladder, meters)
+    phi_banded = True  # block mode
+
+    def __init__(self, xp, reg, attempts, meters, H, G, J, layout, s_band,
+                 newtons):
+        super().__init__(xp, reg, attempts, meters, G, newtons)
         self.lanes = int(H.shape[0])
-        self.factor_flops = layout.factor_flops
+        self.phi_flops = layout.factor_flops
         self.tri_flops = layout.tri_flops
         self.s_band = s_band
         cols = layout.cols
@@ -416,8 +469,9 @@ class _StageLaneKKT(_LaneKKT):
             self.jrows = xp.from_host(jrows, dtype="int")
             self.J = self._blocks(J, jrows[:, :, None], cols[:, None, :])
             self.Jt = xp.transpose_last2(self.J)
-        self.G = None
-        if G is not None:
+        if G is None:
+            self.final_sub = newtons * 2 * self.tri_flops
+        else:
             grows = layout.grows
             self.p, self.q = int(G.shape[1]), int(grows.shape[1])
             self.grows = xp.from_host(grows, dtype="int")
@@ -428,6 +482,7 @@ class _StageLaneKKT(_LaneKKT):
             self.r_gather = xp.from_host(
                 _sum_gathers(grows, self.p), dtype="int"
             )
+            self.phi_sub = self.q * self.tri_flops
 
     def _blocks(self, A, rows, cols):
         """``A[:, rows, cols]`` of the zero-bordered ``(B, r, c)`` stack
@@ -459,70 +514,160 @@ class _StageLaneKKT(_LaneKKT):
         return out
 
     def factor(self, w, active):
-        xp = self.xp
+        xp, mt = self.xp, self.meters
         with xp.errstate():
             Phi = self.block_H
             if w is not None:
                 wk = self._gather(w, self.jrows)
                 Phi = Phi + xp.matmul(self.Jt * wk[:, :, None, :], self.J)
-        self.phi, alive = self._factor(Phi, None, active, self.factor_flops)
+        self.phi, alive, aiv = self._factor(Phi, None, active)
+        mt.n_phi = mt.n_phi + aiv
         if self.G is not None:
             p = self.p
             with xp.errstate():
-                self.V = self._apply(
-                    self.phi.forward, self.G, self.q * self.tri_flops
-                )
+                self.V = self._apply(self.phi.forward, self.G)
                 W = xp.matmul(xp.transpose_last2(self.V), self.V)
                 S = xp.reshape(self._sum(W, self.s_gather), (self.lanes, p, p))
                 S = 0.5 * (S + xp.transpose_last2(S))
-            self.schur, alive = self._factor(S, self.s_band, alive)
+            alive = self._factor_schur(S, self.s_band, alive)
+            self.final_sub = self.newtons * (
+                3 * self.tri_flops + self.schur.solve_flops(1)
+            )
         return alive
 
     def solve(self, rhs1, re):
-        xp, F, tri = self.xp, self.phi, self.tri_flops
+        xp, F = self.xp, self.phi
         r1 = self._gather(rhs1, self.cols)
         if self.G is None:
-            dx = self._apply(F.solve, r1, 2 * tri)
+            dx = self._apply(F.solve, r1)
         else:
-            y = self._apply(F.forward, r1, tri)
+            y = self._apply(F.forward, r1)
             Vty = xp.matmul(y[:, :, None, :], self.V)[:, :, 0, :]
             dnu = self._schur_solve(self._sum(Vty, self.r_gather) + re)
             Gt_dnu = xp.matmul(
                 self.G, self._gather(dnu, self.grows)[:, :, :, None]
             )[:, :, :, 0]
-            dx = self._apply(F.solve, r1 - Gt_dnu, 2 * tri)
+            dx = self._apply(F.solve, r1 - Gt_dnu)
         dx = xp.take(xp.reshape(dx, (self.lanes, -1)), self.real, axis=1)
         return dx, (None if self.G is None else dnu)
 
 
-def _lane_kkt(kkt_args, H, G, Gt, J, Jt, bandwidth):
+#: lane-envelope structure reads, keyed on the envelope's nonzero pattern
+#: (see :func:`_lane_structure`); cleared when it reaches its bound
+_STRUCTURES: Dict[tuple, tuple] = {}
+_STRUCTURES_MAX = 64
+
+
+def _lane_rows(xp: ArrayBackend, arrays):
+    """``(data, shapes)``: each lane's ``arrays`` (``(B, ...)`` stacks)
+    side by side in one ``(B, total)`` row, and their trailing shapes."""
+    lanes = int(arrays[0].shape[0])
+    shapes = [tuple(int(v) for v in tuple(M.shape)[1:]) for M in arrays]
+    data = xp.concatenate(
+        [xp.reshape(M, (lanes, _size(shape))) for M, shape in zip(arrays, shapes)],
+        axis=1,
+    )
+    return data, shapes
+
+
+def _split_rows(xp: ArrayBackend, data, shapes):
+    """``data``'s consecutive column runs, each viewed as
+    ``(B,) + shape`` for its entry of ``shapes``."""
+    lanes, out, at = int(data.shape[0]), [], 0
+    for shape in shapes:
+        k = _size(shape)
+        out.append(xp.reshape(data[:, at : at + k], (lanes,) + shape))
+        at += k
+    return out
+
+
+def _size(shape) -> int:
+    k = 1
+    for dim in shape:
+        k *= int(dim)
+    return k
+
+
+def _lane_structure(env_H, env_J, env_G):
+    """``(bounds, phi_band, s_diag_band, layout)`` of a lane envelope —
+    ``max |H|``, ``max |J|``, ``max |G|`` over the lanes, host arrays
+    (``None`` without rows of that kind).
+
+    Everything here is read from the envelope's nonzero pattern — the
+    block partition, ``Phi``'s band, the stage layout, and ``S``'s
+    structural band (``|G| |G|^T`` taken over the pattern) — so it is
+    memoized on that pattern: the QPs of one SQP solve, and every solve of
+    a padded binding, share one pattern and read it once.  A pure function
+    of the pattern, so no plan depends on which solve ran first.
+    ``s_diag_band`` is set when ``Phi`` is diagonal, ``layout`` otherwise.
+    """
+    nz_H = env_H != 0
+    nz_J = None if env_J is None else env_J != 0
+    nz_G = None if env_G is None else env_G != 0
+    key = tuple(
+        None if nz is None else (nz.shape, nz.tobytes())
+        for nz in (nz_H, nz_J, nz_G)
+    )
+    hit = _STRUCTURES.get(key)
+    if hit is not None:
+        return hit
+    n = int(nz_H.shape[0])
+    bounds, phi_band = block_partition(nz_H, nz_J)
+    s_diag_band = layout = None
+    if phi_band == 0:
+        s_diag_band = 0 if nz_G is None else _diag_schur_band(nz_G * 1.0)
+    else:
+        layout = _stage_layout(n, nz_G, nz_J, bounds)
+    if len(_STRUCTURES) >= _STRUCTURES_MAX:
+        _STRUCTURES.clear()
+    hit = _STRUCTURES[key] = (bounds, phi_band, s_diag_band, layout)
+    return hit
+
+
+def _lane_kkt(kkt_args, data, shapes, H, finite, G, Gt, J, Jt, bandwidth,
+              newtons):
     """The lockstep loop's KKT step — the scalar ``make_kkt``, lane-wide.
 
-    ``kkt_args`` is ``(xp, reg, ladder, meters)``; ``G`` / ``J`` are
-    ``None`` without rows of that kind.  Without a band hint the step is
+    ``kkt_args`` is ``(xp, reg, attempts, meters)``; ``data`` holds every
+    lane's sanitized ``(H, g, G, b, J, d)`` as one row (of those
+    ``shapes``), ``H`` is the caller's and ``finite`` the lanes kept;
+    ``G`` / ``J`` are ``None`` without rows of that kind; ``newtons`` is the
+    number of Newton solves per iteration.  Without a band hint the step is
     dense.  With one, the structure is read once, from the lane envelope
-    (one constant download; sanitized failed lanes contribute zeros):
-    ``Phi``'s block partition and band, and ``S``'s structural band, which
-    is factored banded when within the hint.  Returns ``(kkt, phi_band,
-    s_band)``, the bands ``None`` where not measured or not used.
+    (``max |data|`` over the lanes, one constant download; sanitized
+    failed lanes contribute zeros; the read itself is
+    :func:`_lane_structure`'s): ``Phi``'s block partition and band, and
+    ``S``'s structural band, which is factored banded when within the
+    hint.  Returns ``(kkt, phi_band, s_band)``, the bands ``None`` where
+    not measured or not used; ``kkt.H`` is the sanitized ``H`` the
+    residual multiplies — in the caller's memory layout, where ``H x``
+    sums in a layout-dependent order, and read from ``data`` when ``H`` is
+    diagonal (one nonzero term a row: any order gives the same bits).
     """
     xp = kkt_args[0]
     n = int(H.shape[1])
+    if bandwidth is not None and n:
+        env = xp.to_host(xp.max(xp.abs(data), axis=0))
+        env_H, _g, env_G, _b, env_J, _d = _split_rows(HOST, env[None], shapes)
+        _bounds, phi_band, s_diag_band, layout = _lane_structure(
+            env_H[0],
+            None if J is None else env_J[0],
+            None if G is None else env_G[0],
+        )
+        if phi_band == 0:
+            s_band = s_diag_band if s_diag_band <= bandwidth else None
+            H = _split_rows(xp, data, shapes[:1])[0]
+            kkt = _DiagLaneKKT(*kkt_args, H, G, Gt, J, s_band, newtons)
+            kkt.H = H
+            return kkt, phi_band, s_band
+    H = xp.where(finite[:, None, None], H, 0.0)
     if bandwidth is None or not n:
-        return _DenseLaneKKT(*kkt_args, H, G, Gt, J, Jt), None, None
-    parts = [xp.max(xp.abs(M), axis=0) for M in (H, J, G) if M is not None]
-    env = xp.to_host(xp.concatenate(parts, axis=0))
-    m = 0 if J is None else int(J.shape[1])
-    env_J = None if J is None else env[n : n + m]
-    env_G = None if G is None else env[n + m :]
-    bounds, phi_band = block_partition(env[:n], env_J)
-    if phi_band == 0:
-        band = 0 if G is None else _diag_schur_band(env_G)
-        s_band = band if band <= bandwidth else None
-        return _DiagLaneKKT(*kkt_args, H, G, Gt, J, s_band), phi_band, s_band
-    layout = _stage_layout(n, env_G, env_J, bounds)
+        kkt = _DenseLaneKKT(*kkt_args, H, G, Gt, J, Jt, newtons)
+        return kkt, None, None
     s_band = layout.schur_band if layout.schur_band <= bandwidth else None
-    return _StageLaneKKT(*kkt_args, H, G, J, layout, s_band), phi_band, s_band
+    kkt = _StageLaneKKT(*kkt_args, H, G, J, layout, s_band, newtons)
+    kkt.H = H
+    return kkt, phi_band, s_band
 
 
 def _append_zero(xp: ArrayBackend, v):
@@ -559,7 +704,7 @@ def solve_qp_batch(
     opt = options or QPOptions()
     xp = get_backend(backend)
     # The two backend-derived values (see the module docstring).
-    ladder = {"attempts": 1} if xp.is_device else {}
+    attempts = 1 if xp.is_device else LADDER_ATTEMPTS
     exit_check = sync_interval if xp.is_device else 1
 
     H = xp.asarray(H)
@@ -583,28 +728,22 @@ def solve_qp_batch(
     p, m = int(G.shape[1]), int(J.shape[1])
     has_eq, has_in = p > 0, m > 0
 
-    # Per-lane non-finite data fails fast (scalar raises SolverError; in a
-    # batch the lane freezes as "failed" so its mates keep solving).
-    lane_finite = (
-        xp.all(xp.isfinite(H), axis=(1, 2))
-        & xp.all(xp.isfinite(g), axis=1)
-        & xp.all(xp.isfinite(xp.reshape(G, (lanes, -1))), axis=1)
-        & xp.all(xp.isfinite(b), axis=1)
-        & xp.all(xp.isfinite(xp.reshape(J, (lanes, -1))), axis=1)
-        & xp.all(xp.isfinite(d), axis=1)
-    )
-    # Sanitize failed lanes' data so lockstep arithmetic on them stays
-    # bounded; their state is frozen at zeros and never published.
-    lf3 = lane_finite[:, None, None]
-    lf2 = lane_finite[:, None]
-    H = xp.where(lf3, H, 0.0)
-    g = xp.where(lf2, g, 0.0)
+    # Every datum of a lane in one row: one finiteness scan, one sanitize
+    # and, on a hinted solve, one envelope.  Per-lane non-finite data fails
+    # fast (scalar raises SolverError; in a batch the lane freezes as
+    # "failed" so its mates keep solving), and failed lanes' data is zeroed
+    # so lockstep arithmetic on them stays bounded; their state is frozen
+    # at zeros and never published.  The matmul operands are sanitized in
+    # the caller's memory layout instead (a batched matmul sums in a
+    # layout-dependent order); H is chosen with the step (_lane_kkt).
+    data, shapes = _lane_rows(xp, (H, g, G, b, J, d))
+    lane_finite = xp.all(xp.isfinite(data), axis=1)
+    data = xp.where(lane_finite[:, None], data, 0.0)
+    _H, g, _G, b, _J, d = _split_rows(xp, data, shapes)
     if has_eq:
-        G = xp.where(lf3, G, 0.0)
-        b = xp.where(lf2, b, 0.0)
+        G = xp.where(lane_finite[:, None, None], G, 0.0)
     if has_in:
-        J = xp.where(lf3, J, 0.0)
-        d = xp.where(lf2, d, 0.0)
+        J = xp.where(lane_finite[:, None, None], J, 0.0)
     Gt = xp.transpose_last2(G)
     Jt = xp.transpose_last2(J)
 
@@ -635,15 +774,21 @@ def solve_qp_batch(
     mu_rows: List[object] = []
 
     meters = _LaneMeters(xp, lanes)
-    lane_iter_acc = xp.sum(xp.zeros((1,), dtype="int"))
+    lane_work = xp.zeros((lanes,), dtype="int")
     bstats = BatchQPStats()
 
     kkt, phi_band, s_band = _lane_kkt(
-        (xp, opt.regularization, ladder, meters),
-        H, G if has_eq else None, Gt, J if has_in else None, Jt, bandwidth,
+        (xp, opt.regularization, attempts, meters),
+        data, shapes, H, lane_finite, G if has_eq else None, Gt,
+        J if has_in else None, Jt, bandwidth, 2 if has_in else 1,
     )
+    H = kkt.H
 
     sfloor = _SLACK_FLOOR
+    # per-solve constants of the status chain
+    tol_scale = opt.tolerance * scale
+    lam_cap = _LAM_DIVERGENCE * scale
+    cap_code = xp.where(budget_capped, _BUDGET, _MAXIT)
 
     for it in range(1, global_max + 2):
         eval_active = status == _ACTIVE
@@ -662,36 +807,35 @@ def solve_qp_batch(
                 if has_in
                 else xp.zeros((lanes,))
             )
-            res = _maxabs(xp, r_dual)
+            parts = [r_dual]
             if has_eq:
-                res = xp.maximum(res, _maxabs(xp, r_eq))
+                parts.append(r_eq)
             if has_in:
-                res = xp.maximum(res, _maxabs(xp, r_in))
-            res = res + mu
+                parts.append(r_in)
+            if len(parts) > 1:
+                parts = [xp.concatenate(parts, axis=1)]
+            res = _maxabs(xp, parts[0]) + mu
 
         residual = xp.where(eval_active, res, residual)
         mu_rows.append(xp.where(eval_active, mu, _NAN))
 
-        # Classification ladder, scalar order: cap / converged / diverged.
+        # Classification ladder, scalar order: cap / converged / diverged
+        # (exclusive), folded into one status and one iteration update.
         over_cap = eval_active & (it > caps)
-        conv = eval_active & ~over_cap & (res < opt.tolerance * scale)
+        live = eval_active & ~over_cap
+        conv = live & (res < tol_scale)
+        bad = ~xp.isfinite(res)
         if has_in:
-            lam_blow = xp.max(lam, axis=1) > _LAM_DIVERGENCE * scale
-        else:
-            lam_blow = xp.zeros((lanes,), dtype="bool")
-        div = (
-            eval_active
-            & ~over_cap
-            & ~conv
-            & (~xp.isfinite(res) | lam_blow)
-        )
+            bad = bad | (xp.max(lam, axis=1) > lam_cap)
+        div = live & ~conv & bad
+        stop = over_cap | conv | div
         status = xp.where(
-            over_cap, xp.where(budget_capped, _BUDGET, _MAXIT), status
+            stop, xp.where(over_cap, cap_code, xp.where(conv, _CONV, _DIV)),
+            status,
         )
-        status = xp.where(conv, _CONV, status)
-        status = xp.where(div, _DIV, status)
-        iterations = xp.where(over_cap, caps, iterations)
-        iterations = xp.where(conv | div, it, iterations)
+        iterations = xp.where(
+            stop, xp.where(over_cap, caps, it), iterations
+        )
 
         # Wall-clock deadline stops every still-active lane at once (a
         # host-clock decision — no backend data is read).
@@ -702,7 +846,7 @@ def solve_qp_batch(
             deadline_hit = deadline_hit | still
             break
 
-        active = status == _ACTIVE
+        active = live & ~stop
         if exit_check and it % exit_check == 0:
             # The one host round-trip a device pays (optionally): early
             # exit for a batch that has fully frozen before the global cap.
@@ -710,51 +854,34 @@ def solve_qp_batch(
                 break
 
         bstats.iterations += 1
-        bstats.lane_slots += lanes
-        lane_iter_acc = lane_iter_acc + xp.sum(xp.astype(active, "int"))
+        lane_work = lane_work + xp.astype(active, "int")
 
-        with xp.errstate():
-            w = (
-                xp.minimum(lam / xp.maximum(s, sfloor), _W_CEIL)
-                if has_in
-                else None
-            )
+        if has_in:
+            with xp.errstate():
+                s_safe = xp.maximum(s, sfloor)
+                w = xp.minimum(lam / s_safe, _W_CEIL)
+        else:
+            w = None
         alive = kkt.factor(w, active)
         newly_failed = active & ~alive
         status = xp.where(newly_failed, _FAILED, status)
         iterations = xp.where(newly_failed, it, iterations)
 
-        def _newton(rc):
-            with xp.errstate():
-                if has_in:
-                    rhs1 = 0.0 - (
-                        r_dual
-                        + _bmv(
-                            xp,
-                            Jt,
-                            w * r_in - rc / xp.maximum(s, sfloor),
-                        )
-                    )
-                else:
-                    rhs1 = 0.0 - r_dual
-                dx, dnu = kkt.solve(rhs1, r_eq)
-                if not has_eq:
-                    dnu = nu
-                if has_in:
-                    ds = (0.0 - r_in) - _bmv(xp, J, dx)
-                    dlam = ((0.0 - rc) - lam * ds) / xp.maximum(s, sfloor)
-                else:
-                    ds = s
-                    dlam = lam
-            return dx, dnu, ds, dlam
-
         with xp.errstate():
-            # Predictor (affine scaling) step, then the centred corrector.
-            rc_aff = s * lam
-            dx_a, dnu_a, ds_a, dlam_a = _newton(rc_aff)
+            # Predictor (affine scaling) step, then the centred corrector:
+            # rhs1 = -(r_dual + J^T (w r_in - rc / s)), ds = -r_in - J dx,
+            # dlam = (-rc - lam ds) / s.
             if has_in:
-                ap_aff = _max_step_batch(xp, s, ds_a)
-                ad_aff = _max_step_batch(xp, lam, dlam_a)
+                rc = s * lam
+                rhs1 = 0.0 - (
+                    r_dual + _bmv(xp, Jt, w * r_in - rc / s_safe)
+                )
+                dx_a, dnu_a = kkt.solve(rhs1, r_eq)
+                ds_a = (0.0 - r_in) - _bmv(xp, J, dx_a)
+                dlam_a = ((0.0 - rc) - lam * ds_a) / s_safe
+                sl = _pair(xp, s, lam)
+                steps = _max_step_batch(xp, sl, _pair(xp, ds_a, dlam_a))
+                ap_aff, ad_aff = steps[:, 0], steps[:, 1]
                 mu_aff = xp.sum(
                     (s + ap_aff[:, None] * ds_a)
                     * (lam + ad_aff[:, None] * dlam_a),
@@ -763,43 +890,53 @@ def solve_qp_batch(
                 safe_mu = xp.where(mu > 0.0, mu, 1.0)
                 sigma = xp.where(mu > 0.0, (mu_aff / safe_mu) ** 3, 0.0)
                 rc = s * lam + ds_a * dlam_a - (sigma * mu)[:, None]
-                dx, dnu, ds, dlam = _newton(rc)
-                ap = xp.minimum(1.0, opt.tau * _max_step_batch(xp, s, ds))
-                ad = xp.minimum(1.0, opt.tau * _max_step_batch(xp, lam, dlam))
+                rhs1 = 0.0 - (
+                    r_dual + _bmv(xp, Jt, w * r_in - rc / s_safe)
+                )
+                dx, dnu = kkt.solve(rhs1, r_eq)
+                ds = (0.0 - r_in) - _bmv(xp, J, dx)
+                dlam = ((0.0 - rc) - lam * ds) / s_safe
+                steps = xp.minimum(
+                    1.0, opt.tau * _max_step_batch(xp, sl, _pair(xp, ds, dlam))
+                )
+                ap, ad = steps[:, 0], steps[:, 1]
             else:
-                dx, dnu, ds, dlam = dx_a, dnu_a, ds_a, dlam_a
-                ap = xp.ones((lanes,))
-                ad = xp.ones((lanes,))
+                dx, dnu = kkt.solve(0.0 - r_dual, r_eq)
 
         am = alive[:, None]
-        x = xp.where(am, x + ap[:, None] * dx, x)
-        if has_eq:
-            nu = xp.where(am, nu + ad[:, None] * dnu, nu)
         if has_in:
+            x = xp.where(am, x + ap[:, None] * dx, x)
             s = xp.where(am, s + ap[:, None] * ds, s)
+            if has_eq:
+                nu = xp.where(am, nu + ad[:, None] * dnu, nu)
             lam = xp.where(am, lam + ad[:, None] * dlam, lam)
+        else:
+            # unit step lengths
+            x = xp.where(am, x + dx, x)
+            if has_eq:
+                nu = xp.where(am, nu + dnu, nu)
 
     # ---- single bulk download: the only host materialization ----------
     x_h = xp.to_host(x)
     nu_h = xp.to_host(nu)
     s_h = xp.to_host(s)
     lam_h = xp.to_host(lam)
-    iters_h = xp.to_host(iterations)
     resid_h = xp.to_host(residual)
-    deadline_h = xp.to_host(deadline_hit)
-    factz_h = xp.to_host(meters.factz)
-    banded_h = xp.to_host(meters.banded)
-    flops_h = xp.to_host(meters.flops)
-    subflops_h = xp.to_host(meters.subflops)
-    retries_h = xp.to_host(meters.retries)
     regmax_h = xp.to_host(meters.regmax)
-    finite_h = xp.to_host(lane_finite)
-    bstats.lane_iterations = int(xp.scalar(lane_iter_acc))
+    counts = (iterations, status, meters.n_phi, meters.n_schur,
+              meters.retries, lane_work, deadline_hit, lane_finite)  # fmt: skip
+    (iters_h, status_h, n_phi, n_schur, retries_h, work_h, deadline_h,
+     finite_h) = xp.to_host(  # fmt: skip
+        xp.stack([xp.astype(v, "int") for v in counts])
+    )
+    deadline_h = deadline_h != 0
+    bstats.lane_slots = lanes * bstats.iterations
+    bstats.lane_iterations = int(work_h.sum())
     status_codes, status, converged_h, gap_history = _decode_lanes(
-        xp.to_host(status),
-        xp.to_host(xp.stack(mu_rows)) if mu_rows else None,
+        status_h, xp.to_host(xp.stack(mu_rows)) if mu_rows else None
     )
 
+    factz_h, banded_h, flops_h, subflops_h = kkt.meter_totals(n_phi, n_schur)
     total_factz = max(int(factz_h.sum()), 1)
     stats: List[QPStats] = []
     for lane in range(lanes):
@@ -813,7 +950,7 @@ def solve_qp_batch(
         share = int(factz_h[lane]) / total_factz
         st.factorize_time = meters.factor_time * share
         st.substitute_time = meters.sub_time * share
-        if phi_band is not None and bool(finite_h[lane]):
+        if phi_band is not None and finite_h[lane]:
             st.phi_bandwidth = phi_band
             if has_eq and s_band is not None:
                 st.schur_bandwidth = s_band

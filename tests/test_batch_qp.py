@@ -310,7 +310,7 @@ class TestStageStep:
         # One factor + solve at a positive scaling w: the batched step and
         # the scalar one answer the same saddle system to roundoff.
         from repro.batch.backend import HOST
-        from repro.batch.qp import _lane_kkt, _LaneMeters
+        from repro.batch.qp import _lane_kkt, _lane_rows, _LaneMeters
         from repro.mpc.banded import block_partition
         from repro.mpc.qp import QPStats, _DiagKKT, _StageKKT
 
@@ -327,9 +327,11 @@ class TestStageStep:
         dx_ref, dnu_ref = scalar.solve(rhs1, re)
 
         lift = lambda M: np.stack([M] * 3)  # noqa: E731
+        data, shapes = _lane_rows(HOST, [lift(M) for M in (H, g, G, b, J, d)])
         kkt, phi_band, _s_band = _lane_kkt(
-            (HOST, 1e-9, {}, _LaneMeters(HOST, 3)),
-            lift(H), lift(G), lift(G.T), lift(J), lift(J.T), bw,
+            (HOST, 1e-9, 16, _LaneMeters(HOST, 3)), data, shapes,
+            lift(H), np.ones(3, dtype=bool), lift(G), lift(G.T), lift(J),
+            lift(J.T), bw, 2,
         )
         assert phi_band == band
         assert type(kkt).__name__ == (

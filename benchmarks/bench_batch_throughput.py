@@ -10,11 +10,21 @@ perturbed instances of the benchmark problem cold-start through
 Reported figure of merit is solves/sec; the acceptance gate is the
 batched path at B=16 clearing 2x the scalar path on at least one robot.
 
+The B=1 rows measure what one batched lane costs against the scalar solve
+it is meant to replace (batched-lane solves/s / scalar solves/s) on
+MobileRobot N=8, CartPole N=20 and Quadrotor N=8 — timed the way the
+end-to-end harness times a tick (``benchmarks/e2e/measure.py``): each
+instance keeps its quietest reading over several replays, each replay
+normalised by the machine speed its reference kernel showed.  They are
+printed, not gated.
+
 Deliberately free of pytest-benchmark: the CI batch-smoke job runs on a
 bare numpy+pytest install, so timing is plain ``perf_counter`` over a
 fixed, seeded instance set (see conftest's randomness policy).
 """
 
+import importlib.util
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -29,6 +39,18 @@ BATCH_SIZES = (1, 4, 16, 64)
 LARGE_BATCH_SIZES = (256, 1024, 4096)
 ROBOTS = (("MobileRobot", 8), ("CartPole", 20))
 X0_NOISE = 0.02
+#: robots of the B=1 ratio rows, and their instances x replays
+B1_ROBOTS = (("MobileRobot", 8), ("CartPole", 20), ("Quadrotor", 8))
+B1_INSTANCES, B1_REPLAYS = 6, 4
+
+
+def _measure_module():
+    """``benchmarks/e2e/measure.py``, the harness's timing normalisation."""
+    path = Path(__file__).resolve().parent / "e2e" / "measure.py"
+    spec = importlib.util.spec_from_file_location("e2e_measure", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _instances(bench, problem, B, rng):
@@ -135,6 +157,58 @@ def test_batch_throughput():
     # Throughput must not collapse as B grows on the fast robot.
     mobile = [r for r in rows if r["robot"] == "MobileRobot"]
     assert mobile[-1]["batch_sps"] > mobile[0]["batch_sps"]
+
+
+def b1_ratio(robot, horizon, offset):
+    """One robot's B=1 row: quietest normalised seconds per solve of a
+    one-lane ``BatchSolver`` call and of the scalar solve, over the same
+    cold instances; the ratio is batched-lane solves/s over scalar."""
+    measure = _measure_module()
+    bench, problem, scalar, batch, ref, rng = _setup(robot, horizon, offset)
+    X0 = _instances(bench, problem, B1_INSTANCES, rng)
+    refs = [ref] if ref is not None else None
+    best = {"batch": [np.inf] * B1_INSTANCES, "scalar": [np.inf] * B1_INSTANCES}
+    for _replay in range(B1_REPLAYS):
+        kernel, raw = [], {"batch": [], "scalar": []}
+        for i in range(B1_INSTANCES):
+            measure.sample_kernel(kernel)
+            t0 = perf_counter()
+            batch.solve(X0[i : i + 1], refs=refs)
+            raw["batch"].append(perf_counter() - t0)
+            t0 = perf_counter()
+            scalar.solve(X0[i], ref=ref)
+            raw["scalar"].append(perf_counter() - t0)
+        speed = measure.machine_speed(kernel)
+        for path, times in raw.items():
+            best[path] = [min(b, t * speed) for b, t in zip(best[path], times)]
+    t_batch = sum(best["batch"]) / B1_INSTANCES
+    t_scalar = sum(best["scalar"]) / B1_INSTANCES
+    return {
+        "robot": robot,
+        "horizon": horizon,
+        "batch_ms": 1e3 * t_batch,
+        "scalar_ms": 1e3 * t_scalar,
+        "ratio": t_scalar / t_batch,
+    }
+
+
+def test_b1_lane_throughput_ratio():
+    """The B=1 rows (printed, not gated)."""
+    rows = [
+        b1_ratio(robot, horizon, 200 + offset)
+        for offset, (robot, horizon) in enumerate(B1_ROBOTS)
+    ]
+    banner("repro.batch: one batched lane vs the scalar solve (B=1)")
+    print(
+        f"{'robot':>12} {'N':>3} {'lane ms':>9} {'scalar ms':>10} "
+        f"{'ratio':>6}   (quietest of {B1_REPLAYS}, normalised ms)"
+    )
+    for r in rows:
+        print(
+            f"{r['robot']:>12} {r['horizon']:>3} {r['batch_ms']:>9.2f} "
+            f"{r['scalar_ms']:>10.2f} {r['ratio']:>6.2f}"
+        )
+    assert all(np.isfinite(r["ratio"]) and r["ratio"] > 0.0 for r in rows)
 
 
 def _qp_stack(B, rng):

@@ -77,7 +77,14 @@ when a flagged lane is actually present.  :func:`robust_factor_batch`
 wraps this with the same escalating-regularization retry ladder as
 ``repro.mpc.qp._robust_factor``, re-factoring only the failed lanes on
 each attempt; the mute is decided from the ladder's *final* ``ok``, so a
-batch whose bad lanes were all repaired is audible again.
+batch whose bad lanes were all repaired is audible again.  (On host the
+ladder's first question is that mute's: one read of ``all(ok)`` decides
+both.)  :func:`robust_diag_factor_batch` is the same ladder for a diagonal
+matrix handed over as its ``(B, n)`` diagonal — the lockstep QP loop's
+diagonal ``Φ`` — computed in place, with no factor object: it returns the
+reciprocal pivots the ``band=0`` factor would store.  The ``band=0`` row
+mode itself stays for a ``(B, n, n)`` caller, such as a Schur complement
+whose structural band is 0.
 """
 
 from __future__ import annotations
@@ -229,7 +236,7 @@ class BatchCholeskyFactor:
         finite = self.finite = xp.all(
             xp.isfinite(A), axis=tuple(range(1, A.ndim))
         )
-        self.ok = xp.copy(finite)
+        self.ok = finite  # every factor path below rebinds it, never writes
         reg_fill = xp.where(finite, reg_vec, 0.0)
         #: block mode (no sweep, no C tiles), and within it the row layout
         #: of a (B, n, n) stack factored over 1x1 blocks (band=0)
@@ -302,6 +309,8 @@ class BatchCholeskyFactor:
         npad = K * nb
         self.nb, self.K, self.npad = nb, K, npad
         eye_nb = xp.eye(nb)
+        on_diag = eye_nb > 0.0
+        reg_fill = reg_fill[:, :, None]
 
         def diag_tile(k: int):
             """Block ``(k, k)`` of the padded, regularized matrix — built
@@ -311,17 +320,17 @@ class BatchCholeskyFactor:
             w = e - s
             if w == nb:
                 T = A[:, s:e, s:e]  # the where below copies
+                real = on_diag
             else:
                 T = xp.zeros((lanes, nb, nb))
                 T[:, :w, :w] = A[:, s:e, s:e]
                 pad = xp.arange(w, nb)
                 T[:, pad, pad] = 1.0
+                real = on_diag & (xp.arange(nb) < w)  # the pad takes no reg
             # Non-finite lanes get the identity tile so their (discarded)
             # factors stay bounded; their ok flag is already off.
             T = xp.where(finite[:, None, None], T, eye_nb)
-            dd = xp.arange(w)
-            T[:, dd, dd] = T[:, dd, dd] + reg_fill
-            return T
+            return xp.where(real, T + reg_fill, T)
 
         def sub_tile(k: int):
             """Block ``(k+1, k)`` — the sub-diagonal coupling ``E_k``."""
@@ -343,19 +352,25 @@ class BatchCholeskyFactor:
             # their one definition
             factor, invert = banded.cholesky_tiles, banded.tril_inverse
 
-        D = xp.empty((lanes, K, nb, nb))
-        Dinv = xp.empty((lanes, K, nb, nb))
-        C = xp.empty((lanes, max(K - 1, 0), nb, nb))
-        M = diag_tile(0)
-        for k in range(K):
-            Lkk, okk = factor(M)
-            self.ok = self.ok & okk
-            D[:, k] = Lkk
-            Dinv[:, k] = invert(Lkk)
-            if k + 1 < K:
-                Ck = xp.matmul(sub_tile(k), xp.transpose_last2(Dinv[:, k]))
-                C[:, k] = Ck
-                M = diag_tile(k + 1) - xp.matmul(Ck, xp.transpose_last2(Ck))
+        if K == 1:  # one tile: no sweep, no couplings, no stacking
+            L, ok = factor(diag_tile(0))
+            D, Dinv = L[:, None], invert(L)[:, None]
+            C = xp.empty((lanes, 0, nb, nb))
+            self.ok = self.ok & ok
+        else:
+            D = xp.empty((lanes, K, nb, nb))
+            Dinv = xp.empty((lanes, K, nb, nb))
+            C = xp.empty((lanes, K - 1, nb, nb))
+            M = diag_tile(0)
+            for k in range(K):
+                Lkk, okk = factor(M)
+                self.ok = self.ok & okk
+                D[:, k] = Lkk
+                Dinv[:, k] = invert(Lkk)
+                if k + 1 < K:
+                    Ck = xp.matmul(sub_tile(k), xp.transpose_last2(Dinv[:, k]))
+                    C[:, k] = Ck
+                    M = diag_tile(k + 1) - xp.matmul(Ck, xp.transpose_last2(Ck))
         self._D, self._Dinv, self._C = D, Dinv, C
 
         # Overflow during the sweep can slip past the pivot checks (e.g. a
@@ -564,12 +579,14 @@ def robust_factor_batch(
     current = xp.full((lanes,), float(reg))
     retries = xp.zeros((lanes,), dtype="int")
     factor = BatchCholeskyFactor(A, band=band, reg=current, backend=xp)
-    hopeless = ~factor.finite
-    if active is not None:
-        hopeless = hopeless | ~active
+    hopeless = None
     for _ in range(attempts - 1):
         if not (xp.is_device or factor._suppress):
             break  # every lane factored (host): nothing to retry
+        if hopeless is None:
+            hopeless = ~factor.finite
+            if active is not None:
+                hopeless = hopeless | ~active
         failed = ~factor.ok & ~hopeless
         if not bool(xp.scalar(xp.any(failed))):
             break
@@ -615,6 +632,8 @@ def robust_diag_factor_batch(
     finite = xp.all(xp.isfinite(d), axis=1)
     _piv, inv, ok = _diag_pivots(xp, d, finite, xp.where(finite, current, 0.0))
     ok = ok & finite
+    if attempts == 1 or bool(xp.scalar(xp.all(ok))):
+        return inv, ok, current, retries  # no ladder, or nothing to retry
     hopeless = ~finite if active is None else ~finite | ~active
     for _ in range(attempts - 1):
         failed = ~ok & ~hopeless

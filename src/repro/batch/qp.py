@@ -33,9 +33,14 @@ body; only two *values* are read from ``xp.is_device``:
 The Newton step is the scalar solver's, lane-parallel, and is chosen the
 same way (``_lane_kkt``).  Without a band hint ``Φ = H + JᵀWJ`` is formed
 whole and ``S = G (Φ⁻¹Gᵀ)`` — the dense oracle.  With one, the structure
-is read once per solve from the lane envelope (one download): a diagonal
-``Φ`` (band 0) takes ``diag(Φ) = diag(H) + (J∘J)ᵀw`` factored as ``1 x 1``
-blocks and ``S = VᵀV`` with ``V = diag(Φ)^-½ Gᵀ``; otherwise ``Φ``'s stage
+is read once per solve from the lane envelope (one download), and the
+read is memoized on the envelope's nonzero pattern, which every QP of an
+SQP solve (and every solve of a padded binding) shares.  A diagonal ``Φ``
+(band 0 — every ``fleet-*`` lane) takes ``diag(Φ) = diag(H) + (J∘J)ᵀw``,
+factored in place: the reciprocal pivots ``r = (diag(Φ) + reg)^-½`` and
+the per-lane retry ladder, with no factor object
+(:func:`~repro.batch.linalg.robust_diag_factor_batch`); then ``V = r∘Gᵀ``,
+``S = VᵀV`` and ``dx = r∘(r∘(r₁ − Gᵀdν))``.  Otherwise ``Φ``'s stage
 blocks (:func:`repro.mpc.qp._stage_layout`) are formed by one stacked
 ``J_kᵀW_kJ_k``, factored as one ``(B, K, s, s)`` stack (block-mode
 :class:`~repro.batch.linalg.BatchCholeskyFactor`) and ``S = Σ V_kᵀV_k``
@@ -45,7 +50,28 @@ banded at its structural band when that is within the hint.  Every
 gather is an ``xp.take`` in lane-major layout, so a lane's arithmetic —
 and its iterate — does not depend on how many lanes ride with it.  Per
 lane the :class:`QPStats` meters (factorizations, flops, bandwidths, mode)
-count each iteration exactly as ``solve_qp(..., bandwidth=)`` does.
+count each iteration exactly as ``solve_qp(..., bandwidth=)`` does: the
+loop counts each lane's ``Φ`` and ``S`` factorizations and the epilogue
+multiplies them by the step's per-solve costs.
+
+One iteration is a fixed schedule of batched ops and nothing else:
+
+1. residuals ``r_d, r_e, r_i`` and ``μ`` (four matrix-vector products),
+   one max-abs over their concatenation, and one verdict per lane (cap /
+   converged / diverged) applied to the evaluated lanes as one status and
+   one iteration-count update;
+2. the scaling ``w = λ / s``, the ``Φ`` factor and ``S = VᵀV``, and ``S``'s
+   factor (one tile of LAPACK ``potrf`` plus an LU inverse on host);
+3. the predictor and the corrector solve, each one ``Jᵀ`` product, the two
+   triangular products with ``S``'s tile and the diagonal scalings; the
+   step lengths of ``s`` and ``λ`` are taken as one ``(B, 2, m)`` pair;
+4. four ``where``-masked updates of ``x, ν, s, λ``.
+
+The lane data ``(H, G, J, g, b, d)`` is read as one ``(B, total)`` row per
+lane for the finiteness scan, the sanitize and the envelope; the matmul
+operands keep the caller's memory layout (a batched product sums in a
+layout-dependent order), except a diagonal ``H``, whose products have one
+nonzero term a row.
 
 The per-iteration decision ladder (convergence check, divergence guard,
 wall-clock deadline, cap re-evaluation) runs in the scalar solver's order.
@@ -629,7 +655,7 @@ def _lane_kkt(kkt_args, data, shapes, H, finite, G, Gt, J, Jt, bandwidth,
     """The lockstep loop's KKT step — the scalar ``make_kkt``, lane-wide.
 
     ``kkt_args`` is ``(xp, reg, attempts, meters)``; ``data`` holds every
-    lane's sanitized ``(H, g, G, b, J, d)`` as one row (of those
+    lane's sanitized ``(H, G, J, g, b, d)`` as one row (of those
     ``shapes``), ``H`` is the caller's and ``finite`` the lanes kept;
     ``G`` / ``J`` are ``None`` without rows of that kind; ``newtons`` is the
     number of Newton solves per iteration.  Without a band hint the step is
@@ -648,7 +674,7 @@ def _lane_kkt(kkt_args, data, shapes, H, finite, G, Gt, J, Jt, bandwidth,
     n = int(H.shape[1])
     if bandwidth is not None and n:
         env = xp.to_host(xp.max(xp.abs(data), axis=0))
-        env_H, _g, env_G, _b, env_J, _d = _split_rows(HOST, env[None], shapes)
+        env_H, env_G, env_J = _split_rows(HOST, env[None], shapes[:3])
         _bounds, phi_band, s_diag_band, layout = _lane_structure(
             env_H[0],
             None if J is None else env_J[0],
@@ -736,10 +762,10 @@ def solve_qp_batch(
     # at zeros and never published.  The matmul operands are sanitized in
     # the caller's memory layout instead (a batched matmul sums in a
     # layout-dependent order); H is chosen with the step (_lane_kkt).
-    data, shapes = _lane_rows(xp, (H, g, G, b, J, d))
+    data, shapes = _lane_rows(xp, (H, G, J, g, b, d))
     lane_finite = xp.all(xp.isfinite(data), axis=1)
     data = xp.where(lane_finite[:, None], data, 0.0)
-    _H, g, _G, b, _J, d = _split_rows(xp, data, shapes)
+    _H, _G, _J, g, b, d = _split_rows(xp, data, shapes)
     if has_eq:
         G = xp.where(lane_finite[:, None, None], G, 0.0)
     if has_in:
@@ -756,12 +782,9 @@ def solve_qp_batch(
         s = xp.zeros((lanes, 0))
         lam = xp.zeros((lanes, 0))
 
-    scale = 1.0 + xp.minimum(
-        xp.maximum(
-            _maxabs(xp, g), xp.maximum(_maxabs(xp, b), _maxabs(xp, d))
-        ),
-        100.0,
-    )
+    # max |g|, |b|, |d| over the lane's trailing run of the rows
+    gbd = data[:, int(data.shape[1]) - (n + p + m) :]
+    scale = 1.0 + xp.minimum(_maxabs(xp, gbd), 100.0)
 
     max_it = int(opt.max_iterations)
     caps, global_max = _lane_caps(xp, lanes, max_it, iteration_caps)
@@ -802,11 +825,11 @@ def solve_qp_batch(
                 r_dual = r_dual + _bmv(xp, Jt, lam)
             r_eq = _bmv(xp, G, x) - b if has_eq else None
             r_in = _bmv(xp, J, x) + s - d if has_in else None
-            mu = (
-                xp.sum(s * lam, axis=1) / m
-                if has_in
-                else xp.zeros((lanes,))
-            )
+            if has_in:
+                slam = s * lam
+                mu = xp.sum(slam, axis=1) / m
+            else:
+                mu = xp.zeros((lanes,))
             parts = [r_dual]
             if has_eq:
                 parts.append(r_eq)
@@ -819,23 +842,20 @@ def solve_qp_batch(
         residual = xp.where(eval_active, res, residual)
         mu_rows.append(xp.where(eval_active, mu, _NAN))
 
-        # Classification ladder, scalar order: cap / converged / diverged
-        # (exclusive), folded into one status and one iteration update.
-        over_cap = eval_active & (it > caps)
-        live = eval_active & ~over_cap
-        conv = live & (res < tol_scale)
+        # Classification ladder, scalar order: cap / converged / diverged,
+        # one verdict per lane, applied to the lanes just evaluated.
+        over_cap = it > caps
         bad = ~xp.isfinite(res)
         if has_in:
             bad = bad | (xp.max(lam, axis=1) > lam_cap)
-        div = live & ~conv & bad
-        stop = over_cap | conv | div
-        status = xp.where(
-            stop, xp.where(over_cap, cap_code, xp.where(conv, _CONV, _DIV)),
-            status,
+        verdict = xp.where(
+            over_cap,
+            cap_code,
+            xp.where(res < tol_scale, _CONV, xp.where(bad, _DIV, _ACTIVE)),
         )
-        iterations = xp.where(
-            stop, xp.where(over_cap, caps, it), iterations
-        )
+        stop = eval_active & (verdict != _ACTIVE)
+        status = xp.where(stop, verdict, status)
+        iterations = xp.where(stop, xp.where(over_cap, caps, it), iterations)
 
         # Wall-clock deadline stops every still-active lane at once (a
         # host-clock decision — no backend data is read).
@@ -846,7 +866,7 @@ def solve_qp_batch(
             deadline_hit = deadline_hit | still
             break
 
-        active = live & ~stop
+        active = eval_active & ~stop
         if exit_check and it % exit_check == 0:
             # The one host round-trip a device pays (optionally): early
             # exit for a batch that has fully frozen before the global cap.
@@ -856,12 +876,11 @@ def solve_qp_batch(
         bstats.iterations += 1
         lane_work = lane_work + xp.astype(active, "int")
 
+        w = None
         if has_in:
             with xp.errstate():
                 s_safe = xp.maximum(s, sfloor)
                 w = xp.minimum(lam / s_safe, _W_CEIL)
-        else:
-            w = None
         alive = kkt.factor(w, active)
         newly_failed = active & ~alive
         status = xp.where(newly_failed, _FAILED, status)
@@ -872,13 +891,11 @@ def solve_qp_batch(
             # rhs1 = -(r_dual + J^T (w r_in - rc / s)), ds = -r_in - J dx,
             # dlam = (-rc - lam ds) / s.
             if has_in:
-                rc = s * lam
-                rhs1 = 0.0 - (
-                    r_dual + _bmv(xp, Jt, w * r_in - rc / s_safe)
-                )
+                w_r_in, neg_r_in = w * r_in, 0.0 - r_in
+                rhs1 = 0.0 - (r_dual + _bmv(xp, Jt, w_r_in - slam / s_safe))
                 dx_a, dnu_a = kkt.solve(rhs1, r_eq)
-                ds_a = (0.0 - r_in) - _bmv(xp, J, dx_a)
-                dlam_a = ((0.0 - rc) - lam * ds_a) / s_safe
+                ds_a = neg_r_in - _bmv(xp, J, dx_a)
+                dlam_a = ((0.0 - slam) - lam * ds_a) / s_safe
                 sl = _pair(xp, s, lam)
                 steps = _max_step_batch(xp, sl, _pair(xp, ds_a, dlam_a))
                 ap_aff, ad_aff = steps[:, 0], steps[:, 1]
@@ -889,12 +906,10 @@ def solve_qp_batch(
                 ) / m
                 safe_mu = xp.where(mu > 0.0, mu, 1.0)
                 sigma = xp.where(mu > 0.0, (mu_aff / safe_mu) ** 3, 0.0)
-                rc = s * lam + ds_a * dlam_a - (sigma * mu)[:, None]
-                rhs1 = 0.0 - (
-                    r_dual + _bmv(xp, Jt, w * r_in - rc / s_safe)
-                )
+                rc = slam + ds_a * dlam_a - (sigma * mu)[:, None]
+                rhs1 = 0.0 - (r_dual + _bmv(xp, Jt, w_r_in - rc / s_safe))
                 dx, dnu = kkt.solve(rhs1, r_eq)
-                ds = (0.0 - r_in) - _bmv(xp, J, dx)
+                ds = neg_r_in - _bmv(xp, J, dx)
                 dlam = ((0.0 - rc) - lam * ds) / s_safe
                 steps = xp.minimum(
                     1.0, opt.tau * _max_step_batch(xp, sl, _pair(xp, ds, dlam))

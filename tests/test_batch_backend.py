@@ -257,6 +257,48 @@ class TestMaskedLockstep:
 
         assert syncs(5) == syncs(60)
 
+    @pytest.mark.parametrize(
+        "robot,horizon,step",
+        [("MobileRobot", 8, "_DiagLaneKKT"), ("Quadrotor", 4, "_StageLaneKKT")],
+    )
+    def test_hinted_steps_add_no_per_iteration_host_sync(self, robot, horizon, step):
+        # The band-hinted steps (the diagonal step's in-place 1 x 1 factor,
+        # the stage step's block factor) must stay sync-free on a device
+        # too: three lanes of the cold first subproblem, with its hint.
+        from repro.batch import qp as batch_qp
+
+        bench = build_benchmark(robot)
+        solver = bench.make_solver(bench.transcribe(horizon=horizon))
+        (H, g, G, b, J, d, bw), _perm = solver.first_qp_subproblem(
+            bench.x0, bench.ref
+        )
+        args = tuple(np.stack([M] * 3) for M in (H, g, G, b, J, d))
+        steps = []
+        original = batch_qp._lane_kkt
+
+        def recording(*a, **k):
+            kkt, phi_band, s_band = original(*a, **k)
+            steps.append(type(kkt).__name__)
+            return kkt, phi_band, s_band
+
+        def syncs(max_iterations):
+            xp = CountingBackend()
+            res = solve_qp_batch(
+                *args,
+                QPOptions(max_iterations=max_iterations),
+                bandwidth=bw,
+                backend=xp,
+                sync_interval=0,
+            )
+            assert res.batch.iterations > max_iterations  # no early exit
+            return xp.sync_count
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batch_qp, "_lane_kkt", recording)
+            few, many = syncs(3), syncs(30)
+        assert steps == [step, step]
+        assert few == many
+
     def test_sync_interval_bounds_early_exit_downloads(self):
         H, g, G, b, J, d = qp_batch(B=4, seed=91)
         xp = CountingBackend()

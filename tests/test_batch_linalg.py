@@ -15,7 +15,7 @@ from repro.batch import (
     solve_qp_batch,
 )
 from repro.batch.backend import HOST
-from repro.batch.linalg import _triangular_inverse
+from repro.batch.linalg import _triangular_inverse, robust_diag_factor_batch
 from repro.errors import SolverError
 from repro.mpc.banded import (
     MIN_BLOCK,
@@ -479,6 +479,41 @@ class TestDiagonalLane:
         for i in range(B):
             scalar = BandedCholeskyFactor(to_banded(A[i], 0))
             assert np.allclose(x[i], scalar.solve(b[i]), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("attempts", [1, 16])
+    def test_in_place_ladder_is_the_factor_ladder(self, name, attempts):
+        # robust_diag_factor_batch is robust_factor_batch(band=0) without
+        # the factor object: the same reciprocal pivots, ok flags,
+        # regularizations and retries, lane by lane and bit for bit.
+        xp = get_backend(name)
+        n = 8
+        A = diag_stack(7, n, 61)
+        A[1, 3, 3] = 0.0  # repaired at the first rung
+        A[2, 5, 5] = -1e-3  # repaired a few rungs up
+        A[3, 0, 0] = -1e30  # beyond the last rung
+        A[4, 2, 2] = np.nan  # hopeless: fail-fast
+        A[5, 6, 6] = 0.0  # frozen by the caller: never retried
+        A[6, 1, 1] = np.inf
+        active = xp.asarray([True] * 5 + [False, True], dtype="bool")
+        d = A[:, np.arange(n), np.arange(n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fac, reg, retries = robust_factor_batch(
+                xp.asarray(A), 0.0, band=0, attempts=attempts, backend=xp,
+                active=active,
+            )
+            inv, ok, reg_d, retries_d = robust_diag_factor_batch(
+                xp.asarray(d), 0.0, attempts, backend=xp, active=active
+            )
+        host = xp.to_host
+        assert np.array_equal(host(ok), host(fac.ok))
+        assert np.array_equal(host(retries_d), host(retries))
+        assert host(reg_d).tobytes() == host(reg).tobytes()
+        assert host(inv).tobytes() == host(fac._Dinv)[:, :, 0, 0].tobytes()
+        if attempts == 16:
+            assert list(host(retries)) == [0, 1, 6, 15, 0, 0, 0]
+        else:
+            assert not host(retries).any()
 
     @pytest.mark.parametrize("band", [0, 1, 99, None])
     def test_one_by_one_and_empty_systems(self, name, band):

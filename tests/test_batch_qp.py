@@ -327,7 +327,7 @@ class TestStageStep:
         dx_ref, dnu_ref = scalar.solve(rhs1, re)
 
         lift = lambda M: np.stack([M] * 3)  # noqa: E731
-        data, shapes = _lane_rows(HOST, [lift(M) for M in (H, g, G, b, J, d)])
+        data, shapes = _lane_rows(HOST, [lift(M) for M in (H, G, J, g, b, d)])
         kkt, phi_band, _s_band = _lane_kkt(
             (HOST, 1e-9, 16, _LaneMeters(HOST, 3)), data, shapes,
             lift(H), np.ones(3, dtype=bool), lift(G), lift(G.T), lift(J),
@@ -367,3 +367,108 @@ class TestStageStep:
             assert shapes
             assert all(out[-2:] != (n, n) for _a, out in shapes)
             assert all(out[-2:] != (n, p) for _a, out in shapes)
+
+
+_PADDED = {}
+
+
+def padded_subproblem(robot, bucket=8):
+    """The cold first SQP subproblem ``(H, g, G, b, J, d, bw)`` of a
+    robot's padded serving binding (the ``fleet-*`` lanes' shape; cached)."""
+    if robot not in _PADDED:
+        from repro.serve2.padding import PaddedBinding
+
+        bench = build_benchmark(robot)
+        binding = PaddedBinding(bench, bucket)
+        ref = bench.ref if binding.problem.nref else None
+        if ref is not None:
+            from repro.serve2.padding import pad_reference
+
+            native = bench.transcribe(horizon=5)
+            ref = pad_reference(bench.ref, native.nref, 5, bucket)
+        _PADDED[robot] = binding.scalar_solver.first_qp_subproblem(bench.x0, ref)[0]
+    return _PADDED[robot]
+
+
+#: every QPStats counter the lockstep loop meters per lane
+COUNTERS = METERS + ("retries", "regularization_max", "mode", "phi_bandwidth",
+                     "schur_bandwidth")  # fmt: skip
+
+
+def assert_lane_equals(res, lane, one):
+    """Lane ``lane`` of ``res`` is bit for bit the single-lane ``one``."""
+    for field in ("x", "nu", "lam", "slacks", "residual"):
+        got, ref = np.asarray(getattr(res, field))[lane], np.asarray(getattr(one, field))[0]
+        assert got.tobytes() == ref.tobytes(), field
+    assert res.status[lane] == one.status[0]
+    assert int(res.iterations[lane]) == int(one.iterations[0])
+    assert res.gap_history[lane] == one.gap_history[0]
+    for meter in COUNTERS:
+        assert getattr(res.stats[lane], meter) == getattr(one.stats[0], meter), meter
+
+
+def ladder_lane(qp):
+    """``qp`` with one ``Phi`` diagonal entry left exactly zero: a variable
+    with an ``H`` diagonal and no ``J`` row, its ``H`` entry zeroed — at
+    ``regularization=0`` it factors only once the ladder adds a floor."""
+    H, g, G, b, J, d, _bw = qp
+    free = np.flatnonzero((np.diag(H) > 0.0) & ~np.any(J != 0.0, axis=0))
+    k = int(free[0])
+    H = H.copy()
+    H[k, k] = 0.0
+    return H, k
+
+
+class TestLaneCountIndependence:
+    """On the band-0 step a lane's iterate and counters do not depend on
+    how many lanes ride with it: each lane of a B=4 stack equals its own
+    B=1 solve bit for bit."""
+
+    @pytest.mark.parametrize("robot", ["MobileRobot", "CartPole"])
+    def test_each_lane_is_its_own_solve(self, robot):
+        qp = padded_subproblem(robot)
+        bw = qp[-1]
+        lanes = perturbed_lanes(qp, 4, seed=5)
+        caps = np.array([40, 3, 40, 6])
+        res = solve_qp_batch(*lanes, bandwidth=bw, iteration_caps=caps)
+        assert all(st.phi_bandwidth == 0 for st in res.stats)
+        assert {"converged", "budget_exhausted"} <= set(res.status)
+        for lane in range(4):
+            one = solve_qp_batch(
+                *(M[lane : lane + 1] for M in lanes), bandwidth=bw,
+                iteration_caps=caps[lane : lane + 1],
+            )
+            assert_lane_equals(res, lane, one)
+
+    @pytest.mark.parametrize("robot", ["MobileRobot", "CartPole"])
+    def test_ladder_lane(self, robot):
+        from repro.batch import CountingBackend, robust_factor_batch
+
+        qp = padded_subproblem(robot)
+        H, g, G, b, J, d, bw = qp
+        H0, k = ladder_lane(qp)
+        lanes = list(perturbed_lanes(qp, 4, seed=6))
+        lanes[0] = lanes[0].copy()
+        lanes[0][2] = H0
+        opt = QPOptions(regularization=0.0, max_iterations=1)
+        res = solve_qp_batch(*lanes, opt, bandwidth=bw)
+        one = solve_qp_batch(*(M[2:3] for M in lanes), opt, bandwidth=bw)
+        assert_lane_equals(res, 2, one)
+        # the first iteration's Phi diagonal, factored by the tile ladder
+        # alone on that lane: x = 0, s = max(1, d), lam = 1
+        w = np.minimum(1.0 / np.maximum(np.maximum(1.0, d), 1e-300), 1e16)
+        phi = np.diag(np.diag(H0) + (J * J).T @ w)
+        fac, reg, retries = robust_factor_batch(phi[None], 0.0, band=0)
+        assert bool(fac.ok[0]) and int(retries[0]) > 0 and reg[0] > 0.0
+        st = res.stats[2]
+        assert res.status[2] == "max_iterations"
+        assert st.retries == int(retries[0])
+        assert st.regularization_max == float(reg[0])
+        # a device factors once: the lane freezes as failed, its mates do not
+        dev = solve_qp_batch(
+            *lanes, QPOptions(regularization=0.0), bandwidth=bw,
+            backend=CountingBackend(),
+        )
+        assert dev.status[2] == "failed" and int(dev.iterations[2]) == 1
+        assert dev.stats[2].retries == 0
+        assert all(dev.status[lane] != "failed" for lane in (0, 1, 3))

@@ -457,11 +457,6 @@ class BatchCholeskyFactor:
             return self._apply_blocks(self._Dinv, b)
         xp = self.xp
         b3, squeeze = self._prep_rhs(b)
-        if self.K == 1 and self.npad == self.n and int(b3.shape[2]) == 1:
-            # one unpadded tile, one right-hand side: one matmul, no staging
-            with self._errstate():
-                y = xp.matmul(self._Dinv[:, 0], b3)
-            return y[:, :, 0] if squeeze else y
         y = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         y[:, : self.n] = b3
         nb = self.nb
@@ -481,10 +476,6 @@ class BatchCholeskyFactor:
         if self._block:
             return self._apply_blocks(xp.transpose_last2(self._Dinv), b)
         b3, squeeze = self._prep_rhs(b)
-        if self.K == 1 and self.npad == self.n and int(b3.shape[2]) == 1:
-            with self._errstate():
-                x = xp.matmul(xp.transpose_last2(self._Dinv[:, 0]), b3)
-            return x[:, :, 0] if squeeze else x
         x = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         x[:, : self.n] = b3
         nb = self.nb

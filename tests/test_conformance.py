@@ -343,18 +343,28 @@ class TestMutationCheck:
         self, tmp_path, monkeypatch
     ):
         # ROADMAP 6f: the batched factor kernel gets the same check.
-        # MobileRobot's Phi is exactly diagonal, so the corrupted solve runs
-        # on the factor's diagonal lane (and on the Schur tile sweep).
+        # MobileRobot's Phi is exactly diagonal: the lockstep step applies
+        # its reciprocal pivots in place (_DiagLaneKKT.solve), and the Schur
+        # complement's solve runs on the tile factor — corrupt both.
+        from repro.batch import qp as batch_qp
+
         healthy_solve = batch_linalg.BatchCholeskyFactor.solve
+        healthy_step = batch_qp._DiagLaneKKT.solve
 
         def off_by_one_solve(self, b):
             x = healthy_solve(self, b)
             x[:, 0] += 1e-4 * (1.0 + abs(x[:, 0]))
             return x
 
+        def off_by_one_step(self, rhs1, re):
+            dx, dnu = healthy_step(self, rhs1, re)
+            dx[:, 0] += 1e-4 * (1.0 + abs(dx[:, 0]))
+            return dx, dnu
+
         monkeypatch.setattr(
             batch_linalg.BatchCholeskyFactor, "solve", off_by_one_solve
         )
+        monkeypatch.setattr(batch_qp._DiagLaneKKT, "solve", off_by_one_step)
         report = run_conformance(
             n_cases=2,
             seed=0,

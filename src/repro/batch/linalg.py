@@ -352,25 +352,19 @@ class BatchCholeskyFactor:
             # their one definition
             factor, invert = banded.cholesky_tiles, banded.tril_inverse
 
-        if K == 1:  # one tile: no sweep, no couplings, no stacking
-            L, ok = factor(diag_tile(0))
-            D, Dinv = L[:, None], invert(L)[:, None]
-            C = xp.empty((lanes, 0, nb, nb))
-            self.ok = self.ok & ok
-        else:
-            D = xp.empty((lanes, K, nb, nb))
-            Dinv = xp.empty((lanes, K, nb, nb))
-            C = xp.empty((lanes, K - 1, nb, nb))
-            M = diag_tile(0)
-            for k in range(K):
-                Lkk, okk = factor(M)
-                self.ok = self.ok & okk
-                D[:, k] = Lkk
-                Dinv[:, k] = invert(Lkk)
-                if k + 1 < K:
-                    Ck = xp.matmul(sub_tile(k), xp.transpose_last2(Dinv[:, k]))
-                    C[:, k] = Ck
-                    M = diag_tile(k + 1) - xp.matmul(Ck, xp.transpose_last2(Ck))
+        D = xp.empty((lanes, K, nb, nb))
+        Dinv = xp.empty((lanes, K, nb, nb))
+        C = xp.empty((lanes, max(K - 1, 0), nb, nb))
+        M = diag_tile(0)
+        for k in range(K):
+            Lkk, okk = factor(M)
+            self.ok = self.ok & okk
+            D[:, k] = Lkk
+            Dinv[:, k] = invert(Lkk)
+            if k + 1 < K:
+                Ck = xp.matmul(sub_tile(k), xp.transpose_last2(Dinv[:, k]))
+                C[:, k] = Ck
+                M = diag_tile(k + 1) - xp.matmul(Ck, xp.transpose_last2(Ck))
         self._D, self._Dinv, self._C = D, Dinv, C
 
         # Overflow during the sweep can slip past the pivot checks (e.g. a
@@ -570,14 +564,12 @@ def robust_factor_batch(
     current = xp.full((lanes,), float(reg))
     retries = xp.zeros((lanes,), dtype="int")
     factor = BatchCholeskyFactor(A, band=band, reg=current, backend=xp)
-    hopeless = None
     for _ in range(attempts - 1):
         if not (xp.is_device or factor._suppress):
             break  # every lane factored (host): nothing to retry
-        if hopeless is None:
-            hopeless = ~factor.finite
-            if active is not None:
-                hopeless = hopeless | ~active
+        hopeless = ~factor.finite
+        if active is not None:
+            hopeless = hopeless | ~active
         failed = ~factor.ok & ~hopeless
         if not bool(xp.scalar(xp.any(failed))):
             break

@@ -404,6 +404,7 @@ class _DiagLaneKKT(_LaneKKT):
 
     def __init__(self, xp, reg, attempts, meters, H, G, Gt, J, s_band, newtons):
         super().__init__(xp, reg, attempts, meters, G, newtons)
+        self.H = H
         lanes, n = int(H.shape[0]), int(H.shape[1])
         diag = xp.arange(n) * (n + 1)
         self.diag_H = xp.take(xp.reshape(H, (lanes, n * n)), diag, axis=1)
@@ -475,6 +476,7 @@ class _StageLaneKKT(_LaneKKT):
     def __init__(self, xp, reg, attempts, meters, H, G, J, layout, s_band,
                  newtons):
         super().__init__(xp, reg, attempts, meters, G, newtons)
+        self.H = H
         self.lanes = int(H.shape[0])
         self.phi_flops = layout.factor_flops
         self.tri_flops = layout.tri_flops
@@ -615,7 +617,7 @@ def _size(shape) -> int:
 
 
 def _lane_structure(env_H, env_J, env_G):
-    """``(bounds, phi_band, s_diag_band, layout)`` of a lane envelope —
+    """``(phi_band, s_diag_band, layout)`` of a lane envelope —
     ``max |H|``, ``max |J|``, ``max |G|`` over the lanes, host arrays
     (``None`` without rows of that kind).
 
@@ -646,7 +648,7 @@ def _lane_structure(env_H, env_J, env_G):
         layout = _stage_layout(n, nz_G, nz_J, bounds)
     if len(_STRUCTURES) >= _STRUCTURES_MAX:
         _STRUCTURES.clear()
-    hit = _STRUCTURES[key] = (bounds, phi_band, s_diag_band, layout)
+    hit = _STRUCTURES[key] = (phi_band, s_diag_band, layout)
     return hit
 
 
@@ -675,7 +677,7 @@ def _lane_kkt(kkt_args, data, shapes, H, finite, G, Gt, J, Jt, bandwidth,
     if bandwidth is not None and n:
         env = xp.to_host(xp.max(xp.abs(data), axis=0))
         env_H, env_G, env_J = _split_rows(HOST, env[None], shapes[:3])
-        _bounds, phi_band, s_diag_band, layout = _lane_structure(
+        phi_band, s_diag_band, layout = _lane_structure(
             env_H[0],
             None if J is None else env_J[0],
             None if G is None else env_G[0],
@@ -684,7 +686,6 @@ def _lane_kkt(kkt_args, data, shapes, H, finite, G, Gt, J, Jt, bandwidth,
             s_band = s_diag_band if s_diag_band <= bandwidth else None
             H = _split_rows(xp, data, shapes[:1])[0]
             kkt = _DiagLaneKKT(*kkt_args, H, G, Gt, J, s_band, newtons)
-            kkt.H = H
             return kkt, phi_band, s_band
     H = xp.where(finite[:, None, None], H, 0.0)
     if bandwidth is None or not n:
@@ -692,7 +693,6 @@ def _lane_kkt(kkt_args, data, shapes, H, finite, G, Gt, J, Jt, bandwidth,
         return kkt, None, None
     s_band = layout.schur_band if layout.schur_band <= bandwidth else None
     kkt = _StageLaneKKT(*kkt_args, H, G, J, layout, s_band, newtons)
-    kkt.H = H
     return kkt, phi_band, s_band
 
 
@@ -765,7 +765,7 @@ def solve_qp_batch(
     data, shapes = _lane_rows(xp, (H, G, J, g, b, d))
     lane_finite = xp.all(xp.isfinite(data), axis=1)
     data = xp.where(lane_finite[:, None], data, 0.0)
-    _H, _G, _J, g, b, d = _split_rows(xp, data, shapes)
+    g, b, d = _split_rows(xp, data, shapes)[3:]
     if has_eq:
         G = xp.where(lane_finite[:, None, None], G, 0.0)
     if has_in:

@@ -372,20 +372,19 @@ class TestStageStep:
 _PADDED = {}
 
 
-def padded_subproblem(robot, bucket=8):
+def padded_subproblem(robot, horizon=5, bucket=8):
     """The cold first SQP subproblem ``(H, g, G, b, J, d, bw)`` of a
-    robot's padded serving binding (the ``fleet-*`` lanes' shape; cached)."""
+    horizon-5 session padded to bucket 8 (the ``fleet-*`` lanes' shape;
+    cached)."""
     if robot not in _PADDED:
-        from repro.serve2.padding import PaddedBinding
+        from repro.serve2.padding import PaddedBinding, pad_reference
 
         bench = build_benchmark(robot)
         binding = PaddedBinding(bench, bucket)
-        ref = bench.ref if binding.problem.nref else None
-        if ref is not None:
-            from repro.serve2.padding import pad_reference
-
-            native = bench.transcribe(horizon=5)
-            ref = pad_reference(bench.ref, native.nref, 5, bucket)
+        ref = None
+        if binding.problem.nref:
+            native = bench.transcribe(horizon=horizon)
+            ref = pad_reference(bench.ref, native.nref, horizon, bucket)
         _PADDED[robot] = binding.scalar_solver.first_qp_subproblem(bench.x0, ref)[0]
     return _PADDED[robot]
 
@@ -411,12 +410,11 @@ def ladder_lane(qp):
     """``qp`` with one ``Phi`` diagonal entry left exactly zero: a variable
     with an ``H`` diagonal and no ``J`` row, its ``H`` entry zeroed — at
     ``regularization=0`` it factors only once the ladder adds a floor."""
-    H, g, G, b, J, d, _bw = qp
+    H, J = qp[0], qp[4]
     free = np.flatnonzero((np.diag(H) > 0.0) & ~np.any(J != 0.0, axis=0))
-    k = int(free[0])
     H = H.copy()
-    H[k, k] = 0.0
-    return H, k
+    H[free[0], free[0]] = 0.0
+    return H
 
 
 class TestLaneCountIndependence:
@@ -445,8 +443,8 @@ class TestLaneCountIndependence:
         from repro.batch import CountingBackend, robust_factor_batch
 
         qp = padded_subproblem(robot)
-        H, g, G, b, J, d, bw = qp
-        H0, k = ladder_lane(qp)
+        J, d, bw = qp[4:]
+        H0 = ladder_lane(qp)
         lanes = list(perturbed_lanes(qp, 4, seed=6))
         lanes[0] = lanes[0].copy()
         lanes[0][2] = H0

@@ -59,11 +59,15 @@ conform-smoke:
 # Batched-solving smoke: the B in {1,4,16,64} throughput sweep must clear
 # 2x over the scalar path at B=16 on at least one robot, and a small fleet
 # on the batched (v2) serve engine must complete with zero crashed sessions.
-# A seeded fleet-ragged pass must then replay byte for byte: two separate
-# processes hash every served input and final plan, and the digests must
-# match (a cache that made a plan depend on solve history would not).
+# The ungated B=1 ratio rows are left out (they only print; run them with
+# `pytest -q -s benchmarks/bench_batch_throughput.py -k b1`).  A seeded
+# fleet-ragged pass must then replay byte for byte: two separate processes
+# hash every served input and final plan, and `cmp` checks that the replay
+# is deterministic across processes (hash seeds, ordering by id).  That a
+# plan does not depend on solve history within a process is a unit test
+# (tests/test_batch_qp.py::TestStructureMemo).
 batch-smoke:
-	$(PYTEST) -q benchmarks/bench_batch_throughput.py
+	$(PYTEST) -q benchmarks/bench_batch_throughput.py -k 'not b1'
 	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --engine v2 --rungs 8 --seed 0
 	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.a
 	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.b

@@ -79,7 +79,8 @@ wraps this with the same escalating-regularization retry ladder as
 each attempt; the mute is decided from the ladder's *final* ``ok``, so a
 batch whose bad lanes were all repaired is audible again.  (On host the
 ladder's first question is that mute's: one read of ``all(ok)`` decides
-both.)  :func:`robust_diag_factor_batch` is the same ladder for a diagonal
+both.)  :func:`robust_diag_factor_batch` runs the same ladder
+(:func:`_retry_ladder`, the one copy of the retry policy) on a diagonal
 matrix handed over as its ``(B, n)`` diagonal — the lockstep QP loop's
 diagonal ``Φ`` — computed in place, with no factor object: it returns the
 reciprocal pivots the ``band=0`` factor would store.  The ``band=0`` row
@@ -531,6 +532,33 @@ class BatchCholeskyFactor:
         return 2 * int(sum(counts.values()))
 
 
+def _retry_ladder(xp: ArrayBackend, ok, finite, active, reg, attempts, refactor):
+    """The per-lane escalating-regularization retry ladder of both robust
+    factors — ``repro.mpc.qp._robust_factor``'s, lane-wise.
+
+    A lane failing ``ok`` is retried up to ``attempts - 1`` times, each
+    time at :func:`_escalate` of its own regularization, unless it is
+    hopeless: non-finite input (``finite`` off) fails fast and is never
+    retried, matching the scalar guard, and neither is an ``active=False``
+    lane (a masked lockstep caller's frozen lane).  ``refactor(failed,
+    reg)`` re-factors the ``failed`` lanes at ``reg`` (the other lanes keep
+    bit-identical factors) and returns the merged per-lane ``ok``.  Each
+    attempt reads one host scalar, so device callers that must stay
+    sync-free pass ``attempts=1``.  Returns ``(reg_used, retries)``.
+    """
+    retries = xp.zeros((int(reg.shape[0]),), dtype="int")
+    if attempts > 1:
+        hopeless = ~finite if active is None else ~finite | ~active
+    for _ in range(attempts - 1):
+        failed = ~ok & ~hopeless
+        if not bool(xp.scalar(xp.any(failed))):
+            break
+        retries = retries + xp.astype(failed, "int")
+        reg = xp.where(failed, _escalate(xp, reg), reg)
+        ok = refactor(failed, reg)
+    return reg, retries
+
+
 def robust_factor_batch(
     A,
     reg: float,
@@ -539,15 +567,12 @@ def robust_factor_batch(
     backend=None,
     active=None,
 ):
-    """Factor a batch with the per-lane escalating-regularization ladder.
-
-    Mirrors ``repro.mpc.qp._robust_factor``: on a failed lane the
-    regularization escalates as ``max(reg * 100, 1e-12)`` and only the
-    failed lanes are re-factored (their tiles are scattered back into the
-    full-batch factor, so already-healthy lanes keep bit-identical
-    factors).  Lanes with non-finite input fail immediately and are never
-    retried, matching the scalar fail-fast guard; ``active=False`` lanes
-    (a masked lockstep caller's frozen lanes) are likewise never retried.
+    """Factor a batch with the per-lane escalating-regularization ladder
+    (:func:`_retry_ladder`): on a failed lane the regularization escalates
+    as ``max(reg * 100, 1e-12)`` and only the failed lanes are re-factored
+    (their tiles are scattered back into the full-batch factor, so
+    already-healthy lanes keep bit-identical factors); lanes with
+    non-finite input and ``active=False`` lanes are never retried.
 
     The ladder's early exit reads one scalar per attempt, so device-mode
     callers that must stay sync-free pass ``attempts=1`` — a single
@@ -560,23 +585,14 @@ def robust_factor_batch(
     """
     xp = get_backend(backend)
     A = xp.asarray(A)
-    lanes = int(A.shape[0])
-    current = xp.full((lanes,), float(reg))
-    retries = xp.zeros((lanes,), dtype="int")
+    current = xp.full((int(A.shape[0]),), float(reg))
     factor = BatchCholeskyFactor(A, band=band, reg=current, backend=xp)
-    for _ in range(attempts - 1):
-        if not (xp.is_device or factor._suppress):
-            break  # every lane factored (host): nothing to retry
-        hopeless = ~factor.finite
-        if active is not None:
-            hopeless = hopeless | ~active
-        failed = ~factor.ok & ~hopeless
-        if not bool(xp.scalar(xp.any(failed))):
-            break
-        retries[failed] = retries[failed] + 1
-        current[failed] = _escalate(xp, current[failed])
+    if not (xp.is_device or factor._suppress):
+        attempts = 1  # every lane factored (host): nothing to retry
+
+    def refactor(failed, reg_now):
         sub = BatchCholeskyFactor(
-            A[failed], band=band, reg=current[failed], backend=xp
+            A[failed], band=band, reg=reg_now[failed], backend=xp
         )
         factor._D[failed] = sub._D
         factor._Dinv[failed] = sub._Dinv
@@ -587,6 +603,11 @@ def robust_factor_batch(
         # Re-read from the merged ok, not OR-ed over the attempts: a batch
         # the ladder fully repaired is healthy again and must stay audible.
         factor._refresh_suppress()
+        return factor.ok
+
+    current, retries = _retry_ladder(
+        xp, factor.ok, factor.finite, active, current, attempts, refactor
+    )
     return factor, current, retries
 
 
@@ -598,33 +619,28 @@ def robust_diag_factor_batch(
     active=None,
 ):
     """:func:`robust_factor_batch` of a diagonal matrix, given as its
-    ``(B, n)`` diagonal: the pivots of ``n`` blocks of ``1 x 1`` and the same
-    per-lane ladder (escalation, fail-fast on non-finite lanes, no retry
-    for ``active=False`` lanes, one host scalar per attempt), with no
-    factor object around them.  Lane for lane, ``inv``, ``ok``, ``reg_used``
-    and ``retries`` equal ``robust_factor_batch(A, reg, band=0)``'s on
-    ``A = diag(d)``.
+    ``(B, n)`` diagonal: the pivots of ``n`` blocks of ``1 x 1`` under the
+    same :func:`_retry_ladder`, with no factor object around them.  Lane
+    for lane, ``inv``, ``ok``, ``reg_used`` and ``retries`` equal
+    ``robust_factor_batch(A, reg, band=0)``'s on ``A = diag(d)``.
 
     Returns ``(inv, ok, reg_used, retries)``; ``inv`` holds the reciprocal
     pivots ``1 / sqrt(d + reg_used)``, so ``L^-1 b = inv * b``.
     """
     xp = get_backend(backend)
-    lanes = int(d.shape[0])
-    current = xp.full((lanes,), float(reg))
-    retries = xp.zeros((lanes,), dtype="int")
+    current = xp.full((int(d.shape[0]),), float(reg))
     finite = xp.all(xp.isfinite(d), axis=1)
     _piv, inv, ok = _diag_pivots(xp, d, finite, xp.where(finite, current, 0.0))
     ok = ok & finite
-    if attempts == 1 or bool(xp.scalar(xp.all(ok))):
-        return inv, ok, current, retries  # no ladder, or nothing to retry
-    hopeless = ~finite if active is None else ~finite | ~active
-    for _ in range(attempts - 1):
-        failed = ~ok & ~hopeless
-        if not bool(xp.scalar(xp.any(failed))):
-            break
-        retries = retries + xp.astype(failed, "int")
-        current = xp.where(failed, _escalate(xp, current), current)
-        _piv, retry_inv, retry_ok = _diag_pivots(xp, d, finite, current)
+
+    def refactor(failed, reg_now):
+        nonlocal inv, ok
+        _piv, retry_inv, retry_ok = _diag_pivots(xp, d, finite, reg_now)
         inv = xp.where(failed[:, None], retry_inv, inv)
         ok = xp.where(failed, retry_ok, ok)
+        return ok
+
+    current, retries = _retry_ladder(
+        xp, ok, finite, active, current, attempts, refactor
+    )
     return inv, ok, current, retries

@@ -434,7 +434,7 @@ class _DiagLaneKKT(_LaneKKT):
         if self.G is None:
             return alive
         with xp.errstate():
-            V = (r[:, :, None, None] * self.Gt[:, :, None, :])[:, :, 0, :]
+            V = r[:, :, None] * self.Gt
             self.Vt = xp.transpose_last2(V)
             S = xp.matmul(self.Vt, V)
             S = 0.5 * (S + xp.transpose_last2(S))
@@ -581,9 +581,14 @@ class _StageLaneKKT(_LaneKKT):
 
 
 #: lane-envelope structure reads, keyed on the envelope's nonzero pattern
-#: (see :func:`_lane_structure`); cleared when it reaches its bound
+#: (see :func:`_lane_structure`); cleared when it reaches its bound.  One
+#: seeded pass of a ``fleet-*`` benchmark workload reads 3 patterns in 343
+#: solves (``fleet-ragged``) and 4 in 648 over two shard processes
+#: (``fleet-sharded``) — one per padded binding, and one for the cold
+#: first solve, whose dynamics Jacobian has exact zeros at ``theta = 0`` —
+#: so the bound is four times the largest count seen.
 _STRUCTURES: Dict[tuple, tuple] = {}
-_STRUCTURES_MAX = 64
+_STRUCTURES_MAX = 16
 
 
 def _lane_rows(xp: ArrayBackend, arrays):

@@ -394,16 +394,17 @@ COUNTERS = METERS + ("retries", "regularization_max", "mode", "phi_bandwidth",
                      "schur_bandwidth")  # fmt: skip
 
 
-def assert_lane_equals(res, lane, one):
-    """Lane ``lane`` of ``res`` is bit for bit the single-lane ``one``."""
+def assert_lane_equals(res, lane, one, one_lane=0):
+    """Lane ``lane`` of ``res`` is bit for bit lane ``one_lane`` of ``one``."""
     for field in ("x", "nu", "lam", "slacks", "residual"):
-        got, ref = np.asarray(getattr(res, field))[lane], np.asarray(getattr(one, field))[0]
+        got = np.asarray(getattr(res, field))[lane]
+        ref = np.asarray(getattr(one, field))[one_lane]
         assert got.tobytes() == ref.tobytes(), field
-    assert res.status[lane] == one.status[0]
-    assert int(res.iterations[lane]) == int(one.iterations[0])
-    assert res.gap_history[lane] == one.gap_history[0]
+    assert res.status[lane] == one.status[one_lane]
+    assert int(res.iterations[lane]) == int(one.iterations[one_lane])
+    assert res.gap_history[lane] == one.gap_history[one_lane]
     for meter in COUNTERS:
-        assert getattr(res.stats[lane], meter) == getattr(one.stats[0], meter), meter
+        assert getattr(res.stats[lane], meter) == getattr(one.stats[one_lane], meter), meter
 
 
 def ladder_lane(qp):
@@ -470,3 +471,47 @@ class TestLaneCountIndependence:
         assert dev.status[2] == "failed" and int(dev.iterations[2]) == 1
         assert dev.stats[2].retries == 0
         assert all(dev.status[lane] != "failed" for lane in (0, 1, 3))
+
+
+class TestStructureMemo:
+    """The hinted step's structure read is memoized on the lane envelope's
+    nonzero pattern; a solve must not depend on what the memo holds."""
+
+    def test_solve_does_not_depend_on_memo_history(self, monkeypatch):
+        from repro.batch import qp as batch_qp
+
+        qp = padded_subproblem("MobileRobot")
+        bw = qp[-1]
+        lanes = perturbed_lanes(qp, 2, seed=7)
+        # the same H and J pattern with a sparser G: a different Schur band
+        G = lanes[2].copy()
+        for row in range(G.shape[1]):
+            cols = np.flatnonzero(G[0, row])
+            G[:, row, cols[:-1]] = 0.0
+        sparse_G = lanes[:2] + (G,) + lanes[3:]
+        memo = {}
+        monkeypatch.setattr(batch_qp, "_STRUCTURES", memo)
+
+        def solve(qps=lanes):
+            return solve_qp_batch(*qps, bandwidth=bw)
+
+        ref = solve()  # on an empty memo
+        s_band = ref.stats[0].schur_bandwidth
+        memo.clear()
+        other = solve(sparse_G)
+        assert other.stats[0].schur_bandwidth != s_band
+        solve(perturbed_lanes(padded_subproblem("CartPole"), 1))
+        filled = len(memo)
+        runs = [solve()]  # a miss on a memo other patterns filled
+        assert len(memo) == filled + 1
+        runs.append(solve())  # a hit
+        assert len(memo) == filled + 1
+        memo.clear()
+        for k in range(batch_qp._STRUCTURES_MAX):
+            batch_qp._lane_structure(np.eye(k + 1), None, None)
+        assert len(memo) == batch_qp._STRUCTURES_MAX
+        runs.append(solve())  # a miss on a full memo: cleared, then filled
+        assert len(memo) == 1
+        for res in runs:
+            for lane in range(2):
+                assert_lane_equals(res, lane, ref, lane)

@@ -4,7 +4,7 @@
 Every array op in ``src/repro/batch/{linalg,qp,ipm,transcription}.py``
 (and the other device-resident modules listed in ``HOT_PATH``) has to route
 through the array-backend seam (``repro.batch.backend``) so
-the same code runs device-resident under cupy/torch.  A bare
+the same code runs device-resident under torch.  A bare
 ``import numpy`` or ``np.`` call in those modules silently pins the op to
 the host and reintroduces per-iteration transfers, so it is a lint error,
 not a style nit.  ``backend.py`` itself is the one place numpy is allowed:

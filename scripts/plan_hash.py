@@ -59,7 +59,7 @@ def main() -> int:
     root = Path(args.root).resolve()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    for var in ("REPRO_CODEGEN", "REPRO_ARRAY_BACKEND", "REPRO_BENCH_SEED"):
+    for var in ("REPRO_CODEGEN", "REPRO_BENCH_SEED"):
         os.environ.pop(var, None)
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks" / "e2e")]
 

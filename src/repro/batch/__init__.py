@@ -12,10 +12,9 @@ serve engine (:mod:`repro.serve2`) dispatches session groups through
 
 Every batch kernel routes its array ops through the array-backend seam
 (:mod:`~repro.batch.backend`): numpy is the always-available reference,
-cupy / torch register automatically when importable and run the same
-masked lockstep QP loop device-resident.  Select with
-``REPRO_ARRAY_BACKEND=torch`` (optionally ``:float32``) or explicitly via
-``BatchSolver(problem, backend="torch")``.
+and torch registers when importable and runs the same masked lockstep QP
+loop device-resident.  Select one with a ``backend=`` argument, e.g.
+``BatchSolver(problem, backend="torch")`` (optionally ``"torch:float32"``).
 """
 
 from .backend import (
@@ -23,7 +22,6 @@ from .backend import (
     CountingBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from .ipm import BatchSolveReport, BatchSolver
 from .linalg import BatchCholeskyFactor, robust_factor_batch
@@ -42,7 +40,6 @@ __all__ = [
     "VectorizedFunction",
     "available_backends",
     "get_backend",
-    "register_backend",
     "robust_factor_batch",
     "solve_qp_batch",
     "vectorize_compiled",

@@ -11,32 +11,34 @@ implementations exist:
   the hot loop through it executes the very same ``np.*`` calls as the
   pre-seam code, so results are bit-identical (the conform ``batch_qp``
   path and its golden ledger pin this).
-* ``cupy`` / ``torch`` — auto-registered when the package imports.  Both
-  report :attr:`ArrayBackend.is_device` ``True``.  They run the same
-  masked lockstep loop of :func:`repro.batch.qp.solve_qp_batch` numpy
-  runs — frozen lanes are excluded by masks, never gathered — and the
-  flag only cuts the two things that would read device data mid-loop
-  (the factorization retry ladder and the per-iteration early-exit
-  check), so one interior-point iteration issues **zero** host
-  round-trips (the TurboMPC / ReLU-QP structure: batched matmul + clamp,
-  all device-resident).
+* ``torch`` — registered when torch is importable (CI's parity job runs
+  it on CPU).  It reports :attr:`ArrayBackend.is_device` ``True`` and
+  runs the same masked lockstep loop of
+  :func:`repro.batch.qp.solve_qp_batch` numpy runs — frozen lanes are
+  excluded by masks, never gathered — and the flag only cuts the two
+  things that would read device data mid-loop (the factorization retry
+  ladder and the per-iteration early-exit check), so one interior-point
+  iteration issues **zero** host round-trips (the TurboMPC / ReLU-QP
+  structure: batched matmul + clamp, all device-resident).
+* :class:`CountingBackend` — numpy dressed as a device: ``is_device`` is
+  ``True`` and every host crossing is counted.  It is not registered by
+  name; pass an instance.
 
 Selection
 ---------
-``get_backend()`` resolves, in order: an explicit argument (an
-:class:`ArrayBackend` instance or a registered name, optionally suffixed
-``:float32``), the ``REPRO_ARRAY_BACKEND`` environment variable, then
-``"numpy"``.
+``get_backend(spec)`` takes an :class:`ArrayBackend` instance (returned
+as-is) or a registered name, optionally suffixed ``:float32``; ``None``
+means ``"numpy"``.  Callers pass ``spec`` through from their ``backend=``
+argument, and ``serve-sim --array-backend`` is the command-line spelling.
 
 Dtype policy
 ------------
 Centralized here and nowhere else: ``float64`` is the default for every
-backend; ``float32`` is an explicit opt-in (``dtype="float32"``, a
-``:float32`` name suffix, or ``REPRO_ARRAY_DTYPE=float32``) whose looser
-cross-path agreement is bounded by dedicated ``*_float32`` entries in the
-conform tolerance ledger.  ``asarray``/creation functions default to the
-backend's float dtype; index and mask arrays use the backend's native
-int/bool dtypes.
+backend; ``float32`` is an explicit opt-in (the ``:float32`` name suffix)
+whose looser cross-path agreement is bounded by dedicated ``*_float32``
+entries in the conform tolerance ledger.  ``asarray``/creation functions
+default to the backend's float dtype; index and mask arrays use the
+backend's native int/bool dtypes.
 
 Host-sync rules
 ---------------
@@ -50,6 +52,7 @@ the device code path stays sync-free per iteration.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -61,12 +64,9 @@ from repro.errors import SolverError
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
-    "CupyBackend",
     "TorchBackend",
-    "JaxBackend",
     "CountingBackend",
     "HOST",
-    "register_backend",
     "available_backends",
     "get_backend",
 ]
@@ -287,152 +287,6 @@ class NumpyBackend(ArrayBackend):
     """The always-available reference backend (== the base class)."""
 
 
-class CupyBackend(ArrayBackend):
-    """CUDA arrays via cupy (auto-registered when importable).
-
-    cupy mirrors the numpy namespace closely enough that only creation
-    dtypes, the host bridge, and the (absent) errstate need rebinding;
-    sliced/boolean indexing and einsum keep numpy semantics on-device.
-    """
-
-    name = "cupy"
-    is_device = True
-
-    def __init__(self, dtype: str = "float64") -> None:
-        super().__init__(dtype)
-        import cupy  # deferred: only reached when registered
-
-        self._cp = cupy
-        self.float_dtype = getattr(cupy, dtype)
-        self.int_dtype = cupy.int64
-        self.bool_dtype = cupy.bool_
-
-    def asarray(self, x, dtype: Optional[str] = "float"):
-        return self._cp.asarray(x, dtype=self._dtype(dtype))
-
-    def zeros(self, shape, dtype: Optional[str] = "float"):
-        return self._cp.zeros(shape, dtype=self._dtype(dtype))
-
-    def ones(self, shape, dtype: Optional[str] = "float"):
-        return self._cp.ones(shape, dtype=self._dtype(dtype))
-
-    def empty(self, shape, dtype: Optional[str] = "float"):
-        return self._cp.empty(shape, dtype=self._dtype(dtype))
-
-    def full(self, shape, value, dtype: Optional[str] = "float"):
-        return self._cp.full(shape, value, dtype=self._dtype(dtype))
-
-    def eye(self, n: int):
-        return self._cp.eye(n, dtype=self.float_dtype)
-
-    def arange(self, *args):
-        return self._cp.arange(*args)
-
-    def zeros_like(self, a):
-        return self._cp.zeros_like(a)
-
-    def stack(self, seq, axis: int = 0):
-        return self._cp.stack(seq, axis=axis)
-
-    def concatenate(self, seq, axis: int = 0):
-        return self._cp.concatenate(seq, axis=axis)
-
-    def where(self, cond, a, b):
-        return self._cp.where(cond, a, b)
-
-    def broadcast_to(self, a, shape):
-        return self._cp.broadcast_to(a, shape)
-
-    def tile(self, a, reps):
-        return self._cp.tile(a, reps)
-
-    def repeat(self, a, n: int, axis: int):
-        return self._cp.repeat(a, n, axis=axis)
-
-    def take(self, a, indices, axis: int):
-        return self._cp.take(a, indices, axis=axis)
-
-    def sqrt(self, a):
-        return self._cp.sqrt(a)
-
-    def abs(self, a):
-        return self._cp.abs(a)
-
-    def isfinite(self, a):
-        return self._cp.isfinite(a)
-
-    def maximum(self, a, b):
-        return self._cp.maximum(a, b)
-
-    def minimum(self, a, b):
-        return self._cp.minimum(a, b)
-
-    def clip(self, a, lo, hi):
-        return self._cp.clip(a, lo, hi)
-
-    def matmul(self, a, b):
-        return self._cp.matmul(a, b)
-
-    def einsum(self, spec: str, *ops):
-        return self._cp.einsum(spec, *ops)
-
-    def logical_not(self, a):
-        return self._cp.logical_not(a)
-
-    def sum(self, a, axis=None):
-        return self._cp.sum(a, axis=axis)
-
-    def max(self, a, axis=None):
-        return self._cp.max(a, axis=axis)
-
-    def min(self, a, axis=None):
-        return self._cp.min(a, axis=axis)
-
-    def all(self, a, axis=None):
-        return self._cp.all(a, axis=axis)
-
-    def any(self, a, axis=None):
-        return self._cp.any(a, axis=axis)
-
-    def flatnonzero(self, a):
-        return self._cp.flatnonzero(a)
-
-    def transpose_last2(self, a):
-        return self._cp.swapaxes(a, -1, -2)
-
-    def errstate(self):
-        return nullcontext()
-
-    def from_host(self, x, dtype: Optional[str] = "float"):
-        self.upload_count += 1
-        return self._cp.asarray(_np.asarray(x), dtype=self._dtype(dtype))
-
-    def to_host(self, a) -> _np.ndarray:
-        self.sync_count += 1
-        return self._cp.asnumpy(a)
-
-    def scalar(self, a):
-        if isinstance(a, (bool, int, float)):
-            return a
-        self.sync_count += 1
-        return a.item()
-
-    def ufuncs(self) -> Dict[str, object]:
-        cp = self._cp
-        return {
-            "sin": cp.sin,
-            "cos": cp.cos,
-            "tan": cp.tan,
-            "asin": cp.arcsin,
-            "acos": cp.arccos,
-            "atan": cp.arctan,
-            "exp": cp.exp,
-            "log": cp.log,
-            "sqrt": cp.sqrt,
-            "tanh": cp.tanh,
-        }
-
-
 class TorchBackend(ArrayBackend):
     """torch tensors (auto-registered when importable; CUDA when present).
 
@@ -649,173 +503,6 @@ class TorchBackend(ArrayBackend):
         }
 
 
-class JaxBackend(ArrayBackend):
-    """jax.numpy arrays (auto-registered when importable).
-
-    jax mirrors the numpy namespace, so only creation dtypes, the host
-    bridge, and a handful of structural ops need rebinding.  Two caveats
-    shape the integration:
-
-    * float64 requires the ``jax_enable_x64`` flag, flipped here on first
-      construction of a float64 backend (jax's default is float32);
-    * jax arrays are immutable, so only seam-pure consumers run on this
-      backend — the masked-lockstep QP/ADMM loops qualify, but
-      :class:`~repro.batch.ipm.BatchSolver`'s host-side scatter updates do
-      not; it raises through jax's own ``TypeError`` if attempted.
-    """
-
-    name = "jax"
-    is_device = True
-
-    def __init__(self, dtype: str = "float64") -> None:
-        super().__init__(dtype)
-        import jax  # deferred: only reached when registered
-        import jax.numpy as jnp
-
-        if dtype == "float64":
-            jax.config.update("jax_enable_x64", True)
-        self._jax = jax
-        self._jnp = jnp
-        self.float_dtype = getattr(jnp, dtype)
-        self.int_dtype = jnp.int64 if dtype == "float64" else jnp.int32
-        self.bool_dtype = jnp.bool_
-
-    def asarray(self, x, dtype: Optional[str] = "float"):
-        return self._jnp.asarray(x, dtype=self._dtype(dtype))
-
-    def zeros(self, shape, dtype: Optional[str] = "float"):
-        return self._jnp.zeros(shape, dtype=self._dtype(dtype))
-
-    def ones(self, shape, dtype: Optional[str] = "float"):
-        return self._jnp.ones(shape, dtype=self._dtype(dtype))
-
-    def empty(self, shape, dtype: Optional[str] = "float"):
-        # jax has no uninitialized arrays; zeros is the conservative twin.
-        return self._jnp.zeros(shape, dtype=self._dtype(dtype))
-
-    def full(self, shape, value, dtype: Optional[str] = "float"):
-        return self._jnp.full(shape, value, dtype=self._dtype(dtype))
-
-    def eye(self, n: int):
-        return self._jnp.eye(n, dtype=self.float_dtype)
-
-    def arange(self, *args):
-        return self._jnp.arange(*args)
-
-    def zeros_like(self, a):
-        return self._jnp.zeros_like(a)
-
-    def stack(self, seq, axis: int = 0):
-        return self._jnp.stack(seq, axis=axis)
-
-    def concatenate(self, seq, axis: int = 0):
-        return self._jnp.concatenate(seq, axis=axis)
-
-    def where(self, cond, a, b):
-        return self._jnp.where(cond, a, b)
-
-    def broadcast_to(self, a, shape):
-        return self._jnp.broadcast_to(a, shape)
-
-    def tile(self, a, reps):
-        return self._jnp.tile(a, reps)
-
-    def repeat(self, a, n: int, axis: int):
-        return self._jnp.repeat(a, n, axis=axis)
-
-    def take(self, a, indices, axis: int):
-        return self._jnp.take(a, indices, axis=axis)
-
-    def copy(self, a):
-        return self._jnp.array(a, copy=True)
-
-    def reshape(self, a, shape):
-        return self._jnp.reshape(a, shape)
-
-    def astype(self, a, dtype: str):
-        return a.astype(self._dtype(dtype))
-
-    def sqrt(self, a):
-        return self._jnp.sqrt(a)
-
-    def abs(self, a):
-        return self._jnp.abs(a)
-
-    def isfinite(self, a):
-        return self._jnp.isfinite(a)
-
-    def maximum(self, a, b):
-        return self._jnp.maximum(a, b)
-
-    def minimum(self, a, b):
-        return self._jnp.minimum(a, b)
-
-    def clip(self, a, lo, hi):
-        return self._jnp.clip(a, lo, hi)
-
-    def matmul(self, a, b):
-        return self._jnp.matmul(a, b)
-
-    def einsum(self, spec: str, *ops):
-        return self._jnp.einsum(spec, *ops)
-
-    def logical_not(self, a):
-        return self._jnp.logical_not(a)
-
-    def sum(self, a, axis=None):
-        return self._jnp.sum(a, axis=axis)
-
-    def max(self, a, axis=None):
-        return self._jnp.max(a, axis=axis)
-
-    def min(self, a, axis=None):
-        return self._jnp.min(a, axis=axis)
-
-    def all(self, a, axis=None):
-        return self._jnp.all(a, axis=axis)
-
-    def any(self, a, axis=None):
-        return self._jnp.any(a, axis=axis)
-
-    def flatnonzero(self, a):
-        return self._jnp.flatnonzero(a)
-
-    def transpose_last2(self, a):
-        return self._jnp.swapaxes(a, -1, -2)
-
-    def errstate(self):
-        return nullcontext()
-
-    def from_host(self, x, dtype: Optional[str] = "float"):
-        self.upload_count += 1
-        return self._jnp.asarray(_np.asarray(x), dtype=self._dtype(dtype))
-
-    def to_host(self, a) -> _np.ndarray:
-        self.sync_count += 1
-        return _np.asarray(a)
-
-    def scalar(self, a):
-        if isinstance(a, (bool, int, float)):
-            return a
-        self.sync_count += 1
-        return a.item()
-
-    def ufuncs(self) -> Dict[str, object]:
-        jnp = self._jnp
-        return {
-            "sin": jnp.sin,
-            "cos": jnp.cos,
-            "tan": jnp.tan,
-            "asin": jnp.arcsin,
-            "acos": jnp.arccos,
-            "atan": jnp.arctan,
-            "exp": jnp.exp,
-            "log": jnp.log,
-            "sqrt": jnp.sqrt,
-            "tanh": jnp.tanh,
-        }
-
-
 class CountingBackend(ArrayBackend):
     """A numpy-backed *pretend device*: every op delegates to an inner
     backend, but ``is_device`` is True and every host crossing is counted.
@@ -868,13 +555,10 @@ class CountingBackend(ArrayBackend):
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-_FACTORIES: Dict[str, Callable[[str], ArrayBackend]] = {}
 _INSTANCES: Dict[tuple, ArrayBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[str], ArrayBackend]) -> None:
-    """Register ``factory(dtype) -> ArrayBackend`` under ``name``."""
-    _FACTORIES[name] = factory
+_FACTORIES: Dict[str, Callable[[str], ArrayBackend]] = {"numpy": NumpyBackend}
+if importlib.util.find_spec("torch") is not None:
+    _FACTORIES["torch"] = TorchBackend
 
 
 def available_backends() -> List[str]:
@@ -882,49 +566,24 @@ def available_backends() -> List[str]:
     return list(_FACTORIES)
 
 
-def _importable(module: str) -> bool:
-    import importlib.util
-
-    try:
-        return importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):
-        return False
-
-
-register_backend("numpy", NumpyBackend)
-if _importable("cupy"):  # pragma: no cover - GPU environments only
-    register_backend("cupy", CupyBackend)
-if _importable("torch"):
-    register_backend("torch", TorchBackend)
-if _importable("jax"):  # pragma: no cover - jax environments only
-    register_backend("jax", JaxBackend)
-
-
-def get_backend(
-    spec: Union[str, ArrayBackend, None] = None,
-    dtype: Optional[str] = None,
-) -> ArrayBackend:
-    """Resolve a backend: instance passthrough, name, env, or numpy.
+def get_backend(spec: Union[str, ArrayBackend, None] = None) -> ArrayBackend:
+    """Resolve a backend: instance passthrough, ``NAME[:DTYPE]``, or numpy.
 
     ``spec`` may be an :class:`ArrayBackend` (returned as-is), a
     registered name (``"torch"``), or a name with a dtype suffix
-    (``"torch:float32"``).  ``None`` consults ``REPRO_ARRAY_BACKEND``.
-    ``dtype`` (or ``REPRO_ARRAY_DTYPE``) selects the float width; an
-    explicit suffix on the name wins.
+    (``"torch:float32"``); ``None`` is ``"numpy"``.  One instance per
+    name and dtype is built and cached.
     """
     if isinstance(spec, ArrayBackend):
         return spec
-    name = spec if spec is not None else os.environ.get("REPRO_ARRAY_BACKEND")
-    name = name or "numpy"
-    if ":" in name:
-        name, dtype = name.split(":", 1)
-    if dtype is None:
-        dtype = os.environ.get("REPRO_ARRAY_DTYPE", "float64")
-    if name not in _FACTORIES:
+    name, suffixed, dtype = (spec or "numpy").partition(":")
+    if not suffixed:
+        dtype = "float64"
+    if name not in _FACTORIES or dtype not in _FLOAT_DTYPES:
         raise SolverError(
-            f"unknown array backend {name!r}; registered: "
-            f"{available_backends()} (cupy/torch register only when "
-            "importable)"
+            f"unknown array backend {spec!r}; registered: "
+            f"{', '.join(available_backends())} (each optionally suffixed "
+            "':float32')"
         )
     key = (name, dtype)
     if key not in _INSTANCES:

@@ -923,8 +923,8 @@ class BatchSolver:
 
     All lanes share the problem structure (robot + horizon + task); each
     lane brings its own measured state, reference, warm start, and budget.
-    ``backend`` selects the array namespace for the heavy math (default:
-    the process-wide selection — ``REPRO_ARRAY_BACKEND`` or numpy);
+    ``backend`` selects the array namespace for the heavy math (a
+    :func:`~repro.batch.backend.get_backend` spec; default numpy);
     ``qp_method`` the inner QP solver (``"ipm"`` — the batched
     interior-point of :mod:`repro.batch.qp` — or ``"admm"`` — the
     device-resident first-order iteration of

@@ -6,7 +6,7 @@ couplings ``C_k``), but with a leading batch axis so one sweep factors
 ``B`` independent KKT systems at once.  The couplings and substitutions
 run as batched ``matmul`` contractions through the
 :mod:`~repro.batch.backend` seam (``xp``), so the same sweep runs on
-numpy, cupy, or torch arrays without touching this file.
+numpy or torch arrays without touching this file.
 
 The diagonal tiles are where the backend decides.  On host backends each
 ``(B, nb, nb)`` tile stack is factored and inverted by the scalar twin's
@@ -205,8 +205,8 @@ class BatchCholeskyFactor:
     reg : float or (B,) array
         Diagonal regularization, scalar or per-lane.
     backend : str or ArrayBackend, optional
-        The array namespace to factor under (default: the process-wide
-        selection, see :func:`repro.batch.backend.get_backend`).
+        The array namespace to factor under (default numpy, see
+        :func:`repro.batch.backend.get_backend`).
 
     Lanes whose matrix is non-finite, loses positive definiteness (in any
     of its blocks), or overflows into non-finite factor tiles are flagged

@@ -18,7 +18,7 @@ integer array, freezes are ``where``-masked updates (frozen lanes ride
 along in the batched matmuls and their results are masked away), and
 every per-lane statistic (iteration counts, residuals, QPStats counters,
 the barrier-gap history) accumulates in backend arrays that are
-downloaded **once**, after the loop.  numpy, cupy and torch run the same
+downloaded **once**, after the loop.  numpy and torch run the same
 body; only two *values* are read from ``xp.is_device``:
 
 * the factorization retry ladder runs in full on host backends and is
@@ -728,9 +728,9 @@ def solve_qp_batch(
     stopping on a shortened cap reports status ``"budget_exhausted"``.
     ``record_freeze`` snapshots each lane's iterate at its freeze point
     (for the bit-identity guarantees tested in the active-mask suite).
-    ``backend`` selects the array namespace (default: process-wide
-    selection).  On device backends ``sync_interval`` is the early-exit
-    cadence (0 = never sync); host backends check every iteration.
+    ``backend`` selects the array namespace (default numpy).  On device
+    backends ``sync_interval`` is the early-exit cadence (0 = never
+    sync); host backends check every iteration.
     """
     opt = options or QPOptions()
     xp = get_backend(backend)

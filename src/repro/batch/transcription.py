@@ -13,7 +13,7 @@ of ``math`` calls.  Re-executing that source against an array-backend
 namespace (``sin -> xp.sin``, ``asin -> xp.arcsin``, ... — see
 :meth:`repro.batch.backend.ArrayBackend.ufuncs`) yields a callable that
 accepts ``(B, K)``-shaped columns and evaluates all ``B x K`` stage
-points in one pass, on whichever backend the caller selected (numpy, cupy,
+points in one pass, on whichever backend the caller selected (numpy or
 torch).  One such function per group is the *vectorized group provider*
 of the shared assembler (:mod:`repro.linearize`).
 

@@ -21,8 +21,8 @@ Commands
     when any session crashed (the serve-smoke gate).
 ``backends``
     List the registered array backends for the batch kernels (numpy is
-    always present; torch/cupy appear when importable) and how to select
-    one (``REPRO_ARRAY_BACKEND`` or ``serve-sim --array-backend``).
+    always present; torch appears when importable) and how to select one
+    (a ``backend=`` argument or ``serve-sim --array-backend``).
 ``chaos``
     Run a fault-injection campaign (see :mod:`repro.faults`): a scripted
     schedule of sensor/solver/serve faults against a live fleet, followed
@@ -197,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME[:DTYPE]",
         help="array backend for the batched lanes of --engine v2, e.g. "
-        "torch, cupy, numpy:float32 (default: $REPRO_ARRAY_BACKEND, then numpy; "
-        "see `repro backends`)",
+        "torch or numpy:float32 (default: numpy; see `repro backends`)",
     )
     p_serve.add_argument(
         "--qp-method",
@@ -490,6 +489,14 @@ def _cmd_conform(args) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.summary())
+    idle = report.idle_paths if paths is not None else []
+    if idle:
+        print(
+            f"no comparison ran for --paths {', '.join(idle)}: no case "
+            "supported them, or their family baseline never converged",
+            file=sys.stderr,
+        )
+        return 1
     return 0 if report.ok else 1
 
 
@@ -597,16 +604,12 @@ def _cmd_serve_sim(args) -> int:
         return 2
 
     if args.array_backend is not None:
-        from repro.batch import available_backends
+        from repro.batch import get_backend
 
-        name = args.array_backend.split(":", 1)[0]
-        if name not in available_backends():
-            print(
-                f"array backend {name!r} is not registered here "
-                f"(available: {', '.join(available_backends())}); "
-                "torch/cupy register automatically when importable",
-                file=sys.stderr,
-            )
+        try:
+            get_backend(args.array_backend)
+        except ReproError as exc:
+            print(str(exc), file=sys.stderr)
             return 2
 
     def _int_list(text, flag):
@@ -683,38 +686,25 @@ def _cmd_backends() -> int:
     from repro.conform import PATHS
 
     names = available_backends()
-    active = get_backend()  # resolves $REPRO_ARRAY_BACKEND / the default
-
-    accels = ("torch", "cupy", "jax")
-
-    def conform_paths_for(name: str) -> List[str]:
-        # Suffixed paths (batch_qp_torch, batch_admm_cupy, ...) belong to
-        # that backend; batch paths with no accelerator suffix run on the
-        # always-present numpy reference (batch_qp_numpy_float32 included).
-        if name == "numpy":
-            return sorted(
-                p
-                for p in PATHS
-                if p.startswith("batch_")
-                and not any(f"_{a}" in p for a in accels)
-            )
-        return sorted(p for p in PATHS if f"_{name}" in p)
-
+    # The *_torch* batch paths belong to torch; every other batch path
+    # (batch_qp_numpy_float32 included) runs on the numpy reference.
+    batch_paths = sorted(p for p in PATHS if p.startswith("batch_"))
+    owned = {
+        "numpy": [p for p in batch_paths if "_torch" not in p],
+        "torch": [p for p in batch_paths if "_torch" in p],
+    }
     for name in names:
         xp = get_backend(name)
         kind = "device" if xp.is_device else "host"
-        mark = " (selected)" if name == active.name else ""
+        mark = " (default)" if name == "numpy" else ""
         print(f"{name:10s} {kind:6s} dtype={xp.dtype_name}{mark}")
         print(f"{'':10s} variants: {name}, {name}:float32, {name}:float64")
-        paths = conform_paths_for(name)
-        if paths:
-            print(f"{'':10s} conform paths: {', '.join(paths)}")
-    for name in ("torch", "cupy", "jax"):
-        if name not in names:
-            print(f"{name:10s} absent (not importable in this environment)")
+        print(f"{'':10s} conform paths: {', '.join(owned[name])}")
+    if "torch" not in names:
+        print(f"{'torch':10s} absent (not importable in this environment)")
     print(
-        "\nselect with REPRO_ARRAY_BACKEND=NAME[:DTYPE] or "
-        "`repro serve-sim --engine v2 --array-backend NAME`"
+        "\nselect with a backend= argument or "
+        "`repro serve-sim --engine v2 --array-backend NAME[:float32]`"
     )
     return 0
 

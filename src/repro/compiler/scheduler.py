@@ -230,7 +230,7 @@ class Scheduler:
         n_io = sum(1 for n in nodes if n.type == NodeType.SCALAR) // 4 + 1
         memory = (n_io * repeat * _WORD) / m.bandwidth_bytes_per_cycle
 
-        # Aggregation waves occupy the (single) tree-bus resource serially.
+        # Aggregation waves hold the (single) tree-bus resource serially.
         comm = max(comm, agg_cycles)
         return PhaseCost(
             phase=phase,

@@ -729,11 +729,9 @@ _register(
         run=_make_batch_qp("numpy", gate=1e-3),
     )
 )
-# Non-numpy array backends of the same batched IPM: registered for every
-# known accelerator backend, gated by ``supports`` on actual importability
-# (absent backends are skipped, with ledger entries kept so the runner is
-# ready the moment the package appears in the environment).  float32
-# variants carry their own, looser ledger rows.
+# The same batched IPM in float32 on numpy, and on torch (CI's parity job):
+# the torch paths are gated by ``supports`` on torch being importable.
+# float32 variants carry their own, looser ledger rows.
 _register(
     NumericPath(
         name="batch_qp_numpy_float32",
@@ -743,30 +741,27 @@ _register(
         supports=lambda case: case.robot in _FLOAT32_ROBOTS,
     )
 )
-for _accel in ("torch", "cupy"):
-    _register(
-        NumericPath(
-            name=f"batch_qp_{_accel}",
-            family="qp",
-            description=f"batched IPM on the {_accel} backend (masked lockstep)",
-            run=_make_batch_qp(_accel, gate=1e-3),
-            supports=(
-                lambda case, _n=_accel: _backend_available(_n)
-            ),
-        )
+_register(
+    NumericPath(
+        name="batch_qp_torch",
+        family="qp",
+        description="batched IPM on the torch backend (masked lockstep)",
+        run=_make_batch_qp("torch", gate=1e-3),
+        supports=lambda case: _backend_available("torch"),
     )
-    _register(
-        NumericPath(
-            name=f"batch_qp_{_accel}_float32",
-            family="qp",
-            description=f"batched IPM on the {_accel} backend in float32",
-            run=_make_batch_qp(f"{_accel}:float32", gate=5e-2),
-            supports=(
-                lambda case, _n=_accel: _backend_available(_n)
-                and case.robot in _FLOAT32_ROBOTS
-            ),
-        )
+)
+_register(
+    NumericPath(
+        name="batch_qp_torch_float32",
+        family="qp",
+        description="batched IPM on the torch backend in float32",
+        run=_make_batch_qp("torch:float32", gate=5e-2),
+        supports=(
+            lambda case: _backend_available("torch")
+            and case.robot in _FLOAT32_ROBOTS
+        ),
     )
+)
 # First-order (ADMM) solver paths: a different *algorithm* from the IPM
 # baseline, so agreement against ``dense_kkt`` is meaningful.  The batched
 # variants additionally cross-check every lane against the same lane
@@ -789,19 +784,18 @@ _register(
         supports=lambda case: case.robot in _ADMM_ROBOTS,
     )
 )
-for _accel in ("torch", "cupy"):
-    _register(
-        NumericPath(
-            name=f"batch_admm_{_accel}",
-            family="qp",
-            description=f"batched ADMM on the {_accel} backend (masked lockstep)",
-            run=_make_batch_admm(_accel, gate=1e-3),
-            supports=(
-                lambda case, _n=_accel: _backend_available(_n)
-                and case.robot in _ADMM_ROBOTS
-            ),
-        )
+_register(
+    NumericPath(
+        name="batch_admm_torch",
+        family="qp",
+        description="batched ADMM on the torch backend (masked lockstep)",
+        run=_make_batch_admm("torch", gate=1e-3),
+        supports=(
+            lambda case: _backend_available("torch")
+            and case.robot in _ADMM_ROBOTS
+        ),
     )
+)
 _register(
     NumericPath(
         name="reference_qp",

@@ -129,6 +129,15 @@ class ConformanceReport:
         skips: the oracle itself rejected the instance)."""
         return self.n_fail == 0 and self.n_error == 0
 
+    @property
+    def idle_paths(self) -> List[str]:
+        """Swept paths that ran no comparison in any case (no case was
+        supported, or every case's family baseline failed to converge).
+        Family baselines never run as comparisons and are not listed."""
+        ran = {c.path for o in self.outcomes for c in o.comparisons}
+        baselines = set(FAMILY_BASELINES.values())
+        return [p for p in self.paths if p not in ran and p not in baselines]
+
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,

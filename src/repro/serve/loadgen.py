@@ -76,8 +76,7 @@ class LoadConfig:
     rungs: Optional[Sequence[int]] = None
     max_batch: int = 64
     max_queue: Optional[int] = None
-    #: array backend of the batched lanes (engine="v2" only; None = env /
-    #: numpy default)
+    #: array backend of the batched lanes (engine="v2" only; None = numpy)
     array_backend: Optional[str] = None
     #: v1 process-pool size (0 = scalar-inline)
     workers: int = 0

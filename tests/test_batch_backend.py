@@ -12,7 +12,6 @@ from repro.batch import (
     CountingBackend,
     available_backends,
     get_backend,
-    register_backend,
     solve_qp_batch,
 )
 from repro.batch.backend import HOST, NumpyBackend
@@ -22,23 +21,17 @@ from repro.robots import build_benchmark
 from tests.test_batch_qp import rank_deficient_qp
 
 
-def _backend_params(names):
-    return [
-        pytest.param(
-            name,
-            marks=()
-            if name in available_backends()
-            else pytest.mark.skip(reason=f"{name} not importable here"),
-        )
-        for name in names
-    ]
-
-
-ALL_BACKENDS = _backend_params(("numpy", "torch", "cupy"))
-#: jax joins only the seam-pure consumers (the masked-lockstep QP loop);
-#: BatchSolver's host scatter updates need mutable arrays, which jax's
-#: immutable arrays cannot provide (see JaxBackend's docstring).
-QP_BACKENDS = _backend_params(("numpy", "torch", "cupy", "jax"))
+#: The backends a CI job runs (torch in the CPU parity job; it skips with
+#: a reason where it is not importable).
+ALL_BACKENDS = [
+    pytest.param(
+        name,
+        marks=()
+        if name in available_backends()
+        else pytest.mark.skip(reason=f"{name} not importable here"),
+    )
+    for name in ("numpy", "torch")
+]
 
 
 def spd(n, seed, scale=1.0):
@@ -86,28 +79,15 @@ class TestRegistry:
         assert get_backend("numpy:float32") is xp32
         assert get_backend("numpy") is not xp32
 
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "numpy:float32")
-        assert get_backend().dtype_name == "float32"
-
     def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError):
-            get_backend("tpu")
+        registered = f"registered: {', '.join(available_backends())}"
+        for spec in ("tpu", "cupy", "jax", "numpy:float16"):
+            with pytest.raises(SolverError, match=registered):
+                get_backend(spec)
 
     def test_unknown_dtype_raises(self):
         with pytest.raises(SolverError):
             NumpyBackend("float16")
-
-    def test_register_custom_backend(self):
-        register_backend("custom-test", NumpyBackend)
-        try:
-            assert "custom-test" in available_backends()
-            assert isinstance(get_backend("custom-test"), NumpyBackend)
-        finally:
-            from repro.batch import backend as backend_mod
-
-            backend_mod._FACTORIES.pop("custom-test")
-            backend_mod._INSTANCES.pop(("custom-test", "float64"), None)
 
     def test_dtype_tokens(self):
         xp = get_backend("numpy")
@@ -120,7 +100,7 @@ class TestCrossBackendParity:
     """Every registered backend must agree with the numpy reference on
     the batched QP path (absent accelerators skip with a reason)."""
 
-    @pytest.mark.parametrize("name", QP_BACKENDS)
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_qp_parity(self, name):
         H, g, G, b, J, d = qp_batch()
         ref = solve_qp_batch(H, g, G, b, J, d)

@@ -242,17 +242,22 @@ class TestBackends:
     def test_lists_variants_and_conform_paths(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "numpy" in out and "(selected)" in out
+        assert "numpy" in out and "(default)" in out
         assert "numpy, numpy:float32, numpy:float64" in out
-        # numpy owns the unsuffixed batch paths, never the accelerators'.
+        # numpy owns the unsuffixed batch paths, never torch's.
         assert "batch_qp" in out and "batch_admm" in out
-        assert "batch_qp_torch" not in out.split("absent")[0]
-        # Absent accelerators are reported, jax included.
-        for name in ("torch", "cupy", "jax"):
-            from repro.batch import available_backends
+        assert "batch_qp_torch" not in out.split("\ntorch")[0]
+        # An absent torch is reported.
+        from repro.batch import available_backends
 
-            if name not in available_backends():
-                assert f"{name}" in out and "absent" in out
+        if "torch" not in available_backends():
+            assert "torch      absent" in out
+
+    def test_serve_sim_rejects_an_unknown_backend_up_front(self, capsys):
+        for spec in ("cupy", "numpy:float16"):
+            argv = ["serve-sim", "--engine", "v2", "--array-backend", spec]
+            assert main(argv) == 2
+            assert "registered: numpy" in capsys.readouterr().err
 
 
 class TestConform:
@@ -334,6 +339,27 @@ class TestConform:
         )
         assert code == 2
         assert "unknown path" in capsys.readouterr().err
+
+    def test_run_of_a_path_no_case_supports_fails(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A swept path that checks nothing must not pass as green (an
+        # absent backend's paths, say); family baselines are exempt.
+        from repro.conform import PATHS, NumericPath
+
+        idle = NumericPath(
+            name="never_supported",
+            family="dynamics",
+            description="a path no case supports",
+            run=PATHS["accel_sim"].run,
+            supports=lambda case: False,
+        )
+        monkeypatch.setitem(PATHS, idle.name, idle)
+        argv = ["conform", "run", "--cases", "1", "--robots", "CartPole"]
+        argv += ["--out-dir", str(tmp_path), "--paths"]
+        assert main(argv + ["float_dynamics,never_supported"]) == 1
+        assert "never_supported" in capsys.readouterr().err
+        assert main(argv + ["float_dynamics,accel_sim"]) == 0
 
     def test_bad_fxp_bits_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

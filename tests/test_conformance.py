@@ -37,6 +37,7 @@ from repro.conform import (
     tolerance_for,
 )
 from repro.errors import ConformanceError
+from repro.robots import BENCHMARK_NAMES, EXTRA_NAMES
 
 LEDGER = load_ledger()
 
@@ -116,6 +117,14 @@ class TestLedger:
             if name in FAMILY_BASELINES.values():
                 continue  # baselines are the oracle; they have no bound
             assert tolerance_for(LEDGER, name, "CartPole") > 0.0
+
+    def test_every_ledger_row_names_a_path_and_its_robots(self):
+        # The other direction: no orphaned rows outlive their path, and
+        # every per-robot bound names a robot the generator can draw.
+        robots = set(BENCHMARK_NAMES) | set(EXTRA_NAMES) | {"default"}
+        for name, row in LEDGER.items():
+            assert name in path_names(), name
+            assert set(row) <= robots, (name, set(row) - robots)
 
     def test_relative_error_basics(self):
         assert relative_error([1.0, 2.0], [1.0, 2.0]) == 0.0

@@ -12,11 +12,12 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.batch import BatchSolver, CountingBackend, available_backends
+from repro.batch import BatchSolver, CountingBackend
 from repro.errors import SolverError
 from repro.firstorder import solve_qp_admm, solve_qp_admm_batch
 from repro.mpc.qp import QPOptions
 from repro.robots import build_benchmark
+from tests.test_batch_backend import ALL_BACKENDS
 
 ADMM_OPTS = QPOptions(
     method="admm",
@@ -24,16 +25,6 @@ ADMM_OPTS = QPOptions(
     admm_tolerance=1e-9,
     admm_max_iterations=20000,
 )
-
-QP_BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} not importable here"),
-    )
-    for name in ("numpy", "torch", "cupy", "jax")
-]
 
 
 def spd(n, seed, scale=1.0):
@@ -338,12 +329,11 @@ class TestBatchedWarmStart:
 
 
 class TestCrossBackendParity:
-    @pytest.mark.parametrize("name", QP_BACKENDS)
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_admm_parity(self, name):
         """Every registered backend must agree with the numpy reference
         on the batched ADMM path (absent accelerators skip with a
-        reason).  The loop is seam-pure — matmul + clamp + where — so it
-        runs even on immutable-array backends like jax."""
+        reason)."""
         _qps, stacked = qp_batch()
         ref = solve_qp_admm_batch(*stacked, ADMM_OPTS)
         res = solve_qp_admm_batch(*stacked, ADMM_OPTS, backend=name)

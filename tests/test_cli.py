@@ -254,7 +254,7 @@ class TestBackends:
             assert "torch      absent" in out
 
     def test_serve_sim_rejects_an_unknown_backend_up_front(self, capsys):
-        for spec in ("cupy", "numpy:float16"):
+        for spec in ("tpu", "numpy:float16"):
             argv = ["serve-sim", "--engine", "v2", "--array-backend", spec]
             assert main(argv) == 2
             assert "registered: numpy" in capsys.readouterr().err

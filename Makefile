@@ -1,7 +1,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 REPRO  := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m repro
 
-.PHONY: test-fast test-slow test-all test-cov bench bench-harness serve-smoke serve2-smoke chaos-smoke conform-smoke batch-smoke admm-smoke resilience-smoke codegen-smoke lint
+.PHONY: test-fast test-slow test-all test-cov bench bench-harness serve2-smoke chaos-smoke conform-smoke batch-smoke admm-smoke resilience-smoke codegen-smoke lint
 
 # Quick unit/property lane — skips the long closed-loop / experiment suites.
 test-fast:
@@ -26,23 +26,20 @@ bench:
 bench-harness:
 	$(PYTEST) -q benchmarks/e2e/test_harness.py
 
-# Serving-runtime smoke: a small deadline-budgeted fleet must complete with
-# zero crashed sessions (non-zero exit otherwise).
-serve-smoke:
-	$(REPRO) serve-sim --sessions 10 --ticks 20 --seed 0
-
-# serve2 smoke: the continuous-batching engine end to end.  Unit pyramid
-# (padding equivalence, EDF scheduler, engine, shards), a ragged-horizon
-# sharded fleet that must finish with zero crashed sessions, the padded
-# conform family against the golden ledger, a seeded shard-chaos campaign
-# whose handoff invariant must hold.  Traces and shrunk repro files land in
-# conform/failures/ for the CI artifact upload.
+# Serving-runtime smoke: the continuous-batching serve engine end to end.
+# Unit pyramid (padding equivalence, EDF scheduler, session table, engine,
+# shards), a small deadline-budgeted default fleet and a ragged-horizon
+# sharded fleet that must each finish with zero crashed sessions (non-zero
+# exit otherwise), the padded conform family against the golden ledger, a
+# seeded shard-chaos campaign whose handoff invariant must hold.  Traces and
+# shrunk repro files land in conform/failures/ for the CI artifact upload.
 serve2-smoke:
 	mkdir -p conform/failures
-	$(PYTEST) -q -m "not slow" tests/test_serve2_padding.py tests/test_serve2_scheduler.py tests/test_serve2_engine.py tests/test_serve2_shard.py
-	$(REPRO) serve-sim --engine v2 --sessions 10 --ticks 10 --robots CartPole,MobileRobot --horizons 5,6,8 --rungs 8 --shards 2 --deadline-ms 250 --seed 0 --trace conform/failures/serve2-trace.jsonl
+	$(PYTEST) -q -m "not slow" tests/test_serve2_padding.py tests/test_serve2_scheduler.py tests/test_serve_engine.py tests/test_serve2_engine.py tests/test_serve2_shard.py
+	$(REPRO) serve-sim --sessions 10 --ticks 20 --seed 0
+	$(REPRO) serve-sim --sessions 10 --ticks 10 --robots CartPole,MobileRobot --horizons 5,6,8 --rungs 8 --shards 2 --deadline-ms 250 --seed 0 --trace conform/failures/serve2-trace.jsonl
 	$(REPRO) conform run --cases 8 --seed 0 --paths native_horizon,padded_horizon --out-dir conform/failures
-	$(REPRO) chaos --robot cartpole --schedule shards --engine v2 --shards 2 --sessions 4 --ticks 30 --deadline-ms 1000 --seed 3 --trace conform/failures/serve2-chaos-trace.jsonl
+	$(REPRO) chaos --robot cartpole --schedule shards --shards 2 --sessions 4 --ticks 30 --deadline-ms 1000 --seed 3 --trace conform/failures/serve2-chaos-trace.jsonl
 
 # Chaos smoke: a short cartpole fault campaign (sensor + solver faults)
 # must pass every recovery invariant (non-zero exit otherwise).
@@ -58,7 +55,7 @@ conform-smoke:
 
 # Batched-solving smoke: the B in {1,4,16,64} throughput sweep must clear
 # 2x over the scalar path at B=16 on at least one robot, and a small fleet
-# on the batched (v2) serve engine must complete with zero crashed sessions.
+# on the batched serve engine must complete with zero crashed sessions.
 # The ungated B=1 ratio rows are left out (they only print; run them with
 # `pytest -q -s benchmarks/bench_batch_throughput.py -k b1`).  A seeded
 # fleet-ragged pass must then replay byte for byte: two separate processes
@@ -68,7 +65,7 @@ conform-smoke:
 # (tests/test_batch_qp.py::TestStructureMemo).
 batch-smoke:
 	$(PYTEST) -q benchmarks/bench_batch_throughput.py -k 'not b1'
-	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --engine v2 --rungs 8 --seed 0
+	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --rungs 8 --seed 0
 	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.a
 	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.b
 	cmp .plan_hash.a .plan_hash.b && cat .plan_hash.a && rm -f .plan_hash.a .plan_hash.b

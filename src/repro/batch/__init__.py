@@ -5,7 +5,7 @@ batched banded Cholesky (:mod:`~repro.batch.linalg`), a batched
 interior-point QP loop with continuous-batching lane freezing
 (:mod:`~repro.batch.qp`), vectorized linearization
 (:mod:`~repro.batch.transcription`), and the lane-batched SQP driver
-(:mod:`~repro.batch.ipm`) — the one SQP iteration in the repo: the v2
+(:mod:`~repro.batch.ipm`) — the one SQP iteration in the repo: the
 serve engine (:mod:`repro.serve2`) dispatches session groups through
 :class:`BatchSolver`, and the scalar
 :class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1`` lane.

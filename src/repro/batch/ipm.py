@@ -967,9 +967,8 @@ class BatchSolver:
     def solve_payloads(self, payloads: Sequence[Dict[str, object]]):
         """Solve a group of ``ControlSession.solve_payload`` dicts.
 
-        The payload schema is the same one the process-pool workers
-        consume, so the batched backend slots into the engine's existing
-        dispatch plumbing.
+        Inline shards call this in the engine's process, process shards
+        inside their worker, on the same (padded) dicts.
         """
         X0 = HOST.stack([HOST.asarray(pl["x"]) for pl in payloads])
         refs = [pl.get("ref") for pl in payloads]

@@ -14,11 +14,10 @@ Commands
     Print a reproduced paper figure (9-12 sweep to N = 1024; takes longer).
 ``serve-sim``
     Run the multi-session serving runtime against simulated plants:
-    deadline-budgeted solves, graceful degradation, fleet telemetry.
-    ``--engine v2`` switches to the async continuous-batching engine
-    (batched group solves, EDF scheduling, horizon bucketing, sharded
-    fleets); v1 ``--workers N`` is a scalar process pool.  Exits non-zero
-    when any session crashed (the serve-smoke gate).
+    deadline-budgeted solves, graceful degradation, fleet telemetry, on
+    the async continuous-batching engine (batched group solves, EDF
+    scheduling, horizon bucketing, sharded fleets).  Exits non-zero when
+    any session crashed (the serve2-smoke gate).
 ``backends``
     List the registered array backends for the batch kernels (numpy is
     always present; torch appears when importable) and how to select one
@@ -119,15 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizons",
         default=None,
         help="comma-separated per-session horizons cycled across the fleet "
-        "(overrides --horizon; mixed horizons exercise v2 bucketing)",
-    )
-    p_serve.add_argument(
-        "--engine",
-        choices=("v1", "v2"),
-        default="v1",
-        help="serving engine: 'v1' (scalar per-session solves, default) or "
-        "'v2' (async continuous batching: batched group solves, EDF "
-        "scheduling, horizon bucketing, sharded fleets)",
+        "(overrides --horizon; mixed horizons exercise horizon bucketing)",
     )
     p_serve.add_argument(
         "--arrival-jitter",
@@ -147,31 +138,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="v2 only: number of solver shards (sessions pin by affinity)",
+        help="number of solver shards (sessions pin by affinity)",
     )
     p_serve.add_argument(
         "--shard-backend",
         choices=("inline", "process"),
         default="inline",
-        help="v2 only: where shard solves run (process = real worker "
-        "processes, killable by chaos)",
+        help="where shard solves run (process = real worker processes, "
+        "killable by chaos)",
     )
     p_serve.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="v2 only: max lanes fused into one batched solve",
+        help="max lanes fused into one batched solve",
     )
     p_serve.add_argument(
         "--max-queue",
         type=int,
         default=None,
-        help="v2 only: admission-control queue depth (default: unbounded)",
+        help="admission-control queue depth (default: unbounded)",
     )
     p_serve.add_argument(
         "--rungs",
         default=None,
-        help="v2 only: comma-separated horizon bucket rungs, e.g. 8,16,32 "
+        help="comma-separated horizon bucket rungs, e.g. 8,16,32 "
         "(default: engine ladder)",
     )
     p_serve.add_argument(
@@ -187,17 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive fallbacks before a session is marked degraded",
     )
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="v1 only: process-pool size (0 = inline execution)",
-    )
-    p_serve.add_argument(
         "--array-backend",
         default=None,
         metavar="NAME[:DTYPE]",
-        help="array backend for the batched lanes of --engine v2, e.g. "
-        "torch or numpy:float32 (default: numpy; see `repro backends`)",
+        help="array backend for the batched lanes, e.g. torch or "
+        "numpy:float32 (default: numpy; see `repro backends`)",
     )
     p_serve.add_argument(
         "--qp-method",
@@ -206,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inner QP solver for every fleet session: 'ipm' "
         "(interior-point, default) or 'admm' (first-order, cached "
         "factorization + warm-started iterations)",
-    )
-    p_serve.add_argument(
-        "--tick-budget-ms",
-        type=float,
-        default=None,
-        help="soft per-tick wall budget driving backpressure (default: off)",
     )
     p_serve.add_argument(
         "--trace", default=None, help="write a JSONL trace to this path"
@@ -250,24 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
         "resilience, shards (default: smoke)",
     )
     p_chaos.add_argument(
-        "--engine",
-        choices=("v1", "v2"),
-        default="v1",
-        help="serving engine under chaos: 'v1' (default) or 'v2' "
-        "(continuous batching; pair --schedule shards with --shards >= 2)",
-    )
-    p_chaos.add_argument(
         "--shards",
         type=int,
         default=1,
-        help="v2 only: solver shard count (shard_crash needs >= 2 for "
-        "handoff)",
+        help="solver shard count (pair --schedule shards with >= 2: "
+        "shard_crash needs a survivor to hand off to)",
     )
     p_chaos.add_argument(
         "--shard-backend",
         choices=("inline", "process"),
         default="inline",
-        help="v2 only: where shard solves run (process = killable workers)",
+        help="where shard solves run (process = killable workers)",
     )
     p_chaos.add_argument(
         "--sessions", type=int, default=3, help="fleet size (default 3)"
@@ -294,14 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="ipm",
         help="QP method the fleet starts on; admm arms the rescue ladder "
         "(pair with --schedule resilience)",
-    )
-    p_chaos.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="v1 only: process-pool size (0 = inline, the only path "
-        "solver-layer faults reach; the serve schedule needs a pool to kill "
-        "real workers)",
     )
     p_chaos.add_argument(
         "--trace", default=None, help="write a JSONL trace to this path"
@@ -642,18 +606,13 @@ def _cmd_serve_sim(args) -> int:
             seed=args.seed,
             arrival_jitter=args.arrival_jitter,
             robot_mix=args.robot_mix,
-            engine=args.engine,
             shards=args.shards,
             shard_backend=args.shard_backend,
             rungs=rungs,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
-            workers=args.workers,
             array_backend=args.array_backend,
             qp_method=args.qp_method,
-            tick_budget_s=(
-                args.tick_budget_ms / 1e3 if args.tick_budget_ms else None
-            ),
             trace_path=args.trace,
         )
         report = run_load(config)
@@ -704,7 +663,7 @@ def _cmd_backends() -> int:
         print(f"{'torch':10s} absent (not importable in this environment)")
     print(
         "\nselect with a backend= argument or "
-        "`repro serve-sim --engine v2 --array-backend NAME[:float32]`"
+        "`repro serve-sim --array-backend NAME[:float32]`"
     )
     return 0
 
@@ -737,8 +696,6 @@ def _cmd_chaos(args) -> int:
         degrade_after=args.degrade_after,
         qp_method=args.qp_method,
         seed=args.seed,
-        workers=args.workers,
-        engine=args.engine,
         shards=args.shards,
         shard_backend=args.shard_backend,
         trace_path=args.trace,

@@ -4,10 +4,10 @@ The chaos-engineering counterpart of :mod:`repro.serve`: seedable
 :class:`FaultSchedule` windows drive injectors at three layers — sensor
 (NaN/Inf measurements, dropout, spikes, actuator saturation), solver
 (forced factorization failures, ill-conditioning, budget starvation), and
-serve (dying pool workers, injected latency) — through the same hook points
-production code exposes (:attr:`MPCController.state_fault_hook` and
+serve (lost solves, dying shards, injected latency) — through the same hook
+points production code exposes (:attr:`MPCController.state_fault_hook` and
 friends, :attr:`InteriorPointSolver.fault_hook`,
-:attr:`ServeEngine.fault_hook`).  :func:`run_campaign` scripts a whole
+:attr:`AsyncServeEngine.fault_hook`).  :func:`run_campaign` scripts a whole
 storm over a live fleet and asserts the recovery invariants; ``repro
 chaos`` is its CLI.
 """

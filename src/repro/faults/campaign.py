@@ -2,10 +2,10 @@
 
 :func:`run_campaign` is the serving analogue of a chaos-engineering game
 day: it builds a small single-robot fleet on the real
-:class:`~repro.serve.engine.ServeEngine`, drives every session against its
+:class:`~repro.serve2.AsyncServeEngine`, drives every session against its
 own ground-truth plant while a :class:`~repro.faults.schedule.FaultSchedule`
 corrupts measurements, sabotages factorizations, starves budgets, and kills
-pool workers — then, after the schedule clears, checks the *recovery
+workers and shards — then, after the schedule clears, checks the *recovery
 invariants*:
 
 * ``no_uncaught_exception`` — nothing escaped the engine tick loop.
@@ -18,6 +18,8 @@ invariants*:
 * ``stalls_rescued`` — only checked for ``qp_method="admm"`` fleets whose
   schedule fired ``admm_stall`` faults: at least one ADMM->IPM rescue was
   recorded, i.e. no forced stall produced a silent bad plan.
+* ``shard_handoff`` — only checked when ``shard_crash`` faults fired: every
+  shard shot down handed its sessions to a survivor.
 
 ``repro chaos`` is a thin CLI wrapper; the chaos test-suite calls
 :func:`run_campaign` directly with small tick counts.
@@ -35,9 +37,9 @@ from repro.errors import ServeError
 from repro.faults.injectors import EngineFaultInjector, SessionFaultInjector
 from repro.faults.schedule import FaultSchedule, builtin_schedule
 from repro.mpc.controller import PlantIntegrator
-from repro.serve.engine import EngineConfig, ServeEngine
 from repro.serve.session import ACTIVE, SessionConfig
 from repro.serve.telemetry import FleetMetrics, TraceWriter, render_summary
+from repro.serve2 import AsyncServeEngine, Serve2Config
 
 __all__ = ["CampaignConfig", "CampaignReport", "run_campaign"]
 
@@ -59,14 +61,8 @@ class CampaignConfig:
     #: ``bounded_state`` allows at most this distance from the start state
     state_bound: float = 1e3
     seed: int = 0
-    #: v1 process-pool size (0 = scalar-inline, the only path solver-layer
-    #: faults reach)
-    workers: int = 0
-    #: "v1" drives the scalar ServeEngine; "v2" the serve2 async
-    #: continuous-batching engine (the target of the ``shards`` schedule)
-    engine: str = "v1"
-    #: serve2 shard count (engine="v2"; >= 2 for the shard_handoff
-    #: invariant — a lone shard has nowhere to hand its sessions off to)
+    #: engine shard count (>= 2 for the shard_handoff invariant — a lone
+    #: shard has nowhere to hand its sessions off to)
     shards: int = 1
     shard_backend: str = "inline"
     #: QP method every session starts on; "admm" arms the rescue ladder
@@ -81,8 +77,6 @@ class CampaignConfig:
             raise ServeError("sessions must be >= 1")
         if self.ticks < 2:
             raise ServeError("ticks must be >= 2")
-        if self.engine not in ("v1", "v2"):
-            raise ServeError(f"unknown engine {self.engine!r}")
 
     def resolved_schedule(self) -> FaultSchedule:
         if isinstance(self.schedule, FaultSchedule):
@@ -107,7 +101,6 @@ class CampaignReport:
     #: fault kind -> times it actually fired across the fleet
     fired: Dict[str, int]
     plant_resets: int
-    worker_respawns: int
     restarts_attempted: int
     restarts_succeeded: int
     wall_time_s: float
@@ -123,9 +116,7 @@ class CampaignReport:
     def to_dict(self) -> Dict[str, object]:
         return {
             "robot": self.config.robot,
-            "engine": self.config.engine,
             "shards": self.config.shards,
-            "workers": self.config.workers,
             "sessions": self.config.sessions,
             "ticks": self.config.ticks,
             "schedule": self.schedule,
@@ -135,7 +126,6 @@ class CampaignReport:
             "recovered_at_tick": self.recovered_at_tick,
             "fired": dict(self.fired),
             "plant_resets": self.plant_resets,
-            "worker_respawns": self.worker_respawns,
             "restarts_attempted": self.restarts_attempted,
             "restarts_succeeded": self.restarts_succeeded,
             "uncaught": self.uncaught,
@@ -149,7 +139,7 @@ class CampaignReport:
             f"chaos campaign: robot={self.config.robot} "
             f"schedule={self.schedule['name']} "
             f"sessions={self.config.sessions} ticks={self.config.ticks} "
-            f"engine={self.config.engine} workers={self.config.workers}",
+            f"shards={self.config.shards} ({self.config.shard_backend})",
             "faults fired:   "
             + (
                 "  ".join(f"{k}={n}" for k, n in sorted(self.fired.items()))
@@ -158,7 +148,7 @@ class CampaignReport:
             f"recovery:       clear_tick={self.schedule['clear_tick']}  "
             f"recovered_at={self.recovered_at_tick}  "
             f"plant_resets={self.plant_resets}  "
-            f"worker_respawns={self.worker_respawns}  "
+            f"shard_respawns={self.metrics.shard_respawns}  "
             f"restarts={self.restarts_succeeded}/{self.restarts_attempted}",
         ]
         for name, held in sorted(self.invariants.items()):
@@ -179,40 +169,19 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             f"schedule's clear_tick ({schedule.clear_tick}) so recovery "
             "can be observed"
         )
-    # Solver-layer faults are hooks on the session's own scalar solver, so
-    # they fire only where that solver runs: v1 scalar-inline.  v2's lanes
-    # and v1's pool workers solve elsewhere — refuse rather than report
-    # faults as fired that no solve ever saw.
-    if config.engine == "v2" or config.workers > 0:
-        unreachable = sorted(
-            {s.kind for s in schedule.specs if s.layer == "solver"}
-        )
-        if unreachable:
-            raise ServeError(
-                f"solver-layer faults ({', '.join(unreachable)}) are only "
-                "delivered on engine='v1' with workers=0; "
-                f"got engine={config.engine!r}, workers={config.workers}"
-            )
     trace = (
         TraceWriter(config.trace_path) if config.trace_path is not None else None
     )
-    if config.engine == "v2":
-        from repro.serve2 import AsyncServeEngine, Serve2Config
-
-        engine = AsyncServeEngine(
-            Serve2Config(
-                max_sessions=config.sessions,
-                shards=config.shards,
-                shard_backend=config.shard_backend,
-                qp_method=config.qp_method,
-            ),
-            trace=trace,
-        )
-    else:
-        engine = ServeEngine(
-            EngineConfig(max_sessions=config.sessions, workers=config.workers),
-            trace=trace,
-        )
+    engine = AsyncServeEngine(
+        Serve2Config(
+            max_sessions=config.sessions,
+            shards=config.shards,
+            shard_backend=config.shard_backend,
+            qp_method=config.qp_method,
+        ),
+        trace=trace,
+    )
+    hook_solvers = any(spec.layer == "solver" for spec in schedule.specs)
 
     t0 = perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -240,10 +209,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         x0_of[sid] = x0
         x[sid] = x0 + config.x0_noise * rng.standard_normal(x0.shape)
         injector = SessionFaultInjector(schedule, session_index=i)
-        # Solver-layer hooks ride the session's own solver (scalar-inline
-        # solves; checked above).  Sensor faults are applied below,
-        # plant-side, identically on every engine.
-        injector.bind_solver(engine.get_session(sid).controller)
+        # Solver-layer hooks ride the session's own solver, and a hooked
+        # session steps on it instead of the batched lanes, so a schedule
+        # without solver faults leaves the fleet batching.  Sensor faults
+        # are applied below, plant-side.
+        if hook_solvers:
+            injector.bind_solver(engine.get_session(sid).controller)
         injectors[sid] = injector
     if any(spec.layer == "serve" for spec in schedule.specs):
         engine.fault_hook = EngineFaultInjector(schedule, sids)
@@ -363,11 +334,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 "ADMM->IPM rescue was recorded (method_fallbacks == 0)"
             )
 
-    # Serve2 sharding invariant: every shard the chaos shot down must have
-    # handed its sessions to a surviving shard — a crash that only
-    # respawned (without re-pinning the orphans) would strand the fleet on
-    # dead capacity for a tick.
-    if config.engine == "v2" and fired.get("shard_crash", 0) > 0:
+    # Sharding invariant: every shard the chaos shot down must have handed
+    # its sessions to a surviving shard — a crash that only respawned
+    # (without re-pinning the orphans) would strand the fleet on dead
+    # capacity for a tick.
+    if fired.get("shard_crash", 0) > 0:
         handed_off = engine.metrics.shard_handoffs > 0
         invariants["shard_handoff"] = handed_off
         if not handed_off:
@@ -387,7 +358,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         recovered_at_tick=recovered_at,
         fired=fired,
         plant_resets=plant_resets,
-        worker_respawns=engine.worker_respawns,
         restarts_attempted=restarts_attempted,
         restarts_succeeded=restarts_succeeded,
         wall_time_s=wall,

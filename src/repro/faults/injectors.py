@@ -9,25 +9,20 @@ Two injector classes, one per side of the serving boundary:
   (``transform_matrix`` / ``force_failure``) and provides the callables
   :class:`~repro.mpc.controller.MPCController` hooks expect.
 * :class:`EngineFaultInjector` — fleet-wide, covers the **serve** layer:
-  consulted once per dispatched solve and answers with a directive the
-  engine (or, via the payload, the pool worker) executes — kill this
-  worker, or delay this solve.
+  consulted once per submitted solve and answers with a directive the
+  engine executes — lose this solve, kill this shard, or delay this
+  solve.
 
 Both are clocked externally: the campaign calls ``advance(tick)`` /
-passes the tick in, so the same schedule replays identically on any
-engine.  Solver-layer hooks ride the session's own scalar solver, so they
-are delivered only where that solver runs — v1 scalar-inline; v2's batched
-lanes and v1's pool workers solve elsewhere, and
-:func:`~repro.faults.campaign.run_campaign` refuses a solver-layer
-schedule there (the serve layer is their fault surface).  The hook points
-themselves are no longer scalar-only: the ADMM loop consults a per-lane
-hook sequence for every ``B``
-(:func:`repro.firstorder.batch.solve_qp_admm_batch`, ``fault_hooks=`` —
-``transform_matrix`` / ``force_failure`` per build of a lane's cached
-factorization, ``force_stall`` once per solve; the session's scalar ADMM
-solve is its one-lane case).  What is missing for batched delivery is the
-other half: the batched IPM (:mod:`repro.batch.qp`) has no hook points,
-and nothing threads a session's injector through
+passes the tick in, so the same schedule replays identically.
+Solver-layer hooks ride the session's own scalar solver, and the engine
+steps a hooked session on that solver instead of its batched lanes
+(group-fallback reason ``solver_hooked``), so every solver-layer fault
+reaches the solve it targets.  The hook points themselves are not
+scalar-only: the ADMM loop consults a per-lane hook sequence for every
+``B`` (:func:`repro.firstorder.batch.solve_qp_admm_batch`,
+``fault_hooks=``); the batched IPM (:mod:`repro.batch.qp`) has none, and
+nothing threads a session's injector through
 ``BatchSolver.solve_payloads`` — ROADMAP 6(f).
 """
 
@@ -185,14 +180,14 @@ class SessionFaultInjector:
     def bind_solver(self, controller) -> None:
         """Install only the solver-layer hooks.  The chaos campaign uses
         this and applies sensor faults itself (on the plant-side
-        measurement/input), which keeps sensor semantics identical across
-        engine backends."""
+        measurement/input), which keeps sensor semantics identical whether
+        a session batches or steps on its own solver."""
         controller.budget_fault_hook = self.corrupt_budget
         controller.solver.fault_hook = self
 
 
 class EngineFaultInjector:
-    """Serve-layer faults, consulted by :attr:`ServeEngine.fault_hook`.
+    """Serve-layer faults, consulted by :attr:`AsyncServeEngine.fault_hook`.
 
     The engine's tick counter is 1-based and pre-incremented; campaign
     schedules are written against 0-based campaign ticks, so dispatch ticks

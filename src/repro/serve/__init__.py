@@ -9,14 +9,15 @@ package is the serving substrate around the offline solver stack:
   (deadline miss / solver error / divergence → fallback ladder → degraded).
 * :mod:`repro.serve.policy` — the fallback ladder itself (shifted previous
   plan, then hover/hold).
-* :mod:`repro.serve.engine` — the scalar engine: admission control, a
-  round-robin tick loop with backpressure, and inline or process-pool
-  execution over picklable solve payloads (:mod:`repro.serve.wire` is the
-  worker wire format, shared with :mod:`repro.serve2`).
+* :mod:`repro.serve.wire` — the wire format between the engine and its
+  shard worker processes.
 * :mod:`repro.serve.telemetry` — per-session and fleet counters, log-spaced
   latency histograms, JSONL traces, and the text summary.
 * :mod:`repro.serve.loadgen` — mixed-robot fleet simulation against the
   ground-truth plant integrator (the ``repro serve-sim`` backend).
+
+The engine that ticks the sessions is
+:class:`repro.serve2.AsyncServeEngine`.
 
 Deadline semantics live one layer down, in
 :class:`repro.mpc.budget.SolveBudget`: a budgeted solve stops early with
@@ -24,13 +25,6 @@ Deadline semantics live one layer down, in
 what to serve when that happens.
 """
 
-from repro.serve.engine import (
-    EngineConfig,
-    ServeEngine,
-    TickReport,
-    prime_worker_cache,
-    remote_solve,
-)
 from repro.serve.loadgen import DEFAULT_ROBOTS, LoadConfig, LoadReport, run_load
 from repro.serve.policy import FallbackAction, FallbackLadder, HOLD, SHIFTED_PLAN
 from repro.serve.session import (
@@ -62,11 +56,6 @@ __all__ = [
     "SessionConfig",
     "StepOutcome",
     "ControlSession",
-    "EngineConfig",
-    "TickReport",
-    "ServeEngine",
-    "remote_solve",
-    "prime_worker_cache",
     "Histogram",
     "SessionMetrics",
     "FleetMetrics",

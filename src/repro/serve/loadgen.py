@@ -3,9 +3,9 @@
 This is the serving analogue of :meth:`MPCController.simulate`: each session
 gets its own ground-truth plant (the RK4 :class:`PlantIntegrator` over the
 continuous dynamics), its initial state perturbed around the benchmark's
-``x0``, and the engine ticks the whole fleet — deadline-budgeted solves,
-fallbacks, backpressure and all.  ``repro serve-sim`` is a thin CLI wrapper
-around :func:`run_load`.
+``x0``, and the engine (:class:`~repro.serve2.AsyncServeEngine`) ticks the
+whole fleet — deadline-budgeted batched solves, fallbacks and all.
+``repro serve-sim`` is a thin CLI wrapper around :func:`run_load`.
 
 Plant states that leave the finite range (a fleet member hovering through a
 long degraded stretch can drift arbitrarily) are re-seeded at the
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.mpc.controller import PlantIntegrator
-from repro.serve.engine import EngineConfig, ServeEngine
 from repro.serve.session import SessionConfig
 from repro.serve.telemetry import FleetMetrics, TraceWriter, render_summary
 
@@ -67,22 +66,16 @@ class LoadConfig:
     #: "cycle" assigns robots round-robin; "sample" draws each session's
     #: robot from ``robots`` with a seeded RNG
     robot_mix: str = "cycle"
-    #: "v1" (scalar ServeEngine: inline, or a process pool when
-    #: ``workers > 0``) or "v2" (async continuous batching)
-    engine: str = "v1"
-    #: serve2 knobs (engine="v2" only)
+    #: engine knobs (:class:`~repro.serve2.Serve2Config`)
     shards: int = 1
     shard_backend: str = "inline"
     rungs: Optional[Sequence[int]] = None
     max_batch: int = 64
     max_queue: Optional[int] = None
-    #: array backend of the batched lanes (engine="v2" only; None = numpy)
+    #: array backend of the batched lanes (None = numpy)
     array_backend: Optional[str] = None
-    #: v1 process-pool size (0 = scalar-inline)
-    workers: int = 0
     #: inner QP solver for every fleet session: "ipm" or "admm"
     qp_method: str = "ipm"
-    tick_budget_s: Optional[float] = None
     #: plant RK4 sub-steps per control interval
     substeps: int = 2
     trace_path: Optional[str] = None
@@ -100,13 +93,6 @@ class LoadConfig:
             raise ServeError("arrival_jitter must be in [0, 1)")
         if self.robot_mix not in ("cycle", "sample"):
             raise ServeError(f"unknown robot_mix {self.robot_mix!r}")
-        if self.engine not in ("v1", "v2"):
-            raise ServeError(f"unknown engine {self.engine!r}")
-        if self.array_backend is not None and self.engine != "v2":
-            raise ServeError(
-                "array_backend requires engine='v2' (--engine v2): the scalar "
-                "engine has no batched lanes"
-            )
 
 
 @dataclass
@@ -120,12 +106,12 @@ class LoadReport:
     plant_resets: int
     wall_time_s: float
     trace_path: Optional[str] = None
-    #: per-tick (duration_s, stepped, deferred) triples
-    tick_log: List[Tuple[float, int, int]] = field(default_factory=list)
+    #: per-tick (duration_s, stepped) pairs
+    tick_log: List[Tuple[float, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when no session crashed (the serve-smoke gate)."""
+        """True when no session crashed (the serve2-smoke gate)."""
         return not self.crashed
 
     def summary(self) -> str:
@@ -133,7 +119,6 @@ class LoadReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "engine": self.config.engine,
             "sessions": self.config.sessions,
             "ticks": self.config.ticks,
             "robots": list(self.config.robots),
@@ -148,31 +133,20 @@ class LoadReport:
 
 
 def _build_engine(config: LoadConfig, trace):
-    if config.engine == "v2":
-        from repro.serve2 import DEFAULT_RUNGS, AsyncServeEngine, Serve2Config
+    from repro.serve2 import DEFAULT_RUNGS, AsyncServeEngine, Serve2Config
 
-        return AsyncServeEngine(
-            Serve2Config(
-                max_sessions=config.sessions,
-                rungs=(
-                    tuple(config.rungs)
-                    if config.rungs is not None
-                    else DEFAULT_RUNGS
-                ),
-                max_batch=config.max_batch,
-                max_queue=config.max_queue,
-                shards=config.shards,
-                shard_backend=config.shard_backend,
-                qp_method=config.qp_method,
-                array_backend=config.array_backend,
-            ),
-            trace=trace,
-        )
-    return ServeEngine(
-        EngineConfig(
+    return AsyncServeEngine(
+        Serve2Config(
             max_sessions=config.sessions,
-            workers=config.workers,
-            tick_budget_s=config.tick_budget_s,
+            rungs=(
+                tuple(config.rungs) if config.rungs is not None else DEFAULT_RUNGS
+            ),
+            max_batch=config.max_batch,
+            max_queue=config.max_queue,
+            shards=config.shards,
+            shard_backend=config.shard_backend,
+            qp_method=config.qp_method,
+            array_backend=config.array_backend,
         ),
         trace=trace,
     )
@@ -228,7 +202,7 @@ def run_load(config: LoadConfig) -> LoadReport:
         x[sid] = x0 + config.x0_noise * rng.standard_normal(x0.shape)
         dt_of[sid] = problem.dt
 
-    tick_log: List[Tuple[float, int, int]] = []
+    tick_log: List[Tuple[float, int]] = []
     for _ in range(config.ticks):
         serving = {
             sid: (x[sid], None)
@@ -247,9 +221,7 @@ def run_load(config: LoadConfig) -> LoadReport:
             if not inputs:
                 continue  # everyone sat this tick out; the fleet lives on
         report = engine.tick(inputs)
-        tick_log.append(
-            (report.duration_s, report.stepped, len(report.deferred))
-        )
+        tick_log.append((report.duration_s, report.stepped))
         for sid, outcome in report.outcomes.items():
             x_next = plant_of[sid].advance(
                 x[sid], outcome.u, dt_of[sid], config.substeps

@@ -14,12 +14,11 @@ solver-side failures — every control period produces a
 
 Two execution paths produce identical outcomes:
 
-* ``step(x, ref)`` — solve inline on the session's own solver
-  (``workers == 0``).
-* ``solve_payload(x, ref)`` / ``absorb(remote)`` — build a picklable solve
-  request, ship it to a worker process, and fold the picklable reply back
-  into the session (the process pool; see
-  :func:`repro.serve.engine.remote_solve`).
+* ``step(x, ref)`` — solve inline on the session's own solver.
+* ``solve_payload(x, ref)`` / ``absorb_result(result)`` — build a
+  picklable solve request for a group solve outside the session (the
+  engine's batched lanes, in-process or on a shard worker) and fold that
+  lane's result back into the session.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from repro.mpc.ipm import IPMResult
 from repro.mpc.qp import QP_METHODS
 from repro.serve.policy import FallbackLadder
 from repro.serve.telemetry import FleetMetrics, TraceWriter
-from repro.serve.wire import result_from_dict
 
 __all__ = [
     "ACTIVE",
@@ -317,7 +315,7 @@ class ControlSession:
         """Record an externally-detected failure as one fallback period.
 
         The engine calls this when the failure happened *outside* the
-        session — e.g. a pool worker died mid-solve (``worker_died``).  The
+        session — e.g. a shard worker died mid-solve (``worker_died``).  The
         session pays one rung of the degradation ladder but keeps its warm
         start unless ``reset_warm`` says the iterate is implicated.
         """
@@ -377,14 +375,14 @@ class ControlSession:
             )
         return self._classify(u, self.controller.last_result, perf_counter() - t0)
 
-    # -- stepping (remote/worker path) ----------------------------------------
+    # -- stepping (group-solve path) -------------------------------------------
     def solve_payload(
         self, x_measured: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> Dict[str, object]:
-        """Picklable solve request for :func:`repro.serve.engine.remote_solve`.
+        """Picklable solve request for a group solve outside the session.
 
-        Carries the session's warm-start state by value; the worker owns no
-        session state, so the same worker pool serves any session mix.
+        Carries the session's warm-start state by value; a shard owns no
+        session state, so any shard serves any session mix.
         """
         self._require_serving("step")
         c = self.controller
@@ -401,35 +399,18 @@ class ControlSession:
             "deadline_s": self.config.deadline_s,
             "max_sqp_iterations": self.config.max_sqp_iterations,
             "max_qp_iterations": self.config.max_qp_iterations,
-            # the *effective* method: a demoted session ships "ipm" to the
-            # worker pool even though its config still says "admm"
+            # the *effective* method: a demoted session says "ipm" even
+            # though its config still says "admm"
             "qp_method": self.qp_method,
         }
-
-    def absorb(self, remote: Dict[str, object]) -> StepOutcome:
-        """Fold a worker's reply (from :func:`remote_solve`) into the session."""
-        self._require_serving("step")
-        if not remote.get("ok"):
-            reason = str(remote.get("kind") or "solver_error")
-            if reason != "bad_state":
-                # Solver-side failure implicates the warm start; a rejected
-                # input does not (the solve never started).
-                self.controller.reset()
-            return self._fallback_outcome(
-                reason,
-                float(remote.get("solve_time") or 0.0),
-                None,
-                health=remote.get("health"),
-            )
-        return self.absorb_result(result_from_dict(remote))
 
     def absorb_result(self, result: IPMResult) -> StepOutcome:
         """Fold an :class:`IPMResult` solved outside the session into it.
 
-        The v2 engine solves a whole session group in one call and
-        scatters each lane's result back here: adopt the iterate as the
-        next warm start, then run the same classification ladder as an
-        inline or worker solve.
+        The engine solves a whole session group in one call and scatters
+        each lane's result back here: adopt the iterate as the next warm
+        start, then run the same classification ladder as an inline
+        solve.
         """
         self._require_serving("step")
         u = self.controller.adopt(result)
@@ -557,15 +538,14 @@ class ControlSession:
 
 
 class SessionTable:
-    """The session table both serve engines own.
+    """The serve engine's session table.
 
     Admission against ``config.max_sessions`` (with lazy eviction of
     closed sessions at the cap), the shared ``(robot, horizon)``
     transcriptions, the per-session lifecycle passthroughs, and per-step
-    recording.  ``config`` needs ``max_sessions``.  An
-    engine keeps its per-session routing state (v1's round-robin deque,
-    v2's shard affinity) in step with the table through
-    :meth:`_on_register` / :meth:`_on_evict`.
+    recording.  ``config`` needs ``max_sessions``.  The engine keeps its
+    per-session routing state (shard affinity) in step with the table
+    through :meth:`_on_register` / :meth:`_on_evict`.
     """
 
     def __init__(self, config, trace: Optional[TraceWriter] = None):

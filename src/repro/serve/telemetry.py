@@ -111,7 +111,7 @@ class SessionMetrics:
     divergences: int = 0
     #: steps rejected up front for non-finite measurements/references
     bad_states: int = 0
-    #: solves lost to a dying pool worker (session survived on the ladder)
+    #: solves lost to a dying worker (session survived on the ladder)
     worker_deaths: int = 0
     #: requests dropped by admission control / load shedding (serve2)
     sheds: int = 0
@@ -197,7 +197,6 @@ class FleetMetrics:
         #: fleet's solvers (wall seconds / exact kernel flops)
         self.phase_totals: Dict[str, float] = {k: 0 for k in _PHASE_KEYS}
         self.ticks = 0
-        self.deferred_steps = 0
         #: batched-backend telemetry: group solves, lanes, and occupancy
         self.batch_solves = 0
         self.batched_lanes = 0
@@ -264,9 +263,8 @@ class FleetMetrics:
             if outcome.solve_time is not None:
                 target.solve_latency.record(outcome.solve_time)
 
-    def observe_tick(self, deferred: int) -> None:
+    def observe_tick(self) -> None:
         self.ticks += 1
-        self.deferred_steps += deferred
 
     def observe_batch(self, lanes: int, report) -> None:
         """Fold one batched group solve's occupancy report in.
@@ -333,7 +331,6 @@ class FleetMetrics:
         for key in _PHASE_KEYS:
             self.phase_totals[key] += other.phase_totals[key]
         self.ticks += other.ticks
-        self.deferred_steps += other.deferred_steps
         self.batch_solves += other.batch_solves
         self.batched_lanes += other.batched_lanes
         self.max_batch = max(self.max_batch, other.max_batch)
@@ -356,7 +353,6 @@ class FleetMetrics:
         return {
             "fleet": self.fleet.to_dict(),
             "ticks": self.ticks,
-            "deferred_steps": self.deferred_steps,
             "phase_totals": dict(self.phase_totals),
             "batching": {
                 "batch_solves": self.batch_solves,
@@ -452,10 +448,7 @@ def render_summary(metrics: FleetMetrics, states: Dict[str, str]) -> str:
     lines.append("serve summary")
     lines.append("=" * 13)
     lines.append(f"sessions:        {len(states)} ({census_line})")
-    lines.append(
-        f"ticks:           {metrics.ticks} "
-        f"(deferred steps: {metrics.deferred_steps})"
-    )
+    lines.append(f"ticks:           {metrics.ticks}")
     lines.append(
         f"steps:           {f.steps}  ok={f.ok} "
         f"(partial={f.partial_accepts})  fallbacks={f.fallbacks} "

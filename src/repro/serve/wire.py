@@ -1,17 +1,15 @@
-"""The wire format between a serve engine and its pool workers.
+"""The wire format between the serve engine and its shard workers.
 
-Both worker entry points — v1's :func:`repro.serve.engine.remote_solve`
-(one scalar solve) and v2's :func:`repro.serve2.shard.shard_solve_group`
-(one padded group) — speak it: a solve result crosses the process
-boundary as a plain picklable dict, a rejected solve as an error reply
-whose ``kind`` picks the session's ladder step, and a chaos directive
-shipped with the request is executed worker-side before the solve.
+The worker entry point, :func:`repro.serve2.shard.shard_solve_group` (one
+padded group), speaks it: a solve result crosses the process boundary as
+a plain picklable dict, a rejected solve as an error reply whose ``kind``
+picks the session's ladder step, and a chaos directive shipped with the
+request is executed worker-side before the solve.
 """
 
 from __future__ import annotations
 
 import os
-from time import sleep
 from typing import Dict, Optional
 
 import numpy as np
@@ -81,13 +79,8 @@ def error_reply(exc: ReproError) -> Dict[str, object]:
 
 def run_fault_directive(fault: Optional[Dict[str, object]]) -> None:
     """Execute a chaos directive inside the worker, before the solve:
-    ``worker_crash`` / ``shard_crash`` hard-kill this process — exactly the
-    failure the engines must survive — and ``slow`` sleeps for the
-    injected latency."""
-    if not fault:
-        return
-    kind = fault.get("kind")
-    if kind in ("worker_crash", "shard_crash"):
+    ``shard_crash`` hard-kills this process — exactly the failure the
+    engine must survive.  (The engine handles ``worker_crash`` and
+    ``slow`` itself and never ships them.)"""
+    if fault and fault.get("kind") == "shard_crash":
         os._exit(3)  # no cleanup: simulate an OOM-kill / segfault
-    elif kind == "slow":
-        sleep(float(fault.get("delay_s", 0.0)))

@@ -1,8 +1,8 @@
-"""repro.serve2: async continuous-batching serve engine.
+"""repro.serve2: the async continuous-batching serve engine.
 
-The v1 engine (:mod:`repro.serve.engine`) polls sessions in round-robin
-tick order and solves each on its own scalar solver.  ``serve2`` is the
-batched engine, and borrows the structure of modern LLM serving stacks:
+``serve2`` is the engine behind :func:`repro.serve.run_load`, the chaos
+campaign and ``repro serve-sim``; it borrows the structure of modern LLM
+serving stacks:
 
 * sessions submit :class:`~repro.serve2.scheduler.SolveRequest`\\ s to a
   central queue on an asyncio event loop (:mod:`repro.serve2.engine`);
@@ -20,7 +20,7 @@ batched engine, and borrows the structure of modern LLM serving stacks:
 """
 
 from repro.serve2.bucketing import DEFAULT_RUNGS, HorizonBuckets
-from repro.serve2.engine import AsyncServeEngine, Serve2Config
+from repro.serve2.engine import AsyncServeEngine, Serve2Config, TickReport
 from repro.serve2.padding import (
     PAD_RUN,
     PAD_TERM,
@@ -39,6 +39,7 @@ __all__ = [
     "HorizonBuckets",
     "AsyncServeEngine",
     "Serve2Config",
+    "TickReport",
     "PAD_RUN",
     "PAD_TERM",
     "PaddedBinding",

@@ -1,33 +1,35 @@
-"""Async continuous-batching serve engine (the serve2 core).
+"""Async continuous-batching serve engine: the one serve engine.
 
-Dispatch is inverted relative to v1: instead of the engine polling
-sessions in round-robin tick order, sessions *submit*
-:class:`~repro.serve2.scheduler.SolveRequest`\\ s to a central queue on an
-asyncio event loop.  A drain task then repeatedly takes the
-earliest-deadline request, fills a batch with queued requests sharing its
-``(shard, robot, bucket)`` key — horizons padded up to the bucket rung so
-near-miss horizons co-batch — and launches the group solve as its own
-task, so groups overlap on process shards and interleave with fresh
-submissions: continuous batching, not barrier ticks.
+Sessions *submit* :class:`~repro.serve2.scheduler.SolveRequest`\\ s to a
+central queue on an asyncio event loop.  A drain task then repeatedly
+takes the earliest-deadline request, fills a batch with queued requests
+sharing its ``(shard, robot, bucket)`` key — horizons padded up to the
+bucket rung so near-miss horizons co-batch — and launches the group solve
+as its own task, so groups overlap on process shards and interleave with
+fresh submissions: continuous batching, not barrier ticks.
 
-The synchronous :meth:`AsyncServeEngine.tick` facade keeps the v1
-engine surface (``tick(inputs) -> TickReport``) so the load generator,
-chaos campaign, and CLI drive either engine interchangeably; the async
-:meth:`AsyncServeEngine.submit` is the native API.
+The synchronous :meth:`AsyncServeEngine.tick` (``tick(inputs) ->
+TickReport``) is what the load generator, the chaos campaign and the CLI
+drive; the async :meth:`AsyncServeEngine.submit` is the native API.
 
-Failure semantics mirror v1 exactly — one lost solve is one
-degradation-ladder step — with one addition: when a shard dies (a real
-worker-process death in ``process`` mode, a chaos mark in ``inline``
-mode), its in-flight lanes pay a ``worker_died`` step, its sessions are
-handed off to surviving shards, and the shard respawns as fresh
-capacity.
+Groups step on the batched lanes.  A session whose group cannot batch
+(no registry benchmark, a non-Gauss-Newton robot), whose QP method was
+demoted, or whose solver carries a chaos fault hook steps instead on its
+own scalar solver (:meth:`~repro.serve.session.ControlSession.step`), so
+solver-layer faults reach the solve they target.
+
+One lost solve is one degradation-ladder step.  When a shard dies (a
+real worker-process death in ``process`` mode, a chaos mark in
+``inline`` mode), its in-flight lanes pay a ``worker_died`` step, its
+sessions are handed off to surviving shards, and the shard respawns as
+fresh capacity.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +38,6 @@ import numpy as np
 from repro.batch.ipm import BatchSolveReport
 from repro.errors import ReproError, ServeError
 from repro.mpc.qp import QP_METHODS
-from repro.serve.engine import TickReport
 from repro.serve.session import ControlSession, SessionTable, StepOutcome
 from repro.serve.telemetry import TraceWriter
 from repro.serve2.bucketing import DEFAULT_RUNGS, HorizonBuckets
@@ -44,12 +45,12 @@ from repro.serve2.scheduler import EDFScheduler, SolveRequest
 from repro.serve.wire import result_from_dict
 from repro.serve2.shard import Shard, shard_solve_group
 
-__all__ = ["Serve2Config", "AsyncServeEngine"]
+__all__ = ["Serve2Config", "TickReport", "AsyncServeEngine"]
 
 
 @dataclass(frozen=True)
 class Serve2Config:
-    """Policy knobs for the v2 engine."""
+    """Policy knobs for the serve engine."""
 
     #: admission-control cap on concurrently open sessions
     max_sessions: int = 1024
@@ -91,6 +92,19 @@ class Serve2Config:
         HorizonBuckets(self.rungs)  # validates the ladder
 
 
+@dataclass
+class TickReport:
+    """What one engine tick did."""
+
+    index: int
+    outcomes: Dict[str, StepOutcome] = field(default_factory=dict)
+    duration_s: float = 0.0
+
+    @property
+    def stepped(self) -> int:
+        return len(self.outcomes)
+
+
 class AsyncServeEngine(SessionTable):
     """Queue-submit / batch-form / EDF-dispatch engine over sharded arenas."""
 
@@ -126,8 +140,6 @@ class AsyncServeEngine(SessionTable):
         self._bench_cache: Dict[str, object] = {}
         self._loop = asyncio.new_event_loop()
         self._drain_task: Optional[asyncio.Task] = None
-        #: kept name-compatible with v1 for the chaos campaign report
-        self.worker_respawns = 0
 
     # -- session-table hooks ----------------------------------------------------
     def _on_register(self, session: ControlSession) -> Dict[str, object]:
@@ -156,7 +168,7 @@ class AsyncServeEngine(SessionTable):
     def shard_of(self, session_id: str) -> int:
         return self._affinity[session_id]
 
-    # -- sync tick facade (v1-compatible surface) -------------------------------
+    # -- sync tick facade -------------------------------------------------------
     def tick(
         self,
         inputs: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]],
@@ -168,16 +180,13 @@ class AsyncServeEngine(SessionTable):
         report = TickReport(index=self._tick_index)
         self._loop.run_until_complete(self._tick_async(inputs, report))
         report.duration_s = perf_counter() - t0
-        report.batch_limit = self.config.max_batch
-        self.metrics.observe_tick(0)
+        self.metrics.observe_tick()
         if self.trace is not None:
             self.trace.emit(
                 "tick",
                 tick=report.index,
                 duration_s=report.duration_s,
                 stepped=report.stepped,
-                deferred=0,
-                batch_limit=report.batch_limit,
             )
         return report
 
@@ -226,7 +235,7 @@ class AsyncServeEngine(SessionTable):
                 self._arm_shard_crash(self._affinity.get(sid, 0))
                 directive = None
             elif kind == "worker_crash":
-                # one lost solve, same contract as a dead pool worker
+                # one lost solve: the session pays one ladder step
                 fut.set_result(session.fail_step("worker_died"))
                 return fut
         cfg = self.config
@@ -328,10 +337,14 @@ class AsyncServeEngine(SessionTable):
         solve_lanes: List[SolveRequest] = []
         for req in lanes:
             session = self.sessions[req.session_id]
-            if session.qp_method != session.config.qp_method:
-                # demoted session: its solves must not re-enter the shared
-                # batch (whose solver still runs the configured method)
-                self.metrics.observe_group_fallback("method_demoted", 1)
+            # A demoted session's solves must not re-enter the shared batch
+            # (whose solver still runs the configured method); a session
+            # with a chaos hook on its solver must solve where the hook is.
+            hooked = getattr(session.controller.solver, "fault_hook", None)
+            if hooked is not None or session.qp_method != session.config.qp_method:
+                self.metrics.observe_group_fallback(
+                    "method_demoted" if hooked is None else "solver_hooked", 1
+                )
                 req.future.set_result(self._step_scalar(req))
                 continue
             payload = session.solve_payload(req.x, ref=req.ref)
@@ -435,8 +448,8 @@ class AsyncServeEngine(SessionTable):
         return results, BatchSolveReport(**reply["report"])
 
     def _step_scalar(self, req: SolveRequest) -> StepOutcome:
-        """Scalar-inline fallback lane (native problem, session's own
-        solver) with v1 fault semantics."""
+        """Scalar-inline lane: the session's own native problem and solver
+        (a ``slow`` directive delays it by the injected latency)."""
         if req.directive is not None and req.directive.get("kind") == "slow":
             sleep(float(req.directive.get("delay_s", 0.0)))
         return self._step_guarded(req.session_id, req.x, req.ref)
@@ -490,7 +503,6 @@ class AsyncServeEngine(SessionTable):
             self.metrics.shard_handoffs += moved
         shard.revive()
         self.metrics.shard_respawns += 1
-        self.worker_respawns += 1
         if self.trace is not None:
             self.trace.emit(
                 "shard_death",

@@ -315,8 +315,9 @@ class PaddedBinding:
 
     Shards hold one of these per ``(robot, bucket)`` key.  The batched
     solver is ``None`` when the robot cannot batch (e.g. a non-Gauss-
-    Newton Hessian model) — its groups then fall back to scalar solves on
-    the *padded* problem, so bucketing semantics stay identical.
+    Newton Hessian model) — its groups then step each session on its own
+    solver over its own *native* problem, unpadded.  ``scalar_solver``
+    solves the padded problem; it supplies the batched solver's options.
     """
 
     def __init__(

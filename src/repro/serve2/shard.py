@@ -6,15 +6,14 @@ a single-worker process pool whose death is a real OS process death.
 Sessions (and their warm-start state) live in the *parent* engine; a
 shard is pure solver capacity, which is what makes handoff cheap: when a
 shard dies mid-tick, its in-flight lanes pay one degradation-ladder step
-(``worker_died``, the same contract as a v1 pool death), its sessions are
+(``worker_died``, as for any lost solve), its sessions are
 re-pinned to surviving shards, and the dead shard respawns lazily.
 
 ``inline`` mode solves in-process (deterministic, what the chaos
 campaign drives); ``process`` mode overlaps shard solves across real
 worker processes, with the parent's compiled bindings inherited through
-the fork start method via a prime-before-fork cache, exactly like the v1
-engine's worker pool — and over the same worker wire format
-(:mod:`repro.serve.wire`).
+the fork start method via a prime-before-fork cache, and over the worker
+wire format of :mod:`repro.serve.wire`.
 """
 
 from __future__ import annotations
@@ -131,9 +130,8 @@ def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
 
     ``group`` carries the binding identity, the already-padded payloads,
     and an optional chaos directive
-    (:func:`repro.serve.wire.run_fault_directive`: ``shard_crash`` /
-    ``worker_crash`` hard-kill this worker — the failure mode handoff must
-    survive).  The reply is a plain dict of per-lane result dicts
+    (:func:`repro.serve.wire.run_fault_directive`: ``shard_crash``
+    hard-kills this worker — the failure mode handoff must survive).  The reply is a plain dict of per-lane result dicts
     (:func:`repro.serve.wire.result_to_dict`) plus the batch-occupancy
     report.
     """

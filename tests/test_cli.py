@@ -37,8 +37,7 @@ class TestParser:
         assert args.sessions == 20
         assert args.ticks == 20
         assert args.deadline_ms == 50.0
-        assert args.workers == 0
-        assert args.engine == "v1"
+        assert args.shards == 1
         assert args.robots is None
         assert not args.json
 
@@ -232,10 +231,11 @@ class TestServeSim:
 
 
 class TestChaos:
-    def test_unreachable_solver_faults_exit_2(self, capsys):
-        code = main(["chaos", "--schedule", "solver", "--engine", "v2"])
-        assert code == 2
-        assert "solver-layer faults" in capsys.readouterr().err
+    def test_solver_faults_on_shards_exit_0(self, capsys):
+        code = main(["chaos", "--schedule", "solver", "--shards", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "chol_fail=" in out and "solver_hooked=" in out
 
 
 class TestBackends:
@@ -255,7 +255,7 @@ class TestBackends:
 
     def test_serve_sim_rejects_an_unknown_backend_up_front(self, capsys):
         for spec in ("tpu", "numpy:float16"):
-            argv = ["serve-sim", "--engine", "v2", "--array-backend", spec]
+            argv = ["serve-sim", "--array-backend", spec]
             assert main(argv) == 2
             assert "registered: numpy" in capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""End-to-end chaos campaigns: recovery invariants across robots and backends.
+"""End-to-end chaos campaigns: recovery invariants across robots and shards.
 
 These are the acceptance tests for the fault-injection harness: a seeded
 fault schedule is driven through the full plant -> controller -> serve
@@ -15,10 +15,12 @@ from repro.faults import (
     CampaignConfig,
     FaultSchedule,
     FaultSpec,
+    builtin_schedule,
     run_campaign,
 )
 from repro.mpc import MPCController
-from repro.serve import ACTIVE, CRASHED, ControlSession, ServeEngine, SessionConfig
+from repro.serve import ACTIVE, CRASHED, ControlSession, SessionConfig
+from repro.serve2 import AsyncServeEngine
 from tests.test_serve_session import ScriptedSolver, cart  # noqa: F401
 
 X = np.zeros(2)
@@ -75,15 +77,31 @@ class TestCampaignInvariants:
         with pytest.raises(ServeError, match="clear"):
             run_campaign(CampaignConfig(schedule=sched, ticks=10))
 
-    @pytest.mark.parametrize("where", [{"engine": "v2"}, {"workers": 2}])
-    def test_unreachable_solver_faults_are_refused(self, where):
-        """v2's lanes and v1's pool workers never run the session's own
-        solver, so its fault hooks would arm and never fire: refuse the
-        campaign instead of passing it vacuously."""
-        from repro.errors import ServeError
-
-        with pytest.raises(ServeError, match="budget_starve, chol_fail, illcond"):
-            run_campaign(CampaignConfig(schedule="solver", ticks=30, **where))
+    @pytest.mark.parametrize("schedule", ["smoke", "solver"])
+    def test_solver_faults_reach_the_solve(self, schedule):
+        """Hooked sessions step on their own solver, so on a sharded fleet
+        every solver-layer fault in the schedule fires, and the fleet
+        recovers from all of them."""
+        rep = run_campaign(
+            CampaignConfig(
+                robot="CartPole",
+                schedule=schedule,
+                sessions=3,
+                ticks=30,
+                shards=2,
+                seed=0,
+            )
+        )
+        kinds = {
+            spec.kind
+            for spec in builtin_schedule(schedule, ticks=30, seed=0).specs
+            if spec.layer == "solver"
+        }
+        assert kinds
+        assert all(rep.fired.get(kind, 0) > 0 for kind in kinds), rep.fired
+        assert rep.ok, rep.violations
+        assert rep.metrics.group_fallbacks["solver_hooked"] > 0
+        assert rep.metrics.batch_solves == 0  # no hooked session batched
 
     def test_report_is_json_ready(self):
         rep = run_campaign(
@@ -99,23 +117,31 @@ class TestCampaignInvariants:
 @pytest.mark.slow
 class TestProcessBackendCampaign:
     def test_worker_kill_respawns_pool_and_recovers(self):
+        schedule = FaultSchedule(
+            specs=(FaultSpec("shard_crash", start=4, stop=8, sessions=(0,)),),
+            seed=0,
+            name="shard-kill",
+        )
         rep = run_campaign(
             CampaignConfig(
                 robot="CartPole",
-                schedule="serve",
+                schedule=schedule,
                 sessions=2,
-                ticks=40,
-                workers=2,
+                ticks=20,
+                deadline_s=1.0,
+                shards=2,
+                shard_backend="process",
                 seed=0,
             )
         )
         assert rep.ok, rep.violations
-        assert rep.fired.get("worker_crash", 0) >= 1
-        # A killed worker breaks the whole pool: the engine must notice,
-        # charge only the affected sessions one fallback period, and
-        # rebuild the pool for the next tick.
+        assert rep.fired.get("shard_crash", 0) >= 1
+        # A shard_crash ships with the shard's next group and the worker
+        # process hard-exits: the engine must notice the dead pool, charge
+        # only that group's sessions one fallback period, hand them off,
+        # and respawn the shard's worker.
         assert rep.metrics.fleet.worker_deaths >= 1
-        assert rep.worker_respawns >= 1
+        assert rep.metrics.shard_respawns >= 1
         assert rep.metrics.fleet.crashes == 0
         assert all(state == ACTIVE for state in rep.session_states.values())
 
@@ -139,7 +165,6 @@ class TestServe2ShardCampaign:
                 sessions=4,
                 ticks=20,
                 deadline_s=1.0,
-                engine="v2",
                 shards=2,
                 seed=0,
             )
@@ -161,21 +186,12 @@ class TestServe2ShardCampaign:
                 sessions=4,
                 ticks=30,
                 deadline_s=1.0,
-                engine="v2",
                 shards=2,
                 seed=3,
             )
         )
         assert rep.uncaught is None
         assert rep.ok, rep.violations
-
-    def test_v1_rejects_nothing_but_reports_engine(self):
-        rep = run_campaign(
-            CampaignConfig(
-                robot="CartPole", schedule="smoke", ticks=20, seed=0
-            )
-        )
-        assert rep.to_dict()["engine"] == "v1"
 
 
 class TestCrashedSessionRestart:
@@ -215,7 +231,7 @@ class TestCrashedSessionRestart:
             session.restart()
 
     def test_engine_restart_rejoins_tick_loop(self, cart):
-        engine = ServeEngine()
+        engine = AsyncServeEngine()
         session = self.make(cart, ["boom", "ok"])
         sid = engine.add_session(session)
         engine.tick({sid: (X, None)})

@@ -118,10 +118,10 @@ def test_soak_churn_p99_miss_streak_below_degrade(cart):
 
 def test_soak_batch_efficiency_v2_strictly_above_v1():
     """Mixed-robot ragged loadgen soak, identical seeded load twice
-    through v2: bucketing onto one rung must batch strictly wider than
-    rungs equal to the native horizons (the retired v1 backend's exact-key
-    grouping), and the fleet must stay un-degraded (every miss streak
-    below the ladder)."""
+    through the engine: bucketing onto one rung (``v2``) must batch
+    strictly wider than rungs equal to the native horizons (``v1``,
+    exact-key grouping), and the fleet must stay un-degraded (every miss
+    streak below the ladder)."""
     seed = int(os.environ.get("REPRO_BENCH_SEED", "0"))
     common = dict(
         sessions=16,
@@ -132,7 +132,7 @@ def test_soak_batch_efficiency_v2_strictly_above_v1():
         seed=seed,
         arrival_jitter=0.1,
     )
-    common.update(engine="v2", max_batch=16)
+    common.update(max_batch=16)
     v1 = run_load(LoadConfig(rungs=(5, 6, 7, 8), **common))
     v2 = run_load(LoadConfig(rungs=(8,), **common))
     assert not v1.crashed and not v2.crashed
@@ -164,7 +164,6 @@ def test_soak_sharded_chaos_process_backend():
             sessions=6,
             ticks=30,
             deadline_s=1.0,
-            engine="v2",
             shards=2,
             shard_backend="process",
             seed=0,

@@ -1,7 +1,7 @@
 """Per-session QP-method selection threaded end to end through serving:
-config validation, the ``apply_qp_method`` options swap, engine paths
-(v1 inline, v2 batched), the loadgen surface, and the degradation ladder
-running on the ADMM solver."""
+config validation, the ``apply_qp_method`` options swap, the engine's
+batched lanes, the loadgen surface, and the degradation ladder running on
+the ADMM solver."""
 
 import numpy as np
 import pytest
@@ -71,7 +71,7 @@ class TestServeEndToEnd:
 
     def test_batched_fleet_serves_with_admm(self):
         report = self._load(
-            sessions=3, engine="v2", rungs=(5,), array_backend="numpy"
+            sessions=3, rungs=(5,), array_backend="numpy"
         )
         assert report.ok
         assert report.metrics.fleet.steps == 9

@@ -1,14 +1,12 @@
-"""Batched serving — the v2 engine's group solves: group keys, lane
-scatter, fallbacks, and batch telemetry.  (The v1 ``batched`` backend
-these cases were written against is retired; rungs equal to the native
-horizons make ``AsyncServeEngine`` its exact-key grouping.)"""
+"""Batched serving — the engine's group solves: group keys, lane
+scatter, fallbacks, and batch telemetry.  (Rungs equal to the native
+horizons make ``AsyncServeEngine`` group on the exact key.)"""
 
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
-from repro.serve import EngineConfig, LoadConfig, ServeEngine, SessionConfig
-from repro.serve.telemetry import render_summary
+from repro.serve import ControlSession, SessionConfig
+from repro.serve.telemetry import FleetMetrics, render_summary
 from repro.serve2 import AsyncServeEngine, Serve2Config
 from tests.test_serve_engine import fleet
 from tests.test_serve_session import cart  # noqa: F401
@@ -53,13 +51,6 @@ def tick_states(engine, sids):
 
 
 class TestConfig:
-    def test_array_backend_requires_batched(self):
-        # the scalar engine has no array backend to select
-        with pytest.raises(ServeError, match="v2"):
-            LoadConfig(engine="v1", array_backend="numpy")
-        cfg = LoadConfig(engine="v2", array_backend="numpy:float32")
-        assert cfg.array_backend == "numpy:float32"
-
     def test_array_backend_reaches_the_group_solver(self, batched_engine):
         engine = batched_engine(array_backend="numpy:float32")
         sids = make_fleet(engine, [("MobileRobot", 6)] * 2)
@@ -122,15 +113,20 @@ class TestDispatch:
         assert engine.metrics.fleet.ok == 3
 
     def test_matches_inline_backend_outcomes(self, batched_engine):
-        specs = [("MobileRobot", 6)] * 3
+        """Each batched lane serves what the session's own inline step
+        serves from the same state."""
         batched = batched_engine()
-        inline = ServeEngine(EngineConfig())
-        b_sids = make_fleet(batched, specs)
-        i_sids = make_fleet(inline, specs)
+        b_sids = make_fleet(batched, [("MobileRobot", 6)] * 3)
         b_rep = tick_states(batched, b_sids)
-        i_rep = tick_states(inline, i_sids)
-        for bs, is_ in zip(b_sids, i_sids):
-            bo, io = b_rep.outcomes[bs], i_rep.outcomes[is_]
+        bench, problem = batched.binding("MobileRobot", 6)
+        io = ControlSession.from_benchmark(
+            "inline",
+            SessionConfig(robot="MobileRobot", horizon=6, deadline_s=None),
+            bench=bench,
+            problem=problem,
+        ).step(np.asarray(bench.x0, dtype=float))
+        for bs in b_sids:
+            bo = b_rep.outcomes[bs]
             assert bo.status == io.status
             assert np.allclose(bo.u, io.u, atol=1e-6)
 
@@ -213,12 +209,7 @@ class TestTelemetry:
         tick_states(engine, sids)
         text = render_summary(engine.metrics, engine.session_states())
         assert "batching:" in text
-        inline = ServeEngine(EngineConfig())
-        i_sids = make_fleet(inline, [("MobileRobot", 6)])
-        tick_states(inline, i_sids)
-        assert "batching:" not in render_summary(
-            inline.metrics, inline.session_states()
-        )
+        assert "batching:" not in render_summary(FleetMetrics(), {})
 
     def test_collect_solver_stats_includes_batch_solver(self, batched_engine):
         engine = batched_engine()

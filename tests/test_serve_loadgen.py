@@ -1,5 +1,5 @@
 """Load-generator tests: seeded jitter/mix determinism, horizon rotation,
-and v1/v2 engine routing."""
+bucketing and shards."""
 
 import pytest
 
@@ -36,7 +36,7 @@ class TestConfigValidation:
             {"arrival_jitter": -0.1},
             {"arrival_jitter": 1.0},
             {"robot_mix": "shuffle"},
-            {"engine": "v3"},
+            {"sessions": 0},
             {"horizons": ()},
         ],
     )
@@ -81,14 +81,13 @@ class TestHorizonsAndEngines:
 
     def test_v2_engine_cobatches_mixed_horizons(self):
         report = run_load(
-            quick(sessions=4, horizons=(5, 6), engine="v2", rungs=(8,))
+            quick(sessions=4, horizons=(5, 6), rungs=(8,))
         )
         assert report.ok
-        assert report.to_dict()["engine"] == "v2"
         assert report.metrics.batch_solves >= 1
         assert report.metrics.mean_batch > 1.0  # bucketing actually co-batched
 
     def test_v2_sharded_run(self):
-        report = run_load(quick(sessions=4, engine="v2", shards=2))
+        report = run_load(quick(sessions=4, shards=2))
         assert report.ok
         assert report.metrics.fleet.steps == 8

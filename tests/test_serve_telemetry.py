@@ -166,10 +166,10 @@ class TestFleetMetrics:
     def test_to_dict_round_trips_through_json(self):
         m = FleetMetrics()
         m.observe_step("s0", outcome())
-        m.observe_tick(deferred=2)
+        m.observe_tick()
         doc = json.loads(json.dumps(m.to_dict()))
         assert doc["fleet"]["steps"] == 1
-        assert doc["deferred_steps"] == 2
+        assert doc["ticks"] == 1
         assert "s0" in doc["sessions"]
 
 
@@ -212,7 +212,7 @@ class TestRenderSummary:
                 reason="deadline",
             ),
         )
-        m.observe_tick(deferred=0)
+        m.observe_tick()
         text = render_summary(m, {"s0": "active", "s1": "degraded"})
         assert "serve summary" in text
         assert "1 active, 1 degraded" in text

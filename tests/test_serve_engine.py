@@ -1,14 +1,14 @@
-"""Tests for the serve engine's session table: lookups, input-less and
-closed sessions, fallback accounting, crash isolation, teardown, and one
-codegen tier per shared problem.  (Admission and the tick facade's
-co-batching are in ``test_serve2_engine.py``.)"""
+"""Tests for the serve engine's session table: admission and stepping across
+shards, lookups, input-less and closed sessions, fallback accounting, crash
+isolation, teardown, and one codegen tier per shared problem.  (The tick
+facade's co-batching and load shedding are in ``test_serve2_engine.py``.)"""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.errors import ServeError, SessionStateError
+from repro.errors import AdmissionError, ServeError, SessionStateError
 from repro.mpc import MPCController
 from repro.serve import ControlSession, SessionConfig
 from repro.serve2 import AsyncServeEngine, Serve2Config
@@ -38,7 +38,41 @@ def engine():
     made.shutdown()
 
 
+@pytest.fixture
+def sharded():
+    """A two-shard engine: its session table spans both shards."""
+    made = []
+
+    def make(**kwargs):
+        made.append(AsyncServeEngine(Serve2Config(shards=2, **kwargs)))
+        return made[-1]
+
+    yield make
+    for engine in made:
+        engine.shutdown()
+
+
 class TestAdmission:
+    def test_capacity_enforced(self, cart, sharded):
+        """The cap counts the whole table, not one shard's share."""
+        engine = sharded(max_sessions=2)
+        fleet(cart, engine, 2)
+        with pytest.raises(AdmissionError):
+            engine.add_session(stub_session(cart, "s2", ["ok"]))
+
+    def test_closing_frees_a_slot(self, cart, sharded):
+        engine = sharded(max_sessions=2)
+        sids = fleet(cart, engine, 2)
+        engine.close_session(sids[0])
+        engine.add_session(stub_session(cart, "s2", ["ok"]))  # admitted again
+
+    def test_duplicate_id_rejected(self, cart, sharded):
+        """A duplicate is refused even when it would pin to the other shard."""
+        engine = sharded()
+        engine.add_session(stub_session(cart, "dup", ["ok"]))
+        with pytest.raises(ServeError):
+            engine.add_session(stub_session(cart, "dup", ["ok"]))
+
     def test_unknown_session_lookup(self, engine):
         with pytest.raises(ServeError):
             engine.get_session("nope")
@@ -49,6 +83,23 @@ class TestAdmission:
 
 
 class TestTick:
+    def test_steps_every_session_with_input(self, cart, sharded):
+        engine = sharded()
+        sids = fleet(cart, engine, 3)
+        assert {engine.shard_of(sid) for sid in sids} == {0, 1}
+        report = engine.tick({sid: (X, None) for sid in sids})
+        assert report.stepped == 3
+        assert all(o.status == "ok" for o in report.outcomes.values())
+        assert engine.metrics.fleet.steps == 3
+        assert engine.metrics.fleet.ok == 3
+
+    def test_closed_sessions_are_skipped(self, cart, sharded):
+        engine = sharded()
+        sids = fleet(cart, engine, 2)
+        engine.close_session(sids[1])
+        report = engine.tick({sid: (X, None) for sid in sids})
+        assert set(report.outcomes) == {sids[0]}
+
     def test_sessions_without_input_are_skipped(self, cart, engine):
         sids = fleet(cart, engine, 3)
         report = engine.tick({sids[0]: (X, None)})

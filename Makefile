@@ -58,16 +58,21 @@ conform-smoke:
 # on the batched serve engine must complete with zero crashed sessions.
 # The ungated B=1 ratio rows are left out (they only print; run them with
 # `pytest -q -s benchmarks/bench_batch_throughput.py -k b1`).  A seeded
-# fleet-ragged pass must then replay byte for byte: two separate processes
-# hash every served input and final plan, and `cmp` checks that the replay
-# is deterministic across processes (hash seeds, ordering by id).  That a
-# plan does not depend on solve history within a process is a unit test
+# fleet-ragged pass and a seeded loop-scalar pass (the scalar controller,
+# whose QP step factors through the one-lane batched factor) must then
+# replay byte for byte: for each, two separate processes hash every served
+# input and final plan, and `cmp` checks that the replay is deterministic
+# across processes (hash seeds, ordering by id).  That a plan does not
+# depend on solve history within a process is a unit test
 # (tests/test_batch_qp.py::TestStructureMemo).
 batch-smoke:
 	$(PYTEST) -q benchmarks/bench_batch_throughput.py -k 'not b1'
 	$(REPRO) serve-sim --sessions 8 --ticks 10 --robots MobileRobot --horizon 8 --deadline-ms 250 --rungs 8 --seed 0
 	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.a
 	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.b
+	cmp .plan_hash.a .plan_hash.b && cat .plan_hash.a && rm -f .plan_hash.a .plan_hash.b
+	python scripts/plan_hash.py --root . --workload loop-scalar --seed 0 > .plan_hash.a
+	python scripts/plan_hash.py --root . --workload loop-scalar --seed 0 > .plan_hash.b
 	cmp .plan_hash.a .plan_hash.b && cat .plan_hash.a && rm -f .plan_hash.a .plan_hash.b
 
 # First-order solver smoke: the single-lane and three-lane ADMM conform paths

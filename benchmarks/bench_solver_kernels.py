@@ -109,23 +109,23 @@ def banded_spd(n, band, seed=9):
 @pytest.mark.parametrize("band", [8, 24])
 def test_blocked_banded_factor(benchmark, band):
     """The blocked banded factorization the QP hot loop runs per iteration
-    (tile Cholesky + precomputed tile inverses)."""
-    from repro.mpc.banded import BandedCholeskyFactor, to_banded
+    (tile Cholesky + precomputed tile inverses), at one lane."""
+    from repro.mpc.banded import BandedCholeskyFactor
 
     n = 512
-    Ab = to_banded(banded_spd(n, band), band)
-    F = benchmark(BandedCholeskyFactor, Ab)
+    A = banded_spd(n, band)
+    F = benchmark(BandedCholeskyFactor, A, band)
     assert F.n == n
 
 
 def test_blocked_banded_multi_rhs_solve(benchmark):
     """Banded solve against a wide RHS block — the Schur-complement
     assembly Phi^-1 G^T that dominates the dense path's substitutions."""
-    from repro.mpc.banded import BandedCholeskyFactor, to_banded
+    from repro.mpc.banded import BandedCholeskyFactor
 
     n, band, nrhs = 512, 16, 128
     A = banded_spd(n, band, seed=11)
-    F = BandedCholeskyFactor(to_banded(A, band))
+    F = BandedCholeskyFactor(A, band)
     B = np.linspace(-1.0, 1.0, n * nrhs).reshape(n, nrhs)
     X = benchmark(F.solve, B)
     assert np.allclose(A @ X, B, atol=1e-7)

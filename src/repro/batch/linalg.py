@@ -1,19 +1,21 @@
 """Batched banded Cholesky factorization over ``(B, n, n)`` stacks.
 
-This is the lane-parallel twin of :mod:`repro.mpc.banded`: the same
-blocked bidiagonal factorization (diagonal tiles ``D_k`` and sub-diagonal
-couplings ``C_k``), but with a leading batch axis so one sweep factors
-``B`` independent KKT systems at once.  The couplings and substitutions
-run as batched ``matmul`` contractions through the
-:mod:`~repro.batch.backend` seam (``xp``), so the same sweep runs on
-numpy or torch arrays without touching this file.
+This is the one blocked Cholesky of the repo: a blocked bidiagonal
+factorization (diagonal tiles ``D_k`` and sub-diagonal couplings ``C_k``)
+with a leading batch axis, so one sweep factors ``B`` independent KKT
+systems at once.  The scalar QP step's factor,
+:class:`repro.mpc.banded.BandedCholeskyFactor`, is this factor at one
+lane.  The couplings and substitutions run as batched ``matmul``
+contractions through the :mod:`~repro.batch.backend` seam (``xp``), so the
+same sweep runs on numpy or torch arrays without touching this file.
 
 The diagonal tiles are where the backend decides.  On host backends each
-``(B, nb, nb)`` tile stack is factored and inverted by the scalar twin's
-tile kernels, :func:`repro.mpc.banded.cholesky_tiles` and
+``(B, nb, nb)`` tile stack is factored and inverted by the host tile
+kernels, :func:`repro.mpc.banded.cholesky_tiles` and
 :func:`~repro.mpc.banded.tril_inverse`: one stacked LAPACK call each
-(``potrf``, then an LU inverse, per matrix), so a host lane holds the very
-tiles the scalar factor computes for its matrix.  LAPACK gufuncs cannot
+(``potrf``, then an LU inverse, per matrix), so a lane's tiles do not
+depend on its lane-mates — lane ``i`` of a batch is the one-lane factor of
+its matrix, bit for bit.  LAPACK gufuncs cannot
 take device arrays, so backends that report ``is_device`` run the
 seam-pure column sweep (:func:`_cholesky_tiles`,
 :func:`_triangular_inverse`) instead — no host round-trip, one ``einsum``
@@ -27,16 +29,15 @@ Quadrotor N=30 problem it dwarfed the tiles it was scaffolding for).
 
 ``band`` is a promise, and it picks the tiling.  ``band=None`` is one
 dense tile; ``band > 0`` is the tiling of
-:func:`repro.mpc.banded.tile_size`, the one tile rule of both factors:
-tiles of ``max(band, MIN_BLOCK)``, or one tile of ``n`` when ``n`` fits in
-two (two tiles already hold the whole lower triangle, so banding would
-skip nothing and only pad).  *Block mode* is a block-diagonal matrix
+:func:`repro.mpc.banded.tile_size`: tiles of ``max(band, MIN_BLOCK)``, or
+one tile of ``n`` when ``n`` fits in two (two tiles already hold the
+whole lower triangle, so banding would skip nothing and only pad).  *Block mode* is a block-diagonal matrix
 handed over as the ``(B, K, s, s)`` stack of its diagonal blocks — how
 :func:`repro.batch.qp.solve_qp_batch` hands over ``Φ``'s stage blocks —
 and factors all ``B·K`` blocks with one tile-kernel call and inverts them
-with one more, no sweep and no ``C`` tiles (the scalar
-:func:`~repro.mpc.banded.block_cholesky`, lane-parallel); its solves take
-right-hand sides in the same block layout.  ``band=0`` — a diagonal
+with one more, no sweep and no ``C`` tiles (at one lane, the scalar stage
+step's factor of ``Phi``); its solves take right-hand sides in the same
+block layout.  ``band=0`` — a diagonal
 matrix, which is what ``Φ = H + JᵀWJ`` is for any problem with diagonal
 penalties and box constraints — is block mode with ``s = 1``: ``n``
 blocks of ``1 x 1``, the factor ``sqrt`` of the diagonal and every
@@ -48,26 +49,27 @@ bit-identical to the tile factor of a diagonal matrix on every backend,
 and it keeps the row layout ``(B, n[, q])`` of a ``(B, n, n)`` input.
 Block mode is stored as tiles all the same (``_D``/``_Dinv`` of shape
 ``(B, K, s, s)``, ``_C`` empty), so the retry ladder's scatter needs no
-second branch; ``ok`` is per lane, over all of a lane's blocks.  Like the
-scalar twin's ``to_banded(A, band)``, a factor never reads values outside
-the band it was promised: ``band=0`` reads the diagonal only.  (With
+second branch; ``ok`` is per lane, over all of a lane's blocks.  Like
+``to_banded(A, band)``, a factor never reads values outside the band it
+was promised: ``band=0`` reads the diagonal only.  (With
 ``band > 0`` a tile happens to cover in-tile entries a too-small hint
 excludes — an accident of the tiling, not part of the contract.  The one
 whole-matrix read is the finiteness guard: a NaN anywhere in a lane's
 input fails that lane, at every band.)
 
-Failure semantics differ from the scalar path by design.  The scalar
-:class:`~repro.mpc.banded.BandedCholeskyFactor` raises
-:class:`~repro.errors.SolverError` where a tile fails; in a batch a
-single bad lane must not poison its neighbours, so the batched factor
-never raises on pivot failure.  Instead each lane carries an ``ok`` flag:
+Failure semantics differ from the one-lane view by design.  The view,
+:class:`~repro.mpc.banded.BandedCholeskyFactor`, raises
+:class:`~repro.errors.SolverError` when its lane's ``ok`` is off (the
+scalar retry ladder needs that); in a batch a single bad lane must not
+poison its neighbours, so the batched factor never raises on pivot
+failure.  Instead each lane carries an ``ok`` flag:
 a failed lane gets a safe placeholder (the identity tile on host, a unit
 pivot in the sweep; its factors are garbage and must be discarded by the
 caller), while every other lane's arithmetic is untouched — all
 operations are lane-diagonal, and a stack LAPACK rejects is re-run tile
 by tile, so no information crosses the batch axis.  A lane whose factor
 tiles come out non-finite (overflow slipping past the pivot checks) is
-flagged the same way — the scalar factor raises on the same certificate:
+flagged the same way — the one-lane view raises on the same certificate:
 ``ok`` certifies finite, positive-definite factors, never silent garbage.
 Floating-point warnings are **not** blanket-suppressed: failed lanes'
 operands are bounded placeholders (so they cannot warn), and
@@ -199,9 +201,8 @@ class BatchCholeskyFactor:
         to ``n - 1``).  ``None`` selects a single dense block (the batched
         equivalent of a dense factorization); ``0`` selects the diagonal
         (block mode over ``n`` blocks of ``1 x 1``: elementwise ``sqrt``,
-        substitutions are one multiply by the stored reciprocals), exactly
-        as the scalar ``BandedCholeskyFactor(to_banded(A, 0))`` reads
-        ``diag(A)`` alone.  Ignored in block mode.
+        substitutions are one multiply by the stored reciprocals), which
+        reads ``diag(A)`` alone.  Ignored in block mode.
     reg : float or (B,) array
         Diagonal regularization, scalar or per-lane.
     backend : str or ArrayBackend, optional
@@ -262,8 +263,7 @@ class BatchCholeskyFactor:
 
     def _factor_blocks(self, M, finite, reg_fill) -> None:
         """Block mode: the ``(B, K, s, s)`` stack's ``B K`` tiles factored
-        by one tile-kernel call and inverted by one more — the scalar
-        :func:`repro.mpc.banded.block_cholesky`, lane-parallel.  ``s = 1``
+        by one tile-kernel call and inverted by one more.  ``s = 1``
         (the diagonal) takes ``sqrt`` and ``1 / piv`` elementwise, the
         values either tile kernel computes on a ``1 x 1`` tile."""
         xp, lanes = self.xp, self.lanes
@@ -349,8 +349,8 @@ class BatchCholeskyFactor:
             factor = partial(_cholesky_tiles, xp)
             invert = partial(_triangular_inverse, xp)
         else:
-            # read through the module: the scalar factor's kernels, at
-            # their one definition
+            # read through the module: the host tile kernels, at their one
+            # definition
             factor, invert = banded.cholesky_tiles, banded.tril_inverse
 
         D = xp.empty((lanes, K, nb, nb))
@@ -454,14 +454,14 @@ class BatchCholeskyFactor:
         b3, squeeze = self._prep_rhs(b)
         y = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         y[:, : self.n] = b3
-        nb = self.nb
+        nb, matmul, C, Dinv = self.nb, xp.matmul, self._C, self._Dinv
         with self._errstate():
             for k in range(self.K):
                 s = k * nb
                 blk = y[:, s : s + nb]
                 if k:
-                    blk = blk - xp.matmul(self._C[:, k - 1], y[:, s - nb : s])
-                y[:, s : s + nb] = xp.matmul(self._Dinv[:, k], blk)
+                    blk = blk - matmul(C[:, k - 1], y[:, s - nb : s])
+                y[:, s : s + nb] = matmul(Dinv[:, k], blk)
         out = y[:, : self.n]
         return out[:, :, 0] if squeeze else out
 
@@ -473,19 +473,15 @@ class BatchCholeskyFactor:
         b3, squeeze = self._prep_rhs(b)
         x = xp.zeros((self.lanes, self.npad, int(b3.shape[2])))
         x[:, : self.n] = b3
-        nb = self.nb
+        nb, matmul = self.nb, xp.matmul
+        Ct, Dt = xp.transpose_last2(self._C), xp.transpose_last2(self._Dinv)
         with self._errstate():
             for k in range(self.K - 1, -1, -1):
                 s = k * nb
                 blk = x[:, s : s + nb]
                 if k + 1 < self.K:
-                    blk = blk - xp.matmul(
-                        xp.transpose_last2(self._C[:, k]),
-                        x[:, s + nb : s + 2 * nb],
-                    )
-                x[:, s : s + nb] = xp.matmul(
-                    xp.transpose_last2(self._Dinv[:, k]), blk
-                )
+                    blk = blk - matmul(Ct[:, k], x[:, s + nb : s + 2 * nb])
+                x[:, s : s + nb] = matmul(Dt[:, k], blk)
         out = x[:, : self.n]
         return out[:, :, 0] if squeeze else out
 

@@ -12,7 +12,8 @@ Public surface:
   :class:`QPStats` — the inner Mehrotra IPM with per-phase observability.
 * :class:`BandedCholeskyFactor` and the banded kernels — the stage-ordered
   factorization path of the QP hot loop (``Phi``'s stage blocks as one
-  stack, the Schur complement banded, ``O(n b^2)``).
+  stack, the Schur complement banded, ``O(n b^2)``); the factor is a
+  one-lane view of :class:`repro.batch.linalg.BatchCholeskyFactor`.
 * :class:`MPCController` — the receding-horizon loop.
 * :class:`SolveBudget` — per-solve deadline / iteration allowances for the
   online serving path (:mod:`repro.serve`).

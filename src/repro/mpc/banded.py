@@ -9,8 +9,9 @@ matrix of a horizon-``N`` MPC problem is banded with half-bandwidth
 
 * symmetric banded storage (diagonal-major, LAPACK ``SB`` style),
 * banded Cholesky factorization and banded triangular solves,
-* the block-diagonal factor of a ``(K, s, s)`` stack (:func:`block_cholesky`)
-  and the structural block partition it runs over (:func:`block_partition`),
+* the structural block partition of a block-diagonal envelope
+  (:func:`block_partition`),
+* the host tile kernels and the tile rule of the blocked factor,
 * helpers to convert between dense and banded storage,
 * exact primitive-op counts of the banded kernels, so benchmarks can
   compare measured flops against the accelerator cost model.
@@ -23,15 +24,14 @@ stage-interleaved ordering produced by
 :meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation`) is
 :class:`BandedCholeskyFactor` twice per iteration: once in block mode over
 the stage blocks of the block-diagonal ``Phi`` (one stacked ``potrf`` and
-one stacked inverse, no sweep), once banded over the Schur complement —
-the same factorization over dense ``nb x nb`` tiles, each tile factored by
-LAPACK ``potrf`` and inverted by LU through the host tile kernels
-:func:`cholesky_tiles` / :func:`tril_inverse`.  Those two kernels are
-written once, over ``(..., m, m)`` stacks, and the batched twin
-(:class:`repro.batch.linalg.BatchCholeskyFactor`) calls them too on host
-backends, so a lane of a batch and a scalar factor of the same matrix hold
-bit-identical tiles.  The flop meters count the column algorithm — the
-accelerator's operation mix — not what LAPACK executes.
+one stacked inverse, no sweep), once banded over the Schur complement
+(``nb x nb`` tiles, each factored by LAPACK ``potrf`` and inverted by LU
+through :func:`cholesky_tiles` / :func:`tril_inverse`).  There is one
+blocked factor: :class:`BandedCholeskyFactor` is a one-lane view of
+:class:`repro.batch.linalg.BatchCholeskyFactor`, which owns the tile loop,
+so a scalar step and a lane of a batch factor one matrix the same way.
+The flop meters count the column algorithm — the accelerator's operation
+mix — not what LAPACK executes.
 
 The tests verify the banded results match the dense from-scratch kernels of
 :mod:`repro.mpc.linalg` to roundoff, and the kernel microbenchmarks
@@ -59,7 +59,6 @@ __all__ = [
     "block_partition",
     "cholesky_tiles",
     "tril_inverse",
-    "block_cholesky",
     "tile_size",
     "MIN_BLOCK",
     "BandedCholeskyFactor",
@@ -289,8 +288,8 @@ def cholesky_tiles(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     positive definite or whose factor is non-finite (``potrf`` lets a NaN
     through).  Flagged tiles hold the identity — a bounded placeholder, so
     a batch carries its failed lanes without overflow — and the caller
-    decides whether that raises (the scalar factor) or freezes a lane (the
-    batched one).
+    decides whether that raises (the one-lane :class:`BandedCholeskyFactor`)
+    or freezes a lane (a batch).
     """
     L = _stacked(np.linalg.cholesky, M)
     ok = np.all(np.isfinite(L), axis=(-2, -1))
@@ -317,9 +316,9 @@ MIN_BLOCK = 16
 
 def tile_size(n: int, band: int) -> int:
     """Tile size ``nb`` of the blocked banded factor of an ``n x n`` matrix
-    with half-bandwidth ``band >= 1`` — the one tile rule of both factors
-    (:class:`BandedCholeskyFactor` and a banded
-    :class:`~repro.batch.linalg.BatchCholeskyFactor`).
+    with half-bandwidth ``band >= 1`` — the tile rule of a banded
+    :class:`~repro.batch.linalg.BatchCholeskyFactor` (and so of its
+    one-lane view :class:`BandedCholeskyFactor`).
 
     Tiles are ``max(band, MIN_BLOCK)`` wide, except when ``n`` fits in two of
     them: two tiles already hold the whole lower triangle (``D_0``, ``C_0``,
@@ -331,213 +330,73 @@ def tile_size(n: int, band: int) -> int:
     return max(n, 1) if n <= 2 * nb else nb
 
 
-def block_cholesky(M: np.ndarray, reg: float = 0.0) -> np.ndarray:
-    """Inverse Cholesky factors ``L_k^-1`` of a ``(K, s, s)`` SPD stack.
-
-    The block-diagonal factor, defined once: one :func:`cholesky_tiles` and
-    one :func:`tril_inverse` call over the whole stack (``reg`` added to
-    every diagonal), no sweep.  ``1 x 1`` blocks — a diagonal matrix — take
-    ``1 / sqrt`` elementwise, the values ``potrf`` and the LU inverse would
-    return.  Raises :class:`SolverError` naming the first block that is not
-    positive definite or whose inverse overflowed, so a retry ladder
-    escalates instead of solving on garbage.
-    """
-    if M.shape[-1] == 1:
-        d = M[:, 0, 0] + reg
-        bad = ~(d > 0.0) | ~np.isfinite(d)
-        if bad.any():
-            raise SolverError(
-                f"block cholesky (block {int(np.argmax(bad))}): "
-                "block is not positive definite"
-            )
-        return (1.0 / np.sqrt(d))[:, None, None]
-    L, ok = cholesky_tiles(M + reg * np.eye(M.shape[-1]))
-    if not ok.all():
-        raise SolverError(
-            f"block cholesky (block {int(np.argmin(ok))}): "
-            "block is not positive definite"
-        )
-    Linv = tril_inverse(L)
-    if not np.all(np.isfinite(Linv)):
-        raise SolverError("block cholesky: factor blocks overflowed")
-    return Linv
-
-
 class BandedCholeskyFactor:
-    """Banded Cholesky factorization preprocessed for fast repeated solves.
+    """One matrix's Cholesky factor, preprocessed for repeated solves: a
+    one-lane view of :class:`~repro.batch.linalg.BatchCholeskyFactor`.
 
-    The triangular factor of a matrix with half-bandwidth ``band`` is block
-    lower-*bidiagonal* for any block size ``nb >= band`` (:func:`tile_size`
-    picks it: ``max(band, MIN_BLOCK)``, or one tile of ``n`` when ``n`` fits
-    in two), so the
-    factorization and the triangular solves can be expressed over dense
-    ``nb x nb`` tiles: one small Cholesky + one tile solve per block column
-    to factorize, and two mat-muls per block row to apply ``L^{-1}`` /
-    ``L^{-T}``.  The inverses of the diagonal triangular tiles are
-    precomputed once, so every subsequent :meth:`solve` costs ``~n / nb``
-    BLAS calls instead of ``n`` interpreted rows — this is what makes the
-    ``O(n band^2)`` asymptotics of the banded path a *wall-clock* win inside
-    the QP interior-point loop, where one factorization is reused for the
-    predictor, the corrector and the Schur-complement right-hand sides.
-
-    The computed factor is the banded Cholesky factor (unique for SPD
-    input); entries beyond the bandwidth are exact zeros up to roundoff.
-    Each tile is factored by :func:`cholesky_tiles` and inverted by
-    :func:`tril_inverse` — the kernels a host
-    :class:`~repro.batch.linalg.BatchCholeskyFactor` lane runs, so the
-    tiles are bit-identical to that lane's at the same ``nb``.
-
-    A block-diagonal matrix is given instead as the ``(K, s, s)`` stack of
-    its diagonal blocks (how :func:`repro.mpc.qp.solve_qp` hands over the
-    stage blocks of ``Phi``).  Its factor is :func:`block_cholesky`'s
-    inverse stack — no sweep, no ``C`` tiles — and :meth:`forward` /
-    :meth:`backward` / :meth:`solve` take right-hand sides in the same
-    block layout, ``(K, s)`` or ``(K, s, q)``.
+    ``A`` is the dense ``n x n`` matrix with the half-bandwidth ``band`` it
+    promises (entries beyond it are not read; ``None`` is one dense tile),
+    or the ``(K, s, s)`` stack of a block-diagonal matrix's diagonal blocks
+    (how :func:`repro.mpc.qp.solve_qp` hands over the stage blocks of
+    ``Phi``), factored as one stack with no sweep; :meth:`forward` /
+    :meth:`backward` / :meth:`solve` then take right-hand sides in the same
+    block layout, ``(K, s)`` or ``(K, s, q)``.  The factor is the batched
+    one at one lane — the same tiles (:func:`tile_size`, :func:`cholesky_tiles`,
+    :func:`tril_inverse`), the same ``_D`` / ``_Dinv`` / ``_C`` stacks, held
+    here without their lane axis — so a scalar step and a lane of a batch
+    factor the same matrix bit for bit.
 
     Args:
-        B: symmetric positive-definite matrix in :func:`to_banded` storage,
-            or the ``(K, s, s)`` diagonal blocks of a block-diagonal one.
+        A: symmetric positive-definite ``(n, n)`` matrix, or the ``(K, s,
+            s)`` diagonal blocks of a block-diagonal one.
+        band: half-bandwidth promised for a matrix (ignored for a stack).
         reg: diagonal regularization added before factorization.
 
     Raises:
-        SolverError: if a tile is not positive definite (the matrix, after
-            regularization, is not), or if any ``D`` / ``D⁻¹`` / ``C`` tile
-            comes out non-finite — overflow past the pivot checks, the
-            batched factor's ``tiles_ok`` certificate — so the retry ladder
-            escalates instead of solving on garbage.
+        SolverError: where the lane's ``ok`` is off — a tile that is not
+            positive definite (the matrix, after regularization, is not),
+            non-finite input, or factor tiles that overflowed past the pivot
+            checks — so the retry ladder escalates instead of solving on
+            garbage.
     """
 
-    def __init__(self, B: np.ndarray, reg: float = 0.0):
-        B = np.asarray(B, dtype=float)
-        self._diag = self._C = None
-        if B.ndim == 3:
-            self.K, self.nb = B.shape[0], B.shape[-1]
-            self._Dinv = block_cholesky(B, reg)
-            return
-        self.band = B.shape[0] - 1
-        self.n = int(B.shape[1])
-        n, band = self.n, self.band
+    def __init__(self, A: np.ndarray, band: Optional[int] = None, reg: float = 0.0):
+        # Imported here: repro.batch imports repro.mpc, which imports this
+        # module.
+        from repro.batch.linalg import BatchCholeskyFactor
 
-        if band == 0:
-            # Diagonal matrix: the factor is elementwise sqrt.
-            d = B[0] + reg
-            if n and (np.min(d) <= 0.0 or not np.all(np.isfinite(d))):
-                j = int(np.argmin(d))
-                raise SolverError(
-                    f"banded cholesky pivot {j} is non-positive ({d[j]:.3e})"
-                )
-            self._diag = np.sqrt(d)
-            self.nb = 1
-            return
-
-        nb = self.nb = tile_size(n, band)
-        K = max(1, -(-n // nb))
-        npad = K * nb
-        # Dense padded copy of the symmetric matrix; the pad is an identity
-        # block, whose factor is itself and whose solves are no-ops.
-        A = np.zeros((npad, npad))
-        idx = np.arange(n)
-        A[idx, idx] = B[0] + reg
-        for d in range(1, band + 1):
-            i = np.arange(n - d)
-            A[i + d, i] = B[d, : n - d]
-            A[i, i + d] = B[d, : n - d]
-        pad = np.arange(n, npad)
-        A[pad, pad] = 1.0
-
-        # Block lower-bidiagonal factorization:
-        #   L[k,k]   = chol(A[k,k] - C[k-1] C[k-1]^T)
-        #   C[k]     = L[k+1,k] = A[k+1,k] inv(L[k,k])^T
-        D = np.empty((K, nb, nb))  # diagonal tiles of L
-        Dinv = np.empty((K, nb, nb))  # their inverses
-        C = np.empty((max(K - 1, 0), nb, nb))  # subdiagonal tiles of L
-        M = A[:nb, :nb]
-        for k in range(K):
-            Lkk, ok = cholesky_tiles(M)
-            if not ok:
-                raise SolverError(
-                    f"banded cholesky (block {k}): tile is not positive definite"
-                )
-            D[k] = Lkk
-            Dinv[k] = tril_inverse(Lkk)
-            if k + 1 < K:
-                s = (k + 1) * nb
-                E = A[s : s + nb, s - nb : s]
-                Ck = E @ Dinv[k].T
-                C[k] = Ck
-                M = A[s : s + nb, s : s + nb] - Ck @ Ck.T
-        # ok certified D; overflow can still slip into D⁻¹ (a tiny pivot)
-        # and from there into C.
-        if not (np.all(np.isfinite(Dinv)) and np.all(np.isfinite(C))):
-            raise SolverError("banded cholesky: factor tiles overflowed")
-        self.K = K
-        self.npad = npad
-        self._D = D
-        self._Dinv = Dinv
-        self._C = C
-
-    # -- triangular applications --------------------------------------------------
-    def _blocks(self, b: np.ndarray) -> Tuple[np.ndarray, bool]:
-        b = np.asarray(b, dtype=float)
-        squeeze = b.ndim == 1
-        if squeeze:
-            b = b[:, None]
-        if b.shape[0] != self.n:
+        lane = self._lane = BatchCholeskyFactor(
+            np.asarray(A, dtype=float)[None], band=band, reg=reg
+        )
+        if not lane.ok[0]:
             raise SolverError(
-                f"right-hand side has {b.shape[0]} rows, expected {self.n}"
+                "banded cholesky: the matrix is not positive definite "
+                "or its factor tiles overflowed"
             )
-        return b, squeeze
+        self.banded = lane.banded
+        self.n, self.nb, self.K = lane.n, lane.nb, lane.K
+        self._D, self._Dinv, self._C = lane._D[0], lane._Dinv[0], lane._C[0]
 
     def forward(self, b: np.ndarray) -> np.ndarray:
         """Solve ``L y = b``."""
-        if self._diag is not None:
-            b = np.asarray(b, dtype=float)
-            return (b.T / self._diag).T
-        if self._C is None:
-            return _block_apply(self._Dinv, b)
-        b, squeeze = self._blocks(b)
-        y = np.zeros((self.npad, b.shape[1]))
-        y[: self.n] = b
-        nb = self.nb
-        for k in range(self.K):
-            s = k * nb
-            blk = y[s : s + nb]
-            if k:
-                blk = blk - self._C[k - 1] @ y[s - nb : s]
-            y[s : s + nb] = self._Dinv[k] @ blk
-        y = y[: self.n]
-        return y[:, 0] if squeeze else y
+        return self._lane.forward(np.asarray(b, dtype=float)[None])[0]
 
     def backward(self, b: np.ndarray) -> np.ndarray:
         """Solve ``L^T x = b``."""
-        if self._diag is not None:
-            b = np.asarray(b, dtype=float)
-            return (b.T / self._diag).T
-        if self._C is None:
-            return _block_apply(np.swapaxes(self._Dinv, 1, 2), b)
-        b, squeeze = self._blocks(b)
-        x = np.zeros((self.npad, b.shape[1]))
-        x[: self.n] = b
-        nb = self.nb
-        for k in range(self.K - 1, -1, -1):
-            s = k * nb
-            blk = x[s : s + nb]
-            if k + 1 < self.K:
-                blk = blk - self._C[k].T @ x[s + nb : s + 2 * nb]
-            x[s : s + nb] = self._Dinv[k].T @ blk
-        x = x[: self.n]
-        return x[:, 0] if squeeze else x
+        return self._lane.backward(np.asarray(b, dtype=float)[None])[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``(L L^T) x = b``."""
-        return self.backward(self.forward(b))
+        return self._lane.solve(np.asarray(b, dtype=float)[None])[0]
 
+    def factor_flops(self) -> int:
+        """Flops of the factorization (block mode: one dense Cholesky per
+        block of the stack)."""
+        return self._lane.factor_flops()
 
-def _block_apply(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``M_k @ b_k`` for every block of a ``(K, s)`` or ``(K, s, q)`` stack."""
-    if b.ndim == 3:
-        return np.matmul(M, b)
-    return np.matmul(M, b[:, :, None])[:, :, 0]
+    def solve_flops(self, nrhs: int = 1) -> int:
+        """Flops of one forward+backward substitution."""
+        return self._lane.solve_flops(nrhs)
 
 
 @lru_cache(maxsize=256)

@@ -315,10 +315,6 @@ class PlantIntegrator:
         return state
 
 
-# Backwards-compatible private alias (pre-serving-runtime name).
-_PlantIntegrator = PlantIntegrator
-
-
 def integrate_plant(
     problem: TranscribedProblem,
     x: np.ndarray,

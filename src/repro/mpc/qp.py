@@ -23,7 +23,9 @@ envelope, read once per solve): its blocks are formed by one stacked
 product and factored together by one block-mode
 :class:`repro.mpc.banded.BandedCholeskyFactor` (``K`` small ``potrf``), and
 ``S`` is assembled from per-stage products in square-root form and
-factored banded.  A diagonal ``Phi`` (band 0) keeps the diagonal factor
+factored banded by the same factor.  That factor is the batched
+:class:`repro.batch.linalg.BatchCholeskyFactor` at one lane, so this step
+and a lane of :func:`repro.batch.qp.solve_qp_batch` factor alike.  A diagonal ``Phi`` (band 0) keeps the diagonal factor
 (:class:`_DiagKKT`).  Without the hint (:class:`_DenseKKT`) ``Phi`` is formed
 whole and both factors are the from-scratch dense kernels of
 :mod:`repro.mpc.linalg` — the oracle the stage step is checked against.
@@ -47,9 +49,6 @@ from repro.mpc.banded import (
     BandedCholeskyFactor,
     bandwidth_of,
     block_partition,
-    flop_counts_banded_cholesky,
-    flop_counts_banded_substitution,
-    to_banded,
 )
 from repro.mpc.linalg import (
     cholesky,
@@ -307,47 +306,15 @@ class _DenseFactor:
             probe = cholesky_solve(self.L, np.ones(self.n))
         if not np.all(np.isfinite(probe)):
             raise SolverError("dense cholesky: probe solve overflowed")
-        self.factor_flops = sum(flop_counts_cholesky(self.n).values())
+
+    def factor_flops(self) -> int:
+        return sum(flop_counts_cholesky(self.n).values())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return cholesky_solve(self.L, b)
 
     def solve_flops(self, nrhs: int) -> int:
         return 2 * sum(flop_counts_substitution(self.n, nrhs).values())
-
-
-class _BandedFactor:
-    """Blocked banded Cholesky factor with the flop-metering interface."""
-
-    banded = True
-
-    def __init__(self, B: np.ndarray, reg: float):
-        self.n = B.shape[1]
-        self.band = B.shape[0] - 1
-        self.F = BandedCholeskyFactor(B, reg=reg)
-        self.factor_flops = sum(
-            flop_counts_banded_cholesky(self.n, self.band).values()
-        )
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.F.solve(b)
-
-    def solve_flops(self, nrhs: int) -> int:
-        return 2 * sum(
-            flop_counts_banded_substitution(self.n, self.band, nrhs).values()
-        )
-
-
-class _StageFactor:
-    """``Phi``'s stage blocks factored as one stack (a block-mode
-    :class:`BandedCholeskyFactor`), metered as one dense Cholesky and one
-    triangular solve per block."""
-
-    banded = True
-
-    def __init__(self, blocks: np.ndarray, reg: float, factor_flops: int):
-        self.F = BandedCholeskyFactor(blocks, reg=reg)
-        self.factor_flops = factor_flops
 
 
 def _robust_factor(
@@ -361,11 +328,13 @@ def _robust_factor(
     """Factorize ``A`` with geometric regularization escalation on failure.
 
     ``band`` selects the path: a half-bandwidth routes the factorization
-    through the banded kernels (in :func:`to_banded` storage), ``None``
-    uses the dense ones.  ``stage`` marks ``A`` as the ``(K, s, s)`` stack
-    of ``Phi``'s stage blocks, factored as one stack.  The escalation
-    schedule is identical in every path: one regularization for the whole
-    matrix, raised x100 after each failed attempt.
+    through the one banded factor (:class:`BandedCholeskyFactor`, which
+    reads ``A`` within that band), ``None`` uses the dense kernels.
+    ``stage`` marks ``A`` as the ``(K, s, s)`` stack of ``Phi``'s stage
+    blocks, factored as one stack and metered per block of the partition
+    (``stage.factor_flops``).  The escalation schedule is identical in
+    every path: one regularization for the whole matrix, raised x100 after
+    each failed attempt.
 
     ``fault_hook`` is the solver-layer injection point of
     :mod:`repro.faults`: ``transform_matrix(A)`` may perturb the input
@@ -390,10 +359,9 @@ def _robust_factor(
     force_failure = getattr(fault_hook, "force_failure", None)
     t0 = perf_counter()
     if stage is not None:
-        make = lambda r: _StageFactor(A, r, stage.factor_flops)  # noqa: E731
+        make = lambda r: BandedCholeskyFactor(A, reg=r)  # noqa: E731
     elif band is not None and A.shape[0]:
-        B = to_banded(A, band)
-        make = lambda r: _BandedFactor(B, r)  # noqa: E731
+        make = lambda r: BandedCholeskyFactor(A, band, reg=r)  # noqa: E731
     else:
         make = lambda r: _DenseFactor(A, r)  # noqa: E731
     current = reg
@@ -409,7 +377,9 @@ def _robust_factor(
         stats.factorizations += 1
         if factor.banded:
             stats.banded_factorizations += 1
-        stats.factor_flops += factor.factor_flops
+        stats.factor_flops += (
+            factor.factor_flops() if stage is None else stage.factor_flops
+        )
         stats.factorize_time += perf_counter() - t0
         stats.regularization_max = max(stats.regularization_max, current)
         return factor, current
@@ -592,7 +562,7 @@ class _StageKKT:
     blocks, each block's ``J`` rows ``(K, r, s)`` and the transposed ``G``
     rows touching it ``(K, s, q)``.  Per iteration ``Phi``'s blocks are one
     stacked ``J_k^T W_k J_k`` product, factored by one block-mode
-    :class:`BandedCholeskyFactor`.
+    :class:`BandedCholeskyFactor` (the one-lane batched factor).
     ``S = sum_k V_k^T V_k`` with ``V_k = L_k^-1 G_k^T`` is the square-root
     form — exactly symmetric and PSD — scatter-added over each block's
     ``G`` rows and factored banded at its structural band (read once, from
@@ -668,7 +638,7 @@ class _StageKKT:
             Phi, self.reg, None, self.stats, self.hook, stage=self
         )
         if self.G is not None:
-            self.V = self._apply(self.phi.F.forward, self.G, self.G.shape[2])
+            self.V = self._apply(self.phi.forward, self.G, self.G.shape[2])
             W = np.matmul(np.swapaxes(self.V, 1, 2), self.V)
             p = self.p
             S = np.bincount(self.pairs, W.ravel(), p * p + 1)
@@ -678,7 +648,7 @@ class _StageKKT:
             )
 
     def solve(self, rhs1: np.ndarray, re: np.ndarray):
-        F, r1 = self.phi.F, self._gather(rhs1)
+        F, r1 = self.phi, self._gather(rhs1)
         if self.G is None:
             return self._apply(F.solve, r1, 2)[self.real], np.zeros(0)
         y = self._apply(F.forward, r1, 1)
@@ -694,8 +664,8 @@ class _DiagKKT(_StageKKT):
     """The hinted step when ``Phi`` is diagonal (an envelope of band 0):
     every stage block is one entry, so the per-block gathers would cost
     more than they save.  ``diag(Phi) = diag(H) + (J * J)^T w`` — no
-    ``n x n`` product — is factored by :func:`block_cholesky`'s ``1 x 1``
-    blocks, the diagonal factor, and ``S = V^T V`` with
+    ``n x n`` product — is factored as ``n`` blocks of ``1 x 1`` by a
+    block-mode :class:`BandedCholeskyFactor`, the diagonal factor, and ``S = V^T V`` with
     ``V = diag(Phi)^-1/2 G^T`` is factored banded at the structural band
     of ``|G| |G|^T``."""
 
@@ -720,14 +690,14 @@ class _DiagKKT(_StageKKT):
         )
         if self.G is not None:
             Gt = self.G.T[:, None, :]
-            V = self.V = self._apply(self.phi.F.forward, Gt, Gt.shape[2])[:, 0]
+            V = self.V = self._apply(self.phi.forward, Gt, Gt.shape[2])[:, 0]
             S = V.T @ V
             self.schur, _ = _robust_factor(
                 0.5 * (S + S.T), self.reg, self.s_band, self.stats, self.hook
             )
 
     def solve(self, rhs1: np.ndarray, re: np.ndarray):
-        F = self.phi.F
+        F = self.phi
         if self.G is None:
             return self._apply(F.solve, rhs1[:, None], 2)[:, 0], np.zeros(0)
         y = self._apply(F.forward, rhs1[:, None], 1)[:, 0]

@@ -23,14 +23,13 @@ Two execution paths produce identical outcomes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import (
-    AdmissionError,
     ReproError,
     ServeError,
     SessionStateError,
@@ -42,7 +41,6 @@ from repro.mpc.health import SolverHealth
 from repro.mpc.ipm import IPMResult
 from repro.mpc.qp import QP_METHODS
 from repro.serve.policy import FallbackLadder
-from repro.serve.telemetry import FleetMetrics, TraceWriter
 
 __all__ = [
     "ACTIVE",
@@ -52,7 +50,6 @@ __all__ = [
     "SessionConfig",
     "StepOutcome",
     "ControlSession",
-    "SessionTable",
     "apply_qp_method",
 ]
 
@@ -535,157 +532,3 @@ class ControlSession:
         """The wrapped solver's cumulative per-phase stats (may be empty
         for injected stub solvers)."""
         return dict(getattr(self.controller.solver, "stats", {}) or {})
-
-
-class SessionTable:
-    """The serve engine's session table.
-
-    Admission against ``config.max_sessions`` (with lazy eviction of
-    closed sessions at the cap), the shared ``(robot, horizon)``
-    transcriptions, the per-session lifecycle passthroughs, and per-step
-    recording.  ``config`` needs ``max_sessions``.  The engine keeps its
-    per-session routing state (shard affinity) in step with the table
-    through :meth:`_on_register` / :meth:`_on_evict`.
-    """
-
-    def __init__(self, config, trace: Optional[TraceWriter] = None):
-        self.config = config
-        self.sessions: Dict[str, ControlSession] = {}
-        self.metrics = FleetMetrics()
-        self.trace = trace
-        self._tick_index = 0
-        self._next_id = 0
-        #: shared transcriptions: (robot, horizon) -> (benchmark, problem)
-        self._problem_cache: Dict[Tuple[str, int], Tuple[object, object]] = {}
-
-    # -- engine hooks ---------------------------------------------------------
-    def _on_register(self, session: ControlSession) -> Dict[str, object]:
-        """Called once a session has joined the table; returns extra
-        fields for its ``session`` trace record."""
-        return {}
-
-    def _on_evict(self, session_ids: List[str]) -> None:
-        """Called after closed sessions were dropped from the table."""
-
-    # -- session lifecycle ----------------------------------------------------
-    def create_session(
-        self, config: SessionConfig, session_id: Optional[str] = None
-    ) -> str:
-        """Admit and build a new session; raises :class:`AdmissionError`
-        when the fleet is at ``max_sessions``."""
-        self._admit()
-        if session_id is None:
-            session_id = f"s{self._next_id:04d}"
-            self._next_id += 1
-        if session_id in self.sessions:
-            raise ServeError(f"session id {session_id!r} already exists")
-        key = (config.robot, config.horizon)
-        if key not in self._problem_cache:
-            from repro.robots import build_benchmark
-
-            bench = build_benchmark(config.robot)
-            problem = bench.transcribe(horizon=config.horizon)
-            self._problem_cache[key] = (bench, problem)
-        bench, problem = self._problem_cache[key]
-        session = ControlSession.from_benchmark(
-            session_id, config, bench=bench, problem=problem
-        )
-        self._register(session)
-        return session_id
-
-    def add_session(self, session: ControlSession) -> str:
-        """Admit a pre-built session (tests inject stub-solver sessions here)."""
-        self._admit()
-        if session.session_id in self.sessions:
-            raise ServeError(f"session id {session.session_id!r} already exists")
-        self._register(session)
-        return session.session_id
-
-    def _admit(self) -> None:
-        # Fast path for large fleets: open sessions can never outnumber
-        # the table, so a table under the cap needs no O(n) scan.
-        if len(self.sessions) < self.config.max_sessions:
-            return
-        # At cap, lazily evict closed sessions (and, through the hook, the
-        # engine's routing state for them): a churned fleet must not grow
-        # the table without bound — that is a leak at soak scale, not
-        # bookkeeping.  Crashed sessions stay: they are restartable.
-        closed = [s for s, ses in self.sessions.items() if ses.state == CLOSED]
-        for sid in closed:
-            del self.sessions[sid]
-        if closed:
-            self._on_evict(closed)
-        if len(self.sessions) < self.config.max_sessions:
-            return
-        open_count = sum(1 for s in self.sessions.values() if s.serving)
-        if open_count >= self.config.max_sessions:
-            raise AdmissionError(
-                f"engine at capacity ({self.config.max_sessions} sessions)"
-            )
-
-    def _register(self, session: ControlSession) -> None:
-        self.sessions[session.session_id] = session
-        extra = self._on_register(session)
-        if self.trace is not None:
-            self.trace.emit(
-                "session",
-                session=session.session_id,
-                robot=session.config.robot,
-                horizon=session.config.horizon,
-                deadline_s=session.config.deadline_s,
-                **extra,
-            )
-
-    def binding(self, robot: str, horizon: int) -> Tuple[object, object]:
-        """The shared ``(benchmark, problem)`` pair for a robot/horizon
-        binding (built on first use by :meth:`create_session`)."""
-        try:
-            return self._problem_cache[(robot, horizon)]
-        except KeyError:
-            raise ServeError(
-                f"no sessions bound to ({robot!r}, horizon={horizon})"
-            ) from None
-
-    def get_session(self, session_id: str) -> ControlSession:
-        try:
-            return self.sessions[session_id]
-        except KeyError:
-            raise ServeError(f"unknown session {session_id!r}") from None
-
-    def reset_session(self, session_id: str) -> None:
-        self.get_session(session_id).reset()
-
-    def restart_session(self, session_id: str) -> None:
-        """Recover a crashed session back to ``active`` (see
-        :meth:`ControlSession.restart`); it rejoins the tick loop on the
-        next input."""
-        self.get_session(session_id).restart()
-
-    def close_session(self, session_id: str) -> None:
-        self.get_session(session_id).close()
-
-    def session_states(self) -> Dict[str, str]:
-        return {sid: s.state for sid, s in self.sessions.items()}
-
-    def crashed_sessions(self) -> List[str]:
-        return [sid for sid, s in self.sessions.items() if s.state == CRASHED]
-
-    def _step_guarded(self, sid: str, x, ref) -> StepOutcome:
-        """One scalar step on the session's own solver; anything escaping
-        the session's own handling (i.e. a bug, not a solver failure)
-        crashes only that session."""
-        session = self.sessions[sid]
-        try:
-            return session.step(x, ref=ref)
-        except ReproError:
-            raise  # lifecycle misuse is the caller's bug — do not mask it
-        except Exception:
-            return session.mark_crashed()
-
-    def _record(self, sid: str, outcome: StepOutcome, report) -> None:
-        """Fold one step outcome into a ``TickReport``, the fleet metrics
-        and the trace."""
-        report.outcomes[sid] = outcome
-        self.metrics.observe_step(sid, outcome)
-        if self.trace is not None:
-            self.trace.emit("step", tick=report.index, **outcome.to_record())

@@ -36,10 +36,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.batch.ipm import BatchSolveReport
-from repro.errors import ReproError, ServeError
+from repro.errors import AdmissionError, ReproError, ServeError
 from repro.mpc.qp import QP_METHODS
-from repro.serve.session import ControlSession, SessionTable, StepOutcome
-from repro.serve.telemetry import TraceWriter
+from repro.serve.session import (
+    CLOSED,
+    CRASHED,
+    ControlSession,
+    SessionConfig,
+    StepOutcome,
+)
+from repro.serve.telemetry import FleetMetrics, TraceWriter
 from repro.serve2.bucketing import DEFAULT_RUNGS, HorizonBuckets
 from repro.serve2.scheduler import EDFScheduler, SolveRequest
 from repro.serve.wire import result_from_dict
@@ -105,15 +111,29 @@ class TickReport:
         return len(self.outcomes)
 
 
-class AsyncServeEngine(SessionTable):
-    """Queue-submit / batch-form / EDF-dispatch engine over sharded arenas."""
+class AsyncServeEngine:
+    """Queue-submit / batch-form / EDF-dispatch engine over sharded arenas.
+
+    It owns the session table: admission against ``config.max_sessions``
+    (with lazy eviction of closed sessions at the cap), the shared
+    ``(robot, horizon)`` transcriptions, the per-session lifecycle
+    passthroughs and per-step recording, with each session's shard
+    affinity kept in step with the table.
+    """
 
     def __init__(
         self,
         config: Optional[Serve2Config] = None,
         trace: Optional[TraceWriter] = None,
     ):
-        super().__init__(config or Serve2Config(), trace)
+        self.config = config or Serve2Config()
+        self.sessions: Dict[str, ControlSession] = {}
+        self.metrics = FleetMetrics()
+        self.trace = trace
+        self._tick_index = 0
+        self._next_id = 0
+        #: shared transcriptions: (robot, horizon) -> (benchmark, problem)
+        self._problem_cache: Dict[Tuple[str, int], Tuple[object, object]] = {}
         self.buckets = HorizonBuckets(self.config.rungs)
         #: optional chaos hook: ``on_dispatch(tick, session_id)`` -> None
         #: or a directive dict (worker_crash / slow / shard_crash)
@@ -141,20 +161,134 @@ class AsyncServeEngine(SessionTable):
         self._loop = asyncio.new_event_loop()
         self._drain_task: Optional[asyncio.Task] = None
 
-    # -- session-table hooks ----------------------------------------------------
-    def _on_register(self, session: ControlSession) -> Dict[str, object]:
-        shard = self._affinity[session.session_id] = self._next_shard()
-        cfg = session.config
+    # -- session lifecycle ----------------------------------------------------
+    def create_session(
+        self, config: SessionConfig, session_id: Optional[str] = None
+    ) -> str:
+        """Admit and build a new session; raises :class:`AdmissionError`
+        when the fleet is at ``max_sessions``."""
+        self._admit()
+        if session_id is None:
+            session_id = f"s{self._next_id:04d}"
+            self._next_id += 1
+        if session_id in self.sessions:
+            raise ServeError(f"session id {session_id!r} already exists")
+        key = (config.robot, config.horizon)
+        if key not in self._problem_cache:
+            from repro.robots import build_benchmark
+
+            bench = build_benchmark(config.robot)
+            problem = bench.transcribe(horizon=config.horizon)
+            self._problem_cache[key] = (bench, problem)
+        bench, problem = self._problem_cache[key]
+        session = ControlSession.from_benchmark(
+            session_id, config, bench=bench, problem=problem
+        )
+        self._register(session)
+        return session_id
+
+    def add_session(self, session: ControlSession) -> str:
+        """Admit a pre-built session (tests inject stub-solver sessions here)."""
+        self._admit()
+        if session.session_id in self.sessions:
+            raise ServeError(f"session id {session.session_id!r} already exists")
+        self._register(session)
+        return session.session_id
+
+    def _admit(self) -> None:
+        # Fast path for large fleets: open sessions can never outnumber
+        # the table, so a table under the cap needs no O(n) scan.
+        if len(self.sessions) < self.config.max_sessions:
+            return
+        # At cap, lazily evict closed sessions (and their shard affinity):
+        # a churned fleet must not grow the table without bound — that is
+        # a leak at soak scale, not bookkeeping.  Crashed sessions stay:
+        # they are restartable.
+        closed = [s for s, ses in self.sessions.items() if ses.state == CLOSED]
+        for sid in closed:
+            del self.sessions[sid]
+            self._affinity.pop(sid, None)
+        if len(self.sessions) < self.config.max_sessions:
+            return
+        open_count = sum(1 for s in self.sessions.values() if s.serving)
+        if open_count >= self.config.max_sessions:
+            raise AdmissionError(
+                f"engine at capacity ({self.config.max_sessions} sessions)"
+            )
+
+    def _register(self, session: ControlSession) -> None:
+        sid, cfg = session.session_id, session.config
+        self.sessions[sid] = session
+        shard = self._affinity[sid] = self._next_shard()
         bound = self._problem_cache.get((cfg.robot, cfg.horizon))
         if bound is not None:
             # group bindings reuse the benchmark create_session built
             self._bench_cache.setdefault(cfg.robot, bound[0])
-        return {"shard": shard}
+        if self.trace is not None:
+            self.trace.emit(
+                "session",
+                session=sid,
+                robot=cfg.robot,
+                horizon=cfg.horizon,
+                deadline_s=cfg.deadline_s,
+                shard=shard,
+            )
 
-    def _on_evict(self, session_ids: List[str]) -> None:
-        for sid in session_ids:
-            self._affinity.pop(sid, None)
+    def binding(self, robot: str, horizon: int) -> Tuple[object, object]:
+        """The shared ``(benchmark, problem)`` pair for a robot/horizon
+        binding (built on first use by :meth:`create_session`)."""
+        try:
+            return self._problem_cache[(robot, horizon)]
+        except KeyError:
+            raise ServeError(
+                f"no sessions bound to ({robot!r}, horizon={horizon})"
+            ) from None
 
+    def get_session(self, session_id: str) -> ControlSession:
+        try:
+            return self.sessions[session_id]
+        except KeyError:
+            raise ServeError(f"unknown session {session_id!r}") from None
+
+    def reset_session(self, session_id: str) -> None:
+        self.get_session(session_id).reset()
+
+    def restart_session(self, session_id: str) -> None:
+        """Recover a crashed session back to ``active`` (see
+        :meth:`ControlSession.restart`); it rejoins the tick loop on the
+        next input."""
+        self.get_session(session_id).restart()
+
+    def close_session(self, session_id: str) -> None:
+        self.get_session(session_id).close()
+
+    def session_states(self) -> Dict[str, str]:
+        return {sid: s.state for sid, s in self.sessions.items()}
+
+    def crashed_sessions(self) -> List[str]:
+        return [sid for sid, s in self.sessions.items() if s.state == CRASHED]
+
+    def _step_guarded(self, sid: str, x, ref) -> StepOutcome:
+        """One scalar step on the session's own solver; anything escaping
+        the session's own handling (i.e. a bug, not a solver failure)
+        crashes only that session."""
+        session = self.sessions[sid]
+        try:
+            return session.step(x, ref=ref)
+        except ReproError:
+            raise  # lifecycle misuse is the caller's bug — do not mask it
+        except Exception:
+            return session.mark_crashed()
+
+    def _record(self, sid: str, outcome: StepOutcome, report) -> None:
+        """Fold one step outcome into a ``TickReport``, the fleet metrics
+        and the trace."""
+        report.outcomes[sid] = outcome
+        self.metrics.observe_step(sid, outcome)
+        if self.trace is not None:
+            self.trace.emit("step", tick=report.index, **outcome.to_record())
+
+    # -- shard routing ----------------------------------------------------------
     def _next_shard(self) -> int:
         """Round-robin assignment over live shards."""
         n = len(self._shards)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.batch.ipm import LaneLayout
-from repro.mpc.banded import bandwidth_of, block_cholesky, block_partition
+from repro.batch.linalg import BatchCholeskyFactor
+from repro.mpc.banded import bandwidth_of, block_partition
 from repro.mpc.qp import (
     QPOptions,
     QPStats,
@@ -368,7 +369,13 @@ class TestStageFaultHooks:
         factor, _ = _robust_factor(
             blocks, 0.0, None, QPStats(), Scale(), stage=kkt
         )
-        assert np.array_equal(factor.F._Dinv, block_cholesky(moved))
+        # the one-lane factor is lane 1 of the two-lane [blocks, moved]
+        lanes = BatchCholeskyFactor(np.stack([blocks, moved]))
+        for stack in ("_D", "_Dinv", "_C"):
+            assert np.array_equal(getattr(factor, stack), getattr(lanes, stack)[1])
+        assert not np.array_equal(factor._Dinv, lanes._Dinv[0])
+        rhs = np.random.default_rng(0).normal(size=blocks.shape[:2])
+        assert np.array_equal(factor.solve(rhs), lanes.solve(np.stack([rhs] * 2))[1])
 
 
 def test_move_blocking_falls_back_to_dense():

@@ -1,5 +1,6 @@
-"""Batched banded Cholesky: lane-wise agreement with the scalar kernels,
-per-lane failure isolation, and the escalating-regularization retry ladder."""
+"""Batched banded Cholesky: lane independence (a lane of a batch is the
+one-lane factor the scalar step runs, bit for bit), per-lane failure
+isolation, and the escalating-regularization retry ladder."""
 
 import warnings
 
@@ -20,9 +21,7 @@ from repro.errors import SolverError
 from repro.mpc.banded import (
     MIN_BLOCK,
     BandedCholeskyFactor,
-    block_cholesky,
     cholesky_tiles,
-    to_banded,
     tril_inverse,
 )
 from repro.mpc.linalg import cholesky
@@ -47,6 +46,15 @@ def spd(n, seed, band=None, scale=1.0):
     return scale * (L @ L.T)
 
 
+def assert_lane_is_one_lane_factor(batch, i, one, b):
+    """Lane ``i`` of ``batch`` holds the one-lane factor ``one``'s tiles and
+    solves ``b[i]`` as ``one`` does, bit for bit."""
+    host = batch.xp.to_host
+    for stack in ("_D", "_Dinv", "_C"):
+        assert np.array_equal(host(getattr(batch, stack))[i], getattr(one, stack)), stack
+    assert np.array_equal(host(batch.solve(b))[i], one.solve(b[i]))
+
+
 def diag_stack(B, n, seed, lo=0.05, hi=5.0):
     """(B, n, n) stack of exactly diagonal SPD matrices."""
     d = np.random.default_rng(seed).uniform(lo, hi, size=(B, n))
@@ -69,23 +77,19 @@ class TestAgainstScalar:
             assert np.allclose(A[i] @ x[i], b[i], atol=1e-8)
 
     def test_matches_scalar_banded_kernel(self):
-        # One tile kernel under both factors: at the same nb a host lane's
-        # tiles are the scalar factor's, bit for bit.  (27, 3) and (36, 6)
-        # are the fleets' Schur complements.
+        # The scalar step factors through the one-lane factor, so a lane
+        # of a batch must not depend on its lane-mates: lane i's tiles and
+        # solves are the one-lane factor's of A[i], bit for bit.  (27, 3)
+        # and (36, 6) are the fleets' Schur complements.
         B = 4
         for n, band in ((30, 3), (27, 3), (36, 6), (50, 20), (80, 3)):
             A = np.stack([spd(n, 7 + i, band=band) for i in range(B)])
             b = np.random.default_rng(1).normal(size=(B, n))
             batch = BatchCholeskyFactor(A, band=band, reg=1e-9)
-            x = batch.solve(b)
             for i in range(B):
-                scalar = BandedCholeskyFactor(to_banded(A[i], band), reg=1e-9)
+                scalar = BandedCholeskyFactor(A[i], band, reg=1e-9)
                 assert scalar.nb == batch.nb
-                for stack in ("_D", "_Dinv", "_C"):
-                    assert np.array_equal(
-                        getattr(scalar, stack), getattr(batch, stack)[i]
-                    ), (n, band, stack)
-                assert np.allclose(x[i], scalar.solve(b[i]), atol=1e-9)
+                assert_lane_is_one_lane_factor(batch, i, scalar, b)
 
     def test_multi_rhs(self):
         n, B, k = 12, 3, 4
@@ -266,8 +270,12 @@ class TestOneTileKernel:
         monkeypatch.setattr(batch_linalg, "_cholesky_tiles", sweep)
         monkeypatch.setattr(batch_linalg, "_triangular_inverse", sweep)
         A = np.stack([spd(30, i, band=3) for i in range(2)])
-        assert BatchCholeskyFactor(A, band=3).ok.all()
-        BandedCholeskyFactor(to_banded(A[0], 3))
+        batch = BatchCholeskyFactor(A, band=3)
+        assert batch.ok.all()
+        b = np.random.default_rng(3).normal(size=(2, 30))
+        for i in range(2):
+            one = BandedCholeskyFactor(A[i], 3)
+            assert_lane_is_one_lane_factor(batch, i, one, b)
         with pytest.raises(AssertionError, match="column sweep"):
             BatchCholeskyFactor(A, band=3, backend=CountingBackend())
 
@@ -301,11 +309,15 @@ class TestOverflowEscape:
         # The scalar factor carries the batched factor's certificate:
         # non-finite tiles raise, so the ladder escalates.
         with pytest.raises(SolverError, match="overflowed"):
-            BandedCholeskyFactor(to_banded(OVERFLOW, 1))
+            BandedCholeskyFactor(OVERFLOW, 1)
         stats = QPStats()
         factor, reg = _robust_factor(OVERFLOW, 0.0, 1, stats)
         assert stats.retries > 0 and reg > 0.0
         assert np.all(np.isfinite(factor.solve(np.ones(2))))
+        # the repaired factor is lane 1 of a batch factored at the same reg
+        batch = BatchCholeskyFactor(np.stack([spd(2, 0), OVERFLOW]), band=1, reg=reg)
+        assert batch.ok.all()
+        assert_lane_is_one_lane_factor(batch, 1, factor, np.ones((2, 2)))
 
     def test_dense_ladder_repairs_overflow(self):
         # The dense factor's L is finite here — the overflow happens in
@@ -465,8 +477,8 @@ class TestDiagonalLane:
         assert np.isclose(x[1, 3], 1e12) and np.all(np.isfinite(x[[0, 1, 3]]))
 
     def test_band_is_a_promise_band_zero_reads_only_the_diagonal(self, name):
-        # Like the scalar twin's to_banded(A, 0): entries outside the
-        # promised band are not read, whatever they hold.
+        # Entries outside the promised band are not read, whatever they
+        # hold, and the one-lane factor the scalar step runs reads the same.
         xp = get_backend(name)
         B, n = 3, 20
         A = np.stack([spd(n, 50 + i) for i in range(B)])  # dense, not diagonal
@@ -475,10 +487,8 @@ class TestDiagonalLane:
         ref = BatchCholeskyFactor(only_diag, band=0, backend=xp)
         assert np.array_equal(xp.to_host(fac._Dinv), xp.to_host(ref._Dinv))
         b = np.random.default_rng(51).normal(size=(B, n))
-        x = xp.to_host(fac.solve(b))
         for i in range(B):
-            scalar = BandedCholeskyFactor(to_banded(A[i], 0))
-            assert np.allclose(x[i], scalar.solve(b[i]), rtol=1e-14, atol=0.0)
+            assert_lane_is_one_lane_factor(fac, i, BandedCholeskyFactor(A[i], 0), b)
 
     @pytest.mark.parametrize("attempts", [1, 16])
     def test_in_place_ladder_is_the_factor_ladder(self, name, attempts):
@@ -550,7 +560,7 @@ class TestDiagonalLaneStaysOnDevice:
 
 
 class TestTileRule:
-    """One tile rule for both factors: a matrix that fits in two tiles is
+    """One tile rule, at every lane count: a matrix that fits in two tiles is
     factored as one tile of ``n`` (two tiles already hold its whole lower
     triangle); the flop meters still count the banded algorithm."""
 
@@ -559,7 +569,8 @@ class TestTileRule:
         for n in range(band + 1, 2 * max(band, MIN_BLOCK) + 12, 5):
             A = np.stack([spd(n, n, band=band)])
             batch = BatchCholeskyFactor(A, band=band)
-            scalar = BandedCholeskyFactor(to_banded(A[0], band))
+            scalar = BandedCholeskyFactor(A[0], band)
+            assert_lane_is_one_lane_factor(batch, 0, scalar, np.ones((1, n)))
             one_tile = n <= 2 * max(band, MIN_BLOCK)
             assert (batch.K == 1) == one_tile == (scalar.K == 1), (n, band)
             assert batch.nb == scalar.nb == (n if one_tile else max(band, MIN_BLOCK))
@@ -597,12 +608,12 @@ class TestBlockMode:
         rhs = np.random.default_rng(2).normal(size=(B, K, s))
         x = xp.to_host(fac.solve(rhs))
         for i in range(B):
-            ref = block_cholesky(M[i], 1e-9)
-            Dinv = xp.to_host(fac._Dinv)[i]
+            one = BandedCholeskyFactor(M[i], reg=1e-9)
             if xp.is_device:
-                assert np.allclose(Dinv, ref, rtol=1e-12, atol=1e-14)
+                Dinv = xp.to_host(fac._Dinv)[i]
+                assert np.allclose(Dinv, one._Dinv, rtol=1e-12, atol=1e-14)
             else:
-                assert np.array_equal(Dinv, ref)
+                assert_lane_is_one_lane_factor(fac, i, one, rhs)
             for k in range(K):
                 assert np.allclose(M[i, k] @ x[i, k], rhs[i, k], atol=1e-9)
         multi = xp.to_host(fac.forward(np.stack([rhs] * 2, axis=-1)))

@@ -437,17 +437,20 @@ class TestMutationCheck:
     def test_corrupted_block_factor_fails_the_stage_step(
         self, tmp_path, monkeypatch
     ):
-        # ROADMAP 7f: the stage step's block-diagonal factor is defined
-        # once.  The mutation is an off-by-one in the block index (block k
-        # is applied block k-1's inverse factor); MobileRobot's Phi is
-        # diagonal, so it runs on the 1 x 1 blocks, where a transposed
-        # inverse would change nothing.
-        healthy = banded_mod.block_cholesky
+        # ROADMAP 7f: the stage step's block-diagonal factor is the one
+        # factor's block mode.  The mutation is an off-by-one in the block
+        # index (block k is applied block k-1's inverse factor);
+        # MobileRobot's Phi is diagonal, so it runs on the 1 x 1 blocks,
+        # where a transposed inverse would change nothing.
+        healthy = batch_linalg.BatchCholeskyFactor._factor_blocks
 
-        def shifted_blocks(M, reg=0.0):
-            return np.roll(healthy(M, reg), 1, axis=0)
+        def shifted_blocks(self, M, finite, reg_fill):
+            healthy(self, M, finite, reg_fill)
+            self._Dinv = np.roll(self._Dinv, 1, axis=1)
 
-        monkeypatch.setattr(banded_mod, "block_cholesky", shifted_blocks)
+        monkeypatch.setattr(
+            batch_linalg.BatchCholeskyFactor, "_factor_blocks", shifted_blocks
+        )
         report = run_conformance(
             n_cases=2,
             seed=0,

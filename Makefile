@@ -31,8 +31,11 @@ bench-harness:
 # shards), a small deadline-budgeted default fleet and a ragged-horizon
 # sharded fleet that must each finish with zero crashed sessions (non-zero
 # exit otherwise), the padded conform family against the golden ledger, a
-# seeded shard-chaos campaign whose handoff invariant must hold.  Traces and
-# shrunk repro files land in conform/failures/ for the CI artifact upload.
+# seeded shard-chaos campaign whose handoff invariant must hold, and the
+# seeded fleet-sharded and fleet-ragged passes hashed by plan_hash.py, whose
+# digests must agree: where a group runs (which shard, which process) never
+# changes a served byte.  Traces and shrunk repro files land in
+# conform/failures/ for the CI artifact upload.
 serve2-smoke:
 	mkdir -p conform/failures
 	$(PYTEST) -q -m "not slow" tests/test_serve2_padding.py tests/test_serve2_scheduler.py tests/test_serve_engine.py tests/test_serve2_engine.py tests/test_serve2_shard.py
@@ -40,6 +43,10 @@ serve2-smoke:
 	$(REPRO) serve-sim --sessions 10 --ticks 10 --robots CartPole,MobileRobot --horizons 5,6,8 --rungs 8 --shards 2 --deadline-ms 250 --seed 0 --trace conform/failures/serve2-trace.jsonl
 	$(REPRO) conform run --cases 8 --seed 0 --paths native_horizon,padded_horizon --out-dir conform/failures
 	$(REPRO) chaos --robot cartpole --schedule shards --shards 2 --sessions 4 --ticks 30 --deadline-ms 1000 --seed 3 --trace conform/failures/serve2-chaos-trace.jsonl
+	python scripts/plan_hash.py --root . --workload fleet-sharded --seed 0 > .plan_hash.a
+	python scripts/plan_hash.py --root . --workload fleet-ragged --seed 0 > .plan_hash.b
+	test "$$(grep -o 'sha256=[0-9a-f]*$$' .plan_hash.a)" = "$$(grep -o 'sha256=[0-9a-f]*$$' .plan_hash.b)"
+	cat .plan_hash.a .plan_hash.b && rm -f .plan_hash.a .plan_hash.b
 
 # Chaos smoke: a short cartpole fault campaign (sensor + solver faults)
 # must pass every recovery invariant (non-zero exit otherwise).

@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="number of solver shards (sessions pin by affinity)",
+        help="number of solver shards (sessions are placed by "
+        "(robot, bucket) batch key)",
     )
     p_serve.add_argument(
         "--shard-backend",

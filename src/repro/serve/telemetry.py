@@ -213,6 +213,14 @@ class FleetMetrics:
         self.padded_lanes = 0
         self.shard_handoffs = 0
         self.shard_respawns = 0
+        #: per process shard: seconds the parent waited on its groups, and
+        #: the part of them the worker spent solving (the rest is transport:
+        #: pickling, the pipe, and the event loop's turnaround)
+        self.shard_wait_s: Dict[int, float] = {}
+        self.shard_solve_s: Dict[int, float] = {}
+        #: worker group solves whose binding was not primed before the fork
+        #: (built inside the solve; 0 when priming works)
+        self.shard_cold_groups = 0
         #: seconds of deadline slack left when a request was dispatched
         self.deadline_headroom = Histogram()
         #: fraction of a padded lane's stages spent on padding (0 when a
@@ -318,6 +326,15 @@ class FleetMetrics:
             self.padded_lanes += 1
             self.padding_waste.record(padding_waste)
 
+    def observe_shard_group(
+        self, shard: int, wait_s: float, solve_s: float, primed: bool
+    ) -> None:
+        """Record one worker group solve: the parent's wait, the worker's
+        solve seconds, and whether the worker's binding cache was primed."""
+        self.shard_wait_s[shard] = self.shard_wait_s.get(shard, 0.0) + wait_s
+        self.shard_solve_s[shard] = self.shard_solve_s.get(shard, 0.0) + solve_s
+        self.shard_cold_groups += not primed
+
     def absorb_solver_stats(self, stats: Dict[str, float]) -> None:
         """Accumulate one solver's cumulative per-phase stats."""
         for key in _PHASE_KEYS:
@@ -345,6 +362,13 @@ class FleetMetrics:
         self.padded_lanes += other.padded_lanes
         self.shard_handoffs += other.shard_handoffs
         self.shard_respawns += other.shard_respawns
+        for mine, theirs in (
+            (self.shard_wait_s, other.shard_wait_s),
+            (self.shard_solve_s, other.shard_solve_s),
+        ):
+            for shard, seconds in theirs.items():
+                mine[shard] = mine.get(shard, 0.0) + seconds
+        self.shard_cold_groups += other.shard_cold_groups
         self.deadline_headroom.merge(other.deadline_headroom)
         self.padding_waste.merge(other.padding_waste)
         self.bucket_occupancy.merge(other.bucket_occupancy)
@@ -371,6 +395,9 @@ class FleetMetrics:
                 "padded_lanes": self.padded_lanes,
                 "shard_handoffs": self.shard_handoffs,
                 "shard_respawns": self.shard_respawns,
+                "shard_wait_s": dict(sorted(self.shard_wait_s.items())),
+                "shard_solve_s": dict(sorted(self.shard_solve_s.items())),
+                "shard_cold_groups": self.shard_cold_groups,
                 "deadline_headroom": self.deadline_headroom.to_dict(),
                 "padding_waste": self.padding_waste.to_dict(),
                 "bucket_occupancy": self.bucket_occupancy.to_dict(),
@@ -502,6 +529,16 @@ def render_summary(metrics: FleetMetrics, states: Dict[str, str]) -> str:
             f"headroom_p1={hr.percentile(1) * 1e3:.1f}ms  "
             f"handoffs={metrics.shard_handoffs}  "
             f"respawns={metrics.shard_respawns}"
+        )
+    if metrics.shard_wait_s:
+        lines.append(
+            "shard seconds:   "
+            + "  ".join(
+                f"{shard}: solve={metrics.shard_solve_s[shard]:.2f}s "
+                f"transport={wait - metrics.shard_solve_s[shard]:.2f}s"
+                for shard, wait in sorted(metrics.shard_wait_s.items())
+            )
+            + f"  cold={metrics.shard_cold_groups}"
         )
     pt = metrics.phase_totals
     lines.append(

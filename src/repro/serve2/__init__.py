@@ -15,8 +15,10 @@ serving stacks:
   session's ``SolveBudget``, with admission control and load shedding
   driven by live deadline-headroom telemetry
   (:mod:`repro.serve2.scheduler`);
-* solves run on sharded arenas with session→shard affinity and shard
-  handoff on worker death (:mod:`repro.serve2.shard`).
+* solves run on sharded arenas; sessions are placed on shards by
+  ``(robot, bucket)`` batch key, so each group solves whole on one shard,
+  and are re-placed on the survivors when a shard's worker dies
+  (:mod:`repro.serve2.shard`).
 """
 
 from repro.serve2.bucketing import DEFAULT_RUNGS, HorizonBuckets

@@ -18,11 +18,18 @@ demoted, or whose solver carries a chaos fault hook steps instead on its
 own scalar solver (:meth:`~repro.serve.session.ControlSession.step`), so
 solver-layer faults reach the solve they target.
 
+Sessions are placed on shards by batch key, ``(robot, bucket)``, so a
+key's lanes solve as one group on one shard: with at least as many keys as
+live shards each key goes whole to the least-loaded shard (largest key
+first); with fewer keys each key spreads round-robin over its share of the
+shards, so none idles.  The placement is recomputed lazily, once after the
+session table changed, and never depends on registration order.
+
 One lost solve is one degradation-ladder step.  When a shard dies (a
 real worker-process death in ``process`` mode, a chaos mark in
 ``inline`` mode), its in-flight lanes pay a ``worker_died`` step, its
-sessions are handed off to surviving shards, and the shard respawns as
-fresh capacity.
+sessions are re-placed by the same rule over the surviving shards, and
+the shard respawns as fresh capacity.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ class AsyncServeEngine:
     (with lazy eviction of closed sessions at the cap), the shared
     ``(robot, horizon)`` transcriptions, the per-session lifecycle
     passthroughs and per-step recording, with each session's shard
-    affinity kept in step with the table.
+    placement recomputed from the table whenever it changed.
     """
 
     def __init__(
@@ -139,7 +146,6 @@ class AsyncServeEngine:
         #: or a directive dict (worker_crash / slow / shard_crash)
         self.fault_hook = None
         self._seq = 0
-        self._assigned = 0
         self._scheduler = EDFScheduler()
         self._shards = [
             Shard(
@@ -150,8 +156,10 @@ class AsyncServeEngine:
             )
             for i in range(self.config.shards)
         ]
-        #: session -> shard affinity (re-pinned on shard death)
-        self._affinity: Dict[str, int] = {}
+        #: session -> shard as last placed (read through ``_affinity``)
+        self._pins: Dict[str, int] = {}
+        #: the session table changed since the last placement
+        self._stale = False
         #: armed chaos faults per shard (process mode: shipped with the
         #: shard's next group so the worker death is real)
         self._shard_faults: Dict[int, Dict[str, object]] = {}
@@ -200,14 +208,14 @@ class AsyncServeEngine:
         # the table, so a table under the cap needs no O(n) scan.
         if len(self.sessions) < self.config.max_sessions:
             return
-        # At cap, lazily evict closed sessions (and their shard affinity):
+        # At cap, lazily evict closed sessions (and their shard pins):
         # a churned fleet must not grow the table without bound — that is
         # a leak at soak scale, not bookkeeping.  Crashed sessions stay:
         # they are restartable.
         closed = [s for s, ses in self.sessions.items() if ses.state == CLOSED]
         for sid in closed:
             del self.sessions[sid]
-            self._affinity.pop(sid, None)
+            self._pins.pop(sid, None)
         if len(self.sessions) < self.config.max_sessions:
             return
         open_count = sum(1 for s in self.sessions.values() if s.serving)
@@ -217,22 +225,13 @@ class AsyncServeEngine:
             )
 
     def _register(self, session: ControlSession) -> None:
-        sid, cfg = session.session_id, session.config
-        self.sessions[sid] = session
-        shard = self._affinity[sid] = self._next_shard()
+        cfg = session.config
+        self.sessions[session.session_id] = session
+        self._stale = True
         bound = self._problem_cache.get((cfg.robot, cfg.horizon))
         if bound is not None:
             # group bindings reuse the benchmark create_session built
             self._bench_cache.setdefault(cfg.robot, bound[0])
-        if self.trace is not None:
-            self.trace.emit(
-                "session",
-                session=sid,
-                robot=cfg.robot,
-                horizon=cfg.horizon,
-                deadline_s=cfg.deadline_s,
-                shard=shard,
-            )
 
     def binding(self, robot: str, horizon: int) -> Tuple[object, object]:
         """The shared ``(benchmark, problem)`` pair for a robot/horizon
@@ -258,9 +257,11 @@ class AsyncServeEngine:
         :meth:`ControlSession.restart`); it rejoins the tick loop on the
         next input."""
         self.get_session(session_id).restart()
+        self._stale = True
 
     def close_session(self, session_id: str) -> None:
         self.get_session(session_id).close()
+        self._stale = True
 
     def session_states(self) -> Dict[str, str]:
         return {sid: s.state for sid, s in self.sessions.items()}
@@ -288,16 +289,51 @@ class AsyncServeEngine:
         if self.trace is not None:
             self.trace.emit("step", tick=report.index, **outcome.to_record())
 
-    # -- shard routing ----------------------------------------------------------
-    def _next_shard(self) -> int:
-        """Round-robin assignment over live shards."""
-        n = len(self._shards)
-        for _ in range(n):
-            idx = self._assigned % n
-            self._assigned += 1
-            if not self._shards[idx].dead:
-                return idx
-        return self._assigned % n  # all dead: pin anywhere, revive later
+    # -- shard placement --------------------------------------------------------
+    @property
+    def _affinity(self) -> Dict[str, int]:
+        """session -> shard, placing the serving sessions over the live
+        shards first if the session table changed since the last read."""
+        if self._stale:
+            self._stale = False
+            live = [s.index for s in self._shards if not s.dead] or [0]
+            self._place([sid for sid, s in self.sessions.items() if s.serving], live)
+        return self._pins
+
+    def _place(self, sids: List[str], shards: List[int]) -> None:
+        """Pin ``sids`` to ``shards`` by batch key: each key whole on the
+        least-loaded shard when keys >= shards, else each key round-robin
+        over ``len(shards) // keys`` shards (the largest keys take the
+        remainder).  Keys go largest first, ties by key, so the map does
+        not depend on registration order."""
+        keys: Dict[Tuple[str, int], List[str]] = {}
+        for sid in sids:
+            cfg = self.sessions[sid].config
+            key = (cfg.robot, self.buckets.bucket_for(cfg.horizon))
+            keys.setdefault(key, []).append(sid)
+        order = sorted(keys, key=lambda k: (-len(keys[k]), k))
+        load = dict.fromkeys(shards, 0)
+        width, extra = divmod(len(shards), len(order) or 1)
+        for rank, key in enumerate(order):
+            if len(order) >= len(shards):
+                span = [min(shards, key=load.__getitem__)]
+                load[span[0]] += len(keys[key])
+            else:
+                start = rank * width + min(rank, extra)
+                span = shards[start : start + width + (rank < extra)]
+            for i, sid in enumerate(keys[key]):
+                shard = span[i % len(span)]
+                if self._pins.get(sid) != shard and self.trace is not None:
+                    cfg = self.sessions[sid].config
+                    self.trace.emit(
+                        "session",
+                        session=sid,
+                        robot=cfg.robot,
+                        horizon=cfg.horizon,
+                        deadline_s=cfg.deadline_s,
+                        shard=shard,
+                    )
+                self._pins[sid] = shard
 
     def shard_of(self, session_id: str) -> int:
         return self._affinity[session_id]
@@ -552,6 +588,7 @@ class AsyncServeEngine:
             "payloads": payloads,
             "fault": self._shard_faults.pop(shard.index, None),
         }
+        t0 = perf_counter()
         try:
             reply = await self._loop.run_in_executor(
                 shard.pool(), shard_solve_group, message
@@ -578,6 +615,9 @@ class AsyncServeEngine:
                     )
                 )
             return None, None
+        self.metrics.observe_shard_group(
+            shard.index, perf_counter() - t0, reply["solve_s"], reply["primed"]
+        )
         results = [result_from_dict(lane) for lane in reply["lanes"]]
         return results, BatchSolveReport(**reply["report"])
 
@@ -629,12 +669,9 @@ class AsyncServeEngine:
             )
         survivors = [s.index for s in self._shards if not s.dead]
         if survivors:
-            moved = 0
-            for sid, idx in self._affinity.items():
-                if idx == shard.index:
-                    self._affinity[sid] = survivors[moved % len(survivors)]
-                    moved += 1
-            self.metrics.shard_handoffs += moved
+            moved = [sid for sid, idx in self._pins.items() if idx == shard.index]
+            self._place(moved, survivors)
+            self.metrics.shard_handoffs += len(moved)
         shard.revive()
         self.metrics.shard_respawns += 1
         if self.trace is not None:

@@ -1,24 +1,27 @@
 """Sharded solver arenas for the serve2 engine.
 
 A shard owns the padded :class:`~repro.serve2.padding.PaddedBinding`\\ s
-for the ``(robot, bucket)`` keys routed to it and — in ``process`` mode —
-a single-worker process pool whose death is a real OS process death.
+for the ``(robot, bucket)`` keys the engine places on it (by batch key,
+so a key's lanes solve as one group) and — in ``process`` mode — a
+single-worker process pool whose death is a real OS process death.
 Sessions (and their warm-start state) live in the *parent* engine; a
 shard is pure solver capacity, which is what makes handoff cheap: when a
 shard dies mid-tick, its in-flight lanes pay one degradation-ladder step
 (``worker_died``, as for any lost solve), its sessions are
-re-pinned to surviving shards, and the dead shard respawns lazily.
+re-placed on surviving shards, and the dead shard respawns lazily.
 
 ``inline`` mode solves in-process (deterministic, what the chaos
 campaign drives); ``process`` mode overlaps shard solves across real
 worker processes, with the parent's compiled bindings inherited through
 the fork start method via a prime-before-fork cache, and over the worker
-wire format of :mod:`repro.serve.wire`.
+wire format of :mod:`repro.serve.wire`.  A binding added after the fork
+discards the pool, so the next group forks a worker primed with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError, SolverError
@@ -57,6 +60,9 @@ class Shard:
                 qp_method=self.qp_method,
                 array_backend=self.array_backend,
             )
+            # a worker forked before this binding existed would build it
+            # cold inside a solve: refork, primed, on the next group
+            self.discard_pool()
         return self.bindings[key]
 
     def pool(self):
@@ -131,26 +137,33 @@ def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
     ``group`` carries the binding identity, the already-padded payloads,
     and an optional chaos directive
     (:func:`repro.serve.wire.run_fault_directive`: ``shard_crash``
-    hard-kills this worker — the failure mode handoff must survive).  The reply is a plain dict of per-lane result dicts
-    (:func:`repro.serve.wire.result_to_dict`) plus the batch-occupancy
-    report.
+    hard-kills this worker — the failure mode handoff must survive).  The
+    reply is a plain dict of per-lane result dicts
+    (:func:`repro.serve.wire.result_to_dict`), the batch-occupancy report,
+    ``primed`` (this process's cache already held the binding, so nothing
+    was built inside the solve) and ``solve_s`` (wall seconds in
+    ``solve_payloads``).
     """
     try:
         run_fault_directive(group.get("fault"))
         robot = str(group["robot"])
         bucket = int(group["bucket"])
         qp_method = str(group.get("qp_method") or "ipm")
+        primed = (robot, bucket, qp_method) in _SHARD_CACHE
         prime_shard_cache(robot, bucket, qp_method=qp_method)
         binding = _SHARD_CACHE[(robot, bucket, qp_method)]
         if not binding.batchable:
             # the engine steps unbatchable bindings scalar-inline and never
             # ships them to a shard worker
             raise SolverError(f"({robot!r}, bucket {bucket}) cannot batch")
+        t0 = perf_counter()
         results, report = binding.batch_solver.solve_payloads(group["payloads"])
         return {
             "ok": True,
             "lanes": [result_to_dict(r) for r in results],
             "report": asdict(report),
+            "primed": primed,
+            "solve_s": perf_counter() - t0,
         }
     except ReproError as exc:
         return error_reply(exc)

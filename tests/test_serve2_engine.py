@@ -1,15 +1,20 @@
 """AsyncServeEngine tests: the tick facade, co-batching, admission and
-load shedding, fault directives, solver-hooked sessions, and shard handoff
-(inline mode)."""
+load shedding, fault directives, solver-hooked sessions, placement by batch
+key, and shard handoff (inline mode)."""
 
 import asyncio
+import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AdmissionError, ServeError
 from repro.mpc import MPCController
 from repro.serve import ControlSession, SessionConfig
+from repro.serve.telemetry import TraceWriter
 from repro.serve2 import AsyncServeEngine, Serve2Config
 from tests.test_serve_session import ScriptedSolver, cart  # noqa: F401
 
@@ -97,6 +102,92 @@ class TestAdmission:
         engine = engines(shards=2)
         sids = stub_fleet(cart, engine, 4)
         assert [engine.shard_of(sid) for sid in sids] == [0, 1, 0, 1]
+
+
+def placed(cart, robots, shards, dead=()):
+    """Register one stub session per entry of ``robots`` (in that order) on
+    a fresh engine and return ``robot -> {shard, ...}`` plus per-shard
+    session counts.  Each robot is one batch key."""
+    engine = AsyncServeEngine(Serve2Config(shards=shards))
+    try:
+        for idx in dead:
+            engine._shards[idx].dead = True
+        for i, robot in enumerate(robots):
+            engine.add_session(stub_session(cart, f"s{i}", ["ok"], robot=robot))
+        where = {}
+        load = [0] * shards
+        for i, robot in enumerate(robots):
+            shard = engine.shard_of(f"s{i}")
+            where.setdefault(robot, set()).add(shard)
+            load[shard] += 1
+        return where, load
+    finally:
+        engine.shutdown()
+
+
+class TestPlacement:
+    """Sessions are placed on shards by ``(robot, bucket)`` batch key."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(["A"] * 4 + ["B"] * 4))
+    def test_two_keys_take_one_shard_each(self, cart, order):
+        where, load = placed(cart, order, shards=2)
+        assert where == {"A": {0}, "B": {1}}  # equal sizes: ties by key
+        assert load == [4, 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=5, max_size=5),
+        data=st.data(),
+    )
+    def test_many_keys_whole_and_balanced(self, cart, sizes, data):
+        robots = [f"K{k}" for k, n in enumerate(sizes) for _ in range(n)]
+        order = data.draw(st.permutations(robots))
+        where, load = placed(cart, order, shards=2)
+        assert all(len(shards) == 1 for shards in where.values())
+        assert abs(load[0] - load[1]) <= max(sizes)
+        # the map is a function of the key census, not of arrival order
+        assert placed(cart, robots, shards=2)[0] == where
+
+    def test_fewer_keys_than_shards_spread_with_no_idle_shard(self, cart):
+        where, load = placed(cart, ["A"] * 4 + ["B"] * 2, shards=3)
+        assert where == {"A": {0, 1}, "B": {2}}
+        assert load == [2, 2, 2]
+
+    def test_dead_shards_are_excluded(self, cart):
+        where, load = placed(cart, ["A"] * 3 + ["B"] * 3, shards=3, dead=(0,))
+        assert where == {"A": {1}, "B": {2}}
+        assert load[0] == 0
+        where, load = placed(cart, ["A"] * 4, shards=3, dead=(1,))
+        assert where == {"A": {0, 2}}
+
+    def test_trace_names_the_shard_a_session_is_served_on(self, cart):
+        sink = io.StringIO()
+        engine = AsyncServeEngine(Serve2Config(shards=2), trace=TraceWriter(sink))
+        routed = {}
+        push = engine._scheduler.push
+
+        def spy(request):
+            routed[request.session_id] = request.shard
+            push(request)
+
+        engine._scheduler.push = spy
+        try:
+            sids = stub_fleet(cart, engine, 3, robot="A")
+            engine.tick({sid: (X, None) for sid in sids})
+            # a second key rebalances: "A" moves whole onto one shard
+            sids.append(engine.add_session(stub_session(cart, "b0", ["ok"], robot="B")))
+            engine.tick({sid: (X, None) for sid in sids})
+        finally:
+            engine.shutdown()
+        traced = {}
+        for line in sink.getvalue().splitlines():
+            record = json.loads(line)
+            if record["type"] == "session":
+                traced[record["session"]] = record["shard"]
+        assert set(traced) == set(sids)
+        assert traced == routed
+        assert set(routed.values()) == {0, 1}
 
 
 class TestTickFacade:

@@ -136,3 +136,30 @@ class TestProcessShards:
         assert all(engine.shard_of(sid) == survivor for sid in died)
         report = engine.tick({sid: (bench.x0, bench.ref) for sid in sids})
         assert all(o.status == "ok" for o in report.outcomes.values())
+
+    def test_binding_added_after_the_fork_is_primed(self, engine):
+        """A key placed on a shard whose worker already forked must not be
+        built inside its first solve: the worker forks again, primed."""
+        sids = [
+            engine.create_session(
+                SessionConfig(robot="CartPole", horizon=5, deadline_s=None)
+            )
+            for _ in range(4)
+        ]
+        bench, _ = engine.binding("CartPole", 5)
+        engine.tick({sid: (bench.x0, bench.ref) for sid in sids})
+        assert engine.metrics.batch_solves == 2  # both workers forked
+        late = engine.create_session(
+            SessionConfig(robot="MobileRobot", horizon=5, deadline_s=None)
+        )
+        mobile, _ = engine.binding("MobileRobot", 5)
+        inputs = {sid: (bench.x0, bench.ref) for sid in sids}
+        inputs[late] = (mobile.x0, mobile.ref)
+        report = engine.tick(inputs)
+        assert all(o.status == "ok" for o in report.outcomes.values())
+        assert engine.metrics.batch_solves == 4  # CartPole whole + MobileRobot
+        assert engine.shard_of(late) != engine.shard_of(sids[0])
+        assert engine.metrics.shard_cold_groups == 0
+        waits, solves = engine.metrics.shard_wait_s, engine.metrics.shard_solve_s
+        assert set(waits) == set(solves) == {0, 1}
+        assert all(0.0 < solves[i] <= waits[i] for i in waits)

@@ -1,6 +1,7 @@
 """Hash what a checkout serves on one seeded pass of a benchmark fleet.
 
-``python scripts/plan_hash.py --root CHECKOUT [--workload W] [--seed S ...]``
+``python scripts/plan_hash.py --root CHECKOUT [--workload W] [--seed S ...]
+[--against OTHER]``
 imports *that checkout's* ``src/`` and ``benchmarks/e2e/workloads.py``, runs
 the workload's set-up and one pass of its ticks, and prints one SHA-256 per
 seed over the raw bytes of every served input of every step (in tick and
@@ -17,6 +18,11 @@ change to ``repro.batch.linalg`` that must leave those tilings alone.  That
 factor is the only blocked Cholesky: the scalar QP step of ``loop-scalar``
 runs it at one lane (``repro.mpc.banded.BandedCholeskyFactor``), so its
 digest covers a change there too.
+
+``--against OTHER`` re-runs this script in a subprocess with ``--root
+OTHER`` and the same workload and seeds, prints both sets of lines, and
+exits 1 when any ``sha256=`` field differs: the "digests unchanged" gate
+as one command (``--root`` at the change, ``--against`` at a parent clone).
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,8 +65,45 @@ def main() -> int:
         choices=("fleet-ragged", "fleet-admm", "fleet-sharded", "loop-scalar"),
     )
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
+    parser.add_argument(
+        "--against",
+        help="a second checkout to hash the same way; exit 1 on any difference",
+    )
     args = parser.parse_args()
+    other = []
+    if args.against is not None:
+        # the other checkout first, so the two passes never share memory
+        other = subprocess.run(
+            [
+                sys.executable, __file__,
+                "--root", args.against,
+                "--workload", args.workload,
+                "--seed", *map(str, args.seed),
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        print(f"== {Path(args.against).resolve()}", *other, sep="\n")
+        print(f"== {Path(args.root).resolve()}", flush=True)
+    ours = []
+    for line in _hash_lines(args):
+        print(line, flush=True)
+        ours.append(line)
+    if args.against is None:
+        return 0
+    same = _digests(ours) == _digests(other)
+    print("digests " + ("identical" if same else "DIFFER"))
+    return 0 if same else 1
 
+
+def _digests(lines):
+    return [d for line in lines for d in re.findall(r"sha256=(\S+)", line)]
+
+
+def _hash_lines(args):
+    """Yield the factor-tiles line, then one digest line per seed, for the
+    checkout at ``args.root`` (imported into this process)."""
     root = Path(args.root).resolve()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -72,7 +117,7 @@ def main() -> int:
 
     if not Path(repro.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"imported {repro.__file__}, not the checkout at {root}")
-    print(f"factor-tiles {_factor_tiles_digest()}")
+    yield f"factor-tiles {_factor_tiles_digest()}"
     for seed in args.seed:
         workload = WORKLOADS[args.workload](seed)
         workload.setup()
@@ -105,11 +150,10 @@ def main() -> int:
             for key, value in (workload.counters() if scalar else {}).items()
         )
         workload.teardown()
-        print(
+        yield (
             f"{args.workload} seed={seed} steps={served} "
             f"plans={len(controllers)} sha256={digest.hexdigest()}{work}"
         )
-    return 0
 
 
 if __name__ == "__main__":

@@ -150,9 +150,6 @@ class ArrayBackend:
     def where(self, cond, a, b):
         return _np.where(cond, a, b)
 
-    def broadcast_to(self, a, shape):
-        return _np.broadcast_to(a, shape)
-
     def tile(self, a, reps):
         return _np.tile(a, reps)
 
@@ -374,9 +371,6 @@ class TorchBackend(ArrayBackend):
         else:
             a, b = self._tensor(a), self._tensor(b)
         return t.where(cond, a, b)
-
-    def broadcast_to(self, a, shape):
-        return self._torch.broadcast_to(self._tensor(a), shape)
 
     def tile(self, a, reps):
         return self._torch.tile(self._tensor(a), tuple(_np.atleast_1d(reps)))

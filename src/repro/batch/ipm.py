@@ -366,31 +366,24 @@ def subproblem_lanes(xp, opt, layout, Hs, grad_s, Gs, Js, g_eq, h):
     return (H, g, G, -g_eq, J, d)
 
 
-def _warm_rows(values, shape, healths, note, strict=False, floor=None):
-    """Usable rows of one per-lane warm-start sequence, as ``(lane, row)``.
-    A row of the wrong shape is a caller bug for the trajectory
-    (``strict``) and ignored for the multipliers; ``floor`` clamps the
-    inequality multipliers at zero.  A contaminated (non-finite) row is
-    rejected and noted on its lane's health — the lane keeps its fresh
-    seed — never propagated into the linearization."""
+def _warm_rows(values, shape, healths):
+    """Usable rows of the per-lane trajectory warm starts, as ``(lane,
+    row)``.  A row of the wrong shape is a caller bug.  A contaminated
+    (non-finite) row is rejected and noted on its lane's health — the lane
+    keeps its fresh seed — never propagated into the linearization."""
     for lane, value in enumerate(values or ()):
         if value is None:
             continue
         row = HOST.asarray(value)
         if tuple(row.shape) != shape:
-            if strict:
-                raise SolverError(
-                    f"warm start has shape {tuple(row.shape)}, "
-                    f"expected {shape}"
-                )
-            continue
-        if floor is not None:
-            row = HOST.maximum(row, floor)
+            raise SolverError(
+                f"warm start has shape {tuple(row.shape)}, expected {shape}"
+            )
         if bool(HOST.scalar(HOST.all(HOST.isfinite(row)))):
             yield lane, row
         else:
             healths[lane].warm_start_reseeded = True
-            healths[lane].note(note)
+            healths[lane].note("warm_start_reseeded")
 
 
 def solve_lanes(
@@ -403,8 +396,6 @@ def solve_lanes(
     x_init,
     R=None,
     z_warm: Optional[Sequence] = None,
-    nu_warm: Optional[Sequence] = None,
-    lam_warm: Optional[Sequence] = None,
     budgets: Optional[Sequence[Optional[SolveBudget]]] = None,
     xp: ArrayBackend = HOST,
     qp_method: str = "ipm",
@@ -429,9 +420,10 @@ def solve_lanes(
             reference stack ``(B, N+1, nref)`` (or ``None``), host arrays
             the caller validated — what a poisoned input turns into
             differs per entry point.
-        z_warm / nu_warm / lam_warm: optional per-lane warm starts (the
-            shifted previous solution and its multipliers — without them
-            every solve re-learns the dynamics multipliers from zero).
+        z_warm: optional per-lane trajectory warm starts (the shifted
+            previous plan).  The multipliers always start at zero: a
+            receding-horizon plan never passes the stopping test at the
+            first iteration, the only place carried duals could act.
         budgets: optional per-lane compute allowances.  A budgeted lane
             stops at the first checkpoint past its limit — overrun bounded
             by one linearization plus one QP iteration — and reports
@@ -452,21 +444,11 @@ def solve_lanes(
     healths = [SolverHealth() for _ in range(lanes)]
 
     Z = xp.to_host(lin.initial_guess(X0))
-    for lane, row in _warm_rows(
-        z_warm, (nz,), healths, "warm_start_reseeded", strict=True
-    ):
+    for lane, row in _warm_rows(z_warm, (nz,), healths):
         Z[lane] = row
     Z[:, p.state_slice(0)] = X0
     NU = HOST.zeros((lanes, p.n_eq))
-    for lane, row in _warm_rows(
-        nu_warm, (p.n_eq,), healths, "nu_warm_reseeded"
-    ):
-        NU[lane] = row
     LAM = HOST.zeros((lanes, m))
-    for lane, row in _warm_rows(
-        lam_warm, (m,), healths, "lam_warm_reseeded", floor=0.0
-    ):
-        LAM[lane] = row
 
     rho = HOST.full((lanes,), opt.penalty_init)
     # Levenberg-Marquardt damping adapted on KKT progress: oscillation
@@ -984,8 +966,6 @@ class BatchSolver:
             X0,
             refs=refs if self.problem.nref else None,
             z_warm=[pl.get("z_warm") for pl in payloads],
-            nu_warm=[pl.get("nu_warm") for pl in payloads],
-            lam_warm=[pl.get("lam_warm") for pl in payloads],
             budgets=budgets,
         )
 
@@ -1007,8 +987,6 @@ class BatchSolver:
         x_init,
         refs=None,
         z_warm: Optional[Sequence] = None,
-        nu_warm: Optional[Sequence] = None,
-        lam_warm: Optional[Sequence] = None,
         budgets: Optional[Sequence[Optional[SolveBudget]]] = None,
     ):
         """Solve ``B`` instances; returns ``(results, report)``.
@@ -1036,7 +1014,7 @@ class BatchSolver:
         results, report = solve_lanes(
             self.problem, self.options, self.lin, self.layout,
             self._qp_step, self.stats,
-            X0, R, z_warm, nu_warm, lam_warm, budgets,
+            X0, R, z_warm, budgets,
             xp=self.xp,
             qp_method=self.qp_method,
             fault_hooks=self.fault_hooks,

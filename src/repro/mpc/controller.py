@@ -79,8 +79,6 @@ class MPCController:
         self.warm_start = warm_start
         self.problem: TranscribedProblem = solver.problem
         self._warm: Optional[np.ndarray] = None
-        self._nu_warm: Optional[np.ndarray] = None
-        self._lam_warm: Optional[np.ndarray] = None
         self.last_result: Optional[IPMResult] = None
         #: wall time of the most recent solve (seconds; None before any step)
         self.last_solve_time: Optional[float] = None
@@ -98,14 +96,12 @@ class MPCController:
     def reset(self) -> None:
         """Drop *all* warm-start and last-solve state.
 
-        Every per-solve attribute is cleared (warm trajectory, both
-        multiplier vectors, the cached result and its timing) so a reset
-        controller is indistinguishable from a freshly constructed one —
-        the serving layer relies on this after divergence/solver errors.
+        Every per-solve attribute is cleared (warm trajectory, the cached
+        result and its timing) so a reset controller is indistinguishable
+        from a freshly constructed one — the serving layer relies on this
+        after divergence/solver errors.
         """
         self._warm = None
-        self._nu_warm = None
-        self._lam_warm = None
         self.last_result = None
         self.last_solve_time = None
         # Solver-internal warm state (e.g. the ADMM iterate triple) lives
@@ -137,14 +133,9 @@ class MPCController:
         if self.budget_fault_hook is not None:
             budget = self.budget_fault_hook(budget)
         if not self.warm_start:
-            self._warm = self._nu_warm = self._lam_warm = None
+            self._warm = None
         result = self.solver.solve(
-            x_measured,
-            ref=ref,
-            z_warm=self._warm,
-            nu_warm=self._nu_warm,
-            lam_warm=self._lam_warm,
-            budget=budget,
+            x_measured, ref=ref, z_warm=self._warm, budget=budget
         )
         u = self.adopt(result)
         if self.input_fault_hook is not None:
@@ -164,12 +155,10 @@ class MPCController:
         xs, us = self.problem.split(result.z)
         if np.all(np.isfinite(result.z)):
             self._warm = self._shift(xs, us)
-            self._nu_warm = result.nu
-            self._lam_warm = result.lam
         else:
             # A contaminated iterate must not become the next RTI warm
             # start — drop the warm state so the next step re-seeds cold.
-            self._warm = self._nu_warm = self._lam_warm = None
+            self._warm = None
         return us[0].copy()
 
     def _shift(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -262,8 +262,6 @@ class InteriorPointSolver:
         x_init: np.ndarray,
         ref: Optional[np.ndarray] = None,
         z_warm: Optional[np.ndarray] = None,
-        nu_warm: Optional[np.ndarray] = None,
-        lam_warm: Optional[np.ndarray] = None,
         budget: Optional[SolveBudget] = None,
     ) -> IPMResult:
         """Solve the MPC problem from the measured state ``x_init``.
@@ -273,10 +271,8 @@ class InteriorPointSolver:
             ref: reference values required by the task (constant vector of
                 length ``n_ref`` or per-knot array ``(N+1, n_ref)``).
             z_warm: optional warm-start trajectory (the previous solution
-                shifted by one step, supplied by the controller).
-            nu_warm / lam_warm: optional multiplier warm starts from the
-                previous control step — without them every solve re-learns
-                the (often large) dynamics multipliers from zero.
+                shifted by one step, supplied by the controller).  The
+                multipliers always start at zero.
             budget: optional per-solve compute allowance (wall clock and/or
                 iteration caps).  A budgeted solve stops at the first
                 checkpoint past the limit — overrun bounded by one
@@ -311,8 +307,6 @@ class InteriorPointSolver:
             x_init[None],
             normalize_ref(self.problem, ref, 1, _lanes().HOST),
             [z_warm],
-            [nu_warm],
-            [lam_warm],
             [budget],
             admm_warm=warm,
         )
@@ -320,16 +314,14 @@ class InteriorPointSolver:
         result.solve_time = perf_counter() - t_solve
         return result
 
-    def _solve_lanes(
-        self, X0, R, z_warm, nu_warm, lam_warm, budgets, admm_warm=None
-    ):
+    def _solve_lanes(self, X0, R, z_warm, budgets, admm_warm=None):
         """The lane driver over ``B`` validated states with this solver's
         linearizer, QP step, options and fault hook; :meth:`solve` is its
         ``B = 1`` call.  Returns ``(results, report)``."""
         return _lanes().solve_lanes(
             self.problem, self.options, self._lin, self._layout,
             self._qp_step, self.stats,
-            X0, R, z_warm, nu_warm, lam_warm, budgets,
+            X0, R, z_warm, budgets,
             qp_method=self.options.qp.method,
             fault_hooks=None
             if self.fault_hook is None

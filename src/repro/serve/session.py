@@ -391,8 +391,6 @@ class ControlSession:
             "x": np.asarray(x_measured, dtype=float),
             "ref": None if use_ref is None else np.asarray(use_ref, dtype=float),
             "z_warm": c._warm if c.warm_start else None,
-            "nu_warm": c._nu_warm if c.warm_start else None,
-            "lam_warm": c._lam_warm if c.warm_start else None,
             "deadline_s": self.config.deadline_s,
             "max_sqp_iterations": self.config.max_sqp_iterations,
             "max_qp_iterations": self.config.max_qp_iterations,

@@ -27,10 +27,10 @@ __all__ = [
 
 
 def result_to_dict(result: IPMResult) -> Dict[str, object]:
+    """A lane's result as a picklable dict.  The multipliers stay behind:
+    a served result feeds only the session's shifted primal warm start."""
     return {
         "z": result.z,
-        "nu": result.nu,
-        "lam": result.lam,
         "converged": result.converged,
         "iterations": result.iterations,
         "qp_iterations": result.qp_iterations,
@@ -51,8 +51,6 @@ def result_from_dict(data: Dict[str, object]) -> IPMResult:
         qp_iterations=int(data["qp_iterations"]),
         objective=float(data["objective"]),
         kkt_residual=float(data["kkt_residual"]),
-        nu=None if data["nu"] is None else np.asarray(data["nu"]),
-        lam=None if data["lam"] is None else np.asarray(data["lam"]),
         status=str(data["status"]),
         solve_time=float(data["solve_time"] or 0.0),
         health=SolverHealth.from_dict(data.get("health")),

@@ -618,6 +618,7 @@ class AsyncServeEngine:
         self.metrics.observe_shard_group(
             shard.index, perf_counter() - t0, reply["solve_s"], reply["primed"]
         )
+        self.metrics.absorb_solver_stats(reply["phases"])
         results = [result_from_dict(lane) for lane in reply["lanes"]]
         return results, BatchSolveReport(**reply["report"])
 
@@ -684,8 +685,10 @@ class AsyncServeEngine:
 
     # -- teardown ---------------------------------------------------------------
     def collect_solver_stats(self) -> None:
-        """Fold every session's and shard's cumulative solver phase stats
-        into the fleet metrics (call once, at end of run)."""
+        """Fold every session's and inline shard's cumulative solver phase
+        stats into the fleet metrics (call once, at end of run).  Process
+        shards' phases were folded in reply by reply: their parent-side
+        bindings never solve."""
         for session in self.sessions.values():
             self.metrics.absorb_solver_stats(session.solver_stats())
         for shard in self._shards:

@@ -280,20 +280,12 @@ def crop_result(
     """Map a padded-bucket solve back onto the native problem layout.
 
     The head knots of the padded solution are re-joined on the native
-    layout; equality multipliers keep their shared prefix (initial
-    condition + the first ``h`` dynamics defects — identical row order in
-    both layouts) and the task-constraint multipliers restart at zero,
-    which the solvers treat as a cold (but valid) dual warm start.
+    layout.  The multipliers are dropped (``nu = lam = None``): a served
+    result feeds only the session's shifted primal warm start.
     """
     h = native_problem.N
     xs, us = padded_problem.split(np.asarray(result.z, dtype=float))
     z_native = native_problem.join(xs[: h + 1], us[:h])
-    nu = None
-    if result.nu is not None:
-        nu = np.zeros(native_problem.n_eq)
-        shared = min(native_problem.nx * (h + 1), nu.shape[0])
-        nu[:shared] = np.asarray(result.nu, dtype=float)[:shared]
-    lam = np.zeros(native_problem.n_ineq) if result.lam is not None else None
     return IPMResult(
         z=z_native,
         converged=result.converged,
@@ -302,8 +294,6 @@ def crop_result(
         objective=result.objective,
         kkt_residual=result.kkt_residual,
         residual_history=list(result.residual_history),
-        nu=nu,
-        lam=lam,
         status=result.status,
         solve_time=result.solve_time,
         health=result.health,
@@ -368,10 +358,6 @@ class PaddedBinding:
             if z_warm is not None
             else None
         )
-        # native-shaped duals do not map onto the padded row layout; the
-        # batched solver would reject them, so restart the duals cold
-        out["nu_warm"] = None
-        out["lam_warm"] = None
         return out
 
     def crop(

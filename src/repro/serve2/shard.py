@@ -25,6 +25,7 @@ from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError, SolverError
+from repro.serve.telemetry import _PHASE_KEYS
 from repro.serve.wire import error_reply, result_to_dict, run_fault_directive
 from repro.serve2.padding import PaddedBinding
 
@@ -141,8 +142,9 @@ def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
     reply is a plain dict of per-lane result dicts
     (:func:`repro.serve.wire.result_to_dict`), the batch-occupancy report,
     ``primed`` (this process's cache already held the binding, so nothing
-    was built inside the solve) and ``solve_s`` (wall seconds in
-    ``solve_payloads``).
+    was built inside the solve), ``solve_s`` (wall seconds in
+    ``solve_payloads``) and ``phases`` (what the solve added to the
+    worker binding's solver phase stats, which the parent never sees).
     """
     try:
         run_fault_directive(group.get("fault"))
@@ -156,6 +158,8 @@ def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
             # the engine steps unbatchable bindings scalar-inline and never
             # ships them to a shard worker
             raise SolverError(f"({robot!r}, bucket {bucket}) cannot batch")
+        stats = binding.batch_solver.stats
+        before = {key: stats[key] for key in _PHASE_KEYS}
         t0 = perf_counter()
         results, report = binding.batch_solver.solve_payloads(group["payloads"])
         return {
@@ -164,6 +168,7 @@ def shard_solve_group(group: Dict[str, object]) -> Dict[str, object]:
             "report": asdict(report),
             "primed": primed,
             "solve_s": perf_counter() - t0,
+            "phases": {key: stats[key] - before[key] for key in _PHASE_KEYS},
         }
     except ReproError as exc:
         return error_reply(exc)

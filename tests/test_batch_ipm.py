@@ -133,8 +133,6 @@ class TestPerLaneBudgets:
                 "x": X0[i],
                 "ref": bench.ref,
                 "z_warm": None,
-                "nu_warm": None,
-                "lam_warm": None,
                 "deadline_s": None,
                 "max_sqp_iterations": None,
                 "max_qp_iterations": None,

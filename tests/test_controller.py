@@ -73,14 +73,11 @@ class TestStep:
         ctrl = MPCController(InteriorPointSolver(cart))
         ctrl.step(np.zeros(2), ref=REF)
         assert ctrl._warm is not None
-        assert ctrl._nu_warm is not None
-        assert ctrl._lam_warm is not None
         assert ctrl.last_result is not None
         assert ctrl.last_solve_time is not None
         ctrl.reset()
         fresh = MPCController(InteriorPointSolver(cart))
-        for attr in ("_warm", "_nu_warm", "_lam_warm", "last_result",
-                     "last_solve_time"):
+        for attr in ("_warm", "last_result", "last_solve_time"):
             assert getattr(ctrl, attr) is None, attr
             assert getattr(ctrl, attr) == getattr(fresh, attr)
 

@@ -140,9 +140,7 @@ class TestNonlinearProblem:
         solver = InteriorPointSolver(unicycle_problem)
         ref = np.array([1.0, 0.5])
         cold = solver.solve(np.zeros(3), ref=ref)
-        warm = solver.solve(
-            np.zeros(3), ref=ref, z_warm=cold.z, nu_warm=cold.nu, lam_warm=cold.lam
-        )
+        warm = solver.solve(np.zeros(3), ref=ref, z_warm=cold.z)
         assert warm.iterations <= cold.iterations
 
     def test_hessian_modes_agree_on_solution(self, unicycle_problem):
@@ -216,8 +214,6 @@ class TestLaneCountInvariance:
         stacked, _report = solver._solve_lanes(
             X0,
             normalize_ref(problem, [bench.ref] * 3, 3, HOST),
-            None,
-            None,
             None,
             [budget] * 3,
         )

@@ -117,16 +117,6 @@ class TestWarmStartValidation:
         cold = solver.solve(bench.x0, ref=bench.ref)
         assert np.allclose(res.z, cold.z, atol=1e-8)
 
-    def test_contaminated_multipliers_reseeded(self, bench, solver):
-        clean = solver.solve(bench.x0, ref=bench.ref)
-        nu_bad = clean.nu.copy()
-        nu_bad[0] = float("inf")
-        res = solver.solve(
-            bench.x0, ref=bench.ref, z_warm=clean.z, nu_warm=nu_bad
-        )
-        assert res.converged
-        assert "nu_warm_reseeded" in res.health.notes
-
     def test_clean_solve_reports_healthy(self, bench, solver):
         res = solver.solve(bench.x0, ref=bench.ref)
         assert res.health is not None

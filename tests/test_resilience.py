@@ -557,8 +557,7 @@ class RescueScriptSolver:
     def reset_qp_warm(self):
         self.warm_resets += 1
 
-    def solve(self, x_init, ref=None, z_warm=None, nu_warm=None,
-              lam_warm=None, budget=None):
+    def solve(self, x_init, ref=None, z_warm=None, budget=None):
         rescues = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
         p = self.problem

@@ -149,8 +149,7 @@ class TestWarmAndCrop:
         res = binding.scalar_solver.solve(bench.x0, ref=ref_pad)
         cropped = crop_result(res, binding.problem, native)
         assert cropped.z.shape == (native.nz,)
-        assert cropped.nu.shape == (native.n_eq,)
-        assert cropped.lam.shape == (native.n_ineq,)
+        assert cropped.nu is None and cropped.lam is None
         assert cropped.status == res.status
         assert cropped.iterations == res.iterations
 

@@ -163,3 +163,37 @@ class TestProcessShards:
         waits, solves = engine.metrics.shard_wait_s, engine.metrics.shard_solve_s
         assert set(waits) == set(solves) == {0, 1}
         assert all(0.0 < solves[i] <= waits[i] for i in waits)
+
+
+def _fleet_phase_totals(shards, backend):
+    """Phase totals of one seeded two-robot fleet after three ticks."""
+    engine = AsyncServeEngine(
+        Serve2Config(shards=shards, shard_backend=backend, rungs=(8,))
+    )
+    try:
+        rng = np.random.default_rng(7)
+        inputs = {}
+        for robot, horizon in (("CartPole", 5), ("MobileRobot", 6)) * 2:
+            sid = engine.create_session(
+                SessionConfig(robot=robot, horizon=horizon, deadline_s=None)
+            )
+            bench, _ = engine.binding(robot, horizon)
+            x0 = bench.x0 + 0.05 * rng.standard_normal(len(bench.x0))
+            inputs[sid] = (x0, bench.ref)
+        for _ in range(3):
+            report = engine.tick(inputs)
+            assert all(o.status == "ok" for o in report.outcomes.values())
+        engine.collect_solver_stats()
+        return dict(engine.metrics.phase_totals)
+    finally:
+        engine.shutdown()
+
+
+def test_process_shards_report_their_solver_phases():
+    """The workers' phase stats cross the reply: two process shards count
+    the same factorizations as one inline shard solving the same fleet."""
+    inline = _fleet_phase_totals(1, "inline")
+    process = _fleet_phase_totals(2, "process")
+    for key in ("factorizations", "banded_factorizations"):
+        assert process[key] == inline[key] > 0, key
+    assert process["linearize_time"] > 0.0

@@ -72,8 +72,6 @@ class ScriptedSolver:
         x_init,
         ref=None,
         z_warm=None,
-        nu_warm=None,
-        lam_warm=None,
         budget=None,
     ):
         mode = self.script[min(self.calls, len(self.script) - 1)]

@@ -142,13 +142,7 @@ class TestBudgetedSolve:
         warm start converges in fewer total iterations than a cold solve."""
         solver = InteriorPointSolver(cart)
         partial = solver.solve(X0, ref=REF, budget=SolveBudget(sqp_iterations=1))
-        resumed = solver.solve(
-            X0,
-            ref=REF,
-            z_warm=partial.z,
-            nu_warm=partial.nu,
-            lam_warm=partial.lam,
-        )
+        resumed = solver.solve(X0, ref=REF, z_warm=partial.z)
         cold = InteriorPointSolver(cart).solve(X0, ref=REF)
         assert resumed.converged
         assert resumed.iterations <= cold.iterations

@@ -4,12 +4,13 @@
 assemble the scaled Sl1QP subproblem in the stage-interleaved banded
 ordering, take the nonlinear KKT measure, adapt the Levenberg damping,
 solve the QP, guard against poisoned steps, globalize with the L1
-exact-penalty watchdog line search, restore a decisively better iterate at
-the cap — with a leading lane axis.  Every lane carries its own penalty
-``rho``, damping ``lm``, merit window, KKT history, Hessian model and
-budget clock; lanes freeze individually on convergence, divergence, or
-budget exhaustion (continuous-batching semantics), and frozen lanes are
-excluded from all later work.
+exact-penalty watchdog line search, stop on the KKT test or the
+control-grade test (:class:`~repro.mpc.ipm.IPMOptions`), restore a
+decisively better iterate at the cap — with a leading lane axis.  Every
+lane carries its own penalty ``rho``, damping ``lm``, merit window, KKT
+history, Hessian model and budget clock; lanes freeze individually on
+convergence, divergence, or budget exhaustion (continuous-batching
+semantics), and frozen lanes are excluded from all later work.
 
 The two public solvers differ in what they hand the loop, not in the loop:
 :class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1`` host lane (the
@@ -54,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.errors import SolverError, StateValidationError
 from repro.mpc.budget import SolveBudget
 from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import IPMOptions, IPMResult, _convexify
+from repro.mpc.ipm import CONTROL_GRADE_KKT, IPMOptions, IPMResult, _convexify
 from repro.mpc.qp import QP_METHODS
 from repro.mpc.transcription import TranscribedProblem
 
@@ -109,6 +110,9 @@ def new_stats() -> Dict[str, object]:
         "substitute_flops": 0,
         "factorizations": 0,
         "banded_factorizations": 0,
+        #: lanes stopped by the control-grade test
+        #: (:attr:`~repro.mpc.ipm.IPMOptions.input_tolerance`)
+        "input_stops": 0,
         #: linearize-phase codegen record (kernel tier, cache counters)
         "codegen": None,
     }
@@ -824,6 +828,25 @@ def solve_lanes(
         NU[ll] = NU[ll] + alpha[:, None] * (NU_l - NU[ll])
         LAM[ll] = LAM[ll] + alpha[:, None] * (LAM_l - LAM[ll])
         CERT_NU[ll], CERT_LAM[ll], have_cert[ll] = NU_l, LAM_l, True
+
+        # Control-grade stop: a full step from a control-grade
+        # linearization that barely moved the served input ``u_0``.
+        if opt.input_tolerance is not None:
+            u0 = p.input_slice(0)
+            settled = (
+                accepted
+                & (alpha == 1.0)
+                & (_maxabs(HOST, Dl[:, u0] / scale[u0]) <= opt.input_tolerance)
+            )
+            for k_l in HOST.flatnonzero(settled).tolist():
+                lane = int(ll[k_l])
+                if (
+                    qp.status[int(ls[k_l])] == "converged"
+                    and histories[lane][-1] <= CONTROL_GRADE_KKT
+                ):
+                    healths[lane].note(f"input_settled_it{it}")
+                    stats["input_stops"] += 1
+                    freeze(lane, "converged")
 
     # Lanes still iterating after their last permitted iteration.
     for lane in HOST.flatnonzero(active).tolist():

@@ -130,7 +130,12 @@ def solve_qp_admm_batch(
     lanes = int(setup["q"].shape[0])
     n, p, m = setup["n"], setup["p"], setup["m"]
     msz = p + m
-    sigma = opt.admm_sigma
+    # ``K`` carries ``sigma + regularization`` on its diagonal, so the
+    # right-hand side does too and ``sigma x`` cancels at the fixed point.
+    # A lane whose ``K`` needed the ladder's escalated regularization is
+    # indefinite: the excess stays out of the right-hand side and
+    # convexifies that lane's problem, as ``mpc.ipm._convexify`` does.
+    sigma = opt.admm_sigma + opt.regularization
     alpha = opt.admm_alpha
     tol = opt.admm_tolerance
 

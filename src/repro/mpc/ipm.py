@@ -42,19 +42,49 @@ from repro.mpc.linalg import cholesky
 from repro.mpc.qp import QPOptions, QPStats, solve_qp
 from repro.mpc.transcription import TranscribedProblem
 
-__all__ = ["IPMOptions", "IPMResult", "InteriorPointSolver"]
+__all__ = [
+    "CONTROL_GRADE_KKT",
+    "IPMOptions",
+    "IPMResult",
+    "InteriorPointSolver",
+]
+
+#: KKT residual (scaled max-norm) at which a plan is control-grade: the
+#: solver may stop on a settled served input below it
+#: (:attr:`IPMOptions.input_tolerance`), and a serve session may serve a
+#: budget-exhausted plan below it
+#: (:attr:`repro.serve.session.SessionConfig.accept_kkt`).
+CONTROL_GRADE_KKT = 1e-2
 
 
 @dataclass
 class IPMOptions:
-    """Tunable parameters of the SQP + interior-point solver."""
+    """Tunable parameters of the SQP + interior-point solver.
+
+    A solve stops ``"converged"`` on either of two tests.  The KKT test:
+    the nonlinear KKT residual at the current linearization is below
+    ``tolerance``.  The control-grade test (off when ``input_tolerance`` is
+    ``None``): after an SQP iteration whose step was full (``alpha = 1``,
+    neither clipped by ``step_clip`` nor backtracked), whose QP converged,
+    whose linearization's KKT residual is at most
+    :data:`CONTROL_GRADE_KKT`, and whose scaled move of the served input
+    ``max |d[u_0] / scale[u_0]|`` is at most ``input_tolerance``.  A
+    receding-horizon controller applies only ``u_0`` and refines the rest of
+    the plan on the following ticks (real-time iteration), so iterating the
+    tail of the plan to ``tolerance`` buys nothing the plant sees.  A lane
+    stopped this way reports the KKT residual measured before its last step
+    and the health note ``input_settled_it{k}``.
+    """
 
     #: maximum outer (SQP) iterations
     max_iterations: int = 60
-    #: nonlinear KKT tolerance (scaled max-norm); 1e-4 is a practical
-    #: control-grade tolerance for the Gauss-Newton scheme, whose tail
-    #: convergence is linear (meta-parameter in the DSL, per the paper)
+    #: nonlinear KKT tolerance (scaled max-norm); the Gauss-Newton tail
+    #: converges linearly, so a tight value costs many SQP iterations
+    #: (meta-parameter in the DSL, per the paper)
     tolerance: float = 1e-4
+    #: control-grade stop on the served input's scaled step (see the class
+    #: docstring); ``None`` turns the test off (oracles, tight references)
+    input_tolerance: Optional[float] = 1e-3
     #: inner QP settings
     qp: QPOptions = field(default_factory=QPOptions)
     #: Armijo sufficient-decrease coefficient for the merit line search
@@ -108,7 +138,8 @@ class IPMResult:
     #: total inner interior-point iterations across all QP subproblems
     qp_iterations: int
     objective: float
-    #: max-norm of the nonlinear KKT residual at exit
+    #: max-norm of the nonlinear KKT residual at exit (after a
+    #: control-grade stop: at the linearization before the last step)
     kkt_residual: float
     #: per-outer-iteration KKT residuals (diagnostics / tests)
     residual_history: List[float] = field(default_factory=list)
@@ -116,7 +147,9 @@ class IPMResult:
     nu: Optional[np.ndarray] = None
     #: inequality multipliers at exit
     lam: Optional[np.ndarray] = None
-    #: how the solve ended: ``"converged"``, ``"max_iterations"``,
+    #: how the solve ended: ``"converged"`` (the KKT test, or the
+    #: control-grade stop, noted ``input_settled_it{k}``),
+    #: ``"max_iterations"``,
     #: ``"budget_exhausted"`` (a :class:`~repro.mpc.budget.SolveBudget`
     #: limit fired before convergence — the iterate is the best partial
     #: result, usable for real-time-iteration warm starting), or

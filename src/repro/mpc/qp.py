@@ -136,9 +136,7 @@ class QPOptions:
     #: the stacked row/col infinity norms exceeds this.  Already-well-
     #: scaled problems are left alone — normalizing them makes the relative
     #: stopping test effectively absolute, which can land a tight tolerance
-    #: below the iteration's numerical floor (the cached factorization's
-    #: diagonal regularization offsets the fixed point by ``~reg * |x|``,
-    #: and the unscaling amplifies it).  Batched solves gate per lane.
+    #: below the iteration's numerical floor.  Batched solves gate per lane.
     admm_equilibrate_spread: float = 100.0
     #: stall detector: the solve is declared stalled (and becomes a
     #: fallback-ladder candidate) after this window of iterations goes by

@@ -38,7 +38,7 @@ from repro.errors import (
 from repro.mpc.budget import SolveBudget
 from repro.mpc.controller import MPCController
 from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import IPMResult
+from repro.mpc.ipm import CONTROL_GRADE_KKT, IPMResult
 from repro.mpc.qp import QP_METHODS
 from repro.serve.policy import FallbackLadder
 
@@ -98,8 +98,9 @@ class SessionConfig:
     #: residual is already below this control-grade threshold is *served*
     #: (real-time-iteration style) instead of triggering the fallback
     #: ladder — the Gauss-Newton tail is linear, so a warm fleet hovers
-    #: just above the solver's own tolerance without being any worse to fly
-    accept_kkt: float = 1e-2
+    #: just above the solver's own tolerance without being any worse to
+    #: fly.  The same number gates the solver's own control-grade stop.
+    accept_kkt: float = CONTROL_GRADE_KKT
     #: override the benchmark's warm-start recommendation (None = keep it)
     warm_start: Optional[bool] = None
     #: inner QP solver for this session's solves: "ipm" (Mehrotra

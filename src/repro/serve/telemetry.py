@@ -184,6 +184,7 @@ _PHASE_KEYS = (
     "substitute_flops",
     "factorizations",
     "banded_factorizations",
+    "input_stops",
 )
 
 
@@ -547,6 +548,7 @@ def render_summary(metrics: FleetMetrics, states: Dict[str, str]) -> str:
         f"factorize={pt['factorize_time']:.2f}s  "
         f"substitute={pt['substitute_time']:.2f}s  "
         f"banded_factorizations={int(pt['banded_factorizations'])}"
-        f"/{int(pt['factorizations'])}"
+        f"/{int(pt['factorizations'])}  "
+        f"input_stops={int(pt['input_stops'])}"
     )
     return "\n".join(lines)

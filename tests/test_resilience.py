@@ -251,9 +251,6 @@ class TestEquilibrationGate:
     def test_warm_start_survives_equilibrated_solves(self):
         """Warm dicts travel in the unscaled space: a warm restart across
         re-equilibration must converge fast to the same point."""
-        # (Not seed 1: at 1e-8 its residual plateaus on the regularization
-        # floor just above the tolerance, so converging there is a matter
-        # of which iteration of a transient dip gets checked.)
         qp = random_qp(8, 2, 4, 3, skew=1e4)
         cold = solve_qp_admm(*qp, ADMM_OPTS)
         assert cold.converged and cold.warm is not None
@@ -261,6 +258,25 @@ class TestEquilibrationGate:
         assert rewarm.converged
         assert rewarm.iterations <= max(2, cold.iterations // 10)
         assert np.allclose(rewarm.x, cold.x, atol=1e-6)
+
+    def test_regularization_leaves_the_fixed_point_alone(self):
+        """``K`` carries ``sigma + reg`` on its diagonal, so the right-hand
+        side must too: with plain ``sigma x`` there, the fixed point is off
+        by ``reg * x``, which the unscaling of an equilibrated stiff QP
+        amplifies into a residual floor of 1.4e-4 on this problem."""
+        qp = random_qp(8, 2, 4, 1, skew=1e4)
+        res = solve_qp_admm(
+            *qp,
+            replace(
+                ADMM_OPTS,
+                admm_tolerance=1e-14,
+                admm_stall_iterations=0,
+                admm_max_iterations=4000,
+            ),
+        )
+        assert res.stats.conditioning.equilibrated
+        assert min(res.gap_history) < 1e-8
+        assert np.allclose(res.x, solve_qp(*qp).x, atol=1e-9)
 
     def test_gate_threshold_is_respected(self):
         qp = random_qp(8, 2, 4, 5)  # calm: spread well under 100

@@ -151,7 +151,9 @@ class TestSolverIntegration:
     def test_quadrotor_cold_solve_reaches_engineering_tolerance(self):
         b = build_benchmark("Quadrotor")
         p = b.transcribe(horizon=8)
-        solver = b.make_solver(p, max_iterations=60)
+        # The KKT test's own reach: the control-grade stop would end this
+        # solve at iteration 12, at KKT 8.4e-3.
+        solver = b.make_solver(p, max_iterations=60, input_tolerance=None)
         res = solver.solve(b.x0, ref=b.ref)
         assert res.kkt_residual < 5e-3
 

@@ -1,6 +1,8 @@
 """Padding equivalence: a horizon-h solve inside a horizon-H bucket must
 reproduce the native horizon-h plan (the serve2 correctness cornerstone)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,18 @@ def _native_ref(bench):
     return bench.ref if bench.ref.size else None
 
 
-def _solve_pair(robot, horizon, bucket):
-    """(native result, cropped padded result, native problem)."""
+def _solve_pair(robot, horizon, bucket, **options):
+    """(native result, cropped padded result, native problem); ``options``
+    override both solvers' :class:`IPMOptions`."""
     bench = build_benchmark(robot)
     native = bench.transcribe(horizon=horizon)
     binding = PaddedBinding(bench, bucket)
-    native_result = bench.make_solver(native).solve(bench.x0, ref=_native_ref(bench))
+    binding.scalar_solver.options = replace(
+        binding.scalar_solver.options, **options
+    )
+    native_result = bench.make_solver(native, **options).solve(
+        bench.x0, ref=_native_ref(bench)
+    )
     ref_pad = pad_reference(_native_ref(bench), native.nref, horizon, bucket)
     padded_result = binding.scalar_solver.solve(bench.x0, ref=ref_pad)
     return native_result, binding.crop(padded_result, native), native
@@ -167,7 +175,11 @@ EQUIV_CASES = [
 class TestPaddedEquivalence:
     @pytest.mark.parametrize("robot,horizon,bucket", EQUIV_CASES)
     def test_padded_bucket_matches_native(self, robot, horizon, bucket):
-        native_result, cropped, native = _solve_pair(robot, horizon, bucket)
+        # Whole plans agree to the KKT test's reach, not to where the
+        # control-grade stop leaves their tails (Quadrotor: 5.4e-4).
+        native_result, cropped, native = _solve_pair(
+            robot, horizon, bucket, input_tolerance=None
+        )
         assert native_result.converged
         assert cropped.converged
         scale = max(1.0, float(np.max(np.abs(native_result.z))))

@@ -220,3 +220,4 @@ class TestRenderSummary:
         assert "deadline_misses=1" in text
         assert "p50=" in text and "p99=" in text
         assert "banded_factorizations" in text
+        assert "input_stops=0" in text

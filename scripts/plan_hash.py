@@ -6,8 +6,10 @@ imports *that checkout's* ``src/`` and ``benchmarks/e2e/workloads.py``, runs
 the workload's set-up and one pass of its ticks, and prints one SHA-256 per
 seed over the raw bytes of every served input of every step (in tick and
 session order) followed by every session's final plan ``z`` (on
-``loop-scalar``: every tick's served input, then each robot's final plan).
-Two checkouts
+``loop-scalar``: every tick's served input, then each robot's final plan),
+and ends the line with the pass's work counters: the solver totals on
+``loop-scalar``, the lane-iteration counters of ``FleetMetrics`` on a
+fleet.  Two checkouts
 that print the same digest served bit-identical answers — the check a
 "same arithmetic, fewer operations" solver change is held to (run it once
 with ``--root`` at the parent clone and once at the change).
@@ -123,7 +125,7 @@ def _hash_lines(args):
         workload.setup()
         workload.begin_pass()
         scalar = workload.layout == "scalar"
-        before = workload.counters() if scalar else {}
+        before = _work(workload)
         digest = hashlib.sha256()
         served = 0
         for index in range(workload.n_ticks):
@@ -143,17 +145,29 @@ def _hash_lines(args):
         for controller in controllers:
             plan = controller.last_result.z
             digest.update(np.ascontiguousarray(plan, dtype=float).tobytes())
-        # the pass's solver counters (scalar only: reading a fleet's adds
-        # to its metrics), so "same digest" and "same work" are one line
+        # the pass's work, so "same digest" and "same work" are one line
         work = "".join(
             f" {key}={value - before[key]}"
-            for key, value in (workload.counters() if scalar else {}).items()
+            for key, value in _work(workload).items()
         )
         workload.teardown()
         yield (
             f"{args.workload} seed={seed} steps={served} "
             f"plans={len(controllers)} sha256={digest.hexdigest()}{work}"
         )
+
+
+def _work(workload):
+    """Cumulative work counters: ``loop-scalar``'s solver totals, or a
+    fleet's ``FleetMetrics`` lane counters — read directly, since a fleet's
+    ``counters()`` calls ``collect_solver_stats``, which adds to them."""
+    if workload.layout == "scalar":
+        return workload.counters()
+    metrics = workload.engine.metrics
+    return {
+        key: getattr(metrics, key)
+        for key in ("sqp_lane_iterations", "qp_lane_iterations", "qp_lane_slots")
+    }
 
 
 if __name__ == "__main__":

@@ -113,6 +113,9 @@ def new_stats() -> Dict[str, object]:
         #: lanes stopped by the control-grade test
         #: (:attr:`~repro.mpc.ipm.IPMOptions.input_tolerance`)
         "input_stops": 0,
+        #: QPs started from the lane's interior-point carry
+        #: (:func:`solve_lanes`)
+        "qp_warm_starts": 0,
         #: linearize-phase codegen record (kernel tier, cache counters)
         "codegen": None,
     }
@@ -413,8 +416,10 @@ def solve_lanes(
             :class:`repro.linearize.LaneLinearizer` plus ``initial_guess``
             and ``codegen_stats``.
         qp_step: the interior-point QP step, ``qp_step(args, bandwidth,
-            deadline, caps, hooks)`` over :func:`subproblem_lanes`' stacks
-            with per-lane iteration ``caps`` and fault ``hooks``, returning
+            deadline, caps, hooks, warm)`` over :func:`subproblem_lanes`'
+            stacks with per-lane iteration ``caps``, fault ``hooks`` and
+            the lanes' carried starts ``warm`` (``solve_qp_batch``'s rows,
+            or ``None`` when no lane has one), returning
             a :class:`~repro.batch.qp.BatchQPResult` (an unsolvable lane is
             status ``"failed"``, never an exception: one lane must not
             abort the batch).  It solves every ``qp_method == "ipm"``
@@ -425,9 +430,19 @@ def solve_lanes(
             the caller validated — what a poisoned input turns into
             differs per entry point.
         z_warm: optional per-lane trajectory warm starts (the shifted
-            previous plan).  The multipliers always start at zero: a
+            previous plan).  The SQP multipliers always start at zero: a
             receding-horizon plan never passes the stopping test at the
             first iteration, the only place carried duals could act.
+            Within the call, a lane's interior-point QP starts from the
+            multipliers ``(nu, lam)`` of its previous QP (the *carry*,
+            floored as :func:`repro.mpc.qp.solve_qp`'s ``warm`` says) while
+            the lane is in its local phase: that QP converged to a finite
+            step the line search took in full (``alpha = 1``), and the new
+            QP's Levenberg damping ``lm`` is at its floor.  Every other QP
+            starts cold: the first of each lane, the one after a capped,
+            budget-stopped, failed or non-finite QP or a shortened step,
+            and a damped one.  ADMM subproblems and their rescues never
+            read it, and nothing of it outlives the call.
         budgets: optional per-lane compute allowances.  A budgeted lane
             stops at the first checkpoint past its limit — overrun bounded
             by one linearization plus one QP iteration — and reports
@@ -491,6 +506,7 @@ def solve_lanes(
     report = BatchSolveReport(lanes=lanes)
     if admm_warm is None:
         admm_warm = [None] * lanes
+    carry: List[Optional[tuple]] = [None] * lanes  # see ``z_warm`` above
 
     def freeze(lane: int, verdict: str) -> None:
         active[lane] = False
@@ -683,6 +699,7 @@ def solve_lanes(
                         [qp.iterations[k_l] for k_l in resc],
                     ),
                     None if hooks is None else [hooks[k_l] for k_l in resc],
+                    None,
                 )
                 report.qp_lane_iterations += rqp.batch.lane_iterations
                 report.qp_lane_slots += rqp.batch.lane_slots
@@ -701,12 +718,19 @@ def solve_lanes(
                     qp.budget_exhausted[k_l] = rqp.budget_exhausted[j]
                     qp.iterations[k_l] += int(rqp.iterations[j])
         else:
+            for lane in ids:
+                if lm[lane] > opt.regularization:
+                    carry[lane] = None  # a damped Hessian: a new subproblem
+            warm = _stack_carry(carry, ids, qp_args)
+            if warm is not None:
+                stats["qp_warm_starts"] += int(warm["carried"].sum())
             qp = qp_step(
                 qp_args,
                 layout.bandwidth,
                 deadline,
                 qp_budget(ids, opt.qp.max_iterations),
                 hooks,
+                warm,
             )
 
         # Scatter the stage-interleaved solution back to the original
@@ -829,6 +853,17 @@ def solve_lanes(
         LAM[ll] = LAM[ll] + alpha[:, None] * (LAM_l - LAM[ll])
         CERT_NU[ll], CERT_LAM[ll], have_cert[ll] = NU_l, LAM_l, True
 
+        # The interior-point carry: the multipliers of a converged QP whose
+        # finite step the line search took in full (ADMM lanes, rescued or
+        # not, carry nothing).
+        if qp_method == "ipm":
+            for k_l in HOST.flatnonzero(accepted & (alpha == 1.0)).tolist():
+                j = int(ls[k_l])
+                if qp.status[j] == "converged" and HOST.all(
+                    HOST.isfinite(qp_lam[j])
+                ):
+                    carry[int(ll[k_l])] = (NU_l[k_l], qp_lam[j])
+
         # Control-grade stop: a full step from a control-grade
         # linearization that barely moved the served input ``u_0``.
         if opt.input_tolerance is not None:
@@ -897,6 +932,31 @@ def solve_lanes(
             )
         )
     return results, report
+
+
+def _stack_carry(carry, ids, qp_args) -> Optional[dict]:
+    """Take the sub-batch ``ids``' interior-point carries (each is used
+    once) as the ``{nu, lam, carried}`` rows
+    :func:`~repro.batch.qp.solve_qp_batch` takes; ``None`` when no lane has
+    one.  A lane without a carry rides along on zero rows with ``carried``
+    off."""
+    rows = [carry[lane] for lane in ids]
+    for lane in ids:
+        carry[lane] = None
+    if all(row is None for row in rows):
+        return None
+    _, _, _, b, _, d = qp_args
+    k = len(ids)
+    warm = {
+        "nu": HOST.zeros((k, int(b.shape[1]))),
+        "lam": HOST.zeros((k, 0 if d is None else int(d.shape[1]))),
+        "carried": HOST.zeros((k,), dtype="bool"),
+    }
+    for k_l, row in enumerate(rows):
+        if row is not None:
+            warm["nu"][k_l], warm["lam"][k_l] = row
+            warm["carried"][k_l] = True
+    return warm
 
 
 def _stack_admm_warm(admm_warm, ids, qp_args, rho0: float) -> Optional[dict]:
@@ -994,7 +1054,7 @@ class BatchSolver:
 
     # -- the batched solve -------------------------------------------------
 
-    def _qp_step(self, args, bandwidth, deadline, caps, hooks):
+    def _qp_step(self, args, bandwidth, deadline, caps, hooks, warm):
         """The batched QP step: one lockstep Mehrotra loop for the lanes."""
         return solve_qp_batch(
             *args,
@@ -1003,6 +1063,7 @@ class BatchSolver:
             deadline=deadline,
             iteration_caps=caps,
             backend=self.xp,
+            warm=warm,
         )
 
     def solve(

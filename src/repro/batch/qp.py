@@ -54,6 +54,15 @@ count each iteration exactly as ``solve_qp(..., bandwidth=)`` does: the
 loop counts each lane's ``Φ`` and ``S`` factorizations and the epilogue
 multiplies them by the step's per-solve costs.
 
+The start is the scalar solver's too.  A lane starts cold from ``x = 0``,
+``ν = 0``, ``s = max(1, d)``, ``λ = 1``, unless ``warm`` marks it
+``carried``: the SQP loop's carry of the multipliers of the lane's
+previous subproblem (:func:`repro.batch.ipm.solve_lanes`).  Such
+a lane starts from ``x = 0``, the carried ``ν``, ``s = max(d, θ)`` and
+``λ = max(λ_carried, θ)``, ``θ = 1e-2``.  The two starts are picked row by
+row with ``where``, so a lane's start does not depend on its batch-mates
+either.
+
 One iteration is a fixed schedule of batched ops and nothing else:
 
 1. residuals ``r_d, r_e, r_i`` and ``μ`` (four matrix-vector products),
@@ -95,6 +104,7 @@ from typing import Dict, List, Optional
 from repro.mpc.banded import block_partition
 from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 from repro.mpc.qp import (
+    _CARRY_FLOOR,
     QPOptions,
     QPStats,
     _diag_schur_band,
@@ -720,6 +730,7 @@ def solve_qp_batch(
     record_freeze: bool = False,
     backend=None,
     sync_interval: int = 8,
+    warm: Optional[dict] = None,
 ) -> BatchQPResult:
     """Solve ``B`` convex QPs in lockstep with per-lane freezing.
 
@@ -730,7 +741,10 @@ def solve_qp_batch(
     (for the bit-identity guarantees tested in the active-mask suite).
     ``backend`` selects the array namespace (default numpy).  On device
     backends ``sync_interval`` is the early-exit cadence (0 = never
-    sync); host backends check every iteration.
+    sync); host backends check every iteration.  ``warm`` (optional) holds
+    host rows ``{"nu": (B, p), "lam": (B, m), "carried": (B,)}``: a
+    ``carried`` lane starts from its rows, as :func:`repro.mpc.qp.solve_qp`
+    does from its ``warm``, and every other lane cold.
     """
     opt = options or QPOptions()
     xp = get_backend(backend)
@@ -786,6 +800,15 @@ def solve_qp_batch(
     else:
         s = xp.zeros((lanes, 0))
         lam = xp.zeros((lanes, 0))
+    if warm is not None:
+        # the carried start, chosen row by row (a lane's start does not
+        # depend on its batch-mates')
+        on = xp.from_host(warm["carried"], dtype="bool")[:, None]
+        nu = xp.where(on, xp.from_host(warm["nu"]), nu)
+        if has_in:
+            s = xp.where(on, xp.maximum(d - _bmv(xp, J, x), _CARRY_FLOOR), s)
+            lam_warm = xp.maximum(xp.from_host(warm["lam"]), _CARRY_FLOOR)
+            lam = xp.where(on, lam_warm, lam)
 
     # max |g|, |b|, |d| over the lane's trailing run of the rows
     gbd = data[:, int(data.shape[1]) - (n + p + m) :]

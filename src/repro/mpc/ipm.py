@@ -362,7 +362,7 @@ class InteriorPointSolver:
             admm_warm=admm_warm,
         )
 
-    def _qp_step(self, args, bandwidth, deadline, caps, hooks):
+    def _qp_step(self, args, bandwidth, deadline, caps, hooks, warm):
         """The scalar QP step: :func:`~repro.mpc.qp.solve_qp`'s Mehrotra
         loop, lane by lane.  A lane whose QP cannot even be factorized
         (poisoned linearization, or the retry ladder exhausted) comes back
@@ -370,7 +370,8 @@ class InteriorPointSolver:
         memory layout (``H`` row-major, ``G`` / ``J`` column-major — what
         the column permutation yields for a single lane): BLAS sums in a
         layout-dependent order, so without it a lane's bits would depend on
-        how many lanes were stacked with it."""
+        how many lanes were stacked with it.  A ``carried`` lane of
+        ``warm`` starts from its rows (``solve_qp``'s IPM ``warm``)."""
         from repro.batch.qp import BatchQPResult, BatchQPStats
 
         H, g, G, b, J, d = args
@@ -407,6 +408,9 @@ class InteriorPointSolver:
                     bandwidth=bandwidth,
                     deadline=deadline,
                     fault_hook=hooks and hooks[i],
+                    warm=None
+                    if warm is None or not warm["carried"][i]
+                    else {"nu": warm["nu"][i], "lam": warm["lam"][i]},
                 )
             except SolverError:
                 continue

@@ -71,6 +71,12 @@ __all__ = [
 #: knob above it) selects between
 QP_METHODS = ("ipm", "admm")
 
+#: floor ``theta`` of a carried interior-point start (see :func:`solve_qp`'s
+#: ``warm``): the slacks and inequality multipliers start at least this far
+#: inside the positive orthant — a converged multiplier of an inactive row
+#: is ~1e-10 — so the barrier opens near ``mu ~ theta``, not at its boundary
+_CARRY_FLOOR = 1e-2
+
 
 @dataclass
 class QPOptions:
@@ -740,10 +746,15 @@ def solve_qp(
             returned iterate and residual stay consistent.
         fault_hook: optional :mod:`repro.faults` solver-layer injector; every
             main-loop factorization consults it (see :func:`_robust_factor`).
-        warm: solver-internal warm start returned by a previous solve's
-            ``QPResult.warm`` (ADMM method only; ignored by the IPM, whose
-            central-path iteration starts from its own strictly interior
-            point).
+        warm: a warm start, read by each method in its own terms.  ADMM:
+            a previous solve's ``QPResult.warm`` (iterate triple and rho).
+            IPM: ``{"nu": (p,), "lam": (m,)}``, the multipliers of the
+            previous subproblem of the same shapes (the SQP loop's
+            carry, :func:`repro.batch.ipm.solve_lanes`); the iteration then
+            starts from ``x = 0``, ``nu``, ``s = max(d - J x, theta)`` and
+            ``lam = max(lam, theta)`` with ``theta = 1e-2``
+            (:data:`_CARRY_FLOOR`) instead of the cold ``nu = 0``,
+            ``s = max(d - J x, 1)``, ``lam = 1``.
     """
     opt = options or QPOptions()
     n = g.shape[0]
@@ -790,6 +801,16 @@ def solve_qp(
     else:
         s = np.zeros(0)
         lam = np.zeros(0)
+    if warm is not None:
+        nu, lam_warm = np.asarray(warm["nu"]), np.asarray(warm["lam"])
+        if nu.shape != (p,) or lam_warm.shape != (m,):
+            raise SolverError(
+                f"IPM warm start has shapes {nu.shape}, {lam_warm.shape}; "
+                f"expected ({p},), ({m},)"
+            )
+        if has_in:
+            s = np.maximum(d - J @ x, _CARRY_FLOOR)
+            lam = np.maximum(lam_warm, _CARRY_FLOOR)
 
     gap_history: List[float] = []
     stats = QPStats()

@@ -185,6 +185,7 @@ _PHASE_KEYS = (
     "factorizations",
     "banded_factorizations",
     "input_stops",
+    "qp_warm_starts",
 )
 
 
@@ -549,6 +550,7 @@ def render_summary(metrics: FleetMetrics, states: Dict[str, str]) -> str:
         f"substitute={pt['substitute_time']:.2f}s  "
         f"banded_factorizations={int(pt['banded_factorizations'])}"
         f"/{int(pt['factorizations'])}  "
-        f"input_stops={int(pt['input_stops'])}"
+        f"input_stops={int(pt['input_stops'])}  "
+        f"qp_warm_starts={int(pt['qp_warm_starts'])}"
     )
     return "\n".join(lines)

@@ -194,6 +194,11 @@ def test_process_shards_report_their_solver_phases():
     the same factorizations as one inline shard solving the same fleet."""
     inline = _fleet_phase_totals(1, "inline")
     process = _fleet_phase_totals(2, "process")
-    for key in ("factorizations", "banded_factorizations", "input_stops"):
+    for key in (
+        "factorizations",
+        "banded_factorizations",
+        "input_stops",
+        "qp_warm_starts",
+    ):
         assert process[key] == inline[key] > 0, key
     assert process["linearize_time"] > 0.0

@@ -221,3 +221,4 @@ class TestRenderSummary:
         assert "p50=" in text and "p99=" in text
         assert "banded_factorizations" in text
         assert "input_stops=0" in text
+        assert "qp_warm_starts=0" in text

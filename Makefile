@@ -66,7 +66,7 @@ conform-smoke:
 # The ungated B=1 ratio rows are left out (they only print; run them with
 # `pytest -q -s benchmarks/bench_batch_throughput.py -k b1`).  A seeded
 # fleet-ragged pass and a seeded loop-scalar pass (the scalar controller,
-# whose QP step factors through the one-lane batched factor) must then
+# whose QP step is the one QP loop at one lane) must then
 # replay byte for byte: for each, two separate processes hash every served
 # input and final plan, and `cmp` checks that the replay is deterministic
 # across processes (hash seeds, ordering by id).  That a plan does not

@@ -10,9 +10,13 @@ perturbed instances of the benchmark problem cold-start through
 Reported figure of merit is solves/sec; the acceptance gate is the
 batched path at B=16 clearing 2x the scalar path on at least one robot.
 
-The B=1 rows measure what one batched lane costs against the scalar solve
-it is meant to replace (batched-lane solves/s / scalar solves/s) on
-MobileRobot N=8, CartPole N=20 and Quadrotor N=8 — timed the way the
+The B=1 rows compare a one-lane ``BatchSolver`` call with the scalar
+solve (batched-lane solves/s / scalar solves/s) on MobileRobot N=8,
+CartPole N=20 and Quadrotor N=8.  Both sides run the one QP loop
+(``solve_qp`` is ``solve_qp_batch`` at one lane), so the rows measure the
+linearizer (the vectorized batch sweep against the problem's own
+evaluators, or its fused C kernel) and the driver overhead around it —
+timed the way the
 end-to-end harness times a tick (``benchmarks/e2e/measure.py``): each
 instance keeps its quietest reading over several replays, each replay
 normalised by the machine speed its reference kernel showed.  They are
@@ -162,7 +166,8 @@ def test_batch_throughput():
 def b1_ratio(robot, horizon, offset):
     """One robot's B=1 row: quietest normalised seconds per solve of a
     one-lane ``BatchSolver`` call and of the scalar solve, over the same
-    cold instances; the ratio is batched-lane solves/s over scalar."""
+    cold instances; the ratio is batched-lane solves/s over scalar — one
+    QP loop on both sides, so linearizer and driver overhead."""
     measure = _measure_module()
     bench, problem, scalar, batch, ref, rng = _setup(robot, horizon, offset)
     X0 = _instances(bench, problem, B1_INSTANCES, rng)
@@ -193,12 +198,15 @@ def b1_ratio(robot, horizon, offset):
 
 
 def test_b1_lane_throughput_ratio():
-    """The B=1 rows (printed, not gated)."""
+    """The B=1 rows: linearizer and driver overhead (printed, not gated)."""
     rows = [
         b1_ratio(robot, horizon, 200 + offset)
         for offset, (robot, horizon) in enumerate(B1_ROBOTS)
     ]
-    banner("repro.batch: one batched lane vs the scalar solve (B=1)")
+    banner(
+        "repro.batch: one batched lane vs the scalar solve (B=1, one QP "
+        "loop: linearizer + driver overhead)"
+    )
     print(
         f"{'robot':>12} {'N':>3} {'lane ms':>9} {'scalar ms':>10} "
         f"{'ratio':>6}   (quietest of {B1_REPLAYS}, normalised ms)"

@@ -110,22 +110,22 @@ def banded_spd(n, band, seed=9):
 def test_blocked_banded_factor(benchmark, band):
     """The blocked banded factorization the QP hot loop runs per iteration
     (tile Cholesky + precomputed tile inverses), at one lane."""
-    from repro.mpc.banded import BandedCholeskyFactor
+    from repro.batch.linalg import BatchCholeskyFactor
 
     n = 512
-    A = banded_spd(n, band)
-    F = benchmark(BandedCholeskyFactor, A, band)
-    assert F.n == n
+    A = banded_spd(n, band)[None]
+    F = benchmark(BatchCholeskyFactor, A, band)
+    assert F.n == n and F.ok[0]
 
 
 def test_blocked_banded_multi_rhs_solve(benchmark):
     """Banded solve against a wide RHS block — the Schur-complement
     assembly Phi^-1 G^T that dominates the dense path's substitutions."""
-    from repro.mpc.banded import BandedCholeskyFactor
+    from repro.batch.linalg import BatchCholeskyFactor
 
     n, band, nrhs = 512, 16, 128
     A = banded_spd(n, band, seed=11)
-    F = BandedCholeskyFactor(A, band)
-    B = np.linspace(-1.0, 1.0, n * nrhs).reshape(n, nrhs)
+    F = BatchCholeskyFactor(A[None], band)
+    B = np.linspace(-1.0, 1.0, n * nrhs).reshape(1, n, nrhs)
     X = benchmark(F.solve, B)
-    assert np.allclose(A @ X, B, atol=1e-7)
+    assert np.allclose(A @ X[0], B[0], atol=1e-7)

@@ -17,9 +17,9 @@ with ``--root`` at the parent clone and once at the change).
 It first prints a digest of the batched Cholesky's ``_D``/``_Dinv``/``_C``
 tile stacks on one seeded banded and one dense stack, the same check for a
 change to ``repro.batch.linalg`` that must leave those tilings alone.  That
-factor is the only blocked Cholesky: the scalar QP step of ``loop-scalar``
-runs it at one lane (``repro.mpc.banded.BandedCholeskyFactor``), so its
-digest covers a change there too.
+factor is the only blocked Cholesky: the QP step of ``loop-scalar`` is the
+one QP loop at one lane (``repro.mpc.qp.solve_qp``), which factors through
+it, so its digest covers a change there too.
 
 ``--against OTHER`` re-runs this script in a subprocess with ``--root
 OTHER`` and the same workload and seeds, prints both sets of lines, and

@@ -19,11 +19,11 @@ Solver-layer hooks ride the session's own scalar solver, and the engine
 steps a hooked session on that solver instead of its batched lanes
 (group-fallback reason ``solver_hooked``), so every solver-layer fault
 reaches the solve it targets.  The hook points themselves are not
-scalar-only: the ADMM loop consults a per-lane hook sequence for every
-``B`` (:func:`repro.firstorder.batch.solve_qp_admm_batch`,
-``fault_hooks=``); the batched IPM (:mod:`repro.batch.qp`) has none, and
-nothing threads a session's injector through
-``BatchSolver.solve_payloads`` — ROADMAP 6(f).
+scalar-only: both QP loops consult a per-lane hook sequence for every
+``B`` (``fault_hooks=`` of :func:`repro.batch.qp.solve_qp_batch`, on host
+backends, and of :func:`repro.firstorder.batch.solve_qp_admm_batch`), and
+``BatchSolver.fault_hooks`` reaches both; nothing threads a session's
+injector through ``BatchSolver.solve_payloads`` yet — ROADMAP 11(d).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class SessionFaultInjector:
                 out = np.clip(out, -bound, bound)
         return out
 
-    # -- solver layer (controller hooks + _robust_factor protocol) -----------
+    # -- solver layer (controller hooks + the QP loops' hook protocol) -------
     def corrupt_budget(
         self, budget: Optional[SolveBudget]
     ) -> Optional[SolveBudget]:

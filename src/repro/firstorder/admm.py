@@ -67,7 +67,7 @@ _RHO_TRIGGER = 5.0
 #: enough that a genuinely flat residual plateau does.
 _STALL_WINDOW = 0.9
 #: attempts of the escalating-regularization ladder per build of ``K^-1``
-#: (the schedule of the IPM's ``_robust_factor``)
+#: (the schedule of the IPM's retry ladder, ``repro.batch.linalg``)
 _FACTOR_ATTEMPTS = 16
 
 
@@ -244,9 +244,10 @@ def solve_qp_admm(
 
     ``fault_hook`` is the :mod:`repro.faults` solver-layer injector, handed
     to the loop as the lane's hook: every build of the cached inverse
-    consults ``transform_matrix``/``force_failure`` (same protocol as the
-    IPM's ``_robust_factor``), and the optional ``force_stall`` hook makes
-    this solve report a stall after a few iterations — the deterministic
+    consults ``transform_matrix``/``force_failure`` (the IPM loop's
+    protocol, :class:`repro.mpc.qp._LaneFaults`), and the optional
+    ``force_stall`` hook makes this solve report a stall after a few
+    iterations — the deterministic
     trigger ``admm_stall`` campaigns use to exercise the rescue ladder.
 
     Raises :class:`~repro.errors.SolverError` on non-finite or mis-shaped
@@ -353,7 +354,7 @@ def _admm_refactor_batch(setup: dict, idx, opt: QPOptions) -> None:
     that touch the cached factorization.  ``K`` is never inverted blind:
     each lane must pass a Cholesky positive-definiteness check, and a lane
     that fails is retried with its regularization escalated x100 (at most
-    ``_FACTOR_ATTEMPTS`` attempts, the IPM's ``_robust_factor`` schedule),
+    ``_FACTOR_ATTEMPTS`` attempts, the IPM's retry ladder schedule),
     counted in ``setup["retries"]`` / ``setup["reg_max"]``.  Healthy lanes
     are factored once, at the base regularization, whatever their
     batch-mates need.  A lane the ladder cannot repair (or whose ``K`` is

@@ -12,7 +12,8 @@ import pytest
 from repro.errors import SolverError, StateValidationError
 from repro.mpc import MPCController, SolveBudget, SolverHealth
 from repro.mpc.health import nonfinite_indices
-from repro.mpc.qp import QPOptions, QPStats, _robust_factor, solve_qp
+from repro.batch import robust_factor_batch
+from repro.mpc.qp import QPOptions, solve_qp
 from repro.robots import build_benchmark
 
 HORIZON = 8
@@ -171,17 +172,16 @@ class TestFactorizationRetry:
     def test_robust_factor_fails_fast_on_nonfinite_matrix(self):
         A = np.eye(3)
         A[1, 1] = float("nan")
-        stats = QPStats()
-        with pytest.raises(SolverError, match="non-finite"):
-            _robust_factor(A, 1e-9, None, stats)
+        factor, _reg, retries = robust_factor_batch(A[None], 1e-9)
+        assert not factor.ok[0]
         # Fail-fast: the 16-rung ladder must not have been burned.
-        assert stats.retries == 0
+        assert retries[0] == 0
 
     def test_unfactorizable_matrix_exhausts_ladder(self):
-        stats = QPStats()
         hook = ForceFailHook(fails=100)
         with pytest.raises(SolverError, match="could not be factorized"):
-            _robust_factor(np.eye(2), 1e-9, None, stats, hook)
+            solve_qp(np.eye(2), np.ones(2), None, None, None, None, fault_hook=hook)
+        assert hook.fails == 100 - 16  # every attempt of the ladder
 
     def test_qp_data_validation(self):
         H = np.eye(2)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.baselines import reference_qp_objective, reference_solve_qp
-from repro.mpc.qp import QPOptions, _max_step, solve_qp
+from repro.batch.backend import HOST
+from repro.batch.qp import _max_step_batch
+from repro.mpc.qp import QPOptions, solve_qp
 
 
 def spd(n, seed, scale=1.0):
@@ -173,18 +175,26 @@ def test_property_box_qp_agrees_with_reference(n, seed, box):
     assert np.all(np.abs(res.x) <= box + 1e-6)
 
 
+def _max_step(x, dx, tau):
+    """The loop's fraction-to-the-boundary step of one lane:
+    ``min(1, tau * _max_step_batch)``."""
+    return float(min(1.0, tau * _max_step_batch(HOST, x[None], dx[None])[0]))
+
+
 class TestMaxStep:
     """The fraction-to-the-boundary step divides only where a full step
     crosses the boundary, so a subnormal ``dx`` cannot overflow."""
 
     @staticmethod
     def _unguarded(x, dx, tau):
-        # the formula that divided by every negative component
+        # the formula that divided by every negative component (``0 - x``
+        # as the loop negates: a zero ``x`` gives the ratio ``-0.0``)
         negative = dx < 0
-        if not np.any(negative):
-            return 1.0
-        with np.errstate(over="ignore"):
-            return float(min(1.0, np.min(-tau * x[negative] / dx[negative])))
+        step = 1.0
+        if np.any(negative):
+            with np.errstate(over="ignore"):
+                step = min(1.0, np.min((0.0 - x[negative]) / dx[negative]))
+        return float(min(1.0, tau * step))
 
     def test_subnormal_dx_does_not_overflow(self):
         with warnings.catch_warnings():

@@ -6,13 +6,15 @@ finite step the line search took in full and the new QP is undamped
 (Levenberg ``lm`` at its floor): ``x = 0``, ``nu``, ``s = max(d, theta)``,
 ``lam = max(lam, theta)`` with ``theta = 1e-2``.  Every other QP starts
 cold.  The rows below check that
-the carried start pays in both Mehrotra loops, that a lane's bits do not
-depend on its batch-mates with carries present, and which QPs start cold.
+the carried start pays in the Mehrotra loop (a single QP and a lane of a
+batch), that a lane's bits do not depend on its batch-mates with carries
+present, and which QPs start cold, under both SQP engines.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import reference_solve_qp
 from repro.batch import BatchSolver
 from repro.batch.backend import HOST
 from repro.batch.qp import solve_qp_batch
@@ -88,7 +90,7 @@ def subproblems(mobile):
     return solver.options.qp, calls
 
 
-# -- (a) the carried start pays, in both loops --------------------------------
+# -- (a) the carried start pays ----------------------------------------------
 
 
 def test_carried_start_reaches_the_cold_solution_sooner(subproblems):
@@ -107,14 +109,10 @@ def test_carried_start_reaches_the_cold_solution_sooner(subproblems):
     assert cold.converged and hot.converged
     assert hot.iterations < cold.iterations
 
-    rows = {"nu": nu[None], "lam": lam[None], "carried": np.array([True])}
-    cold_b = solve_qp_batch(*args, opt, bandwidth=bandwidth)
-    hot_b = solve_qp_batch(*args, opt, bandwidth=bandwidth, warm=rows)
-    assert cold_b.status == hot_b.status == ["converged"]
-    assert hot_b.iterations[0] < cold_b.iterations[0]
-    # both starts end within the QP tolerance of one optimum
-    for x in (hot.x, hot_b.x[0], cold_b.x[0]):
-        assert np.max(np.abs(x - cold.x)) < 1e-5
+    # both starts end within the QP tolerance of the one optimum
+    x_ref = reference_solve_qp(*one)[0]
+    for x in (hot.x, cold.x):
+        assert np.max(np.abs(x - x_ref)) < 1e-5
 
 
 def test_a_solve_spends_fewer_qp_iterations(subproblems):
@@ -128,9 +126,9 @@ def test_a_solve_spends_fewer_qp_iterations(subproblems):
 
 
 def test_the_carried_start_point(subproblems):
-    """``mu`` opens at ``mean(max(d, theta) max(lam, theta))`` in both
-    loops, and a cold lane riding with a carried one keeps the cold start
-    to the bit."""
+    """``mu`` opens at ``mean(max(d, theta) max(lam, theta))``, alone and
+    as a lane of a batch, and a cold lane riding with a carried one keeps
+    the cold start to the bit."""
     opt, calls = subproblems
     args, bandwidth, _, _ = calls[FOURTH]
     prev = calls[FOURTH - 1][3]

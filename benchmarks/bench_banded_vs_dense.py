@@ -24,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from conftest import banner
-from repro.mpc.banded import block_partition, flop_counts_banded_cholesky
+from repro.mpc.banded import coupling_components, flop_counts_banded_cholesky
 from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
@@ -106,10 +106,10 @@ def test_flop_meter_matches_cost_model():
     assert res_b.stats.factorizations == res_d.stats.factorizations
 
     # Without polish or retries the loop factorizes Phi (one dense
-    # Cholesky per stage block) and the Schur complement (p x p, at its
-    # structural bandwidth) exactly once per iteration.
+    # Cholesky per coupling component) and the Schur complement (p x p, at
+    # its structural bandwidth) exactly once per iteration.
     p = G.shape[0]
-    sizes = np.diff(block_partition(H, J)[0])
+    sizes = np.unique(coupling_components(H, J), return_counts=True)[1]
     its = res_b.stats.factorizations // 2
     expected = its * (
         sum(sum(flop_counts_cholesky(k).values()) for k in sizes)

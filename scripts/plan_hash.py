@@ -15,8 +15,10 @@ that print the same digest served bit-identical answers — the check a
 with ``--root`` at the parent clone and once at the change).
 
 It first prints a digest of the batched Cholesky's ``_D``/``_Dinv``/``_C``
-tile stacks on one seeded banded and one dense stack, the same check for a
-change to ``repro.batch.linalg`` that must leave those tilings alone.  That
+tile stacks on one seeded banded, one dense and one block-mode stack
+factored by its coupling components (the stage step's ``Phi`` factor), the
+same check for a change to ``repro.batch.linalg`` that must leave those
+factors alone.  That
 factor is the only blocked Cholesky: the QP step of ``loop-scalar`` is the
 one QP loop at one lane (``repro.mpc.qp.solve_qp``), which factors through
 it, so its digest covers a change there too.
@@ -44,6 +46,13 @@ def _factor_tiles_digest() -> str:
 
     rng = np.random.default_rng(0)
     parts = []
+
+    def digest(factor):
+        out = hashlib.sha256()
+        for tiles in (factor._D, factor._Dinv, factor._C):
+            out.update(np.ascontiguousarray(tiles).tobytes())
+        return out.hexdigest()[:16]
+
     for n, band in ((30, 3), (12, None)):
         idx = np.arange(n)
         L = np.tril(rng.normal(size=(4, n, n)))
@@ -51,11 +60,43 @@ def _factor_tiles_digest() -> str:
             L *= np.subtract.outer(idx, idx) <= band
         L[:, idx, idx] = 1.0 + np.abs(L[:, idx, idx])
         factor = BatchCholeskyFactor(L @ L.transpose(0, 2, 1), band=band, reg=1e-9)
-        digest = hashlib.sha256()
-        for tiles in (factor._D, factor._Dinv, factor._C):
-            digest.update(np.ascontiguousarray(tiles).tobytes())
-        parts.append(f"n={n} band={band} sha256={digest.hexdigest()[:16]}")
+        parts.append(f"n={n} band={band} sha256={digest(factor)}")
+    try:
+        factor, widths = _component_factor(rng)
+    except ImportError:  # a checkout that predates the component factor
+        parts.append("blocks K=3 s=6 components=none")
+    else:
+        parts.append(f"blocks K=3 s=6 components={widths} sha256={digest(factor)}")
     return "  ".join(parts)
+
+
+def _component_factor(rng):
+    """A seeded ``(4, 3, 6, 6)`` block stack factored by its coupling
+    components (block mode with ``parts``, the stage step's ``Phi``
+    factor), and the component widths."""
+    import numpy as np
+    from repro.batch import BatchCholeskyFactor
+    from repro.mpc.banded import coupling_components
+    from repro.mpc.qp import _tile_parts
+
+    K, s = 3, 6
+    idx = np.arange(K * s)
+    tile = idx // s
+    pattern = (rng.random((K * s, K * s)) < 0.15) & (tile[:, None] == tile)
+    pattern = pattern | pattern.T
+    label = coupling_components(pattern)
+    couple = label[:, None] == label[None, :]
+    L = np.tril(rng.normal(size=(4, K * s, K * s))) * couple
+    L[:, idx, idx] = 1.0 + np.abs(L[:, idx, idx])
+    A = L @ L.transpose(0, 2, 1)
+    blocks = A.reshape(4, K, s, K, s)[:, np.arange(K), :, np.arange(K), :]
+    blocks = blocks.transpose(1, 0, 2, 3)  # (4, K, s, s)
+    tiled = _tile_parts(label, idx.reshape(K, s))
+    factor = BatchCholeskyFactor(
+        blocks, reg=1e-9, parts=[(w, index.ravel()) for w, index in tiled]
+    )
+    widths = ",".join(f"{w}x{len(index)}" for w, index in tiled)
+    return factor, widths
 
 
 def main() -> int:

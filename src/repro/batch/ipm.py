@@ -474,6 +474,12 @@ def solve_lanes(
     # Levenberg-Marquardt damping adapted on KKT progress: oscillation
     # (KKT increase) shrinks the step by inflating the Hessian diagonal.
     lm = HOST.full((lanes,), opt.regularization)
+    # Lanes whose last step the line search rejected outright: a "hybrid"
+    # lane builds its next subproblem on the Gauss-Newton model.  An exact
+    # Hessian indefinite past the damping cap yields a direction that
+    # ascends the merit, and a lane that barely moved would re-solve the
+    # same subproblem and reject the same step until its iteration cap.
+    rejected = HOST.zeros((lanes,), dtype="bool")
 
     budgets = [None] * lanes if budgets is None else budgets
     clocks = [None if bud is None else bud.start() for bud in budgets]
@@ -559,7 +565,8 @@ def solve_lanes(
 
         # Per-lane Hessian model: "hybrid" is Gauss-Newton (PSD, robust
         # far from the solution) until the lane's KKT residual falls below
-        # ``hybrid_switch``, then exact.
+        # ``hybrid_switch``, then exact — except right after a step the
+        # line search rejected outright.
         exact = HOST.asarray(
             [
                 opt.hessian == "exact"
@@ -567,6 +574,7 @@ def solve_lanes(
                     opt.hessian == "hybrid"
                     and bool(histories[lane])
                     and histories[lane][-1] < opt.hybrid_switch
+                    and not rejected[lane]
                 )
                 for lane in idx.tolist()
             ],
@@ -847,6 +855,7 @@ def solve_lanes(
             accepted[un[passed]] = True
             alpha[un[~passed]] *= 0.5
 
+        rejected[ll] = ~accepted
         # Damped multiplier update (tracks the primal step length); the
         # raw QP estimates are also kept as the sharper KKT certificate.
         Z[ll] = Z[ll] + alpha[:, None] * Dl

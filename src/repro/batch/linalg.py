@@ -28,14 +28,26 @@ Quadrotor N=30 problem it dwarfed the tiles it was scaffolding for).
 
 ``band`` is a promise, and it picks the tiling.  ``band=None`` is one
 dense tile; ``band > 0`` is the tiling of
-:func:`repro.mpc.banded.tile_size`: tiles of ``max(band, MIN_BLOCK)``, or
-one tile of ``n`` when ``n`` fits in two (two tiles already hold the
-whole lower triangle, so banding would skip nothing and only pad).  *Block mode* is a block-diagonal matrix
+:func:`repro.mpc.banded.tile_size`: tiles of ``max(band, MIN_BLOCK)``
+(``MIN_BLOCK = 32``: at one lane a tile step costs its numpy calls, not
+its flops), or one tile of ``n`` when ``n`` fits in two (two tiles
+already hold the whole lower triangle, so banding would skip nothing and
+only pad).  On host backends a sweep whose lanes are all finite skips the
+per-tile re-sanitizing (a ``where`` that would copy each tile unchanged).
+*Block mode* is a block-diagonal matrix
 handed over as the ``(B, K, s, s)`` stack of its diagonal blocks — how
 :func:`repro.batch.qp.solve_qp_batch` hands over ``Φ``'s stage blocks —
 and factors all ``B·K`` blocks with one tile-kernel call and inverts them
 with one more, no sweep and no ``C`` tiles; its solves take right-hand sides in the same
-block layout.  ``band=0`` — a diagonal
+block layout.  Given ``parts`` (the stage step's
+:attr:`repro.mpc.qp._StageLayout.parts`: each tile's coupling components,
+grouped by width) block mode factors the components instead, one
+tile-kernel call and one inverse per width and ``1 x 1`` components by
+their pivots, and writes ``D`` / ``D⁻¹`` tiles that are zero off the
+components — the tiles' own factor to roundoff, since a component
+ordered ascending takes no fill from the others — so the solves are
+unchanged.  Like ``band``, ``parts`` is a promise: entries off the
+components are not read.  ``band=0`` — a diagonal
 matrix, which is what ``Φ = H + JᵀWJ`` is for any problem with diagonal
 penalties and box constraints — is block mode with ``s = 1``: ``n``
 blocks of ``1 x 1``, the factor ``sqrt`` of the diagonal and every
@@ -128,6 +140,36 @@ def _diag_pivots(xp: ArrayBackend, d, finite, reg_fill):
     return piv, inv, xp.all(good, axis=1) & xp.all(xp.isfinite(inv), axis=1)
 
 
+def _factor_stack(xp: ArrayBackend, M, finite, reg_fill):
+    """``(L, L^-1, ok)`` of a ``(B, c, w, w)`` stack of SPD tiles, ``ok``
+    per lane over its ``c`` tiles: one tile-kernel call and one inverse
+    (LAPACK on host, the column sweep on devices), or ``w = 1``'s
+    :func:`_diag_pivots`, the values either kernel computes on a ``1 x 1``
+    tile.  Lanes with ``finite`` off factor the identity."""
+    lanes, c, w = int(M.shape[0]), int(M.shape[1]), int(M.shape[3])
+    if w == 1:
+        piv, inv, ok = _diag_pivots(xp, M[:, :, 0, 0], finite, reg_fill)
+        return piv[:, :, None, None], inv[:, :, None, None], ok
+    T = xp.where(finite[:, None, None, None], M, xp.eye(w))
+    dd = xp.arange(w)
+    T[:, :, dd, dd] = T[:, :, dd, dd] + reg_fill[:, None, None]
+    flat = xp.reshape(T, (lanes * c, w, w))
+    if xp.is_device:
+        L, ok_t = _cholesky_tiles(xp, flat)
+        Linv = _triangular_inverse(xp, L)
+    else:
+        L, ok_t = banded.cholesky_tiles(flat)
+        Linv = banded.tril_inverse(L)
+    L = xp.reshape(L, (lanes, c, w, w))
+    Linv = xp.reshape(Linv, (lanes, c, w, w))
+    ok = xp.all(xp.reshape(ok_t, (lanes, c)), axis=1) & xp.all(
+        xp.isfinite(Linv), axis=(1, 2, 3)
+    )
+    if xp.is_device:  # a host tile's own ok already certifies its L
+        ok = ok & xp.all(xp.isfinite(L), axis=(1, 2, 3))
+    return L, Linv, ok
+
+
 def _cholesky_tiles(xp: ArrayBackend, M):
     """Batched dense Cholesky of a ``(B, m, m)`` tile stack — the device
     backends' column sweep (host backends call
@@ -206,6 +248,13 @@ class BatchCholeskyFactor:
     backend : str or ArrayBackend, optional
         The array namespace to factor under (default numpy, see
         :func:`repro.batch.backend.get_backend`).
+    parts : sequence of (w, index), optional
+        Block mode only: the blocks' coupling components, by width ``w``,
+        each ``index`` the backend int array of the flat ``K s s``
+        positions of ``c`` components' ``w x w`` entries (``c w w`` of
+        them, component by component, members ascending).  Every block
+        index must lie in exactly one component; entries off the
+        components are taken to be zero and are not read.
 
     Lanes whose matrix is non-finite, loses positive definiteness (in any
     of its blocks), or overflows into non-finite factor tiles are flagged
@@ -222,6 +271,7 @@ class BatchCholeskyFactor:
         band: Optional[int] = None,
         reg=0.0,
         backend=None,
+        parts=None,
     ) -> None:
         xp = self.xp = get_backend(backend)
         A = xp.asarray(A)
@@ -241,6 +291,7 @@ class BatchCholeskyFactor:
         #: block mode (no sweep, no C tiles), and within it the row layout
         #: of a (B, n, n) stack factored over 1x1 blocks (band=0)
         self._block = self._rows = False
+        self._parts = parts
         if A.ndim == 4:
             self._factor_blocks(A, finite, reg_fill)
             self.band = max(self.nb - 1, 0)
@@ -260,36 +311,33 @@ class BatchCholeskyFactor:
         self._refresh_suppress()
 
     def _factor_blocks(self, M, finite, reg_fill) -> None:
-        """Block mode: the ``(B, K, s, s)`` stack's ``B K`` tiles factored
-        by one tile-kernel call and inverted by one more.  ``s = 1``
-        (the diagonal) takes ``sqrt`` and ``1 / piv`` elementwise, the
-        values either tile kernel computes on a ``1 x 1`` tile."""
+        """Block mode: the ``(B, K, s, s)`` stack factored by ``parts``,
+        each width's components gathered into one stack, factored by one
+        tile-kernel call and inverted by one more, and scattered back into
+        ``D`` / ``D^-1`` tiles that are zero off the components (whose
+        entries are not read).  Without ``parts`` each tile is one
+        component: all ``B K`` tiles in one call."""
         xp, lanes = self.xp, self.lanes
         K, s = int(M.shape[1]), int(M.shape[3])
         self.nb, self.K = s, K
         self.n = self.npad = K * s
         self._block = True
-        if s == 1:
-            piv, inv, ok = _diag_pivots(xp, M[:, :, 0, 0], finite, reg_fill)
-            D, Dinv = piv[:, :, None, None], inv[:, :, None, None]
-        else:
-            T = xp.where(finite[:, None, None, None], M, xp.eye(s))
-            dd = xp.arange(s)
-            T[:, :, dd, dd] = T[:, :, dd, dd] + reg_fill[:, None, None]
-            flat = xp.reshape(T, (lanes * K, s, s))
-            if xp.is_device:
-                L, ok_t = _cholesky_tiles(xp, flat)
-                Linv = _triangular_inverse(xp, L)
-            else:
-                L, ok_t = banded.cholesky_tiles(flat)
-                Linv = banded.tril_inverse(L)
-            D = xp.reshape(L, (lanes, K, s, s))
-            Dinv = xp.reshape(Linv, (lanes, K, s, s))
-            ok = (
-                xp.all(xp.reshape(ok_t, (lanes, K)), axis=1)
-                & xp.all(xp.isfinite(D), axis=(1, 2, 3))
-                & xp.all(xp.isfinite(Dinv), axis=(1, 2, 3))
+        self._parts = parts = self._parts or ((s, xp.arange(K * s * s)),)
+        flat = xp.reshape(M, (lanes, K * s * s))
+        D = xp.zeros((lanes, K * s * s))
+        Dinv = xp.zeros((lanes, K * s * s))
+        ok = finite
+        for w, index in parts:
+            T = xp.reshape(
+                xp.take(flat, index, axis=1),
+                (lanes, int(index.shape[0]) // (w * w), w, w),
             )
+            L, Linv, ok_w = _factor_stack(xp, T, finite, reg_fill)
+            D[:, index] = xp.reshape(L, (lanes, -1))
+            Dinv[:, index] = xp.reshape(Linv, (lanes, -1))
+            ok = ok & ok_w
+        D = xp.reshape(D, (lanes, K, s, s))
+        Dinv = xp.reshape(Dinv, (lanes, K, s, s))
         self._D, self._Dinv = D, Dinv
         self._C = xp.empty((lanes, 0, s, s))
         self.ok = self.ok & ok
@@ -310,6 +358,9 @@ class BatchCholeskyFactor:
         eye_nb = xp.eye(nb)
         on_diag = eye_nb > 0.0
         reg_fill = reg_fill[:, :, None]
+        # On host, where reading it is free: with every lane finite the
+        # per-tile sanitizing below would copy the tiles unchanged.
+        sanitize = xp.is_device or not bool(xp.scalar(xp.all(finite)))
 
         def diag_tile(k: int):
             """Block ``(k, k)`` of the padded, regularized matrix — built
@@ -328,7 +379,8 @@ class BatchCholeskyFactor:
                 real = on_diag & (xp.arange(nb) < w)  # the pad takes no reg
             # Non-finite lanes get the identity tile so their (discarded)
             # factors stay bounded; their ok flag is already off.
-            T = xp.where(finite[:, None, None], T, eye_nb)
+            if sanitize:
+                T = xp.where(finite[:, None, None], T, eye_nb)
             return xp.where(real, T + reg_fill, T)
 
         def sub_tile(k: int):
@@ -341,7 +393,7 @@ class BatchCholeskyFactor:
             else:
                 E = xp.zeros((lanes, nb, nb))
                 E[:, :w, :] = A[:, s:e, s - nb : s]
-            return xp.where(finite[:, None, None], E, 0.0)
+            return xp.where(finite[:, None, None], E, 0.0) if sanitize else E
 
         if xp.is_device:
             factor = partial(_cholesky_tiles, xp)
@@ -510,11 +562,20 @@ class BatchCholeskyFactor:
 
     # -- flop meters (per lane; every lane shares one structure) ----------
 
+    def _widths(self):
+        """``(width, count)`` of the dense blocks block mode factors: the
+        components of ``parts`` (the tiles, without them)."""
+        return [(w, int(index.shape[0]) // (w * w)) for w, index in self._parts]
+
     def factor_flops(self) -> int:
         """Flops of one lane's factorization, counted as the column
-        algorithm (block mode: one dense Cholesky per block)."""
+        algorithm (block mode: one dense Cholesky per block, or per
+        component of ``parts``)."""
         if self._block:
-            return self.K * int(sum(flop_counts_cholesky(self.nb).values()))
+            return sum(
+                count * int(sum(flop_counts_cholesky(w).values()))
+                for w, count in self._widths()
+            )
         if self.band is not None:
             counts = flop_counts_banded_cholesky(self.n, self.band)
         else:
@@ -524,8 +585,10 @@ class BatchCholeskyFactor:
     def solve_flops(self, nrhs: int = 1) -> int:
         """Flops one lane's forward+backward substitution costs."""
         if self._block:
-            counts = flop_counts_substitution(self.nb, nrhs)
-            return 2 * self.K * int(sum(counts.values()))
+            return 2 * sum(
+                count * int(sum(flop_counts_substitution(w, nrhs).values()))
+                for w, count in self._widths()
+            )
         if self.band is not None:
             counts = flop_counts_banded_substitution(self.n, self.band, nrhs)
         else:

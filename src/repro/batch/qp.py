@@ -44,11 +44,17 @@ ladder, with no factor object
 (:func:`~repro.batch.linalg.robust_diag_factor_batch`); then ``V = r∘Gᵀ``,
 ``S = VᵀV`` and ``dx = r∘(r∘(r₁ − Gᵀdν))``.  Otherwise ``Φ``'s stage
 blocks (:func:`repro.mpc.qp._stage_layout`) are formed by one stacked
-``J_kᵀW_kJ_k``, factored as one ``(B, K, s, s)`` stack (block-mode
-:class:`~repro.batch.linalg.BatchCholeskyFactor`) and ``S = Σ V_kᵀV_k``
-is summed through precomputed gathers.  Either way ``dx = Φ⁻¹(r₁ − Gᵀdν)``:
-no ``(B, n, n)`` product and no ``Φ⁻¹Gᵀ`` solve, and ``S`` is factored
-banded at its structural band when that is within the hint.  Every
+``J_kᵀW_kJ_k`` as one ``(B, K, s, s)`` stack, factored by what in it is
+coupled: the connected components of ``nz(H) ∪ nz(JᵀJ)`` inside each
+tile, read with the rest of the layout and grouped by width, one
+``potrf`` and one inverse per width (block-mode
+:class:`~repro.batch.linalg.BatchCholeskyFactor` given ``parts``; a soft
+state bound couples its state to slacks later in the stage, so no
+contiguous cut falls inside a stage, but its components are a few
+indices wide).  ``S = Σ V_kᵀV_k`` is summed through precomputed gathers.
+Either way ``dx = Φ⁻¹(r₁ − Gᵀdν)``: no ``(B, n, n)`` product and no
+``Φ⁻¹Gᵀ`` solve, and ``S`` is factored banded at its structural band when
+that is within the hint.  Every
 gather is an ``xp.take`` in lane-major layout, so a lane's arithmetic —
 and its iterate — does not depend on how many lanes ride with it.  Per
 lane the :class:`QPStats` meters (factorizations, flops, bandwidths, mode)
@@ -70,7 +76,8 @@ One iteration is a fixed schedule of batched ops and nothing else:
    converged / diverged) applied to the evaluated lanes as one status and
    one iteration-count update;
 2. the scaling ``w = λ / s``, the ``Φ`` factor and ``S = VᵀV``, and ``S``'s
-   factor (one tile of LAPACK ``potrf`` plus an LU inverse on host);
+   factor (LAPACK ``potrf`` plus an LU inverse per tile on host, in tiles
+   of :func:`repro.mpc.banded.tile_size`);
 3. the predictor and the corrector solve, each one ``Jᵀ`` product, the two
    triangular products with ``S``'s tile and the diagonal scalings; the
    step lengths of ``s`` and ``λ`` are taken as one ``(B, 2, m)`` pair;
@@ -101,6 +108,7 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
@@ -119,7 +127,7 @@ from repro.mpc.qp import (
 )
 
 from .backend import HOST, ArrayBackend, get_backend
-from .linalg import LADDER_ATTEMPTS, OracleCholeskyFactor
+from .linalg import LADDER_ATTEMPTS, BatchCholeskyFactor, OracleCholeskyFactor
 from .linalg import robust_diag_factor_batch, robust_factor_batch
 
 __all__ = ["BatchQPStats", "BatchQPResult", "solve_qp_batch"]
@@ -499,8 +507,10 @@ class _StageLaneKKT(_LaneKKT):
     envelope).  ``H``'s blocks, each block's ``J`` rows ``(B, K, r, s)`` and
     its transposed ``G`` rows ``(B, K, s, q)`` are gathered once; per
     iteration ``Phi``'s blocks are one stacked ``J_k^T W_k J_k`` product,
-    factored as one ``(B, K, s, s)`` stack (block-mode
-    :class:`BatchCholeskyFactor`), and ``S = sum_k V_k^T V_k`` with
+    a ``(B, K, s, s)`` stack factored by its coupling components
+    (block-mode :class:`BatchCholeskyFactor` given the layout's ``parts``,
+    the factor class ``kind`` of every attempt of the retry ladder), and
+    ``S = sum_k V_k^T V_k`` with
     ``V_k = L_k^-1 G_k^T`` is summed through precomputed gathers (the
     scatter-add of :func:`repro.mpc.qp._sum_gathers`).  Every gather is an
     ``xp.take`` on the lane-major layout, so a lane's arithmetic does not
@@ -516,6 +526,11 @@ class _StageLaneKKT(_LaneKKT):
         self.phi_flops = layout.factor_flops
         self.tri_flops = layout.tri_flops
         self.s_band = s_band
+        # Phi's factor reads its coupling components alone
+        self.kind = partial(BatchCholeskyFactor, parts=tuple(
+            (w, xp.from_host(index.ravel(), dtype="int"))
+            for w, index in layout.parts
+        ))  # fmt: skip
         cols = layout.cols
         self.cols = xp.from_host(cols, dtype="int")
         self.real = xp.from_host(HOST.flatnonzero(layout.real), dtype="int")
@@ -679,13 +694,12 @@ def _lane_structure(env_H, env_J, env_G):
     hit = _STRUCTURES.get(key)
     if hit is not None:
         return hit
-    n = int(nz_H.shape[0])
     bounds, phi_band = block_partition(nz_H, nz_J)
     s_diag_band = layout = None
     if phi_band == 0:
         s_diag_band = 0 if nz_G is None else _diag_schur_band(nz_G * 1.0)
     else:
-        layout = _stage_layout(n, nz_G, nz_J, bounds)
+        layout = _stage_layout(nz_H, nz_G, nz_J, bounds)
     if len(_STRUCTURES) >= _STRUCTURES_MAX:
         _STRUCTURES.clear()
     hit = _STRUCTURES[key] = (phi_band, s_diag_band, layout)

@@ -94,10 +94,16 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
     adds rows the candidate violates and drops rows with negative
     multipliers, converging to the true active set from a coarse guess.
 
-    Returns a dict with the best candidate seen (``x``, ``nu``, ``lam``,
-    ``slacks``, ``r_prim``, ``r_dual``, ``residual`` and a ``converged``
-    verdict against ``tol`` in the relative metric of the ADMM loop), or
-    ``None`` when no round produced a finite solve.
+    Candidates are ranked by stationarity ``r_dual``, primal feasibility
+    ``r_prim`` and dual feasibility ``r_sign`` (the most negative
+    multiplier of a guessed-active row, 0 when none is): a candidate that
+    pins a row the optimum leaves free solves its equalities to roundoff
+    and is still no optimum.  Returns a dict with the best candidate seen
+    (``x``, ``nu``, ``lam``, ``slacks``, ``r_prim``, ``r_dual``,
+    ``r_sign``, ``residual`` and a ``converged`` verdict against ``tol``
+    in the relative metric of the ADMM loop, ``r_sign`` held to the dual
+    scale as ``r_dual`` is), or ``None`` when no round produced a finite
+    solve.
     """
     n = g.shape[0]
     p = G.shape[0] if G is not None else 0
@@ -152,7 +158,10 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
         if m:
             viol = J @ px - d
             r_prim = max(r_prim, float(np.max(np.maximum(viol, 0.0))))
-        score = max(r_dual, r_prim)
+        # dual feasibility: a guessed-active row must not pull (its
+        # multiplier negative), or the candidate is no optimum
+        r_sign = max(0.0, -float(np.min(mult[p:], initial=0.0)))
+        score = max(r_dual, r_prim, r_sign)
         if score < best_score:
             best_score = score
             lam_full = np.zeros(m)
@@ -164,6 +173,7 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
                 "lam": lam_full,
                 "r_prim": r_prim,
                 "r_dual": r_dual,
+                "r_sign": r_sign,
             }
         if not m:
             break
@@ -204,10 +214,10 @@ def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
     best["slacks"] = (
         np.maximum(d - J @ px, 0.0) if m else np.zeros(0)
     )
-    best["residual"] = max(best["r_prim"], best["r_dual"])
+    best["residual"] = max(best["r_prim"], best["r_dual"], best["r_sign"])
     best["converged"] = bool(
         best["r_prim"] <= tol * prim_scale
-        and best["r_dual"] <= tol * dual_scale
+        and max(best["r_dual"], best["r_sign"]) <= tol * dual_scale
     )
     return best
 

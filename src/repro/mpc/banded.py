@@ -10,7 +10,8 @@ matrix of a horizon-``N`` MPC problem is banded with half-bandwidth
 * symmetric banded storage (diagonal-major, LAPACK ``SB`` style),
 * banded Cholesky factorization and banded triangular solves,
 * the structural block partition of a block-diagonal envelope
-  (:func:`block_partition`),
+  (:func:`block_partition`) and its coupling components
+  (:func:`coupling_components`),
 * the host tile kernels and the tile rule of the blocked factor,
 * helpers to convert between dense and banded storage,
 * exact primitive-op counts of the banded kernels, so benchmarks can
@@ -25,11 +26,12 @@ bandwidth hint (the stage-interleaved ordering produced by
 :meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation`) is
 the one blocked factor, :class:`repro.batch.linalg.BatchCholeskyFactor`,
 twice per iteration: once in block mode over the stage blocks of the
-block-diagonal ``Phi`` (one stacked ``potrf`` and one stacked inverse, no
-sweep), once banded over the Schur complement (``nb x nb`` tiles, each
-factored by LAPACK ``potrf`` and inverted by LU through
-:func:`cholesky_tiles` / :func:`tril_inverse`, whose tile rule is
-:func:`tile_size`).  The flop meters count the column algorithm — the
+block-diagonal ``Phi``, by their coupling components (one stacked
+``potrf`` and one stacked inverse per component width, no sweep), once
+banded over the Schur complement (``nb x nb`` tiles, each factored by
+LAPACK ``potrf`` and inverted by LU through :func:`cholesky_tiles` /
+:func:`tril_inverse`, whose tile rule is :func:`tile_size`: tiles at least
+:data:`MIN_BLOCK` wide).  The flop meters count the column algorithm — the
 accelerator's operation mix — not what LAPACK executes.
 
 The tests verify the banded results match the dense from-scratch kernels of
@@ -56,6 +58,7 @@ __all__ = [
     "banded_solve",
     "bandwidth_of",
     "block_partition",
+    "coupling_components",
     "cholesky_tiles",
     "tril_inverse",
     "tile_size",
@@ -104,6 +107,36 @@ def block_partition(
     reach = np.maximum.accumulate(reach)
     splits = np.flatnonzero(reach[:-1] < idx[1:]) + 1
     return np.concatenate(([0], splits, [n])), band
+
+
+def coupling_components(
+    A: np.ndarray, R: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Connected components of the pattern ``|A| + |R|^T |R|``.
+
+    Returns one label per index, the smallest index of its component.  Two
+    indices share a component when an entry of ``A`` or a row of ``R``
+    couples them, directly or through others: the finest partition whose
+    blocks, under any ordering, make the pattern block diagonal — finer
+    than :func:`block_partition`, which cuts only between neighbouring
+    indices.  Read from the edges alone (``R^T R`` is never formed).
+    """
+    n = A.shape[0]
+    a, b = np.nonzero(A)
+    if R is not None and R.size:
+        row, col = np.nonzero(R)
+        first = np.argmax(R != 0, axis=1)  # every row's nonzeros join its first
+        a, b = np.concatenate([a, first[row]]), np.concatenate([b, col])
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        nxt = label.copy()
+        np.minimum.at(nxt, a, low)
+        np.minimum.at(nxt, b, low)
+        nxt = nxt[nxt]  # pointer jumping: follow a label to its own label
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
 
 def _last_nonzero(nz: np.ndarray, empty: np.ndarray) -> np.ndarray:
@@ -308,9 +341,12 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
     return np.where(_lower_mask(L.shape[-1]), _stacked(np.linalg.inv, L), 0.0)
 
 
-#: minimum tile size of the blocked factors — tiny bandwidths still get
-#: BLAS-sized tiles
-MIN_BLOCK = 16
+#: minimum tile size of the blocked factors: tiny bandwidths still get
+#: tiles this wide.  At one lane a tile step of the sweep costs its numpy
+#: calls, not its flops, so fewer, wider tiles win: of 16, 24, 32, 40 and
+#: 48, 32 made one interior-point iteration's Schur factor and solves
+#: cheapest on the ``loop-scalar`` robots' first QPs (N=16, one lane).
+MIN_BLOCK = 32
 
 
 def tile_size(n: int, band: int) -> int:

@@ -109,7 +109,8 @@ class IPMOptions:
     #: Hessian model: "gauss_newton" (PSD, robust far from the solution),
     #: "exact" (objective + dynamics-curvature contraction; quadratic local
     #: convergence, relies on QP inertia correction), or "hybrid" (GN until
-    #: the KKT residual falls below ``hybrid_switch``, then exact)
+    #: the KKT residual falls below ``hybrid_switch``, then exact, except
+    #: for the subproblem after a step the line search rejected outright)
     hessian: str = "gauss_newton"
     #: KKT threshold at which "hybrid" switches from GN to the exact Hessian
     hybrid_switch: float = 1.0

@@ -32,13 +32,13 @@ parts of the stage step: its structure reads (:func:`_stage_layout`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.codegen.stats import CodegenStats
 from repro.errors import SolverError
-from repro.mpc.banded import bandwidth_of
+from repro.mpc.banded import bandwidth_of, coupling_components
 from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 
 __all__ = [
@@ -330,7 +330,16 @@ class _StageLayout:
     the flat ``p x p`` position of each block's ``(q, q)`` product entries
     in ``S`` (``pairs``, sentinel ``p * p`` where a row is the pad — the one
     definition of how ``S`` is summed, in ascending block order), the
-    structural band of ``S`` and the per-block flop meters."""
+    structural band of ``S`` and the per-component flop meters.
+
+    ``parts`` is where ``Phi`` is actually coupled: the connected
+    components of ``nz(H) | nz(J^T J)``
+    (:func:`repro.mpc.banded.coupling_components`) inside the ``(K, s, s)``
+    tile stack, grouped by width ``w`` in ascending order, each group a
+    ``(c, w, w)`` array of flat ``K s s`` positions, component members in
+    ascending order (so a component's lower triangle is the tile's).  Every
+    tile index, pad included (as a ``1 x 1``), is in exactly one
+    component; the block-mode factor reads these entries alone."""
 
     real: np.ndarray
     cols: np.ndarray
@@ -340,23 +349,48 @@ class _StageLayout:
     schur_band: int
     factor_flops: int
     tri_flops: int
+    parts: Tuple[Tuple[int, np.ndarray], ...]
 
 
-def _stage_layout(n: int, G, J, bounds: np.ndarray) -> _StageLayout:
-    """The :class:`_StageLayout` of the partition ``bounds`` of an ``n``
-    variable problem with equality rows ``G`` and inequality rows ``J``
-    (their nonzero patterns are what is read; ``None`` for none)."""
-    # Metered as one dense Cholesky / triangular solve per block of the
-    # partition — the algorithm's work, whatever the stacking below.
-    widths, counts = np.unique(np.diff(bounds), return_counts=True)
+def _tile_parts(label: np.ndarray, cols: np.ndarray):
+    """:attr:`_StageLayout.parts` of the components ``label`` (one per
+    index, as :func:`~repro.mpc.banded.coupling_components` returns) in the
+    tile stack whose index ``k s + o`` holds variable ``cols[k, o]``."""
+    n, s = label.size, cols.shape[1]
+    slot = np.flatnonzero(cols.ravel() < n)  # tile index of each variable
+    # a pad slot is its own component, labelled past every variable
+    tag = np.arange(n, n + cols.size)
+    tag[slot] = label[cols.ravel()[slot]]
+    order = np.lexsort((np.arange(cols.size), tag))  # by component, ascending
+    _, start, width = np.unique(tag[order], return_index=True, return_counts=True)
+    parts = []
+    for w in np.unique(width).tolist():
+        members = order[start[width == w][:, None] + np.arange(w)]  # (c, w)
+        flat = members[:, :, None] * s + members[:, None, :] % s
+        parts.append((w, flat))
+    return tuple(parts)
+
+
+def _stage_layout(H, G, J, bounds: np.ndarray) -> _StageLayout:
+    """The :class:`_StageLayout` of the partition ``bounds`` of the ``n``
+    variables of a problem with Hessian ``H``, equality rows ``G`` and
+    inequality rows ``J`` (their nonzero patterns are what is read; ``None``
+    for no rows of that kind)."""
+    n = H.shape[0]
+    label = coupling_components(H, J)
+    # Metered as one dense Cholesky / triangular solve per coupling
+    # component — the algorithm's work, whatever the stacking below.
+    widths, counts = np.unique(
+        np.unique(label, return_counts=True)[1], return_counts=True
+    )
     factor_flops = tri_flops = 0
     for k, count in zip(widths.tolist(), counts.tolist()):
         factor_flops += count * sum(flop_counts_cholesky(k).values())
         tri_flops += count * sum(flop_counts_substitution(k).values())
     # Pack runs of neighbouring blocks up to the widest one: the stack
     # is padded to that width anyway, and a stage's lone pinned states
-    # would otherwise each cost a full-width potrf and inverse.
-    widest = int(widths[-1])
+    # would otherwise each cost a tile of their own.
+    widest = int(np.diff(bounds).max())
     packed = [0]
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         if hi - packed[-1] > widest:
@@ -381,7 +415,8 @@ def _stage_layout(n: int, G, J, bounds: np.ndarray) -> _StageLayout:
         ).min(axis=1)
         schur_band = int(np.max(span, initial=0))
     return _StageLayout(
-        real, cols, jrows, grows, pairs, schur_band, factor_flops, tri_flops
+        real, cols, jrows, grows, pairs, schur_band, factor_flops, tri_flops,
+        _tile_parts(label, cols),
     )
 
 

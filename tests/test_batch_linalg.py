@@ -26,6 +26,7 @@ from repro.mpc.banded import (
     MIN_BLOCK,
     BandedCholeskyFactor,
     cholesky_tiles,
+    tile_size,
     tril_inverse,
 )
 from repro.mpc.linalg import cholesky
@@ -437,14 +438,15 @@ class TestDiagonalLane:
 
     def test_bitwise_equal_to_the_tile_sweep(self, name):
         xp = get_backend(name)
-        B, n = 4, 43  # the fleets' Phi shape: K=3 tiles of 16, 5 padded
+        B, n = 4, 43  # the fleets' Phi shape
         A = diag_stack(B, n, 11)
         lane = BatchCholeskyFactor(A, band=0, reg=1e-9, backend=xp)
         sweep = BatchCholeskyFactor(A, band=1, reg=1e-9, backend=xp)
         assert (lane.nb, lane.K, lane.npad) == (1, n, n)
         assert tuple(lane._D.shape) == tuple(lane._Dinv.shape) == (B, n, 1, 1)
         assert tuple(lane._C.shape) == (B, 0, 1, 1)
-        assert (sweep.nb, sweep.K) == (16, 3)
+        nb = tile_size(n, 1)
+        assert (sweep.nb, sweep.K) == (nb, -(-n // nb))
         assert lane.banded and lane.factor_flops() == n  # n sqrt, 0 mul
         assert bool(xp.to_host(lane.ok).all())
 

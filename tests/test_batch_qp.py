@@ -270,8 +270,9 @@ METERS = ("factorizations", "banded_factorizations", "factor_flops",
 def stage_meters(qp, bw):
     """The per-round ``(phi_band, schur_band, factor flops, substitute
     flops)`` of the hinted step, read from the structure alone: ``Phi``'s
-    block partition (one dense Cholesky and triangular solve per block, or
-    per entry of a diagonal ``Phi``) and the banded Cholesky of ``S`` at
+    coupling components (one dense Cholesky and triangular solve per
+    component, or per entry of a diagonal ``Phi``) and the banded Cholesky
+    of ``S`` at
     its structural band.  A round solves ``Phi`` against the ``q`` columns
     of a block's ``G^T`` rows (every ``p`` row on a diagonal ``Phi``) and
     runs two Newton solves (predictor, corrector), each three triangular
@@ -292,7 +293,7 @@ def stage_meters(qp, bw):
         tri, q = n * sum(flop_counts_substitution(1).values()), p
         s_band = _diag_schur_band(G)
     else:
-        layout = _stage_layout(n, G, J, bounds)
+        layout = _stage_layout(H, G, J, bounds)
         phi_flops, s_band = layout.factor_flops, layout.schur_band
         tri, q = layout.tri_flops, layout.grows.shape[1]
     assert 0 < s_band <= bw

@@ -239,3 +239,36 @@ class TestLaneCountInvariance:
             assert one.residual_history == lane.residual_history
             assert one.status == lane.status
             assert one.iterations == lane.iterations
+
+
+class TestHybridAfterRejection:
+    """A "hybrid" lane whose step the line search rejected outright builds
+    its next subproblem on the Gauss-Newton model: past the damping cap an
+    indefinite exact Hessian gives a direction that ascends the merit, and
+    the lane, barely moved, would otherwise re-solve that subproblem until
+    its cap (MicroSat N=4, conform case ``s1627687382``, padded: 160
+    identical rejections at KKT 6.7e-3)."""
+
+    @pytest.mark.parametrize("backtracks,exact_used", [(20, True), (0, False)])
+    def test_rejected_step_makes_the_next_model_gauss_newton(
+        self, monkeypatch, backtracks, exact_used
+    ):
+        # with no backtrack to try, every step counts as rejected outright
+        import repro.batch.ipm as batch_ipm
+
+        models = []
+        linearize = batch_ipm.linearize_lanes
+
+        def spy(*args, **kwargs):
+            models.append(bool(args[10].any()))  # the per-lane ``exact``
+            return linearize(*args, **kwargs)
+
+        monkeypatch.setattr(batch_ipm, "linearize_lanes", spy)
+        bench = build_benchmark("MicroSat")
+        solver = bench.make_solver(
+            bench.transcribe(horizon=4), max_backtracks=backtracks,
+            max_iterations=8,
+        )  # fmt: skip
+        res = solver.solve(bench.x0, ref=bench.ref)
+        assert len(models) >= 3 and min(res.residual_history[:-1]) < 1.0
+        assert any(models) == exact_used

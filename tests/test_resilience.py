@@ -310,6 +310,24 @@ class TestPolish:
         assert np.allclose(pol["x"], ipm.x, atol=1e-5)
         assert np.all(pol["lam"] >= 0.0)
 
+    def test_dual_infeasible_candidate_never_wins(self):
+        """From the converged IPM iterate of Quadrotor N=16's first
+        subproblem, the absolute 1e-6 guess pins rows the optimum leaves
+        free.  That candidate solves its equalities to roundoff (residual
+        3.6e-15) at objective -17.52 against the optimum's -17.69, with
+        negative multipliers on the pinned rows; it must lose to the
+        repaired candidate, and is never called converged."""
+        from tests.test_batch_qp import first_subproblem
+
+        H, g, G, b, J, d, bw = first_subproblem("Quadrotor", 16)
+        ipm = solve_qp(H, g, G, b, J, d, QPOptions(max_iterations=200), bandwidth=bw)
+        assert ipm.converged
+        pol = _polish_qp(H, g, G, b, J, d, ipm.x, ipm.lam, 1e-9, 1e-8)
+        objective = lambda x: 0.5 * x @ H @ x + g @ x  # noqa: E731
+        assert pol is not None and pol["converged"] and pol["r_sign"] == 0.0
+        assert abs(objective(pol["x"]) - objective(ipm.x)) <= 1e-6
+        assert np.all(pol["lam"] >= 0.0)
+
     def test_polished_stall_does_not_need_fallback(self):
         """``needs_fallback`` is stall-or-divergence *minus* a successful
         polish: a repaired solve must not trigger the rescue ladder."""

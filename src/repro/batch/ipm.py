@@ -147,23 +147,20 @@ class LaneLayout:
     QP subproblem, so linearized infeasibility at a pinned initial state
     cannot blow up the duals), the diagonal variable preconditioner
     ``scale`` (the QP is solved in ``z / scale`` coordinates so damping and
-    regularization act uniformly), and the stage-interleaved permutation
-    ``qperm`` of the QP variables with its band hint — stage order ``[x_0,
-    u_0, x_1, u_1, ..]``, each softened row's slack right after its stage
-    group.  The extended condensed ``Phi`` then stays block-diagonal per
-    stage, but each block is the group ``[x_k, u_k, slacks_k]``, so its band
-    is the widest group's, not ``nx + nu - 1`` (MicroSat: 20 against 11),
-    and the hint is widened to it.  ``banded=False``
-    or ``move_block > 1`` (:meth:`TranscribedProblem.stage_permutation`)
-    leaves both ``None``: the dense path.  The ``*_dev`` twins of the host
-    arrays live on ``xp``.
+    regularization act uniformly), and the block-interleaved permutation
+    ``qperm`` of the QP variables with its band hint
+    (:meth:`TranscribedProblem.stage_permutation` /
+    :meth:`~TranscribedProblem.kkt_half_bandwidth` over the soft rows):
+    stage order ``[x_0, u_0, x_1, u_1, ..]``, or block order with move
+    blocking, each softened row's slack right after its group.  The
+    extended condensed ``Phi`` then stays block-diagonal per group, but
+    each block is ``[x_k, u_k, slacks_k]``, so the hint is widened to the
+    widest group's band (MicroSat: 20 against ``nx + nu - 1 = 11``).  The
+    ``*_dev`` twins of the host arrays live on ``xp``.
     """
 
     def __init__(
-        self,
-        problem: TranscribedProblem,
-        banded: bool,
-        xp: ArrayBackend = HOST,
+        self, problem: TranscribedProblem, xp: ArrayBackend = HOST
     ) -> None:
         p = problem
         self.soft = (
@@ -174,12 +171,8 @@ class LaneLayout:
         self.hard = ~self.soft
         self.n_soft = int(self.soft.sum())
         self.scale = p.variable_scales()
-        self.qperm = p.stage_permutation() if banded else None
-        self.bandwidth = None
-        if self.qperm is not None:
-            self.bandwidth = p.kkt_half_bandwidth()
-            if self.n_soft:
-                self._interleave_slacks(p)
+        self.qperm = p.stage_permutation(self.soft)
+        self.bandwidth = p.kkt_half_bandwidth(self.soft)
 
         self.soft_dev = xp.asarray(self.soft, dtype="bool")
         self.hard_dev = xp.asarray(self.hard, dtype="bool")
@@ -188,29 +181,7 @@ class LaneLayout:
             self.scale_dev[None, None, :] * self.scale_dev[None, :, None]
         )
         self.diag = xp.arange(p.nz)
-        self.qperm_dev = (
-            None if self.qperm is None else xp.asarray(self.qperm, dtype="int")
-        )
-
-    def _interleave_slacks(self, p: TranscribedProblem) -> None:
-        # Stage of each slack, in slack (= soft-row) order.
-        slack_stages = p.inequality_row_stages()[self.soft]
-        nx, nu, N, nz = p.nx, p.nu, p.N, p.nz
-        base = (N + 1) * nx
-        order: List[int] = []
-        max_group = 0
-        for k in range(N + 1):
-            start = len(order)
-            order.extend(range(k * nx, (k + 1) * nx))
-            if k < N:
-                order.extend(range(base + k * nu, base + (k + 1) * nu))
-            order.extend(
-                nz + int(i) for i in HOST.flatnonzero(slack_stages == k)
-            )
-            max_group = max(max_group, len(order) - start)
-        self.qperm = HOST.asarray(order, dtype="int")
-        assert tuple(self.qperm.shape) == (nz + self.n_soft,)
-        self.bandwidth = max(self.bandwidth, max_group - 1)
+        self.qperm_dev = xp.asarray(self.qperm, dtype="int")
 
 
 def _kkt_lanes(xp: ArrayBackend, grad, G, g_eq, J, h, nu, lam):
@@ -333,10 +304,9 @@ def subproblem_lanes(xp, opt, layout, Hs, grad_s, Gs, Js, g_eq, h):
         s.t. G d = -g_eq; J_hard d <= -h_hard;
              J_soft d - t <= -h_soft; t >= 0
 
-    and applies the stage-interleaved variable permutation when the
-    banded path is active.  Backend arrays in and out; returns the ``(H,
-    g, G, b, J, d)`` stacks a QP step takes (``J``/``d`` ``None`` without
-    inequality rows).  Scatter back with ``x[:, layout.qperm] = x_qp``.
+    and applies the stage-interleaved variable permutation.  Backend
+    arrays in and out; returns the ``(H, g, G, b, J, d)`` stacks a QP step
+    takes (``J``/``d`` ``None`` without inequality rows).  Scatter back with ``x[:, layout.qperm] = x_qp``.
     """
     k, nz = int(grad_s.shape[0]), int(grad_s.shape[1])
     m, n_soft = int(h.shape[1]), layout.n_soft
@@ -365,12 +335,11 @@ def subproblem_lanes(xp, opt, layout, Hs, grad_s, Gs, Js, g_eq, h):
         J[:, rows, nz:] = -xp.eye(n_soft)
         d[:, rows] = -h[:, soft_dev]
         J[:, n_hard + n_soft :, nz:] = -xp.eye(n_soft)
+    # Stage-interleave the variables (slacks next to their stage group)
+    # so the condensed system is banded.
     qp_dev = layout.qperm_dev
-    if qp_dev is not None:
-        # Stage-interleave the variables (slacks next to their stage group)
-        # so the condensed system is banded.
-        H, g, G = H[:, qp_dev][:, :, qp_dev], g[:, qp_dev], G[:, :, qp_dev]
-        J = None if J is None else J[:, :, qp_dev]
+    H, g, G = H[:, qp_dev][:, :, qp_dev], g[:, qp_dev], G[:, :, qp_dev]
+    J = None if J is None else J[:, :, qp_dev]
     return (H, g, G, -g_eq, J, d)
 
 
@@ -745,12 +714,10 @@ def solve_lanes(
         # Scatter the stage-interleaved solution back to the original
         # variable order (multipliers are unaffected by it) and the
         # extended rows back to the problem's.
-        X_qp = qp_x = HOST.asarray(qp.x)
         NU_QP = HOST.asarray(qp.nu)
         LAM_QP = qp_lam = HOST.asarray(qp.lam)
-        if layout.qperm is not None:
-            X_qp = HOST.empty(tuple(qp_x.shape))
-            X_qp[:, layout.qperm] = qp_x
+        X_qp = HOST.empty(tuple(qp.x.shape))
+        X_qp[:, layout.qperm] = HOST.asarray(qp.x)
         D = X_qp[:, :nz] * scale
         if n_soft:
             n_hard = m - n_soft
@@ -1037,7 +1004,7 @@ class BatchSolver:
         #: batched twin of ``InteriorPointSolver.fault_hook``: IPM and ADMM
         #: lanes consult them (host backends for the IPM).
         self.fault_hooks: Optional[Sequence[Optional[object]]] = None
-        self.layout = LaneLayout(problem, self.options.banded, self.xp)
+        self.layout = LaneLayout(problem, self.xp)
         self.lin = BatchLinearizer(problem, backend=self.xp)
         #: cumulative statistics with the scalar solver's keys, so fleet
         #: telemetry absorbs a batch solver like any other

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.errors import TranscriptionError, VectorizationError
+from repro.errors import VectorizationError
 from repro.linearize import GROUP_INFO, STATE_ROWS, normalize_ref
 from repro.mpc.transcription import TranscribedProblem
 from repro.symbolic.compile import _INFIX, CompiledFunction
@@ -126,16 +126,11 @@ class BatchLinearizer:
     All methods accept stacked arguments with a leading batch axis
     (``Z: (B, nz)``, ``x_init: (B, nx)``) and return the batched stack of
     what the scalar method returns per lane, in the same row order, as
-    arrays of the selected backend.  Requires ``move_block == 1`` (the
-    serve path always transcribes with per-step inputs).
+    arrays of the selected backend.  Blocked stages (``move_block > 1``)
+    share their knot's columns through the assembler's scatter.
     """
 
     def __init__(self, problem: TranscribedProblem, backend=None) -> None:
-        if problem.move_block != 1:
-            raise TranscriptionError(
-                "BatchLinearizer requires move_block == 1, got "
-                f"{problem.move_block}"
-            )
         self.problem = problem
         self.xp = get_backend(backend)
         self.N = problem.N
@@ -211,7 +206,7 @@ class BatchLinearizer:
         p = self.problem
         u0_h = [float(v) for v in p.model.trim_inputs()]
         u0 = xp.asarray(u0_h)
-        us = xp.tile(u0, (lanes, self.N, 1))
+        us = xp.tile(u0, (lanes, p.n_input_knots, 1))
         if not p.model.rollout_guess:
             xs = xp.repeat(X0[:, None, :], self.N + 1, axis=1)
         else:

@@ -7,7 +7,7 @@ one call, and compiles it with one direct C compiler call into a plain
 shared object (loaded through ctypes) cached in a content-addressed
 store.  Codegen means that one tier: the scalar host lane of a problem
 runs on the C kernel or on the interpreted per-knot provider, decided
-once at the problem (compiler present, ``move_block``, size).  A tier is
+once at the problem (compiler present, size).  A tier is
 a group provider of the shared assembler (:mod:`repro.linearize`).  See
 DESIGN.md ("Fused kernel codegen") for the architecture.
 """

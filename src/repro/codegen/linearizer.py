@@ -24,13 +24,13 @@ Four fused functions cover the linearization surface (their groups are
     be pure waste.
 
 The tier rule (:meth:`FusedProblemKernels._declined`) reads what the
-problem can observe: a C compiler on ``PATH``, ``move_block == 1``, and —
-under ``auto`` (the default) — the horizon-scaled DAG size against the
-single cutoff ``_AUTO_C_SCORE``, below which the interpreted per-stage
-loop beats a kernel call plus its one-time compile.  ``on`` skips the size
-test, ``off`` disables codegen.  The mode has three sources and no others:
-the ``REPRO_CODEGEN`` environment variable (the process-wide operator
-switch; pool workers and process shards inherit it),
+problem can observe: a C compiler on ``PATH`` and — under ``auto`` (the
+default) — the horizon-scaled DAG size against the single cutoff
+``_AUTO_C_SCORE``, below which the interpreted per-stage loop beats a
+kernel call plus its one-time compile.  ``on`` skips the size test,
+``off`` disables codegen.  The mode has three sources and no others: the
+``REPRO_CODEGEN`` environment variable (the process-wide operator switch;
+pool workers and process shards inherit it),
 ``problem.set_codegen(mode)``, and ``FusedProblemKernels(problem, mode)``.
 Who binds is the rule's other input and is decided in
 :meth:`TranscribedProblem.bind_lanes`: only the scalar host lane consults
@@ -122,8 +122,6 @@ class FusedProblemKernels:
         p = self.problem
         if self.mode == "off":
             return "codegen off"
-        if p.move_block != 1:
-            return "move_block > 1"
         if self.mode == "auto":
             # size cutoff keeps tiny problems on the per-stage loop
             score = _problem_score(p)

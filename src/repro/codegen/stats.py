@@ -26,7 +26,7 @@ class CodegenStats:
 
     kernel: str = "interpreted"
     #: why the fused path is not in use ("" when it is); e.g.
-    #: "auto: below size cutoff", "move_block > 1", or a build error
+    #: "auto: below size cutoff", "no C compiler", or a build error
     fallback_reason: str = ""
     #: wall seconds spent walking the DAGs into the fused IR and hashing
     #: it (paid on every build: the artifact key is computed from the IR)

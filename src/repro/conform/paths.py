@@ -289,10 +289,7 @@ def _run_dense_kkt(ctx: CaseContext) -> PathOutput:
 
 
 def _run_banded_kkt(ctx: CaseContext) -> PathOutput:
-    bw = ctx.qp_args[-1]
-    out = _run_kkt(ctx, bw)
-    out.note = "" if bw is not None else "no bandwidth hint; ran dense"
-    return out
+    return _run_kkt(ctx, ctx.qp_args[-1])
 
 
 def _make_batch_qp(backend: str, gate: float):

@@ -3,7 +3,10 @@
 For each case, each requested family runs its baseline oracle first; a
 baseline that fails to converge marks the case *infeasible* for that family
 (the generator occasionally lands on a cold-start QP the dense IPM itself
-cannot crack — that is a property of the instance, not a disagreement).
+cannot crack — that is a property of the instance, not a disagreement),
+unless the family has an independent method that converges there: a ``qp``
+baseline that fails where ``reference_qp`` converges is the oracle's
+fault, and the case fails.
 Every other path is then compared to the baseline through the tolerance
 ledger; a comparison path that fails to converge while the baseline
 converged is an automatic failure (error = inf).
@@ -244,15 +247,21 @@ def run_case(
                 message=f"baseline {baseline_name} raised: {exc}",
             )
         if not base.converged:
+            faulted = (
+                family == "qp"
+                and get_path("reference_qp").run(ctx).converged
+            )
             comparisons.append(
                 PathComparison(
                     path=baseline_name,
                     family=family,
-                    error=float("nan"),
+                    error=float("inf" if faulted else "nan"),
                     tolerance=float("nan"),
                     converged=False,
-                    ok=True,
-                    note="baseline did not converge; family skipped",
+                    ok=not faulted,
+                    note="baseline did not converge while reference_qp did"
+                    if faulted
+                    else "baseline did not converge; family skipped",
                 )
             )
             continue

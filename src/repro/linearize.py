@@ -9,12 +9,14 @@ returns ``{group: stack}`` — ``(B, K, width)`` for the running family
 ``provider(lanes, pt, name)`` that returns at least group ``name``; three
 tiers sit behind that call: *interpreted*
 (:meth:`TranscribedProblem._interpreted_groups`, per-knot Python floats —
-the conform oracle, the ``move_block > 1`` path and the batch's
-cannot-vectorize fallback), *vectorized*
+the conform oracle and the batch's cannot-vectorize fallback), *vectorized*
 (:mod:`repro.batch.transcription`, one ufunc sweep per group — what a
 batch binds) and *fused* (:func:`fused_provider` over the compiled C
 kernel of :mod:`repro.codegen`, which evaluates a whole stage family per
-call — what the scalar host lane binds when the kernel was built).
+call — what the scalar host lane binds when the kernel was built).  Every
+provider evaluates per step: with move blocking (``move_block > 1``) it
+reads each stage's knot through the assembler's per-step view, so the
+kernels and their artifact keys do not depend on the blocking.
 
 **The assembler** — :class:`LaneLinearizer`'s seven methods — places those
 stacks into the solver's vectors and matrices by index maps built once from

@@ -119,10 +119,6 @@ class IPMOptions:
     soft_penalty: float = 1e4
     #: small quadratic slack regularization keeping the extended QP strictly convex
     soft_quadratic: float = 1e-2
-    #: route QP factorizations through the stage-permuted banded kernels
-    #: whenever the transcription provides the structure (``move_block == 1``);
-    #: set ``False`` to force the dense path (reference / benchmarks)
-    banded: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -197,9 +193,9 @@ class _ProblemLanes:
     """A problem's own evaluation methods behind a lane axis — the
     linearizer :class:`InteriorPointSolver` hands the lane driver.  Each
     lane is one call of the public :class:`TranscribedProblem` method, so
-    what those do for a single solve holds per lane: ``move_block > 1``,
-    the run-time drop from a failing fused kernel to the interpreted
-    provider, and bits that do not depend on the batch-mates."""
+    what those do for a single solve holds per lane: the run-time drop
+    from a failing fused kernel to the interpreted provider, and bits that
+    do not depend on the batch-mates."""
 
     def __init__(self, problem: TranscribedProblem) -> None:
         self.problem = problem
@@ -237,7 +233,7 @@ class InteriorPointSolver:
         #: ``options.qp.method == "admm"``; the ADMM path validates
         #: finiteness itself, so stale state degrades to a cold start.
         self._qp_warm: Optional[dict] = None
-        self._layout = _lanes().LaneLayout(problem, self.options.banded)
+        self._layout = _lanes().LaneLayout(problem)
         self._lin = _ProblemLanes(problem)
 
     def reset_qp_warm(self) -> None:
@@ -257,8 +253,8 @@ class InteriorPointSolver:
         the ``(H, g, G, b, J, d, bandwidth)`` tuple the banded-vs-dense
         benchmark and the equivalence tests feed to
         :func:`repro.mpc.qp.solve_qp`, and the stage-interleaved
-        permutation applied (``None`` on the dense fallback) — scatter
-        the solution back with ``x[qperm] = x_solved``.
+        permutation applied — scatter the solution back with
+        ``x[qperm] = x_solved``.
 
         ``z_warm`` optionally supplies the linearization trajectory (shape
         ``(nz,)``, finite); the conformance harness uses it to probe

@@ -231,54 +231,56 @@ class TranscribedProblem:
         knot = k // self.move_block
         return slice(base + knot * self.nu, base + (knot + 1) * self.nu)
 
-    def stage_permutation(self) -> Optional[np.ndarray]:
-        """Permutation ``perm`` interleaving the decision vector by stage.
+    def _stage_keys(self, soft: Optional[np.ndarray]) -> np.ndarray:
+        """Block index of every QP variable: ``k // move_block`` for each
+        state ``x_k``, ``j`` for input knot ``j``, then (with a ``soft`` row
+        mask) the block of each softened row's stage, for its slack."""
+        B = self.move_block
+        keys = [
+            np.repeat(np.arange(self.N + 1) // B, self.nx),
+            np.repeat(np.arange(self.n_input_knots), self.nu),
+        ]
+        if soft is not None:
+            keys.append(self.inequality_row_stages()[soft] // B)
+        return np.concatenate(keys)
 
-        ``z[perm]`` reorders Eq. 5's ``[x_0 .. x_N, u_0 .. u_{N-1}]`` into the
-        stage-local ``[x_0, u_0, x_1, u_1, .., x_N]`` used by
-        structure-exploiting solvers (HPMPC, the paper's CPU baseline): every
-        KKT coupling then acts between adjacent index groups, so the condensed
-        matrix ``H + J^T W J`` is banded and the banded kernels apply.
+    def stage_permutation(
+        self, soft: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Permutation ``perm`` interleaving the decision vector by block.
 
-        Returns ``None`` when ``move_block > 1``: a shared input knot is
-        referenced by every step of its block, which couples index groups up
-        to ``move_block`` stages apart and breaks the locality the banded
-        path relies on — those problems fall back to the dense path.
+        ``z[perm]`` is a stable sort of the variables by block index
+        ``k // move_block``: each block's states ``x_k``, then its shared
+        input knot, then (given the ``soft`` inequality-row mask) the L1
+        slack of every softened row of its stages, in row order.  At
+        ``move_block == 1`` that is the stage-local ``[x_0, u_0, x_1, u_1,
+        .., x_N]`` of structure-exploiting solvers (HPMPC, the paper's CPU
+        baseline); with move blocking a knot sits beside the stages that
+        share it.  Every KKT coupling then acts within a block group or
+        between adjacent ones, so the condensed matrix ``H + J^T W J`` is
+        block-diagonal and the banded kernels apply.  The slacks of a
+        ``soft`` mask are the QP variables ``nz ..`` in mask order.
         """
-        if self.move_block > 1:
-            return None
-        nx, nu, N = self.nx, self.nu, self.N
-        base = (N + 1) * nx
-        perm = np.empty(self.nz, dtype=np.intp)
-        pos = 0
-        for k in range(N):
-            perm[pos : pos + nx] = np.arange(k * nx, (k + 1) * nx)
-            pos += nx
-            perm[pos : pos + nu] = np.arange(base + k * nu, base + (k + 1) * nu)
-            pos += nu
-        perm[pos:] = np.arange(N * nx, (N + 1) * nx)
-        return perm
+        return np.argsort(self._stage_keys(soft), kind="stable")
 
-    def kkt_half_bandwidth(self) -> Optional[int]:
+    def kkt_half_bandwidth(self, soft: Optional[np.ndarray] = None) -> int:
         """Half-bandwidth ceiling of the stage-permuted KKT system.
 
         In the :meth:`stage_permutation` ordering every Hessian/Jacobian
-        coupling spans at most one stage group ``[x_k, u_k]`` plus the next
-        state, so the half-bandwidth is bounded by ``2 nx + nu - 1`` — the
+        coupling spans at most one block group (``move_block`` states and
+        their knot) plus the next state, so the half-bandwidth is bounded
+        by ``(move_block + 1) nx + nu - 1`` — at ``move_block == 1`` the
         paper's ``b ≈ 2 nx + nu`` (§VIII-A) that the accelerator cost model
         assumes.  The condensed ``Phi = H + J^T W J`` is block-diagonal per
-        stage, but its blocks are the stage groups the SQP layer builds,
-        ``[x_k, u_k]`` *plus that stage's L1 slacks*
-        (:class:`repro.batch.ipm.LaneLayout`), so its band is
-        ``nx + nu - 1`` only without soft rows: MicroSat's reads 20 against
-        11, and the layout widens the ceiling to cover it.  The ceiling also
-        covers the block-tridiagonal Schur complement of the dynamics rows
-        (band ``2 nx - 1``).  Returns ``None`` when ``move_block > 1``
-        (no banded structure — see :meth:`stage_permutation`).
+        group, and a group also holds its stages' L1 slacks, so given the
+        ``soft`` row mask the ceiling widens to the widest group less one
+        (MicroSat's stage group: 21 variables against ``nx + nu = 12``).  It also covers the
+        block-banded Schur complement of the dynamics rows.
         """
-        if self.move_block > 1:
-            return None
-        return 2 * self.nx + self.nu - 1
+        band = (self.move_block + 1) * self.nx + self.nu - 1
+        if soft is None:
+            return band
+        return max(band, int(np.bincount(self._stage_keys(soft)).max()) - 1)
 
     def inequality_row_stages(self) -> np.ndarray:
         """Stage index ``k`` of every stacked inequality row.

@@ -23,6 +23,7 @@ from repro.batch.qp import _lane_kkt, _lane_rows, _LaneMeters
 from repro.conform.paths import _kkt_polish
 from repro.mpc.banded import bandwidth_of, block_partition
 from repro.mpc.qp import QPOptions, _LaneFaults, solve_qp
+from repro.mpc.transcription import TranscribedProblem
 from repro.robots.registry import BENCHMARK_NAMES, build_benchmark
 
 HORIZON = 16
@@ -195,7 +196,7 @@ def test_envelope_blocks_lie_inside_stage_groups(name):
         assert list(bounds[1:-1]) == _crossing_free_splits(envelope)
         assert band == bandwidth_of(envelope)
 
-        soft = LaneLayout(problem, banded=True).soft
+        soft = LaneLayout(problem).soft
         slack_stages = problem.inequality_row_stages()[soft]
         group = np.repeat(
             np.arange(horizon + 1),
@@ -410,33 +411,63 @@ class TestStageFaultHooks:
         )
 
 
-def test_move_blocking_falls_back_to_dense():
-    """move_block > 1 breaks the stage interleave; the solver must not
-    advertise (or use) a bandwidth hint."""
+def test_stage_permutation_pins_the_block_order():
+    """The order on a literal small case: MobileRobot N=3 (nx=3, nu=2;
+    ``z = [x_0..x_3 at 0..11, u_0..u_2 at 12..17]``).  Per stage at
+    ``move_block = 1``, with slacks (the QP variables 18..) after their
+    stage group; per block at 2, each knot after the states that share it."""
     bench = build_benchmark("MobileRobot")
-    problem = bench.transcribe(horizon=HORIZON)
-    problem_mb = type(problem)(
-        bench.model, bench.task, horizon=HORIZON, dt=bench.dt, move_block=2
+    problem = bench.transcribe(horizon=3)
+    assert problem.stage_permutation().tolist() == [
+        0, 1, 2, 12, 13, 3, 4, 5, 14, 15, 6, 7, 8, 16, 17, 9, 10, 11,
+    ]  # fmt: skip
+    soft = np.zeros(problem.n_ineq, dtype=bool)
+    soft[[1, 5, 9]] = True  # one input row of each of stages 0, 1, 2
+    assert problem.inequality_row_stages()[soft].tolist() == [0, 1, 2]
+    assert problem.stage_permutation(soft).tolist() == [
+        0, 1, 2, 12, 13, 18, 3, 4, 5, 14, 15, 19, 6, 7, 8, 16, 17, 20,
+        9, 10, 11,
+    ]  # fmt: skip
+    assert problem.kkt_half_bandwidth() == 2 * 3 + 2 - 1
+    blocked = TranscribedProblem(
+        bench.model, bench.task, horizon=3, dt=bench.dt, move_block=2
     )
-    assert problem_mb.stage_permutation() is None
-    assert problem_mb.kkt_half_bandwidth() is None
-    solver = bench.make_solver(problem_mb)
-    qp_args, qperm = solver.first_qp_subproblem(bench.x0, bench.ref)
-    assert qperm is None and qp_args[6] is None
+    assert blocked.stage_permutation().tolist() == [
+        0, 1, 2, 3, 4, 5, 12, 13, 6, 7, 8, 9, 10, 11, 14, 15,
+    ]  # fmt: skip
+    assert blocked.kkt_half_bandwidth() == 3 * 3 + 2 - 1
+
+
+@pytest.mark.parametrize("move_block", [2, 4])
+def test_move_blocking_takes_the_stage_step(move_block):
+    """A move-blocked problem is stage-structured too: its first
+    subproblem's hinted solve takes the stage step and matches the dense
+    ``dense_kkt`` step, and every factorization of a full solve is a
+    banded one.  Quadrotor, whose ``Phi`` has stage blocks (not diagonal)."""
+    bench = build_benchmark("Quadrotor")
+    problem = TranscribedProblem(
+        bench.model, bench.task, horizon=8, dt=bench.dt, move_block=move_block
+    )
+    solver = bench.make_solver(problem)
+    (H, g, G, b, J, d, bw), qperm = solver.first_qp_subproblem(
+        bench.x0, bench.ref
+    )
+    assert sorted(qperm) == list(range(H.shape[0]))
+    assert bandwidth_of(np.abs(H) + np.abs(J).T @ np.abs(J)) <= bw
+    opt = replace(solver.options.qp, polish=False, max_iterations=200)
+    banded = solve_qp(H, g, G, b, J, d, opt, bandwidth=bw)
+    dense = solve_qp(H, g, G, b, J, d, opt)
+    assert banded.converged and dense.converged
+    assert banded.stats.mode == "banded"
+    reg = opt.regularization
+    x_b, _ = _kkt_polish(H, g, G, b, J, d, banded, bw, reg)
+    x_d, _ = _kkt_polish(H, g, G, b, J, d, dense, None, reg)
+    assert np.max(np.abs(x_b - x_d)) <= 1e-8 * (1.0 + np.max(np.abs(x_d)))
+
     res = solver.solve(bench.x0, bench.ref)
-    assert np.all(np.isfinite(res.z))
-    assert solver.stats["banded_factorizations"] == 0
-
-
-def test_banded_option_false_forces_dense_path():
-    bench = build_benchmark("MobileRobot")
-    problem = bench.transcribe(horizon=HORIZON)
-    solver = bench.make_solver(problem, banded=False)
-    qp_args, qperm = solver.first_qp_subproblem(bench.x0, bench.ref)
-    assert qperm is None and qp_args[6] is None
-    solver.solve(bench.x0, bench.ref)
-    assert solver.stats["factorizations"] > 0
-    assert solver.stats["banded_factorizations"] == 0
+    assert res.converged
+    stats = solver.stats
+    assert stats["banded_factorizations"] == stats["factorizations"] > 0
 
 
 def test_solver_routes_through_banded_kernels():
@@ -453,16 +484,25 @@ def test_solver_routes_through_banded_kernels():
 
 
 def test_banded_and_dense_solvers_agree_end_to_end():
-    """Full SQP solves with and without the banded path reach the same
+    """Full SQP solves through the stage step and through the dense
+    oracle step (the solver's QP step handed no band hint) reach the same
     trajectory (control-grade tolerance; the QP sequences are identical up
-    to factorization roundoff)."""
+    to factorization roundoff), with and without move blocking."""
     bench = build_benchmark("MobileRobot")
-    problem = bench.transcribe(horizon=HORIZON)
-    res_b = bench.make_solver(problem).solve(bench.x0, bench.ref)
-    res_d = bench.make_solver(problem, banded=False).solve(bench.x0, bench.ref)
-    assert res_b.converged and res_d.converged
-    scale = 1.0 + np.max(np.abs(res_d.z))
-    assert np.max(np.abs(res_b.z - res_d.z)) <= 1e-4 * scale
+    for move_block in (1, 2):
+        problem = TranscribedProblem(
+            bench.model, bench.task, horizon=HORIZON, dt=bench.dt,
+            move_block=move_block,
+        )  # fmt: skip
+        res_b = bench.make_solver(problem).solve(bench.x0, bench.ref)
+        dense = bench.make_solver(problem)
+        step = dense._qp_step
+        dense._qp_step = lambda args, _bw, *rest: step(args, None, *rest)
+        res_d = dense.solve(bench.x0, bench.ref)
+        assert res_b.converged and res_d.converged
+        assert dense.stats["banded_factorizations"] == 0
+        scale = 1.0 + np.max(np.abs(res_d.z))
+        assert np.max(np.abs(res_b.z - res_d.z)) <= 1e-4 * scale
 
 
 class TestDivergenceGuard:

@@ -7,6 +7,7 @@ import pytest
 from repro.batch import BatchSolver
 from repro.errors import SolverError, StateValidationError
 from repro.mpc.budget import SolveBudget
+from repro.mpc.transcription import TranscribedProblem
 from repro.robots import build_benchmark
 
 
@@ -28,23 +29,33 @@ def lane_states(bench, problem, B, seed=0, noise=0.03):
     )
 
 
+def assert_lanes_match_scalar(bench, problem, scalar, B=4):
+    batch = BatchSolver(problem, scalar.options)
+    X0 = lane_states(bench, problem, B)
+    results, report = batch.solve(X0, refs=[bench.ref] * B)
+    assert report.lanes == B
+    for i in range(B):
+        ref = scalar.solve(X0[i], ref=bench.ref)
+        got = results[i]
+        assert got.status == ref.status
+        assert got.iterations == ref.iterations
+        assert np.allclose(got.z, ref.z, atol=1e-7)
+        assert got.kkt_residual == pytest.approx(
+            ref.kkt_residual, rel=1e-3, abs=1e-9
+        )
+
+
 class TestAgainstScalar:
     def test_lanes_match_scalar_solver(self, mobile):
-        bench, problem, scalar = mobile
-        batch = BatchSolver(problem, scalar.options)
-        B = 4
-        X0 = lane_states(bench, problem, B)
-        results, report = batch.solve(X0, refs=[bench.ref] * B)
-        assert report.lanes == B
-        for i in range(B):
-            ref = scalar.solve(X0[i], ref=bench.ref)
-            got = results[i]
-            assert got.status == ref.status
-            assert got.iterations == ref.iterations
-            assert np.allclose(got.z, ref.z, atol=1e-7)
-            assert got.kkt_residual == pytest.approx(
-                ref.kkt_residual, rel=1e-3, abs=1e-9
-            )
+        assert_lanes_match_scalar(*mobile)
+
+    def test_move_blocked_lanes_match_scalar_solver(self, mobile):
+        bench, problem, _ = mobile
+        blocked = TranscribedProblem(
+            bench.model, bench.task, horizon=problem.N, dt=bench.dt,
+            move_block=2,
+        )  # fmt: skip
+        assert_lanes_match_scalar(bench, blocked, bench.make_solver(blocked))
 
     def test_stats_accumulate_scalar_keys(self, mobile):
         bench, problem, scalar = mobile

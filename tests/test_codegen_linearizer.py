@@ -87,16 +87,28 @@ class TestTierSelection:
         assert k.stats.kernel == "fused-c"
         assert k.stats.emit_time > 0.0
 
-    def test_move_block_falls_back(self):
+    @needs_c
+    def test_move_block_builds_the_same_kernel(self, tmp_path, monkeypatch):
+        """Blocked stages are evaluated per step like unblocked ones, so a
+        ``move_block > 1`` problem builds the C kernel under the same
+        artifact key: a store hit, no compiler run."""
         from repro.mpc import TranscribedProblem
 
         bench = build_benchmark("MobileRobot")
+        store = ArtifactStore(tmp_path)
+        plain = FusedProblemKernels(bench.transcribe(horizon=6), "on", store=store)
+
+        def no_compiler(*a, **k):
+            raise AssertionError("the compiler ran on a store hit")
+
+        monkeypatch.setattr("repro.codegen.cbackend._compile", no_compiler)
         problem = TranscribedProblem(
             bench.model, bench.task, horizon=6, dt=bench.dt, move_block=2
         )
-        k = FusedProblemKernels(problem, "on")
-        assert not k.active
-        assert k.stats.fallback_reason == "move_block > 1"
+        k = FusedProblemKernels(problem, "on", store=store)
+        assert k.active and k.stats.kernel == "fused-c"
+        assert k.key == plain.key
+        assert k.stats.store_hit
 
     def test_c_mode_degrades_without_compiler(self, mobile, monkeypatch):
         _, problem = mobile

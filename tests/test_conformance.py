@@ -485,6 +485,36 @@ class TestMutationCheck:
         monkeypatch.undo()
         assert replay_file(repro, ledger=LEDGER).status == "pass"
 
+    def test_a_stalled_oracle_fails_the_family(self, monkeypatch):
+        # ROADMAP 4(c): the qp oracle may decline a case only where the
+        # independent reference_qp declines it too.  The mutation shrinks
+        # every dense step a thousandfold, so dense_kkt runs out of
+        # iterations on every case without raising; reference_qp and the
+        # stage step never call it.
+        from repro.batch import qp as batch_qp
+
+        healthy = batch_qp._DenseLaneKKT.solve
+
+        def stalled(self, rhs1, re):
+            dx, dnu = healthy(self, rhs1, re)
+            return 1e-3 * dx, None if dnu is None else 1e-3 * dnu
+
+        monkeypatch.setattr(batch_qp._DenseLaneKKT, "solve", stalled)
+        sweep = dict(
+            n_cases=2,
+            seed=0,
+            robots=["MobileRobot"],
+            paths=["dense_kkt", "banded_kkt"],
+            ledger=LEDGER,
+            shrink=False,
+        )
+        report = run_conformance(**sweep)
+        assert report.n_fail == 2 and report.n_infeasible == 0
+        for outcome in report.outcomes:
+            assert outcome.failing_paths == ["dense_kkt"]
+        monkeypatch.undo()
+        assert run_conformance(**sweep).n_pass == 2
+
 
 # ------------------------------------------------------------ full sweep ---
 

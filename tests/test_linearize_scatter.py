@@ -98,22 +98,25 @@ SCALAR = {
     "interpreted": "off",
     "fused-c": "on",
     "interpreted-blocked": "off",
+    "fused-c-blocked": "on",
 }
 BATCH = {
     "batch-vectorized": None,
     "batch-interpreted": NoUfuncBackend,
+    "batch-vectorized-blocked": None,
 }
 needs_c = pytest.mark.skipif(not c_available(), reason="no C compiler here")
 PROVIDERS = [
-    pytest.param(p, marks=needs_c) if p == "fused-c" else p
+    pytest.param(p, marks=needs_c) if p.startswith("fused-c") else p
     for p in (*SCALAR, *BATCH)
 ]
 
 
 def evaluator(provider):
     """``(problem, evaluate)``; ``evaluate(name, Z, X0, R)`` returns the lane
-    stack of one output through ``provider``."""
-    problem = build(move_block=2 if provider == "interpreted-blocked" else 1)
+    stack of one output through ``provider`` (``-blocked``: at
+    ``move_block = 2``, so two stages share each input knot)."""
+    problem = build(move_block=2 if provider.endswith("-blocked") else 1)
     if provider in SCALAR:
         problem.set_codegen(SCALAR[provider])
 
@@ -230,21 +233,21 @@ def _all_outputs(provider, Z, X0, R):
 def test_providers_agree():
     """Same libm, same bits: interpreted == C, and a batch bound to the
     interpreted provider == the scalar lane; across the two libm families
-    (per-knot ``math`` vs array ufuncs) to round-off."""
-    Z, X0, R = lanes_for(build(), 3, seed=5)
-    out = {
-        p: _all_outputs(p, Z, X0, R)
-        for p in (*SCALAR, *BATCH)
-        if p != "interpreted-blocked" and (p != "fused-c" or c_available())
-    }
-    same = [("interpreted", "batch-interpreted")]
-    if "fused-c" in out:
-        same.append(("interpreted", "fused-c"))
-    for a, b in same:
-        for name, want, got in zip(NAMES, out[a], out[b]):
-            assert np.array_equal(want, got), (a, b, name)
-    for want, got in zip(out["interpreted"], out["batch-vectorized"]):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+    (per-knot ``math`` vs array ufuncs) to round-off — with and without
+    move blocking."""
+    for suffix, move_block in (("", 1), ("-blocked", 2)):
+        Z, X0, R = lanes_for(build(move_block), 3, seed=5)
+        out = {
+            p[: len(p) - len(suffix)]: _all_outputs(p, Z, X0, R)
+            for p in (*SCALAR, *BATCH)
+            if p.endswith("-blocked") == bool(suffix)
+            and (not p.startswith("fused-c") or c_available())
+        }
+        for b in ("batch-interpreted", "fused-c"):
+            for name, want, got in zip(NAMES, out["interpreted"], out.get(b, ())):
+                assert np.array_equal(want, got), (suffix, b, name)
+        for want, got in zip(out["interpreted"], out["batch-vectorized"]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("provider", list(BATCH))

@@ -50,25 +50,6 @@ def test_kkt_solve(benchmark):
     assert np.allclose(A @ x, b, atol=1e-7)
 
 
-def test_banded_cholesky_asymptotics(benchmark):
-    """The sparsity-exploiting factorization the cost model assumes:
-    O(n band^2) instead of O(n^3)."""
-    from repro.mpc.banded import banded_cholesky, to_banded
-
-    n, band = 256, 8
-    rng = make_rng(9)
-    A = np.zeros((n, n))
-    for d in range(1, band + 1):
-        vals = rng.uniform(-1.0, 1.0, size=n - d)
-        idx = np.arange(n - d)
-        A[idx + d, idx] = vals
-        A[idx, idx + d] = vals
-    A += (2.0 * band + 2.0) * np.eye(n)
-    Ab = to_banded(A, band)
-    L = benchmark(banded_cholesky, Ab)
-    assert L.shape == (band + 1, n)
-
-
 def test_qp_subproblem(benchmark):
     """One Mehrotra IPM solve of a box-constrained QP (SQP inner loop)."""
     n = 60

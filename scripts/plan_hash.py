@@ -20,8 +20,9 @@ factored by its coupling components (the stage step's ``Phi`` factor), the
 same check for a change to ``repro.batch.linalg`` that must leave those
 factors alone.  That
 factor is the only blocked Cholesky: the QP step of ``loop-scalar`` is the
-one QP loop at one lane (``repro.mpc.qp.solve_qp``), which factors through
-it, so its digest covers a change there too.
+one QP loop at one lane (``repro.batch.qp.solve_qp_batch``, called by the
+SQP driver ``repro.batch.ipm.solve_lanes``), which factors through it, so
+its digest covers a change there too.
 
 ``--against OTHER`` re-runs this script in a subprocess with ``--root
 OTHER`` and the same workload and seeds, prints both sets of lines, and

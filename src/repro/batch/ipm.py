@@ -12,17 +12,15 @@ history, Hessian model and budget clock; lanes freeze individually on
 convergence, divergence, or budget exhaustion (continuous-batching
 semantics), and frozen lanes are excluded from all later work.
 
-The two public solvers differ in what they hand the loop, not in the loop:
-:class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1`` host lane (the
-problem's own evaluation methods behind a lane axis, and
-:func:`repro.mpc.qp.solve_qp` lane by lane as the **QP step**);
+Both public solvers take one QP step, :func:`~repro.batch.qp.solve_qp_batch`
+(one factorization sweep per interior-point iteration for all active
+lanes), for every interior-point subproblem and every ADMM->IPM rescue of
+``qp_method == "admm"`` (whose subproblems run :func:`repro.firstorder.
+batch.solve_qp_admm_batch`).  They differ only in the linearizer they hand
+the loop: :class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1``
+host lane (the problem's own evaluation methods behind a lane axis);
 :class:`BatchSolver` binds a :class:`~repro.batch.transcription.
-BatchLinearizer` (one vectorized sweep instead of ``B`` Python loops) and
-:func:`~repro.batch.qp.solve_qp_batch` (one factorization sweep per
-interior-point iteration for all active lanes).  Both QP steps run the
-one Mehrotra loop: ``solve_qp`` is ``solve_qp_batch`` at one lane.  Under either,
-``qp_method == "admm"`` runs :func:`repro.firstorder.batch.
-solve_qp_admm_batch`, whose ADMM->IPM rescues go through the QP step.
+BatchLinearizer` (one vectorized sweep instead of ``B`` Python loops).
 
 Array ops route through the :mod:`repro.batch.backend` seam.  The
 host-sync contract on a device backend: the heavy tensors (Hessians,
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SolverError, StateValidationError
 from repro.mpc.budget import SolveBudget
@@ -305,8 +303,10 @@ def subproblem_lanes(xp, opt, layout, Hs, grad_s, Gs, Js, g_eq, h):
              J_soft d - t <= -h_soft; t >= 0
 
     and applies the stage-interleaved variable permutation.  Backend
-    arrays in and out; returns the ``(H, g, G, b, J, d)`` stacks a QP step
-    takes (``J``/``d`` ``None`` without inequality rows).  Scatter back with ``x[:, layout.qperm] = x_qp``.
+    arrays in and out; returns the ``(H, g, G, b, J, d)`` stacks
+    :func:`~repro.batch.qp.solve_qp_batch` takes (``J``/``d`` ``None``
+    without inequality rows).  Scatter back with
+    ``x[:, layout.qperm] = x_qp``.
     """
     k, nz = int(grad_s.shape[0]), int(grad_s.shape[1])
     m, n_soft = int(h.shape[1]), layout.n_soft
@@ -368,7 +368,6 @@ def solve_lanes(
     opt: IPMOptions,
     lin,
     layout: LaneLayout,
-    qp_step: Callable,
     stats: Dict[str, object],
     x_init,
     R=None,
@@ -385,15 +384,6 @@ def solve_lanes(
         lin: the linearizer — the seven lane-axis evaluation methods of
             :class:`repro.linearize.LaneLinearizer` plus ``initial_guess``
             and ``codegen_stats``.
-        qp_step: the interior-point QP step, ``qp_step(args, bandwidth,
-            deadline, caps, hooks, warm)`` over :func:`subproblem_lanes`'
-            stacks with per-lane iteration ``caps``, fault ``hooks`` and
-            the lanes' carried starts ``warm`` (``solve_qp_batch``'s rows,
-            or ``None`` when no lane has one), returning
-            a :class:`~repro.batch.qp.BatchQPResult` (an unsolvable lane is
-            status ``"failed"``, never an exception: one lane must not
-            abort the batch).  It solves every ``qp_method == "ipm"``
-            subproblem and every ADMM rescue.
         stats: the caller's :func:`new_stats` record, accumulated into.
         x_init / R: measured states ``(B, nx)`` and the normalized
             reference stack ``(B, N+1, nref)`` (or ``None``), host arrays
@@ -638,9 +628,9 @@ def solve_lanes(
             # ---- method-health fallback ladder (lane-scatter rescue) --
             # Lanes whose first-order run ended stalled, diverged, or
             # failed (and that the rescue polish could not repair) are
-            # gathered, re-solved through the caller's interior-point QP
-            # step and scattered back before the post-QP ladder
-            # classifies them.  Deadline-stopped lanes are left alone
+            # gathered, re-solved by the interior-point QP step
+            # (``solve_qp_batch``) and scattered back before the post-QP
+            # ladder classifies them.  Deadline-stopped lanes are left alone
             # (rescue work past a deadline breaks the budget contract); a
             # lane whose stalled run ate its whole QP iteration budget is
             # *starved*: no rescue, its stalled direction discarded below.
@@ -667,17 +657,20 @@ def solve_lanes(
                 r_dev = xp.asarray(
                     HOST.asarray(resc, dtype="int"), dtype="int"
                 )
-                rqp = qp_step(
-                    tuple(None if a is None else a[r_dev] for a in qp_args),
-                    layout.bandwidth,
-                    deadline,
-                    qp_budget(
+                rqp = solve_qp_batch(
+                    *(None if a is None else a[r_dev] for a in qp_args),
+                    opt.qp,
+                    bandwidth=layout.bandwidth,
+                    deadline=deadline,
+                    iteration_caps=qp_budget(
                         [ids[k_l] for k_l in resc],
                         opt.qp.max_iterations,
                         [qp.iterations[k_l] for k_l in resc],
                     ),
-                    None if hooks is None else [hooks[k_l] for k_l in resc],
-                    None,
+                    backend=xp,
+                    fault_hooks=None
+                    if hooks is None
+                    else [hooks[k_l] for k_l in resc],
                 )
                 report.qp_lane_iterations += rqp.batch.lane_iterations
                 report.qp_lane_slots += rqp.batch.lane_slots
@@ -702,13 +695,15 @@ def solve_lanes(
             warm = _stack_carry(carry, ids, qp_args)
             if warm is not None:
                 stats["qp_warm_starts"] += int(warm["carried"].sum())
-            qp = qp_step(
-                qp_args,
-                layout.bandwidth,
-                deadline,
-                qp_budget(ids, opt.qp.max_iterations),
-                hooks,
-                warm,
+            qp = solve_qp_batch(
+                *qp_args,
+                opt.qp,
+                bandwidth=layout.bandwidth,
+                deadline=deadline,
+                iteration_caps=qp_budget(ids, opt.qp.max_iterations),
+                backend=xp,
+                warm=warm,
+                fault_hooks=hooks,
             )
 
         # Scatter the stage-interleaved solution back to the original
@@ -1038,19 +1033,6 @@ class BatchSolver:
 
     # -- the batched solve -------------------------------------------------
 
-    def _qp_step(self, args, bandwidth, deadline, caps, hooks, warm):
-        """The batched QP step: one lockstep Mehrotra loop for the lanes."""
-        return solve_qp_batch(
-            *args,
-            self.options.qp,
-            bandwidth=bandwidth,
-            deadline=deadline,
-            iteration_caps=caps,
-            backend=self.xp,
-            warm=warm,
-            fault_hooks=hooks,
-        )
-
     def solve(
         self,
         x_init,
@@ -1081,8 +1063,7 @@ class BatchSolver:
                 "batched reference contains non-finite entries"
             )
         results, report = solve_lanes(
-            self.problem, self.options, self.lin, self.layout,
-            self._qp_step, self.stats,
+            self.problem, self.options, self.lin, self.layout, self.stats,
             X0, R, z_warm, budgets,
             xp=self.xp,
             qp_method=self.qp_method,

@@ -59,9 +59,8 @@ bit-identical to the tile factor of a diagonal matrix on every backend,
 and it keeps the row layout ``(B, n[, q])`` of a ``(B, n, n)`` input.
 Block mode is stored as tiles all the same (``_D``/``_Dinv`` of shape
 ``(B, K, s, s)``, ``_C`` empty), so the retry ladder's scatter needs no
-second branch; ``ok`` is per lane, over all of a lane's blocks.  Like
-``to_banded(A, band)``, a factor never reads values outside the band it
-was promised: ``band=0`` reads the diagonal only.  (With
+second branch; ``ok`` is per lane, over all of a lane's blocks.  A
+factor never reads values outside the band it was promised: ``band=0`` reads the diagonal only.  (With
 ``band > 0`` a tile happens to cover in-tile entries a too-small hint
 excludes — an accident of the tiling, not part of the contract.  The one
 whole-matrix read is the finiteness guard: a NaN anywhere in a lane's

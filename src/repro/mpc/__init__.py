@@ -11,10 +11,12 @@ Public surface:
 * :func:`solve_qp` / :class:`QPOptions` / :class:`QPResult` /
   :class:`QPStats` — the inner Mehrotra IPM with per-phase observability,
   the one-lane call of :func:`repro.batch.qp.solve_qp_batch`.
-* the banded kernels — the from-scratch reference of the stage-ordered
-  factorization path (``Phi``'s stage blocks as one stack, the Schur
-  complement banded, ``O(n b^2)``), its block partition and tile rule —
-  and :class:`BandedCholeskyFactor`, the one-lane view of
+* the from-scratch dense kernels (:func:`cholesky` and the substitutions)
+  and the banded op counts (:func:`bandwidth_of`, ``flop_counts_banded_*``)
+  — the accelerator's cost model of the
+  stage-ordered factorization path (``Phi``'s stage blocks as one stack,
+  the Schur complement banded, ``O(n b^2)``) — and
+  :class:`BandedCholeskyFactor`, the one-lane view of
   :class:`repro.batch.linalg.BatchCholeskyFactor`.
 * :class:`MPCController` — the receding-horizon loop.
 * :class:`SolveBudget` — per-solve deadline / iteration allowances for the
@@ -23,14 +25,9 @@ Public surface:
 
 from repro.mpc.banded import (
     BandedCholeskyFactor,
-    banded_cholesky,
-    banded_cholesky_solve,
-    banded_solve,
     bandwidth_of,
     flop_counts_banded_cholesky,
     flop_counts_banded_substitution,
-    from_banded,
-    to_banded,
 )
 from repro.mpc.budget import BudgetClock, SolveBudget
 from repro.mpc.health import SolverHealth
@@ -47,7 +44,6 @@ from repro.mpc.linalg import (
     cholesky,
     cholesky_solve,
     forward_substitution,
-    solve_symmetric,
 )
 from repro.mpc.model import RobotModel, VarSpec
 from repro.mpc.task import RUNNING, TERMINAL, Constraint, Penalty, Task
@@ -77,13 +73,7 @@ __all__ = [
     "cholesky_solve",
     "forward_substitution",
     "backward_substitution",
-    "solve_symmetric",
-    "banded_cholesky",
-    "banded_cholesky_solve",
-    "banded_solve",
     "bandwidth_of",
-    "to_banded",
-    "from_banded",
     "BandedCholeskyFactor",
     "flop_counts_banded_cholesky",
     "flop_counts_banded_substitution",

@@ -5,22 +5,16 @@ solver (§VIII-A), and the accelerator's solver-template cost model
 (:mod:`repro.compiler`) assumes the same structure: the stage-ordered KKT
 matrix of a horizon-``N`` MPC problem is banded with half-bandwidth
 ``b ~ 2 nx + nu``, so a factorization costs ``O(N b^2)`` instead of
-``O(N^3)``.  This module implements those kernels concretely:
+``O(N^3)``.  This module holds what the blocked factor of that path reads:
 
-* symmetric banded storage (diagonal-major, LAPACK ``SB`` style),
-* banded Cholesky factorization and banded triangular solves,
-* the structural block partition of a block-diagonal envelope
-  (:func:`block_partition`) and its coupling components
-  (:func:`coupling_components`),
+* the structural half-bandwidth of a matrix (:func:`bandwidth_of`), the
+  block partition of a block-diagonal envelope (:func:`block_partition`)
+  and its coupling components (:func:`coupling_components`),
 * the host tile kernels and the tile rule of the blocked factor,
-* helpers to convert between dense and banded storage,
-* exact primitive-op counts of the banded kernels, so benchmarks can
-  compare measured flops against the accelerator cost model.
+* exact primitive-op counts of the banded column algorithm, so benchmarks
+  can compare measured flops against the accelerator cost model.
 
-The column kernels (:func:`banded_cholesky` and the banded substitutions)
-are the from-scratch reference, window-vectorized: each column/row touches
-only its ``band``-wide window, one NumPy gather + matvec.  What the QP
-loop (:func:`repro.batch.qp.solve_qp_batch`, of which
+What the QP loop (:func:`repro.batch.qp.solve_qp_batch`, of which
 :func:`repro.mpc.qp.solve_qp` is one lane) runs when it is handed a
 bandwidth hint (the stage-interleaved ordering produced by
 :meth:`repro.mpc.transcription.TranscribedProblem.stage_permutation`) is
@@ -32,11 +26,9 @@ banded over the Schur complement (``nb x nb`` tiles, each factored by
 LAPACK ``potrf`` and inverted by LU through :func:`cholesky_tiles` /
 :func:`tril_inverse`, whose tile rule is :func:`tile_size`: tiles at least
 :data:`MIN_BLOCK` wide).  The flop meters count the column algorithm — the
-accelerator's operation mix — not what LAPACK executes.
-
-The tests verify the banded results match the dense from-scratch kernels of
-:mod:`repro.mpc.linalg` to roundoff, and the kernel microbenchmarks
-demonstrate the asymptotic win the cost model is built on.
+accelerator's operation mix, each column touching only its ``band``-wide
+window — not what LAPACK executes.  :class:`BandedCholeskyFactor` is that
+factor's one-lane view.
 """
 
 from __future__ import annotations
@@ -49,13 +41,6 @@ import numpy as np
 from repro.errors import SolverError
 
 __all__ = [
-    "to_banded",
-    "from_banded",
-    "banded_cholesky",
-    "banded_forward_substitution",
-    "banded_backward_substitution",
-    "banded_cholesky_solve",
-    "banded_solve",
     "bandwidth_of",
     "block_partition",
     "coupling_components",
@@ -144,142 +129,6 @@ def _last_nonzero(nz: np.ndarray, empty: np.ndarray) -> np.ndarray:
     width = nz.shape[1]
     last = width - 1 - np.argmax(nz[:, ::-1], axis=1)
     return np.where(nz[np.arange(nz.shape[0]), last], last, empty)
-
-
-def to_banded(A: np.ndarray, band: int) -> np.ndarray:
-    """Pack the lower triangle of a symmetric banded matrix.
-
-    Returns ``B`` with shape ``(band + 1, n)`` where ``B[d, j] = A[j + d, j]``
-    (diagonal ``d`` below the main diagonal, column ``j``).  Entries beyond
-    the matrix edge are zero.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise SolverError(f"expected a square matrix, got {A.shape}")
-    if band < 0 or band >= n and n > 0 and band != 0:
-        band = min(band, max(n - 1, 0))
-    B = np.zeros((band + 1, n))
-    for d in range(band + 1):
-        B[d, : n - d] = np.diagonal(A, offset=-d)
-    return B
-
-
-def from_banded(B: np.ndarray) -> np.ndarray:
-    """Unpack banded storage into a dense symmetric matrix."""
-    B = np.asarray(B, dtype=float)
-    band = B.shape[0] - 1
-    n = B.shape[1]
-    A = np.zeros((n, n))
-    for d in range(band + 1):
-        idx = np.arange(n - d)
-        A[idx + d, idx] = B[d, : n - d]
-        if d:
-            A[idx, idx + d] = B[d, : n - d]
-    return A
-
-
-def banded_cholesky(B: np.ndarray, reg: float = 0.0) -> np.ndarray:
-    """Cholesky factorization in banded storage.
-
-    Args:
-        B: symmetric positive-definite matrix in :func:`to_banded` storage.
-        reg: diagonal regularization added before factorization.
-
-    Returns:
-        The lower-triangular factor ``L`` in the same banded storage
-        (``L[d, j] = factor[j + d, j]``).
-
-    The factor of a banded SPD matrix has the same bandwidth, which is what
-    makes the ``O(n band^2)`` cost possible.  Each column update is one
-    windowed gather + matvec over at most ``band`` previous columns.
-    """
-    B = np.asarray(B, dtype=float)
-    band = B.shape[0] - 1
-    n = B.shape[1]
-    L = np.zeros_like(B)
-
-    for j in range(n):
-        lo = max(j - band, 0)
-        # Row j of the factor over columns [lo, j) is the anti-diagonal
-        # L[j - k, k] of the banded storage.
-        ks = np.arange(lo, j)
-        row_j = L[j - ks, ks]
-        acc = B[0, j] + reg - float(row_j @ row_j)
-        if acc <= 0.0 or not np.isfinite(acc):
-            raise SolverError(
-                f"banded cholesky pivot {j} is non-positive ({acc:.3e})"
-            )
-        ljj = np.sqrt(acc)
-        L[0, j] = ljj
-        hi = min(j + band, n - 1)
-        if hi == j:
-            continue
-        if ks.size:
-            # Window rows i in (j, hi]: M[i, k] = factor[i, k], which is zero
-            # whenever i - k exceeds the bandwidth (clip the gather, mask it).
-            d = np.arange(j + 1, hi + 1)[:, None] - ks[None, :]
-            M = np.where(d <= band, L[np.minimum(d, band), ks[None, :]], 0.0)
-            L[1 : hi - j + 1, j] = (B[1 : hi - j + 1, j] - M @ row_j) / ljj
-        else:
-            L[1 : hi - j + 1, j] = B[1 : hi - j + 1, j] / ljj
-    return L
-
-
-def banded_forward_substitution(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L y = b`` with ``L`` in banded lower storage."""
-    L = np.asarray(L, dtype=float)
-    band = L.shape[0] - 1
-    n = L.shape[1]
-    y = np.array(b, dtype=float, copy=True)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    for i in range(n):
-        if L[0, i] == 0.0:
-            raise SolverError(f"banded forward substitution: zero pivot {i}")
-        lo = max(i - band, 0)
-        if lo < i:
-            # Row i of the factor over columns [lo, i): anti-diagonal gather.
-            ks = np.arange(lo, i)
-            y[i] -= L[i - ks, ks] @ y[lo:i]
-        y[i] /= L[0, i]
-    return y[:, 0] if squeeze else y
-
-
-def banded_backward_substitution(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L^T x = b`` with ``L`` in banded lower storage."""
-    L = np.asarray(L, dtype=float)
-    band = L.shape[0] - 1
-    n = L.shape[1]
-    x = np.array(b, dtype=float, copy=True)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    for i in range(n - 1, -1, -1):
-        if L[0, i] == 0.0:
-            raise SolverError(f"banded backward substitution: zero pivot {i}")
-        hi = min(i + band, n - 1)
-        if hi > i:
-            # Column i of the factor below the diagonal is contiguous in
-            # banded storage: L[1 : hi-i+1, i].
-            x[i] -= L[1 : hi - i + 1, i].T @ x[i + 1 : hi + 1]
-        x[i] /= L[0, i]
-    return x[:, 0] if squeeze else x
-
-
-def banded_cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) x = b`` given a banded Cholesky factor ``L``."""
-    y = banded_forward_substitution(L, b)
-    return banded_backward_substitution(L, y)
-
-
-def banded_solve(
-    B: np.ndarray, b: np.ndarray, reg: float = 0.0
-) -> np.ndarray:
-    """Solve ``A x = b`` for a banded SPD ``A`` given in banded storage."""
-    L = banded_cholesky(B, reg=reg)
-    return banded_cholesky_solve(L, b)
 
 
 def _stacked(kernel, M: np.ndarray) -> np.ndarray:
@@ -426,9 +275,9 @@ def _banded_window_sum(n: int, band: int) -> int:
 def flop_counts_banded_cholesky(n: int, band: int) -> Dict[str, int]:
     """Exact primitive-op counts of a banded Cholesky factorization.
 
-    Mirrors the banded algorithm above (only in-window terms are counted —
-    the masked out-of-band gather entries are structural zeros, not flops):
-    ``O(n band^2)`` multiply-adds instead of the dense ``~n^3 / 3``.
+    Counts the column algorithm, each column touching only its
+    ``band``-wide window (out-of-band entries are structural zeros, not
+    flops): ``O(n band^2)`` multiply-adds instead of the dense ``~n^3 / 3``.
     """
     mul, div = _banded_cholesky_counts(int(n), int(band))
     return {"mul": mul, "add": mul, "div": div, "sqrt": n}

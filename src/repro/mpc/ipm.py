@@ -9,9 +9,9 @@ algorithm in RoboX".  Concretely, each control step runs:
    exact objective gradient, Gauss-Newton (PSD) objective Hessian, dynamics /
    constraint Jacobians — all produced by symbolic autodiff.
 2. **Solve the QP subproblem** (Eq. 6's Newton system, iterated to the QP's
-   central path) with :func:`repro.mpc.qp.solve_qp` — Mehrotra predictor-
-   corrector over Cholesky + forward/backward substitution, the one-lane
-   call of the lockstep loop :func:`repro.batch.qp.solve_qp_batch`.
+   central path) with the lockstep loop :func:`repro.batch.qp.
+   solve_qp_batch` at one lane — Mehrotra predictor-corrector over
+   Cholesky + forward/backward substitution.
 3. **Globalize** with a backtracking line search on an L1 exact-penalty merit
    function, then repeat until the nonlinear KKT conditions hold.
 
@@ -22,14 +22,14 @@ experiments.
 That iteration is written once, with a lane axis, in
 :func:`repro.batch.ipm.solve_lanes`; :class:`InteriorPointSolver` is its
 ``B = 1`` host lane: it validates the caller's input, stacks one lane,
-hands the driver the problem's own evaluation methods and
-:func:`~repro.mpc.qp.solve_qp` lane by lane as the QP step, and unwraps
-lane 0.
+hands the driver the problem's own evaluation methods, and unwraps lane
+0.  The driver takes every QP step itself, through
+:func:`repro.batch.qp.solve_qp_batch` at one lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, Optional
 
@@ -40,7 +40,7 @@ from repro.linearize import normalize_ref
 from repro.mpc.budget import SolveBudget
 from repro.mpc.health import SolverHealth, nonfinite_indices
 from repro.mpc.linalg import cholesky
-from repro.mpc.qp import QPOptions, QPStats, solve_qp
+from repro.mpc.qp import QPOptions
 from repro.mpc.transcription import TranscribedProblem
 
 __all__ = [
@@ -335,98 +335,20 @@ class InteriorPointSolver:
                     "reference contains non-finite entries", health=health
                 )
 
-        warm = [self._qp_warm]
-        (result,), _ = self._solve_lanes(
+        warm, lanes = [self._qp_warm], _lanes()
+        (result,), _ = lanes.solve_lanes(
+            self.problem, self.options, self._lin, self._layout, self.stats,
             x_init[None],
-            normalize_ref(self.problem, ref, 1, _lanes().HOST),
+            normalize_ref(self.problem, ref, 1, lanes.HOST),
             [z_warm],
             [budget],
+            qp_method=self.options.qp.method,
+            fault_hooks=None if self.fault_hook is None else [self.fault_hook],
             admm_warm=warm,
         )
         (self._qp_warm,) = warm
         result.solve_time = perf_counter() - t_solve
         return result
-
-    def _solve_lanes(self, X0, R, z_warm, budgets, admm_warm=None):
-        """The lane driver over ``B`` validated states with this solver's
-        linearizer, QP step, options and fault hook; :meth:`solve` is its
-        ``B = 1`` call.  Returns ``(results, report)``."""
-        return _lanes().solve_lanes(
-            self.problem, self.options, self._lin, self._layout,
-            self._qp_step, self.stats,
-            X0, R, z_warm, budgets,
-            qp_method=self.options.qp.method,
-            fault_hooks=None
-            if self.fault_hook is None
-            else [self.fault_hook] * len(X0),
-            admm_warm=admm_warm,
-        )
-
-    def _qp_step(self, args, bandwidth, deadline, caps, hooks, warm):
-        """The host lane's QP step: :func:`~repro.mpc.qp.solve_qp` (the
-        Mehrotra loop at one lane), lane by lane.  The loop reads one
-        structure envelope per call, so a lane stacked with others (an
-        exact-Hessian lane's ``H`` has its own pattern) would take its
-        mates' structure, and a lane alone must equal the same lane among
-        several.  A lane whose QP cannot even be factorized (poisoned
-        linearization, or the retry ladder exhausted) comes back
-        ``"failed"`` instead of raising.  Matrices are handed over in one
-        memory layout (``H`` row-major, ``G`` / ``J`` column-major — what
-        the column permutation yields for a single lane): BLAS sums in a
-        layout-dependent order, so without it a lane's bits would depend on
-        how many lanes were stacked with it.  A ``carried`` lane of
-        ``warm`` starts from its rows (``solve_qp``'s IPM ``warm``)."""
-        from repro.batch.qp import BatchQPResult, BatchQPStats
-
-        H, g, G, b, J, d = args
-        k = len(g)
-        lam = np.zeros((k, 0)) if d is None else np.zeros_like(d)
-        out = BatchQPResult(
-            x=np.zeros_like(g),
-            nu=np.zeros_like(b),
-            lam=lam,
-            slacks=lam.copy(),
-            converged=np.zeros(k, dtype=bool),
-            iterations=np.zeros(k, dtype=int),
-            residual=np.full(k, np.inf),
-            status=["failed"] * k,
-            budget_exhausted=np.zeros(k, dtype=bool),
-            gap_history=[[] for _ in range(k)],
-            stats=[QPStats() for _ in range(k)],
-            batch=BatchQPStats(),
-        )
-        for i in range(k):
-            try:
-                res = solve_qp(
-                    np.ascontiguousarray(H[i]),
-                    g[i],
-                    np.asfortranarray(G[i]),
-                    b[i],
-                    None if J is None else np.asfortranarray(J[i]),
-                    None if d is None else d[i],
-                    replace(
-                        self.options.qp,
-                        method="ipm",
-                        max_iterations=int(caps[i]),
-                    ),
-                    bandwidth=bandwidth,
-                    deadline=deadline,
-                    fault_hook=hooks and hooks[i],
-                    warm=None
-                    if warm is None or not warm["carried"][i]
-                    else {"nu": warm["nu"][i], "lam": warm["lam"][i]},
-                )
-            except SolverError:
-                continue
-            out.x[i], out.nu[i], out.lam[i] = res.x, res.nu, res.lam
-            out.slacks[i], out.residual[i] = res.slacks, res.residual
-            out.converged[i], out.iterations[i] = res.converged, res.iterations
-            out.budget_exhausted[i] = res.budget_exhausted
-            out.status[i] = "converged" if res.converged else "max_iterations"
-            out.stats[i], out.gap_history[i] = res.stats, res.gap_history
-        rounds = int(out.iterations.max(initial=0))
-        out.batch = BatchQPStats(rounds, int(out.iterations.sum()), k * rounds)
-        return out
 
 
 def _convexify(H: np.ndarray) -> np.ndarray:

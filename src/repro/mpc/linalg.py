@@ -12,13 +12,13 @@ implements those kernels directly (no ``np.linalg`` solvers) so that
 The inner loops are expressed column-wise over NumPy vectors: the algorithm
 is hand-written, NumPy only supplies elementwise arithmetic.
 
-These are the reference kernels and the op-count source.  They serve the
-dense QP path, the SQP driver's convexification check and the conform
-oracles, and ``flop_counts_*`` here and in :mod:`repro.mpc.banded` are the
-accelerator's cost model.  The banded factor that the solver runs on every
-iteration factors its tiles with LAPACK ``potrf`` instead (see
-:func:`repro.mpc.banded.cholesky_tiles`); the counts still describe the
-column algorithm written out here.
+These are the reference kernels and the op-count source.  :func:`cholesky`
+is the SQP driver's convexification check, and ``flop_counts_*`` here and
+in :mod:`repro.mpc.banded` are the accelerator's cost model.  The QP loop
+factors with :class:`repro.batch.linalg.BatchCholeskyFactor` (LAPACK
+``potrf`` tiles, :func:`repro.mpc.banded.cholesky_tiles`) or, on its dense
+oracle step, :class:`repro.batch.linalg.OracleCholeskyFactor`; the counts
+still describe the column algorithm written out here.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "forward_substitution",
     "backward_substitution",
     "cholesky_solve",
-    "solve_symmetric",
     "max_abs",
     "flop_counts_cholesky",
     "flop_counts_substitution",
@@ -114,11 +113,6 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L L^T) x = b`` given a Cholesky factor ``L``."""
     y = forward_substitution(L, b)
     return backward_substitution(L.T, y)
-
-
-def solve_symmetric(A: np.ndarray, b: np.ndarray, reg: float = 0.0) -> np.ndarray:
-    """Solve a symmetric positive-definite system via Cholesky."""
-    return cholesky_solve(cholesky(A, reg=reg), b)
 
 
 def max_abs(v: np.ndarray) -> float:

@@ -568,9 +568,9 @@ def solve_qp(
         warm: a warm start, read by each method in its own terms.  ADMM:
             a previous solve's ``QPResult.warm`` (iterate triple and rho).
             IPM: ``{"nu": (p,), "lam": (m,)}``, the multipliers of the
-            previous subproblem of the same shapes (the SQP loop's
-            carry, :func:`repro.batch.ipm.solve_lanes`); the iteration then
-            starts from ``x = 0``, ``nu``, ``s = max(d - J x, theta)`` and
+            previous subproblem of the same shapes (one lane of the SQP
+            loop's carry, :func:`repro.batch.ipm.solve_lanes`); the
+            iteration then starts from ``x = 0``, ``nu``, ``s = max(d - J x, theta)`` and
             ``lam = max(lam, theta)`` with ``theta = 1e-2``
             (:data:`_CARRY_FLOOR`) instead of the cold ``nu = 0``,
             ``s = max(d - J x, 1)``, ``lam = 1``.

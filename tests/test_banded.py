@@ -1,21 +1,8 @@
-"""Tests for the banded (sparsity-exploiting) linear-algebra kernels."""
+"""Tests for the banded structure helpers of :mod:`repro.mpc.banded`."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import SolverError
-from repro.mpc import cholesky
-from repro.mpc.banded import (
-    banded_backward_substitution,
-    banded_cholesky,
-    banded_forward_substitution,
-    banded_solve,
-    bandwidth_of,
-    from_banded,
-    to_banded,
-)
+from repro.mpc.banded import bandwidth_of
 
 
 def banded_spd(n, band, seed=0):
@@ -36,80 +23,10 @@ def banded_spd(n, band, seed=0):
 
 
 class TestStorage:
-    def test_roundtrip(self):
-        A = banded_spd(8, 2)
-        assert np.allclose(from_banded(to_banded(A, 2)), A)
-
     def test_bandwidth_of(self):
         A = banded_spd(10, 3)
         assert bandwidth_of(A) == 3
         assert bandwidth_of(np.eye(5)) == 0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(SolverError):
-            to_banded(np.zeros((2, 3)), 1)
-
-
-class TestBandedCholesky:
-    @pytest.mark.parametrize("n,band", [(1, 0), (6, 1), (12, 3), (30, 5)])
-    def test_matches_dense(self, n, band):
-        A = banded_spd(n, band, seed=n + band)
-        L_dense = cholesky(A)
-        L_band = banded_cholesky(to_banded(A, band))
-        # The banded factor, unpacked, must equal the dense factor's band.
-        for d in range(band + 1):
-            assert np.allclose(
-                L_band[d, : n - d], np.diagonal(L_dense, offset=-d), atol=1e-10
-            )
-
-    def test_indefinite_rejected(self):
-        A = np.diag([1.0, -1.0])
-        with pytest.raises(SolverError, match="pivot"):
-            banded_cholesky(to_banded(A, 0))
-
-    def test_regularization(self):
-        A = np.zeros((4, 4))
-        L = banded_cholesky(to_banded(A, 1), reg=1e-4)
-        assert np.allclose(L[0], 1e-2)
-
-
-class TestBandedSolves:
-    @pytest.mark.parametrize("n,band", [(5, 1), (20, 4)])
-    def test_solve_matches_dense(self, n, band):
-        A = banded_spd(n, band, seed=7)
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=n)
-        x = banded_solve(to_banded(A, band), b)
-        assert np.allclose(A @ x, b, atol=1e-8)
-
-    def test_matrix_rhs(self):
-        A = banded_spd(10, 2, seed=3)
-        B = np.eye(10)[:, :3]
-        X = banded_solve(to_banded(A, 2), B)
-        assert np.allclose(A @ X, B, atol=1e-8)
-
-    def test_forward_backward_consistency(self):
-        A = banded_spd(12, 3, seed=5)
-        L = banded_cholesky(to_banded(A, 3))
-        b = np.arange(12, dtype=float)
-        y = banded_forward_substitution(L, b)
-        x = banded_backward_substitution(L, y)
-        assert np.allclose(A @ x, b, atol=1e-8)
-
-
-@given(
-    n=st.integers(2, 16),
-    band=st.integers(0, 4),
-    seed=st.integers(0, 1000),
-)
-@settings(max_examples=50, deadline=None)
-def test_property_banded_solve_roundtrip(n, band, seed):
-    band = min(band, n - 1)
-    A = banded_spd(n, band, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    b = rng.normal(size=n)
-    x = banded_solve(to_banded(A, band), b)
-    assert np.allclose(A @ x, b, atol=1e-6)
 
 
 class TestMPCStructure:

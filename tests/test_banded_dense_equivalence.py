@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.batch.ipm as batch_ipm
 from repro.batch.backend import HOST
 from repro.batch.ipm import LaneLayout
 from repro.batch.linalg import BatchCholeskyFactor, robust_diag_factor_batch
@@ -483,12 +484,17 @@ def test_solver_routes_through_banded_kernels():
     assert solver.stats["factor_flops"] > 0
 
 
-def test_banded_and_dense_solvers_agree_end_to_end():
+def test_banded_and_dense_solvers_agree_end_to_end(monkeypatch):
     """Full SQP solves through the stage step and through the dense
-    oracle step (the solver's QP step handed no band hint) reach the same
+    oracle step (the SQP loop's QP step handed no band hint) reach the same
     trajectory (control-grade tolerance; the QP sequences are identical up
     to factorization roundoff), with and without move blocking."""
     bench = build_benchmark("MobileRobot")
+    step = batch_ipm.solve_qp_batch
+
+    def dense_step(*args, **kwargs):
+        return step(*args, **{**kwargs, "bandwidth": None})
+
     for move_block in (1, 2):
         problem = TranscribedProblem(
             bench.model, bench.task, horizon=HORIZON, dt=bench.dt,
@@ -496,9 +502,9 @@ def test_banded_and_dense_solvers_agree_end_to_end():
         )  # fmt: skip
         res_b = bench.make_solver(problem).solve(bench.x0, bench.ref)
         dense = bench.make_solver(problem)
-        step = dense._qp_step
-        dense._qp_step = lambda args, _bw, *rest: step(args, None, *rest)
-        res_d = dense.solve(bench.x0, bench.ref)
+        with monkeypatch.context() as mp:
+            mp.setattr(batch_ipm, "solve_qp_batch", dense_step)
+            res_d = dense.solve(bench.x0, bench.ref)
         assert res_b.converged and res_d.converged
         assert dense.stats["banded_factorizations"] == 0
         scale = 1.0 + np.max(np.abs(res_d.z))

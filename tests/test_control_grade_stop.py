@@ -9,6 +9,7 @@ the off switch."""
 import numpy as np
 import pytest
 
+import repro.batch.ipm as batch_ipm
 from repro.mpc.controller import PlantIntegrator
 from repro.mpc.ipm import CONTROL_GRADE_KKT
 from repro.mpc.qp import QPOptions
@@ -146,18 +147,18 @@ def test_a_partial_step_never_stops_the_lane(mobile, mid_plan, options):
     assert res.status == "max_iterations"
 
 
-def test_a_capped_qp_never_stops_the_lane(mobile, mid_plan):
+def test_a_capped_qp_never_stops_the_lane(mobile, mid_plan, monkeypatch):
     """The QP step's direction is kept, only its verdict reads capped."""
     bench, problem = mobile
     solver = bench.make_solver(problem, max_iterations=8)
-    step = solver._qp_step
+    step = batch_ipm.solve_qp_batch
 
-    def capped(*args):
-        out = step(*args)
+    def capped(*args, **kwargs):
+        out = step(*args, **kwargs)
         out.status = ["max_iterations"] * len(out.status)
         return out
 
-    solver._qp_step = capped
+    monkeypatch.setattr(batch_ipm, "solve_qp_batch", capped)
     res = solver.solve(bench.x0, ref=bench.ref, z_warm=mid_plan)
     assert not settled(res)
 

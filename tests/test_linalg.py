@@ -12,7 +12,6 @@ from repro.mpc import (
     cholesky,
     cholesky_solve,
     forward_substitution,
-    solve_symmetric,
 )
 from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 
@@ -97,16 +96,10 @@ class TestSolvers:
         L = cholesky(A)
         assert np.allclose(cholesky_solve(L, b), x_true, atol=1e-8)
 
-    def test_solve_symmetric(self):
-        A = random_spd(9, seed=42)
-        b = np.ones(9)
-        x = solve_symmetric(A, b)
-        assert np.allclose(A @ x, b, atol=1e-8)
-
     def test_solve_matrix_rhs(self):
         A = random_spd(6, seed=5)
         B = np.eye(6)
-        X = solve_symmetric(A, B)
+        X = cholesky_solve(cholesky(A), B)
         assert np.allclose(A @ X, B, atol=1e-8)  # X = A^-1
 
 
@@ -119,7 +112,7 @@ def test_property_solve_roundtrip(n, seed):
     A = random_spd(n, seed)
     rng = np.random.default_rng(seed + 1)
     b = rng.normal(size=n)
-    x = solve_symmetric(A, b)
+    x = cholesky_solve(cholesky(A), b)
     assert np.allclose(A @ x, b, atol=1e-6)
 
 

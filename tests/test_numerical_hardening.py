@@ -12,7 +12,8 @@ import pytest
 from repro.errors import SolverError, StateValidationError
 from repro.mpc import MPCController, SolveBudget, SolverHealth
 from repro.mpc.health import nonfinite_indices
-from repro.batch import robust_factor_batch
+from repro.batch import BatchSolver, robust_factor_batch
+from repro.batch.linalg import LADDER_ATTEMPTS
 from repro.mpc.qp import QPOptions, solve_qp
 from repro.robots import build_benchmark
 
@@ -148,6 +149,24 @@ class TestFactorizationRetry:
         assert res.health.factorization_retries >= 3
         # The ladder escalates geometrically from the base regularization.
         assert res.health.regularization_max > solver.options.qp.regularization
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_exhausted_ladder_books_its_retries(
+        self, bench, problem, solver, engine
+    ):
+        """A QP that fails every attempt of the regularization ladder ends
+        its lane ``diverged``, and the lane's health books the ladder's
+        retries on both engines."""
+        hook = ForceFailHook(fails=np.inf)
+        if engine == "scalar":
+            solver.fault_hook = hook
+            res = solver.solve(bench.x0, ref=bench.ref)
+        else:
+            batch = BatchSolver(problem, solver.options)
+            batch.fault_hooks = [hook]
+            (res,), _ = batch.solve(bench.x0[None], refs=[bench.ref])
+        assert res.status == "diverged"
+        assert res.health.factorization_retries == LADDER_ATTEMPTS - 1
 
     def test_retries_surfaced_in_qp_stats(self):
         rng = np.random.default_rng(0)

@@ -7,18 +7,18 @@ finite step the line search took in full and the new QP is undamped
 ``lam = max(lam, theta)`` with ``theta = 1e-2``.  Every other QP starts
 cold.  The rows below check that
 the carried start pays in the Mehrotra loop (a single QP and a lane of a
-batch), that a lane's bits do not depend on its batch-mates with carries
-present, and which QPs start cold, under both SQP engines.
+batch), that a ``BatchSolver`` lane's bits do not depend on its
+batch-mates with carries present, and which QPs start cold, under both SQP
+engines.
 """
 
 import numpy as np
 import pytest
 
+import repro.batch.ipm as batch_ipm
 from repro.baselines import reference_solve_qp
 from repro.batch import BatchSolver
-from repro.batch.backend import HOST
 from repro.batch.qp import solve_qp_batch
-from repro.linearize import normalize_ref
 from repro.mpc.qp import QPOptions, solve_qp
 from repro.robots import build_benchmark
 
@@ -45,21 +45,23 @@ def make_solver(mobile, engine, **options):
     return scalar if engine == "scalar" else BatchSolver(problem, scalar.options)
 
 
-def record(solver, spoil=None):
-    """Wrap ``solver``'s QP step.  Every call appends ``(args, bandwidth,
-    warm, result)`` to the returned list; ``spoil(index, result)`` may
-    rewrite a result before the SQP loop reads it."""
+def record(monkeypatch, spoil=None):
+    """Wrap the SQP loop's QP step, ``solve_qp_batch`` as
+    :mod:`repro.batch.ipm` calls it (both engines).  Every call appends
+    ``(args, bandwidth, warm, result)`` to the returned list;
+    ``spoil(index, result)`` may rewrite a result before the SQP loop
+    reads it."""
     calls = []
-    step = solver._qp_step
+    step = batch_ipm.solve_qp_batch
 
-    def wrapped(args, bandwidth, deadline, caps, hooks, warm):
-        out = step(args, bandwidth, deadline, caps, hooks, warm)
+    def wrapped(*args, **kwargs):
+        out = step(*args, **kwargs)
         if spoil is not None:
             spoil(len(calls), out)
-        calls.append((args, bandwidth, warm, out))
+        calls.append((args[:6], kwargs["bandwidth"], kwargs.get("warm"), out))
         return out
 
-    solver._qp_step = wrapped
+    monkeypatch.setattr(batch_ipm, "solve_qp_batch", wrapped)
     return calls
 
 
@@ -84,8 +86,9 @@ def subproblems(mobile):
     """Every QP call of the scalar solve from ``bench.x0``."""
     bench, problem = mobile
     solver = bench.make_solver(problem)
-    calls = record(solver)
-    res = solver.solve(bench.x0, ref=bench.ref)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record(mp)
+        res = solver.solve(bench.x0, ref=bench.ref)
     assert res.converged and len(calls) == res.iterations
     return solver.options.qp, calls
 
@@ -157,10 +160,11 @@ def test_the_carried_start_point(subproblems):
 # -- (b) lane-count invariance with carries -----------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_a_lane_alone_equals_the_lane_among_three(mobile, engine):
-    bench, problem = mobile
-    solver = make_solver(mobile, engine)
+@pytest.mark.parametrize("robot", ["MobileRobot", "CartPole"])
+def test_a_lane_alone_equals_the_lane_among_three(robot):
+    bench = build_benchmark(robot)
+    problem = bench.transcribe(horizon=8)
+    solver = BatchSolver(problem, bench.make_solver(problem).options)
     rng = np.random.default_rng(0)
     X0 = np.stack(
         [
@@ -170,10 +174,7 @@ def test_a_lane_alone_equals_the_lane_among_three(mobile, engine):
     )
 
     def run(X):
-        if engine == "batch":
-            return solver.solve(X, refs=[bench.ref] * len(X))[0]
-        R = normalize_ref(problem, [bench.ref] * len(X), len(X), HOST)
-        return solver._solve_lanes(X, R, None, None)[0]
+        return solver.solve(X, refs=[bench.ref] * len(X))[0]
 
     alone = [run(x0[None])[0] for x0 in X0]
     warm_starts = solver.stats["qp_warm_starts"]
@@ -208,12 +209,12 @@ def only_after_clean_qps(calls, warms):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_every_solve_opens_cold(mobile, engine):
+def test_every_solve_opens_cold(mobile, engine, monkeypatch):
     """Nothing crosses a solve: the first QP of each of two back-to-back
     solves (the second warm-started on the first's plan) starts cold."""
     bench, _ = mobile
     solver = make_solver(mobile, engine)
-    calls = record(solver)
+    calls = record(monkeypatch)
     first = solve(solver, bench, bench.x0)
     n_first = len(calls)
     solve(solver, bench, bench.x0, z_warm=first.z)
@@ -240,10 +241,12 @@ def _spoil_at(index, outcome):
 @pytest.mark.parametrize(
     "outcome", ["max_iterations", "budget_exhausted", "diverged", "nonfinite"]
 )
-def test_after_an_unclean_qp_the_next_starts_cold(mobile, engine, outcome):
+def test_after_an_unclean_qp_the_next_starts_cold(
+    mobile, engine, outcome, monkeypatch
+):
     bench, _ = mobile
     solver = make_solver(mobile, engine)
-    calls = record(solver, _spoil_at(FOURTH, outcome))
+    calls = record(monkeypatch, _spoil_at(FOURTH, outcome))
     solve(solver, bench, bench.x0)
     warms = [carried(warm) for _, _, warm, _ in calls]
     # A rejected (non-finite) step also raises the Levenberg damping x100,
@@ -257,11 +260,11 @@ def test_after_an_unclean_qp_the_next_starts_cold(mobile, engine, outcome):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_a_shortened_step_is_never_carried(mobile, engine):
+def test_a_shortened_step_is_never_carried(mobile, engine, monkeypatch):
     """With every step clipped (``step_clip``), no QP is carried."""
     bench, _ = mobile
     solver = make_solver(mobile, engine, step_clip=1e-3, max_iterations=6)
-    calls = record(solver)
+    calls = record(monkeypatch)
     solve(solver, bench, bench.x0)
     assert len(calls) == 6
     assert not any(carried(warm) for _, _, warm, _ in calls)
@@ -269,10 +272,12 @@ def test_a_shortened_step_is_never_carried(mobile, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_a_failed_qp_ends_the_lane_and_the_next_solve_opens_cold(mobile, engine):
+def test_a_failed_qp_ends_the_lane_and_the_next_solve_opens_cold(
+    mobile, engine, monkeypatch
+):
     bench, _ = mobile
     solver = make_solver(mobile, engine)
-    calls = record(solver, _spoil_at(FOURTH, "failed"))
+    calls = record(monkeypatch, _spoil_at(FOURTH, "failed"))
     res = solve(solver, bench, bench.x0)
     assert res.status == "diverged" and len(calls) == FOURTH + 1
     solve(solver, bench, bench.x0)
@@ -290,11 +295,11 @@ class _StallOnce:
         return self.left == 0
 
 
-def test_admm_lanes_and_their_rescues_never_carry(mobile):
+def test_admm_lanes_and_their_rescues_never_carry(mobile, monkeypatch):
     bench, problem = mobile
     solver = bench.make_solver(problem, qp=QPOptions(method="admm"))
     solver.fault_hook = _StallOnce()
-    calls = record(solver)
+    calls = record(monkeypatch)
     res = solver.solve(bench.x0, ref=bench.ref)
     assert res.health.method_fallbacks == 1 and len(calls) == 1
     res = solver.solve(bench.x0, ref=bench.ref, z_warm=res.z)

@@ -122,6 +122,9 @@ test-cov:
 
 # Lint: the batch hot path (linalg/qp/ipm/transcription) must route every
 # array op through the backend seam -- bare numpy there pins work to the
-# host and silently reintroduces per-iteration device transfers.
+# host and silently reintroduces per-iteration device transfers -- and the
+# solver core (repro.batch, repro.firstorder) imports nothing from repro.mpc,
+# with no function-level import between the two in either direction.
 lint:
 	python scripts/check_no_bare_numpy.py
+	python scripts/check_layering.py

@@ -5,13 +5,13 @@ quadrotor's first SQP subproblem (horizon N >= 30) once with the bandwidth
 hint — the stage-blocked step, ``Phi``'s stage blocks factored as one
 stack and the Schur complement banded — and once through the dense
 kernels, on byte-identical QP data, and report per-phase wall time plus
-measured-vs-cost-model flops from :class:`repro.mpc.qp.QPStats`.  The
+measured-vs-cost-model flops from :class:`repro.batch.contract.QPStats`.  The
 hinted path must be at least 3x faster and — with the active-set polish —
 land on the same solution to 1e-8.
 
 The two sides are not the same kernel: the hinted path's blocks and tiles
-are LAPACK ``potrf`` + an LU inverse (:func:`repro.mpc.banded.cholesky_tiles`
-/ :func:`~repro.mpc.banded.tril_inverse`), while the dense path is the
+are LAPACK ``potrf`` + an LU inverse (:func:`repro.batch.host.cholesky_tiles`
+/ :func:`~repro.batch.host.tril_inverse`), while the dense path is the
 from-scratch column Cholesky of :mod:`repro.mpc.linalg`.  So the >= 3x gate
 measures the stage step on LAPACK against the from-scratch dense kernel,
 not the structure alone; the flop rows below still compare the two
@@ -24,8 +24,12 @@ from time import perf_counter
 import numpy as np
 
 from conftest import banner
-from repro.mpc.banded import coupling_components, flop_counts_banded_cholesky
-from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
+from repro.batch.host import (
+    coupling_components,
+    flop_counts_banded_cholesky,
+    flop_counts_cholesky,
+    flop_counts_substitution,
+)
 from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 

@@ -27,7 +27,8 @@ import pytest
 
 from conftest import banner, make_rng
 from repro.batch import available_backends, solve_qp_batch
-from repro.firstorder import solve_qp_admm, solve_qp_admm_batch
+from repro.firstorder import solve_qp_admm_batch
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 
 #: stiff robots for the equilibration table — large inertia ratios and
@@ -184,8 +185,8 @@ def _stiff_rows():
                 admm_equilibrate=False,
                 admm_max_iterations=100_000,
             )
-            off = solve_qp_admm(*qp_args, opts_off)
-            on = solve_qp_admm(
+            off = solve_qp(*qp_args, opts_off)
+            on = solve_qp(
                 *qp_args, replace(opts_off, admm_equilibrate=True)
             )
             status = lambda res: (

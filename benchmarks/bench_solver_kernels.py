@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from conftest import make_rng
 
-from repro.mpc import cholesky, cholesky_solve, forward_substitution
+from repro.batch.host import cholesky
+from repro.mpc import cholesky_solve, forward_substitution
 from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 

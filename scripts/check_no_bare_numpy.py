@@ -26,9 +26,10 @@ HOT_PATH = [
     for name in ("linalg.py", "qp.py", "ipm.py", "transcription.py")
 ] + [
     # the first-order (ADMM) loop is device-resident by the same contract;
-    # its host-side setup (and the single-QP entry point that stacks one
-    # lane for it) lives in firstorder/admm.py, which — like backend.py —
-    # is allowed bare numpy
+    # its host-side setup lives in firstorder/admm.py, which — like
+    # backend.py — is allowed bare numpy, as is batch/host.py, the core's
+    # host code (structure reads, LAPACK tile kernels, flop meters, fault
+    # consults, the active-set polish)
     REPO / "src" / "repro" / "firstorder" / "batch.py",
     # the shared linearize assembler (index maps, scatters, point cache, the
     # fused provider) is what a device runs for every tier; the interpreted

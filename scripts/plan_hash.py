@@ -77,8 +77,12 @@ def _component_factor(rng):
     factor), and the component widths."""
     import numpy as np
     from repro.batch import BatchCholeskyFactor
-    from repro.mpc.banded import coupling_components
-    from repro.mpc.qp import _tile_parts
+
+    try:
+        from repro.batch.host import _tile_parts, coupling_components
+    except ImportError:  # a checkout whose stage layout lives in repro.mpc
+        from repro.mpc.banded import coupling_components
+        from repro.mpc.qp import _tile_parts
 
     K, s = 3, 6
     idx = np.arange(K * s)

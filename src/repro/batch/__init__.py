@@ -10,6 +10,13 @@ serve engine (:mod:`repro.serve2`) dispatches session groups through
 :class:`BatchSolver`, and the scalar
 :class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1`` lane.
 
+With :mod:`repro.firstorder` this package is the solver core, and it
+imports nothing from :mod:`repro.mpc` (which imports it): the options,
+results, budgets and health records every solver speaks are one leaf
+module, :mod:`~repro.batch.contract`, and the core's bare-numpy host
+code (structure reads, LAPACK tile kernels, flop meters, fault consults,
+the active-set polish) is :mod:`~repro.batch.host`.
+
 Every batch kernel routes its array ops through the array-backend seam
 (:mod:`~repro.batch.backend`): numpy is the always-available reference,
 and torch registers when importable and runs the same masked lockstep QP

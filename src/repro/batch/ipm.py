@@ -5,7 +5,7 @@ assemble the scaled Sl1QP subproblem in the stage-interleaved banded
 ordering, take the nonlinear KKT measure, adapt the Levenberg damping,
 solve the QP, guard against poisoned steps, globalize with the L1
 exact-penalty watchdog line search, stop on the KKT test or the
-control-grade test (:class:`~repro.mpc.ipm.IPMOptions`), restore a
+control-grade test (:class:`~repro.batch.contract.IPMOptions`), restore a
 decisively better iterate at the cap — with a leading lane axis.  Every
 lane carries its own penalty ``rho``, damping ``lm``, merit window, KKT
 history, Hessian model and budget clock; lanes freeze individually on
@@ -15,7 +15,7 @@ semantics), and frozen lanes are excluded from all later work.
 Both public solvers take one QP step, :func:`~repro.batch.qp.solve_qp_batch`
 (one factorization sweep per interior-point iteration for all active
 lanes), for every interior-point subproblem and every ADMM->IPM rescue of
-``qp_method == "admm"`` (whose subproblems run :func:`repro.firstorder.
+``QPOptions(method="admm")`` (whose subproblems run :func:`repro.firstorder.
 batch.solve_qp_admm_batch`).  They differ only in the linearizer they hand
 the loop: :class:`repro.mpc.ipm.InteriorPointSolver` is its ``B = 1``
 host lane (the problem's own evaluation methods behind a lane axis);
@@ -33,34 +33,40 @@ multipliers, penalties, clocks) is host-resident — watchdog windows and
 budget ladders are Python decisions — and exact/hybrid Hessian lanes are
 evaluated and convexified lane by lane on the host.
 
-Per-lane results are ordinary :class:`~repro.mpc.ipm.IPMResult` objects,
-so the serve layer's classification ladder consumes a batched lane exactly
-like a scalar solve.  What :class:`BatchSolver` does differently from the
-scalar entry point, each forced by batching: only the Gauss-Newton Hessian
-model is accepted (non-GN robots fall back to scalar solves in the serve
-integration); ``result.solve_time`` is the *batch* wall clock for every
-lane — the latency each lane actually experienced waiting for the group;
-and state validation is batch-level — any non-finite ``x_init`` or
-reference raises before the solve starts, so callers (the serve engine)
-pre-filter poisoned lanes.
+Per-lane results are ordinary :class:`~repro.batch.contract.IPMResult`
+objects, so the serve layer's classification ladder consumes a batched
+lane exactly like a scalar solve.  What :class:`BatchSolver` does
+differently from the scalar entry point, each forced by batching: only the
+Gauss-Newton Hessian model is accepted (non-GN robots fall back to scalar
+solves in the serve integration); ``result.solve_time`` is the *batch*
+wall clock for every lane — the latency each lane actually experienced
+waiting for the group; and state validation is batch-level — any
+non-finite ``x_init`` or reference raises before the solve starts, so
+callers (the serve engine) pre-filter poisoned lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import SolverError, StateValidationError
-from repro.mpc.budget import SolveBudget
-from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import CONTROL_GRADE_KKT, IPMOptions, IPMResult, _convexify
-from repro.mpc.qp import QP_METHODS
-from repro.mpc.transcription import TranscribedProblem
 
 from .backend import HOST, ArrayBackend, get_backend
+from .contract import (
+    CONTROL_GRADE_KKT,
+    IPMOptions,
+    IPMResult,
+    SolveBudget,
+    SolverHealth,
+)
+from .host import _convexify
 from .qp import _maxabs, solve_qp_batch
 from .transcription import BatchLinearizer
+
+if TYPE_CHECKING:
+    from repro.mpc.transcription import TranscribedProblem
 
 __all__ = ["BatchSolveReport", "BatchSolver", "LaneLayout", "solve_lanes"]
 
@@ -110,7 +116,7 @@ def new_stats() -> Dict[str, object]:
         "factorizations": 0,
         "banded_factorizations": 0,
         #: lanes stopped by the control-grade test
-        #: (:attr:`~repro.mpc.ipm.IPMOptions.input_tolerance`)
+        #: (:attr:`~repro.batch.contract.IPMOptions.input_tolerance`)
         "input_stops": 0,
         #: QPs started from the lane's interior-point carry
         #: (:func:`solve_lanes`)
@@ -121,7 +127,7 @@ def new_stats() -> Dict[str, object]:
 
 
 def absorb_qp_stats(stats, health: SolverHealth, qs) -> None:
-    """Fold one QP attempt's :class:`~repro.mpc.qp.QPStats` into the
+    """Fold one QP attempt's :class:`~repro.batch.contract.QPStats` into the
     solver-level counters and the lane's health record — the stalled
     first-order run of an ADMM->IPM rescue as well as the run that
     produced the direction, so no attempt's work drops out of telemetry.
@@ -374,7 +380,6 @@ def solve_lanes(
     z_warm: Optional[Sequence] = None,
     budgets: Optional[Sequence[Optional[SolveBudget]]] = None,
     xp: ArrayBackend = HOST,
-    qp_method: str = "ipm",
     fault_hooks: Optional[Sequence[Optional[object]]] = None,
     admm_warm: Optional[List[Optional[dict]]] = None,
 ):
@@ -421,6 +426,7 @@ def solve_lanes(
     X0 = HOST.asarray(x_init)
     lanes = int(X0.shape[0])
     healths = [SolverHealth() for _ in range(lanes)]
+    method = opt.qp.method
 
     Z = xp.to_host(lin.initial_guess(X0))
     for lane, row in _warm_rows(z_warm, (nz,), healths):
@@ -601,9 +607,10 @@ def solve_lanes(
             default=None,
         )
         starved: List[int] = []  # wanted an ADMM rescue, no budget for it
-        if qp_method == "admm":
-            # Lazy: repro.firstorder.batch reaches back into repro.batch
-            # for the seam, so a module-level import would be a cycle.
+        if method == "admm":
+            # Lazy: repro.firstorder.batch imports repro.batch.qp (the seam
+            # and the lane-status codes), so importing it while this
+            # package initialises would be a cycle.
             from repro.firstorder.batch import solve_qp_admm_batch
 
             # ADMM counts its own (cheaper) iterations against the budget.
@@ -828,7 +835,7 @@ def solve_lanes(
         # The interior-point carry: the multipliers of a converged QP whose
         # finite step the line search took in full (ADMM lanes, rescued or
         # not, carry nothing).
-        if qp_method == "ipm":
+        if method == "ipm":
             for k_l in HOST.flatnonzero(accepted & (alpha == 1.0)).tolist():
                 j = int(ls[k_l])
                 if qp.status[j] == "converged" and HOST.all(
@@ -847,7 +854,7 @@ def solve_lanes(
         if opt.input_tolerance is not None:
             u0 = p.input_slice(0)
             settled = accepted & (alpha == 1.0)
-            if qp_method == "ipm":
+            if method == "ipm":
                 settled |= ~accepted
             settled &= (
                 _maxabs(HOST, Dl[:, u0] / scale[u0]) <= opt.input_tolerance
@@ -969,10 +976,10 @@ class BatchSolver:
     lane brings its own measured state, reference, warm start, and budget.
     ``backend`` selects the array namespace for the heavy math (a
     :func:`~repro.batch.backend.get_backend` spec; default numpy);
-    ``qp_method`` the inner QP solver (``"ipm"`` — the batched
+    ``options.qp.method`` the inner QP solver (``"ipm"`` — the batched
     interior-point of :mod:`repro.batch.qp` — or ``"admm"`` — the
     device-resident first-order iteration of
-    :mod:`repro.firstorder.batch`; default: ``options.qp.method``).
+    :mod:`repro.firstorder.batch`).
     """
 
     def __init__(
@@ -980,7 +987,6 @@ class BatchSolver:
         problem: TranscribedProblem,
         options: Optional[IPMOptions] = None,
         backend=None,
-        qp_method: Optional[str] = None,
     ):
         self.problem = problem
         self.options = options or IPMOptions()
@@ -988,11 +994,6 @@ class BatchSolver:
             raise SolverError(
                 "BatchSolver supports only the Gauss-Newton Hessian model; "
                 f"got hessian={self.options.hessian!r}"
-            )
-        self.qp_method = qp_method or self.options.qp.method
-        if self.qp_method not in QP_METHODS:
-            raise SolverError(
-                f"qp_method must be one of {QP_METHODS}, got {self.qp_method!r}"
             )
         self.xp = get_backend(backend)
         #: optional per-lane :mod:`repro.faults` solver-layer hooks, the
@@ -1066,7 +1067,6 @@ class BatchSolver:
             self.problem, self.options, self.lin, self.layout, self.stats,
             X0, R, z_warm, budgets,
             xp=self.xp,
-            qp_method=self.qp_method,
             fault_hooks=self.fault_hooks,
         )
         self.last_report = report

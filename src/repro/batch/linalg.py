@@ -10,8 +10,8 @@ same sweep runs on numpy or torch arrays without touching this file.
 
 The diagonal tiles are where the backend decides.  On host backends each
 ``(B, nb, nb)`` tile stack is factored and inverted by the host tile
-kernels, :func:`repro.mpc.banded.cholesky_tiles` and
-:func:`~repro.mpc.banded.tril_inverse`: one stacked LAPACK call each
+kernels, :func:`repro.batch.host.cholesky_tiles` and
+:func:`~repro.batch.host.tril_inverse`: one stacked LAPACK call each
 (``potrf``, then an LU inverse, per matrix), so a lane's tiles do not
 depend on its lane-mates — lane ``i`` of a batch is the one-lane factor of
 its matrix, bit for bit.  LAPACK gufuncs cannot
@@ -28,7 +28,7 @@ Quadrotor N=30 problem it dwarfed the tiles it was scaffolding for).
 
 ``band`` is a promise, and it picks the tiling.  ``band=None`` is one
 dense tile; ``band > 0`` is the tiling of
-:func:`repro.mpc.banded.tile_size`: tiles of ``max(band, MIN_BLOCK)``
+:func:`repro.batch.host.tile_size`: tiles of ``max(band, MIN_BLOCK)``
 (``MIN_BLOCK = 32``: at one lane a tile step costs its numpy calls, not
 its flops), or one tile of ``n`` when ``n`` fits in two (two tiles
 already hold the whole lower triangle, so banding would skip nothing and
@@ -40,7 +40,7 @@ handed over as the ``(B, K, s, s)`` stack of its diagonal blocks — how
 and factors all ``B·K`` blocks with one tile-kernel call and inverts them
 with one more, no sweep and no ``C`` tiles; its solves take right-hand sides in the same
 block layout.  Given ``parts`` (the stage step's
-:attr:`repro.mpc.qp._StageLayout.parts`: each tile's coupling components,
+:attr:`repro.batch.host._StageLayout.parts`: each tile's coupling components,
 grouped by width) block mode factors the components instead, one
 tile-kernel call and one inverse per width and ``1 x 1`` components by
 their pivots, and writes ``D`` / ``D⁻¹`` tiles that are zero off the
@@ -101,15 +101,16 @@ from functools import partial
 from typing import Optional, Tuple
 
 from repro.errors import SolverError
-from repro.mpc import banded
-from repro.mpc.banded import (
+
+from . import host
+from .backend import ArrayBackend, get_backend
+from .host import (
     flop_counts_banded_cholesky,
     flop_counts_banded_substitution,
+    flop_counts_cholesky,
+    flop_counts_substitution,
     tile_size,
 )
-from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
-
-from .backend import ArrayBackend, get_backend
 
 __all__ = [
     "BatchCholeskyFactor",
@@ -157,8 +158,8 @@ def _factor_stack(xp: ArrayBackend, M, finite, reg_fill):
         L, ok_t = _cholesky_tiles(xp, flat)
         Linv = _triangular_inverse(xp, L)
     else:
-        L, ok_t = banded.cholesky_tiles(flat)
-        Linv = banded.tril_inverse(L)
+        L, ok_t = host.cholesky_tiles(flat)
+        Linv = host.tril_inverse(L)
     L = xp.reshape(L, (lanes, c, w, w))
     Linv = xp.reshape(Linv, (lanes, c, w, w))
     ok = xp.all(xp.reshape(ok_t, (lanes, c)), axis=1) & xp.all(
@@ -172,7 +173,7 @@ def _factor_stack(xp: ArrayBackend, M, finite, reg_fill):
 def _cholesky_tiles(xp: ArrayBackend, M):
     """Batched dense Cholesky of a ``(B, m, m)`` tile stack — the device
     backends' column sweep (host backends call
-    :func:`repro.mpc.banded.cholesky_tiles`), and the dense oracle's on
+    :func:`repro.batch.host.cholesky_tiles`), and the dense oracle's on
     every backend (:class:`OracleCholeskyFactor`).
 
     Returns ``(L, ok)`` where lanes with a non-positive or non-finite
@@ -205,7 +206,7 @@ def _cholesky_tiles(xp: ArrayBackend, M):
 def _triangular_inverse(xp: ArrayBackend, L):
     """Batched inverse of lower-triangular ``(B, m, m)`` tiles via forward
     substitution — the device backends' sweep (host backends call
-    :func:`repro.mpc.banded.tril_inverse`).
+    :func:`repro.batch.host.tril_inverse`).
 
     Row ``i`` of the inverse is nonzero only on columns ``0..i``, so the
     substitution contracts over the filled ``(:i, :i)`` prefix alone —
@@ -343,7 +344,7 @@ class BatchCholeskyFactor:
 
     def _factor_tiles(self, A, finite, reg_fill) -> None:
         """The blocked bidiagonal sweep over ``nb x nb`` tiles (dense:
-        one tile; banded: :func:`repro.mpc.banded.tile_size`); the tile
+        one tile; banded: :func:`repro.batch.host.tile_size`); the tile
         kernels are LAPACK on host backends and the column sweep on
         devices."""
         xp, n, lanes = self.xp, self.n, self.lanes
@@ -400,7 +401,7 @@ class BatchCholeskyFactor:
         else:
             # read through the module: the host tile kernels, at their one
             # definition
-            factor, invert = banded.cholesky_tiles, banded.tril_inverse
+            factor, invert = host.cholesky_tiles, host.tril_inverse
 
         D = xp.empty((lanes, K, nb, nb))
         Dinv = xp.empty((lanes, K, nb, nb))
@@ -604,8 +605,8 @@ class OracleCholeskyFactor:
 
     On host backends it shares no arithmetic with
     :class:`BatchCholeskyFactor` (whose tiles run LAPACK through
-    :func:`repro.mpc.banded.cholesky_tiles` /
-    :func:`~repro.mpc.banded.tril_inverse` and solve by products with the
+    :func:`repro.batch.host.cholesky_tiles` /
+    :func:`~repro.batch.host.tril_inverse` and solve by products with the
     inverted tiles), so a fault in the blocked factor, its tile kernels or
     its solves moves the hinted steps and leaves the oracle alone; on
     device backends the column sweep is the blocked factor's too.  ``ok``
@@ -722,7 +723,7 @@ def robust_factor_batch(
     ``forced`` (host backends) is the fault-injection consult:
     ``forced(lanes)`` takes a ``(B,)`` mask of the lanes about to make an
     attempt and returns the mask of those whose attempt is to fail as if a
-    pivot had gone non-positive (see :class:`repro.mpc.qp._LaneFaults`).
+    pivot had gone non-positive (see :class:`repro.batch.host._LaneFaults`).
 
     ``kind`` is the factor class, :class:`BatchCholeskyFactor` by default
     (:class:`OracleCholeskyFactor` for the dense oracle step).

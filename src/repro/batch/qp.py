@@ -43,7 +43,7 @@ reciprocal pivots ``r = (diag(Φ) + reg)^-½`` and the per-lane retry
 ladder, with no factor object
 (:func:`~repro.batch.linalg.robust_diag_factor_batch`); then ``V = r∘Gᵀ``,
 ``S = VᵀV`` and ``dx = r∘(r∘(r₁ − Gᵀdν))``.  Otherwise ``Φ``'s stage
-blocks (:func:`repro.mpc.qp._stage_layout`) are formed by one stacked
+blocks (:func:`repro.batch.host._stage_layout`) are formed by one stacked
 ``J_kᵀW_kJ_k`` as one ``(B, K, s, s)`` stack, factored by what in it is
 coupled: the connected components of ``nz(H) ∪ nz(JᵀJ)`` inside each
 tile, read with the rest of the layout and grouped by width, one
@@ -77,7 +77,7 @@ One iteration is a fixed schedule of batched ops and nothing else:
    one iteration-count update;
 2. the scaling ``w = λ / s``, the ``Φ`` factor and ``S = VᵀV``, and ``S``'s
    factor (LAPACK ``potrf`` plus an LU inverse per tile on host, in tiles
-   of :func:`repro.mpc.banded.tile_size`);
+   of :func:`repro.batch.host.tile_size`);
 3. the predictor and the corrector solve, each one ``Jᵀ`` product, the two
    triangular products with ``S``'s tile and the diagonal scalings; the
    step lengths of ``s`` and ``λ`` are taken as one ``(B, 2, m)`` pair;
@@ -98,10 +98,10 @@ frozen with status ``"failed"`` (the one-lane call raises
 ``SolverError`` there), because one bad lane must not abort its
 batch-mates.  Two host epilogues are optional: with ``QPOptions.polish``
 the converged lanes end with the active-set polish
-(:func:`repro.mpc.qp._polish_lane`), and ``fault_hooks`` (host backends)
+(:func:`repro.batch.host._polish_lane`), and ``fault_hooks`` (host backends)
 let a :mod:`repro.faults` hook per lane transform its Hessian and the
 matrices its lane factors and fail attempts of its retry ladder
-(:class:`repro.mpc.qp._LaneFaults`); a hooked lane's batch-mates are
+(:class:`repro.batch.host._LaneFaults`); a hooked lane's batch-mates are
 untouched.
 """
 
@@ -113,20 +113,19 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SolverError
-from repro.mpc.banded import block_partition
-from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
-from repro.mpc.qp import (
-    _CARRY_FLOOR,
-    QPOptions,
-    QPStats,
+
+from .backend import HOST, ArrayBackend, get_backend
+from .contract import _CARRY_FLOOR, QPOptions, QPStats
+from .host import (
     _diag_schur_band,
     _LaneFaults,
     _polish_lane,
     _stage_layout,
     _sum_gathers,
+    block_partition,
+    flop_counts_cholesky,
+    flop_counts_substitution,
 )
-
-from .backend import HOST, ArrayBackend, get_backend
 from .linalg import LADDER_ATTEMPTS, BatchCholeskyFactor, OracleCholeskyFactor
 from .linalg import robust_diag_factor_batch, robust_factor_batch
 
@@ -327,7 +326,7 @@ class _LaneKKT:
     factorization and whether it is banded, and the substitution flops of
     one iteration on the lanes ``Phi`` left alive (``phi_sub``) and on
     those the last factorization left alive (``final_sub``).  ``faults``
-    (a :class:`repro.mpc.qp._LaneFaults`, or ``None``) sees every matrix a
+    (a :class:`repro.batch.host._LaneFaults`, or ``None``) sees every matrix a
     lane factors and every attempt of its ladder.
     """
 
@@ -503,7 +502,7 @@ class _DiagLaneKKT(_LaneKKT):
 
 class _StageLaneKKT(_LaneKKT):
     """The hinted step over ``Phi``'s stage blocks, laid out by
-    :func:`repro.mpc.qp._stage_layout` (read once per solve, from the lane
+    :func:`repro.batch.host._stage_layout` (read once per solve, from the lane
     envelope).  ``H``'s blocks, each block's ``J`` rows ``(B, K, r, s)`` and
     its transposed ``G`` rows ``(B, K, s, q)`` are gathered once; per
     iteration ``Phi``'s blocks are one stacked ``J_k^T W_k J_k`` product,
@@ -512,7 +511,7 @@ class _StageLaneKKT(_LaneKKT):
     the factor class ``kind`` of every attempt of the retry ladder), and
     ``S = sum_k V_k^T V_k`` with
     ``V_k = L_k^-1 G_k^T`` is summed through precomputed gathers (the
-    scatter-add of :func:`repro.mpc.qp._sum_gathers`).  Every gather is an
+    scatter-add of :func:`repro.batch.host._sum_gathers`).  Every gather is an
     ``xp.take`` on the lane-major layout, so a lane's arithmetic does not
     depend on how many lanes ride with it."""
 
@@ -787,7 +786,7 @@ def solve_qp_batch(
     does from its ``warm``, and every other lane cold.  ``fault_hooks``
     (host backends) is an optional length-``B`` sequence of
     :mod:`repro.faults` solver-layer hooks, ``None`` for a lane without one
-    (consulted as :class:`repro.mpc.qp._LaneFaults` says).
+    (consulted as :class:`repro.batch.host._LaneFaults` says).
     """
     opt = options or QPOptions()
     xp = get_backend(backend)

@@ -32,14 +32,16 @@ branches on the tier.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.errors import VectorizationError
 from repro.linearize import GROUP_INFO, STATE_ROWS, normalize_ref
-from repro.mpc.transcription import TranscribedProblem
 from repro.symbolic.compile import _INFIX, CompiledFunction
 
 from .backend import ArrayBackend, get_backend
+
+if TYPE_CHECKING:
+    from repro.mpc.transcription import TranscribedProblem
 
 __all__ = ["VectorizedFunction", "vectorize_compiled", "BatchLinearizer"]
 

@@ -50,7 +50,7 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.mpc.qp import QP_METHODS
+    from repro.batch.contract import QP_METHODS
 
     parser = argparse.ArgumentParser(
         prog="repro",

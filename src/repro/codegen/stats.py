@@ -1,8 +1,9 @@
 """Observability record for the fused-kernel codegen subsystem.
 
-Kept dependency-free (dataclasses only) so :mod:`repro.mpc.qp` can carry a
-``CodegenStats`` on :class:`~repro.mpc.qp.QPStats` without importing the
-codegen machinery (which itself imports the transcription layer).
+Kept dependency-free (dataclasses only) so the solver contract
+(:mod:`repro.batch.contract`) can carry a ``CodegenStats`` on
+:class:`~repro.batch.contract.QPStats` without importing the codegen
+machinery.
 """
 
 from __future__ import annotations

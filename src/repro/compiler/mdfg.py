@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.batch.host import flop_counts_cholesky, flop_counts_substitution
 from repro.errors import CompilerError
-from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 
 __all__ = ["NodeType", "MDFGNode", "MDFG", "KERNELS", "kernel_op_counts"]
 

@@ -70,10 +70,11 @@ from repro.baselines.reference_solver import (
     reference_qp_objective,
     reference_solve_qp,
 )
+from repro.batch.contract import QPOptions
 from repro.conform.cases import ConformanceCase
 from repro.conform.ledger import relative_error
 from repro.errors import BaselineError, ConformanceError
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.mpc.qp import solve_qp
 from repro.mpc.task import Task
 from repro.mpc.transcription import TranscribedProblem
 from repro.robots.registry import build_benchmark

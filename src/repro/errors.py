@@ -58,9 +58,10 @@ class StateValidationError(SolverError):
     """A solve was rejected before it started: the measured state (or other
     caller-supplied data) contained non-finite entries.
 
-    Carries the structured :class:`~repro.mpc.health.SolverHealth` report on
-    ``health`` so callers (the serving session, telemetry) can distinguish
-    numerical poison at the *input* from a failure inside the solver.
+    Carries the structured :class:`~repro.batch.contract.SolverHealth`
+    report on ``health`` so callers (the serving session, telemetry) can
+    distinguish numerical poison at the *input* from a failure inside the
+    solver.
     """
 
     def __init__(self, message: str, health=None):

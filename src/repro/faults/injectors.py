@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mpc.budget import SolveBudget
+from repro.batch.contract import SolveBudget
 from repro.faults.schedule import FaultSchedule, FaultSpec
 
 __all__ = ["SessionFaultInjector", "EngineFaultInjector"]

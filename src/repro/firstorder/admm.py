@@ -1,5 +1,4 @@
-"""OSQP-style ADMM for the repo's convex QP form: host-side set-up, the
-active-set polish, and the single-QP entry point.
+"""OSQP-style ADMM for the repo's convex QP form: the host-side set-up.
 
 The QP
 
@@ -22,11 +21,14 @@ factorization discipline), so the per-iteration work is pure matvec +
 clamp (the ReLU-QP observation).
 
 That iteration exists once, in :mod:`repro.firstorder.batch`, over a
-``(B, ...)`` lane stack; :func:`solve_qp_admm` is its ``B = 1`` lane.
-This module holds what runs on the host around the loop — box-form
-assembly, Ruiz scaling, warm-start validation, the positive-definiteness-
-checked build of ``K^-1`` with its regularization ladder and fault hooks,
-the rho checkpoint, and the polish — all of it per lane, for every ``B``.
+``(B, ...)`` lane stack; a single QP (:func:`repro.mpc.qp.solve_qp` with
+``QPOptions(method="admm")``) is its ``B = 1`` lane.  This module holds
+what runs on the host around the loop — box-form assembly, Ruiz scaling,
+warm-start validation, the positive-definiteness-checked build of
+``K^-1`` with its regularization ladder and fault hooks, and the rho
+checkpoint — all of it per lane, for every ``B``.  The active-set polish
+the loop ends stalled lanes with is shared with the interior-point loop
+(:func:`repro.batch.host._polish_qp`).
 
 Warm starting: ``QPResult.warm`` carries ``(x, z, y, rho)`` out of every
 solve; passing it back in (same problem family — shapes must match)
@@ -43,16 +45,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.batch.contract import QPOptions
+from repro.batch.host import _stacked
 from repro.errors import SolverError
-from repro.mpc.linalg import max_abs
 from repro.firstorder.precond import (
     identity_scale_batch,
     norm_spread_batch,
     ruiz_equilibrate_batch,
 )
-from repro.mpc.qp import QPOptions, QPResult
 
-__all__ = ["solve_qp_admm"]
 
 #: rho adaptation clamp (OSQP's RHO_MIN / RHO_MAX)
 _RHO_MIN = 1e-6
@@ -71,264 +72,6 @@ _STALL_WINDOW = 0.9
 _FACTOR_ATTEMPTS = 16
 
 
-#: slack/dual threshold that puts an inequality row into the polish guess
-_POLISH_ACTIVE_TOL = 1e-6
-#: iterative-refinement passes against the unregularized KKT system
-_POLISH_REFINE = 3
-#: active-set repair rounds (drop negative multipliers, then add violated
-#: rows — never both in one round, which thrashes on stiff problems)
-_POLISH_ROUNDS = 15
-
-
-def _polish_qp(H, g, G, b, J, d, x, lam, reg, tol):
-    """Active-set polish of a first-order iterate (OSQP Section 5.2, plus
-    active-set repair rounds).
-
-    A stalled or capped ADMM iterate is usually *qualitatively* right —
-    it knows which inequality rows bind — while its accuracy is pinned by
-    the problem's curvature spread, which no diagonal scaling can fix.
-    Solving the equality-constrained KKT system of the guessed active set
-    (regularized quasi-definite factorization + iterative refinement) has
-    no such floor, so one direct solve recovers the solution to near
-    machine precision *if the guess is right*.  Each repair round then
-    adds rows the candidate violates and drops rows with negative
-    multipliers, converging to the true active set from a coarse guess.
-
-    Candidates are ranked by stationarity ``r_dual``, primal feasibility
-    ``r_prim`` and dual feasibility ``r_sign`` (the most negative
-    multiplier of a guessed-active row, 0 when none is): a candidate that
-    pins a row the optimum leaves free solves its equalities to roundoff
-    and is still no optimum.  Returns a dict with the best candidate seen
-    (``x``, ``nu``, ``lam``, ``slacks``, ``r_prim``, ``r_dual``,
-    ``r_sign``, ``residual`` and a ``converged`` verdict against ``tol``
-    in the relative metric of the ADMM loop, ``r_sign`` held to the dual
-    scale as ``r_dual`` is), or ``None`` when no round produced a finite
-    solve.
-    """
-    n = g.shape[0]
-    p = G.shape[0] if G is not None else 0
-    m = J.shape[0] if J is not None else 0
-    delta = max(float(reg), 1e-9)
-    g_norm = max_abs(g)
-    act = np.zeros(m, dtype=bool)
-    if m:
-        act = ((d - J @ x) < _POLISH_ACTIVE_TOL * (1.0 + np.abs(d))) | (
-            lam > _POLISH_ACTIVE_TOL
-        )
-    best = None
-    best_score = float("inf")
-    for _ in range(_POLISH_ROUNDS):
-        rows, rhs_rows = [], []
-        if p:
-            rows.append(G)
-            rhs_rows.append(b)
-        if m and np.any(act):
-            rows.append(J[act])
-            rhs_rows.append(d[act])
-        A_act = np.vstack(rows) if rows else np.zeros((0, n))
-        rc = np.concatenate(rhs_rows) if rhs_rows else np.zeros(0)
-        ka = A_act.shape[0]
-        K = np.block(
-            [
-                [H + delta * np.eye(n), A_act.T],
-                [A_act, -delta * np.eye(ka)],
-            ]
-        )
-        K0 = np.block(
-            [[H, A_act.T], [A_act, np.zeros((ka, ka))]]
-        )
-        rhs = np.concatenate([-g, rc])
-        try:
-            sol = np.linalg.solve(K, rhs)
-            for _refine in range(_POLISH_REFINE):
-                sol = sol + np.linalg.solve(K, rhs - K0 @ sol)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(sol)):
-            break
-        px = sol[:n]
-        mult = sol[n:]
-        r_dual = max_abs(
-            H @ px + g + (A_act.T @ mult if ka else 0.0)
-        )
-        r_prim = 0.0
-        if p:
-            r_prim = max(r_prim, max_abs(G @ px - b))
-        viol = np.zeros(0)
-        if m:
-            viol = J @ px - d
-            r_prim = max(r_prim, float(np.max(np.maximum(viol, 0.0))))
-        # dual feasibility: a guessed-active row must not pull (its
-        # multiplier negative), or the candidate is no optimum
-        r_sign = max(0.0, -float(np.min(mult[p:], initial=0.0)))
-        score = max(r_dual, r_prim, r_sign)
-        if score < best_score:
-            best_score = score
-            lam_full = np.zeros(m)
-            if m and ka > p:
-                lam_full[act] = np.maximum(mult[p:], 0.0)
-            best = {
-                "x": px,
-                "nu": mult[:p].copy(),
-                "lam": lam_full,
-                "r_prim": r_prim,
-                "r_dual": r_dual,
-                "r_sign": r_sign,
-            }
-        if not m:
-            break
-        # Repair the guess, one move at a time (textbook active-set
-        # discipline): first evict rows whose multiplier came back
-        # negative — a wrongly pinned row drags the candidate into
-        # violating *other* rows, so adding and dropping simultaneously
-        # chases its own tail on stiff problems.  Only once the
-        # multipliers are clean do violated rows join the set.
-        new_act = act.copy()
-        if ka > p:
-            neg = mult[p:] < -1e-9
-            if np.any(neg):
-                new_act[np.flatnonzero(act)[neg]] = False
-        if np.array_equal(new_act, act):
-            new_act = act | (viol > 1e-9 * (1.0 + np.abs(d)))
-        if np.array_equal(new_act, act):
-            break
-        act = new_act
-    if best is None:
-        return None
-
-    px = best["x"]
-    y_full = np.concatenate([best["nu"], best["lam"]])
-    rows = []
-    if p:
-        rows.append(G)
-    if m:
-        rows.append(J)
-    A = np.vstack(rows) if rows else np.zeros((0, n))
-    Ax = A @ px
-    prim_scale = 1.0 + max_abs(Ax)
-    dual_scale = 1.0 + max(
-        max_abs(H @ px),
-        max_abs(A.T @ y_full) if A.shape[0] else 0.0,
-        g_norm,
-    )
-    best["slacks"] = (
-        np.maximum(d - J @ px, 0.0) if m else np.zeros(0)
-    )
-    best["residual"] = max(best["r_prim"], best["r_dual"], best["r_sign"])
-    best["converged"] = bool(
-        best["r_prim"] <= tol * prim_scale
-        and max(best["r_dual"], best["r_sign"]) <= tol * dual_scale
-    )
-    return best
-
-
-def solve_qp_admm(
-    H: np.ndarray,
-    g: np.ndarray,
-    G: Optional[np.ndarray],
-    b: Optional[np.ndarray],
-    J: Optional[np.ndarray],
-    d: Optional[np.ndarray],
-    options: Optional[QPOptions] = None,
-    deadline: Optional[float] = None,
-    warm: Optional[dict] = None,
-    fault_hook: Optional[object] = None,
-) -> QPResult:
-    """Solve one convex QP with over-relaxed ADMM and a cached factorization:
-    the ``B = 1`` lane of :func:`~repro.firstorder.batch.solve_qp_admm_batch`.
-
-    Same data contract as :func:`repro.mpc.qp.solve_qp` (which dispatches
-    here for ``options.method == "admm"``).  ``deadline`` is an absolute
-    ``perf_counter`` stamp: past it, the current iterate is returned with
-    ``budget_exhausted=True``.  ``warm`` resumes from a previous solve's
-    ``QPResult.warm`` — warm dicts always travel in the *unscaled* space,
-    so carry-over survives re-equilibration with fresh scalings.
-
-    With ``options.admm_equilibrate`` the box-form data is Ruiz-scaled
-    first and the iteration runs on the scaled problem while terminating
-    on the unscaled residuals; the returned iterates, duals, residuals and
-    warm state are always in the original space.  A
-    :class:`~repro.mpc.qp.ConditioningReport` on ``result.stats`` records
-    the norm spread, rho-rescale count and the stall/divergence verdict
-    the fallback ladder keys on.
-
-    ``fault_hook`` is the :mod:`repro.faults` solver-layer injector, handed
-    to the loop as the lane's hook: every build of the cached inverse
-    consults ``transform_matrix``/``force_failure`` (the IPM loop's
-    protocol, :class:`repro.mpc.qp._LaneFaults`), and the optional
-    ``force_stall`` hook makes this solve report a stall after a few
-    iterations — the deterministic
-    trigger ``admm_stall`` campaigns use to exercise the rescue ladder.
-
-    Raises :class:`~repro.errors.SolverError` on non-finite or mis-shaped
-    data (before any iteration) and when ``K`` cannot be factorized even
-    at the top of the regularization ladder.
-    """
-    # Imported lazily: the loop module imports this module's host helpers.
-    from repro.firstorder.batch import solve_qp_admm_batch
-
-    n = g.shape[0]
-    if H.shape != (n, n):
-        raise SolverError(f"H shape {H.shape} does not match g length {n}")
-    for name, arr in (("H", H), ("g", g), ("G", G), ("b", b), ("J", J), ("d", d)):
-        if arr is not None and np.size(arr) and not np.all(np.isfinite(arr)):
-            raise SolverError(
-                f"QP data {name} contains non-finite entries; "
-                "refusing to start the ADMM iteration"
-            )
-    has_eq = G is not None and G.shape[0] > 0
-    has_in = J is not None and J.shape[0] > 0
-    if has_eq and (b is None or b.shape != (G.shape[0],)):
-        raise SolverError("equality right-hand side b missing or mis-shaped")
-    if has_in and (d is None or d.shape != (J.shape[0],)):
-        raise SolverError("inequality right-hand side d missing or mis-shaped")
-
-    try:
-        warm_lane = {
-            key: np.asarray(warm[key], dtype=float)[None]
-            for key in ("x", "z", "y")
-        }
-        warm_lane["rho"] = warm.get("rho")
-    except (AttributeError, KeyError, TypeError, ValueError):
-        warm_lane = None  # absent or malformed: the lane starts cold
-
-    res = solve_qp_admm_batch(
-        H[None],
-        g[None],
-        G[None] if has_eq else None,
-        b[None] if has_eq else None,
-        J[None] if has_in else None,
-        d[None] if has_in else None,
-        options,
-        deadline=deadline,
-        warm=warm_lane,
-        fault_hooks=None if fault_hook is None else [fault_hook],
-    )
-    stats = res.stats[0]
-    if res.status[0] == "failed" and not stats.conditioning.diverged:
-        raise SolverError(
-            "ADMM KKT matrix could not be factorized "
-            f"(after {stats.retries} regularization retries)"
-        )
-    warm_out = None
-    if res.warm is not None:
-        warm_out = {key: res.warm[key][0] for key in ("x", "z", "y")}
-        warm_out["rho"] = float(res.warm["rho"][0])
-    return QPResult(
-        x=res.x[0],
-        nu=res.nu[0],
-        lam=res.lam[0],
-        slacks=res.slacks[0],
-        converged=bool(res.converged[0]),
-        iterations=int(res.iterations[0]),
-        residual=float(res.residual[0]),
-        gap_history=res.gap_history[0],
-        stats=stats,
-        budget_exhausted=bool(res.budget_exhausted[0]),
-        warm=warm_out,
-    )
-
-
 # ------------------------------------------------------------------------
 # Host-side set-up and checkpoints of the lockstep loop
 # (repro.firstorder.batch).
@@ -344,15 +87,10 @@ def _positive_definite(K) -> np.ndarray:
     """Per-lane verdict of a ``(k, n, n)`` stack: does the Cholesky
     factorization exist?  One batched attempt answers for the whole stack
     when every lane is positive definite (the common case); a stack that
-    fails is bisected down to the failing lanes."""
-    try:
-        np.linalg.cholesky(K)
-        return np.ones(len(K), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(K) == 1:
-            return np.zeros(1, dtype=bool)
-        halves = K[: len(K) // 2], K[len(K) // 2 :]
-        return np.concatenate([_positive_definite(h) for h in halves])
+    fails is bisected down to the failing lanes (:func:`_stacked`, whose
+    NaN fill marks them: a finite ``K`` that factors has a finite
+    factor)."""
+    return ~np.isnan(_stacked(np.linalg.cholesky, K)).any(axis=(1, 2))
 
 
 def _admm_refactor_batch(setup: dict, idx, opt: QPOptions) -> None:

@@ -2,13 +2,13 @@
 
 :func:`solve_qp_admm_batch` is the repo's one ADMM loop — the splitting
 described in :mod:`repro.firstorder.admm`, run over ``B`` stacked QP
-instances; a single QP (:func:`repro.firstorder.admm.solve_qp_admm`) is
-its ``B = 1`` lane.  Set-up — box form assembly, Ruiz scaling and the
-positive-definiteness-checked inverse of ``K = H + sigma I + A^T R A`` —
-happens on the host (``_admm_setup_batch``); everything is uploaded once,
-and the loop body is then *pure batched matmul, elementwise algebra, and
-clamp* through the :mod:`repro.batch.backend` seam (``xp``), the ReLU-QP
-formulation:
+instances; a single QP (:func:`repro.mpc.qp.solve_qp` with
+``QPOptions(method="admm")``) is its ``B = 1`` lane.  Set-up — box form
+assembly, Ruiz scaling and the positive-definiteness-checked inverse of
+``K = H + sigma I + A^T R A`` — happens on the host
+(``_admm_setup_batch``); everything is uploaded once, and the loop body is
+then *pure batched matmul, elementwise algebra, and clamp* through the
+:mod:`repro.batch.backend` seam (``xp``), the ReLU-QP formulation:
 
 * lane statuses live in a device integer array with the same masked
   lockstep freeze semantics (and status codes) as the batched IPM in
@@ -47,15 +47,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import List, Optional, Sequence
 
-from repro.firstorder.admm import (
-    _STALL_WINDOW,
-    _admm_rho_checkpoint,
-    _admm_setup_batch,
-    _polish_qp,
-)
-from repro.mpc.qp import ConditioningReport, QPOptions, QPStats
-
 from repro.batch.backend import HOST, get_backend
+from repro.batch.contract import ConditioningReport, QPOptions, QPStats
+from repro.batch.host import _polish_qp
 from repro.batch.qp import (
     _ACTIVE,
     _BUDGET,
@@ -69,6 +63,11 @@ from repro.batch.qp import (
     _decode_lanes,
     _lane_caps,
     _maxabs,
+)
+from repro.firstorder.admm import (
+    _STALL_WINDOW,
+    _admm_rho_checkpoint,
+    _admm_setup_batch,
 )
 
 __all__ = ["solve_qp_admm_batch"]

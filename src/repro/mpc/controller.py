@@ -23,9 +23,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.batch.contract import IPMResult, SolveBudget
 from repro.errors import SolverError, StateValidationError
-from repro.mpc.budget import SolveBudget
-from repro.mpc.ipm import InteriorPointSolver, IPMResult
+from repro.mpc.ipm import InteriorPointSolver
 from repro.mpc.transcription import TranscribedProblem
 from repro.symbolic import compile_function
 

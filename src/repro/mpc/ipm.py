@@ -24,156 +24,32 @@ That iteration is written once, with a lane axis, in
 ``B = 1`` host lane: it validates the caller's input, stacks one lane,
 hands the driver the problem's own evaluation methods, and unwraps lane
 0.  The driver takes every QP step itself, through
-:func:`repro.batch.qp.solve_qp_batch` at one lane.
+:func:`repro.batch.qp.solve_qp_batch` at one lane.  Its options and
+result (:class:`~repro.batch.contract.IPMOptions`,
+:class:`~repro.batch.contract.IPMResult`) are the solver contract of
+:mod:`repro.batch.contract`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.batch import ipm as lanes
+from repro.batch.contract import (
+    IPMOptions,
+    IPMResult,
+    SolveBudget,
+    SolverHealth,
+    nonfinite_indices,
+)
 from repro.errors import SolverError, StateValidationError
 from repro.linearize import normalize_ref
-from repro.mpc.budget import SolveBudget
-from repro.mpc.health import SolverHealth, nonfinite_indices
-from repro.mpc.linalg import cholesky
-from repro.mpc.qp import QPOptions
 from repro.mpc.transcription import TranscribedProblem
 
-__all__ = [
-    "CONTROL_GRADE_KKT",
-    "IPMOptions",
-    "IPMResult",
-    "InteriorPointSolver",
-]
-
-#: KKT residual (scaled max-norm) at which a plan is control-grade: the
-#: solver may stop on a settled served input below it
-#: (:attr:`IPMOptions.input_tolerance`), and a serve session may serve a
-#: budget-exhausted plan below it
-#: (:attr:`repro.serve.session.SessionConfig.accept_kkt`).
-CONTROL_GRADE_KKT = 1e-2
-
-
-@dataclass
-class IPMOptions:
-    """Tunable parameters of the SQP + interior-point solver.
-
-    A solve stops ``"converged"`` on either of two tests.  The KKT test:
-    the nonlinear KKT residual at the current linearization is below
-    ``tolerance``.  The control-grade test (off when ``input_tolerance`` is
-    ``None``): after an SQP iteration whose step was full (``alpha = 1``,
-    neither clipped by ``step_clip`` nor backtracked) or, on an
-    interior-point QP, rejected outright by the line search (the lane would
-    re-solve the same subproblem until its cap), whose QP converged, whose
-    linearization's KKT residual is at most :data:`CONTROL_GRADE_KKT`, and
-    whose scaled move of the served input ``max |d[u_0] / scale[u_0]|`` is
-    at most ``input_tolerance``.  A
-    receding-horizon controller applies only ``u_0`` and refines the rest of
-    the plan on the following ticks (real-time iteration), so iterating the
-    tail of the plan to ``tolerance`` buys nothing the plant sees.  A lane
-    stopped this way reports the KKT residual measured before its last step
-    and the health note ``input_settled_it{k}``.
-    """
-
-    #: maximum outer (SQP) iterations
-    max_iterations: int = 60
-    #: nonlinear KKT tolerance (scaled max-norm); the Gauss-Newton tail
-    #: converges linearly, so a tight value costs many SQP iterations
-    #: (meta-parameter in the DSL, per the paper)
-    tolerance: float = 1e-4
-    #: control-grade stop on the served input's scaled step (see the class
-    #: docstring); ``None`` turns the test off (oracles, tight references)
-    input_tolerance: Optional[float] = 1e-3
-    #: inner QP settings
-    qp: QPOptions = field(default_factory=QPOptions)
-    #: Armijo sufficient-decrease coefficient for the merit line search
-    armijo: float = 1e-4
-    #: maximum line-search halvings
-    max_backtracks: int = 20
-    #: non-monotone window: a step is accepted against the maximum merit of
-    #: the last ``watchdog`` iterations (breaks Maratos-effect cycling)
-    watchdog: int = 6
-    #: trust-region-style cap on the scaled step max-norm: the line search
-    #: starts at alpha = min(1, step_clip / ||d/scale||_inf), preventing a
-    #: single linearization from being extrapolated far outside its validity
-    #: region (e.g. the linear-tire regime of the vehicle model)
-    step_clip: float = 2.0
-    #: L1 exact-penalty parameter floor (raised adaptively above multipliers)
-    penalty_init: float = 1.0
-    #: Levenberg regularization added to the Gauss-Newton Hessian
-    regularization: float = 1e-8
-    #: Hessian model: "gauss_newton" (PSD, robust far from the solution),
-    #: "exact" (objective + dynamics-curvature contraction; quadratic local
-    #: convergence, relies on QP inertia correction), or "hybrid" (GN until
-    #: the KKT residual falls below ``hybrid_switch``, then exact, except
-    #: for the subproblem after a step the line search rejected outright)
-    hessian: str = "gauss_newton"
-    #: KKT threshold at which "hybrid" switches from GN to the exact Hessian
-    hybrid_switch: float = 1.0
-    #: L1 weight of the QP slacks on softened (state) constraint rows; also
-    #: the exact-penalty weight those rows carry in the merit function
-    soft_penalty: float = 1e4
-    #: small quadratic slack regularization keeping the extended QP strictly convex
-    soft_quadratic: float = 1e-2
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise SolverError("max_iterations must be >= 1")
-        if not 0 < self.armijo < 1:
-            raise SolverError("armijo must lie in (0, 1)")
-
-
-@dataclass
-class IPMResult:
-    """Outcome of one MPC solve."""
-
-    z: np.ndarray
-    converged: bool
-    #: outer SQP iterations taken
-    iterations: int
-    #: total inner interior-point iterations across all QP subproblems
-    qp_iterations: int
-    objective: float
-    #: max-norm of the nonlinear KKT residual at exit (after a
-    #: control-grade stop: at the linearization before the last step)
-    kkt_residual: float
-    #: per-outer-iteration KKT residuals (diagnostics / tests)
-    residual_history: List[float] = field(default_factory=list)
-    #: equality multipliers at exit
-    nu: Optional[np.ndarray] = None
-    #: inequality multipliers at exit
-    lam: Optional[np.ndarray] = None
-    #: how the solve ended: ``"converged"`` (the KKT test, or the
-    #: control-grade stop, noted ``input_settled_it{k}``),
-    #: ``"max_iterations"``,
-    #: ``"budget_exhausted"`` (a :class:`~repro.mpc.budget.SolveBudget`
-    #: limit fired before convergence — the iterate is the best partial
-    #: result, usable for real-time-iteration warm starting), or
-    #: ``"diverged"`` (the iteration produced numerical poison and stopped
-    #: on the last finite iterate — do not trust the solution)
-    status: str = "max_iterations"
-    #: total wall-clock seconds spent inside :meth:`InteriorPointSolver.solve`
-    solve_time: float = 0.0
-    #: numerical-health record of this solve (validation outcomes, rejected
-    #: steps, factorization-retry pressure); ``None`` only for results built
-    #: by stubs/legacy callers
-    health: Optional[SolverHealth] = None
-
-    def trajectories(self, problem: TranscribedProblem):
-        """Split the solution into state and input trajectories."""
-        return problem.split(self.z)
-
-
-def _lanes():
-    """The lane driver module.  Imported on first use: it builds this
-    module's :class:`IPMResult`, so the edge cannot exist at import time."""
-    from repro.batch import ipm
-
-    return ipm
+__all__ = ["InteriorPointSolver"]
 
 
 def _per_lane(name: str):
@@ -224,7 +100,7 @@ class InteriorPointSolver:
         self.options = options or IPMOptions()
         #: cumulative statistics across solves (see
         #: :func:`repro.batch.ipm.new_stats`)
-        self.stats = _lanes().new_stats()
+        self.stats = lanes.new_stats()
         #: optional :mod:`repro.faults` solver-layer injector, threaded into
         #: every QP factorization (``None`` in production)
         self.fault_hook: Optional[object] = None
@@ -233,7 +109,7 @@ class InteriorPointSolver:
         #: ``options.qp.method == "admm"``; the ADMM path validates
         #: finiteness itself, so stale state degrades to a cold start.
         self._qp_warm: Optional[dict] = None
-        self._layout = _lanes().LaneLayout(problem)
+        self._layout = lanes.LaneLayout(problem)
         self._lin = _ProblemLanes(problem)
 
     def reset_qp_warm(self) -> None:
@@ -260,7 +136,7 @@ class InteriorPointSolver:
         ``(nz,)``, finite); the conformance harness uses it to probe
         linearizations away from the cold-start guess.
         """
-        p, opt, lanes = self.problem, self.options, _lanes()
+        p, opt = self.problem, self.options
         x_init = np.asarray(x_init, dtype=float)
         if z_warm is not None:
             z = np.array(z_warm, dtype=float)
@@ -335,42 +211,16 @@ class InteriorPointSolver:
                     "reference contains non-finite entries", health=health
                 )
 
-        warm, lanes = [self._qp_warm], _lanes()
+        warm = [self._qp_warm]
         (result,), _ = lanes.solve_lanes(
             self.problem, self.options, self._lin, self._layout, self.stats,
             x_init[None],
             normalize_ref(self.problem, ref, 1, lanes.HOST),
             [z_warm],
             [budget],
-            qp_method=self.options.qp.method,
             fault_hooks=None if self.fault_hook is None else [self.fault_hook],
             admm_warm=warm,
         )
         (self._qp_warm,) = warm
         result.solve_time = perf_counter() - t_solve
         return result
-
-
-def _convexify(H: np.ndarray) -> np.ndarray:
-    """Smallest diagonal shift (geometric ladder) making ``H`` factorizable.
-
-    IPOPT-style inertia correction: an indefinite exact Lagrangian Hessian is
-    shifted by ``delta I`` with ``delta`` escalating x10 until the from-scratch
-    Cholesky succeeds, so the QP subproblem is strictly convex and *fixed*.
-    """
-    try:
-        cholesky(H, reg=0.0)
-        return H
-    except SolverError:
-        pass
-    base = max(1e-8, 1e-10 * float(np.max(np.abs(H))))
-    delta = base
-    for _ in range(24):
-        shifted = H.copy()
-        shifted[np.diag_indices_from(shifted)] += delta
-        try:
-            cholesky(shifted, reg=0.0)
-            return shifted
-        except SolverError:
-            delta *= 10.0
-    raise SolverError("Hessian could not be convexified")

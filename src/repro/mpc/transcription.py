@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.batch.backend import HOST
 from repro.errors import TranscriptionError
 from repro.linearize import (
     GROUP_INFO,
@@ -182,8 +183,6 @@ class TranscribedProblem:
         could not be built to bind the interpreted provider; a batch never
         consults the codegen tier.
         """
-        from repro.batch.backend import HOST
-
         if xp is not None:
             if vectorized is not None:
                 return LaneLinearizer(self, xp, vectorized, "vectorized")
@@ -606,8 +605,6 @@ class TranscribedProblem:
         self, z: np.ndarray, ref: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Exact block-diagonal objective Hessian (dense assembly)."""
-        from repro.batch.backend import HOST
-
         xs, us = self.split(z)
         if ref is not None:
             ref = np.asarray(ref, dtype=float)

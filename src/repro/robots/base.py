@@ -62,7 +62,8 @@ class RobotBenchmark:
     def make_solver(self, problem: TranscribedProblem, **extra):
         """Build an :class:`InteriorPointSolver` with this benchmark's
         recommended options (overridable via ``extra``)."""
-        from repro.mpc.ipm import InteriorPointSolver, IPMOptions
+        from repro.batch.contract import IPMOptions
+        from repro.mpc.ipm import InteriorPointSolver
 
         kwargs = dict(self.ipm_overrides)
         kwargs.update(extra)

@@ -20,7 +20,7 @@ The engine that ticks the sessions is
 :class:`repro.serve2.AsyncServeEngine`.
 
 Deadline semantics live one layer down, in
-:class:`repro.mpc.budget.SolveBudget`: a budgeted solve stops early with
+:class:`repro.batch.contract.SolveBudget`: a budgeted solve stops early with
 ``status == "budget_exhausted"`` instead of raising; *this* package decides
 what to serve when that happens.
 """

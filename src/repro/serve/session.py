@@ -3,8 +3,9 @@
 A :class:`ControlSession` owns everything one robot's control loop needs on
 the serving side: the :class:`~repro.mpc.controller.MPCController` (and with
 it the warm-start state), the robot/task binding resolved through
-:mod:`repro.robots.registry`, the per-step :class:`~repro.mpc.budget.SolveBudget`,
-and the :class:`~repro.serve.policy.FallbackLadder`.
+:mod:`repro.robots.registry`, the per-step
+:class:`~repro.batch.contract.SolveBudget`, and the
+:class:`~repro.serve.policy.FallbackLadder`.
 
 Lifecycle: ``active`` → (``degraded`` ↔ ``active``) → ``closed``; the engine
 may also force ``crashed`` when a step raises something outside the
@@ -29,17 +30,20 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.batch.contract import (
+    CONTROL_GRADE_KKT,
+    QP_METHODS,
+    IPMResult,
+    SolveBudget,
+    SolverHealth,
+)
 from repro.errors import (
     ReproError,
     ServeError,
     SessionStateError,
     StateValidationError,
 )
-from repro.mpc.budget import SolveBudget
 from repro.mpc.controller import MPCController
-from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import CONTROL_GRADE_KKT, IPMResult
-from repro.mpc.qp import QP_METHODS
 from repro.serve.policy import FallbackLadder
 
 __all__ = [
@@ -159,7 +163,7 @@ class StepOutcome:
     #: served via rung 0: budget exhausted but the iterate was already
     #: control-grade (KKT below the session's ``accept_kkt``)
     partial: bool = False
-    #: :meth:`~repro.mpc.health.SolverHealth.to_dict` of the solve's
+    #: :meth:`~repro.batch.contract.SolverHealth.to_dict` of the solve's
     #: numerical-health report (None when no solve ran or the solver does
     #: not report health, e.g. injected stubs)
     health: Optional[Dict[str, object]] = None

@@ -1,11 +1,12 @@
 """Serving-runtime telemetry: counters, latency histograms, JSONL traces.
 
 Observability mirrors what the solver already exposes offline
-(:class:`~repro.mpc.qp.QPStats` phase times, iteration counts) and lifts it
-to the fleet level: per-session and aggregate counters for solve outcomes
-and the degradation ladder, log-spaced latency histograms with approximate
-percentiles, and a line-per-event JSONL trace writer the load generator and
-``repro serve-sim`` use to persist runs for offline analysis.
+(:class:`~repro.batch.contract.QPStats` phase times, iteration counts) and
+lifts it to the fleet level: per-session and aggregate counters for solve
+outcomes and the degradation ladder, log-spaced latency histograms with
+approximate percentiles, and a line-per-event JSONL trace writer the load
+generator and ``repro serve-sim`` use to persist runs for offline
+analysis.
 
 Everything here is dependency-free (numpy + stdlib) and mergeable:
 histograms and metric blocks support ``merge`` so sharded engines can be

@@ -14,9 +14,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.batch.contract import IPMResult, SolverHealth
 from repro.errors import ReproError, StateValidationError
-from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import IPMResult
 
 __all__ = [
     "result_to_dict",

@@ -42,9 +42,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.batch.contract import QP_METHODS
 from repro.batch.ipm import BatchSolveReport
 from repro.errors import AdmissionError, ReproError, ServeError
-from repro.mpc.qp import QP_METHODS
 from repro.serve.session import (
     CLOSED,
     CRASHED,

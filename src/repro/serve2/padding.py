@@ -46,8 +46,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.batch.contract import IPMResult
 from repro.errors import ReproError, ServeError
-from repro.mpc.ipm import IPMResult
 from repro.mpc.model import RobotModel
 from repro.mpc.task import RUNNING, TERMINAL, Constraint, Penalty, Task
 from repro.mpc.transcription import TranscribedProblem
@@ -329,11 +329,11 @@ class PaddedBinding:
         try:
             from repro.batch import BatchSolver
 
+            options = self.scalar_solver.options
             self.batch_solver = BatchSolver(
                 self.problem,
-                self.scalar_solver.options,
+                replace(options, qp=replace(options.qp, method=qp_method)),
                 backend=array_backend,
-                qp_method=qp_method,
             )
         except ReproError:
             self.batch_solver = None

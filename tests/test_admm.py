@@ -9,10 +9,10 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from repro.batch.contract import QPOptions, SolveBudget
 from repro.errors import SolverError
-from repro.firstorder import solve_qp_admm
-from repro.mpc import MPCController, SolveBudget
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.mpc import MPCController
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 
 #: tight enough that the primal iterates (not just objectives) agree
@@ -72,16 +72,16 @@ class TestScalarADMM:
         # One setup factorization, plus at most a few rho rescalings —
         # never one per iteration (the point of caching K^-1).
         qp = random_qp(8, 2, 4, 3)
-        res = solve_qp_admm(*qp, ADMM_OPTS)
+        res = solve_qp(*qp, ADMM_OPTS)
         assert res.converged
         assert res.iterations > 5
         assert 1 <= res.stats.factorizations <= 4
 
     def test_warm_start_reduces_iterations(self):
         qp = random_qp(8, 2, 4, 11)
-        cold = solve_qp_admm(*qp, ADMM_OPTS)
+        cold = solve_qp(*qp, ADMM_OPTS)
         assert cold.converged and cold.warm is not None
-        rewarm = solve_qp_admm(*qp, ADMM_OPTS, warm=cold.warm)
+        rewarm = solve_qp(*qp, ADMM_OPTS, warm=cold.warm)
         assert rewarm.converged
         assert rewarm.iterations <= max(2, cold.iterations // 10)
         assert np.allclose(rewarm.x, cold.x, atol=1e-6)
@@ -89,7 +89,7 @@ class TestScalarADMM:
     def test_malformed_warm_ignored(self):
         qp = random_qp(8, 2, 4, 11)
         bad = {"x": np.zeros(3), "z": np.zeros(2), "y": np.zeros(2)}
-        res = solve_qp_admm(*qp, ADMM_OPTS, warm=bad)
+        res = solve_qp(*qp, ADMM_OPTS, warm=bad)
         assert res.converged  # fell back to a cold start, didn't crash
 
     def test_bad_data_rejected_before_iterating(self):
@@ -106,22 +106,22 @@ class TestScalarADMM:
             (H, g, G, b, J, None),
         ):
             with pytest.raises(SolverError):
-                solve_qp_admm(*args, ADMM_OPTS)
+                solve_qp(*args, ADMM_OPTS)
 
     def test_deadline_returns_best_iterate_and_warm(self):
         qp = random_qp(10, 3, 5, 21)
-        res = solve_qp_admm(*qp, ADMM_OPTS, deadline=perf_counter())
+        res = solve_qp(*qp, ADMM_OPTS, deadline=perf_counter())
         assert res.budget_exhausted
         assert not res.converged
         assert np.all(np.isfinite(res.x))
         # The partial iterate is fit to resume from on the next tick.
         assert res.warm is not None
-        resumed = solve_qp_admm(*qp, ADMM_OPTS, warm=res.warm)
+        resumed = solve_qp(*qp, ADMM_OPTS, warm=res.warm)
         assert resumed.converged
 
     def test_iteration_cap_stops_without_convergence(self):
         qp = random_qp(10, 3, 5, 22)
-        capped = solve_qp_admm(
+        capped = solve_qp(
             *qp, replace(ADMM_OPTS, admm_max_iterations=3)
         )
         assert not capped.converged

@@ -1,8 +1,8 @@
-"""Tests for the banded structure helpers of :mod:`repro.mpc.banded`."""
+"""Tests for the banded structure helpers of :mod:`repro.batch.host`."""
 
 import numpy as np
 
-from repro.mpc.banded import bandwidth_of
+from repro.batch.host import bandwidth_of
 
 
 def banded_spd(n, band, seed=0):

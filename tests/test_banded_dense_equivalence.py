@@ -18,12 +18,13 @@ import pytest
 
 import repro.batch.ipm as batch_ipm
 from repro.batch.backend import HOST
+from repro.batch.contract import QPOptions
+from repro.batch.host import _LaneFaults, bandwidth_of, block_partition
 from repro.batch.ipm import LaneLayout
 from repro.batch.linalg import BatchCholeskyFactor, robust_diag_factor_batch
 from repro.batch.qp import _lane_kkt, _lane_rows, _LaneMeters
 from repro.conform.paths import _kkt_polish
-from repro.mpc.banded import bandwidth_of, block_partition
-from repro.mpc.qp import QPOptions, _LaneFaults, solve_qp
+from repro.mpc.qp import solve_qp
 from repro.mpc.transcription import TranscribedProblem
 from repro.robots.registry import BENCHMARK_NAMES, build_benchmark
 

@@ -15,8 +15,8 @@ from repro.batch import (
     solve_qp_batch,
 )
 from repro.batch.backend import HOST, NumpyBackend
+from repro.batch.contract import QPOptions
 from repro.errors import SolverError
-from repro.mpc.qp import QPOptions
 from repro.robots import build_benchmark
 from tests.test_batch_qp import rank_deficient_qp
 

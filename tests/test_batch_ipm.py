@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchSolver
+from repro.batch.contract import SolveBudget
 from repro.errors import SolverError, StateValidationError
-from repro.mpc.budget import SolveBudget
 from repro.mpc.transcription import TranscribedProblem
 from repro.robots import build_benchmark
 

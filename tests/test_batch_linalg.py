@@ -16,21 +16,22 @@ from repro.batch import (
     solve_qp_batch,
 )
 from repro.batch.backend import HOST
+from repro.batch.contract import QPOptions
+from repro.batch.host import (
+    MIN_BLOCK,
+    _stacked,
+    cholesky,
+    cholesky_tiles,
+    tile_size,
+    tril_inverse,
+)
 from repro.batch.linalg import (
     OracleCholeskyFactor,
     _triangular_inverse,
     robust_diag_factor_batch,
 )
 from repro.errors import SolverError
-from repro.mpc.banded import (
-    MIN_BLOCK,
-    BandedCholeskyFactor,
-    cholesky_tiles,
-    tile_size,
-    tril_inverse,
-)
-from repro.mpc.linalg import cholesky
-from repro.mpc.qp import QPOptions
+from repro.mpc.banded import BandedCholeskyFactor
 from tests.test_batch_backend import ALL_BACKENDS
 
 # Both pivots pass the positivity check, yet the forward-substitution
@@ -220,8 +221,25 @@ class TestTriangularInverse:
 
 class TestOneTileKernel:
     """``cholesky_tiles`` / ``tril_inverse`` are the host tile kernels of
-    both factors: one stacked LAPACK call, re-run tile by tile only when
-    the stack raises."""
+    both factors: one stacked LAPACK call, bisected down to the failing
+    tiles only when the stack raises."""
+
+    def test_a_failing_tile_is_found_by_bisection(self):
+        k, bad = 8, 5
+        M = np.stack([spd(6, 40 + i) for i in range(k)])
+        M[bad] = -np.eye(6)  # indefinite
+        calls = []
+
+        def kernel(stack):
+            calls.append(len(stack))
+            return np.linalg.cholesky(stack)
+
+        out = _stacked(kernel, M)
+        # the whole stack, then one failing half per level, both halves run
+        assert len(calls) == 1 + 2 * int(np.log2(k)) < 1 + k
+        assert np.isnan(out[bad]).all()
+        for i in sorted(set(range(k)) - {bad}):
+            assert np.array_equal(out[i], np.linalg.cholesky(M[i]))
 
     def test_lane_tiles_do_not_depend_on_their_mates(self):
         n, band = 40, 5
@@ -619,7 +637,7 @@ class TestTileRule:
 
 
 def banded_flops(n, band):
-    from repro.mpc.banded import flop_counts_banded_cholesky
+    from repro.batch.host import flop_counts_banded_cholesky
 
     return flop_counts_banded_cholesky(n, band)
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import reference_solve_qp
-from repro.errors import SolverError
 from repro.batch import solve_qp_batch
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.batch.contract import QPOptions
+from repro.errors import SolverError
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 
 
@@ -277,13 +278,15 @@ def stage_meters(qp, bw):
     of a block's ``G^T`` rows (every ``p`` row on a diagonal ``Phi``) and
     runs two Newton solves (predictor, corrector), each three triangular
     solves of ``Phi`` and one banded solve of ``S``."""
-    from repro.mpc.banded import (
+    from repro.batch.host import (
+        _diag_schur_band,
+        _stage_layout,
         block_partition,
         flop_counts_banded_cholesky,
         flop_counts_banded_substitution,
+        flop_counts_cholesky,
+        flop_counts_substitution,
     )
-    from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
-    from repro.mpc.qp import _diag_schur_band, _stage_layout
 
     H, g, G, b, J, d = qp
     n, p = H.shape[0], G.shape[0]
@@ -381,8 +384,8 @@ class TestStageStep:
         # ~cond * eps ~ 1e-6 forward (Quadrotor: 5.5e-7 hinted, 6.2e-7
         # dense); its backward error stays near roundoff (<= 2e-10).
         from repro.batch.backend import HOST
+        from repro.batch.host import block_partition
         from repro.batch.qp import _lane_kkt, _lane_rows, _LaneMeters
-        from repro.mpc.banded import block_partition
 
         H, g, G, b, J, d, bw = first_subproblem(robot, 5)
         reg = QPOptions().regularization

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import InteriorPointSolver, IPMOptions, MPCController
+from repro.batch.contract import IPMOptions
+from repro.mpc import InteriorPointSolver, MPCController
 from repro.mpc.controller import integrate_plant
 from repro.robots import build_benchmark
 

@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from repro.batch import BatchCholeskyFactor, get_backend, robust_factor_batch
 from repro.batch.backend import HOST
+from repro.batch.host import (
+    _stage_layout,
+    block_partition,
+    coupling_components,
+)
 from repro.batch.qp import _LaneMeters, _lane_structure, _StageLaneKKT
-from repro.mpc.banded import block_partition, coupling_components
-from repro.mpc.qp import _stage_layout
 from tests.test_batch_backend import ALL_BACKENDS
 from tests.test_batch_qp import first_subproblem
 

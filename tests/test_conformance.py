@@ -15,8 +15,8 @@ import json
 import numpy as np
 import pytest
 
+import repro.batch.host as host_mod
 import repro.batch.linalg as batch_linalg
-import repro.mpc.banded as banded_mod
 from repro.conform import (
     CASE_HORIZONS,
     DEFAULT_ROBOTS,
@@ -416,12 +416,12 @@ class TestMutationCheck:
         # (the dense_kkt baseline's oracle factor never calls it).
         # MobileRobot's Schur complement is where the tiles run (its Phi
         # takes the diagonal lanes).
-        healthy_inverse = banded_mod.tril_inverse
+        healthy_inverse = host_mod.tril_inverse
 
         def transposed_inverse(L):
             return np.swapaxes(healthy_inverse(L), -1, -2)
 
-        monkeypatch.setattr(banded_mod, "tril_inverse", transposed_inverse)
+        monkeypatch.setattr(host_mod, "tril_inverse", transposed_inverse)
         report = run_conformance(
             n_cases=2,
             seed=0,

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import repro.batch.ipm as batch_ipm
+from repro.batch.contract import CONTROL_GRADE_KKT, QPOptions
 from repro.mpc.controller import PlantIntegrator
-from repro.mpc.ipm import CONTROL_GRADE_KKT
-from repro.mpc.qp import QPOptions
 from repro.robots import build_benchmark
 
 ORACLE = dict(tolerance=1e-6, input_tolerance=None)

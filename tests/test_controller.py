@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.batch.contract import SolveBudget
 from repro.errors import SolverError
 from repro.mpc import (
-    IPMOptions,
     InteriorPointSolver,
     MPCController,
     Penalty,
     RobotModel,
-    SolveBudget,
     Task,
     TranscribedProblem,
     VarSpec,

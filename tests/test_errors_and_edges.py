@@ -137,7 +137,8 @@ class TestSolverEdgeCases:
         assert res.z.shape == (p.nz,)
 
     def test_solver_reports_unconverged_honestly(self):
-        from repro.mpc import IPMOptions, InteriorPointSolver
+        from repro.batch.contract import IPMOptions
+        from repro.mpc import InteriorPointSolver
         from repro.robots import build_benchmark
 
         b = build_benchmark("Quadrotor")

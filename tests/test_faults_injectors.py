@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.batch.contract import SolveBudget
 from repro.errors import ReproError
 from repro.faults import (
     BUILTIN_SCHEDULES,
@@ -12,7 +13,6 @@ from repro.faults import (
     SessionFaultInjector,
     builtin_schedule,
 )
-from repro.mpc import SolveBudget
 
 
 def schedule_of(*specs, seed=0):

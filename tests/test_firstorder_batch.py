@@ -1,10 +1,11 @@
 """First-order QP subsystem, the lockstep loop: every lane of a batch
-against the same QP solved alone (the ``B = 1`` lane ``solve_qp_admm``),
+against the same QP solved alone (the ``B = 1`` lane, ``solve_qp``),
 the sync-free device-residency gate (CountingBackend) and the host early
 exit, per-lane iteration caps and poisoned-lane freezing, the
 positive-definiteness ladder and per-lane fault hooks of the cached
 factorization, the rho-checkpoint cadence, batched warm starts, the
-``BatchSolver(qp_method="admm")`` seam, and cross-backend parity."""
+``BatchSolver`` seam (``options.qp.method == "admm"``), and cross-backend
+parity."""
 
 from dataclasses import replace
 from time import perf_counter
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchSolver, CountingBackend
+from repro.batch.contract import IPMOptions, QPOptions
 from repro.errors import SolverError
-from repro.firstorder import solve_qp_admm, solve_qp_admm_batch
-from repro.mpc.qp import QPOptions
+from repro.firstorder import solve_qp_admm_batch
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 from tests.test_batch_backend import ALL_BACKENDS
 
@@ -62,7 +64,7 @@ class TestLaneParity:
         qps, stacked = qp_batch(p=p, m=m)
         res = solve_qp_admm_batch(*stacked, ADMM_OPTS)
         for i, qp in enumerate(qps):
-            ref = solve_qp_admm(*qp, ADMM_OPTS)
+            ref = solve_qp(*qp, ADMM_OPTS)
             assert res.status[i] == "converged"
             assert ref.converged
             assert np.allclose(res.x[i], ref.x, atol=1e-5)
@@ -216,7 +218,7 @@ class TestFactorizationLadder:
             assert np.array_equal(res.x[lane], ref.x[lane])
             assert res.iterations[lane] == ref.iterations[lane]
         # The same QP alone climbs the same ladder.
-        alone = solve_qp_admm(*[a[1] for a in sick], self.OPTS)
+        alone = solve_qp(*[a[1] for a in sick], self.OPTS)
         assert alone.converged and alone.stats.retries == 2
 
     def test_unrepairable_lane_fails_alone(self):
@@ -236,7 +238,7 @@ class TestFactorizationLadder:
             assert res.status[lane] == "converged"
             assert np.array_equal(res.x[lane], ref.x[lane])
         with pytest.raises(SolverError, match="could not be factorized"):
-            solve_qp_admm(H[1], *qps[1][1:], opts)
+            solve_qp(H[1], *qps[1][1:], opts)
 
     def test_hooks_are_per_lane_and_per_build(self):
         """``force_failure`` fails attempts of its own lane only;
@@ -260,13 +262,13 @@ class TestFactorizationLadder:
     def test_hooks_reach_the_single_lane(self):
         qps, _stacked = qp_batch()
         hook = FactorHook(fail=3)
-        res = solve_qp_admm(*qps[0], ADMM_OPTS, fault_hook=hook)
+        res = solve_qp(*qps[0], ADMM_OPTS, fault_hook=hook)
         assert res.converged
         assert res.stats.retries == 3
         assert res.stats.regularization_max == pytest.approx(1e-3)
         assert hook.builds == res.stats.factorizations
         with pytest.raises(SolverError, match="could not be factorized"):
-            solve_qp_admm(*qps[0], ADMM_OPTS, fault_hook=FactorHook(fail=99))
+            solve_qp(*qps[0], ADMM_OPTS, fault_hook=FactorHook(fail=99))
 
 
 class TestLaneFates:
@@ -296,7 +298,7 @@ class TestLaneFates:
         res = solve_qp_admm_batch(H, *stacked[1:], ADMM_OPTS)
         assert res.status[1] == "failed"
         for i in (0, 2, 3):
-            ref = solve_qp_admm(*qps[i], ADMM_OPTS)
+            ref = solve_qp(*qps[i], ADMM_OPTS)
             assert res.status[i] == "converged"
             assert np.allclose(res.x[i], ref.x, atol=1e-5)
 
@@ -354,7 +356,7 @@ class TestBatchSolverSeam:
     def test_invalid_method_rejected(self, mobile):
         _bench, problem = mobile
         with pytest.raises(SolverError):
-            BatchSolver(problem, qp_method="sgd")
+            BatchSolver(problem, IPMOptions(qp=QPOptions(method="sgd")))
 
     def test_lanes_match_scalar_admm_sqp(self, mobile):
         bench, problem = mobile
@@ -371,7 +373,7 @@ class TestBatchSolverSeam:
         scalar.options = replace(
             scalar.options, qp=replace(scalar.options.qp, method="admm")
         )
-        batch = BatchSolver(problem, qp_method="admm")
+        batch = BatchSolver(problem, IPMOptions(qp=QPOptions(method="admm")))
         results, report = batch.solve(X0, refs=[bench.ref] * B)
         assert report.lanes == B
         for i, got in enumerate(results):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.batch.contract import IPMOptions
 from repro.errors import SolverError
 from repro.mpc import (
     Constraint,
-    IPMOptions,
     InteriorPointSolver,
     Penalty,
     RobotModel,

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.batch.host import (
+    cholesky,
+    flop_counts_cholesky,
+    flop_counts_substitution,
+)
 from repro.errors import SolverError
 from repro.mpc import (
     backward_substitution,
-    cholesky,
     cholesky_solve,
     forward_substitution,
 )
-from repro.mpc.linalg import flop_counts_cholesky, flop_counts_substitution
 
 
 def random_spd(n, seed):

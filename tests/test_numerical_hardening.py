@@ -9,12 +9,16 @@ never a raw ``numpy`` warning, never a NaN control input.
 import numpy as np
 import pytest
 
-from repro.errors import SolverError, StateValidationError
-from repro.mpc import MPCController, SolveBudget, SolverHealth
-from repro.mpc.health import nonfinite_indices
 from repro.batch import BatchSolver, robust_factor_batch
+from repro.batch.contract import (
+    QPOptions,
+    SolveBudget,
+    SolverHealth,
+    nonfinite_indices,
+)
 from repro.batch.linalg import LADDER_ATTEMPTS
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.errors import SolverError, StateValidationError
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 
 HORIZON = 8

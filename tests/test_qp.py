@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SolverError
 from repro.baselines import reference_qp_objective, reference_solve_qp
 from repro.batch.backend import HOST
+from repro.batch.contract import QPOptions
 from repro.batch.qp import _max_step_batch
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.errors import SolverError
+from repro.mpc.qp import solve_qp
 
 
 def spd(n, seed, scale=1.0):

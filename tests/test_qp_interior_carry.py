@@ -18,8 +18,9 @@ import pytest
 import repro.batch.ipm as batch_ipm
 from repro.baselines import reference_solve_qp
 from repro.batch import BatchSolver
+from repro.batch.contract import QPOptions
 from repro.batch.qp import solve_qp_batch
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 
 THETA = 1e-2

@@ -10,6 +10,14 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchSolver, CountingBackend
+from repro.batch.contract import (
+    IPMOptions,
+    IPMResult,
+    QPOptions,
+    SolveBudget,
+    SolverHealth,
+)
+from repro.batch.host import _polish_qp
 from repro.faults import (
     CampaignConfig,
     FaultSchedule,
@@ -18,17 +26,14 @@ from repro.faults import (
     builtin_schedule,
     run_campaign,
 )
-from repro.firstorder import solve_qp_admm, solve_qp_admm_batch
-from repro.firstorder.admm import _polish_qp
+from repro.firstorder import solve_qp_admm_batch
 from repro.firstorder.precond import (
     identity_scale_batch,
     norm_spread_batch,
     ruiz_equilibrate_batch,
 )
-from repro.mpc import MPCController, SolveBudget
-from repro.mpc.health import SolverHealth
-from repro.mpc.ipm import IPMResult
-from repro.mpc.qp import QPOptions, solve_qp
+from repro.mpc import MPCController
+from repro.mpc.qp import solve_qp
 from repro.robots import build_benchmark
 from repro.serve import ControlSession, SessionConfig
 from repro.serve.telemetry import FleetMetrics, render_summary
@@ -39,6 +44,8 @@ ADMM_OPTS = QPOptions(
     admm_tolerance=1e-8,
     admm_max_iterations=20000,
 )
+#: the SQP options of a batched ADMM solve (otherwise the defaults)
+ADMM_SQP = IPMOptions(qp=QPOptions(method="admm"))
 
 
 def spd(n, seed, scale=1.0):
@@ -156,7 +163,7 @@ class TestRuizEquilibration:
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=6), rng.normal(size=5)
         z = np.concatenate([qp[3], qp[5] - 1.0])  # inside [l, u]
-        res = solve_qp_admm(
+        res = solve_qp(
             *qp, ADMM_OPTS, deadline=0.0,
             warm={"x": x, "z": z, "y": y, "rho": 0.3},
         )
@@ -231,15 +238,15 @@ class TestEquilibrationGate:
         """Below the norm-spread gate, equilibration must not run — the
         result is bit-identical to an explicitly disabled run."""
         qp = random_qp(8, 2, 4, 5)
-        on = solve_qp_admm(*qp, ADMM_OPTS)
-        off = solve_qp_admm(*qp, replace(ADMM_OPTS, admm_equilibrate=False))
+        on = solve_qp(*qp, ADMM_OPTS)
+        off = solve_qp(*qp, replace(ADMM_OPTS, admm_equilibrate=False))
         assert not on.stats.conditioning.equilibrated
         assert np.array_equal(on.x, off.x)
         assert on.iterations == off.iterations
 
     def test_stiff_problem_engages_and_matches_ipm(self):
         qp = random_qp(8, 2, 4, 0, skew=1e4)
-        res = solve_qp_admm(*qp, ADMM_OPTS)
+        res = solve_qp(*qp, ADMM_OPTS)
         cond = res.stats.conditioning
         assert cond.equilibrated
         assert cond.norm_spread_before > ADMM_OPTS.admm_equilibrate_spread
@@ -252,9 +259,9 @@ class TestEquilibrationGate:
         """Warm dicts travel in the unscaled space: a warm restart across
         re-equilibration must converge fast to the same point."""
         qp = random_qp(8, 2, 4, 3, skew=1e4)
-        cold = solve_qp_admm(*qp, ADMM_OPTS)
+        cold = solve_qp(*qp, ADMM_OPTS)
         assert cold.converged and cold.warm is not None
-        rewarm = solve_qp_admm(*qp, ADMM_OPTS, warm=cold.warm)
+        rewarm = solve_qp(*qp, ADMM_OPTS, warm=cold.warm)
         assert rewarm.converged
         assert rewarm.iterations <= max(2, cold.iterations // 10)
         assert np.allclose(rewarm.x, cold.x, atol=1e-6)
@@ -265,7 +272,7 @@ class TestEquilibrationGate:
         by ``reg * x``, which the unscaling of an equilibrated stiff QP
         amplifies into a residual floor of 1.4e-4 on this problem."""
         qp = random_qp(8, 2, 4, 1, skew=1e4)
-        res = solve_qp_admm(
+        res = solve_qp(
             *qp,
             replace(
                 ADMM_OPTS,
@@ -280,7 +287,7 @@ class TestEquilibrationGate:
 
     def test_gate_threshold_is_respected(self):
         qp = random_qp(8, 2, 4, 5)  # calm: spread well under 100
-        forced = solve_qp_admm(
+        forced = solve_qp(
             *qp, replace(ADMM_OPTS, admm_equilibrate_spread=1.0)
         )
         assert forced.stats.conditioning.equilibrated
@@ -332,7 +339,7 @@ class TestPolish:
         """``needs_fallback`` is stall-or-divergence *minus* a successful
         polish: a repaired solve must not trigger the rescue ladder."""
         qp = random_qp(8, 2, 4, 7)
-        res = solve_qp_admm(
+        res = solve_qp(
             *qp, replace(ADMM_OPTS, polish=True), fault_hook=StallHook()
         )
         cond = res.stats.conditioning
@@ -467,7 +474,7 @@ class TestBatchRescue:
         to stall by a per-lane hook (the deterministic stand-in for a
         stiff lane), exercising the real detect/gather/re-solve/scatter
         path."""
-        solver = BatchSolver(problem, qp_method="admm")
+        solver = BatchSolver(problem, ADMM_SQP)
         if stall_lane is not None:
             solver.fault_hooks = [
                 StallHook() if lane == stall_lane else None
@@ -496,20 +503,20 @@ class TestBatchRescue:
         ``budget_exhausted`` with the stalled direction discarded — and
         its batch-mates do not notice."""
         bench, problem, X0 = mobile
-        solver = BatchSolver(problem, qp_method="admm")
+        solver = BatchSolver(problem, ADMM_SQP)
         solver.fault_hooks = [None, StallHook(n=1000), None]
         budgets = [None, SolveBudget(qp_iterations=5), None]
         res, _ = solver.solve(X0, refs=[bench.ref] * 3, budgets=budgets)
         assert res[1].status == "budget_exhausted"
         assert res[1].health.method_fallbacks == 0
         assert (res[1].iterations, res[1].qp_iterations) == (1, 5)
-        untouched, _ = BatchSolver(problem, qp_method="admm").solve(
+        untouched, _ = BatchSolver(problem, ADMM_SQP).solve(
             X0[1:2],
             refs=[bench.ref],
             budgets=[SolveBudget(qp_iterations=0)],
         )
         assert np.array_equal(res[1].z, untouched[0].z)
-        mates, _ = BatchSolver(problem, qp_method="admm").solve(
+        mates, _ = BatchSolver(problem, ADMM_SQP).solve(
             X0[[0, 2]], refs=[bench.ref] * 2
         )
         for lane, mate in zip((0, 2), mates):

@@ -118,6 +118,6 @@ class TestEngineSelection:
             assert out.status == "ok"
             assert np.all(np.isfinite(out.u))
             binding = engine._shards[0].bindings[("MobileRobot", 5)]
-            assert binding.batch_solver.qp_method == "admm"
+            assert binding.batch_solver.options.qp.method == "admm"
         finally:
             engine.shutdown()

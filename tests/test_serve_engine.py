@@ -213,6 +213,6 @@ class TestOneTierPerProblem:
         admm = _SHARD_CACHE[("MobileRobot", 5, "admm")]
         ipm = _SHARD_CACHE[("MobileRobot", 5, "ipm")]
         assert admm is not ipm  # the method is part of the binding's identity
-        assert admm.batch_solver.qp_method == "admm"
-        assert ipm.batch_solver.qp_method == "ipm"
+        assert admm.batch_solver.options.qp.method == "admm"
+        assert ipm.batch_solver.options.qp.method == "ipm"
         assert all(len(key) == 3 for key in _SHARD_CACHE)

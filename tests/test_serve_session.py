@@ -9,6 +9,7 @@ divergence -> warm-start reset.
 import numpy as np
 import pytest
 
+from repro.batch.contract import IPMResult
 from repro.errors import ServeError, SessionStateError, SolverError
 from repro.mpc import (
     MPCController,
@@ -18,7 +19,6 @@ from repro.mpc import (
     TranscribedProblem,
     VarSpec,
 )
-from repro.mpc.ipm import IPMResult
 from repro.serve import (
     ACTIVE,
     CRASHED,

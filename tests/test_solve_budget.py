@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.batch.contract import BudgetClock, SolveBudget
 from repro.errors import SolverError
 from repro.mpc import (
     InteriorPointSolver,
     Penalty,
     RobotModel,
-    SolveBudget,
     Task,
     TranscribedProblem,
     VarSpec,
 )
-from repro.mpc.budget import BudgetClock
 from repro.symbolic import Var
 
 
